@@ -106,7 +106,7 @@ class FrameTrafficAdapter(TrafficModel):
     def _generate(self, slot: int) -> list[Packet | None]:
         for frame in self.workload.frames_for_slot(slot):
             self.segmenter.offer(frame)
-        return self.segmenter.emit(slot)
+        return self._counted(self.segmenter.emit(slot))
 
     def on_deliveries(self, deliveries: Iterable[Delivery]) -> list[Frame]:
         """Feed switch deliveries; returns frames completed this call."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import lt
 
 from repro.errors import TrafficError
 from repro.utils.bitsets import bitmask_from_iterable
@@ -48,16 +49,22 @@ class Packet:
     input_port: int
     destinations: tuple[int, ...]
     arrival_slot: int
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     priority: int = 0
 
     def __post_init__(self) -> None:
-        if not self.destinations:
+        dests = self.destinations
+        if not dests:
             raise TrafficError("a packet must have at least one destination")
-        dests = tuple(sorted(set(int(d) for d in self.destinations)))
-        if dests != tuple(self.destinations):
+        # Generators emit strictly increasing tuples of int: nothing to do.
+        if not (
+            type(dests) is tuple
+            and set(map(type, dests)) == {int}
+            and all(map(lt, dests, dests[1:]))
+        ):
+            dests = tuple(sorted(set(int(d) for d in dests)))
             object.__setattr__(self, "destinations", dests)
-        if min(dests) < 0:
+        if dests[0] < 0:
             raise TrafficError(f"negative destination in {dests}")
         if self.input_port < 0:
             raise TrafficError(f"negative input port {self.input_port}")

@@ -55,7 +55,7 @@ class PriorityTagger(TrafficModel):
             )
             self.packets_per_class[cls] += 1
             out[i] = replace(pkt, priority=cls, packet_id=pkt.packet_id)
-        return out
+        return self._counted(out)
 
     # ------------------------------------------------------------------ #
     @property

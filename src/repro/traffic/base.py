@@ -17,7 +17,29 @@ from repro.packet import Packet
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_port_count
 
-__all__ = ["TrafficModel"]
+__all__ = ["TrafficModel", "binomial_destination_rows"]
+
+
+def binomial_destination_rows(
+    rng: np.random.Generator, rows: int, n: int, b: float, min_hits: int
+) -> list[tuple[int, ...]]:
+    """The next ``rows`` destination sets with at least ``min_hits`` outputs.
+
+    The stream is read as consecutive n-wide rows of ``rng.random(n) < b``;
+    rows with too few hits are skipped. Drawing the whole shortfall per
+    call consumes exactly the rows a one-row-at-a-time redraw loop would.
+    """
+    out: list[tuple[int, ...]] = []
+    while len(out) < rows:
+        need = rows - len(out)
+        row_of, hit_outputs = (rng.random((need, n)) < b).nonzero()
+        outputs = hit_outputs.tolist()
+        end = 0
+        for hits in np.bincount(row_of, minlength=need).tolist():
+            start, end = end, end + hits
+            if hits >= min_hits:
+                out.append(tuple(outputs[start:end]))
+    return out
 
 
 class TrafficModel(abc.ABC):
@@ -37,11 +59,27 @@ class TrafficModel(abc.ABC):
         """Arrivals for the next slot (index = input port)."""
         slot = self._next_slot
         self._next_slot += 1
-        arrivals = self._generate(slot)
+        return self._generate(slot)
+
+    def _arrivals(
+        self, slot: int, inputs: list[int], dests: list[tuple[int, ...]]
+    ) -> list[Packet | None]:
+        """Build and count the slot's lanes: ``inputs[k]`` sends to ``dests[k]``."""
+        arrivals: list[Packet | None] = [None] * self.num_ports
+        cells = 0
+        for i, d in zip(inputs, dests):
+            arrivals[i] = Packet(i, d, slot)
+            cells += len(d)
+        self.packets_generated += len(inputs)
+        self.cells_generated += cells
+        return arrivals
+
+    def _counted(self, arrivals: list[Packet | None]) -> list[Packet | None]:
+        """Count lanes whose packets were built elsewhere (replays, taggers)."""
         for pkt in arrivals:
             if pkt is not None:
                 self.packets_generated += 1
-                self.cells_generated += pkt.fanout
+                self.cells_generated += len(pkt.destinations)
         return arrivals
 
     @property
@@ -51,7 +89,9 @@ class TrafficModel(abc.ABC):
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
     def _generate(self, slot: int) -> list[Packet | None]:
-        """Produce the arrivals of ``slot`` (may mutate internal state)."""
+        """Produce the arrivals of ``slot`` (may mutate internal state),
+        counted: return through :meth:`_arrivals` (fresh draws, built and
+        counted in one pass) or :meth:`_counted` (forwarded packets)."""
 
     @property
     @abc.abstractmethod

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.packet import Packet
-from repro.traffic.base import TrafficModel
+from repro.traffic.base import TrafficModel, binomial_destination_rows
 from repro.utils.validation import check_probability
 
 __all__ = ["BernoulliMulticastTraffic"]
@@ -44,18 +44,10 @@ class BernoulliMulticastTraffic(TrafficModel):
     # ------------------------------------------------------------------ #
     def _generate(self, slot: int) -> list[Packet | None]:
         n = self.num_ports
-        arrivals: list[Packet | None] = [None] * n
-        busy = self.rng.random(n) < self.p
-        for i in np.nonzero(busy)[0]:
-            mask = self.rng.random(n) < self.b
-            while not mask.any():  # a packet must have >= 1 destination
-                mask = self.rng.random(n) < self.b
-            arrivals[int(i)] = Packet(
-                input_port=int(i),
-                destinations=tuple(int(j) for j in np.nonzero(mask)[0]),
-                arrival_slot=slot,
-            )
-        return arrivals
+        inputs = np.nonzero(self.rng.random(n) < self.p)[0].tolist()
+        # A packet must have >= 1 destination: empty rows are skipped.
+        dests = binomial_destination_rows(self.rng, len(inputs), n, self.b, 1)
+        return self._arrivals(slot, inputs, dests)
 
     # ------------------------------------------------------------------ #
     @property

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.packet import Packet
-from repro.traffic.base import TrafficModel
+from repro.traffic.base import TrafficModel, binomial_destination_rows
 from repro.utils.validation import check_positive, check_probability
 
 __all__ = ["BurstMulticastTraffic"]
@@ -63,21 +63,14 @@ class BurstMulticastTraffic(TrafficModel):
 
     # ------------------------------------------------------------------ #
     def _draw_destinations(self) -> tuple[int, ...]:
-        mask = self.rng.random(self.num_ports) < self.b
-        while not mask.any():
-            mask = self.rng.random(self.num_ports) < self.b
-        return tuple(int(j) for j in np.nonzero(mask)[0])
+        return binomial_destination_rows(self.rng, 1, self.num_ports, self.b, 1)[0]
 
     def _generate(self, slot: int) -> list[Packet | None]:
         n = self.num_ports
-        arrivals: list[Packet | None] = [None] * n
-        for i in range(n):
-            if self._on[i]:
-                arrivals[i] = Packet(
-                    input_port=i,
-                    destinations=self._burst_dests[i],  # type: ignore[arg-type]
-                    arrival_slot=slot,
-                )
+        inputs = np.nonzero(self._on)[0].tolist()
+        arrivals = self._arrivals(
+            slot, inputs, [self._burst_dests[i] for i in inputs]  # type: ignore[misc]
+        )
         # State transitions at the end of the slot (paper: "at the end of
         # each slot, the traffic can switch between off and on states").
         flips = self.rng.random(n)

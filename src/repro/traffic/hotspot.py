@@ -56,19 +56,15 @@ class HotspotTraffic(TrafficModel):
     # ------------------------------------------------------------------ #
     def _generate(self, slot: int) -> list[Packet | None]:
         n = self.num_ports
-        arrivals: list[Packet | None] = [None] * n
-        busy = self.rng.random(n) < self.p
-        for i in np.nonzero(busy)[0]:
+        inputs = np.nonzero(self.rng.random(n) < self.p)[0].tolist()
+        dests = []
+        for _ in inputs:
             fanout = int(self.rng.integers(1, self.max_fanout + 1))
-            dests = self.rng.choice(
+            picked = self.rng.choice(
                 n, size=fanout, replace=False, p=self.destination_probs
             )
-            arrivals[int(i)] = Packet(
-                input_port=int(i),
-                destinations=tuple(int(j) for j in dests),
-                arrival_slot=slot,
-            )
-        return arrivals
+            dests.append(tuple(sorted(picked.tolist())))
+        return self._arrivals(slot, inputs, dests)
 
     # ------------------------------------------------------------------ #
     @property

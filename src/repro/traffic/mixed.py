@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.packet import Packet
-from repro.traffic.base import TrafficModel
+from repro.traffic.base import TrafficModel, binomial_destination_rows
 from repro.utils.validation import check_probability
 
 __all__ = ["MixedTraffic"]
@@ -36,24 +37,24 @@ class MixedTraffic(TrafficModel):
         self.p = check_probability(p, "p")
         self.unicast_fraction = check_probability(unicast_fraction, "unicast_fraction")
         self.b = check_probability(b, "b", allow_zero=False)
+        if num_ports < 2 and self.unicast_fraction < 1.0:
+            raise ConfigurationError(
+                "multicast packets need >= 2 destinations: num_ports=1 "
+                f"requires unicast_fraction=1, got {unicast_fraction}"
+            )
 
     # ------------------------------------------------------------------ #
     def _generate(self, slot: int) -> list[Packet | None]:
         n = self.num_ports
-        arrivals: list[Packet | None] = [None] * n
-        busy = self.rng.random(n) < self.p
-        for i in np.nonzero(busy)[0]:
-            if self.rng.random() < self.unicast_fraction:
-                dests = (int(self.rng.integers(n)),)
-            else:
-                mask = self.rng.random(n) < self.b
-                while mask.sum() < 2:  # multicast means >= 2 destinations
-                    mask = self.rng.random(n) < self.b
-                dests = tuple(int(j) for j in np.nonzero(mask)[0])
-            arrivals[int(i)] = Packet(
-                input_port=int(i), destinations=dests, arrival_slot=slot
-            )
-        return arrivals
+        rng = self.rng
+        inputs = np.nonzero(rng.random(n) < self.p)[0].tolist()
+        dests: list[tuple[int, ...]] = []
+        for _ in inputs:
+            if rng.random() < self.unicast_fraction:
+                dests.append((int(rng.integers(n)),))
+            else:  # multicast means >= 2 destinations
+                dests += binomial_destination_rows(rng, 1, n, self.b, 2)
+        return self._arrivals(slot, inputs, dests)
 
     # ------------------------------------------------------------------ #
     @property
@@ -68,6 +69,8 @@ class MixedTraffic(TrafficModel):
     @property
     def average_fanout(self) -> float:
         f = self.unicast_fraction
+        if f == 1.0:  # the multicast mean is 0/0 on a 1-port switch
+            return 1.0
         return f * 1.0 + (1.0 - f) * self._multicast_mean_fanout
 
     @property

@@ -56,7 +56,7 @@ class TraceTraffic(TrafficModel):
         arrivals: list[Packet | None] = [None] * self.num_ports
         for pkt in self._by_slot.get(slot, ()):
             arrivals[pkt.input_port] = pkt
-        return arrivals
+        return self._counted(arrivals)
 
     # ------------------------------------------------------------------ #
     @property

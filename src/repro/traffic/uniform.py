@@ -37,7 +37,8 @@ class UniformFanoutTraffic(TrafficModel):
     ) -> None:
         super().__init__(num_ports, rng=rng)
         self.p = check_probability(p, "p")
-        if not isinstance(max_fanout, int) or not 1 <= max_fanout <= num_ports:
+        # type(), not isinstance(): True is an int but not a fanout.
+        if type(max_fanout) is not int or not 1 <= max_fanout <= num_ports:
             raise ConfigurationError(
                 f"max_fanout must be an int in [1, {num_ports}], got {max_fanout!r}"
             )
@@ -46,17 +47,20 @@ class UniformFanoutTraffic(TrafficModel):
     # ------------------------------------------------------------------ #
     def _generate(self, slot: int) -> list[Packet | None]:
         n = self.num_ports
-        arrivals: list[Packet | None] = [None] * n
-        busy = self.rng.random(n) < self.p
-        for i in np.nonzero(busy)[0]:
-            fanout = int(self.rng.integers(1, self.max_fanout + 1))
-            dests = self.rng.choice(n, size=fanout, replace=False)
-            arrivals[int(i)] = Packet(
-                input_port=int(i),
-                destinations=tuple(int(j) for j in dests),
-                arrival_slot=slot,
-            )
-        return arrivals
+        rng = self.rng
+        inputs = np.nonzero(rng.random(n) < self.p)[0].tolist()
+        dests: list[tuple[int, ...]]
+        if self.max_fanout == 1:
+            # Per packet, integers(1, 2) consumes nothing and a size-1
+            # choice is one bounded draw: the slot is one integers() call.
+            dests = [(j,) for j in rng.integers(0, n, size=len(inputs)).tolist()]
+        else:
+            dests = []
+            for _ in inputs:
+                fanout = int(rng.integers(1, self.max_fanout + 1))
+                picked = rng.choice(n, size=fanout, replace=False)
+                dests.append(tuple(sorted(picked.tolist())))
+        return self._arrivals(slot, inputs, dests)
 
     # ------------------------------------------------------------------ #
     @property

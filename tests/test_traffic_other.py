@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.errors import TrafficError
+from repro.errors import ConfigurationError, TrafficError
 from repro.traffic.bernoulli import BernoulliMulticastTraffic
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.mixed import MixedTraffic
@@ -43,6 +48,31 @@ class TestMixed:
         tr = MixedTraffic(8, p=0.4, unicast_fraction=1.0, b=0.3)
         assert tr.average_fanout == 1.0
         assert tr.effective_load == pytest.approx(0.4)
+
+    def test_one_port_multicast_is_refused_not_hung(self):
+        """A 1-port switch has no 2-destination packet: generating one
+        used to spin forever, so the regression runs under a timeout."""
+        code = (
+            "from repro.traffic.mixed import MixedTraffic\n"
+            "MixedTraffic(1, p=1.0, unicast_fraction=0.0, b=0.5, rng=0).next_slot()\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "ConfigurationError" in proc.stderr
+        with pytest.raises(ConfigurationError):
+            MixedTraffic(1, p=0.5, unicast_fraction=0.9, b=0.5)
+
+    def test_one_port_pure_unicast_still_works(self):
+        tr = MixedTraffic(1, p=1.0, unicast_fraction=1.0, b=0.5, rng=0)
+        assert [pkt.destinations for pkt in tr.next_slot()] == [(0,)]
+        assert tr.average_fanout == 1.0
 
 
 class TestHotspot:
@@ -109,3 +139,44 @@ class TestTrace:
         tr = TraceTraffic(2, pkts)
         assert tr.average_fanout == pytest.approx(1.5)
         assert tr.effective_load == pytest.approx(3 / (2 * 2))
+
+
+def _counted_models():
+    from repro.frames.adapter import FrameTrafficAdapter, FrameWorkload
+    from repro.qos.traffic import PriorityTagger
+    from repro.traffic.burst import BurstMulticastTraffic
+    from repro.traffic.uniform import UniformFanoutTraffic
+
+    yield BernoulliMulticastTraffic(6, p=0.6, b=0.3, rng=1)
+    yield UniformFanoutTraffic(6, p=0.6, max_fanout=1, rng=2)
+    yield UniformFanoutTraffic(6, p=0.6, max_fanout=3, rng=3)
+    yield BurstMulticastTraffic(6, e_off=3.0, e_on=3.0, b=0.3, rng=4)
+    yield MixedTraffic(6, p=0.6, unicast_fraction=0.5, b=0.4, rng=5)
+    yield HotspotTraffic(
+        6, p=0.6, max_fanout=2, num_hotspots=1, hotspot_fraction=0.5, rng=6
+    )
+    yield TraceTraffic(
+        6, record_trace(BernoulliMulticastTraffic(6, p=0.6, b=0.3, rng=1), 40)
+    )
+    yield PriorityTagger(
+        BernoulliMulticastTraffic(6, p=0.6, b=0.3, rng=7), [1, 1], rng=8
+    )
+    yield FrameTrafficAdapter(
+        FrameWorkload(6, frame_rate=0.1, mean_size=3.0, b=0.4, max_size=8, rng=9)
+    )
+
+
+@pytest.mark.parametrize("model", _counted_models(), ids=lambda m: type(m).__name__)
+def test_every_model_counts_what_it_emits(model):
+    """``_generate`` returns through ``_arrivals`` or ``_counted`` (there
+    is no counting pass in ``next_slot``), so every subclass is held to
+    the counters here."""
+    packets = cells = 0
+    for _ in range(40):
+        for pkt in model.next_slot():
+            if pkt is not None:
+                packets += 1
+                cells += pkt.fanout
+    assert packets > 0
+    assert model.packets_generated == packets
+    assert model.cells_generated == cells

@@ -16,6 +16,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             UniformFanoutTraffic(4, p=0.5, max_fanout=0)
 
+    def test_bool_max_fanout_rejected(self):
+        # bool is an int: True used to pass as max_fanout=1.
+        with pytest.raises(ConfigurationError):
+            UniformFanoutTraffic(4, p=0.5, max_fanout=True)
+
 
 class TestGeneration:
     def test_unicast_mode(self):
