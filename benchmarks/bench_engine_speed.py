@@ -1,8 +1,8 @@
 """PERF — simulator engine throughput (slots/second).
 
 Times the reference object-model stack against the vectorized kernel
-backend (the struct-of-arrays hot path that replaced the bespoke
-``repro.fast`` engines) on identical workloads, at the paper's N = 16
+backend (the struct-of-arrays hot path) on identical workloads, at the
+paper's N = 16
 and at larger port counts where the vectorized scheduling rounds pay
 off. These benches use pytest-benchmark's statistics properly (multiple
 rounds) since the callable is cheap and deterministic in cost.
@@ -72,8 +72,8 @@ def test_tatra_slots_per_sec(benchmark):
 
 
 def test_chunked_fifoms_slots_per_sec(benchmark):
-    # slot_chunk batches K slots per step_chunk() call in the plain
-    # engine loop; identical results, less per-slot dispatch.
+    # slot_chunk draws K arrival vectors ahead of the slots that
+    # consume them; identical results.
     summary = benchmark.pedantic(
         lambda: _run("fifoms", 32, "vectorized", slot_chunk=64),
         rounds=3,

@@ -8,7 +8,7 @@ Subcommands::
     repro-sim report RUNDIR [--html F]     # dashboard from a run directory
     repro-sim bench-check [--history F]    # perf-trajectory regression gate
     repro-sim figure --id fig4 ...         # regenerate a paper figure
-    repro-sim campaign --out REPORT.md     # several figures -> one report
+    repro-sim campaign run|resume|status DIR   # durable figure campaign
     repro-sim trace record|run ...         # persist / replay workloads
     repro-sim verify -a fifoms ...         # exhaustive small-state check
     repro-sim lint [--strict] [PATHS...]   # determinism/invariant linter
@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--slot-chunk", type=int, default=1, metavar="K",
-        help="slots per step_chunk() call in the plain loop (bit-identical "
-        "for every K; ignored when telemetry, sanitizing or faults are on)",
+        help="arrival vectors drawn ahead of the slots that consume them "
+        "(bit-identical for every K, in every mode)",
     )
     run_p.add_argument(
         "--sanitize", action="store_true",
@@ -176,26 +176,15 @@ def build_parser() -> argparse.ArgumentParser:
     run_t.add_argument("--algorithm", "-a", required=True)
     run_t.add_argument("--seed", type=int, default=0)
 
+    # Durable campaign runner (checkpointed store + resumable supervisor);
+    # a bare `campaign` is a usage error (exit 2).
     camp_p = sub.add_parser(
         "campaign",
-        help="regenerate several figures into one Markdown report "
-        "(add run/resume/status for the durable, checkpointed runner)",
+        help="regenerate several figures into one durable, checkpointed "
+        "store with a Markdown report (run / resume / status)",
     )
-    camp_p.add_argument(
-        "--figures", nargs="*", default=None,
-        help="figure ids (default: the five paper figures)",
-    )
-    camp_p.add_argument("--slots", type=int, default=30_000)
-    camp_p.add_argument("--seed", type=int, default=2004)
-    camp_p.add_argument("--workers", type=int, default=None)
-    camp_p.add_argument("--out", default="REPORT.md", help="report path")
-    camp_p.add_argument("--csv-dir", default=None)
-
-    # Durable campaign runner (checkpointed store + resumable supervisor).
-    # The flat `campaign --figures ...` form above stays as the one-shot
-    # in-memory path; these sub-subcommands add the journal-backed one.
     camp_sub = camp_p.add_subparsers(
-        dest="campaign_command", metavar="{run,resume,status}"
+        dest="campaign_command", metavar="{run,resume,status}", required=True
     )
 
     def _add_campaign_exec_args(p: argparse.ArgumentParser) -> None:
@@ -602,37 +591,12 @@ def _lint_command(args: argparse.Namespace) -> int:
 
 
 def _campaign_command(args: argparse.Namespace) -> int:
-    """All four campaign forms: legacy one-shot plus run/resume/status.
+    """``campaign run/resume/status``.
 
     Exit codes: 0 complete, 1 complete-with-failed-points, 2 usage/store
     errors (the generic ``ReproError`` path in :func:`main`), 3
     interrupted-but-resumable (SIGINT/SIGTERM or ``--max-points``).
     """
-    from repro.experiments.campaign import (
-        PAPER_FIGURES,
-        render_markdown_report,
-        run_campaign,
-    )
-
-    cmd = getattr(args, "campaign_command", None)
-    if cmd is None:
-        # Legacy one-shot path: in-memory sweep, no journal, no resume.
-        from repro.utils.fileio import atomic_write_text
-
-        campaign = run_campaign(
-            tuple(args.figures) if args.figures else PAPER_FIGURES,
-            num_slots=args.slots,
-            seed=args.seed,
-            workers=args.workers,
-            csv_dir=args.csv_dir,
-        )
-        atomic_write_text(args.out, render_markdown_report(campaign))
-        print(
-            f"wrote {args.out}: {campaign.claims_passed}/"
-            f"{campaign.claims_total} paper claims PASS"
-        )
-        return 0
-
     import json as _json
 
     from repro.campaign import (
@@ -641,7 +605,9 @@ def _campaign_command(args: argparse.Namespace) -> int:
         run_durable_campaign,
     )
     from repro.errors import CampaignInterrupted
+    from repro.experiments.campaign import PAPER_FIGURES
 
+    cmd = args.campaign_command
     if cmd == "status":
         status = campaign_status(args.store_dir)
         if args.json:

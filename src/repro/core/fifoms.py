@@ -43,7 +43,7 @@ class TieBreak(enum.Enum):
     """How an output port picks among equal-smallest-timestamp requests.
 
     The paper specifies RANDOM. LOWEST_INPUT is deterministic (useful for
-    parity tests against the fast engine); ROUND_ROBIN rotates a per-output
+    hand-checkable traces); ROUND_ROBIN rotates a per-output
     pointer like iSLIP's grant pointer (an ablation in the benchmarks).
     """
 

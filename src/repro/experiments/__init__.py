@@ -10,11 +10,7 @@ from repro.experiments.sweep import (
     run_sweep_point,
 )
 from repro.experiments.paper import check_expectations, ExpectationResult
-from repro.experiments.campaign import (
-    CampaignResult,
-    render_markdown_report,
-    run_campaign,
-)
+from repro.experiments.campaign import CampaignResult, render_markdown_report
 
 __all__ = [
     "FigureSpec",
@@ -29,6 +25,5 @@ __all__ = [
     "check_expectations",
     "ExpectationResult",
     "CampaignResult",
-    "run_campaign",
     "render_markdown_report",
 ]

@@ -1,26 +1,23 @@
-"""Campaign runner: regenerate a set of figures into one report.
+"""Campaign result and report: a set of figures rendered as one document.
 
-One call runs any subset of the figure catalogue (default: the five
-paper figures), checks every registered paper claim, and renders a
-single self-contained Markdown report — the machine-written counterpart
-of EXPERIMENTS.md, stamped with the exact configuration used. CSVs for
-each figure can be written alongside.
+:class:`CampaignResult` holds the figure sweeps and paper-claim checks of
+one campaign (default figure set: the five paper figures);
+:func:`render_markdown_report` renders it as a single self-contained
+Markdown report — the machine-written counterpart of EXPERIMENTS.md,
+stamped with the exact configuration used. Execution lives in
+:mod:`repro.campaign` (``repro-sim campaign run``), which journals every
+point and writes the report and per-figure CSVs into its store.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.errors import ConfigurationError
-from repro.experiments.figures import FIGURES, get_figure
-from repro.experiments.paper import ExpectationResult, check_expectations
+from repro.experiments.paper import ExpectationResult
 from repro.experiments.spec import METRIC_LABELS
-from repro.experiments.sweep import FigureResult, run_figure
-from repro.report.export import write_csv
+from repro.experiments.sweep import FigureResult
 
-__all__ = ["CampaignResult", "run_campaign", "render_markdown_report"]
+__all__ = ["CampaignResult", "PAPER_FIGURES", "render_markdown_report"]
 
 #: The paper's evaluation figures, in order.
 PAPER_FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8")
@@ -42,34 +39,6 @@ class CampaignResult:
     @property
     def claims_passed(self) -> int:
         return sum(e.passed for v in self.expectations.values() for e in v)
-
-
-def run_campaign(
-    figure_ids: Sequence[str] = PAPER_FIGURES,
-    *,
-    num_slots: int = 30_000,
-    seed: int = 2004,
-    workers: int | None = None,
-    csv_dir: str | Path | None = None,
-) -> CampaignResult:
-    """Run every requested figure sweep and collect claim checks."""
-    unknown = [f for f in figure_ids if f not in FIGURES]
-    if unknown:
-        raise ConfigurationError(f"unknown figures {unknown}")
-    if not figure_ids:
-        raise ConfigurationError("no figures requested")
-    result = CampaignResult(num_slots=num_slots, seed=seed)
-    for fid in figure_ids:
-        fig = run_figure(
-            get_figure(fid), num_slots=num_slots, seed=seed, workers=workers
-        )
-        result.figures[fid] = fig
-        result.expectations[fid] = check_expectations(fig)
-        if csv_dir is not None:
-            out = Path(csv_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            write_csv(out / f"{fid}.csv", fig.all_summaries())
-    return result
 
 
 def render_markdown_report(campaign: CampaignResult) -> str:

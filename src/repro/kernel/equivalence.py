@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -48,7 +49,10 @@ from repro.schedulers.registry import available_schedulers, make_switch
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import build_traffic
+from repro.stats.summary import SimulationSummary
 from repro.switch.base import SlotResult
+from repro.traffic.base import TrafficModel
+from repro.traffic.trace import TraceTraffic, record_trace
 from repro.utils.rng import RngStreams
 
 __all__ = [
@@ -60,6 +64,9 @@ __all__ = [
     "default_grid",
     "object_only_pairings",
     "run_grid",
+    "PARITY_FIELDS",
+    "run_pair",
+    "compare_summaries",
     "main",
 ]
 
@@ -389,6 +396,88 @@ def run_grid(
             )
         reports.append(report)
     return reports
+
+
+#: Summary fields that must agree exactly for :func:`compare_summaries`.
+PARITY_FIELDS: tuple[str, ...] = (
+    "slots_run",
+    "average_input_delay",
+    "average_output_delay",
+    "average_queue_size",
+    "max_queue_size",
+    "average_rounds",
+    "max_rounds",
+    "packets_offered",
+    "cells_offered",
+    "cells_delivered",
+    "final_backlog",
+    "unstable",
+)
+
+
+def run_pair(
+    algorithm: str,
+    traffic: TrafficModel,
+    num_slots: int,
+    *,
+    warmup_fraction: float = 0.5,
+    seed: int = 0,
+    **switch_kwargs: object,
+) -> tuple[SimulationSummary, SimulationSummary]:
+    """Run (object, vectorized) backends on one recorded trace.
+
+    Where :func:`run_case` compares two seeded runs slot by slot, this
+    pins both backends to the *identical* arrival sequence by recording
+    ``traffic`` into a trace and replaying it twice; both sides build
+    their scheduler from the same tie-break ``seed``, so randomized
+    arbiters consume identical RNG streams. ``algorithm`` is any registry
+    pairing name; extra keyword arguments forward to the switch factory
+    (``tie_break``, ``max_iterations``, ...). A pairing that declares
+    itself object-only (:func:`object_only_pairings` — TATRA) has no
+    second backend, so its second run is object-backed too: a
+    determinism check. Every other build error propagates.
+    """
+    packets = record_trace(traffic, num_slots)
+    n = traffic.num_ports
+    cfg = SimulationConfig(
+        num_slots=num_slots,
+        warmup_fraction=warmup_fraction,
+        stability_window=max(100, num_slots // 100),
+    )
+
+    def one(backend: str) -> SimulationSummary:
+        switch = make_switch(
+            algorithm, n, rng=seed, backend=backend, **switch_kwargs
+        )
+        return SimulationEngine(
+            switch, TraceTraffic(n, packets), cfg, algorithm_name=algorithm
+        ).run()
+
+    second = "object" if algorithm in object_only_pairings() else "vectorized"
+    return one("object"), one(second)
+
+
+def compare_summaries(
+    ref: SimulationSummary,
+    other: SimulationSummary,
+    *,
+    fields: tuple[str, ...] = PARITY_FIELDS,
+    rel_tol: float = 1e-12,
+) -> list[str]:
+    """Return a description of every field where the two summaries differ."""
+    problems = []
+    for name in fields:
+        a, b = getattr(ref, name), getattr(other, name)
+        if isinstance(a, float) or isinstance(b, float):
+            a_f, b_f = float(a), float(b)
+            same = (math.isnan(a_f) and math.isnan(b_f)) or math.isclose(
+                a_f, b_f, rel_tol=rel_tol, abs_tol=0.0
+            )
+        else:
+            same = a == b
+        if not same:
+            problems.append(f"{name}: reference={a!r} other={b!r}")
+    return problems
 
 
 def main(argv: list[str] | None = None) -> int:

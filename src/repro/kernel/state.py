@@ -25,9 +25,8 @@ array-shaped arbitration kernel:
 Packet *identity* is an integer ``pid`` (allocation order) into parallel
 Python lists — numpy is reserved for the matrix math where it wins, and
 per-entry counter updates stay plain ints where numpy scalar indexing
-would dominate (the per-packet table layout the ``repro.fast`` engines
-use, here behind the switch interface). The only Python objects kept are
-the immutable :class:`~repro.packet.Packet` references needed to emit
+would dominate. The only Python objects kept are the immutable
+:class:`~repro.packet.Packet` references needed to emit
 :class:`~repro.packet.Delivery` records and per-VOQ deques of pids. No
 per-cell objects are ever allocated.
 """

@@ -10,14 +10,19 @@ does a run actually spend its time" before any optimisation PR.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
+from typing import TypeVar
 
 __all__ = ["PHASES", "PhaseProfiler", "NoopProfiler", "NOOP_PROFILER", "clock_ns"]
 
 #: The one sanctioned wall-clock read (`repro.lint` rule DET001): code
-#: outside repro/obs that legitimately needs timing — the engine's
-#: profiled loop — imports this alias instead of the time module, keeping
-#: every wall-clock dependency explicit and greppable.
+#: outside repro/obs that legitimately needs timing — the campaign
+#: supervisor, the sweep pool's reaper — imports this alias instead of
+#: the time module, keeping every wall-clock dependency explicit and
+#: greppable.
 clock_ns = time.perf_counter_ns
+
+_T = TypeVar("_T")
 
 #: Canonical engine phases, in slot-cycle order.
 PHASES: tuple[str, ...] = ("traffic_gen", "schedule", "stats", "invariants")
@@ -36,6 +41,27 @@ class PhaseProfiler:
     def add(self, phase: str, ns: int) -> None:
         """Attribute ``ns`` nanoseconds of wall-clock to ``phase``."""
         self._ns[phase] = self._ns.get(phase, 0) + ns
+
+    def timed(
+        self, phase: str, fn: Callable[..., _T]
+    ) -> Callable[..., _T]:
+        """A delegate for ``fn`` that charges every call to ``phase``.
+
+        This is how the engine's one slot loop is profiled: it swaps its
+        core callables for timed delegates before the loop starts, so an
+        unprofiled run executes the same loop body with no clock reads.
+        The phase is reported even if the delegate is never called.
+        """
+        ns = self._ns
+        ns.setdefault(phase, 0)
+
+        def delegate(*args: object) -> _T:
+            start = clock_ns()
+            out = fn(*args)
+            ns[phase] += clock_ns() - start
+            return out
+
+        return delegate
 
     def total_ns(self, phase: str | None = None) -> int:
         """Nanoseconds recorded for one phase (or all phases summed)."""

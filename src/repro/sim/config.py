@@ -55,12 +55,11 @@ class SimulationConfig:
         ``repro.kernel.equivalence``). Pairings that cannot drive the
         requested backend fail with a configuration error at build time.
     slot_chunk:
-        Slots handed to the switch per :meth:`~repro.switch.base.BaseSwitch.
-        step_chunk` call in the plain (untelemetered, unsanitized,
-        fault-free) loop. 1 (the default) keeps the historical per-slot
-        loop; larger values amortize the engine's per-slot dispatch over
-        K slots. Chunks never cross an invariant-check or stability-window
-        boundary, and the slot stream is bit-identical for every K.
+        Arrival vectors the engine draws from the traffic model ahead of
+        the slots that consume them (1, the default, draws each slot's
+        arrivals just before stepping it). The prefetch never crosses a
+        stability-window boundary, composes with faults, the sanitizer
+        and telemetry, and the slot stream is bit-identical for every K.
     """
 
     num_slots: int = PAPER_NUM_SLOTS

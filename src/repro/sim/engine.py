@@ -4,31 +4,39 @@ This engine drives any :class:`~repro.switch.base.BaseSwitch` with any
 :class:`~repro.traffic.base.TrafficModel` and produces a
 :class:`~repro.stats.summary.SimulationSummary`. It is deliberately dumb —
 all behaviour lives in the switch/scheduler/traffic objects — so that one
-loop serves every algorithm and every experiment identically.
+loop serves every algorithm, every experiment and every mode identically.
 
-Observability: the engine optionally takes a
-:class:`~repro.obs.telemetry.Telemetry` bundle. With ``telemetry=None``
-(the default) the original uninstrumented loop runs and *no* telemetry
-code is touched — a guard test pins that. With telemetry, an instrumented
-twin of the loop updates the metrics registry every slot, emits one JSONL
-trace record per slot when tracing is enabled, attributes wall-clock to
-the four phases when profiling is enabled, and prints heartbeat lines
-through the progress reporter.
+There is exactly one loop, in :meth:`SimulationEngine.run`. Per slot it
+does ``injector.advance`` (fault runs) → ``switch.step`` →
+``collector.on_slot`` → the run's observers → the invariant check on its
+cadence; the stability monitor is fed at every window boundary.
+``slot_chunk`` only sets how many arrival vectors are drawn ahead of the
+slots that consume them (same ``traffic.next_slot()`` call order, and
+traffic and ``faults.*`` are independent named RNG streams), so it
+composes with every mode and never changes a result.
 
-Sanitizing: with ``sanitize=True`` / ``REPRO_SANITIZE=1`` a
-:class:`~repro.sanitize.SanitizerSuite` checks conservation, matching
-validity, FIFO order and the kernel seam on every slot. Like telemetry,
-the sanitizer gets a twin loop (:meth:`SimulationEngine._run_sanitized`)
-so the plain path stays byte-identical and call-free when it is off —
-the same guard test discipline pins both tiers.
+Observers are built once per run from what is present, each a callable
+``(slot, arrivals, result)``:
+
+* ``sanitize=True`` / ``REPRO_SANITIZE=1`` adds
+  :meth:`repro.sanitize.SanitizerSuite.on_slot` — conservation, matching
+  validity, FIFO order and the kernel seam on every slot.
+* ``telemetry=`` adds :meth:`repro.obs.telemetry.SlotObserver.on_slot` —
+  the metrics registry, one JSONL trace record per slot when tracing,
+  heartbeats, periodic sink snapshots. With profiling on, the loop's core
+  calls are swapped for timed delegates that attribute wall-clock to the
+  four phases.
+
+With neither, the list is empty and no telemetry or sanitizer code is
+touched; behavioural guard tests pin that.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from repro.errors import ConfigurationError, SimulationError, UnstableSimulationError
-from repro.obs.profiler import clock_ns
-from repro.obs.telemetry import Telemetry
-from repro.obs.tracer import build_slot_record
+from repro.obs.telemetry import SlotObserver, Telemetry
 from repro.sanitize import SanitizerSuite, resolve_sanitizer
 from repro.sim.config import SimulationConfig
 from repro.sim.stability import StabilityMonitor
@@ -103,27 +111,87 @@ class SimulationEngine:
     # ------------------------------------------------------------------ #
     def run(self) -> SimulationSummary:
         """Execute the configured number of slots (or stop at instability)."""
+        cfg = self.config
+        switch = self.switch
+        collector = self.collector
+        injector = self.faults
         sanitizer = self.sanitizer
+        telemetry = self.telemetry
+        # Resolved here, not in __init__: callers may shadow these methods
+        # on the instances between construction and run().
+        next_slot = self.traffic.next_slot
+        step = switch.step
+        queue_sizes = switch.queue_sizes
+        on_slot = collector.on_slot
+        check_invariants = switch.check_invariants
+        observe_stability = self._observe_stability
+
+        observers = []
         if sanitizer is not None:
             sanitizer.attach(
-                self.switch,
+                switch,
                 traffic=self.traffic,
-                injector=self.faults,
+                injector=injector,
                 algorithm=self.algorithm_name,
             )
-        if self.telemetry is not None:
-            unstable = self._run_instrumented()
-        elif sanitizer is not None:
-            unstable = self._run_sanitized()
-        elif self.config.slot_chunk > 1 and self.faults is None:
-            unstable = self._run_chunked()
-        else:
-            unstable = self._run_plain()
+            observers.append(sanitizer.on_slot)
+        slot_telemetry = None
+        if telemetry is not None:
+            slot_telemetry = SlotObserver(
+                telemetry, switch, self.algorithm_name, injector
+            )
+            observers.append(slot_telemetry.on_slot)
+            if telemetry.profiler.enabled:
+                timed = telemetry.profiler.timed
+                next_slot = timed("traffic_gen", next_slot)
+                step = timed("schedule", step)
+                queue_sizes = timed("stats", queue_sizes)
+                on_slot = timed("stats", on_slot)
+                check_invariants = timed("invariants", check_invariants)
+                observe_stability = timed("invariants", observe_stability)
+
+        total = cfg.num_slots
+        chunk = cfg.slot_chunk
+        window = cfg.stability_window
+        check_every = cfg.check_invariants_every
+        unstable = False
+        ahead: deque = deque()  # arrival vectors drawn but not yet stepped
+        for slot in range(total):
+            if not ahead:
+                # Draw up to slot_chunk vectors, never past a stability-
+                # window boundary: a run that stops there must not have
+                # drawn arrivals for slots it never steps. (Comparisons,
+                # not min(): at the default slot_chunk=1 this is per slot.)
+                stop = slot + chunk
+                if stop > total:
+                    stop = total
+                if window:
+                    boundary = slot - slot % window + window
+                    if stop > boundary:
+                        stop = boundary
+                for _ in range(slot, stop):
+                    ahead.append(next_slot())
+            arrivals = ahead.popleft()
+            if injector is not None:
+                injector.advance(slot)
+            result = step(arrivals, slot)
+            on_slot(slot, arrivals, result, queue_sizes())
+            for observe in observers:
+                observe(slot, arrivals, result)
+            self.slots_run = done = slot + 1
+            if check_every and done % check_every == 0:
+                check_invariants()
+            if window and done % window == 0:
+                if observe_stability(injector, switch.total_backlog()):
+                    unstable = True
+                    break
+        if slot_telemetry is not None:
+            slot_telemetry.finish(self.slots_run, unstable)
 
         # Final conservation audit: everything offered is either delivered
         # or still buffered; the stats and the switch must agree.
-        backlog = self.switch.total_backlog()
-        pending = self.collector.delay.pending_cells()
+        backlog = switch.total_backlog()
+        pending = collector.delay.pending_cells()
         if pending != backlog:
             raise SimulationError(
                 f"conservation violated: stats see {pending} pending cells, "
@@ -134,117 +202,12 @@ class SimulationEngine:
         # already raised mid-loop at the first violation instead.
         if sanitizer is not None:
             sanitizer.finish()
-        if unstable and self.config.raise_on_unstable:
+        if unstable and cfg.raise_on_unstable:
             raise UnstableSimulationError(
                 f"{self.algorithm_name}: {self.monitor.reason} "
                 f"after {self.slots_run} slots"
             )
         return self._summarize(unstable)
-
-    # ------------------------------------------------------------------ #
-    def _run_plain(self) -> bool:
-        """The hot loop — no telemetry, no timing, no extra calls."""
-        cfg = self.config
-        switch = self.switch
-        traffic = self.traffic
-        collector = self.collector
-        window = cfg.stability_window
-        check_every = cfg.check_invariants_every
-        injector = self.faults
-
-        for slot in range(cfg.num_slots):
-            if injector is not None:
-                injector.advance(slot)
-            arrivals = traffic.next_slot()
-            result = switch.step(arrivals, slot)
-            collector.on_slot(slot, arrivals, result, switch.queue_sizes())
-            self.slots_run = slot + 1
-            if check_every and (slot + 1) % check_every == 0:
-                switch.check_invariants()
-            if window and (slot + 1) % window == 0:
-                if self._observe_stability(injector, switch.total_backlog()):
-                    return True
-        return False
-
-    def _run_chunked(self) -> bool:
-        """Chunked twin of :meth:`_run_plain` (``slot_chunk`` > 1).
-
-        Prefetches K arrival vectors (same ``traffic.next_slot()`` call
-        order as the per-slot loop, so the RNG streams are untouched) and
-        hands them to :meth:`~repro.switch.base.BaseSwitch.step_chunk` in
-        one call. Chunks are clamped so no invariant-check or
-        stability-window boundary ever falls inside a chunk — the
-        observable slot stream is bit-identical to the per-slot loop for
-        every K, which ``tests/test_slot_chunking.py`` pins. Telemetry,
-        sanitizer and fault-injection runs need per-slot hooks and keep
-        their own loops.
-        """
-        cfg = self.config
-        switch = self.switch
-        traffic = self.traffic
-        collector = self.collector
-        window = cfg.stability_window
-        check_every = cfg.check_invariants_every
-        chunk = cfg.slot_chunk
-        next_slot = traffic.next_slot
-        on_slot = collector.on_slot
-
-        slot = 0
-        total = cfg.num_slots
-        while slot < total:
-            k = min(chunk, total - slot)
-            if check_every:
-                k = min(k, check_every - slot % check_every)
-            if window:
-                k = min(k, window - slot % window)
-            arrivals_chunk = [next_slot() for _ in range(k)]
-            for offset, (result, sizes) in enumerate(
-                switch.step_chunk(arrivals_chunk, slot)
-            ):
-                on_slot(slot + offset, arrivals_chunk[offset], result, sizes)
-            slot += k
-            self.slots_run = slot
-            if check_every and slot % check_every == 0:
-                switch.check_invariants()
-            if window and slot % window == 0:
-                if self._observe_stability(None, switch.total_backlog()):
-                    return True
-        return False
-
-    def _run_sanitized(self) -> bool:
-        """Sanitizer twin of :meth:`_run_plain` (telemetry off).
-
-        A separate loop for the same reason :meth:`_run_instrumented`
-        is one: the plain hot path must not pay even a per-slot ``if``
-        for a tier that is off by default. The suite runs its cheap
-        checkers after every stepped slot and its deep kernel
-        cross-checks on its own cadence; in hard-fail mode a violation
-        raises from inside :meth:`~repro.sanitize.SanitizerSuite.on_slot`.
-        """
-        cfg = self.config
-        switch = self.switch
-        traffic = self.traffic
-        collector = self.collector
-        window = cfg.stability_window
-        check_every = cfg.check_invariants_every
-        injector = self.faults
-        sanitizer = self.sanitizer
-        assert sanitizer is not None
-
-        for slot in range(cfg.num_slots):
-            if injector is not None:
-                injector.advance(slot)
-            arrivals = traffic.next_slot()
-            result = switch.step(arrivals, slot)
-            collector.on_slot(slot, arrivals, result, switch.queue_sizes())
-            sanitizer.on_slot(slot, arrivals, result)
-            self.slots_run = slot + 1
-            if check_every and (slot + 1) % check_every == 0:
-                switch.check_invariants()
-            if window and (slot + 1) % window == 0:
-                if self._observe_stability(injector, switch.total_backlog()):
-                    return True
-        return False
 
     def _observe_stability(self, injector: object | None, backlog: int) -> bool:
         """Feed the stability monitor, fault-aware.
@@ -258,171 +221,6 @@ class SimulationEngine:
         if injector is not None and injector.current.degraded:
             return self.monitor.observe_degraded(backlog)
         return self.monitor.observe(backlog)
-
-    # ------------------------------------------------------------------ #
-    def _run_instrumented(self) -> bool:
-        """Telemetry twin of :meth:`_run_plain`.
-
-        Kept as a separate loop (rather than conditionals inside the hot
-        loop) so the uninstrumented path pays exactly one ``is None``
-        check per run, not per slot.
-        """
-        cfg = self.config
-        switch = self.switch
-        traffic = self.traffic
-        collector = self.collector
-        window = cfg.stability_window
-        check_every = cfg.check_invariants_every
-        injector = self.faults
-        sanitizer = self.sanitizer
-        unstable = False
-
-        tel = self.telemetry
-        assert tel is not None
-        tracer = tel.tracer
-        trace_on = tracer.enabled
-        profiler = tel.profiler
-        prof_on = profiler.enabled
-        progress = tel.progress
-        heartbeat_every = progress.every if progress is not None else 0
-        if progress is not None:
-            progress.start()
-        sinks_on = bool(tel.sinks)
-        snapshot_every = tel.snapshot_every if sinks_on else 0
-
-        labels = {"algorithm": self.algorithm_name}
-        registry = tel.registry
-        c_slots = registry.counter("sim.slots", **labels)
-        c_packets = registry.counter("sim.packets_offered", **labels)
-        c_offered = registry.counter("sim.cells_offered", **labels)
-        c_delivered = registry.counter("sim.cells_delivered", **labels)
-        c_splits = registry.counter("sim.fanout_splits", **labels)
-        c_reclaimed = registry.counter("sim.buffer_reclamations", **labels)
-        c_dropped = registry.counter("sim.cells_dropped", **labels)
-        c_lost_grants = registry.counter("sim.grants_lost", **labels)
-        g_backlog = registry.gauge("sim.backlog", **labels)
-        h_rounds = registry.histogram("sim.rounds_per_slot", **labels)
-
-        # Kernel-seam counters: backends that implement the
-        # harvest_slot_stats() contract (both built-ins do) expose the
-        # same keys regardless of representation, so object and
-        # vectorized runs emit identical kernel.* series — the
-        # equivalence harness compares the registries to prove it. An
-        # empty probe dict means "no kernel seam" (e.g. a third-party
-        # switch) and the block is skipped for the whole run.
-        harvest = getattr(switch, "harvest_slot_stats", None)
-        kernel_on = harvest is not None and bool(harvest())
-        if kernel_on:
-            g_live = registry.gauge("kernel.live_cells", **labels)
-            g_residue = registry.gauge("kernel.residue_cells", **labels)
-            g_voq_peak = registry.gauge("kernel.voq_peak", **labels)
-            g_hol_age = registry.gauge("kernel.hol_age", **labels)
-            h_residue = registry.histogram(
-                "kernel.residue_occupancy", **labels
-            )
-            h_grants = registry.histogram(
-                "kernel.grants_per_round", **labels
-            )
-
-        perf = clock_ns
-        ns_traffic = ns_schedule = ns_stats = ns_checks = 0
-
-        for slot in range(cfg.num_slots):
-            if injector is not None:
-                injector.advance(slot)
-            if prof_on:
-                t0 = perf()
-                arrivals = traffic.next_slot()
-                t1 = perf()
-                result = switch.step(arrivals, slot)
-                t2 = perf()
-                collector.on_slot(slot, arrivals, result, switch.queue_sizes())
-                t3 = perf()
-                ns_traffic += t1 - t0
-                ns_schedule += t2 - t1
-                ns_stats += t3 - t2
-            else:
-                arrivals = traffic.next_slot()
-                result = switch.step(arrivals, slot)
-                collector.on_slot(slot, arrivals, result, switch.queue_sizes())
-            if sanitizer is not None:
-                sanitizer.on_slot(slot, arrivals, result)
-            self.slots_run = slot + 1
-
-            packets = cells = 0
-            for pkt in arrivals:
-                if pkt is not None:
-                    packets += 1
-                    cells += pkt.fanout
-            backlog = switch.total_backlog()
-            c_slots.inc()
-            c_packets.inc(packets)
-            c_offered.inc(cells)
-            c_delivered.inc(result.cells_delivered)
-            c_splits.inc(result.splits)
-            c_reclaimed.inc(result.reclaimed)
-            if result.dropped_packets:
-                c_dropped.inc(result.cells_dropped)
-            if result.grants_lost:
-                c_lost_grants.inc(result.grants_lost)
-            g_backlog.set(backlog)
-            if result.requests_made:
-                h_rounds.observe(result.rounds)
-            if kernel_on:
-                stats = harvest()
-                residue = stats["residue_cells"]
-                g_live.set(stats["live_cells"])
-                g_residue.set(residue)
-                g_voq_peak.set(stats["voq_peak"])
-                h_residue.observe(residue)
-                oldest = stats["oldest_hol_ts"]
-                if oldest is not None:
-                    g_hol_age.set(slot - oldest)
-                for grants in result.round_grants:
-                    h_grants.observe(grants)
-            if trace_on:
-                tracer.emit(build_slot_record(slot, arrivals, result, backlog))
-
-            if prof_on:
-                t4 = perf()
-            if check_every and (slot + 1) % check_every == 0:
-                switch.check_invariants()
-            if window and (slot + 1) % window == 0:
-                if self._observe_stability(injector, backlog):
-                    unstable = True
-            if prof_on:
-                ns_checks += perf() - t4
-            if heartbeat_every and (slot + 1) % heartbeat_every == 0:
-                progress.emit(slot + 1, backlog)
-            if snapshot_every and (slot + 1) % snapshot_every == 0:
-                tel.emit_snapshot(
-                    slot=slot + 1,
-                    kind="periodic",
-                    algorithm=self.algorithm_name,
-                    faults=(
-                        injector.report() if injector is not None else None
-                    ),
-                )
-            if unstable:
-                break
-
-        if prof_on:
-            profiler.add("traffic_gen", ns_traffic)
-            profiler.add("schedule", ns_schedule)
-            profiler.add("stats", ns_stats)
-            profiler.add("invariants", ns_checks)
-        if progress is not None:
-            progress.finish(self.slots_run, switch.total_backlog())
-        if sinks_on:
-            tel.emit_snapshot(
-                slot=self.slots_run,
-                kind="final",
-                algorithm=self.algorithm_name,
-                unstable=unstable,
-                faults=injector.report() if injector is not None else None,
-            )
-        tel.flush()
-        return unstable
 
     # ------------------------------------------------------------------ #
     def _summarize(self, unstable: bool) -> SimulationSummary:

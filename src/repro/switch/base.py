@@ -130,27 +130,6 @@ class BaseSwitch(abc.ABC):
         self.cells_delivered += result.cells_delivered
         return result
 
-    def step_chunk(
-        self,
-        arrivals_chunk: Sequence[Sequence[Packet | None]],
-        start_slot: int,
-    ) -> list[tuple[SlotResult, list[int]]]:
-        """Advance K consecutive slots in one call.
-
-        Returns one ``(SlotResult, queue_sizes)`` pair per slot so the
-        engine can feed its statistics collector without re-entering the
-        switch between slots. The default implementation drives
-        :meth:`step` per slot — bit-identical to K separate calls — while
-        amortizing the engine's per-slot dispatch; kernel-seam switches
-        may override it to batch further.
-        """
-        step = self.step
-        sizes = self.queue_sizes
-        return [
-            (step(arrivals, start_slot + k), sizes())
-            for k, arrivals in enumerate(arrivals_chunk)
-        ]
-
     # ------------------------------------------------------------------ #
     # Architecture-specific hooks
     # ------------------------------------------------------------------ #

@@ -4,8 +4,8 @@ Feeds a pre-built list of packets into the engine — the workhorse of unit
 and property tests (hand-crafted adversarial scenarios, hypothesis-drawn
 traces) and of trace-driven experiments. Also provides
 :func:`record_trace` to capture any stochastic model into a replayable
-trace, which is how the fast-engine parity tests pin both engines to the
-identical arrival sequence.
+trace, which is how the backend parity tests pin both kernel backends to
+the identical arrival sequence.
 """
 
 from __future__ import annotations

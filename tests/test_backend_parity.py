@@ -1,20 +1,22 @@
-"""Object-vs-vectorized parity for every newly vectorized pairing.
+"""Object-vs-vectorized parity on a pinned trace, per registry pairing.
 
-One trace-pinned :func:`repro.fast.parity.run_pair` per registry pairing
+One trace-pinned :func:`repro.kernel.equivalence.run_pair` per pairing
 at a moderate and a heavy load: both kernel backends must produce
-identical summaries on the identical arrival sequence. (The original
-FIFOMS/iSLIP trio has its own deeper suites; TATRA is object-only and
-covered by the demotion tests.)
+identical summaries on the identical arrival sequence. (FIFOMS, iSLIP
+and the object-only TATRA have their own deeper cases in
+``test_fast_engines.py`` / ``test_fast_tatra.py``.)
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fast.parity import compare_summaries, run_pair
+from repro.errors import ConfigurationError
+from repro.kernel import equivalence
+from repro.kernel.equivalence import compare_summaries, run_pair
 from repro.traffic.bernoulli import BernoulliMulticastTraffic
 
-#: Pairings whose vectorized path arrived with the repro.fast fold.
+#: Every vectorized pairing beyond the FIFOMS/iSLIP pair.
 NEWLY_VECTORIZED = (
     "pim",
     "maxweight-lqf",
@@ -42,3 +44,28 @@ def test_backends_identical_on_pinned_trace(algorithm, load):
     traffic = BernoulliMulticastTraffic(8, p=p, b=b, rng=42)
     ref, fast = run_pair(algorithm, traffic, 1200, seed=5)
     assert compare_summaries(ref, fast) == []
+
+
+def test_unknown_switch_kwarg_raises():
+    traffic = BernoulliMulticastTraffic(4, p=0.2, b=0.3, rng=0)
+    with pytest.raises(TypeError, match="no_such_kwarg"):
+        run_pair("fifoms", traffic, 50, no_such_kwarg=1)
+
+
+def test_vectorized_build_error_is_not_read_as_parity(monkeypatch):
+    """Only a declared object-only pairing (TATRA) reruns the object
+    backend; a vectorized build that fails for any other pairing must
+    surface instead of comparing object with object."""
+    real_make_switch = equivalence.make_switch
+
+    def refuse_vectorized(name, num_ports, **kwargs):
+        if kwargs.get("backend") == "vectorized":
+            raise ConfigurationError("vectorized build refused")
+        return real_make_switch(name, num_ports, **kwargs)
+
+    monkeypatch.setattr(equivalence, "make_switch", refuse_vectorized)
+    traffic = BernoulliMulticastTraffic(4, p=0.2, b=0.3, rng=0)
+    with pytest.raises(ConfigurationError, match="refused"):
+        run_pair("fifoms", traffic, 50)
+    ref, second = run_pair("tatra", traffic, 50)
+    assert compare_summaries(ref, second) == []

@@ -1,24 +1,22 @@
-"""Tests for the campaign runner and Markdown report."""
+"""Tests for the campaign result, its CSVs and the Markdown report."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.experiments.campaign import (
-    CampaignResult,
-    render_markdown_report,
-    run_campaign,
-)
+from repro.campaign import run_durable_campaign
+from repro.errors import CampaignError
+from repro.experiments.campaign import CampaignResult, render_markdown_report
 
 
 @pytest.fixture(scope="module")
 def small_campaign(tmp_path_factory):
-    csv_dir = tmp_path_factory.mktemp("csv")
-    campaign = run_campaign(
-        ("fig5",), num_slots=1200, seed=7, workers=2, csv_dir=csv_dir
+    store_dir = tmp_path_factory.mktemp("store")
+    campaign, _ = run_durable_campaign(
+        store_dir, ("fig5",), num_slots=1200, seed=7, workers=2,
+        install_signal_handlers=False,
     )
-    return campaign, csv_dir
+    return campaign, store_dir / "csv"
 
 
 class TestRunCampaign:
@@ -34,13 +32,15 @@ class TestRunCampaign:
         header = (csv_dir / "fig5.csv").read_text().splitlines()[0]
         assert header.startswith("algorithm,")
 
-    def test_unknown_figure_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_campaign(("fig99",), num_slots=100)
+    def test_unknown_figure_rejected(self, tmp_path):
+        with pytest.raises(CampaignError, match="fig99"):
+            run_durable_campaign(tmp_path / "s", ("fig99",), num_slots=100)
+        assert not (tmp_path / "s").exists()
 
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_campaign((), num_slots=100)
+    def test_empty_rejected(self, tmp_path):
+        with pytest.raises(CampaignError, match="no figures"):
+            run_durable_campaign(tmp_path / "s", (), num_slots=100)
+        assert not (tmp_path / "s").exists()
 
 
 class TestMarkdownReport:
@@ -55,9 +55,11 @@ class TestMarkdownReport:
         assert "fifoms" in text
 
     def test_counts_line(self, small_campaign):
-        campaign, _ = small_campaign
+        campaign, csv_dir = small_campaign
         text = render_markdown_report(campaign)
         assert f"{campaign.claims_passed} / {campaign.claims_total} PASS" in text
+        # The store's REPORT.md is this rendering.
+        assert (csv_dir.parent / "REPORT.md").read_text() == text
 
     def test_unstable_rendering(self):
         # Exercise the 'unstable' cell rendering with a single

@@ -558,12 +558,3 @@ class TestCampaignCli:
             for line in metrics.read_text().splitlines() if line
         ]
         assert any(rec["kind"] == "campaign.final" for rec in lines)
-
-    def test_legacy_flat_campaign_still_works(self, tmp_path, capsys):
-        out = tmp_path / "REPORT.md"
-        assert main([
-            "campaign", "--figures", "fig5", "--slots", "120",
-            "--seed", "5", "--workers", "1", "--out", str(out),
-        ]) == 0
-        assert out.exists()
-        assert "paper claims PASS" in capsys.readouterr().out

@@ -110,16 +110,27 @@ class TestVerifyCommand:
 
 class TestCampaignCommand:
     def test_small_campaign(self, capsys, tmp_path):
-        out = tmp_path / "REPORT.md"
+        store = tmp_path / "store"
         code = main(
-            ["campaign", "--figures", "fig5", "--slots", "800",
-             "--seed", "1", "--out", str(out), "--workers", "2"]
+            ["campaign", "run", str(store), "--figures", "fig5",
+             "--slots", "800", "--seed", "1", "--workers", "2"]
         )
         assert code == 0
         assert "paper claims PASS" in capsys.readouterr().out
-        text = out.read_text()
+        text = (store / "REPORT.md").read_text()
         assert text.startswith("# Reproduction report")
         assert "Fig. 5" in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["campaign"], ["campaign", "--figures", "fig5", "--out", "R.md"]],
+        ids=["bare", "legacy-flat-flags"],
+    )
+    def test_campaign_without_subcommand_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: repro-sim campaign" in capsys.readouterr().err
 
 
 class TestRunTelemetryFlags:

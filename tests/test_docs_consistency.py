@@ -118,7 +118,7 @@ class TestApiDoc:
         submodules = [
             "repro.experiments", "repro.experiments.scaling",
             "repro.experiments.fanout", "repro.experiments.replication",
-            "repro.analysis.fairness", "repro.hw", "repro.fast",
+            "repro.analysis.fairness", "repro.hw",
             "repro.report", "repro.switch.cicq",
         ]
         resolved = set(dir(repro))

@@ -1,20 +1,32 @@
-"""Tests for the fast array-based engines, including exact parity."""
+"""The vectorized kernel backend behind the reference FIFOMS / iSLIP
+switches: exact parity with the object backend on pinned traces, and the
+paper behaviours it must preserve. (The file name predates the fold of
+the bespoke fast engines into the kernel seam.)"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fast.fifoms_engine import FastFIFOMSEngine
-from repro.fast.islip_engine import FastISLIPEngine
-from repro.fast.parity import compare_summaries, run_pair
+from repro.kernel.equivalence import compare_summaries, run_pair
+from repro.schedulers.registry import make_switch
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimulationEngine
 from repro.traffic.bernoulli import BernoulliMulticastTraffic
 from repro.traffic.burst import BurstMulticastTraffic
 from repro.traffic.trace import TraceTraffic
 from repro.traffic.uniform import UniformFanoutTraffic
 
 from conftest import make_packet
+
+
+def _vectorized_run(algorithm, traffic, cfg, **switch_kwargs):
+    switch = make_switch(
+        algorithm, traffic.num_ports, backend="vectorized", **switch_kwargs
+    )
+    return SimulationEngine(
+        switch, traffic, cfg, algorithm_name=algorithm
+    ).run()
 
 
 class TestExactParity:
@@ -51,8 +63,8 @@ class TestExactParity:
             run_pair("no-such-algo", tr, 100)
 
     def test_formerly_unpaired_algorithm_now_works(self):
-        # Before the kernel-seam fold run_pair only knew the 3 fast
-        # engines; now any registry pairing runs both backends.
+        # Any registry pairing runs both backends, not just the three
+        # algorithms the bespoke fast engines covered.
         tr = BernoulliMulticastTraffic(4, p=0.2, b=0.3, rng=0)
         ref, fast = run_pair("wba", tr, 400)
         assert compare_summaries(ref, fast) == []
@@ -62,9 +74,9 @@ class TestFastEngineBehaviour:
     def test_deterministic_multicast_scenario(self):
         pkts = [make_packet(0, (0, 1, 2), 0)]
         cfg = SimulationConfig(num_slots=3, warmup_fraction=0.0, stability_window=0)
-        s = FastFIFOMSEngine(
-            TraceTraffic(4, pkts), cfg, tie_break="lowest_input"
-        ).run()
+        s = _vectorized_run(
+            "fifoms", TraceTraffic(4, pkts), cfg, tie_break="lowest_input"
+        )
         assert s.cells_delivered == 3
         assert s.average_output_delay == pytest.approx(1.0)
         assert s.average_input_delay == pytest.approx(1.0)
@@ -73,19 +85,21 @@ class TestFastEngineBehaviour:
     def test_islip_splits_multicast(self):
         pkts = [make_packet(0, (0, 1, 2), 0)]
         cfg = SimulationConfig(num_slots=5, warmup_fraction=0.0, stability_window=0)
-        s = FastISLIPEngine(TraceTraffic(4, pkts), cfg).run()
+        s = _vectorized_run("islip", TraceTraffic(4, pkts), cfg)
         assert s.cells_delivered == 3
         # One copy per slot: delays 1, 2, 3.
         assert s.average_output_delay == pytest.approx(2.0)
         assert s.average_input_delay == pytest.approx(3.0)
 
     def test_random_tiebreak_statistical_sanity(self):
-        """Random-tie fast FIFOMS must track the reference closely in
-        distribution even though slot decisions differ."""
+        """Random-tie vectorized FIFOMS under a different tie-break seed
+        must track the reference closely in distribution even though
+        slot decisions differ."""
         cfg = SimulationConfig(num_slots=6000, warmup_fraction=0.5, stability_window=0)
-        fast = FastFIFOMSEngine(
-            BernoulliMulticastTraffic(8, p=0.4, b=0.3, rng=1), cfg, seed=2
-        ).run()
+        fast = _vectorized_run(
+            "fifoms", BernoulliMulticastTraffic(8, p=0.4, b=0.3, rng=1), cfg,
+            rng=2,
+        )
         from repro.sim.runner import run_simulation
 
         ref = run_simulation(
@@ -103,93 +117,9 @@ class TestFastEngineBehaviour:
         cfg = SimulationConfig(
             num_slots=4000, warmup_fraction=0.0, max_backlog=500, stability_window=50
         )
-        s = FastFIFOMSEngine(
-            BernoulliMulticastTraffic(8, p=1.0, b=0.9, rng=0), cfg, seed=0
-        ).run()
+        s = _vectorized_run(
+            "fifoms", BernoulliMulticastTraffic(8, p=1.0, b=0.9, rng=0), cfg,
+            rng=0,
+        )
         assert s.unstable
         assert s.slots_run < 4000
-
-    def test_bad_tiebreak(self):
-        with pytest.raises(ConfigurationError):
-            FastFIFOMSEngine(
-                BernoulliMulticastTraffic(4, p=0.1, b=0.5), tie_break="coin"
-            )
-
-
-class TestDeprecationShims:
-    """The old import paths resolve and warn; results ride the seam."""
-
-    def test_engines_warn_and_run_on_kernel_seam(self):
-        tr = BernoulliMulticastTraffic(4, p=0.2, b=0.3, rng=0)
-        with pytest.warns(DeprecationWarning, match="kernel seam"):
-            engine = FastFIFOMSEngine(
-                tr, SimulationConfig(num_slots=50, stability_window=0)
-            )
-        assert engine.switch.backend == "vectorized"
-
-    def test_package_level_imports_resolve(self):
-        from repro.fast import (  # noqa: F401
-            FAST_ALGORITHMS,
-            FastFIFOMSEngine as A,
-            FastISLIPEngine as B,
-            FastTATRAEngine as C,
-            compare_summaries as D,
-            run_fast_simulation as E,
-            run_pair as F,
-        )
-
-        assert FAST_ALGORITHMS == ("fifoms", "islip", "tatra")
-
-    def test_runner_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            from repro.fast.runner import run_fast_simulation
-
-            run_fast_simulation(
-                "islip", 4, {"model": "bernoulli", "p": 0.2, "b": 0.3},
-                num_slots=50,
-            )
-
-    def test_shim_bit_identical_to_direct_seam_run(self):
-        from repro.fast.runner import run_fast_simulation
-        from repro.sim.runner import run_simulation
-
-        spec = {"model": "bernoulli", "p": 0.3, "b": 0.3}
-        with pytest.warns(DeprecationWarning):
-            shim = run_fast_simulation("fifoms", 8, spec, num_slots=1500, seed=6)
-        direct = run_simulation(
-            "fifoms", 8, spec, num_slots=1500, seed=6, backend="vectorized"
-        )
-        assert compare_summaries(shim, direct) == []
-
-
-class TestRunFastSimulation:
-    def test_fast_runner_matches_reference_statistically(self):
-        from repro.fast.runner import run_fast_simulation
-        from repro.sim.runner import run_simulation
-
-        spec = {"model": "bernoulli", "p": 0.35, "b": 0.3}
-        fast = run_fast_simulation("fifoms", 8, spec, num_slots=6000, seed=4)
-        ref = run_simulation("fifoms", 8, spec, num_slots=6000, seed=4)
-        # Identical traffic stream (same named RNG streams): offered
-        # counts match exactly; delays match statistically.
-        assert fast.cells_offered == ref.cells_offered
-        assert fast.average_output_delay == pytest.approx(
-            ref.average_output_delay, rel=0.1
-        )
-
-    def test_tatra_fast_runner_exact(self):
-        from repro.fast.runner import run_fast_simulation
-        from repro.sim.runner import run_simulation
-
-        spec = {"model": "uniform", "p": 0.4, "max_fanout": 3}
-        fast = run_fast_simulation("tatra", 8, spec, num_slots=4000, seed=9)
-        ref = run_simulation("tatra", 8, spec, num_slots=4000, seed=9)
-        # TATRA is deterministic: same seed -> bit-identical summaries.
-        assert fast.average_output_delay == ref.average_output_delay
-        assert fast.max_queue_size == ref.max_queue_size
-
-    def test_unknown_fast_algorithm(self):
-        from repro.fast.runner import run_fast_simulation
-
-        with pytest.raises(ConfigurationError):
-            run_fast_simulation("wba", 8, {"model": "bernoulli", "p": 0.1, "b": 0.2})

@@ -1,4 +1,6 @@
-"""Tests for the fast TATRA engine (exact parity + behaviour)."""
+"""TATRA on pinned traces: the object-only pairing's determinism check
+through ``run_pair`` and the HOL-blocking behaviour it must show. (The
+file name predates the retirement of the flat-state TATRA engine.)"""
 
 from __future__ import annotations
 
@@ -6,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fast.parity import compare_summaries, run_pair
-from repro.fast.tatra_engine import FastTATRAEngine
+from repro.kernel.equivalence import compare_summaries, run_pair
 from repro.packet import Packet
+from repro.schedulers.registry import make_switch
 from repro.schedulers.tatra import TATRAScheduler
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
@@ -63,7 +65,9 @@ def traces(draw):
 @settings(max_examples=30, deadline=None)
 @given(traces())
 def test_fast_tatra_bit_identical_on_any_trace(trace):
-    """Property form: parity on arbitrary hypothesis-drawn traces."""
+    """Property form: the registry pairing equals the hand-built
+    reference stack on arbitrary hypothesis-drawn traces (and both pass
+    the engine's conservation audit on them)."""
     n, horizon, packets = trace
     cells = sum(p.fanout for p in packets)
     cfg = SimulationConfig(
@@ -75,8 +79,11 @@ def test_fast_tatra_bit_identical_on_any_trace(trace):
         cfg,
         algorithm_name="tatra",
     ).run()
-    fast = FastTATRAEngine(TraceTraffic(n, packets), cfg).run()
-    assert compare_summaries(ref, fast) == []
+    registry = SimulationEngine(
+        make_switch("tatra", n), TraceTraffic(n, packets), cfg,
+        algorithm_name="tatra",
+    ).run()
+    assert compare_summaries(ref, registry) == []
 
 
 class TestFastTATRABehaviour:
@@ -91,19 +98,10 @@ class TestFastTATRABehaviour:
         cfg = SimulationConfig(
             num_slots=6, warmup_fraction=0.0, stability_window=0
         )
-        s = FastTATRAEngine(TraceTraffic(4, pkts), cfg).run()
+        s = SimulationEngine(
+            make_switch("tatra", 4), TraceTraffic(4, pkts), cfg,
+            algorithm_name="tatra",
+        ).run()
         assert s.cells_delivered == 4
         # The loser's second packet waits a slot: mean input delay > 1.25.
         assert s.average_input_delay > 1.25
-
-    def test_shim_runs_object_backend(self):
-        # TATRA's vectorized twin was demoted; the legacy engine shim
-        # must ride the reference object stack and say so when asked.
-        with pytest.warns(DeprecationWarning, match="object-only"):
-            engine = FastTATRAEngine(
-                BernoulliMulticastTraffic(4, p=0.5, b=0.5, rng=0),
-                SimulationConfig(
-                    num_slots=50, warmup_fraction=0.0, stability_window=0
-                ),
-            )
-        assert engine.switch.backend == "object"

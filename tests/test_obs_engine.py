@@ -8,10 +8,17 @@ import io
 
 import pytest
 
+import repro.obs.profiler as profiler_mod
+import repro.obs.telemetry as telemetry_mod
 import repro.sim.engine as engine_mod
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.experiments import get_figure, run_figure
-from repro.obs import ProgressReporter, Telemetry, aggregate_telemetry
+from repro.obs import (
+    ProgressReporter,
+    SlotTracer,
+    Telemetry,
+    aggregate_telemetry,
+)
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import run_simulation
@@ -46,27 +53,47 @@ def _tiny_engine(telemetry=None):
 class TestDisabledPathGuard:
     def test_zero_telemetry_calls_without_telemetry(self, monkeypatch):
         """With ``telemetry=None`` the engine must never touch telemetry
-        code: no record building, no clock reads, no instrumented loop."""
+        code: no record building, no clock reads, no slot observer."""
         calls: list[str] = []
         monkeypatch.setattr(
-            engine_mod,
+            telemetry_mod,
             "build_slot_record",
             lambda *a, **k: calls.append("trace"),
         )
         monkeypatch.setattr(
-            engine_mod,
+            profiler_mod,
             "clock_ns",
             lambda: calls.append("perf") or 0,
         )
         monkeypatch.setattr(
-            SimulationEngine,
-            "_run_instrumented",
-            lambda self: calls.append("instrumented") or False,
+            engine_mod,
+            "SlotObserver",
+            lambda *a, **k: calls.append("observer"),
         )
         summary = _tiny_engine(telemetry=None).run()
         assert calls == []
         assert summary.telemetry is None
         assert summary.cells_delivered == 10
+
+    def test_guard_hooks_fire_with_telemetry(self, monkeypatch):
+        """The guard above watches the right names: a profiled, traced
+        run goes through both."""
+        calls: set[str] = set()
+        real_record = telemetry_mod.build_slot_record
+        real_clock = profiler_mod.clock_ns
+        monkeypatch.setattr(
+            telemetry_mod,
+            "build_slot_record",
+            lambda *a: calls.add("trace") or real_record(*a),
+        )
+        monkeypatch.setattr(
+            profiler_mod,
+            "clock_ns",
+            lambda: calls.add("perf") or real_clock(),
+        )
+        tel = Telemetry(tracer=SlotTracer(io.StringIO()), profile=True)
+        _tiny_engine(telemetry=tel).run()
+        assert calls == {"trace", "perf"}
 
     def test_telemetry_does_not_perturb_results(self):
         """Instrumentation observes; it must not change a single number."""

@@ -1,4 +1,4 @@
-"""Property-based exact-parity tests: reference vs fast engines on
+"""Property-based exact-parity tests: object vs vectorized backend on
 hypothesis-drawn traces (deterministic arbitration)."""
 
 from __future__ import annotations
@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
-from repro.fast.fifoms_engine import FastFIFOMSEngine
-from repro.fast.islip_engine import FastISLIPEngine
-from repro.fast.parity import compare_summaries
+from repro.kernel.equivalence import compare_summaries
 from repro.packet import Packet
+from repro.schedulers.registry import make_switch
 from repro.schedulers.islip import ISLIPScheduler
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
@@ -58,8 +57,13 @@ def test_fast_fifoms_bit_identical_on_any_trace(trace):
         cfg,
         algorithm_name="fifoms",
     ).run()
-    fast = FastFIFOMSEngine(
-        TraceTraffic(n, packets), cfg, tie_break="lowest_input"
+    fast = SimulationEngine(
+        make_switch(
+            "fifoms", n, tie_break="lowest_input", backend="vectorized"
+        ),
+        TraceTraffic(n, packets),
+        cfg,
+        algorithm_name="fifoms",
     ).run()
     assert compare_summaries(ref, fast) == []
 
@@ -76,5 +80,10 @@ def test_fast_islip_bit_identical_on_any_trace(trace):
         cfg,
         algorithm_name="islip",
     ).run()
-    fast = FastISLIPEngine(TraceTraffic(n, packets), cfg).run()
+    fast = SimulationEngine(
+        make_switch("islip", n, backend="vectorized"),
+        TraceTraffic(n, packets),
+        cfg,
+        algorithm_name="islip",
+    ).run()
     assert compare_summaries(ref, fast) == []
