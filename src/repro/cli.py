@@ -310,15 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--write-baseline", metavar="FILE", default=None,
         help="write the run's findings as a fresh baseline file and exit 0",
     )
-    lint_p.add_argument(
-        "--contracts", action="store_true",
-        help="also emit the kernel compile-readiness manifest "
-             "(kernel_contracts.json)",
-    )
-    lint_p.add_argument(
-        "--contracts-out", metavar="FILE", default="kernel_contracts.json",
-        help="manifest output path for --contracts ('-' = stdout)",
-    )
     return parser
 
 
@@ -558,34 +549,11 @@ def _lint_command(args: argparse.Namespace) -> int:
 
             atomic_write_text(args.sarif, sarif + "\n")
             print(f"wrote {args.sarif}", file=sys.stderr)
-    if args.contracts:
-        import json as _json
-
-        from repro.lint import build_contract_manifest, load_project
-
-        manifest = build_contract_manifest(load_project(paths or None))
-        payload = _json.dumps(manifest, indent=2, sort_keys=True)
-        if args.contracts_out == "-":
-            print(payload)
-        else:
-            from repro.utils.fileio import atomic_write_text
-
-            atomic_write_text(args.contracts_out, payload + "\n")
-            verdicts = [str(p.get("verdict")) for p in manifest["pairings"]]
-            ready = sum(1 for v in verdicts if v == "ready")
-            print(
-                f"wrote {args.contracts_out}: {len(verdicts)} pairings, "
-                f"{ready} ready",
-                file=sys.stderr,
-            )
-    # With a machine payload on stdout ('-' targets), keep it parseable:
-    # the human report drops to stderr.
-    payload_on_stdout = args.sarif == "-" or (
-        args.contracts and args.contracts_out == "-"
-    )
+    # With the SARIF payload on stdout ('-'), keep it parseable: the
+    # human report drops to stderr.
     print(
         format_json(report) if args.json else format_text(report),
-        file=sys.stderr if payload_on_stdout else sys.stdout,
+        file=sys.stderr if args.sarif == "-" else sys.stdout,
     )
     return report.exit_code(strict=args.strict)
 

@@ -23,12 +23,6 @@ from repro.kernel.base import (
     make_backend,
     register_backend,
 )
-from repro.kernel.contracts import (
-    check_live_state,
-    check_state_arrays,
-    load_manifest,
-    resolve_shape,
-)
 from repro.kernel.object_backend import ObjectBackend
 from repro.kernel.state import SwitchState, soa_snapshot
 from repro.kernel.vectorized import VectorizedBackend
@@ -39,11 +33,7 @@ __all__ = [
     "ObjectBackend",
     "VectorizedBackend",
     "available_backends",
-    "check_live_state",
-    "check_state_arrays",
-    "load_manifest",
     "make_backend",
     "register_backend",
-    "resolve_shape",
     "soa_snapshot",
 ]

@@ -175,11 +175,7 @@ class EquivalenceReport:
 
 
 def _run_one_backend(
-    case: EquivalenceCase,
-    num_ports: int,
-    num_slots: int,
-    backend: str,
-    manifest: dict[str, Any] | None = None,
+    case: EquivalenceCase, num_ports: int, num_slots: int, backend: str
 ) -> tuple[list[tuple], dict[str, Any], Any, dict[str, Any]]:
     """Run one backend of a case; return (digests, summary dict, state,
     metrics registry dict).
@@ -223,15 +219,6 @@ def _run_one_backend(
     # so strip it before the summaries-match comparison.
     summary.pop("telemetry", None)
     state = switch.state_arrays() if hasattr(switch, "state_arrays") else None
-    if manifest is not None and backend == "vectorized":
-        from repro.kernel.contracts import check_live_state
-
-        problems = check_live_state(switch, manifest, num_ports=num_ports)
-        if problems:
-            raise EquivalenceError(
-                f"kernel contract violated for {case.label}: "
-                + "; ".join(problems)
-            )
     return recorder.digests, summary, state, telemetry.registry.to_dict()
 
 
@@ -261,25 +248,18 @@ def _first_digest_divergence(
 
 
 def run_case(
-    case: EquivalenceCase,
-    *,
-    num_ports: int = 8,
-    num_slots: int = 4000,
-    manifest: dict[str, Any] | None = None,
+    case: EquivalenceCase, *, num_ports: int = 8, num_slots: int = 4000
 ) -> EquivalenceReport:
     """Run one case on both backends and compare every level.
 
     Raises :class:`~repro.errors.EquivalenceError` on the first mismatch,
     with the slot index of the first digest divergence when there is one.
-    With ``manifest`` (a loaded ``kernel_contracts.json``), the vectorized
-    run's live struct-of-arrays state is additionally checked against the
-    statically-derived shape/dtype contracts.
     """
     obj_digests, obj_summary, obj_state, obj_metrics = _run_one_backend(
         case, num_ports, num_slots, "object"
     )
     vec_digests, vec_summary, vec_state, vec_metrics = _run_one_backend(
-        case, num_ports, num_slots, "vectorized", manifest
+        case, num_ports, num_slots, "vectorized"
     )
     # json round-trip makes NaN compare equal (both serialize to "NaN").
     summaries_match = json.dumps(obj_summary, sort_keys=True) == json.dumps(
@@ -381,14 +361,11 @@ def run_grid(
     num_ports: int = 8,
     num_slots: int = 4000,
     verbose: bool = False,
-    manifest: dict[str, Any] | None = None,
 ) -> list[EquivalenceReport]:
     """Run every case of the grid; raise on the first inequivalence."""
     reports = []
     for case in cases if cases is not None else default_grid():
-        report = run_case(
-            case, num_ports=num_ports, num_slots=num_slots, manifest=manifest
-        )
+        report = run_case(case, num_ports=num_ports, num_slots=num_slots)
         if verbose:
             print(
                 f"  ok  {case.label:34s} {report.slots_compared} slots, "
@@ -490,19 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--slots", type=int, default=4000, help="slots per case per backend"
     )
-    parser.add_argument(
-        "--contracts",
-        default=None,
-        metavar="PATH",
-        help="kernel_contracts.json to cross-check live arrays against",
-    )
     args = parser.parse_args(argv)
-    manifest = None
-    if args.contracts is not None:
-        from repro.kernel.contracts import load_manifest
-
-        manifest = load_manifest(args.contracts)
-        print(f"cross-checking live state against {args.contracts}")
     print(
         f"backend equivalence grid: N={args.ports}, "
         f"{args.slots} slots per case"
@@ -511,16 +476,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  skip {name}: object-only — {reason}")
     try:
         reports = run_grid(
-            num_ports=args.ports,
-            num_slots=args.slots,
-            verbose=True,
-            manifest=manifest,
+            num_ports=args.ports, num_slots=args.slots, verbose=True
         )
     except EquivalenceError as exc:
         print(f"FAIL: {exc}")
         return 1
-    suffix = " (kernel contracts verified)" if manifest is not None else ""
-    print(f"all {len(reports)} cases bit-identical across backends{suffix}")
+    print(f"all {len(reports)} cases bit-identical across backends")
     return 0
 
 

@@ -14,13 +14,22 @@ array-shaped arbitration kernel:
   (i, j), ``+inf`` when empty. This matrix *is* the FIFOMS request state:
   one masked row-min gives every input's smallest eligible timestamp, and
   it is the only state the scheduling rounds ever read.
-* ``occupancy``   — N lists of N ints, queued address cells per VOQ.
-* ``p_fanout``    — the paper's fanout counter, indexed by packet id.
-* ``live``        — live data cells per input (the paper's queue-size
-  metric).
+* ``occupancy``   — plain list of N lists of N ints, queued address
+  cells per VOQ.
+* ``p_fanout``    — plain list of ints, the paper's fanout counter
+  indexed by packet id.
+* ``live``        — plain list of N ints, live data cells per input (the
+  paper's queue-size metric).
 * ``input_free`` / ``output_free`` — (N,) bool numpy scratch for the
   scheduling rounds (the complement of the output-busy vectors a hardware
-  arbiter would keep), plus preallocated (N, N) round scratch matrices.
+  arbiter would keep), plus preallocated numpy round scratch: (N, N)
+  ``ts_scratch`` / ``col_scratch`` (float64) and ``req_scratch`` /
+  ``win_scratch`` (bool), and (N,) float64 ``row_min_scratch`` /
+  ``col_min_scratch`` with their (N, 1) ``row_min_col`` and (1, N)
+  ``col_min_row`` views.
+
+``hol_ts`` and those ten scratch arrays are the only numpy attributes;
+every other attribute is a plain Python scalar, list or list of deques.
 
 Packet *identity* is an integer ``pid`` (allocation order) into parallel
 Python lists — numpy is reserved for the matrix math where it wins, and

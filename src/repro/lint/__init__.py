@@ -35,17 +35,11 @@ from repro.lint.engine import (
     default_rules,
     default_target,
     iter_python_files,
-    load_project,
     run_lint,
 )
 from repro.lint.graph import ProjectGraph, project_graph
 from repro.lint.report import format_json, format_rule_catalog, format_text
 from repro.lint.sarif import format_sarif, sarif_document
-from repro.lint.shapes import (
-    build_contract_manifest,
-    seam_analysis,
-    switch_state_contract,
-)
 
 __all__ = [
     "Severity",
@@ -61,11 +55,7 @@ __all__ = [
     "default_rules",
     "default_target",
     "iter_python_files",
-    "load_project",
     "run_lint",
-    "build_contract_manifest",
-    "seam_analysis",
-    "switch_state_contract",
     "format_text",
     "format_json",
     "format_rule_catalog",

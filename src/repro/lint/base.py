@@ -152,11 +152,6 @@ class ModuleInfo:
             suppressed=parse_suppressions(source),
         )
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ModuleInfo":
-        """Read and parse ``path`` (raises ``OSError``/``SyntaxError``)."""
-        return cls.from_source(Path(path).read_text(), path)
-
     # ------------------------------------------------------------------ #
     # Scope predicates rules share
     # ------------------------------------------------------------------ #
@@ -207,10 +202,6 @@ class Project:
     #: :func:`repro.lint.graph.project_graph` so the flow-aware rules
     #: share one symbol-table/import-graph build per run).
     graph_cache: object | None = None
-    #: Memoized :class:`~repro.lint.shapes.SeamAnalysis` (built lazily
-    #: by :func:`repro.lint.shapes.seam_analysis` so the KC rule family
-    #: shares one abstract-interpretation pass per run).
-    shapes_cache: object | None = None
 
     def find(self, suffix: str) -> ModuleInfo | None:
         """First module whose resolved path ends with ``suffix``."""

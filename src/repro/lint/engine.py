@@ -37,13 +37,6 @@ from repro.lint.base import (
     finding_sort_key,
 )
 from repro.lint.cache import AnalysisCache, file_digest, lint_package_signature
-from repro.lint.rules_compile import (
-    BroadcastMismatchRule,
-    DtypeStabilityRule,
-    NopythonConstructRule,
-    ObjectDtypeRule,
-    PySlotMutationRule,
-)
 from repro.lint.rules_determinism import NoUnsortedSetIterationRule, NoWallClockRule
 from repro.lint.rules_errors import ExceptHygieneRule
 from repro.lint.rules_flow import (
@@ -84,7 +77,6 @@ __all__ = [
     "default_rules",
     "default_target",
     "iter_python_files",
-    "load_project",
     "run_lint",
 ]
 
@@ -116,36 +108,12 @@ def default_rules() -> tuple[Rule, ...]:
         StateSeamOwnershipRule(),
         InvariantCoverageRule(),
         SubmitThenMutateRule(),
-        ObjectDtypeRule(),
-        BroadcastMismatchRule(),
-        DtypeStabilityRule(),
-        PySlotMutationRule(),
-        NopythonConstructRule(),
     )
 
 
 def default_target() -> Path:
     """The installed ``repro`` package source tree (works from any cwd)."""
     return Path(__file__).resolve().parents[1]
-
-
-def load_project(paths: Sequence[str | Path] | None = None) -> Project:
-    """Parse ``paths`` (default: the installed tree) into a :class:`Project`.
-
-    Unparseable files are skipped — callers that need parse diagnostics
-    should go through :func:`run_lint`; this entry point serves analyses
-    that only consume the tree, like the kernel-contract manifest.
-    """
-    targets = list(paths) if paths else [default_target()]
-    modules: list[ModuleInfo] = []
-    for file_path in iter_python_files(targets):
-        try:
-            info = ModuleInfo.from_file(file_path)
-        except (OSError, SyntaxError, ValueError):
-            continue
-        info.path = _display_path(file_path)
-        modules.append(info)
-    return Project(modules=modules)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:

@@ -40,12 +40,11 @@ __all__ = [
     "ClassSymbol",
     "ModuleNode",
     "ProjectGraph",
-    "module_dotted_name",
     "project_graph",
 ]
 
 
-def module_dotted_name(module: ModuleInfo) -> str:
+def _module_dotted_name(module: ModuleInfo) -> str:
     """Dotted module name derived from the resolved path.
 
     The name is anchored at the *last* path component named ``repro`` so
@@ -243,7 +242,7 @@ class ProjectGraph:
     def build(cls, project: Project) -> "ProjectGraph":
         graph = cls()
         for info in project.modules:
-            name = module_dotted_name(info)
+            name = _module_dotted_name(info)
             node = ModuleNode(
                 name=name, info=info, imports=tuple(_iter_imports(info.tree))
             )

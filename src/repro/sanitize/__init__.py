@@ -4,8 +4,8 @@ The paper's correctness claims — cell conservation, valid crossbar
 matchings, FIFO/HOL discipline per multicast VOQ — are mechanical
 per-slot properties. This package checks them *while a run executes*,
 as a third independent oracle next to the unit tests and the backend
-equivalence harness, so a future kernel backend (batched slots, a
-compiled tier) cannot silently break an invariant the spot tests miss.
+equivalence harness, so a future kernel backend cannot silently break
+an invariant the spot tests miss.
 
 Enabling (the plain path stays untouched when off — guard-tested):
 

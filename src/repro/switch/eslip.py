@@ -1,10 +1,3 @@
-# lint: disable=KC004,KC005
-# Compile-readiness baseline: `_schedule_vectorized` keeps python dict
-# accumulators (and one pointer-distance lambda) inside its round loop.
-# The hybrid unicast/multicast grant bookkeeping is genuinely sparse and
-# per-input; lowering it to typed arrays is the open work item before an
-# ESLIP compiled twin. kernel_contracts.json honestly records this
-# pairing as "blocked" with the same findings as its blockers.
 """ESLIP-style hybrid unicast/multicast switch (extension baseline).
 
 McKeown's ESLIP (the scheduler of the Cisco 12000 router; "A Fast

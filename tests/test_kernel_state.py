@@ -118,6 +118,40 @@ class TestIntegrity:
         assert st.hol_ts[0, 1] == 0
 
 
+class TestArrayLayout:
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_ndarray_attributes_shapes_and_dtypes(self, n):
+        """The numpy half of SwitchState; every other attribute is plain
+        Python."""
+        expected = {
+            "hol_ts": ((n, n), np.float64),
+            "ts_scratch": ((n, n), np.float64),
+            "col_scratch": ((n, n), np.float64),
+            "req_scratch": ((n, n), np.bool_),
+            "win_scratch": ((n, n), np.bool_),
+            "input_free": ((n,), np.bool_),
+            "output_free": ((n,), np.bool_),
+            "row_min_scratch": ((n,), np.float64),
+            "col_min_scratch": ((n,), np.float64),
+            "row_min_col": ((n, 1), np.float64),
+            "col_min_row": ((1, n), np.float64),
+        }
+        st = SwitchState(n)
+        st.admit(_pkt(0, (0, 1), 0), 0)
+        st.serve(0, (1,))
+        attrs = {name: getattr(st, name) for name in SwitchState.__slots__}
+        actual = {
+            name: (value.shape, value.dtype)
+            for name, value in attrs.items()
+            if isinstance(value, np.ndarray)
+        }
+        assert actual == expected
+        # The (N, 1) / (1, N) members are views of the two min vectors:
+        # the round loop writes the vector and broadcasts the view.
+        assert np.shares_memory(st.row_min_col, st.row_min_scratch)
+        assert np.shares_memory(st.col_min_row, st.col_min_scratch)
+
+
 class TestSoaSnapshotParity:
     def test_matches_live_state_after_identical_ops(self):
         """The SoA export of object-model ports equals a SwitchState fed

@@ -11,6 +11,7 @@ own ``src/repro`` tree must lint clean.
 from __future__ import annotations
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -1214,6 +1215,11 @@ class TestEngine:
         assert len(ids) >= 8
         for new in ("KB001", "KB002", "KB003", "RNG005", "RNG006", "DET003"):
             assert new in ids
+        # The catalog and its documentation move together: a rule added
+        # or deleted on one side only fails here.
+        doc = (REPO / "docs" / "static_analysis.md").read_text()
+        documented = re.findall(r"^### ([A-Z]+\d{3}) ", doc, flags=re.MULTILINE)
+        assert sorted(documented) == sorted(ids)
 
     def test_exit_codes(self, tmp_path):
         (tmp_path / "warn.py").write_text("for j in {1, 2}:\n    pass\n")
