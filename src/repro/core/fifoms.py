@@ -28,13 +28,18 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.matching import GrantSet, ScheduleDecision
 from repro.core.voq import MulticastVOQInputPort
 from repro.errors import ConfigurationError
+from repro.utils.bitsets import bitmask_from_iterable, bitmask_to_tuple
 from repro.utils.rng import make_rng
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.kernel.state import SwitchState
 
 __all__ = ["FIFOMSScheduler", "TieBreak"]
 
@@ -211,22 +216,31 @@ class FIFOMSScheduler:
     # ------------------------------------------------------------------ #
     def schedule_state(
         self,
-        state,
+        state: "SwitchState",
         *,
         input_free: list[bool] | None = None,
         output_free: list[bool] | None = None,
     ) -> ScheduleDecision:
-        """Vectorized twin of :meth:`schedule` over a struct-of-arrays
+        """Array twin of :meth:`schedule` over a struct-of-arrays
         :class:`~repro.kernel.state.SwitchState`.
 
-        Each round is three masked reductions over the HOL-timestamp
-        matrix: a row min (every free input's smallest eligible
-        timestamp = the request step), an equality mask (which VOQs carry
-        it), and a column min (every free output's best request = the
-        grant step). Tie-breaks call the same :meth:`_pick` arbiter with
-        the same ascending-output order and winner lists, so RNG draws
-        and round-robin pointer movement are bit-identical to the object
-        path — the equivalence harness holds this method to that.
+        A round touches the HOL *packets* that compete, not the N×N VOQ
+        heads. Request: each still-free input asks
+        :meth:`~repro.kernel.state.SwitchState.hol_request` for its
+        oldest packet with a HOL cell at a free output — one
+        ``(timestamp, input, output bitmask)`` triple. Grant: the triples
+        are walked oldest first; a request keeps the outputs no strictly
+        older request asked for, and an output wanted by several inputs
+        of one timestamp goes to :meth:`_pick`. Every requested free
+        output is granted to somebody, so the round's grant count is the
+        popcount of the requested outputs, and an input that won nothing
+        requests again from what is left.
+
+        Tie-breaks see the same winner lists (ascending input) at the
+        same outputs in the same order (ascending within the round) as
+        the object path, so RNG draws and round-robin pointer movement
+        are bit-identical — the equivalence harness holds this method to
+        that.
         """
         n = self.num_ports
         if state.num_ports != n:
@@ -241,102 +255,94 @@ class FIFOMSScheduler:
             output_free is not None and len(output_free) != n
         ):
             raise ConfigurationError("port masks must have length N")
-        inf = np.inf
-        buf = state.ts_scratch
-        col = state.col_scratch
-        req = state.req_scratch
-        win = state.win_scratch
-        row_min = state.row_min_scratch
-        col_min = state.col_min_scratch
-        # The working matrix starts as the HOL timestamps with pre-reserved
-        # (masked) ports blanked; each granted row/column is blanked as the
-        # rounds progress, so no per-round re-masking is needed.
-        np.copyto(buf, state.hol_ts)
-        if input_free is not None:
-            in_free = state.input_free
-            in_free[:] = input_free
-            buf[~in_free, :] = inf
-        if output_free is not None:
-            out_free = state.output_free
-            out_free[:] = output_free
-            buf[:, ~out_free] = inf
-        granted_outputs: list[list[int]] = [[] for _ in range(n)]
+        contenders = [
+            i
+            for i, pids in enumerate(state.hol_pids)
+            if pids and (input_free is None or input_free[i])
+        ]
+        if output_free is None:
+            free_out = (1 << n) - 1
+        else:
+            free_out = bitmask_from_iterable(
+                j for j, free in enumerate(output_free) if free
+            )
         decision = ScheduleDecision()
-        rounds = 0
-
-        row_min_col = state.row_min_col
-        col_min_row = state.col_min_row
+        granted: dict[int, int] = {}  # input -> bitmask of outputs won
+        hol_request = state.hol_request
         max_it = self.max_iterations
-        pick = self._pick
-        round_grants = decision.round_grants
-        while max_it is None or rounds < max_it:
-            # Request step: row-wise min of the masked HOL timestamps.
-            # An all-inf (matched or empty) row yields row_min == inf; its
-            # spurious inf "requests" can never win a column, so no
-            # explicit liveness mask is needed.
-            buf.min(axis=1, out=row_min)
-            # Python min over the 16-ish floats beats a second ufunc
-            # reduction at this matrix size.
-            if min(row_min.tolist()) == inf:
+        rounds = 0
+        while contenders and (max_it is None or rounds < max_it):
+            # Request step: one triple per input with an eligible packet.
+            requests = []
+            for i in contenders:
+                request = hol_request(i, free_out)
+                if request is not None:
+                    requests.append(request)
+            if not requests:
                 break
             decision.requests_made = True
-            np.equal(buf, row_min_col, out=req)
 
-            # Grant step: column-wise min over the requesting timestamps
-            # (buf == row_min at every request, so masking buf itself
-            # gives each column the timestamps competing for it).
-            col.fill(inf)
-            np.copyto(col, buf, where=req)
-            col.min(axis=0, out=col_min)
-            np.equal(col, col_min_row, out=win)
-            counts = win.sum(axis=0).tolist()
-            firsts = win.argmax(axis=0).tolist()
-            new_matches = 0
-            for j, best in enumerate(col_min.tolist()):
-                if best == inf:
-                    continue
-                if counts[j] == 1:
-                    winner = firsts[j]
-                else:
-                    # Same winner list, same output, same arbiter state as
-                    # the object path -> identical RNG/pointer behaviour.
-                    winner = pick(np.nonzero(win[:, j])[0].tolist(), j)
-                granted_outputs[winner].append(j)
-                new_matches += 1
-                # Blank the winner's row and the taken column for the
-                # following rounds. counts/firsts/col_min are already
-                # materialized, and ``win`` only backs the tie lists, so
-                # in-loop blanking cannot disturb this round's grants.
-                buf[winner] = inf
-                buf[:, j] = inf
+            # Grant step. ``older``: outputs asked for by a strictly
+            # older timestamp; ``same``: by the timestamp being walked;
+            # ``clashed``: by two or more inputs of one timestamp.
+            requests.sort()
+            older = same = clashed = 0
+            walked_ts = -1
+            for ts, i, mask in requests:
+                if ts != walked_ts:
+                    older |= same
+                    same = 0
+                    walked_ts = ts
+                mask &= ~older
+                if mask:
+                    clashed |= mask & same
+                    same |= mask
+                    granted[i] = mask
+            if clashed:
+                # Take the clashed outputs back from everyone holding
+                # one (all rivals for an output share a timestamp, so
+                # sorted order lists them by ascending input) and
+                # arbitrate in ascending output order: same winner list,
+                # same output, same arbiter state and draw order as the
+                # object path.
+                rivals: dict[int, list[int]] = {}
+                for _, i, _ in requests:
+                    held = granted.get(i, 0)
+                    clash = held & clashed
+                    if not clash:
+                        continue
+                    if held == clash:
+                        del granted[i]
+                    else:
+                        granted[i] = held ^ clash
+                    while clash:
+                        low = clash & -clash
+                        clash ^= low
+                        rivals.setdefault(low, []).append(i)
+                for low in sorted(rivals):
+                    winner = self._pick(rivals[low], low.bit_length() - 1)
+                    granted[winner] = granted.get(winner, 0) | low
+            taken = older | same
+            free_out &= ~taken
+            contenders = [i for _, i, _ in requests if i not in granted]
             rounds += 1
-            round_grants.append(new_matches)
+            decision.round_grants.append(taken.bit_count())
 
-        # Inputs are distinct by construction (granted rows blank out), so
-        # write the grants dict directly instead of paying decision.add()'s
-        # duplicate check on every entry.
-        grants = decision.grants
-        for i in range(n):
-            outs = granted_outputs[i]
-            if outs:
-                grants[i] = GrantSet(i, tuple(outs))
         decision.rounds = rounds
-        if input_free is not None or output_free is not None:
-            # Write the final reservation state back through the caller's
-            # mask lists (the object path's mutate-in-place contract).
-            matched = [bool(g) for g in granted_outputs]
-            if input_free is not None:
-                input_free[:] = [
-                    bool(f) and not m for f, m in zip(input_free, matched)
-                ]
-            if output_free is not None:
-                taken = set()
-                for outs in granted_outputs:
-                    taken.update(outs)
-                output_free[:] = [
-                    bool(f) and j not in taken
-                    for j, f in enumerate(output_free)
-                ]
+        # Ascending input order, ascending outputs within a grant: the
+        # canonical order commit and the delivery stream depend on.
+        grants = decision.grants
+        for i in sorted(granted):
+            grants[i] = GrantSet(i, bitmask_to_tuple(granted[i]))
+        # The object path's mutate-in-place contract for the caller's
+        # reservation lists (fifoms-prio chains classes through it).
+        if input_free is not None:
+            for i in grants:
+                input_free[i] = False
+        if output_free is not None:
+            for grant in grants.values():
+                for j in grant.output_ports:
+                    output_free[j] = False
         return decision
 
     # ------------------------------------------------------------------ #

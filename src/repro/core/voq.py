@@ -139,8 +139,9 @@ class MulticastVOQInputPort:
     # Struct-of-arrays exports (consumed by repro.kernel)
     # ------------------------------------------------------------------ #
     def hol_timestamp_row(self) -> "np.ndarray":
-        """Row ``i`` of the kernel's HOL-timestamp matrix: float64 of
-        length ``num_outputs``, ``+inf`` where the VOQ is empty."""
+        """Row ``i`` of the HOL-timestamp matrix in the kernel's state
+        snapshots (``state_arrays()["hol_ts"]``): float64 of length
+        ``num_outputs``, ``+inf`` where the VOQ is empty."""
         row = np.full(self.num_outputs, np.inf, dtype=np.float64)
         for j, q in enumerate(self.voqs):
             if q._cells:

@@ -8,8 +8,11 @@ The kernel package separates *what* a multicast VOQ switch does each slot
 * :mod:`repro.kernel.object_backend` — reference per-cell semantics
   (the paper's address/data-cell objects);
 * :mod:`repro.kernel.vectorized` — struct-of-arrays state
-  (:class:`~repro.kernel.state.SwitchState`) with numpy request/grant
-  rounds and no per-cell objects on the hot path;
+  (:class:`~repro.kernel.state.SwitchState`): integer packet ids, a
+  recycled packet table and the HOL-packet index (per packet a bitmask
+  of the VOQs it heads, per input its heading packets oldest first)
+  that makes a request/grant round cost the competing HOL packets, not
+  N² — no per-cell objects and no numpy call on the hot path;
 * :mod:`repro.kernel.equivalence` — the harness proving the two backends
   bit-identical (import it explicitly; it pulls in the simulation stack).
 

@@ -4,10 +4,12 @@ State lives in a :class:`~repro.kernel.state.SwitchState`; scheduling
 goes through the scheduler's array entry point
 (``schedule_state(state, ...)``, e.g.
 :meth:`~repro.core.fifoms.FIFOMSScheduler.schedule_state`) which runs the
-request/grant rounds as masked numpy reductions over the HOL-timestamp
-matrix. Commit and crossbar setup are array updates too: fanout-counter
-reclamation is an int64 subtract per grant, and
-:meth:`driver_row` emits the per-output driver vector consumed by
+request/grant rounds over the state's HOL-packet index — one
+``(timestamp, input, output bitmask)`` request per competing input,
+granted oldest first with int bit operations. Commit is one
+:meth:`SwitchState.serve` per grant (pop the heads, move the HOL bits,
+decrement the fanout counter), and :meth:`driver_row` emits the
+per-output driver vector consumed by
 :meth:`~repro.fabric.crossbar.MulticastCrossbar.configure_drivers`.
 
 Bit-exactness contract: every RNG draw, tie-break, and emission order
@@ -84,7 +86,8 @@ class VectorizedBackend(KernelBackend):
     ) -> None:
         """Post-transmission processing over the SoA state: one
         :meth:`SwitchState.serve` per granted input pops the HOL
-        placeholders and decrements the fanout counter in one subtract."""
+        placeholders, hands their HOL bits to the new heads and
+        decrements the fanout counter in one subtract."""
         deliveries = result.deliveries
         for input_port, grant in decision.grants.items():
             packet, released = self.state.serve(input_port, grant.output_ports)
@@ -109,7 +112,8 @@ class VectorizedBackend(KernelBackend):
         return driver
 
     def harvest_slot_stats(self) -> dict[str, object]:
-        """Kernel-seam counters off the SoA arrays (O(N²) matrix scans)."""
+        """Kernel-seam counters off the SoA state (one N×N occupancy
+        scan, the rest O(N))."""
         return self.state.slot_stats()
 
     def queue_sizes(self) -> list[int]:
@@ -117,11 +121,11 @@ class VectorizedBackend(KernelBackend):
         return self.state.queue_sizes()
 
     def total_backlog(self) -> int:
-        """Queued placeholders, one ``occupancy.sum()``."""
+        """Queued placeholders (the state's O(1) backlog counter)."""
         return self.state.total_backlog()
 
     def check_invariants(self) -> None:
-        """Deep SoA consistency checks (deques vs matrices vs counters)."""
+        """Deep SoA consistency checks (deques vs HOL index vs counters)."""
         self.state.check_invariants()
 
     def state_arrays(self) -> dict[str, object]:

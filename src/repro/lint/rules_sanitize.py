@@ -9,10 +9,10 @@ checks sound* at lint time, riding the PR 5 call-graph
 * **SAN001** — kernel-seam state ownership: only the kernel package may
   mutate a :class:`~repro.kernel.state.SwitchState`. Scheduler code
   receives the state at its array entry points (``schedule_state`` /
-  ``schedule_vectorized``) strictly read-only apart from the dedicated
-  scratch arrays — a scheduler that writes ``occupancy``/``hol_ts``/...
-  directly bypasses the admit/serve bookkeeping the sanitizer's
-  cross-checks certify, so the two backends silently diverge.
+  ``schedule_vectorized``) strictly read-only — a scheduler that writes
+  ``occupancy``/``p_hol``/``hol_pids``/... directly bypasses the
+  admit/serve bookkeeping the sanitizer's cross-checks certify, so the
+  two backends silently diverge.
 * **SAN002** — invariant coverage: every switch class the registry can
   build must override ``check_invariants()`` somewhere below
   ``BaseSwitch`` (the base method is a no-op, so inheriting only it
@@ -62,9 +62,9 @@ _EMPTY: Tags = frozenset()
 #: the sanitizer's state cross-checks rely on.
 _PROTECTED_FIELDS = frozenset(
     {
-        "hol_ts",
         "occupancy",
         "voq_pids",
+        "hol_pids",
         "live",
         "peak_live",
         "allocated_total",
@@ -75,35 +75,17 @@ _PROTECTED_FIELDS = frozenset(
         "packets",
         "p_fanout",
         "p_ts",
-        "p_input",
+        "p_hol",
+        "free_pids",
     }
 )
-
-#: Per-round working arrays a scheduler MAY write, but only inside its
-#: array entry point (they are scratch by contract, dead between slots).
-_SCRATCH_FIELDS = frozenset(
-    {
-        "input_free",
-        "output_free",
-        "ts_scratch",
-        "col_scratch",
-        "req_scratch",
-        "win_scratch",
-        "row_min_scratch",
-        "col_min_scratch",
-        "row_min_col",
-        "col_min_row",
-    }
-)
-
-#: The kernel-seam entry points where scratch writes are sanctioned.
-_SEAM_ENTRY_POINTS = frozenset({"schedule_state", "schedule_vectorized"})
 
 #: State methods that mutate (the kernel backend's admission/service
 #: bookkeeping) — calling them from scheduler code is a seam breach.
 _STATE_MUTATORS = frozenset({"admit", "serve", "drop", "reset"})
 
-#: ndarray methods that write through the receiver.
+#: ndarray methods that write through the receiver (list / deque / dict
+#: ones are ``_CONTAINER_MUTATORS``, shared with RACE001 below).
 _ARRAY_MUTATORS = frozenset({"fill", "sort", "partition", "put", "resize"})
 
 
@@ -167,9 +149,6 @@ class _StateFlow(ForwardFlow):
     def _in_exempt_scope(self) -> bool:
         return id(self.scope) in self.exempt_funcs
 
-    def _in_seam_entry(self) -> bool:
-        return self.scope_name() in _SEAM_ENTRY_POINTS
-
     # -- sinks: writes ------------------------------------------------- #
     def _exec(self, stmt: ast.stmt, env: Env) -> None:
         if isinstance(stmt, ast.Assign):
@@ -186,24 +165,10 @@ class _StateFlow(ForwardFlow):
         if not isinstance(root, ast.Attribute):
             return
         field = root.attr
-        if field not in _PROTECTED_FIELDS and field not in _SCRATCH_FIELDS:
+        if field not in _PROTECTED_FIELDS:
             return
         base = dotted_name(root.value)
         if base is None or self.STATE not in env.get(base, _EMPTY):
-            return
-        if field in _SCRATCH_FIELDS:
-            if self._in_seam_entry():
-                return
-            self.findings.append(
-                self.rule.finding(
-                    self.module,
-                    root,
-                    f"{base}.{field} (SwitchState scratch) written in "
-                    f"{self.scope_name()}(); scratch arrays are only "
-                    "defined inside schedule_state()/schedule_vectorized() "
-                    "— anywhere else they carry stale rounds",
-                )
-            )
             return
         self.findings.append(
             self.rule.finding(
@@ -240,10 +205,14 @@ class _StateFlow(ForwardFlow):
                 )
             )
             return
-        # state.occupancy.fill(...) etc.: in-place array writes.
-        if func.attr in _ARRAY_MUTATORS and isinstance(func.value, ast.Attribute):
-            field = func.value.attr
-            inner = dotted_name(func.value.value)
+        # state.occupancy.fill(...), state.hol_pids[i].pop() etc.:
+        # in-place container writes.
+        receiver = _mutation_root(func.value)
+        if (
+            func.attr in _ARRAY_MUTATORS or func.attr in _CONTAINER_MUTATORS
+        ) and isinstance(receiver, ast.Attribute):
+            field = receiver.attr
+            inner = dotted_name(receiver.value)
             if (
                 inner is not None
                 and self.STATE in env.get(inner, _EMPTY)
@@ -268,12 +237,13 @@ class StateSeamOwnershipRule(Rule):
         "The vectorized backend certifies bit-exactness by funnelling "
         "every state change through SwitchState.admit()/serve(), which "
         "keep the occupancy/live/HOL ledgers the runtime sanitizer "
-        "cross-checks. Scheduler code sees the state read-only at its "
-        "schedule_state()/schedule_vectorized() entry points, plus the "
-        "scratch arrays that are dead between slots. A direct field "
-        "write anywhere else desynchronizes the ledgers — the backends "
-        "then diverge in ways the equivalence harness only catches per "
-        "grid point, and the sanitizer flags as corruption."
+        "cross-checks. Scheduler code sees the state read-only, inside "
+        "its schedule_state()/schedule_vectorized() entry points as "
+        "well as outside them: the HOL-packet index (hol_pids, p_hol) the "
+        "rounds read is maintained by admit()/serve() alone. A direct "
+        "field write desynchronizes the ledgers — the backends then "
+        "diverge in ways the equivalence harness only catches per grid "
+        "point, and the sanitizer flags as corruption."
     )
 
     def check_project(self, project: Project) -> Iterator[Finding]:
@@ -431,10 +401,12 @@ def _invariant_call_sites(project: Project) -> list[tuple[str, int]]:
 _CONTAINER_MUTATORS = frozenset(
     {
         "append",
+        "appendleft",
         "extend",
         "insert",
         "remove",
         "pop",
+        "popleft",
         "popitem",
         "clear",
         "update",

@@ -18,11 +18,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.core.matching import ScheduleDecision
 from repro.core.voq import MulticastVOQInputPort
 from repro.errors import ConfigurationError
+from repro.utils.bitsets import bitmask_from_iterable, bitmask_to_tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.state import SwitchState
@@ -86,10 +85,12 @@ class GreedyMcastScheduler:
     ) -> ScheduleDecision:
         """SoA twin of :meth:`schedule` for the vectorized kernel backend.
 
-        Each visited input's ``min_hol_timestamp`` comparator becomes one
-        masked row min over the HOL-timestamp matrix, and its grant set
-        one equality gather. The pointer walk itself stays sequential —
-        that *is* the algorithm (later inputs see earlier claims).
+        Each visited input's ``min_hol_timestamp`` comparator and grant
+        set are one :meth:`~repro.kernel.state.SwitchState.hol_request`
+        lookup — the oldest packet with a HOL cell at a still-free
+        output, and the free outputs it heads. The pointer walk itself
+        stays sequential — that *is* the algorithm (later inputs see
+        earlier claims).
         """
         n = self.num_ports
         if state.num_ports != n:
@@ -97,25 +98,24 @@ class GreedyMcastScheduler:
                 f"scheduler built for {n} ports, got a {state.num_ports}-port state"
             )
         decision = ScheduleDecision()
-        hol = state.hol_ts
-        free = (
-            np.asarray(output_free, dtype=bool)
-            if output_free is not None
-            else np.ones(n, dtype=bool)
-        )
+        if output_free is None:
+            free = (1 << n) - 1
+        else:
+            free = bitmask_from_iterable(
+                j for j, is_free in enumerate(output_free) if is_free
+            )
         matched = 0
         for k in range(n):
             i = (self._pointer + k) % n
             if input_free is not None and not input_free[i]:
                 continue
-            row = np.where(free, hol[i], np.inf)
-            ts = row.min()
-            if not np.isfinite(ts):
+            request = state.hol_request(i, free)
+            if request is None:
                 continue
             decision.requests_made = True
-            outs = tuple(int(j) for j in np.flatnonzero(row == ts))
-            free[list(outs)] = False
-            decision.add(i, outs)
+            mask = request[2]
+            free &= ~mask
+            decision.add(i, bitmask_to_tuple(mask))
             matched += 1
         self._pointer = (self._pointer + 1) % n
         decision.rounds = 1 if matched else 0

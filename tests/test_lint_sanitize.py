@@ -62,13 +62,17 @@ class TestSAN001StateSeamOwnership:
         assert "admit()/serve()" in findings[0].message
 
     def test_flags_scratch_write_outside_seam_entry(self, tmp_path):
+        """SwitchState has no scheduler-writable scratch left: the
+        HOL-packet index is kernel bookkeeping like any other field."""
         src = """
             def warm_caches(state):
-                state.ts_scratch[0] = 0.0
+                state.p_hol[0] = 0
+                state.hol_pids[0].pop(0)
         """
         findings = lint_tree(tmp_path, {"repro/core/algo.py": src}, [self.RULE()])
-        assert only_ids(findings) == ["SAN001"]
-        assert "scratch" in findings[0].message
+        assert only_ids(findings) == ["SAN001", "SAN001"]
+        assert "admit()/serve()" in findings[0].message
+        assert "hol_pids.pop()" in findings[1].message
 
     def test_flags_state_mutator_call(self, tmp_path):
         src = """
@@ -103,13 +107,29 @@ class TestSAN001StateSeamOwnership:
         assert only_ids(findings) == ["SAN001", "SAN001"]
 
     def test_clean_scratch_write_inside_seam_entry(self, tmp_path):
-        src = """
+        """The entry point buys no exemption: writing the index there is
+        flagged; reading it and keeping round state in locals is clean."""
+        flagged = """
             def schedule_state(state, input_free=None, output_free=None):
-                state.ts_scratch[:] = state.hol_ts
-                state.req_scratch.fill(False)
+                state.p_hol[3] |= 1
+                state.hol_pids[0].append(3)
                 return None
         """
-        assert lint_tree(tmp_path, {"repro/core/algo.py": src}, [self.RULE()]) == []
+        findings = lint_tree(
+            tmp_path, {"repro/core/algo.py": flagged}, [self.RULE()]
+        )
+        assert only_ids(findings) == ["SAN001", "SAN001"]
+        clean = """
+            def schedule_state(state, input_free=None, output_free=None):
+                free = (1 << state.num_ports) - 1
+                requests = []
+                for i, pids in enumerate(state.hol_pids):
+                    if pids and state.p_hol[pids[0]] & free:
+                        requests.append((state.p_ts[pids[0]], i))
+                requests.sort()
+                return requests
+        """
+        assert lint_tree(tmp_path, {"repro/core/algo.py": clean}, [self.RULE()]) == []
 
     def test_clean_reads_and_untracked_names(self, tmp_path):
         src = """
