@@ -47,16 +47,10 @@ def test_vectorized_fifoms_slots_per_sec(benchmark, n):
     benchmark.extra_info["slots_per_sec"] = SLOTS / benchmark.stats["mean"]
 
 
-def test_reference_islip_slots_per_sec(benchmark):
+def test_islip_slots_per_sec(benchmark):
+    # iSLIP has one body: ``backend`` selects nothing, so one row.
     benchmark.pedantic(
         lambda: _run("islip", 16, "object"), rounds=3, iterations=1
-    )
-    benchmark.extra_info["slots_per_sec"] = SLOTS / benchmark.stats["mean"]
-
-
-def test_vectorized_islip_slots_per_sec(benchmark):
-    benchmark.pedantic(
-        lambda: _run("islip", 16, "vectorized"), rounds=3, iterations=1
     )
     benchmark.extra_info["slots_per_sec"] = SLOTS / benchmark.stats["mean"]
 

@@ -8,20 +8,23 @@ byte-for-byte shared between backends and would only dilute the number
 this benchmark exists to measure: the cost of the queue-state
 representation itself.
 
-The grid covers **every** registry pairing that supports the vectorized
-kernel backend (TATRA is deliberately absent: it declares itself
-object-only — the Tetris box algorithm is inherently sequential and
-measured slower vectorized, see ``object_only_pairings()``). Each
-pairing runs at a hand-tuned operating point — load, fanout, and port
-count — chosen as the regime its vectorized twin exists for: saturated
-heavy multicast for the FIFOMS family, unicast near saturation for the
-matrix schedulers, light load for the buffered crossbar whose SWAR
-arbiter wins exactly where pointer scans waste work.
+The grid covers **every** registry pairing that has two bodies to
+compare — ``dual_pairings()`` of ``repro.kernel.equivalence``: the
+multicast VOQ family (cell objects vs ``SwitchState``) and the
+single-input-queue pair (HOL-cell snapshots vs bitmask rows). TATRA is
+absent because it declares itself object-only; the ten single-bodied
+pairings (iSLIP, PIM, 2DRR, SERENA, MaxWeight, CIOQ, CICQ, ESLIP,
+OQFIFO) are absent because ``backend`` selects nothing for them — their
+twin tables live in docs/kernel.md as the record of why one body was
+kept. Each pairing runs at a hand-tuned operating point — load, fanout,
+and port count — chosen as the regime its second representation exists
+for: saturated heavy multicast for the FIFOMS family, heavy multicast at
+N = 32 for the single-input-queue schedulers.
 
 The headline is the FIFOMS ratio at the paper's 16×16 size under
 saturated heavy multicast (mean fanout ~14) — the regime where the
 object model allocates one address cell per destination per packet while
-the vectorized kernel touches only the HOL-timestamp matrix.
+the vectorized kernel moves integer pids and bitmasks.
 
 Both backends produce bit-identical results (``repro.kernel.equivalence``
 proves it), so this is a pure representation benchmark: same work, two
@@ -47,38 +50,15 @@ from repro.schedulers.registry import make_switch
 from repro.sim.runner import build_traffic
 from repro.utils.rng import RngStreams
 
-#: One operating point per dual-backend pairing: the traffic spec and the
-#: port count its ratio is quoted at. FIFOMS gets the paper's 16×16 size
-#: at saturated heavy multicast — the hot-path regime the vectorized
-#: kernel exists for; the unicast matrix schedulers get near-saturation
-#: loads at the size where matrix work amortizes their fixed numpy
-#: dispatch cost; CICQ gets light load, where its bit-parallel arbiter
-#: replaces mostly-empty pointer scans with single integer tests.
+#: One operating point per dual pairing: the traffic spec and the port
+#: count its ratio is quoted at. FIFOMS gets the paper's 16×16 size at
+#: saturated heavy multicast — the hot-path regime the vectorized kernel
+#: exists for.
 KERNEL_GRID: dict[str, dict[str, Any]] = {
     "fifoms": {"ports": 16, "spec": {"model": "bernoulli", "p": 1.0, "b": 0.9}},
     "fifoms-prio": {
         "ports": 16,
         "spec": {"model": "bernoulli", "p": 0.9, "b": 0.7},
-    },
-    "islip": {"ports": 16, "spec": {"model": "bernoulli", "p": 0.6, "b": 0.25}},
-    "cioq-islip": {
-        "ports": 16,
-        "spec": {"model": "bernoulli", "p": 0.6, "b": 0.25},
-    },
-    "eslip": {"ports": 16, "spec": {"model": "bernoulli", "p": 0.6, "b": 0.25}},
-    "pim": {"ports": 32, "spec": {"model": "bernoulli", "p": 0.9, "b": 0.05}},
-    "maxweight-lqf": {
-        "ports": 16,
-        "spec": {"model": "bernoulli", "p": 0.9, "b": 0.05},
-    },
-    "maxweight-ocf": {
-        "ports": 32,
-        "spec": {"model": "bernoulli", "p": 0.9, "b": 0.05},
-    },
-    "2drr": {"ports": 32, "spec": {"model": "bernoulli", "p": 0.9, "b": 0.05}},
-    "serena": {
-        "ports": 32,
-        "spec": {"model": "bernoulli", "p": 0.9, "b": 0.05},
     },
     "wba": {"ports": 32, "spec": {"model": "bernoulli", "p": 0.9, "b": 0.7}},
     "siq-fifo": {
@@ -89,12 +69,11 @@ KERNEL_GRID: dict[str, dict[str, Any]] = {
         "ports": 16,
         "spec": {"model": "bernoulli", "p": 0.9, "b": 0.7},
     },
-    "oqfifo": {"ports": 16, "spec": {"model": "bernoulli", "p": 1.0, "b": 0.9}},
-    "cicq": {"ports": 16, "spec": {"model": "bernoulli", "p": 0.2, "b": 0.1}},
 }
 
 #: Smallest acceptable FIFOMS vectorized/object ratio at N=16 (the
-#: headline claim; measured ~3.6× on the reference container).
+#: headline claim; measured ~4.9× on the reference container since the
+#: PR 17 int-mask rounds, ~3.6× before).
 FIFOMS_MIN_SPEEDUP = 3.5
 
 
@@ -283,23 +262,22 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def test_grid_covers_every_vectorized_pairing():
-    """The grid is exactly the registry minus declared object-only pairings.
+    """The grid is exactly the registry's dual pairings (registry −
+    object-only − single-bodied, the equivalence grid's classification).
 
-    A newly registered dual-backend pairing must get a tuned operating
-    point here (and a demoted one must leave), or this guard fails —
-    the benchmark cannot silently under-cover the registry.
+    A newly registered dual pairing must get a tuned operating point
+    here (and a demoted or collapsed one must leave), or this guard
+    fails — the benchmark cannot silently under-cover the registry.
     """
-    from repro.kernel.equivalence import object_only_pairings
-    from repro.schedulers.registry import available_schedulers
+    from repro.kernel.equivalence import dual_pairings
 
-    expected = set(available_schedulers()) - set(object_only_pairings())
-    assert set(KERNEL_GRID) == expected
+    assert set(KERNEL_GRID) == set(dual_pairings())
 
 
 def test_vectorized_kernel_speedup(request, capsys):
     """Vectorized FIFOMS must clearly outrun the object model at N=16.
 
-    The committed ``BENCH_kernel.json`` records ~3.6×; the in-test floor
+    The committed ``BENCH_kernel.json`` records ~4.9×; the in-test floor
     is softer (2.5×) so a loaded CI host cannot flake the suite. With
     ``--bench-json PATH`` the full report is also written to PATH.
     """

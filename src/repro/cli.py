@@ -102,8 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--backend", default="object", choices=sorted(available_backends()),
-        help="kernel backend for the queue state / scheduling hot path "
-        "(bit-identical results; 'vectorized' needs scheduler support)",
+        help="representation of the queue state the scheduler is handed "
+        "(bit-identical results; selects one for fifoms, fifoms-prio, "
+        "greedy-mcast, wba, siq-fifo; tatra refuses 'vectorized'; every "
+        "other algorithm has one body and ignores it)",
     )
     run_p.add_argument(
         "--slot-chunk", type=int, default=1, metavar="K",

@@ -2,7 +2,8 @@
 
 The vectorized kernel is only admissible because it is *indistinguishable*
 from the reference per-cell object model. This module is the executable
-form of that claim: it runs the same (scheduler, traffic, seed) case once
+form of that claim for every pairing that holds two representations of
+its queue state: it runs the same (scheduler, traffic, seed) case once
 per backend, records a digest of every :class:`~repro.switch.base.SlotResult`
 as the slots stream by, and requires
 
@@ -24,11 +25,15 @@ Cross-run packet identity is ``(input_port, arrival_slot)``: packet ids
 come from a process-global counter, so the second run's ids are offset
 from the first even though the traffic streams are identical.
 
-The default grid is generated from the registry: every pairing that can
-drive the vectorized backend runs under Bernoulli and bursty traffic,
-plus one fault-injection scenario, all at 8 ports. Object-only pairings
-(TATRA's declared demotion) are reported as skips with their declared
-reason. Run it directly (CI does, on every push)::
+The default grid is generated from the registry (:func:`classify_registry`):
+every *dual* pairing — one whose switch really builds a second
+representation for ``backend="vectorized"`` — runs under Bernoulli and
+bursty traffic, plus one fault-injection scenario, all at 8 ports.
+Object-only pairings (TATRA's declared demotion) are reported as skips
+with their declared reason; single-bodied pairings (one body whatever
+``backend`` says, so nothing to compare) are listed by name and held by
+the golden pins of ``tests/test_single_body_golden.py`` instead. Run it
+directly (CI does, on every push)::
 
     PYTHONPATH=src python -m repro.kernel.equivalence --ports 8 --slots 4000
 
@@ -44,7 +49,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import EquivalenceError
+from repro.errors import ConfigurationError, EquivalenceError
+from repro.schedulers.base import object_only_reason
 from repro.schedulers.registry import available_schedulers, make_switch
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
@@ -60,9 +66,13 @@ __all__ = [
     "EquivalenceReport",
     "RecordingSwitch",
     "slot_digest",
+    "run_one_backend",
     "run_case",
     "default_grid",
+    "classify_registry",
     "object_only_pairings",
+    "single_bodied_pairings",
+    "dual_pairings",
     "run_grid",
     "PARITY_FIELDS",
     "run_pair",
@@ -174,7 +184,7 @@ class EquivalenceReport:
         )
 
 
-def _run_one_backend(
+def run_one_backend(
     case: EquivalenceCase, num_ports: int, num_slots: int, backend: str
 ) -> tuple[list[tuple], dict[str, Any], Any, dict[str, Any]]:
     """Run one backend of a case; return (digests, summary dict, state,
@@ -255,10 +265,10 @@ def run_case(
     Raises :class:`~repro.errors.EquivalenceError` on the first mismatch,
     with the slot index of the first digest divergence when there is one.
     """
-    obj_digests, obj_summary, obj_state, obj_metrics = _run_one_backend(
+    obj_digests, obj_summary, obj_state, obj_metrics = run_one_backend(
         case, num_ports, num_slots, "object"
     )
-    vec_digests, vec_summary, vec_state, vec_metrics = _run_one_backend(
+    vec_digests, vec_summary, vec_state, vec_metrics = run_one_backend(
         case, num_ports, num_slots, "vectorized"
     )
     # json round-trip makes NaN compare equal (both serialize to "NaN").
@@ -294,32 +304,64 @@ def run_case(
     return report
 
 
-def object_only_pairings() -> dict[str, str]:
-    """Registry pairings excluded from the grid, with the declared *why*.
+def _declared_object_only(name: str) -> str | None:
+    """The ``object_only_reason`` pairing ``name``'s scheduler declares."""
+    return object_only_reason(getattr(make_switch(name, 4), "scheduler", None))
 
-    A pairing lands here only by declaring ``object_only_reason`` on its
-    scheduler (TATRA's demotion) — the grid generator consults the
-    declaration rather than keeping its own skip list, so a pairing
-    cannot silently drop out of the equivalence claim.
+
+def classify_registry() -> tuple[dict[str, str], tuple[str, ...], tuple[str, ...]]:
+    """Sort every registry pairing by what ``backend="vectorized"`` builds.
+
+    Returns ``(object_only, single_bodied, dual)``:
+
+    * *object-only* — the build is refused (TATRA's demotion); the map
+      carries the reason the scheduler declares, so a pairing cannot
+      drop out of the equivalence claim silently;
+    * *single-bodied* — the build succeeds but ``switch.backend`` is not
+      ``"vectorized"``: the switch holds one representation of its queue
+      state and the name selected nothing, so there is no second body to
+      compare (golden pins hold these instead);
+    * *dual* — the switch really runs the second representation. These
+      are the grid.
+
+    The grid, the kernel benchmark's coverage guard and the tests all
+    read this one classification rather than keeping lists of names.
     """
-    from repro.schedulers.base import object_only_reason, scheduler_backends
-
-    skipped: dict[str, str] = {}
+    object_only: dict[str, str] = {}
+    single: list[str] = []
+    dual: list[str] = []
     for name in available_schedulers():
-        switch = make_switch(name, 4)
-        scheduler = getattr(switch, "scheduler", None)
-        if scheduler is None:
-            continue  # self-scheduled switches all drive both backends
-        if "vectorized" not in scheduler_backends(scheduler):
-            skipped[name] = (
-                object_only_reason(scheduler) or "no reason declared"
+        try:
+            switch = make_switch(name, 4, backend="vectorized")
+        except ConfigurationError:
+            object_only[name] = (
+                _declared_object_only(name) or "no reason declared"
             )
-    return skipped
+            continue
+        (dual if switch.backend == "vectorized" else single).append(name)
+    return object_only, tuple(single), tuple(dual)
+
+
+def object_only_pairings() -> dict[str, str]:
+    """Registry pairings that refuse the vectorized backend, with the
+    declared *why* (see :func:`classify_registry`)."""
+    return classify_registry()[0]
+
+
+def single_bodied_pairings() -> tuple[str, ...]:
+    """Registry pairings with one body whatever ``backend`` says."""
+    return classify_registry()[1]
+
+
+def dual_pairings() -> tuple[str, ...]:
+    """Registry pairings with two bodies to compare: the grid's subject
+    (registry − object-only − single-bodied)."""
+    return classify_registry()[2]
 
 
 def default_grid() -> list[EquivalenceCase]:
-    """The CI grid, generated from the registry: every pairing that can
-    drive the vectorized backend × two traffic models, plus one
+    """The CI grid, generated from the registry: every dual pairing
+    (:func:`dual_pairings`) × two traffic models, plus one
     fault-injection case.
 
     Loads are chosen so every run is stable for the full slot count at
@@ -327,8 +369,8 @@ def default_grid() -> list[EquivalenceCase]:
     VOQ loads, hence their lighter points) — an unstable early stop
     would silently shrink the number of compared slots. The strict-
     priority pairing gets class-tagged traffic so both service classes
-    carry cells. Object-only pairings (see :func:`object_only_pairings`)
-    are excluded: they have no second backend to compare.
+    carry cells. Object-only and single-bodied pairings are excluded:
+    they have no second body to compare.
     """
     bernoulli = {"model": "bernoulli", "p": 0.3, "b": 0.25}
     burst = {"model": "burst", "e_on": 4.0, "e_off": 16.0, "b": 0.3}
@@ -336,11 +378,8 @@ def default_grid() -> list[EquivalenceCase]:
     light_burst = {"model": "burst", "e_on": 3.0, "e_off": 21.0, "b": 0.25}
     #: Single-input-queue pairings whose HOL blocking saturates early.
     light_pairings = {"wba", "siq-fifo"}
-    skipped = object_only_pairings()
     cases = []
-    for name in available_schedulers():
-        if name in skipped:
-            continue
+    for name in dual_pairings():
         pair: tuple[dict[str, Any], dict[str, Any]] = (
             (light_bernoulli, light_burst)
             if name in light_pairings
@@ -410,9 +449,10 @@ def run_pair(
     arbiters consume identical RNG streams. ``algorithm`` is any registry
     pairing name; extra keyword arguments forward to the switch factory
     (``tie_break``, ``max_iterations``, ...). A pairing that declares
-    itself object-only (:func:`object_only_pairings` — TATRA) has no
-    second backend, so its second run is object-backed too: a
-    determinism check. Every other build error propagates.
+    itself object-only (TATRA) has no second backend, so its second run
+    is object-backed too: a determinism check — as is the second run of
+    a single-bodied pairing, which builds the same switch under either
+    name. Every other build error propagates.
     """
     packets = record_trace(traffic, num_slots)
     n = traffic.num_ports
@@ -430,7 +470,7 @@ def run_pair(
             switch, TraceTraffic(n, packets), cfg, algorithm_name=algorithm
         ).run()
 
-    second = "object" if algorithm in object_only_pairings() else "vectorized"
+    second = "object" if _declared_object_only(algorithm) else "vectorized"
     return one("object"), one(second)
 
 
@@ -472,8 +512,13 @@ def main(argv: list[str] | None = None) -> int:
         f"backend equivalence grid: N={args.ports}, "
         f"{args.slots} slots per case"
     )
-    for name, reason in sorted(object_only_pairings().items()):
+    object_only, single, _dual = classify_registry()
+    for name, reason in sorted(object_only.items()):
         print(f"  skip {name}: object-only — {reason}")
+    print(
+        f"  not compared ({len(single)} single-bodied, held by golden "
+        f"pins): {', '.join(single)}"
+    )
     try:
         reports = run_grid(
             num_ports=args.ports, num_slots=args.slots, verbose=True

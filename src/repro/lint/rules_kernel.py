@@ -13,11 +13,12 @@ a violation; these rules reason over the
   or, for the multicast kernel, ``schedule_state``), directly or via an
   ancestor.
 * **KB002** — registry factories must match their switch's seam: a
-  factory that guards with ``_require_object_backend`` while building a
-  switch whose ``__init__`` accepts ``backend`` silently blocks declared
-  support, and a factory that forwards ``**kwargs`` to a seamless switch
-  without the guard turns ``--backend vectorized`` into an opaque
-  ``TypeError``.
+  factory that guards with ``_require_object_backend`` (refuse) or
+  ``_discard_backend`` (single-bodied: validate and drop) while building
+  a switch whose ``__init__`` accepts ``backend`` silently blocks
+  declared support, and a factory that forwards ``**kwargs`` to a
+  seamless switch with neither guard turns ``--backend vectorized`` into
+  an opaque ``TypeError``.
 * **KB003** — transitive hot-path purity: the runtime import closure of
   ``repro.kernel.vectorized`` / ``state`` / ``base`` must not reach the
   per-cell object modules. This upgrades STR004 (which only sees direct
@@ -139,13 +140,16 @@ class RegistryBackendPairingRule(Rule):
     rationale = (
         "make_switch() injects the backend kwarg into every factory; a "
         "factory must either forward it to a switch whose __init__ "
-        "accepts 'backend' (a kernel seam) or reject it up front with "
-        "_require_object_backend. A guard on a seamed switch blocks "
-        "support the classes declare; a missing guard on a seamless "
-        "switch turns --backend vectorized into an opaque TypeError."
+        "accepts 'backend' (a kernel seam) or consume it up front: "
+        "_require_object_backend rejects it (object-only pairing), "
+        "_discard_backend validates and drops it (single-bodied "
+        "pairing). A guard on a seamed switch blocks support the classes "
+        "declare; a missing guard on a seamless switch turns --backend "
+        "vectorized into an opaque TypeError."
     )
 
-    _GUARD = "_require_object_backend"
+    #: Helpers that consume the backend kwarg before the switch is built.
+    _GUARDS = ("_require_object_backend", "_discard_backend")
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         registry = project.find("repro/schedulers/registry.py")
@@ -153,42 +157,42 @@ class RegistryBackendPairingRule(Rule):
             return
         graph = project_graph(project)
         for func in _iter_registry_factories(registry.tree):
-            if func.name == self._GUARD:
+            if func.name in self._GUARDS:
                 continue
-            guarded = False
+            guard: str | None = None
             switches: list[tuple[ClassSymbol, int]] = []
             for call in _factory_calls(func):
                 fname = dotted_name(call.func)
                 if fname is None:
                     continue
                 last = fname.rsplit(".", 1)[-1]
-                if last == self._GUARD:
-                    guarded = True
+                if last in self._GUARDS:
+                    guard = last
                     continue
                 sym = graph.resolve_class(last)
                 if sym is not None and _derives_from_switch(graph, sym):
                     switches.append((sym, call.lineno))
             for sym, lineno in switches:
                 has_seam = "backend" in self._init_params(graph, sym)
-                if guarded and has_seam:
+                if guard is not None and has_seam:
                     yield self.finding(
                         registry,
                         lineno,
-                        f"factory {func.name}() calls {self._GUARD}() but "
+                        f"factory {func.name}() calls {guard}() but "
                         f"builds {sym.name}, whose __init__ accepts "
                         "'backend' — the guard blocks a kernel seam the "
                         "switch declares; drop the guard or the seam",
                     )
-                elif not guarded and not has_seam:
+                elif guard is None and not has_seam:
                     yield self.finding(
                         registry,
                         lineno,
                         f"factory {func.name}() builds {sym.name}, whose "
                         "__init__ has no 'backend' parameter, without "
-                        f"calling {self._GUARD}() first; "
-                        "make_switch(..., backend='vectorized') would die "
-                        "with an opaque TypeError instead of a "
-                        "ConfigurationError naming the pairing",
+                        f"calling {' or '.join(g + '()' for g in self._GUARDS)} "
+                        "first; make_switch(..., backend='vectorized') "
+                        "would die with an opaque TypeError instead of "
+                        "building (or refusing) the pairing by name",
                     )
 
     @staticmethod

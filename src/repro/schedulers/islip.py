@@ -56,83 +56,15 @@ class ISLIPScheduler:
         self.grant_pointers = [0] * num_ports  # one per output
         self.accept_pointers = [0] * num_ports  # one per input
 
-    #: iSLIP is deterministic, so the array entry point below is bit-exact
-    #: with :meth:`schedule` and both kernel backends are supported.
-    supported_backends = ("object", "vectorized")
-
     # ------------------------------------------------------------------ #
     def schedule(self, view: UnicastVOQView) -> ScheduleDecision:
-        """Run request/grant/accept iterations for one slot."""
-        n = self.num_ports
-        if view.num_ports != n:
-            raise ConfigurationError(
-                f"view has {view.num_ports} ports, scheduler built for {n}"
-            )
-        wants = view.occupancy > 0  # (N, N) request eligibility
-        input_matched = [False] * n
-        output_matched = [False] * n
-        match_of_input: list[int | None] = [None] * n
-        decision = ScheduleDecision()
-        rounds = 0
-        iteration = 0
+        """Run request/grant/accept iterations for one slot.
 
-        while self.max_iterations is None or iteration < self.max_iterations:
-            iteration += 1
-            # ---- request ----
-            any_request = False
-            grants_to_input: list[list[int]] = [[] for _ in range(n)]
-            for j in range(n):
-                if output_matched[j]:
-                    continue
-                requesters = [
-                    i for i in range(n) if not input_matched[i] and wants[i, j]
-                ]
-                if not requesters:
-                    continue
-                any_request = True
-                # ---- grant: round-robin from the grant pointer ----
-                ptr = self.grant_pointers[j]
-                chosen = min(requesters, key=lambda i: (i - ptr) % n)
-                grants_to_input[chosen].append(j)
-            if any_request:
-                decision.requests_made = True
-            else:
-                break
-            # ---- accept: round-robin from the accept pointer ----
-            new_matches = 0
-            for i in range(n):
-                grants = grants_to_input[i]
-                if not grants:
-                    continue
-                ptr = self.accept_pointers[i]
-                j = min(grants, key=lambda jj: (jj - ptr) % n)
-                input_matched[i] = True
-                output_matched[j] = True
-                match_of_input[i] = j
-                new_matches += 1
-                if iteration == 1:
-                    # Pointer updates happen only on first-iteration accepts.
-                    self.grant_pointers[j] = (i + 1) % n
-                    self.accept_pointers[i] = (j + 1) % n
-            if not new_matches:
-                break
-            rounds += 1
-            note_round(decision, new_matches)
-
-        for i, j in enumerate(match_of_input):
-            if j is not None:
-                decision.add(i, (j,))
-        decision.rounds = rounds
-        return decision
-
-    def schedule_vectorized(self, view: UnicastVOQView) -> ScheduleDecision:
-        """Array twin of :meth:`schedule` for the vectorized kernel backend.
-
-        Each iteration's grant and accept arbiters become masked argmins
-        over modular-distance key matrices (``(i - pointer) % N``). The
-        keys within one arbiter are distinct, so every argmin is unique
-        and the chosen matches — and therefore the pointer evolution — are
-        bit-identical to the reference loop.
+        Each iteration's grant and accept arbiters are masked argmins
+        over modular-distance key matrices (``(i - pointer) % N``): one
+        reduction per iteration instead of a scan per port. The keys
+        within one arbiter are distinct, so every argmin is the unique
+        round-robin choice.
         """
         n = self.num_ports
         if view.num_ports != n:

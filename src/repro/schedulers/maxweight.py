@@ -44,45 +44,16 @@ class MaxWeightScheduler:
             )
         self.num_ports = num_ports
         self.weight = weight
-        # Weight-matrix scratch for the vectorized entry point.
+        # Weight-matrix scratch, refilled every slot.
         self._w = np.empty((num_ports, num_ports), dtype=np.float64)
 
-    #: The object path is already matrix-shaped (the assignment solver is
-    #: the whole cost), so the array entry point below is the same
-    #: computation minus per-slot weight-matrix allocations.
-    supported_backends = ("object", "vectorized")
-
     def schedule(self, view: UnicastVOQView) -> ScheduleDecision:
-        """Solve the maximum-weight matching for one slot."""
-        n = self.num_ports
-        if view.num_ports != n:
-            raise ConfigurationError(
-                f"view has {view.num_ports} ports, scheduler built for {n}"
-            )
-        if self.weight == "lqf":
-            w = view.occupancy.astype(np.float64)
-        else:
-            w = view.hol_age().astype(np.float64)
-        decision = ScheduleDecision()
-        if not w.any():
-            return decision
-        decision.requests_made = True
-        rows, cols = linear_sum_assignment(w, maximize=True)
-        for i, j in zip(rows, cols):
-            if w[i, j] > 0:
-                decision.add(int(i), (int(j),))
-        decision.rounds = 1
-        return decision
+        """Solve the maximum-weight matching for one slot.
 
-    def schedule_vectorized(self, view: UnicastVOQView) -> ScheduleDecision:
-        """Array twin of :meth:`schedule` for the vectorized kernel backend.
-
-        Identical weights and the identical assignment solve — MaxWeight's
-        object path already is the array computation — but the weight
+        The assignment solver is the whole cost; around it the weight
         matrix is built in a preallocated scratch (no ``astype`` copies)
         and the solution is read back through one gather + ``tolist()``
-        instead of N scalar ``w[i, j]`` fetches, which is all the
-        headroom an O(N³) solver leaves on the table.
+        instead of N scalar ``w[i, j]`` fetches.
         """
         n = self.num_ports
         if view.num_ports != n:

@@ -44,74 +44,15 @@ class PIMScheduler:
         self.max_iterations = max_iterations
         self._rng = make_rng(rng)
 
-    #: The array entry point below replays the exact RNG draw sequence of
-    #: :meth:`schedule` (one draw per non-empty requester/grant list, in
-    #:  ascending port order), so both kernel backends are bit-identical.
-    supported_backends = ("object", "vectorized")
-
     def schedule(self, view: UnicastVOQView) -> ScheduleDecision:
-        """Run random grant/accept iterations for one slot."""
-        n = self.num_ports
-        if view.num_ports != n:
-            raise ConfigurationError(
-                f"view has {view.num_ports} ports, scheduler built for {n}"
-            )
-        wants = view.occupancy > 0
-        input_matched = [False] * n
-        output_matched = [False] * n
-        match_of_input: list[int | None] = [None] * n
-        decision = ScheduleDecision()
-        rounds = 0
-        iteration = 0
+        """Run random grant/accept iterations for one slot.
 
-        while self.max_iterations is None or iteration < self.max_iterations:
-            iteration += 1
-            any_request = False
-            grants_to_input: list[list[int]] = [[] for _ in range(n)]
-            for j in range(n):
-                if output_matched[j]:
-                    continue
-                requesters = [
-                    i for i in range(n) if not input_matched[i] and wants[i, j]
-                ]
-                if not requesters:
-                    continue
-                any_request = True
-                chosen = requesters[int(self._rng.integers(len(requesters)))]
-                grants_to_input[chosen].append(j)
-            if any_request:
-                decision.requests_made = True
-            else:
-                break
-            new_match = False
-            for i in range(n):
-                grants = grants_to_input[i]
-                if not grants:
-                    continue
-                j = grants[int(self._rng.integers(len(grants)))]
-                input_matched[i] = True
-                output_matched[j] = True
-                match_of_input[i] = j
-                new_match = True
-            if not new_match:
-                break
-            rounds += 1
-
-        for i, j in enumerate(match_of_input):
-            if j is not None:
-                decision.add(i, (j,))
-        decision.rounds = rounds
-        return decision
-
-    def schedule_vectorized(self, view: UnicastVOQView) -> ScheduleDecision:
-        """Array twin of :meth:`schedule` for the vectorized kernel backend.
-
-        Eligibility masking becomes one boolean matrix op per iteration;
-        the random grant/accept draws stay scalar because PIM's RNG
-        contract is *per-arbiter*: the object path calls
-        ``integers(len(candidates))`` once for every non-empty candidate
-        list (even singletons), in ascending output then input order, and
-        the draw sequence must be replayed exactly for bit-exactness.
+        Eligibility masking is one boolean matrix op per iteration; the
+        random grant/accept draws stay scalar because PIM's RNG contract
+        is *per-arbiter*: ``integers(len(candidates))`` is called once
+        for every non-empty candidate list (even singletons), in
+        ascending output then input order, and the golden pins hold that
+        draw sequence.
         """
         n = self.num_ports
         if view.num_ports != n:
@@ -139,8 +80,7 @@ class PIMScheduler:
             # flattens the eligible inputs grouped by output (ascending
             # within a group), cumulative counts index the groups, and
             # the grant loop draws without any per-column numpy calls.
-            # One draw per requesting output — even singletons — exactly
-            # like the object path.
+            # One draw per requesting output — even singletons.
             _, req_rows = elig.T.nonzero()
             cnt_l = elig.sum(axis=0).tolist()
             ends_l = list(accumulate(cnt_l))

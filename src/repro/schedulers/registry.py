@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.errors import ConfigurationError
+from repro.kernel.base import available_backends
 from repro.schedulers.base import object_only_reason
 from repro.schedulers.greedy_mcast import GreedyMcastScheduler
 from repro.schedulers.islip import ISLIPScheduler
@@ -67,12 +68,16 @@ def make_switch(
     """Build the switch+scheduler pairing for algorithm ``name``.
 
     ``rng`` seeds the scheduler's tie-breaking stream (ignored by
-    deterministic algorithms). ``backend`` selects the kernel backend
-    ("object" or "vectorized"); names whose switch or scheduler cannot
-    drive a non-object backend raise
-    :class:`~repro.errors.ConfigurationError`. Extra keyword arguments
-    are forwarded to the factory (e.g. ``max_iterations`` for
-    fifoms/islip/pim).
+    deterministic algorithms). ``backend`` names the representation of
+    the queue state the scheduler is handed ("object" or "vectorized").
+    It selects something only for the pairings that hold two — fifoms,
+    fifoms-prio, greedy-mcast, wba, siq-fifo; TATRA declares itself
+    object-only and refuses "vectorized"; every other pairing has one
+    body, accepts any registered name and builds the same switch
+    (``switch.backend`` reports what was built). An unregistered name
+    raises :class:`~repro.errors.ConfigurationError` for every pairing.
+    Extra keyword arguments are forwarded to the factory (e.g.
+    ``max_iterations`` for fifoms/islip/pim).
     """
     try:
         factory = _REGISTRY[name.lower()]
@@ -81,8 +86,8 @@ def make_switch(
             f"unknown scheduler {name!r}; available: {', '.join(available_schedulers())}"
         ) from None
     if backend != "object":
-        # Injected only when non-default so factories for object-only
-        # architectures keep their exact historical signatures.
+        # Injected only when non-default so extension factories that
+        # never heard of backends keep working on the default.
         kwargs["backend"] = backend
     return factory(num_ports, rng=rng, **kwargs)
 
@@ -92,10 +97,11 @@ def _require_object_backend(
 ) -> None:
     """Reject a non-object ``backend`` kwarg for object-only architectures.
 
-    No built-in pairing calls this anymore — every registry pairing now
-    has a kernel seam (TATRA's demotion is declared on the *scheduler*
-    and enforced by ``resolve_backend``) — but extension factories that
-    register deliberately object-only switches keep it as their guard, so
+    No built-in pairing calls this — TATRA's demotion is declared on the
+    *scheduler* and enforced by ``resolve_backend``, and the single-bodied
+    pairings accept every registered name (:func:`_discard_backend`) —
+    but extension factories that register deliberately object-only
+    switches keep it as their guard, so
     ``make_switch(..., backend="vectorized")`` fails with a configuration
     error naming the pairing and *why* instead of an opaque ``TypeError``.
     Pass the ``scheduler`` (class or instance) so the message reports its
@@ -122,6 +128,22 @@ def _require_object_backend(
     )
 
 
+def _discard_backend(kw: dict, name: str) -> None:
+    """Validate, then drop, the ``backend`` kwarg of a single-bodied pairing.
+
+    The switch these factories build holds one representation of its
+    queue state and takes no ``backend`` argument, so a registered name
+    selects nothing; an unregistered one is still a configuration error,
+    as it is for the pairings that do choose.
+    """
+    backend = kw.pop("backend", "object")
+    if backend not in available_backends():
+        raise ConfigurationError(
+            f"switch pairing {name!r} got unknown kernel backend "
+            f"{backend!r}; available: {', '.join(available_backends())}"
+        )
+
+
 # --------------------------------------------------------------------- #
 # Built-in pairings (the paper's four algorithms + extensions)
 # --------------------------------------------------------------------- #
@@ -144,6 +166,7 @@ def _fifoms(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
 def _islip(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.voq_unicast import UnicastVOQSwitch
 
+    _discard_backend(kw, "islip")
     sched = ISLIPScheduler(num_ports, max_iterations=kw.pop("max_iterations", None))
     return UnicastVOQSwitch(num_ports, sched, **kw)
 
@@ -151,6 +174,7 @@ def _islip(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
 def _pim(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.voq_unicast import UnicastVOQSwitch
 
+    _discard_backend(kw, "pim")
     sched = PIMScheduler(
         num_ports, max_iterations=kw.pop("max_iterations", None), rng=rng
     )
@@ -161,6 +185,7 @@ def _maxweight(weight: str) -> SwitchFactory:
     def factory(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
         from repro.switch.voq_unicast import UnicastVOQSwitch
 
+        _discard_backend(kw, f"maxweight-{weight}")
         return UnicastVOQSwitch(num_ports, MaxWeightScheduler(num_ports, weight=weight), **kw)
 
     return factory
@@ -199,6 +224,7 @@ def _greedy(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
 def _oqfifo(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.output_queue import OutputQueuedSwitch
 
+    _discard_backend(kw, "oqfifo")
     return OutputQueuedSwitch(num_ports, **kw)
 
 
@@ -227,6 +253,7 @@ def _tdrr(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.schedulers.tdrr import TwoDimensionalRoundRobinScheduler
     from repro.switch.voq_unicast import UnicastVOQSwitch
 
+    _discard_backend(kw, "2drr")
     return UnicastVOQSwitch(
         num_ports, TwoDimensionalRoundRobinScheduler(num_ports), **kw
     )
@@ -236,6 +263,7 @@ def _serena(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.schedulers.serena import SerenaScheduler
     from repro.switch.voq_unicast import UnicastVOQSwitch
 
+    _discard_backend(kw, "serena")
     return UnicastVOQSwitch(num_ports, SerenaScheduler(num_ports, rng=rng), **kw)
 
 
@@ -243,6 +271,7 @@ def _cioq(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.schedulers.islip import ISLIPScheduler
     from repro.switch.cioq import CIOQSwitch
 
+    _discard_backend(kw, "cioq-islip")
     speedup = kw.pop("speedup", 2)
     return CIOQSwitch(num_ports, speedup, ISLIPScheduler(num_ports), **kw)
 
@@ -252,6 +281,7 @@ register_switch_factory("cioq-islip", _cioq)
 def _cicq(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.cicq import BufferedCrossbarSwitch
 
+    _discard_backend(kw, "cicq")
     return BufferedCrossbarSwitch(
         num_ports, crosspoint_depth=kw.pop("crosspoint_depth", 1), **kw
     )
@@ -260,6 +290,7 @@ def _cicq(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
 def _eslip(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.eslip import ESLIPSwitch
 
+    _discard_backend(kw, "eslip")
     return ESLIPSwitch(
         num_ports, max_iterations=kw.pop("max_iterations", None), **kw
     )

@@ -50,53 +50,17 @@ class SerenaScheduler:
         self._prev = np.full(num_ports, -1, dtype=np.int64)
         self._last_occupancy: np.ndarray | None = None
 
-    #: The arrival proposals and the merge trace consume RNG draws and
-    #: resolve collisions in input order; the array entry point below
-    #: replays those draws exactly (bulk tie grouping preserves the
-    #: candidate order) and vectorizes the order-free pieces — the
-    #: heaviest-new-VOQ scan, edge invalidation, greedy completion.
-    supported_backends = ("object", "vectorized")
-
     # ------------------------------------------------------------------ #
     def _arrival_matching(self, view: UnicastVOQView) -> np.ndarray:
-        """Derive this slot's arrival proposals (one output per input)."""
-        n = self.num_ports
-        occ = view.occupancy
-        arrivals = (
-            occ - self._last_occupancy
-            if self._last_occupancy is not None
-            else occ
-        )
-        proposal = np.full(n, -1, dtype=np.int64)
-        owner_of_output = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            grew = np.nonzero(arrivals[i] > 0)[0]
-            if grew.size == 0:
-                continue
-            # Heaviest newly-fed VOQ proposes; random among ties.
-            weights = occ[i, grew]
-            best = grew[weights == weights.max()]
-            j = int(best[self._rng.integers(best.size)]) if best.size > 1 else int(best[0])
-            # Output collision: heavier edge wins.
-            k = owner_of_output[j]
-            if k == -1 or occ[i, j] > occ[k, j]:
-                if k != -1:
-                    proposal[k] = -1
-                owner_of_output[j] = i
-                proposal[i] = j
-        return proposal
+        """Derive this slot's arrival proposals (one output per input).
 
-    def _arrival_matching_vectorized(self, view: UnicastVOQView) -> np.ndarray:
-        """Array twin of :meth:`_arrival_matching` (same draw sequence).
-
-        The per-input "heaviest newly-fed VOQ" scan becomes one masked
-        row max plus one bulk tie grouping (``nonzero()`` flattens tied
-        columns grouped by row, ascending — exactly the candidate order
-        ``np.nonzero(arrivals[i] > 0)[0]`` gives the object path), so
-        the proposal loop consumes the identical RNG draws: one
-        ``integers(k)`` per input with k > 1 tied heaviest VOQs, in
-        ascending input order. Output-collision resolution stays the
-        object path's sequential input-order sweep.
+        The per-input "heaviest newly-fed VOQ" scan is one masked row
+        max plus one bulk tie grouping (``nonzero()`` flattens tied
+        columns grouped by row, ascending), so the proposal loop draws
+        one ``integers(k)`` per input with k > 1 tied heaviest VOQs, in
+        ascending input order — the draw sequence the golden pins hold.
+        Output collisions resolve in a sequential input-order sweep:
+        the heavier edge wins.
         """
         n = self.num_ports
         occ = view.occupancy
@@ -180,70 +144,14 @@ class SerenaScheduler:
                 merged[i] = j
         return merged
 
-    def _complete_greedily(self, match: np.ndarray, occ: np.ndarray) -> None:
-        """Fill unmatched port pairs, heaviest eligible VOQ first."""
-        n = self.num_ports
-        out_taken = set(int(j) for j in match if j >= 0)
-        free_in = [i for i in range(n) if match[i] < 0]
-        candidates = [
-            (int(occ[i, j]), i, j)
-            for i in free_in
-            for j in range(n)
-            if j not in out_taken and occ[i, j] > 0
-        ]
-        candidates.sort(reverse=True)
-        used_in = set()
-        for w, i, j in candidates:
-            if i in used_in or j in out_taken:
-                continue
-            match[i] = j
-            used_in.add(i)
-            out_taken.add(j)
-
     # ------------------------------------------------------------------ #
     def schedule(self, view: UnicastVOQView) -> ScheduleDecision:
-        """Merge the arrival matching with the remembered one."""
-        n = self.num_ports
-        if view.num_ports != n:
-            raise ConfigurationError(
-                f"view has {view.num_ports} ports, scheduler built for {n}"
-            )
-        occ = view.occupancy
-        decision = ScheduleDecision()
-        if not (occ > 0).any():
-            self._prev.fill(-1)
-            self._last_occupancy = occ.copy()
-            return decision
-        decision.requests_made = True
-        arrival = self._arrival_matching(view)
-        # Previous matching edges are only valid while their VOQ has cells.
-        prev = self._prev.copy()
-        for i in range(n):
-            if prev[i] >= 0 and occ[i, prev[i]] == 0:
-                prev[i] = -1
-        merged = self._merge(arrival, prev, occ)
-        self._complete_greedily(merged, occ)
-        for i in range(n):
-            if merged[i] >= 0:
-                decision.add(i, (int(merged[i]),))
-        decision.rounds = 1 if decision.grants else 0
-        self._prev = merged
-        self._last_occupancy = occ.copy()
-        return decision
+        """Merge the arrival matching with the remembered one.
 
-    def schedule_vectorized(self, view: UnicastVOQView) -> ScheduleDecision:
-        """Array twin of :meth:`schedule` for the vectorized kernel backend.
-
-        The alternating-component merge is *shared* with the object path
-        (its trace is inherently sequential); what vectorizes is the
-        arrival matching (bulk row max + tie grouping, replaying the
-        object path's RNG draws exactly), the stale-edge invalidation
-        (one gather instead of a python scan) and the greedy
-        completion's candidate ordering (``np.lexsort`` over (weight,
-        input, output) instead of building and sorting N² tuples). The
-        key triples are distinct, so the descending lexsort order equals
-        the object path's ``sort(reverse=True)`` — same fill sequence,
-        same matching.
+        The alternating-component merge is a sequential trace; around it
+        the arrival matching is a bulk row max + tie grouping, stale
+        remembered edges are invalidated with one gather, and the greedy
+        completion orders its candidates with one ``np.lexsort``.
         """
         n = self.num_ports
         if view.num_ports != n:
@@ -257,7 +165,7 @@ class SerenaScheduler:
             self._last_occupancy = occ.copy()
             return decision
         decision.requests_made = True
-        arrival = self._arrival_matching_vectorized(view)
+        arrival = self._arrival_matching(view)
         # Previous matching edges are only valid while their VOQ has cells
         # — one gather over the remembered edges instead of a port scan.
         prev = self._prev.copy()
@@ -266,7 +174,7 @@ class SerenaScheduler:
             stale = held[occ[held, prev[held]] == 0]
             prev[stale] = -1
         merged = self._merge(arrival, prev, occ)
-        self._complete_vectorized(merged, occ)
+        self._complete_greedily(merged, occ)
         for i, j in enumerate(merged.tolist()):
             if j >= 0:
                 decision.add(i, (j,))
@@ -275,8 +183,13 @@ class SerenaScheduler:
         self._last_occupancy = occ.copy()
         return decision
 
-    def _complete_vectorized(self, match: np.ndarray, occ: np.ndarray) -> None:
-        """Vectorized twin of :meth:`_complete_greedily` (same fill order)."""
+    def _complete_greedily(self, match: np.ndarray, occ: np.ndarray) -> None:
+        """Fill unmatched port pairs, heaviest eligible VOQ first.
+
+        Candidates are ordered by one descending ``np.lexsort`` over
+        (weight, input, output); the key triples are distinct, so the
+        fill sequence is fully determined.
+        """
         n = self.num_ports
         out_taken = np.zeros(n, dtype=bool)
         out_taken[match[match >= 0]] = True

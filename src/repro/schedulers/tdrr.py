@@ -45,50 +45,14 @@ class TwoDimensionalRoundRobinScheduler:
             raise ConfigurationError(f"num_ports must be >= 1, got {num_ports}")
         self.num_ports = num_ports
         self._slot_index = 0
-        # Diagonal index table: _diag_cols[d, i] = (i + d) % N. Shared by
-        # the vectorized entry point to gather each diagonal's columns.
+        # Diagonal index table: _diag_cols[d, i] = (i + d) % N, used to
+        # gather each diagonal's columns.
         idx = np.arange(num_ports, dtype=np.int64)
         self._diag_cols = (idx[None, :] + idx[:, None]) % num_ports
         self._diag_cols_list: list[list[int]] = self._diag_cols.tolist()
 
-    #: A generalized diagonal touches each row and column exactly once,
-    #: so all matches on one diagonal are conflict-free and the sweep
-    #: vectorizes per diagonal with no tie-breaking — the array entry
-    #: point below is bit-exact with :meth:`schedule`.
-    supported_backends = ("object", "vectorized")
-
     def schedule(self, view: UnicastVOQView) -> ScheduleDecision:
-        """Sweep the N diagonals in this slot's rotated order."""
-        n = self.num_ports
-        if view.num_ports != n:
-            raise ConfigurationError(
-                f"view has {view.num_ports} ports, scheduler built for {n}"
-            )
-        wants = view.occupancy > 0
-        decision = ScheduleDecision()
-        if not wants.any():
-            self._slot_index += 1
-            return decision
-        decision.requests_made = True
-        input_free = [True] * n
-        output_free = [True] * n
-        first = self._slot_index % n
-        matched = 0
-        for step in range(n):
-            d = (first + step) % n
-            for i in range(n):
-                j = (i + d) % n
-                if input_free[i] and output_free[j] and wants[i, j]:
-                    input_free[i] = False
-                    output_free[j] = False
-                    decision.add(i, (j,))
-                    matched += 1
-        decision.rounds = 1 if matched else 0
-        self._slot_index += 1
-        return decision
-
-    def schedule_vectorized(self, view: UnicastVOQView) -> ScheduleDecision:
-        """Array twin of :meth:`schedule` for the vectorized kernel backend.
+        """Sweep the N diagonals in this slot's rotated order.
 
         The whole request matrix is rearranged into diagonal-major layout
         with a single fancy-index gather (``wants_diag[d, i] = wants[i,
@@ -96,8 +60,8 @@ class TwoDimensionalRoundRobinScheduler:
         booleans as plain python lists — per-element reads of a numpy
         matrix cost more than the sweep itself at practical N, and the
         sweep's free-row/free-column masking is the only sequential
-        dependency. Bit-exact with :meth:`schedule` (no tie-breaking on a
-        diagonal: its cells are conflict-free by construction).
+        dependency. A diagonal's cells are conflict-free by construction,
+        so there is no tie-breaking.
         """
         n = self.num_ports
         if view.num_ports != n:

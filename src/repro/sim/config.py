@@ -49,11 +49,14 @@ class SimulationConfig:
         multicast fanout-splitting tracker; results land in
         ``SimulationSummary.extra``.
     backend:
-        Kernel backend for the switch's queue state and scheduling hot
-        path: ``"object"`` (reference per-cell semantics) or
-        ``"vectorized"`` (struct-of-arrays; bit-identical results, see
-        ``repro.kernel.equivalence``). Pairings that cannot drive the
-        requested backend fail with a configuration error at build time.
+        Which representation of the queue state the scheduler is handed:
+        ``"object"`` (reference per-cell semantics) or ``"vectorized"``
+        (flat struct-of-arrays state; bit-identical results, see
+        ``repro.kernel.equivalence``). It selects one only for the
+        pairings that hold two (fifoms, fifoms-prio, greedy-mcast, wba,
+        siq-fifo); TATRA refuses ``"vectorized"`` with a configuration
+        error at build time; every other pairing has one body and runs
+        it whichever registered name is given.
     slot_chunk:
         Arrival vectors the engine draws from the traffic model ahead of
         the slots that consume them (1, the default, draws each slot's

@@ -106,8 +106,9 @@ def run_simulation(
     Kernel backend: the explicit ``backend`` argument wins, then a
     ``backend`` key in ``switch_kwargs``, then ``config.backend``; the
     default is the reference ``"object"`` model. Both backends produce
-    bit-identical summaries for the schedulers that support both
-    (``repro.kernel.equivalence`` enforces this).
+    bit-identical summaries for the pairings that have both
+    (``repro.kernel.equivalence`` enforces this); for a single-bodied
+    pairing (iSLIP, OQFIFO, …) the name is accepted and selects nothing.
 
     Sanitizing: ``sanitize`` forwards to the engine — ``True`` / a
     prebuilt :class:`~repro.sanitize.SanitizerSuite` enables the runtime

@@ -84,9 +84,12 @@ class BaseSwitch(abc.ABC):
     #: declare ``"output"`` — only the one-cell-per-output-line half holds.
     matching_discipline: str = "crossbar"
 
-    #: Kernel backend driving the queue state. Architectures that accept a
-    #: ``backend=`` kwarg overwrite this per instance; everything else is
-    #: implicitly the per-cell object model.
+    #: Which representation of the queue state the scheduler is handed.
+    #: Only the architectures that hold two take a ``backend=`` argument
+    #: and overwrite this per instance (the multicast VOQ switches: cell
+    #: objects vs ``SwitchState``; the single-input-queue switch: HOL-cell
+    #: snapshots vs bitmask rows). Every other switch has one body and
+    #: reports "object" whatever name ``make_switch`` was given.
     backend: str = "object"
 
     def __init__(self, num_ports: int) -> None:

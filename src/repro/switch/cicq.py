@@ -39,24 +39,12 @@ class BufferedCrossbarSwitch(BaseSwitch):
     #: one-cell-per-output half of the crossbar discipline holds.
     matching_discipline = "output"
 
-    def __init__(
-        self,
-        num_ports: int,
-        *,
-        crosspoint_depth: int = 1,
-        backend: str = "object",
-    ) -> None:
+    def __init__(self, num_ports: int, *, crosspoint_depth: int = 1) -> None:
         super().__init__(num_ports)
         if crosspoint_depth < 1:
             raise ConfigurationError(
                 f"crosspoint_depth must be >= 1, got {crosspoint_depth}"
             )
-        if backend not in ("object", "vectorized"):
-            raise ConfigurationError(
-                f"cicq supports the 'object' and 'vectorized' kernel "
-                f"backends, got {backend!r}"
-            )
-        self.backend = backend
         self.crosspoint_depth = crosspoint_depth
         n = num_ports
         self.voqs: list[list[deque[Packet]]] = [
@@ -64,20 +52,18 @@ class BufferedCrossbarSwitch(BaseSwitch):
         ]
         self._occupancy = np.zeros((n, n), dtype=np.int64)
         # Crosspoint FIFOs: xpoint[i][j] holds cells in flight; _xp_occ
-        # mirrors their lengths so both arbiters can mask on arrays.
+        # mirrors their lengths for the backlog sums.
         self.xpoint: list[list[deque[Packet]]] = [
             [deque() for _ in range(n)] for _ in range(n)
         ]
         self._xp_occ = np.zeros((n, n), dtype=np.int64)
         self._in_ptr = [0] * n  # per-input RR over outputs
         self._out_ptr = [0] * n  # per-output RR over inputs
-        # Bit-parallel eligibility rows for the vectorized arbiter: one
-        # python int per port, bit j of _voq_bits[i] = VOQ (i, j)
-        # non-empty, bit j of _xp_full[i] = crosspoint (i, j) at depth,
-        # bit i of _xp_col[j] = crosspoint (i, j) non-empty. _accept
-        # maintains _voq_bits unconditionally (one |= per copy); the
-        # arbiter maintains the rest, so the object backend never pays
-        # for them.
+        # Bit-parallel eligibility rows for the arbiters: one python int
+        # per port, bit j of _voq_bits[i] = VOQ (i, j) non-empty, bit j
+        # of _xp_full[i] = crosspoint (i, j) at depth, bit i of
+        # _xp_col[j] = crosspoint (i, j) non-empty. _accept maintains
+        # _voq_bits (one |= per copy); the arbiters maintain the rest.
         self._full_mask = (1 << n) - 1
         self._voq_bits = [0] * n
         self._xp_full = [0] * n
@@ -94,53 +80,15 @@ class BufferedCrossbarSwitch(BaseSwitch):
         self._voq_bits[i] = bits
 
     def _schedule_and_transmit(self, slot: int) -> SlotResult:
-        if self.backend == "vectorized":
-            return self._schedule_and_transmit_vectorized(slot)
-        n = self.num_ports
-        result = SlotResult(slot=slot, rounds=1, requests_made=False)
-        # --- input arbitration: VOQ -> crosspoint ---
-        for i in range(n):
-            ptr = self._in_ptr[i]
-            for step in range(n):
-                j = (ptr + step) % n
-                if (
-                    self.voqs[i][j]
-                    and len(self.xpoint[i][j]) < self.crosspoint_depth
-                ):
-                    result.requests_made = True
-                    pkt = self.voqs[i][j].popleft()
-                    self._occupancy[i, j] -= 1
-                    self.xpoint[i][j].append(pkt)
-                    self._xp_occ[i, j] += 1
-                    self._in_ptr[i] = (j + 1) % n
-                    break
-        # --- output arbitration: crosspoint -> line ---
-        for j in range(n):
-            ptr = self._out_ptr[j]
-            for step in range(n):
-                i = (ptr + step) % n
-                if self.xpoint[i][j]:
-                    result.requests_made = True
-                    pkt = self.xpoint[i][j].popleft()
-                    self._xp_occ[i, j] -= 1
-                    result.deliveries.append(
-                        Delivery(packet=pkt, output_port=j, service_slot=slot)
-                    )
-                    self._out_ptr[j] = (i + 1) % n
-                    break
-        return result
+        """Run both round-robin arbiters for one slot, bit-parallel.
 
-    def _schedule_and_transmit_vectorized(self, slot: int) -> SlotResult:
-        """Array twin of the per-slot arbitration for ``backend="vectorized"``.
-
-        Both round-robin arbiters are independent across their ports and
-        each port row of the eligibility matrix fits one machine word at
-        practical N, so the arbitration runs bit-parallel (SWAR): a
-        port's whole scan is ``rotate(mask, ptr)`` plus lowest-set-bit —
-        exactly the cell the object path's pointer scan would stop at,
-        including the "nothing eligible" case, which costs one integer
-        test instead of an N-step scan. Only the matched deque pops stay
-        per-port python — the packet objects have to move.
+        The arbiters are independent across their ports and each port row
+        of the eligibility matrix fits one machine word at practical N,
+        so a port's whole pointer scan is ``rotate(mask, ptr)`` plus
+        lowest-set-bit (SWAR) — the first eligible cell at or after the
+        pointer — and "nothing eligible" costs one integer test instead
+        of an N-step scan. Only the matched deque pops stay per-port
+        python — the packet objects have to move.
         """
         n = self.num_ports
         result = SlotResult(slot=slot, rounds=1, requests_made=False)
@@ -219,11 +167,8 @@ class BufferedCrossbarSwitch(BaseSwitch):
                         f"crosspoint ({i}, {j}) overflow: "
                         f"{len(self.xpoint[i][j])} > {self.crosspoint_depth}"
                     )
-        if self.backend != "vectorized":
-            return
-        # The bit-parallel rows the vectorized arbiter matches on must
-        # mirror the deques exactly (the object backend never maintains
-        # the crosspoint rows, so they are only meaningful here).
+        # The bit-parallel rows the arbiters match on must mirror the
+        # deques exactly.
         n = self.num_ports
         for i in range(n):
             voq_bits = sum(1 << j for j in range(n) if self.voqs[i][j])

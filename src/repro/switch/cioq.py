@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError, SchedulingError
 from repro.packet import Delivery, Packet
-from repro.schedulers.base import UnicastVOQView, resolve_backend
+from repro.schedulers.base import UnicastVOQView
 from repro.schedulers.islip import ISLIPScheduler
 from repro.switch.base import BaseSwitch, SlotResult
 
@@ -32,14 +32,7 @@ __all__ = ["CIOQSwitch"]
 
 
 class CIOQSwitch(BaseSwitch):
-    """N×N CIOQ switch: VOQ inputs, FIFO outputs, speedup-S fabric.
-
-    ``backend="vectorized"`` routes every fabric phase through the
-    scheduler's ``schedule_vectorized`` array entry point (the scheduler
-    must declare support via ``supported_backends``); the VOQ and output
-    FIFO state is shared between backends, so the slot streams are
-    bit-identical.
-    """
+    """N×N CIOQ switch: VOQ inputs, FIFO outputs, speedup-S fabric."""
 
     name = "cioq"
     #: Deliveries come off the output FIFOs, one per line per slot; the
@@ -52,15 +45,12 @@ class CIOQSwitch(BaseSwitch):
         num_ports: int,
         speedup: int = 2,
         scheduler: object | None = None,
-        *,
-        backend: str = "object",
     ) -> None:
         super().__init__(num_ports)
         if speedup < 1:
             raise ConfigurationError(f"speedup must be >= 1, got {speedup}")
         self.speedup = speedup
         self.scheduler = scheduler if scheduler is not None else ISLIPScheduler(num_ports)
-        self.backend = resolve_backend(self.scheduler, backend)
         n = num_ports
         self.voqs: list[list[deque[Packet]]] = [
             [deque() for _ in range(n)] for _ in range(n)
@@ -83,7 +73,6 @@ class CIOQSwitch(BaseSwitch):
     def _schedule_and_transmit(self, slot: int) -> SlotResult:
         n = self.num_ports
         result = SlotResult(slot=slot)
-        vectorized = self.backend == "vectorized"
         # --- S internal phases: input side -> output queues ---
         for _phase in range(self.speedup):
             view = UnicastVOQView(
@@ -91,11 +80,7 @@ class CIOQSwitch(BaseSwitch):
                 hol_arrival=self._hol_arrival,
                 current_slot=slot,
             )
-            decision: ScheduleDecision = (
-                self.scheduler.schedule_vectorized(view)
-                if vectorized
-                else self.scheduler.schedule(view)
-            )
+            decision: ScheduleDecision = self.scheduler.schedule(view)
             decision.validate(n, n)
             if decision.requests_made:
                 result.requests_made = True

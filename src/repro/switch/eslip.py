@@ -64,23 +64,13 @@ class ESLIPSwitch(BaseSwitch):
     matching_discipline = "output"
 
     def __init__(
-        self,
-        num_ports: int,
-        *,
-        max_iterations: int | None = None,
-        backend: str = "object",
+        self, num_ports: int, *, max_iterations: int | None = None
     ) -> None:
         super().__init__(num_ports)
         if max_iterations is not None and max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be >= 1 or None, got {max_iterations}"
             )
-        if backend not in ("object", "vectorized"):
-            raise ConfigurationError(
-                f"eslip supports the 'object' and 'vectorized' kernel "
-                f"backends, got {backend!r}"
-            )
-        self.backend = backend
         self.max_iterations = max_iterations
         n = num_ports
         self.crossbar = MulticastCrossbar(n)
@@ -92,7 +82,7 @@ class ESLIPSwitch(BaseSwitch):
         self.grant_ptr = [0] * n
         self.accept_ptr = [0] * n
         # Multicast side. _mc_mask mirrors _mc_residue as an (N, N) bool
-        # matrix so the vectorized grant phase can mask on it directly.
+        # matrix so the grant phase can mask on it directly.
         self.mc_queues: list[deque[Packet]] = [deque() for _ in range(n)]
         self._mc_residue: list[set[int]] = [set() for _ in range(n)]
         self._mc_mask = np.zeros((n, n), dtype=bool)
@@ -123,88 +113,14 @@ class ESLIPSwitch(BaseSwitch):
     # ------------------------------------------------------------------ #
     def _schedule(self) -> tuple[dict[int, list[int]], dict[int, int], int, bool]:
         """One slot's iterations; returns (mcast grants, unicast matches,
-        rounds, requests_made)."""
-        n = self.num_ports
-        input_busy = [False] * n
-        output_busy = [False] * n
-        mc_grants: dict[int, list[int]] = {}
-        uni_match: dict[int, int] = {}
-        rounds = 0
-        iteration = 0
-        requests_made = False
-        while self.max_iterations is None or iteration < self.max_iterations:
-            iteration += 1
-            # ---- grant ----
-            grants_mc: list[list[int]] = [[] for _ in range(n)]  # input -> outs
-            grants_uni: list[list[int]] = [[] for _ in range(n)]
-            any_request = False
-            for j in range(n):
-                if output_busy[j]:
-                    continue
-                mc_req = [
-                    i
-                    for i in range(n)
-                    if not input_busy[i] and j in self._mc_residue[i]
-                ]
-                uni_req = [
-                    i
-                    for i in range(n)
-                    if not input_busy[i] and self._uni_occ[i, j] > 0
-                ]
-                if mc_req:
-                    any_request = True
-                    winner = min(
-                        mc_req, key=lambda i: (i - self.mcast_ptr) % n
-                    )
-                    grants_mc[winner].append(j)
-                elif uni_req:
-                    any_request = True
-                    ptr = self.grant_ptr[j]
-                    winner = min(uni_req, key=lambda i: (i - ptr) % n)
-                    grants_uni[winner].append(j)
-            if any_request:
-                requests_made = True
-            else:
-                break
-            # ---- accept ----
-            new_match = False
-            for i in range(n):
-                if input_busy[i]:
-                    continue
-                if grants_mc[i]:
-                    # All multicast grants accepted: one data cell fans out.
-                    mc_grants.setdefault(i, []).extend(grants_mc[i])
-                    for j in grants_mc[i]:
-                        output_busy[j] = True
-                    input_busy[i] = True
-                    new_match = True
-                elif grants_uni[i]:
-                    ptr = self.accept_ptr[i]
-                    j = min(grants_uni[i], key=lambda jj: (jj - ptr) % n)
-                    uni_match[i] = j
-                    output_busy[j] = True
-                    input_busy[i] = True
-                    new_match = True
-                    if iteration == 1:
-                        self.grant_ptr[j] = (i + 1) % n
-                        self.accept_ptr[i] = (j + 1) % n
-            if not new_match:
-                break
-            rounds += 1
-        return mc_grants, uni_match, rounds, requests_made
+        rounds, requests_made).
 
-    def _schedule_vectorized(
-        self,
-    ) -> tuple[dict[int, list[int]], dict[int, int], int, bool]:
-        """Array twin of :meth:`_schedule` for ``backend="vectorized"``.
-
-        Per iteration the grant step becomes two masked argmins over
+        Per iteration the grant step is two masked argmins over
         modular-distance keys: every free output's preferred multicast
         requester under the *shared* pointer, and its round-robin unicast
         fallback. Keys within one output are distinct, so each argmin is
-        the unique minimum the object path's ``min`` would pick. The
-        accept step is order-sensitive (pointer updates) and stays the
-        same short python loop.
+        the unique round-robin choice. The accept step is order-sensitive
+        (pointer updates) and stays a short python loop.
         """
         n = self.num_ports
         idx = self._port_idx
@@ -240,12 +156,13 @@ class ESLIPSwitch(BaseSwitch):
                 grants_mc[int(mc_pick[j])].append(j)
             for j in np.flatnonzero(has_uni & ~has_mc).tolist():
                 grants_uni[int(uni_pick[j])].append(j)
-            # ---- accept (same sequential pointer logic as the object path) ----
+            # ---- accept ----
             new_match = False
             for i in range(n):
                 if input_busy[i]:
                     continue
                 if grants_mc[i]:
+                    # All multicast grants accepted: one data cell fans out.
                     mc_grants.setdefault(i, []).extend(grants_mc[i])
                     for j in grants_mc[i]:
                         output_busy[j] = True
@@ -269,10 +186,7 @@ class ESLIPSwitch(BaseSwitch):
     def _decide(self, slot: int) -> tuple[ScheduleDecision, int]:
         """Build the slot's decision; the grant split is kept for
         :meth:`_transfer` (multicast and unicast queues drain differently)."""
-        if self.backend == "vectorized":
-            mc_grants, uni_match, rounds, requests_made = self._schedule_vectorized()
-        else:
-            mc_grants, uni_match, rounds, requests_made = self._schedule()
+        mc_grants, uni_match, rounds, requests_made = self._schedule()
         decision = ScheduleDecision()
         for i, outs in mc_grants.items():
             decision.add(i, tuple(outs))

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
-from repro.errors import ConfigurationError
+from repro.errors import SchedulingError
 from repro.packet import Delivery, Packet
 from repro.switch.base import BaseSwitch, SlotResult
 
@@ -28,15 +26,9 @@ __all__ = ["OutputQueuedSwitch"]
 class OutputQueuedSwitch(BaseSwitch):
     """N×N output-queued switch, FIFO per output, speedup N emulated.
 
-    ``backend="vectorized"`` batches the occupancy-vector bookkeeping:
-    arriving copies accumulate in a pending list and fold into the int64
-    occupancy row as one ``bincount`` per slot, and the service loop
-    walks a busy-output bitmask instead of scanning all N deques. OQFIFO
-    has no matching computation to vectorize — the FIFOs of packet
-    objects are the whole switch — so both backends share the deque
-    state and are trivially bit-identical; what differs is purely how
-    the per-slot bookkeeping is represented (per-copy scalar writes vs
-    one batched array update).
+    OQFIFO has no matching computation — the FIFOs of packet objects are
+    the whole switch — so the deques are the only state and occupancy is
+    ``len(q)``.
     """
 
     name = "oqfifo"
@@ -44,87 +36,25 @@ class OutputQueuedSwitch(BaseSwitch):
     #: serves its own FIFO, so only the per-output-line bound applies.
     matching_discipline = "output"
 
-    def __init__(self, num_ports: int, *, backend: str = "object") -> None:
+    def __init__(self, num_ports: int) -> None:
         super().__init__(num_ports)
-        if backend not in ("object", "vectorized"):
-            raise ConfigurationError(
-                f"oqfifo supports the 'object' and 'vectorized' kernel "
-                f"backends, got {backend!r}"
-            )
-        self.backend = backend
         self.queues: list[deque[Packet]] = [deque() for _ in range(num_ports)]
-        self._occ = np.zeros(num_ports, dtype=np.int64)
-        # Vectorized-backend bookkeeping: bit j of _busy_bits = output
-        # queue j non-empty (the service loop walks only the set bits);
-        # _pending collects the slot's accepted copy destinations so the
-        # occupancy vector updates in one bincount instead of one numpy
-        # scalar write per copy. The object backend keeps the original
-        # per-copy scalar writes — that cost difference is exactly what
-        # the kernel benchmark measures.
-        self._busy_bits = 0
-        self._pending: list[int] = []
-        self._peak_queue = [0] * num_ports
 
     # ------------------------------------------------------------------ #
-    def _flush_occ(self) -> None:
-        """Fold pending accepted copies into the occupancy vector."""
-        if self._pending:
-            self._occ += np.bincount(self._pending, minlength=self.num_ports)
-            self._pending.clear()
-
     def _accept(self, packet: Packet, slot: int) -> None:
         # Speedup-N fabric: the packet reaches every destination queue
         # within its arrival slot.
-        if self.backend == "vectorized":
-            bits = self._busy_bits
-            for j in packet.destinations:
-                q = self.queues[j]
-                q.append(packet)
-                bits |= 1 << j
-                if len(q) > self._peak_queue[j]:
-                    self._peak_queue[j] = len(q)
-            self._busy_bits = bits
-            self._pending.extend(packet.destinations)
-            return
+        queues = self.queues
         for j in packet.destinations:
-            q = self.queues[j]
-            q.append(packet)
-            self._occ[j] += 1
-            if len(q) > self._peak_queue[j]:
-                self._peak_queue[j] = len(q)
+            queues[j].append(packet)
 
     def _schedule_and_transmit(self, slot: int) -> SlotResult:
         result = SlotResult(slot=slot, rounds=0, requests_made=False)
-        if self.backend == "vectorized":
-            self._flush_occ()
-            queues = self.queues
-            deliveries = result.deliveries
-            served: list[int] = []
-            # Walk the busy-output bitmask set bit by set bit: empty
-            # outputs cost nothing at all (the object path's deque scan
-            # pays one truthiness check per port per slot regardless).
-            bits = self._busy_bits
-            while bits:
-                low = bits & -bits
-                j = low.bit_length() - 1
-                q = queues[j]
-                packet = q.popleft()
-                served.append(j)
-                if not q:
-                    self._busy_bits &= ~low
-                deliveries.append(
-                    Delivery(packet=packet, output_port=j, service_slot=slot)
-                )
-                bits ^= low
-            if served:
-                self._occ[served] -= 1
-            return result
+        deliveries = result.deliveries
         for j, q in enumerate(self.queues):
             if q:
-                packet = q.popleft()
-                self._occ[j] -= 1
-                result.deliveries.append(
-                    Delivery(packet=packet, output_port=j, service_slot=slot)
+                deliveries.append(
+                    Delivery(packet=q.popleft(), output_port=j, service_slot=slot)
                 )
         return result
 
@@ -132,33 +62,13 @@ class OutputQueuedSwitch(BaseSwitch):
     def queue_sizes(self) -> list[int]:
         """Cells per *output* queue (this architecture has no input
         buffers; see DESIGN.md §5, item 9)."""
-        if self.backend == "vectorized":
-            self._flush_occ()
-            return self._occ.tolist()
         return [len(q) for q in self.queues]
 
     def total_backlog(self) -> int:
-        if self.backend == "vectorized":
-            self._flush_occ()
-            return int(self._occ.sum())
         return sum(len(q) for q in self.queues)
 
     def check_invariants(self) -> None:
-        if self.backend == "vectorized":
-            self._flush_occ()
         for j, q in enumerate(self.queues):
             arrivals = [p.arrival_slot for p in q]
             if arrivals != sorted(arrivals):
-                raise AssertionError(f"output queue {j} not FIFO-ordered")
-            if len(q) != int(self._occ[j]):
-                raise AssertionError(
-                    f"output queue {j} occupancy drift: "
-                    f"len={len(q)} occ={int(self._occ[j])}"
-                )
-        if self.backend == "vectorized":
-            # Only the vectorized service loop reads (and clears) the
-            # busy bitmask, so it must mirror the deques exactly there;
-            # the object path maintains it on accept but not on service.
-            busy = sum(1 << j for j, q in enumerate(self.queues) if q)
-            if busy != self._busy_bits:
-                raise AssertionError("busy-output bitmask drift")
+                raise SchedulingError(f"output queue {j} not FIFO-ordered")

@@ -15,9 +15,11 @@ paper exactly:
 The queue state itself lives behind ``backend=``: ``"object"`` keeps the
 reference per-cell address/data-cell structures
 (:class:`~repro.kernel.object_backend.ObjectBackend`); ``"vectorized"``
-holds the same state as numpy matrices
-(:class:`~repro.kernel.vectorized.VectorizedBackend`) and routes
-scheduling through the scheduler's ``schedule_state`` array entry point.
+holds the same state as :class:`~repro.kernel.state.SwitchState` — flat
+per-VOQ pid deques, a recycled packet table and the HOL-packet bitmask
+index, no per-cell objects and no numpy matrices
+(:class:`~repro.kernel.vectorized.VectorizedBackend`) — and routes
+scheduling through the scheduler's ``schedule_state`` entry point.
 Both produce bit-identical slot streams (``repro.kernel.equivalence``).
 
 Fault injection (optional): with a

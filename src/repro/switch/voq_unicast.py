@@ -18,7 +18,7 @@ from repro.core.matching import ScheduleDecision
 from repro.errors import SchedulingError
 from repro.fabric.crossbar import MulticastCrossbar
 from repro.packet import Delivery, Packet
-from repro.schedulers.base import UnicastVOQView, resolve_backend
+from repro.schedulers.base import UnicastVOQView
 from repro.switch.base import BaseSwitch, SlotResult
 
 __all__ = ["UnicastVOQSwitch"]
@@ -34,23 +34,13 @@ class UnicastVOQSwitch(BaseSwitch):
     scheduler:
         Object exposing ``schedule(view: UnicastVOQView) ->
         ScheduleDecision`` where every grant set has fanout 1 (enforced).
-        For ``backend="vectorized"`` the scheduler's
-        ``schedule_vectorized`` entry point is used instead (the queue
-        state is already struct-of-arrays: the view's occupancy and
-        HOL-arrival matrices).
-    backend:
-        Kernel backend name; the scheduler must declare support for it
-        (``supported_backends``).
     """
 
     name = "unicast-voq"
 
-    def __init__(
-        self, num_ports: int, scheduler: object, *, backend: str = "object"
-    ) -> None:
+    def __init__(self, num_ports: int, scheduler: object) -> None:
         super().__init__(num_ports)
         self.scheduler = scheduler
-        self.backend = resolve_backend(scheduler, backend)
         self.crossbar = MulticastCrossbar(num_ports)
         # queues[i][j] holds (packet, arrival_slot) unicast copies.
         self.queues: list[list[deque[Packet]]] = [
@@ -59,15 +49,11 @@ class UnicastVOQSwitch(BaseSwitch):
         # Incrementally-maintained scheduler view arrays.
         self._occupancy = np.zeros((num_ports, num_ports), dtype=np.int64)
         self._hol_arrival = np.full((num_ports, num_ports), -1, dtype=np.int64)
-        self._peak_queue = [0] * num_ports
-        # Vectorized-backend bookkeeping: accepted copies accumulate as
-        # flat VOQ indices (and new-HOL writes as coordinate lists) and
-        # fold into the view matrices in one bincount/fancy write per
-        # slot instead of one numpy scalar read-modify-write per copy;
-        # per-input backlog for the peak statistic is tracked as plain
-        # ints. The object backend keeps the original per-copy scalar
-        # writes — that representation difference is exactly what the
-        # kernel benchmark measures.
+        # Accepted copies accumulate as flat VOQ indices (and new-HOL
+        # writes as coordinate lists) and fold into the view matrices in
+        # one bincount/fancy write per slot instead of one numpy scalar
+        # read-modify-write per copy; per-input backlog for queue_sizes()
+        # is tracked as plain ints.
         self._pend_flat: list[int] = []
         self._pend_hol_r: list[int] = []
         self._pend_hol_c: list[int] = []
@@ -90,97 +76,51 @@ class UnicastVOQSwitch(BaseSwitch):
 
     def _accept(self, packet: Packet, slot: int) -> None:
         i = packet.input_port
-        if self.backend == "vectorized":
-            n = self.num_ports
-            base = i * n
-            for j in packet.destinations:
-                q = self.queues[i][j]
-                if not q:
-                    self._pend_hol_r.append(i)
-                    self._pend_hol_c.append(j)
-                    self._pend_hol_v.append(packet.arrival_slot)
-                q.append(packet)
-                self._pend_flat.append(base + j)
-            backlog = self._input_backlog
-            backlog[i] += packet.fanout
-            if backlog[i] > self._peak_queue[i]:
-                self._peak_queue[i] = backlog[i]
-            return
+        base = i * self.num_ports
         for j in packet.destinations:
             q = self.queues[i][j]
             if not q:
-                self._hol_arrival[i, j] = packet.arrival_slot
+                self._pend_hol_r.append(i)
+                self._pend_hol_c.append(j)
+                self._pend_hol_v.append(packet.arrival_slot)
             q.append(packet)
-            self._occupancy[i, j] += 1
-        size = int(self._occupancy[i].sum())
-        if size > self._peak_queue[i]:
-            self._peak_queue[i] = size
+            self._pend_flat.append(base + j)
+        self._input_backlog[i] += packet.fanout
 
     def _decide(self, slot: int) -> tuple[ScheduleDecision, int]:
-        if self.backend == "vectorized":
-            self._flush_pending()
-            view = UnicastVOQView(
-                occupancy=self._occupancy,
-                hol_arrival=self._hol_arrival,
-                current_slot=slot,
-            )
-            return self.scheduler.schedule_vectorized(view), 0
+        self._flush_pending()
         view = UnicastVOQView(
-            occupancy=self._occupancy, hol_arrival=self._hol_arrival, current_slot=slot
+            occupancy=self._occupancy,
+            hol_arrival=self._hol_arrival,
+            current_slot=slot,
         )
         return self.scheduler.schedule(view), 0
 
     def _configure_fabric(self, decision: ScheduleDecision) -> None:
-        """Set the crossbar; the vectorized backend takes the array twin.
+        """Set the crossbar from the validated decision's driver vector.
 
         The decision was already validated (index ranges, one driver per
-        output) by the template method, so the vectorized path builds the
-        driver vector directly and hands it to
+        output) by the template method, so the driver vector is built
+        directly and handed to
         :meth:`~repro.fabric.crossbar.MulticastCrossbar.configure_drivers`,
         skipping :meth:`configure`'s per-grant re-validation. Accounting
         and the failed-crosspoint constraint are identical.
         """
-        if self.backend == "vectorized":
-            driver = [-1] * self.num_ports
-            for i, grant in decision.grants.items():
-                for j in grant.output_ports:
-                    driver[j] = i
-            self.crossbar.configure_drivers(np.array(driver, dtype=np.int64))
-            return
-        self.crossbar.configure(decision)
+        driver = [-1] * self.num_ports
+        for i, grant in decision.grants.items():
+            for j in grant.output_ports:
+                driver[j] = i
+        self.crossbar.configure_drivers(np.array(driver, dtype=np.int64))
 
     def _transfer(
         self, decision: ScheduleDecision, result: SlotResult, slot: int
     ) -> None:
-        if self.backend == "vectorized":
-            self._transfer_vectorized(decision, result, slot)
-            return
-        for i, grant in decision.grants.items():
-            if grant.fanout != 1:
-                raise SchedulingError(
-                    f"unicast scheduler granted fanout {grant.fanout} to input {i}"
-                )
-            j = grant.output_ports[0]
-            q = self.queues[i][j]
-            if not q:
-                raise SchedulingError(f"grant for empty VOQ ({i}, {j})")
-            packet = q.popleft()
-            self._occupancy[i, j] -= 1
-            self._hol_arrival[i, j] = q[0].arrival_slot if q else -1
-            result.deliveries.append(
-                Delivery(packet=packet, output_port=j, service_slot=slot)
-            )
-
-    def _transfer_vectorized(
-        self, decision: ScheduleDecision, result: SlotResult, slot: int
-    ) -> None:
-        """Array twin of :meth:`_transfer`: same deques, batched matrices.
+        """Pop the granted HOL cells and batch the view-array bookkeeping.
 
         The deque pops and :class:`~repro.packet.Delivery` records are
-        per-grant either way; what batches is the view-array bookkeeping —
-        one fancy-indexed decrement of the occupancy matrix and one
-        fancy-indexed HOL-arrival refill instead of two numpy scalar
-        read-modify-writes per grant.
+        per-grant; the view arrays take one fancy-indexed decrement of
+        the occupancy matrix and one fancy-indexed HOL-arrival refill
+        instead of two numpy scalar read-modify-writes per grant.
         """
         if not decision.grants:
             return
@@ -213,23 +153,16 @@ class UnicastVOQSwitch(BaseSwitch):
     # ------------------------------------------------------------------ #
     def queue_sizes(self) -> list[int]:
         """Queued unicast copies per input (each copy owns a data cell)."""
-        if self.backend == "vectorized":
-            self._flush_pending()
-            return list(self._input_backlog)
-        return [int(self._occupancy[i].sum()) for i in range(self.num_ports)]
+        return list(self._input_backlog)
 
     def total_backlog(self) -> int:
-        if self.backend == "vectorized":
-            self._flush_pending()
-            return sum(self._input_backlog)
-        return int(self._occupancy.sum())
+        return sum(self._input_backlog)
 
     def check_invariants(self) -> None:
-        if self.backend == "vectorized":
-            self._flush_pending()
-            for i, backlog in enumerate(self._input_backlog):
-                if backlog != int(self._occupancy[i].sum()):
-                    raise SchedulingError(f"input backlog drift at input {i}")
+        self._flush_pending()
+        for i, backlog in enumerate(self._input_backlog):
+            if backlog != int(self._occupancy[i].sum()):
+                raise SchedulingError(f"input backlog drift at input {i}")
         for i in range(self.num_ports):
             for j in range(self.num_ports):
                 q = self.queues[i][j]

@@ -56,13 +56,25 @@ class TestResolveBackend:
             make_switch("tatra", 4, backend="vectorized")
 
     def test_every_other_pairing_constructs_vectorized(self):
-        from repro.schedulers.registry import available_schedulers
+        """Every pairing but TATRA builds under ``backend="vectorized"``:
+        a dual pairing reports the representation it was asked for, a
+        single-bodied one builds the same class under both names and
+        reports its one representation."""
+        from repro.kernel.equivalence import classify_registry
 
-        for name in available_schedulers():
-            if name == "tatra":
-                continue
+        object_only, single, dual = classify_registry()
+        assert set(object_only) == {"tatra"}
+        for name in dual:
+            assert make_switch(name, 4).backend == "object", name
             sw = make_switch(name, 4, backend="vectorized")
             assert sw.backend == "vectorized", name
+        for name in single:
+            obj = make_switch(name, 4, backend="object")
+            vec = make_switch(name, 4, backend="vectorized")
+            assert type(vec) is type(obj), name
+            assert vec.backend == obj.backend == "object", name
+            with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+                make_switch(name, 4, backend="simd")
 
     def test_registry_injects_backend(self):
         assert make_switch("fifoms", 4).backend == "object"

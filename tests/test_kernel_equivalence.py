@@ -11,6 +11,7 @@ from repro.kernel.equivalence import (
     main,
     object_only_pairings,
     run_case,
+    single_bodied_pairings,
     slot_digest,
 )
 from repro.packet import Delivery, Packet
@@ -68,12 +69,13 @@ class TestRecordingSwitch:
 class TestGrid:
     def test_grid_generated_from_registry(self):
         """Every registry pairing is either in the grid (twice: two
-        traffic models) or in the object-only skip map with a declared
-        reason — no pairing can silently drop out of the claim."""
+        traffic models), in the object-only skip map with a declared
+        reason, or single-bodied (nothing to compare; golden-pinned) —
+        no pairing can silently drop out of the claim."""
         from repro.schedulers.registry import available_schedulers
 
         grid = default_grid()
-        skipped = object_only_pairings()
+        skipped = set(object_only_pairings()) | set(single_bodied_pairings())
         covered = {c.algorithm for c in grid}
         for name in available_schedulers():
             if name in skipped:
@@ -89,6 +91,12 @@ class TestGrid:
         skipped = object_only_pairings()
         assert set(skipped) == {"tatra"}
         assert "inherently sequential" in skipped["tatra"]
+        # The pairings the grid no longer compares are exactly the ten
+        # whose switch has one body whatever ``backend`` says.
+        assert set(single_bodied_pairings()) == {
+            "2drr", "cicq", "cioq-islip", "eslip", "islip",
+            "maxweight-lqf", "maxweight-ocf", "oqfifo", "pim", "serena",
+        }
 
     @pytest.mark.parametrize(
         "case",
@@ -124,6 +132,7 @@ class TestGrid:
         out = capsys.readouterr().out
         assert f"all {len(default_grid())} cases bit-identical" in out
         assert "skip tatra: object-only" in out
+        assert "not compared (10 single-bodied" in out
 
 
 class TestSanitizedGrid:

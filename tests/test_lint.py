@@ -781,6 +781,47 @@ class TestKB002RegistryBackendPairing:
         files = {"repro/schedulers/registry.py": src}
         assert lint_tree(tmp_path, files, [self.RULE()]) == []
 
+    def test_discard_in_front_of_seamed_switch_flagged(self, tmp_path):
+        # _discard_backend is the single-bodied guard: dropping the kwarg
+        # in front of a switch that *does* take ``backend`` hides a seam.
+        src = """
+            __all__ = []
+
+            def _discard_backend(kw, name):
+                pass
+
+            class SeamedSwitch:
+                def __init__(self, num_ports, scheduler, backend="object"):
+                    pass
+
+            def _discarded_seam(num_ports, **kw):
+                _discard_backend(kw, "discarded-seam")
+                return SeamedSwitch(num_ports, None, **kw)
+        """
+        files = {"repro/schedulers/registry.py": src}
+        findings = lint_tree(tmp_path, files, [self.RULE()])
+        assert only_ids(findings) == ["KB002"]
+        assert "_discard_backend()" in findings[0].message
+        assert "SeamedSwitch" in findings[0].message
+
+    def test_discard_in_front_of_seamless_switch_clean(self, tmp_path):
+        src = """
+            __all__ = []
+
+            def _discard_backend(kw, name):
+                pass
+
+            class SeamlessSwitch:
+                def __init__(self, num_ports, scheduler):
+                    pass
+
+            def _single_bodied(num_ports, **kw):
+                _discard_backend(kw, "single-bodied")
+                return SeamlessSwitch(num_ports, None, **kw)
+        """
+        files = {"repro/schedulers/registry.py": src}
+        assert lint_tree(tmp_path, files, [self.RULE()]) == []
+
     def test_seam_on_ancestor_counts(self, tmp_path):
         files = {
             "repro/switch/base2.py": """

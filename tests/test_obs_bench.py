@@ -248,14 +248,13 @@ class TestBenchCheckCli:
         assert len(records) == 1
         validate_record(records[0])
         # The grid (and with it every history record) covers exactly the
-        # registry pairings that support the vectorized backend; the
-        # object-only demotions (TATRA) cannot appear — the schema
-        # requires a positive vectorized rate per row.
-        from repro.kernel.equivalence import object_only_pairings
-        from repro.schedulers.registry import available_schedulers
+        # registry pairings with two bodies to compare — the equivalence
+        # grid's own classification; the object-only demotions (TATRA)
+        # cannot appear — the schema requires a positive vectorized rate
+        # per row — and a single-bodied pairing has no ratio to record.
+        from repro.kernel.equivalence import dual_pairings
 
-        expected = set(available_schedulers()) - set(object_only_pairings())
-        assert set(records[0]["results"]) == expected
+        assert set(records[0]["results"]) == set(dual_pairings())
         assert "tatra" not in records[0]["results"]
         verdict = check_history(path)
         assert not verdict.regressed  # first record: no-baseline everywhere

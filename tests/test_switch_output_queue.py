@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.errors import SchedulingError
+from repro.sanitize import SanitizerError, SanitizerSuite
 from repro.switch.output_queue import OutputQueuedSwitch
 
 from conftest import make_packet
@@ -68,3 +72,38 @@ class TestOQFIFO:
         sw = OutputQueuedSwitch(3)
         sw.step(_lane(3, make_packet(0, (0, 1, 2), 0)), 0)
         sw.check_invariants()
+
+
+class TestFifoViolationIsAReproError:
+    """A FIFO-order violation must surface as a SchedulingError so the
+    sanitizer's deep pass (which catches ReproError only) turns it into
+    a ``state_cross`` violation instead of dying on a bare assertion."""
+
+    @staticmethod
+    def _reordered_switch():
+        sw = OutputQueuedSwitch(3)
+        # Four cells for output 1 over two slots; one is served per
+        # slot, so two with different arrival slots stay queued.
+        sw.step(_lane(3, *(make_packet(i, (1,), 0) for i in range(3))), 0)
+        sw.step(_lane(3, make_packet(0, (1,), 1)), 1)
+        assert [p.arrival_slot for p in sw.queues[1]] == [0, 1]
+        sw.queues[1].reverse()
+        return sw
+
+    def test_check_invariants_raises_scheduling_error(self):
+        with pytest.raises(SchedulingError, match="output queue 1 not FIFO-ordered"):
+            self._reordered_switch().check_invariants()
+
+    def test_record_mode_records_state_cross_violation(self):
+        suite = SanitizerSuite()
+        suite.attach(self._reordered_switch(), algorithm="oqfifo")
+        with pytest.raises(SanitizerError, match="not FIFO-ordered"):
+            suite.finish()
+        assert [v.checker for v in suite.violations] == ["state_cross"]
+        assert "SchedulingError" in str(suite.violations[0].to_dict())
+
+    def test_hard_mode_raises_sanitizer_error(self):
+        suite = SanitizerSuite(hard_fail=True)
+        suite.attach(self._reordered_switch(), algorithm="oqfifo")
+        with pytest.raises(SanitizerError, match="not FIFO-ordered"):
+            suite.finish()
