@@ -101,9 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a named fault scenario (see 'repro-sim list')",
     )
     run_p.add_argument(
-        "--backend", default="object", choices=sorted(available_backends()),
+        "--backend", default=None, choices=sorted(available_backends()),
         help="representation of the queue state the scheduler is handed "
-        "(bit-identical results; selects one for fifoms, fifoms-prio, "
+        "(default: the pairing's fast body, see 'repro-sim list'; "
+        "bit-identical results; selects one for fifoms, fifoms-prio, "
         "greedy-mcast, wba, siq-fifo; tatra refuses 'vectorized'; every "
         "other algorithm has one body and ignores it)",
     )
@@ -133,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--slots", type=int, default=20_000, help="simulated slots")
     prof_p.add_argument("--seed", type=int, default=0)
     prof_p.add_argument(
-        "--backend", default="object", choices=sorted(available_backends()),
-        help="kernel backend to profile",
+        "--backend", default=None, choices=sorted(available_backends()),
+        help="kernel backend to profile (default: the pairing's fast body)",
     )
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure / ablation")
@@ -662,8 +663,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "list":
             from repro.faults import FAULT_SCENARIOS
+            from repro.kernel.equivalence import classify_registry
+            from repro.schedulers.registry import make_switch
 
-            print("algorithms: " + ", ".join(available_schedulers()))
+            object_only, single, _dual = classify_registry()
+            print("algorithms (and the body built when --backend is not given):")
+            for name in available_schedulers():
+                if name in object_only:
+                    body = f"object — {object_only[name]}"
+                elif name in single:
+                    body = "(one body)"
+                else:
+                    body = make_switch(name, 4).backend
+                print(f"  {name}  {body}")
             print("traffic models: " + ", ".join(sorted(TRAFFIC_MODELS)))
             print("figures:")
             for fid in sorted(FIGURES):

@@ -32,7 +32,13 @@ __all__ = ["PriorityMulticastVOQSwitch"]
 
 
 class PriorityMulticastVOQSwitch(BaseSwitch):
-    """N×N multicast VOQ switch with strict service classes."""
+    """N×N multicast VOQ switch with strict service classes.
+
+    ``backend`` names the kernel backend every class lane is built on
+    (``"object"`` or ``"vectorized"``); left unset (``None``, the
+    default) it is the per-class FIFOMS scheduler's preferred declared
+    body, ``"vectorized"``. ``switch.backend`` reports what was built.
+    """
 
     name = "mcast-voq-prio"
     #: Strict priority serves a newer premium cell before an older
@@ -49,7 +55,7 @@ class PriorityMulticastVOQSwitch(BaseSwitch):
         *,
         tie_break: TieBreak = TieBreak.RANDOM,
         rng=None,
-        backend: str = "object",
+        backend: str | None = None,
     ) -> None:
         super().__init__(num_ports)
         if not 1 <= num_classes <= 8:

@@ -1,8 +1,9 @@
 """Scheduler-facing views of the two baseline switch architectures.
 
 Unicast VOQ schedulers (iSLIP, PIM, MaxWeight) do not need to see queue
-contents — only occupancy counts and head-of-line ages — so the switch
-hands them a :class:`UnicastVOQView` of NumPy arrays that it maintains
+contents — only occupancy counts and head-of-line ages, or just which
+VOQs are non-empty — so the switch hands them a :class:`UnicastVOQView`
+of NumPy arrays and per-output request bitmasks that it maintains
 incrementally. Single-input-queue schedulers (TATRA, WBA, SIQ-FIFO) see
 one :class:`SIQHolCell` per non-empty input: the HOL packet's remaining
 destination set and arrival time.
@@ -38,7 +39,8 @@ def scheduler_backends(scheduler: object) -> tuple[str, ...]:
     """Kernel backends ``scheduler`` declares support for.
 
     Schedulers opt in by exposing ``supported_backends`` (attribute or
-    property); anything else is object-only.
+    property), listed reference body first and preferred body last;
+    anything else is object-only.
     """
     return tuple(getattr(scheduler, "supported_backends", DEFAULT_BACKENDS))
 
@@ -57,14 +59,21 @@ def object_only_reason(scheduler: object) -> str | None:
     return str(reason) if reason else None
 
 
-def resolve_backend(scheduler: object, backend: str) -> str:
-    """Validate ``backend`` against the scheduler's declared support.
+def resolve_backend(scheduler: object, backend: str | None) -> str:
+    """Resolve ``backend`` against the scheduler's declared support.
 
-    Returns the backend name unchanged, or raises
+    ``None`` (left unset) resolves to the scheduler's preferred body —
+    the last entry of its ``supported_backends``: ``"vectorized"`` for
+    the schedulers that declare it, ``"object"`` for the ones that are
+    object-only by their own declaration (TATRA, no-splitting FIFOMS) or
+    declare nothing. A name is returned unchanged when the scheduler
+    supports it and otherwise raises
     :class:`~repro.errors.ConfigurationError` naming the scheduler, what
     it does support, and — when declared — why it is object-only.
     """
     supported = scheduler_backends(scheduler)
+    if backend is None:
+        return supported[-1]
     if backend not in supported:
         name = getattr(scheduler, "name", type(scheduler).__name__)
         message = (
@@ -104,15 +113,34 @@ class UnicastVOQView:
         or -1 when the VOQ is empty. Used by OCF weights and by tests.
     current_slot:
         The slot being scheduled (for age computations).
+    cols:
+        ``cols[j]`` = bitmask of the inputs whose VOQ for output j is
+        non-empty (bit i set <=> ``occupancy[i, j] > 0``) — the request
+        bit-vector a mask-based arbiter (iSLIP) reads instead of the
+        count matrix. The switches keep it incrementally and pass their
+        own list, so schedulers must not write to it; a view built
+        without it derives it from ``occupancy`` on first use.
     """
 
     occupancy: np.ndarray
     hol_arrival: np.ndarray
     current_slot: int
+    cols: list[int] | None = None
 
     @property
     def num_ports(self) -> int:
         return self.occupancy.shape[0]
+
+    def request_columns(self) -> list[int]:
+        """Per-output request bitmasks (:attr:`cols`), derived from
+        ``occupancy`` when the view was built without them."""
+        if self.cols is None:
+            cols = [0] * self.num_ports
+            rows, columns = np.nonzero(self.occupancy)
+            for i, j in zip(rows.tolist(), columns.tolist()):
+                cols[j] |= 1 << i
+            self.cols = cols
+        return self.cols
 
     def request_matrix(self) -> np.ndarray:
         """Boolean (N, N): input i has something for output j."""

@@ -20,8 +20,6 @@ its desynchronization and 100% throughput under uniform unicast traffic.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError
 from repro.schedulers.base import UnicastVOQView, note_round
@@ -60,70 +58,73 @@ class ISLIPScheduler:
     def schedule(self, view: UnicastVOQView) -> ScheduleDecision:
         """Run request/grant/accept iterations for one slot.
 
-        Each iteration's grant and accept arbiters are masked argmins
-        over modular-distance key matrices (``(i - pointer) % N``): one
-        reduction per iteration instead of a scan per port. The keys
-        within one arbiter are distinct, so every argmin is the unique
-        round-robin choice.
+        The rounds run on the view's request columns — one Python int
+        per output, bit i set when input i has a cell for it — the way
+        the hardware does it: every arbiter is a priority encoder over a
+        request bit-vector. "First requester at or after the pointer" is
+        the lowest set bit of the vector shifted down by the pointer, or
+        of the whole vector when nothing sits above the pointer, so a
+        grant or an accept is a few int operations whatever N is, and
+        an output whose requesters are all matched drops out of the
+        later rounds (inputs never become free again within a slot).
         """
         n = self.num_ports
         if view.num_ports != n:
             raise ConfigurationError(
                 f"view has {view.num_ports} ports, scheduler built for {n}"
             )
-        idx = np.arange(n, dtype=np.int64)
-        # wants transposed: rows = outputs, columns = requesting inputs.
-        wants_to = (view.occupancy > 0).T
-        input_matched = np.zeros(n, dtype=bool)
-        output_matched = np.zeros(n, dtype=bool)
-        match_of_input: list[int | None] = [None] * n
-        amask = np.empty((n, n), dtype=bool)
+        cols = view.request_columns()
+        grant_pointers = self.grant_pointers
+        accept_pointers = self.accept_pointers
+        max_it = self.max_iterations
+        free_inputs = (1 << n) - 1
+        # Unmatched outputs that may still have a free requester, ascending.
+        active = [j for j, col in enumerate(cols) if col]
+        match_of_input: dict[int, int] = {}
         decision = ScheduleDecision()
-        rounds = 0
         iteration = 0
 
-        while self.max_iterations is None or iteration < self.max_iterations:
+        while active and (max_it is None or iteration < max_it):
             iteration += 1
-            # ---- request ----
-            elig = wants_to & ~input_matched
-            elig[output_matched] = False
-            if elig.any():
-                decision.requests_made = True
-            else:
+            # ---- request + grant: input -> bitmask of granting outputs ----
+            grants: dict[int, int] = {}
+            requesting = []
+            for j in active:
+                eligible = cols[j] & free_inputs
+                if not eligible:
+                    continue
+                requesting.append(j)
+                above = eligible >> grant_pointers[j]
+                if above:
+                    i = grant_pointers[j] + (above & -above).bit_length() - 1
+                else:
+                    i = (eligible & -eligible).bit_length() - 1
+                grants[i] = grants.get(i, 0) | (1 << j)
+            if not grants:
                 break
-            # ---- grant: masked argmin over (i - grant_pointer[j]) % n ----
-            gptr = np.asarray(self.grant_pointers, dtype=np.int64)
-            gkey = np.where(elig, (idx[None, :] - gptr[:, None]) % n, n)
-            chosen_in = gkey.argmin(axis=1)
-            has_req = gkey.min(axis=1) < n
-            # ---- accept: masked argmin over (j - accept_pointer[i]) % n ----
-            amask.fill(False)
-            granted_js = np.nonzero(has_req)[0]
-            amask[chosen_in[granted_js], granted_js] = True
-            aptr = np.asarray(self.accept_pointers, dtype=np.int64)
-            akey = np.where(amask, (idx[None, :] - aptr[:, None]) % n, n)
-            best_j = akey.argmin(axis=1).tolist()
-            accepted = np.nonzero(akey.min(axis=1) < n)[0].tolist()
-            new_matches = 0
-            for i in accepted:
-                j = best_j[i]
-                input_matched[i] = True
-                output_matched[j] = True
+            decision.requests_made = True
+            # ---- accept: every granted input takes exactly one output ----
+            matched_outputs = 0
+            for i in sorted(grants):
+                offered = grants[i]
+                above = offered >> accept_pointers[i]
+                if above:
+                    j = accept_pointers[i] + (above & -above).bit_length() - 1
+                else:
+                    j = (offered & -offered).bit_length() - 1
                 match_of_input[i] = j
-                new_matches += 1
+                free_inputs ^= 1 << i
+                matched_outputs |= 1 << j
                 if iteration == 1:
                     # Pointer updates happen only on first-iteration accepts.
-                    self.grant_pointers[j] = (i + 1) % n
-                    self.accept_pointers[i] = (j + 1) % n
-            if not new_matches:
-                break
-            rounds += 1
-            note_round(decision, new_matches)
+                    grant_pointers[j] = (i + 1) % n
+                    accept_pointers[i] = (j + 1) % n
+            active = [j for j in requesting if not (matched_outputs >> j) & 1]
+            note_round(decision, len(grants))
 
-        for i, j in enumerate(match_of_input):
-            if j is not None:
-                decision.add(i, (j,))
-        decision.rounds = rounds
+        for i in sorted(match_of_input):
+            decision.add(i, (match_of_input[i],))
+        decision.rounds = len(decision.round_grants)
         return decision
 
     def reset(self) -> None:

@@ -62,7 +62,7 @@ def make_switch(
     num_ports: int,
     *,
     rng: int | np.random.Generator | None = None,
-    backend: str = "object",
+    backend: str | None = None,
     **kwargs: object,
 ) -> "BaseSwitch":
     """Build the switch+scheduler pairing for algorithm ``name``.
@@ -73,8 +73,13 @@ def make_switch(
     It selects something only for the pairings that hold two — fifoms,
     fifoms-prio, greedy-mcast, wba, siq-fifo; TATRA declares itself
     object-only and refuses "vectorized"; every other pairing has one
-    body, accepts any registered name and builds the same switch
-    (``switch.backend`` reports what was built). An unregistered name
+    body, accepts any registered name and builds the same switch. Left
+    unset (``None``, the default) it resolves to the pairing's fast
+    body — the last entry of the scheduler's ``supported_backends``:
+    "vectorized" for the five dual pairings, "object" for TATRA and for
+    fifoms with ``fanout_splitting=False`` by their own declaration
+    (:func:`~repro.schedulers.base.resolve_backend`).
+    ``switch.backend`` reports what was built. An unregistered name
     raises :class:`~repro.errors.ConfigurationError` for every pairing.
     Extra keyword arguments are forwarded to the factory (e.g.
     ``max_iterations`` for fifoms/islip/pim).
@@ -85,9 +90,9 @@ def make_switch(
         raise ConfigurationError(
             f"unknown scheduler {name!r}; available: {', '.join(available_schedulers())}"
         ) from None
-    if backend != "object":
-        # Injected only when non-default so extension factories that
-        # never heard of backends keep working on the default.
+    if backend is not None:
+        # Injected only when given so extension factories that never
+        # heard of backends keep working on the default.
         kwargs["backend"] = backend
     return factory(num_ports, rng=rng, **kwargs)
 
@@ -109,8 +114,8 @@ def _require_object_backend(
     wider support — explains that the restriction comes from the switch
     architecture, not the algorithm.
     """
-    backend = kw.pop("backend", "object")
-    if backend == "object":
+    backend = kw.pop("backend", None)
+    if backend in (None, "object"):
         return
     declared = getattr(scheduler, "supported_backends", None)
     detail = ""
@@ -136,8 +141,8 @@ def _discard_backend(kw: dict, name: str) -> None:
     selects nothing; an unregistered one is still a configuration error,
     as it is for the pairings that do choose.
     """
-    backend = kw.pop("backend", "object")
-    if backend not in available_backends():
+    backend = kw.pop("backend", None)
+    if backend is not None and backend not in available_backends():
         raise ConfigurationError(
             f"switch pairing {name!r} got unknown kernel backend "
             f"{backend!r}; available: {', '.join(available_backends())}"

@@ -104,11 +104,13 @@ def run_simulation(
     resulting snapshot rides home in ``SimulationSummary.telemetry``.
 
     Kernel backend: the explicit ``backend`` argument wins, then a
-    ``backend`` key in ``switch_kwargs``, then ``config.backend``; the
-    default is the reference ``"object"`` model. Both backends produce
-    bit-identical summaries for the pairings that have both
+    ``backend`` key in ``switch_kwargs``, then ``config.backend``; left
+    unset everywhere, the pairing builds its fast body (``"vectorized"``
+    for fifoms, fifoms-prio, greedy-mcast, wba, siq-fifo; ``"object"``
+    where the scheduler declares itself object-only). Both backends
+    produce bit-identical summaries for the pairings that have both
     (``repro.kernel.equivalence`` enforces this); for a single-bodied
-    pairing (iSLIP, OQFIFO, …) the name is accepted and selects nothing.
+    pairing (iSLIP, OQFIFO, …) a name is accepted and selects nothing.
 
     Sanitizing: ``sanitize`` forwards to the engine — ``True`` / a
     prebuilt :class:`~repro.sanitize.SanitizerSuite` enables the runtime
@@ -137,7 +139,7 @@ def run_simulation(
         algorithm,
         num_ports,
         rng=streams.get("scheduler"),
-        backend=str(backend),
+        backend=backend,
         **switch_kwargs,
     )
     injector = None

@@ -14,6 +14,8 @@ import abc
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ConfigurationError, TrafficError
 from repro.packet import Delivery, Packet
 from repro.utils.validation import check_port_count
@@ -191,8 +193,22 @@ class BaseSwitch(abc.ABC):
         )
 
     def _configure_fabric(self, decision) -> None:
-        """Set the crossbar for the validated decision (template hook)."""
-        self.crossbar.configure(decision)
+        """Set the crossbar from the validated decision's driver vector
+        (template hook).
+
+        The template method has already validated the decision (index
+        ranges, one driver per output), so the driver vector is built
+        directly and handed to
+        :meth:`~repro.fabric.crossbar.MulticastCrossbar.configure_drivers`,
+        skipping :meth:`~repro.fabric.crossbar.MulticastCrossbar.configure`'s
+        per-index re-validation. Accounting and the failed-crosspoint
+        constraint are identical.
+        """
+        driver = [-1] * self.num_ports
+        for i, grant in decision.grants.items():
+            for j in grant.output_ports:
+                driver[j] = i
+        self.crossbar.configure_drivers(np.array(driver, dtype=np.int64))
 
     def _transfer(self, decision, result: SlotResult, slot: int) -> None:
         """Move the granted cells and record deliveries/accounting on

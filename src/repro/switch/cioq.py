@@ -57,6 +57,9 @@ class CIOQSwitch(BaseSwitch):
         ]
         self._occupancy = np.zeros((n, n), dtype=np.int64)
         self._hol_arrival = np.full((n, n), -1, dtype=np.int64)
+        # Request columns for mask-based arbiters: bit i of _cols[j] is
+        # set while VOQ (i, j) is non-empty.
+        self._cols = [0] * n
         self.output_queues: list[deque[Packet]] = [deque() for _ in range(n)]
         self.phases_run = 0
 
@@ -67,6 +70,7 @@ class CIOQSwitch(BaseSwitch):
             q = self.voqs[i][j]
             if not q:
                 self._hol_arrival[i, j] = packet.arrival_slot
+                self._cols[j] |= 1 << i
             q.append(packet)
             self._occupancy[i, j] += 1
 
@@ -79,6 +83,7 @@ class CIOQSwitch(BaseSwitch):
                 occupancy=self._occupancy,
                 hol_arrival=self._hol_arrival,
                 current_slot=slot,
+                cols=self._cols,
             )
             decision: ScheduleDecision = self.scheduler.schedule(view)
             decision.validate(n, n)
@@ -97,7 +102,11 @@ class CIOQSwitch(BaseSwitch):
                     raise SchedulingError(f"grant for empty VOQ ({i}, {j})")
                 pkt = q.popleft()
                 self._occupancy[i, j] -= 1
-                self._hol_arrival[i, j] = q[0].arrival_slot if q else -1
+                if q:
+                    self._hol_arrival[i, j] = q[0].arrival_slot
+                else:
+                    self._hol_arrival[i, j] = -1
+                    self._cols[j] &= ~(1 << i)
                 self.output_queues[j].append(pkt)
         # --- one external departure per output per slot ---
         for j, q in enumerate(self.output_queues):
@@ -125,5 +134,10 @@ class CIOQSwitch(BaseSwitch):
     def check_invariants(self) -> None:
         for i in range(self.num_ports):
             for j in range(self.num_ports):
-                if len(self.voqs[i][j]) != self._occupancy[i, j]:
+                q = self.voqs[i][j]
+                if len(q) != self._occupancy[i, j]:
                     raise SchedulingError(f"occupancy drift at VOQ ({i}, {j})")
+                if bool(q) != bool((self._cols[j] >> i) & 1):
+                    raise SchedulingError(
+                        f"request-column drift at VOQ ({i}, {j})"
+                    )

@@ -43,13 +43,16 @@ class SingleInputQueueSwitch(BaseSwitch):
     ``schedule_vectorized`` entry point (the scheduler must declare
     support via ``supported_backends``), handing it the switch's own
     SoA residue state as a :class:`~repro.schedulers.base.SIQHolView`;
-    the queue contents are identical under both backends.
+    the queue contents are identical under both backends. Left unset
+    (``None``, the default) ``backend`` is the scheduler's preferred
+    declared body: ``"vectorized"`` for WBA and SIQ-FIFO, ``"object"``
+    for TATRA, which declares itself object-only.
     """
 
     name = "siq"
 
     def __init__(
-        self, num_ports: int, scheduler: object, *, backend: str = "object"
+        self, num_ports: int, scheduler: object, *, backend: str | None = None
     ) -> None:
         super().__init__(num_ports)
         self.scheduler = scheduler

@@ -61,10 +61,14 @@ class MulticastVOQSwitch(BaseSwitch):
         Schedulers advertising ``supports_port_masks`` are handed
         ``input_free``/``output_free`` masks during port outages.
     backend:
-        Kernel backend holding the queue state: ``"object"`` (default,
-        reference per-cell semantics) or ``"vectorized"`` (struct-of-
-        arrays hot path). The scheduler must declare support for it
-        (``supported_backends``).
+        Kernel backend holding the queue state: ``"object"`` (reference
+        per-cell semantics) or ``"vectorized"`` (struct-of-arrays hot
+        path); the scheduler must declare support for a named one
+        (``supported_backends``). Left unset (``None``, the default) it
+        is the scheduler's preferred declared body — ``"vectorized"``
+        for FIFOMS and greedy-mcast, ``"object"`` for the no-splitting
+        FIFOMS variant and for a scheduler that declares nothing;
+        ``switch.backend`` reports what was built.
     buffer_capacity:
         Optional finite per-input data-cell buffer (None = unbounded, as
         in the paper's simulations, which *measure* the needed size).
@@ -84,7 +88,7 @@ class MulticastVOQSwitch(BaseSwitch):
         num_ports: int,
         scheduler: object | None = None,
         *,
-        backend: str = "object",
+        backend: str | None = None,
         buffer_capacity: int | None = None,
         buffer_overflow: str = "raise",
         fault_injector: object | None = None,

@@ -59,6 +59,10 @@ class UnicastVOQSwitch(BaseSwitch):
         self._pend_hol_c: list[int] = []
         self._pend_hol_v: list[int] = []
         self._input_backlog = [0] * num_ports
+        # Request columns for mask-based arbiters: bit i of _cols[j] is
+        # set while VOQ (i, j) is non-empty. One bit flip when a copy
+        # lands in an empty VOQ or a pop empties one — no per-slot pass.
+        self._cols = [0] * num_ports
 
     # ------------------------------------------------------------------ #
     def _flush_pending(self) -> None:
@@ -83,6 +87,7 @@ class UnicastVOQSwitch(BaseSwitch):
                 self._pend_hol_r.append(i)
                 self._pend_hol_c.append(j)
                 self._pend_hol_v.append(packet.arrival_slot)
+                self._cols[j] |= 1 << i
             q.append(packet)
             self._pend_flat.append(base + j)
         self._input_backlog[i] += packet.fanout
@@ -93,24 +98,9 @@ class UnicastVOQSwitch(BaseSwitch):
             occupancy=self._occupancy,
             hol_arrival=self._hol_arrival,
             current_slot=slot,
+            cols=self._cols,
         )
         return self.scheduler.schedule(view), 0
-
-    def _configure_fabric(self, decision: ScheduleDecision) -> None:
-        """Set the crossbar from the validated decision's driver vector.
-
-        The decision was already validated (index ranges, one driver per
-        output) by the template method, so the driver vector is built
-        directly and handed to
-        :meth:`~repro.fabric.crossbar.MulticastCrossbar.configure_drivers`,
-        skipping :meth:`configure`'s per-grant re-validation. Accounting
-        and the failed-crosspoint constraint are identical.
-        """
-        driver = [-1] * self.num_ports
-        for i, grant in decision.grants.items():
-            for j in grant.output_ports:
-                driver[j] = i
-        self.crossbar.configure_drivers(np.array(driver, dtype=np.int64))
 
     def _transfer(
         self, decision: ScheduleDecision, result: SlotResult, slot: int
@@ -140,7 +130,11 @@ class UnicastVOQSwitch(BaseSwitch):
             packet = q.popleft()
             rows.append(i)
             cols.append(j)
-            refill.append(q[0].arrival_slot if q else -1)
+            if q:
+                refill.append(q[0].arrival_slot)
+            else:
+                refill.append(-1)
+                self._cols[j] &= ~(1 << i)
             deliveries.append(
                 Delivery(packet=packet, output_port=j, service_slot=slot)
             )
@@ -174,3 +168,7 @@ class UnicastVOQSwitch(BaseSwitch):
                 arrivals = [p.arrival_slot for p in q]
                 if arrivals != sorted(arrivals):
                     raise SchedulingError(f"VOQ ({i}, {j}) not FIFO-ordered")
+                if bool(q) != bool((self._cols[j] >> i) & 1):
+                    raise SchedulingError(
+                        f"request-column drift at VOQ ({i}, {j})"
+                    )

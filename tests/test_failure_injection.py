@@ -179,7 +179,13 @@ class TestStatisticsDesync:
             make_packet(0, (1,), 1),
             make_packet(1, (1,), 1),
         ]
-        sw = Leaky(2, FIFOMSScheduler(2, tie_break=TieBreak.LOWEST_INPUT))
+        # The leak reaches into the per-cell port objects, which only the
+        # object backend holds.
+        sw = Leaky(
+            2,
+            FIFOMSScheduler(2, tie_break=TieBreak.LOWEST_INPUT),
+            backend="object",
+        )
         cfg = SimulationConfig(
             num_slots=6, warmup_fraction=0.0, stability_window=0
         )

@@ -57,7 +57,8 @@ class TestResolveBackend:
 
     def test_every_other_pairing_constructs_vectorized(self):
         """Every pairing but TATRA builds under ``backend="vectorized"``:
-        a dual pairing reports the representation it was asked for, a
+        a dual pairing reports the representation it was asked for (and
+        builds the vectorized one when asked for nothing), a
         single-bodied one builds the same class under both names and
         reports its one representation."""
         from repro.kernel.equivalence import classify_registry
@@ -65,7 +66,8 @@ class TestResolveBackend:
         object_only, single, dual = classify_registry()
         assert set(object_only) == {"tatra"}
         for name in dual:
-            assert make_switch(name, 4).backend == "object", name
+            assert make_switch(name, 4).backend == "vectorized", name
+            assert make_switch(name, 4, backend="object").backend == "object", name
             sw = make_switch(name, 4, backend="vectorized")
             assert sw.backend == "vectorized", name
         for name in single:
@@ -77,8 +79,127 @@ class TestResolveBackend:
                 make_switch(name, 4, backend="simd")
 
     def test_registry_injects_backend(self):
-        assert make_switch("fifoms", 4).backend == "object"
+        assert make_switch("fifoms", 4).backend == "vectorized"
+        assert make_switch("fifoms", 4, backend="object").backend == "object"
         assert make_switch("fifoms", 4, backend="vectorized").backend == "vectorized"
+
+
+class TestDefaultBackend:
+    """``backend`` left unset builds each pairing's fast body: the last
+    entry of what its scheduler declares."""
+
+    @staticmethod
+    def _scheduler(switch):
+        # The strict-priority switch holds one scheduler per class.
+        return getattr(switch, "scheduler", None) or switch.schedulers[0]
+
+    def test_whole_registry_default(self):
+        from repro.kernel.equivalence import classify_registry
+        from repro.schedulers.base import scheduler_backends
+        from repro.schedulers.registry import available_schedulers
+
+        object_only, single, dual = classify_registry()
+        assert len(dual) == 5 and len(single) == 10
+        assert sorted([*object_only, *single, *dual]) == list(
+            available_schedulers()
+        )
+        for name in dual:
+            sw = make_switch(name, 4)
+            preferred = scheduler_backends(self._scheduler(sw))[-1]
+            assert sw.backend == preferred == "vectorized", name
+        for name in (*object_only, *single):
+            assert make_switch(name, 4).backend == "object", name
+        nosplit = make_switch("fifoms", 4, fanout_splitting=False)
+        assert nosplit.backend == "object"
+        assert nosplit.scheduler.supported_backends == ("object",)
+
+    def test_undeclared_scheduler_builds_object(self):
+        from repro.switch.voq_multicast import MulticastVOQSwitch
+
+        class Undeclared:
+            name = "third-party"
+
+        assert resolve_backend(Undeclared(), None) == "object"
+        assert MulticastVOQSwitch(4, Undeclared()).backend == "object"
+
+    def test_constructors_and_config_default_to_unset(self):
+        from repro.qos.switch import PriorityMulticastVOQSwitch
+        from repro.schedulers.siq_fifo import SIQFifoScheduler
+        from repro.schedulers.tatra import TATRAScheduler
+        from repro.sim.config import SimulationConfig
+        from repro.switch.single_queue import SingleInputQueueSwitch
+        from repro.switch.voq_multicast import MulticastVOQSwitch
+
+        assert SimulationConfig(num_slots=10).backend is None
+        assert MulticastVOQSwitch(4).backend == "vectorized"
+        assert PriorityMulticastVOQSwitch(4).backend == "vectorized"
+        assert SingleInputQueueSwitch(4, SIQFifoScheduler(4)).backend == "vectorized"
+        assert SingleInputQueueSwitch(4, TATRAScheduler(4)).backend == "object"
+
+    def test_explicit_vectorized_on_tatra_keeps_its_error_text(self):
+        from repro.schedulers.tatra import TATRAScheduler
+
+        with pytest.raises(ConfigurationError) as excinfo:
+            make_switch("tatra", 4, backend="vectorized")
+        assert str(excinfo.value) == (
+            "scheduler 'tatra' does not support the 'vectorized' kernel "
+            "backend (supported: object) — "
+            + TATRAScheduler.object_only_reason
+        )
+
+    def test_engine_reports_what_was_built(self):
+        from repro.sim.config import SimulationConfig
+        from repro.sim.engine import SimulationEngine
+        from repro.sim.runner import build_traffic
+
+        traffic = {"model": "bernoulli", "p": 0.2, "b": 0.3}
+        cfg = SimulationConfig(num_slots=20)
+        for name, built in (("fifoms", "vectorized"), ("tatra", "object")):
+            engine = SimulationEngine(
+                make_switch(name, 4), build_traffic(traffic, 4, rng=1), cfg
+            )
+            assert engine.backend == built
+
+    @pytest.mark.parametrize("figure_id", ["fig4", "abl-split"])
+    def test_run_figure_summaries_do_not_depend_on_the_backend(self, figure_id):
+        """The default, explicit "object" and — where the pairing allows
+        it — explicit "vectorized" give the same figure."""
+        from dataclasses import replace
+
+        from repro.experiments.figures import ALGO_ALIASES, get_figure
+        from repro.experiments.sweep import run_figure
+
+        spec = get_figure(figure_id)
+        loads = spec.loads[1:3]
+
+        def figure(backend):
+            kwargs = {}
+            for algorithm in spec.algorithms:
+                own = dict(spec.switch_kwargs.get(algorithm, {}))
+                if backend == "vectorized":
+                    base = ALGO_ALIASES.get(algorithm, algorithm)
+                    try:
+                        make_switch(base, 4, backend=backend, **own)
+                    except ConfigurationError:
+                        kwargs[algorithm] = own  # object-only by declaration
+                        continue
+                if backend is not None:
+                    own["backend"] = backend
+                kwargs[algorithm] = own
+            result = run_figure(
+                replace(spec, switch_kwargs=kwargs),
+                num_slots=300, seed=5, loads=loads, workers=1,
+            )
+            # JSON text, so OQFIFO's NaN round averages compare equal.
+            return {
+                key: summary.to_json()
+                for key, summary in result.summaries.items()
+            }
+
+        default = figure(None)
+        assert len(default) == len(spec.algorithms) * 2
+        assert figure("object") == default
+        assert figure("vectorized") == default
 
 
 class TestBackendBehaviour:

@@ -3,7 +3,10 @@
 The equivalence grid compares two bodies; the ten single-bodied pairings
 have no second one, so each of their 20 former grid cases is held to a
 sha256 recorded while both bodies still existed and agreed (recipe in
-``tests/data/single_body_golden.json``).
+``tests/data/single_body_golden.json``). iSLIP's int-mask body is also
+held, for ``islip`` and ``cioq-islip``, to pins the numpy body it
+replaced produced at 16 ports and at 70 (masks wider than a machine
+word).
 """
 
 from __future__ import annotations
@@ -34,15 +37,32 @@ def test_pins_cover_exactly_the_single_bodied_pairings():
     assert set(GOLDEN["pins"]) == expected
 
 
+def _case_hash(label: str, ports: int) -> str:
+    name, model = label.split("/")
+    case = EquivalenceCase(name, GOLDEN["traffic"][model], seed=GOLDEN["seed"])
+    digests, summary, _state, metrics = run_one_backend(
+        case, ports, GOLDEN["slots"], "object"
+    )
+    blob = json.dumps([digests, summary, metrics], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("label", sorted(GOLDEN["pins"]))
 def test_single_body_matches_golden(label, monkeypatch):
     # Fail-fast sanitizer on: it does not enter the hash, and it keeps
     # these pairings under the invariant sweep the grid gave them.
     monkeypatch.setenv("REPRO_SANITIZE", "hard")
-    name, model = label.split("/")
-    case = EquivalenceCase(name, GOLDEN["traffic"][model], seed=GOLDEN["seed"])
-    digests, summary, _state, metrics = run_one_backend(
-        case, GOLDEN["ports"], GOLDEN["slots"], "object"
-    )
-    blob = json.dumps([digests, summary, metrics], sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN["pins"][label]
+    assert _case_hash(label, GOLDEN["ports"]) == GOLDEN["pins"][label]
+
+
+@pytest.mark.parametrize(
+    "ports,label",
+    [
+        (int(ports), label)
+        for ports, pins in sorted(GOLDEN["islip_pins"].items())
+        for label in sorted(pins)
+    ],
+)
+def test_islip_matches_golden_at_paper_size_and_wide(ports, label, monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "hard")
+    assert _case_hash(label, ports) == GOLDEN["islip_pins"][str(ports)][label]
