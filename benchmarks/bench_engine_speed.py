@@ -56,9 +56,8 @@ def test_islip_slots_per_sec(benchmark):
 
 
 def test_tatra_slots_per_sec(benchmark):
-    # TATRA is object-only (declared demotion: the vectorized twin
-    # measured below 1x); benched here so the table keeps all three of
-    # the paper's algorithms.
+    # TATRA has one body too; benched here so the table keeps all three
+    # of the paper's algorithms.
     benchmark.pedantic(
         lambda: _run("tatra", 16, "object"), rounds=3, iterations=1
     )

@@ -10,16 +10,13 @@ representation itself.
 
 The grid covers **every** registry pairing that has two bodies to
 compare — ``dual_pairings()`` of ``repro.kernel.equivalence``: the
-multicast VOQ family (cell objects vs ``SwitchState``) and the
-single-input-queue pair (HOL-cell snapshots vs bitmask rows). TATRA is
-absent because it declares itself object-only; the ten single-bodied
-pairings (iSLIP, PIM, 2DRR, SERENA, MaxWeight, CIOQ, CICQ, ESLIP,
-OQFIFO) are absent because ``backend`` selects nothing for them — their
-twin tables live in docs/kernel.md as the record of why one body was
-kept. Each pairing runs at a hand-tuned operating point — load, fanout,
-and port count — chosen as the regime its second representation exists
-for: saturated heavy multicast for the FIFOMS family, heavy multicast at
-N = 32 for the single-input-queue schedulers.
+multicast VOQ family (cell objects vs ``SwitchState``). The thirteen
+single-bodied pairings (iSLIP, PIM, 2DRR, SERENA, MaxWeight, CIOQ, CICQ,
+ESLIP, OQFIFO, TATRA, WBA, SIQ-FIFO) are absent because ``backend``
+selects nothing for them — their twin tables live in docs/kernel.md as
+the record of why one body was kept. Each pairing runs at a hand-tuned
+operating point — load, fanout, and port count — chosen as the regime
+its second representation exists for: saturated heavy multicast.
 
 The headline is the FIFOMS ratio at the paper's 16×16 size under
 saturated heavy multicast (mean fanout ~14) — the regime where the
@@ -58,11 +55,6 @@ KERNEL_GRID: dict[str, dict[str, Any]] = {
     "fifoms": {"ports": 16, "spec": {"model": "bernoulli", "p": 1.0, "b": 0.9}},
     "fifoms-prio": {
         "ports": 16,
-        "spec": {"model": "bernoulli", "p": 0.9, "b": 0.7},
-    },
-    "wba": {"ports": 32, "spec": {"model": "bernoulli", "p": 0.9, "b": 0.7}},
-    "siq-fifo": {
-        "ports": 32,
         "spec": {"model": "bernoulli", "p": 0.9, "b": 0.7},
     },
     "greedy-mcast": {
@@ -263,10 +255,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def test_grid_covers_every_vectorized_pairing():
     """The grid is exactly the registry's dual pairings (registry −
-    object-only − single-bodied, the equivalence grid's classification).
+    single-bodied, the equivalence grid's classification).
 
     A newly registered dual pairing must get a tuned operating point
-    here (and a demoted or collapsed one must leave), or this guard
+    here (and a collapsed one must leave), or this guard
     fails — the benchmark cannot silently under-cover the registry.
     """
     from repro.kernel.equivalence import dual_pairings

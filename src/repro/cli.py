@@ -102,11 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--backend", default=None, choices=sorted(available_backends()),
-        help="representation of the queue state the scheduler is handed "
+        help="multicast VOQ kernel the scheduler is handed "
         "(default: the pairing's fast body, see 'repro-sim list'; "
         "bit-identical results; selects one for fifoms, fifoms-prio, "
-        "greedy-mcast, wba, siq-fifo; tatra refuses 'vectorized'; every "
-        "other algorithm has one body and ignores it)",
+        "greedy-mcast; every other algorithm has one body and ignores it)",
     )
     run_p.add_argument(
         "--slot-chunk", type=int, default=1, metavar="K",
@@ -663,15 +662,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "list":
             from repro.faults import FAULT_SCENARIOS
-            from repro.kernel.equivalence import classify_registry
+            from repro.kernel.equivalence import single_bodied_pairings
             from repro.schedulers.registry import make_switch
 
-            object_only, single, _dual = classify_registry()
+            single = single_bodied_pairings()
             print("algorithms (and the body built when --backend is not given):")
             for name in available_schedulers():
-                if name in object_only:
-                    body = f"object — {object_only[name]}"
-                elif name in single:
+                if name in single:
                     body = "(one body)"
                 else:
                     body = make_switch(name, 4).backend

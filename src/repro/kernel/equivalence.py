@@ -27,13 +27,13 @@ from the first even though the traffic streams are identical.
 
 The default grid is generated from the registry (:func:`classify_registry`):
 every *dual* pairing — one whose switch really builds a second
-representation for ``backend="vectorized"`` — runs under Bernoulli and
-bursty traffic, plus one fault-injection scenario, all at 8 ports.
-Object-only pairings (TATRA's declared demotion) are reported as skips
-with their declared reason; single-bodied pairings (one body whatever
-``backend`` says, so nothing to compare) are listed by name and held by
-the golden pins of ``tests/test_single_body_golden.py`` instead. Run it
-directly (CI does, on every push)::
+representation for ``backend="vectorized"``, i.e. the pairings on the
+multicast VOQ switch — runs under Bernoulli and bursty traffic, plus
+one fault-injection scenario, all at 8 ports. Single-bodied pairings
+(one body whatever ``backend`` says, so nothing to compare) are listed
+by name and held by the golden pins of
+``tests/test_single_body_golden.py`` instead. Run it directly (CI does,
+on every push)::
 
     PYTHONPATH=src python -m repro.kernel.equivalence --ports 8 --slots 4000
 
@@ -49,8 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import ConfigurationError, EquivalenceError
-from repro.schedulers.base import object_only_reason
+from repro.errors import EquivalenceError
 from repro.schedulers.registry import available_schedulers, make_switch
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
@@ -70,7 +69,6 @@ __all__ = [
     "run_case",
     "default_grid",
     "classify_registry",
-    "object_only_pairings",
     "single_bodied_pairings",
     "dual_pairings",
     "run_grid",
@@ -304,59 +302,38 @@ def run_case(
     return report
 
 
-def _declared_object_only(name: str) -> str | None:
-    """The ``object_only_reason`` pairing ``name``'s scheduler declares."""
-    return object_only_reason(getattr(make_switch(name, 4), "scheduler", None))
-
-
-def classify_registry() -> tuple[dict[str, str], tuple[str, ...], tuple[str, ...]]:
+def classify_registry() -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Sort every registry pairing by what ``backend="vectorized"`` builds.
 
-    Returns ``(object_only, single_bodied, dual)``:
+    Returns ``(single_bodied, dual)``:
 
-    * *object-only* — the build is refused (TATRA's demotion); the map
-      carries the reason the scheduler declares, so a pairing cannot
-      drop out of the equivalence claim silently;
-    * *single-bodied* — the build succeeds but ``switch.backend`` is not
-      ``"vectorized"``: the switch holds one representation of its queue
-      state and the name selected nothing, so there is no second body to
-      compare (golden pins hold these instead);
+    * *single-bodied* — ``switch.backend`` is not ``"vectorized"``: the
+      switch holds one representation of its queue state and the name
+      selected nothing, so there is no second body to compare (golden
+      pins hold these instead);
     * *dual* — the switch really runs the second representation. These
       are the grid.
 
     The grid, the kernel benchmark's coverage guard and the tests all
     read this one classification rather than keeping lists of names.
     """
-    object_only: dict[str, str] = {}
     single: list[str] = []
     dual: list[str] = []
     for name in available_schedulers():
-        try:
-            switch = make_switch(name, 4, backend="vectorized")
-        except ConfigurationError:
-            object_only[name] = (
-                _declared_object_only(name) or "no reason declared"
-            )
-            continue
+        switch = make_switch(name, 4, backend="vectorized")
         (dual if switch.backend == "vectorized" else single).append(name)
-    return object_only, tuple(single), tuple(dual)
-
-
-def object_only_pairings() -> dict[str, str]:
-    """Registry pairings that refuse the vectorized backend, with the
-    declared *why* (see :func:`classify_registry`)."""
-    return classify_registry()[0]
+    return tuple(single), tuple(dual)
 
 
 def single_bodied_pairings() -> tuple[str, ...]:
     """Registry pairings with one body whatever ``backend`` says."""
-    return classify_registry()[1]
+    return classify_registry()[0]
 
 
 def dual_pairings() -> tuple[str, ...]:
     """Registry pairings with two bodies to compare: the grid's subject
-    (registry − object-only − single-bodied)."""
-    return classify_registry()[2]
+    (registry − single-bodied)."""
+    return classify_registry()[1]
 
 
 def default_grid() -> list[EquivalenceCase]:
@@ -365,26 +342,17 @@ def default_grid() -> list[EquivalenceCase]:
     fault-injection case.
 
     Loads are chosen so every run is stable for the full slot count at
-    N=4 and N=8 (the single-input-queue pairings saturate well below the
-    VOQ loads, hence their lighter points) — an unstable early stop
-    would silently shrink the number of compared slots. The strict-
-    priority pairing gets class-tagged traffic so both service classes
-    carry cells. Object-only and single-bodied pairings are excluded:
-    they have no second body to compare.
+    N=4 and N=8 — an unstable early stop would silently shrink the
+    number of compared slots. The strict-priority pairing gets
+    class-tagged traffic so both service classes carry cells.
+    Single-bodied pairings are excluded: they have no second body to
+    compare.
     """
     bernoulli = {"model": "bernoulli", "p": 0.3, "b": 0.25}
     burst = {"model": "burst", "e_on": 4.0, "e_off": 16.0, "b": 0.3}
-    light_bernoulli = {"model": "bernoulli", "p": 0.25, "b": 0.25}
-    light_burst = {"model": "burst", "e_on": 3.0, "e_off": 21.0, "b": 0.25}
-    #: Single-input-queue pairings whose HOL blocking saturates early.
-    light_pairings = {"wba", "siq-fifo"}
     cases = []
     for name in dual_pairings():
-        pair: tuple[dict[str, Any], dict[str, Any]] = (
-            (light_bernoulli, light_burst)
-            if name in light_pairings
-            else (bernoulli, burst)
-        )
+        pair: tuple[dict[str, Any], dict[str, Any]] = (bernoulli, burst)
         if name == "fifoms-prio":
             pair = tuple(
                 dict(spec, class_shares=[0.5, 0.5]) for spec in pair
@@ -448,11 +416,9 @@ def run_pair(
     their scheduler from the same tie-break ``seed``, so randomized
     arbiters consume identical RNG streams. ``algorithm`` is any registry
     pairing name; extra keyword arguments forward to the switch factory
-    (``tie_break``, ``max_iterations``, ...). A pairing that declares
-    itself object-only (TATRA) has no second backend, so its second run
-    is object-backed too: a determinism check — as is the second run of
-    a single-bodied pairing, which builds the same switch under either
-    name. Every other build error propagates.
+    (``tie_break``, ``max_iterations``, ...). A single-bodied pairing
+    builds the same switch under either name, so for it this is a
+    determinism check. Build errors propagate.
     """
     packets = record_trace(traffic, num_slots)
     n = traffic.num_ports
@@ -470,8 +436,7 @@ def run_pair(
             switch, TraceTraffic(n, packets), cfg, algorithm_name=algorithm
         ).run()
 
-    second = "object" if _declared_object_only(algorithm) else "vectorized"
-    return one("object"), one(second)
+    return one("object"), one("vectorized")
 
 
 def compare_summaries(
@@ -512,9 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         f"backend equivalence grid: N={args.ports}, "
         f"{args.slots} slots per case"
     )
-    object_only, single, _dual = classify_registry()
-    for name, reason in sorted(object_only.items()):
-        print(f"  skip {name}: object-only — {reason}")
+    single = single_bodied_pairings()
     print(
         f"  not compared ({len(single)} single-bodied, held by golden "
         f"pins): {', '.join(single)}"

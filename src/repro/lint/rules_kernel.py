@@ -9,16 +9,14 @@ a violation; these rules reason over the
 :class:`~repro.lint.graph.ProjectGraph` instead.
 
 * **KB001** — a class that declares ``"vectorized"`` support must define
-  the array entry point the switches dispatch to (``schedule_vectorized``
-  or, for the multicast kernel, ``schedule_state``), directly or via an
-  ancestor.
+  the array entry point the multicast kernel dispatches to
+  (``schedule_state``), directly or via an ancestor.
 * **KB002** — registry factories must match their switch's seam: a
-  factory that guards with ``_require_object_backend`` (refuse) or
-  ``_discard_backend`` (single-bodied: validate and drop) while building
-  a switch whose ``__init__`` accepts ``backend`` silently blocks
-  declared support, and a factory that forwards ``**kwargs`` to a
-  seamless switch with neither guard turns ``--backend vectorized`` into
-  an opaque ``TypeError``.
+  factory that guards with ``_discard_backend`` (single-bodied: validate
+  and drop) while building a switch whose ``__init__`` accepts
+  ``backend`` silently blocks declared support, and a factory that
+  forwards ``**kwargs`` to a seamless switch without the guard turns
+  ``--backend vectorized`` into an opaque ``TypeError``.
 * **KB003** — transitive hot-path purity: the runtime import closure of
   ``repro.kernel.vectorized`` / ``state`` / ``base`` must not reach the
   per-cell object modules. This upgrades STR004 (which only sees direct
@@ -48,7 +46,7 @@ __all__ = [
 ]
 
 #: Array entry points a vectorized-capable scheduler may implement.
-_VECTORIZED_ENTRY_POINTS = ("schedule_vectorized", "schedule_state")
+_VECTORIZED_ENTRY_POINTS = ("schedule_state",)
 
 
 class VectorizedEntryPointRule(Rule):
@@ -59,7 +57,7 @@ class VectorizedEntryPointRule(Rule):
     rationale = (
         "A scheduler advertising \"vectorized\" in supported_backends "
         "passes resolve_backend(), so the switch will dispatch to its "
-        "array entry point (schedule_vectorized / schedule_state) at the "
+        "array entry point (schedule_state) at the "
         "first scheduled slot; if the method is missing the failure is a "
         "runtime AttributeError deep inside the slot loop instead of a "
         "configuration-time error."
@@ -85,7 +83,7 @@ class VectorizedEntryPointRule(Rule):
                 sym.backends_lineno or sym.lineno,
                 f"{sym.name} declares 'vectorized' in supported_backends "
                 "but neither it nor an ancestor defines "
-                "schedule_vectorized()/schedule_state(); the switch will "
+                "schedule_state(); the switch will "
                 "fail with AttributeError on the first scheduled slot",
             )
 
@@ -141,7 +139,6 @@ class RegistryBackendPairingRule(Rule):
         "make_switch() injects the backend kwarg into every factory; a "
         "factory must either forward it to a switch whose __init__ "
         "accepts 'backend' (a kernel seam) or consume it up front: "
-        "_require_object_backend rejects it (object-only pairing), "
         "_discard_backend validates and drops it (single-bodied "
         "pairing). A guard on a seamed switch blocks support the classes "
         "declare; a missing guard on a seamless switch turns --backend "
@@ -149,7 +146,7 @@ class RegistryBackendPairingRule(Rule):
     )
 
     #: Helpers that consume the backend kwarg before the switch is built.
-    _GUARDS = ("_require_object_backend", "_discard_backend")
+    _GUARDS = ("_discard_backend",)
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         registry = project.find("repro/schedulers/registry.py")

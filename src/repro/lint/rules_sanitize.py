@@ -8,8 +8,8 @@ checks sound* at lint time, riding the PR 5 call-graph
 
 * **SAN001** — kernel-seam state ownership: only the kernel package may
   mutate a :class:`~repro.kernel.state.SwitchState`. Scheduler code
-  receives the state at its array entry points (``schedule_state`` /
-  ``schedule_vectorized``) strictly read-only — a scheduler that writes
+  receives the state at its array entry point (``schedule_state``)
+  strictly read-only — a scheduler that writes
   ``occupancy``/``p_hol``/``hol_pids``/... directly bypasses the
   admit/serve bookkeeping the sanitizer's cross-checks certify, so the
   two backends silently diverge.
@@ -238,8 +238,8 @@ class StateSeamOwnershipRule(Rule):
         "every state change through SwitchState.admit()/serve(), which "
         "keep the occupancy/live/HOL ledgers the runtime sanitizer "
         "cross-checks. Scheduler code sees the state read-only, inside "
-        "its schedule_state()/schedule_vectorized() entry points as "
-        "well as outside them: the HOL-packet index (hol_pids, p_hol) the "
+        "its schedule_state() entry point as "
+        "well as outside it: the HOL-packet index (hol_pids, p_hol) the "
         "rounds read is maintained by admit()/serve() alone. A direct "
         "field write desynchronizes the ledgers — the backends then "
         "diverge in ways the equivalence harness only catches per grid "

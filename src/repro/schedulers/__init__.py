@@ -13,7 +13,7 @@
 """
 
 from repro.schedulers.base import (
-    SIQHolCell,
+    SIQHolView,
     UnicastVOQView,
     resolve_backend,
     scheduler_backends,
@@ -33,7 +33,7 @@ from repro.schedulers.registry import (
 
 __all__ = [
     "UnicastVOQView",
-    "SIQHolCell",
+    "SIQHolView",
     "resolve_backend",
     "scheduler_backends",
     "ISLIPScheduler",

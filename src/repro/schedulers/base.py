@@ -5,8 +5,11 @@ contents — only occupancy counts and head-of-line ages, or just which
 VOQs are non-empty — so the switch hands them a :class:`UnicastVOQView`
 of NumPy arrays and per-output request bitmasks that it maintains
 incrementally. Single-input-queue schedulers (TATRA, WBA, SIQ-FIFO) see
-one :class:`SIQHolCell` per non-empty input: the HOL packet's remaining
-destination set and arrival time.
+one :class:`SIQHolView` per slot: the non-empty inputs and, for the HOL
+packet of each, its unserved-destination bitmask, arrival slot and id;
+:func:`grant_best_key` is the arbitration pass WBA and SIQ-FIFO share
+over it. ``backend`` (:func:`resolve_backend`) concerns neither view: it
+names the multicast VOQ kernel a scheduler is handed.
 """
 
 from __future__ import annotations
@@ -15,17 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.matching import ScheduleDecision
+from repro.core.matching import GrantSet, ScheduleDecision
 from repro.errors import ConfigurationError
+from repro.utils.bitsets import bitmask_to_tuple
 
 __all__ = [
     "UnicastVOQView",
-    "SIQHolCell",
     "SIQHolView",
+    "grant_best_key",
     "note_round",
     "DEFAULT_BACKENDS",
     "scheduler_backends",
-    "object_only_reason",
     "resolve_backend",
 ]
 
@@ -40,23 +43,9 @@ def scheduler_backends(scheduler: object) -> tuple[str, ...]:
 
     Schedulers opt in by exposing ``supported_backends`` (attribute or
     property), listed reference body first and preferred body last;
-    anything else is object-only.
+    anything else runs on the object kernel.
     """
     return tuple(getattr(scheduler, "supported_backends", DEFAULT_BACKENDS))
-
-
-def object_only_reason(scheduler: object) -> str | None:
-    """The declared reason a scheduler (or switch) is object-only.
-
-    Components that deliberately stay off the vectorized kernel declare
-    ``object_only_reason`` — a human-readable sentence explaining *why*
-    (e.g. TATRA's box algorithm is inherently sequential and measured
-    slower vectorized). The registry surfaces it in rejection errors and
-    the equivalence grid generator uses it to skip the combination with
-    an explicit, auditable reason instead of silence.
-    """
-    reason = getattr(scheduler, "object_only_reason", None)
-    return str(reason) if reason else None
 
 
 def resolve_backend(scheduler: object, backend: str | None) -> str:
@@ -64,26 +53,21 @@ def resolve_backend(scheduler: object, backend: str | None) -> str:
 
     ``None`` (left unset) resolves to the scheduler's preferred body —
     the last entry of its ``supported_backends``: ``"vectorized"`` for
-    the schedulers that declare it, ``"object"`` for the ones that are
-    object-only by their own declaration (TATRA, no-splitting FIFOMS) or
-    declare nothing. A name is returned unchanged when the scheduler
-    supports it and otherwise raises
-    :class:`~repro.errors.ConfigurationError` naming the scheduler, what
-    it does support, and — when declared — why it is object-only.
+    the schedulers that declare it, ``"object"`` for the ones that
+    declare only that (no-splitting FIFOMS) or declare nothing. A name
+    is returned unchanged when the scheduler supports it and otherwise
+    raises :class:`~repro.errors.ConfigurationError` naming the
+    scheduler and what it does support.
     """
     supported = scheduler_backends(scheduler)
     if backend is None:
         return supported[-1]
     if backend not in supported:
         name = getattr(scheduler, "name", type(scheduler).__name__)
-        message = (
+        raise ConfigurationError(
             f"scheduler {name!r} does not support the {backend!r} kernel "
             f"backend (supported: {', '.join(supported)})"
         )
-        reason = object_only_reason(scheduler)
-        if reason is not None:
-            message += f" — {reason}"
-        raise ConfigurationError(message)
     return backend
 
 
@@ -155,66 +139,84 @@ class UnicastVOQView:
         return age.astype(np.int64)
 
 
-@dataclass(frozen=True, slots=True)
-class SIQHolCell:
-    """The visible HOL cell of one single-input-queue input port.
-
-    ``remaining`` is the set of destinations not yet served (fanout
-    splitting leaves a residue at the HOL, per TATRA/WBA semantics);
-    ``arrival_slot`` is the packet's arrival time; ``packet_id``
-    identifies the cell across slots so stateful schedulers (TATRA's
-    Tetris box) can tell a residue from a fresh HOL cell.
-    """
-
-    input_port: int
-    remaining: frozenset[int]
-    arrival_slot: int
-    packet_id: int
-
-
 @dataclass(slots=True)
 class SIQHolView:
-    """SoA snapshot of every visible SIQ HOL cell for one slot.
+    """The visible HOL cell of every non-empty single-input-queue input.
 
-    The single-input-queue switch keeps its HOL residues as per-input
-    bitmasks (bit j set = output j still unserved) and hands the
-    vectorized kernel this parallel-list view of the non-empty inputs —
-    no per-cell objects, no set materialization. Entry k describes the
-    HOL cell of ``inputs[k]`` (ascending input order, exactly the order
-    :meth:`~repro.switch.single_queue.SingleInputQueueSwitch.hol_cells`
-    lists cells for the object path).
+    Parallel lists, entry k describing the HOL packet of ``inputs[k]``;
+    the switch keeps the residues as per-input bitmasks and lists them
+    here as they are, so a slot's view costs O(non-empty inputs) however
+    long the queues behind the HOL cells have grown.
     """
 
-    num_ports: int
     current_slot: int
     #: Non-empty input ports, ascending.
     inputs: list[int]
-    #: Residue bitmask of each listed input's HOL cell.
+    #: Unserved destinations of each listed HOL packet (bit j = output j;
+    #: fanout splitting leaves a residue at the HOL, per TATRA/WBA).
     residue_bits: list[int]
-    #: Arrival slot of each listed input's HOL cell.
+    #: Arrival slot of each listed HOL packet.
     arrivals: list[int]
+    #: Id of each listed HOL packet, so a stateful scheduler (TATRA's
+    #: Tetris box) can tell a residue from a fresh HOL cell.
+    packet_ids: list[int]
 
-    def fanouts(self) -> list[int]:
-        """Residue size (|remaining|) per listed input."""
-        return [b.bit_count() for b in self.residue_bits]
 
-    def member_matrix(self) -> np.ndarray:
-        """Boolean (m, N): listed cell k's residue contains output j.
+def grant_best_key(
+    view: SIQHolView, keys: list, rng: np.random.Generator
+) -> ScheduleDecision:
+    """One arbitration pass: every requested output grants the HOL cell
+    with the smallest key, ties drawn uniformly from ``rng``.
 
-        For N <= 64 the residue bitmasks unpack in three array ops (one
-        broadcast shift, one mask, one cast); wider switches fall back
-        to a per-set-bit fill, still touching only the set bits.
-        """
-        m = len(self.inputs)
-        n = self.num_ports
-        if n <= 64:
-            bits = np.array(self.residue_bits, dtype=np.uint64)
-            lanes = np.arange(n, dtype=np.uint64)
-            return ((bits[:, None] >> lanes) & np.uint64(1)).astype(bool)
-        member = np.zeros((m, n), dtype=bool)
-        for k, b in enumerate(self.residue_bits):
-            while b:
-                low = b & -b
-                member[k, low.bit_length() - 1] = True
-                b ^= low
-        return member
+    ``keys[k]`` ranks the HOL cell of ``view.inputs[k]`` (WBA: negated
+    weight; SIQ-FIFO: arrival slot). The cells are walked in ``(key,
+    input)`` order: a cell keeps, in one mask operation, the outputs no
+    strictly better cell asked for, and only an output wanted by several
+    cells of one key is walked bit by bit. Those ties are then drawn in
+    ascending output order over ascending-input winner lists, one draw
+    per tied output — the order a per-output scan of the requests draws
+    them in, so the generator advances identically.
+    """
+    decision = ScheduleDecision()
+    if not view.inputs:
+        return decision
+    decision.requests_made = True
+    order = sorted(zip(keys, view.inputs, view.residue_bits))
+    granted: dict[int, int] = {}  # input -> bitmask of outputs won
+    # ``better``: outputs asked for by a strictly smaller key; ``same``:
+    # by the key being walked; ``clashed``: by two or more cells of one key.
+    better = same = clashed = 0
+    walked = None
+    for key, i, bits in order:
+        if key != walked:
+            better |= same
+            same = 0
+            walked = key
+        bits &= ~better
+        if bits:
+            clashed |= bits & same
+            same |= bits
+            granted[i] = bits
+    if clashed:
+        # Take each clashed output back from everyone holding it (rivals
+        # share a key, so ``order`` lists them by ascending input), then
+        # draw its winner.
+        rivals: dict[int, list[int]] = {}
+        for _, i, _ in order:
+            clash = granted.get(i, 0) & clashed
+            if not clash:
+                continue
+            granted[i] ^= clash
+            while clash:
+                low = clash & -clash
+                clash ^= low
+                rivals.setdefault(low, []).append(i)
+        for low in sorted(rivals):
+            tied = rivals[low]
+            granted[tied[int(rng.integers(len(tied)))]] |= low
+    grants = decision.grants
+    for i in sorted(granted):
+        if granted[i]:
+            grants[i] = GrantSet(i, bitmask_to_tuple(granted[i]))
+    decision.rounds = 1 if grants else 0
+    return decision

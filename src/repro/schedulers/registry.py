@@ -17,7 +17,6 @@ import numpy as np
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.errors import ConfigurationError
 from repro.kernel.base import available_backends
-from repro.schedulers.base import object_only_reason
 from repro.schedulers.greedy_mcast import GreedyMcastScheduler
 from repro.schedulers.islip import ISLIPScheduler
 from repro.schedulers.maxweight import MaxWeightScheduler
@@ -68,16 +67,16 @@ def make_switch(
     """Build the switch+scheduler pairing for algorithm ``name``.
 
     ``rng`` seeds the scheduler's tie-breaking stream (ignored by
-    deterministic algorithms). ``backend`` names the representation of
-    the queue state the scheduler is handed ("object" or "vectorized").
-    It selects something only for the pairings that hold two — fifoms,
-    fifoms-prio, greedy-mcast, wba, siq-fifo; TATRA declares itself
-    object-only and refuses "vectorized"; every other pairing has one
-    body, accepts any registered name and builds the same switch. Left
-    unset (``None``, the default) it resolves to the pairing's fast
-    body — the last entry of the scheduler's ``supported_backends``:
-    "vectorized" for the five dual pairings, "object" for TATRA and for
-    fifoms with ``fanout_splitting=False`` by their own declaration
+    deterministic algorithms). ``backend`` names the multicast VOQ
+    kernel the scheduler is handed: "object" (cell objects, the
+    paper-literal reference) or "vectorized" (``SwitchState``). It
+    selects something only for the pairings on that switch — fifoms,
+    fifoms-prio, greedy-mcast; every other pairing has one body, accepts
+    any registered name and builds the same switch. Left unset
+    (``None``, the default) it resolves to the pairing's fast body — the
+    last entry of the scheduler's ``supported_backends``: "vectorized"
+    for the three dual pairings, "object" for fifoms with
+    ``fanout_splitting=False`` by its own declaration
     (:func:`~repro.schedulers.base.resolve_backend`).
     ``switch.backend`` reports what was built. An unregistered name
     raises :class:`~repro.errors.ConfigurationError` for every pairing.
@@ -95,42 +94,6 @@ def make_switch(
         # heard of backends keep working on the default.
         kwargs["backend"] = backend
     return factory(num_ports, rng=rng, **kwargs)
-
-
-def _require_object_backend(
-    kw: dict, name: str, scheduler: object | None = None
-) -> None:
-    """Reject a non-object ``backend`` kwarg for object-only architectures.
-
-    No built-in pairing calls this — TATRA's demotion is declared on the
-    *scheduler* and enforced by ``resolve_backend``, and the single-bodied
-    pairings accept every registered name (:func:`_discard_backend`) —
-    but extension factories that register deliberately object-only
-    switches keep it as their guard, so
-    ``make_switch(..., backend="vectorized")`` fails with a configuration
-    error naming the pairing and *why* instead of an opaque ``TypeError``.
-    Pass the ``scheduler`` (class or instance) so the message reports its
-    declared ``object_only_reason``, or — when the scheduler declares
-    wider support — explains that the restriction comes from the switch
-    architecture, not the algorithm.
-    """
-    backend = kw.pop("backend", None)
-    if backend in (None, "object"):
-        return
-    declared = getattr(scheduler, "supported_backends", None)
-    detail = ""
-    reason = object_only_reason(scheduler) if scheduler is not None else None
-    if reason is not None:
-        detail = f"; {reason}"
-    elif isinstance(declared, (tuple, list)) and set(declared) != {"object"}:
-        detail = (
-            f"; the scheduler declares {', '.join(repr(b) for b in declared)}"
-            f", but this switch architecture has no kernel seam to drive it"
-        )
-    raise ConfigurationError(
-        f"switch pairing {name!r} got backend {backend!r}; the pairing "
-        f"supports only the 'object' kernel backend{detail}"
-    )
 
 
 def _discard_backend(kw: dict, name: str) -> None:
@@ -199,12 +162,14 @@ def _maxweight(weight: str) -> SwitchFactory:
 def _tatra(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.single_queue import SingleInputQueueSwitch
 
+    _discard_backend(kw, "tatra")
     return SingleInputQueueSwitch(num_ports, TATRAScheduler(num_ports), **kw)
 
 
 def _wba(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.single_queue import SingleInputQueueSwitch
 
+    _discard_backend(kw, "wba")
     sched = WBAScheduler(
         num_ports,
         age_coeff=kw.pop("age_coeff", 1.0),
@@ -217,6 +182,7 @@ def _wba(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
 def _siq_fifo(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.single_queue import SingleInputQueueSwitch
 
+    _discard_backend(kw, "siq-fifo")
     return SingleInputQueueSwitch(num_ports, SIQFifoScheduler(num_ports, rng=rng), **kw)
 
 

@@ -14,14 +14,11 @@ differs. Used by the ABL-SCHED ablation benchmark.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from itertools import accumulate
-
 import numpy as np
 
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError
-from repro.schedulers.base import SIQHolCell, SIQHolView
+from repro.schedulers.base import SIQHolView, grant_best_key
 from repro.utils.rng import make_rng
 
 __all__ = ["SIQFifoScheduler"]
@@ -40,86 +37,9 @@ class SIQFifoScheduler:
         self.num_ports = num_ports
         self._rng = make_rng(rng)
 
-    #: The array entry point below replays the exact tie-break draw
-    #: sequence (one draw per output with >1 co-oldest requester, in
-    #: ascending output order), so both kernel backends are bit-identical.
-    supported_backends = ("object", "vectorized")
-
-    def schedule(
-        self, hol_cells: Sequence[SIQHolCell], slot: int
-    ) -> ScheduleDecision:
+    def schedule(self, view: SIQHolView) -> ScheduleDecision:
         """Grant each output to its oldest requesting HOL cell."""
-        decision = ScheduleDecision()
-        if not hol_cells:
-            return decision
-        decision.requests_made = True
-        requests: list[list[SIQHolCell]] = [[] for _ in range(self.num_ports)]
-        for cell in hol_cells:
-            for j in cell.remaining:
-                requests[j].append(cell)
-        grants: dict[int, list[int]] = {}
-        for j, reqs in enumerate(requests):
-            if not reqs:
-                continue
-            oldest = min(c.arrival_slot for c in reqs)
-            winners = [c.input_port for c in reqs if c.arrival_slot == oldest]
-            winner = (
-                winners[0]
-                if len(winners) == 1
-                else winners[int(self._rng.integers(len(winners)))]
-            )
-            grants.setdefault(winner, []).append(j)
-        for i, outs in sorted(grants.items()):
-            decision.add(i, tuple(outs))
-        decision.rounds = 1 if grants else 0
-        return decision
-
-    def schedule_vectorized(self, view: SIQHolView) -> ScheduleDecision:
-        """Array twin of :meth:`schedule` for the vectorized kernel backend.
-
-        Consumes the switch's SoA residue state directly: the membership
-        matrix unpacks from the residue bitmasks in three array ops, and
-        every output's oldest requester becomes one masked column min
-        over the arrival-slot vector. Winner lists (ascending HOL-cell
-        order, as the object path builds them) and tie-break draws are
-        replayed exactly.
-        """
-        decision = ScheduleDecision()
-        if not view.inputs:
-            return decision
-        decision.requests_made = True
-        n = self.num_ports
-        inputs = view.inputs
-        arrivals = np.array(view.arrivals, dtype=np.int64)
-        member = view.member_matrix()
-        big = np.iinfo(np.int64).max
-        col_a = np.where(member, arrivals[:, None], big)
-        oldest = col_a.min(axis=0)
-        # All winner lists in one pass: ``ties`` marks the co-oldest
-        # requesters per column, ``T.nonzero()`` flattens them grouped by
-        # column (rows ascending — the object path's winner-list order),
-        # and cumulative counts index the groups. The grant loop below
-        # runs without a single numpy call.
-        ties = member & (col_a == oldest)
-        _, tie_rows = ties.T.nonzero()
-        cnt_l = ties.sum(axis=0).tolist()
-        ends_l = list(accumulate(cnt_l))
-        rows_l = tie_rows.tolist()
-        grants: dict[int, list[int]] = {}
-        rng = self._rng
-        for j in range(n):
-            cnt = cnt_l[j]
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                k = rows_l[ends_l[j] - 1]
-            else:
-                k = rows_l[ends_l[j] - cnt + int(rng.integers(cnt))]
-            grants.setdefault(inputs[k], []).append(j)
-        for i, outs in sorted(grants.items()):
-            decision.add(i, tuple(outs))
-        decision.rounds = 1 if grants else 0
-        return decision
+        return grant_best_key(view, view.arrivals, self._rng)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SIQFifoScheduler(N={self.num_ports})"

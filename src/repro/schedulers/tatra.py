@@ -29,11 +29,10 @@ concentrate residue on few inputs, which is TATRA's stated objective.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError, SchedulingError
-from repro.schedulers.base import SIQHolCell
+from repro.schedulers.base import SIQHolView
+from repro.utils.bitsets import iter_bits
 
 __all__ = ["TATRAScheduler"]
 
@@ -52,65 +51,55 @@ class TATRAScheduler:
         # packet_id currently in the box, per input (-1 = none).
         self._in_box: list[int] = [-1] * num_ports
 
-    #: TATRA is deliberately object-only. A bit-exact ``np.lexsort`` twin
-    #: of the placement order existed through PR 8 but the box evolution
-    #: itself — piece drops into ragged python columns, bottom-row pops —
-    #: is inherently sequential, so the array path measured *slower* than
-    #: the object path (BENCH_kernel.json: 0.88× at 16×16) and was
-    #: demoted rather than shipped as a fake speedup.
-    supported_backends = ("object",)
-    object_only_reason = (
-        "TATRA's Tetris box is inherently sequential (ragged per-column "
-        "piece placement and bottom-row pops); the vectorized twin "
-        "measured 0.88x and was demoted to keep BENCH >= 1x everywhere"
-    )
-
     # ------------------------------------------------------------------ #
-    def schedule(
-        self, hol_cells: Sequence[SIQHolCell], slot: int
-    ) -> ScheduleDecision:
+    def schedule(self, view: SIQHolView) -> ScheduleDecision:
         """Drop fresh pieces into the box, then serve the bottom row."""
         decision = ScheduleDecision()
-        by_input = {c.input_port: c for c in hol_cells}
+        columns = self.columns
+        in_box = self._in_box
+        inputs = view.inputs
+        residue_bits = view.residue_bits
+        packet_ids = view.packet_ids
 
         # 1. Drop fresh pieces into the box.
-        fresh = [c for c in hol_cells if self._in_box[c.input_port] != c.packet_id]
+        fresh = [k for k, i in enumerate(inputs) if in_box[i] != packet_ids[k]]
         if fresh:
+            arrivals = view.arrivals
             fresh.sort(
-                key=lambda c: (
-                    max(len(self.columns[j]) + 1 for j in c.remaining),
-                    c.arrival_slot,
-                    c.input_port,
+                key=lambda k: (
+                    max(len(columns[j]) + 1 for j in iter_bits(residue_bits[k])),
+                    arrivals[k],
+                    inputs[k],
                 )
             )
-            for cell in fresh:
-                for j in sorted(cell.remaining):
-                    self.columns[j].append(cell.input_port)
-                self._in_box[cell.input_port] = cell.packet_id
+            for k in fresh:
+                i = inputs[k]
+                for j in iter_bits(residue_bits[k]):
+                    columns[j].append(i)
+                in_box[i] = packet_ids[k]
 
         # 2. Serve the bottom row.
+        residue_of = dict(zip(inputs, residue_bits))
         grants: dict[int, list[int]] = {}
-        for j in range(self.num_ports):
-            col = self.columns[j]
+        for j, col in enumerate(columns):
             if not col:
                 continue
             i = col.pop(0)  # the bottom square departs; the column falls
             grants.setdefault(i, []).append(j)
-            cell = by_input.get(i)
-            if cell is None or j not in cell.remaining:
+            if not (residue_of.get(i, 0) >> j) & 1:
                 raise SchedulingError(
                     f"TATRA box out of sync: column {j} bottom square points "
                     f"at input {i} which has no pending cell for it"
                 )
 
-        if hol_cells:
+        if inputs:
             decision.requests_made = True
         for i, outs in sorted(grants.items()):
             decision.add(i, tuple(outs))
             # If this serves the piece's last squares, the input's box slot
             # frees up so the next HOL cell registers as fresh.
-            if not any(i in col for col in self.columns):
-                self._in_box[i] = -1
+            if not any(i in col for col in columns):
+                in_box[i] = -1
         decision.rounds = 1 if grants else 0
         return decision
 

@@ -17,14 +17,11 @@ multicast grant sets form naturally and fanout splitting is automatic.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from itertools import accumulate
-
 import numpy as np
 
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError
-from repro.schedulers.base import SIQHolCell, SIQHolView
+from repro.schedulers.base import SIQHolView, grant_best_key
 from repro.utils.rng import make_rng
 
 __all__ = ["WBAScheduler"]
@@ -55,107 +52,22 @@ class WBAScheduler:
         self.fanout_coeff = float(fanout_coeff)
         self._rng = make_rng(rng)
 
-    #: The array entry point below computes identical float64 weights and
-    #: replays the exact tie-break draw sequence (one draw per output
-    #: with >1 co-heaviest requester, ascending output order), so both
-    #: kernel backends are bit-identical.
-    supported_backends = ("object", "vectorized")
+    def weight_of(self, arrival_slot: int, residue_bits: int, slot: int) -> float:
+        """The WBA weight at ``slot`` of a HOL cell that arrived at
+        ``arrival_slot`` with ``residue_bits`` still to serve."""
+        age = slot - arrival_slot + 1
+        return self.age_coeff * age - self.fanout_coeff * residue_bits.bit_count()
 
-    def weight_of(self, cell: SIQHolCell, slot: int) -> float:
-        """The WBA weight of one HOL cell at the given slot."""
-        age = slot - cell.arrival_slot + 1
-        return self.age_coeff * age - self.fanout_coeff * len(cell.remaining)
-
-    def schedule(
-        self, hol_cells: Sequence[SIQHolCell], slot: int
-    ) -> ScheduleDecision:
-        """Single weight-based arbitration pass over the HOL cells."""
-        decision = ScheduleDecision()
-        if not hol_cells:
-            return decision
-        decision.requests_made = True
-        # requests[j] = list of (weight, input) wanting output j.
-        requests: list[list[tuple[float, int]]] = [
-            [] for _ in range(self.num_ports)
-        ]
-        for cell in hol_cells:
-            w = self.weight_of(cell, slot)
-            for j in cell.remaining:
-                requests[j].append((w, cell.input_port))
-        grants: dict[int, list[int]] = {}
-        for j, reqs in enumerate(requests):
-            if not reqs:
-                continue
-            best = max(w for w, _ in reqs)
-            winners = [i for w, i in reqs if w == best]
-            winner = (
-                winners[0]
-                if len(winners) == 1
-                else winners[int(self._rng.integers(len(winners)))]
-            )
-            grants.setdefault(winner, []).append(j)
-        for i, outs in sorted(grants.items()):
-            decision.add(i, tuple(outs))
-        decision.rounds = 1 if grants else 0
-        return decision
-
-    def schedule_vectorized(self, view: SIQHolView) -> ScheduleDecision:
-        """Array twin of :meth:`schedule` for the vectorized kernel backend.
-
-        Consumes the switch's SoA residue state directly: the membership
-        matrix unpacks from the residue bitmasks in three array ops and
-        the weights become one float64 vector. The weight arithmetic is
-        the same IEEE-754 expression per element as :meth:`weight_of`
-        (fanout = residue popcount), so the equality mask reproduces the
-        object path's winner lists — and with them the tie-break RNG
-        draws — exactly.
-        """
-        decision = ScheduleDecision()
-        if not view.inputs:
-            return decision
-        decision.requests_made = True
-        n = self.num_ports
+    def schedule(self, view: SIQHolView) -> ScheduleDecision:
+        """Single weight-based arbitration pass over the HOL cells:
+        every requested output grants its heaviest requester."""
         slot = view.current_slot
-        inputs = view.inputs
-        age_coeff = self.age_coeff
-        fanout_coeff = self.fanout_coeff
-        # Same IEEE-754 expression per cell as :meth:`weight_of`, so the
-        # float64 column comparisons reproduce the object path exactly.
-        weights = np.array(
-            [
-                age_coeff * (slot - arrival + 1) - fanout_coeff * bits.bit_count()
-                for arrival, bits in zip(view.arrivals, view.residue_bits)
-            ],
-            dtype=np.float64,
-        )
-        member = view.member_matrix()
-        col_w = np.where(member, weights[:, None], -np.inf)
-        best = col_w.max(axis=0)
-        # Winner lists for all columns at once: ``ties`` marks every
-        # co-heaviest requester, ``T.nonzero()`` flattens them grouped by
-        # column (rows ascending within a column — the object path's
-        # winner-list order), and the cumulative counts index the groups.
-        # The grant loop below then runs without a single numpy call.
-        ties = member & (col_w == best)
-        _, tie_rows = ties.T.nonzero()
-        cnt_l = ties.sum(axis=0).tolist()
-        ends_l = list(accumulate(cnt_l))
-        rows_l = tie_rows.tolist()
-        grants: dict[int, list[int]] = {}
-        rng = self._rng
-        for j in range(n):
-            cnt = cnt_l[j]
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                k = rows_l[ends_l[j] - 1]
-            else:
-                k = rows_l[ends_l[j] - cnt + int(rng.integers(cnt))]
-            grants.setdefault(inputs[k], []).append(j)
-        for i, outs in sorted(grants.items()):
-            decision.add(i, tuple(outs))
-        decision.rounds = 1 if grants else 0
-        return decision
+        weight_of = self.weight_of
+        keys = [
+            -weight_of(arrival, bits, slot)
+            for arrival, bits in zip(view.arrivals, view.residue_bits)
+        ]
+        return grant_best_key(view, keys, self._rng)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -48,20 +48,6 @@ class SimulationConfig:
         Also collect the delay histogram (exact percentiles) and the
         multicast fanout-splitting tracker; results land in
         ``SimulationSummary.extra``.
-    backend:
-        Which representation of the queue state the scheduler is handed:
-        ``"object"`` (reference per-cell semantics) or ``"vectorized"``
-        (flat struct-of-arrays state; bit-identical results, see
-        ``repro.kernel.equivalence``). It selects one only for the
-        pairings that hold two (fifoms, fifoms-prio, greedy-mcast, wba,
-        siq-fifo); TATRA refuses ``"vectorized"`` with a configuration
-        error at build time; every other pairing has one body and runs
-        it whichever registered name is given. ``None`` (the default)
-        leaves the choice to the pairing: its fast body, i.e.
-        ``"vectorized"`` for those five and ``"object"`` where the
-        scheduler declares itself object-only (TATRA, fifoms with
-        ``fanout_splitting=False``). ``engine.backend`` reports what
-        was built.
     slot_chunk:
         Arrival vectors the engine draws from the traffic model ahead of
         the slots that consume them (1, the default, draws each slot's
@@ -78,18 +64,11 @@ class SimulationConfig:
     check_invariants_every: int = 0
     raise_on_unstable: bool = False
     extended_stats: bool = False
-    backend: str | None = None
     slot_chunk: int = 1
 
     def __post_init__(self) -> None:
         if self.num_slots < 1:
             raise ConfigurationError(f"num_slots must be >= 1, got {self.num_slots}")
-        if self.backend is not None and (
-            not self.backend or not isinstance(self.backend, str)
-        ):
-            raise ConfigurationError(
-                f"backend must be a non-empty str or None, got {self.backend!r}"
-            )
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ConfigurationError(
                 f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"

@@ -104,13 +104,13 @@ def run_simulation(
     resulting snapshot rides home in ``SimulationSummary.telemetry``.
 
     Kernel backend: the explicit ``backend`` argument wins, then a
-    ``backend`` key in ``switch_kwargs``, then ``config.backend``; left
-    unset everywhere, the pairing builds its fast body (``"vectorized"``
-    for fifoms, fifoms-prio, greedy-mcast, wba, siq-fifo; ``"object"``
-    where the scheduler declares itself object-only). Both backends
-    produce bit-identical summaries for the pairings that have both
-    (``repro.kernel.equivalence`` enforces this); for a single-bodied
-    pairing (iSLIP, OQFIFO, …) a name is accepted and selects nothing.
+    ``backend`` key in ``switch_kwargs``; left unset in both, the
+    pairing builds its fast body (``"vectorized"`` for fifoms,
+    fifoms-prio, greedy-mcast; ``"object"`` for fifoms with
+    ``fanout_splitting=False``). Both multicast VOQ kernels produce
+    bit-identical summaries (``repro.kernel.equivalence`` enforces
+    this); for a single-bodied pairing (iSLIP, TATRA, OQFIFO, …) a name
+    is accepted and selects nothing.
 
     Sanitizing: ``sanitize`` forwards to the engine — ``True`` / a
     prebuilt :class:`~repro.sanitize.SanitizerSuite` enables the runtime
@@ -133,8 +133,6 @@ def run_simulation(
     )
     if backend is None:
         backend = switch_kwargs.pop("backend", None)
-    if backend is None:
-        backend = cfg.backend
     switch = make_switch(
         algorithm,
         num_ports,

@@ -86,12 +86,11 @@ class BaseSwitch(abc.ABC):
     #: declare ``"output"`` — only the one-cell-per-output-line half holds.
     matching_discipline: str = "crossbar"
 
-    #: Which representation of the queue state the scheduler is handed.
-    #: Only the architectures that hold two take a ``backend=`` argument
-    #: and overwrite this per instance (the multicast VOQ switches: cell
-    #: objects vs ``SwitchState``; the single-input-queue switch: HOL-cell
-    #: snapshots vs bitmask rows). Every other switch has one body and
-    #: reports "object" whatever name ``make_switch`` was given.
+    #: Which multicast VOQ kernel the scheduler is handed. Only the
+    #: multicast VOQ switches hold two (cell objects vs ``SwitchState``),
+    #: take a ``backend=`` argument and overwrite this per instance.
+    #: Every other switch has one body and reports "object" whatever
+    #: name ``make_switch`` was given.
     backend: str = "object"
 
     def __init__(self, num_ports: int) -> None:

@@ -6,13 +6,11 @@ head-of-line blocking. Fanout splitting is supported: the HOL packet's
 *residue* (unserved destinations) stays at the HOL until empty, and only
 then does the next packet advance.
 
-The canonical residue state is one SoA row: ``_hol_bits[i]`` is the
-bitmask of input i's unserved HOL destinations (0 when the queue is
-empty). Object-path schedulers plug in through ``schedule(hol_cells,
-slot) -> ScheduleDecision`` over :class:`~repro.schedulers.base.SIQHolCell`
-snapshots derived from the bitmasks; the vectorized kernel backend gets
-the bitmasks directly as a :class:`~repro.schedulers.base.SIQHolView`,
-so no per-cell objects or residue sets are materialized per slot.
+The residue state is one row of bitmasks: ``_hol_bits[i]`` holds input
+i's unserved HOL destinations (0 when the queue is empty). Schedulers
+plug in through ``schedule(view) -> ScheduleDecision`` and read those
+bitmasks as they are, listed for the non-empty inputs in a
+:class:`~repro.schedulers.base.SIQHolView`.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from repro.core.matching import ScheduleDecision
 from repro.errors import SchedulingError
 from repro.fabric.crossbar import MulticastCrossbar
 from repro.packet import Delivery, Packet
-from repro.schedulers.base import SIQHolCell, SIQHolView, resolve_backend
+from repro.schedulers.base import SIQHolView
 from repro.switch.base import BaseSwitch, SlotResult
 
 __all__ = ["SingleInputQueueSwitch"]
@@ -37,31 +35,21 @@ def _mask_of(destinations: tuple[int, ...]) -> int:
 
 
 class SingleInputQueueSwitch(BaseSwitch):
-    """N×N switch with a single FIFO per input port.
-
-    ``backend="vectorized"`` routes scheduling through the scheduler's
-    ``schedule_vectorized`` entry point (the scheduler must declare
-    support via ``supported_backends``), handing it the switch's own
-    SoA residue state as a :class:`~repro.schedulers.base.SIQHolView`;
-    the queue contents are identical under both backends. Left unset
-    (``None``, the default) ``backend`` is the scheduler's preferred
-    declared body: ``"vectorized"`` for WBA and SIQ-FIFO, ``"object"``
-    for TATRA, which declares itself object-only.
-    """
+    """N×N switch with a single FIFO per input port."""
 
     name = "siq"
 
-    def __init__(
-        self, num_ports: int, scheduler: object, *, backend: str | None = None
-    ) -> None:
+    def __init__(self, num_ports: int, scheduler: object) -> None:
         super().__init__(num_ports)
         self.scheduler = scheduler
-        self.backend = resolve_backend(scheduler, backend)
         self.crossbar = MulticastCrossbar(num_ports)
         self.queues: list[deque[Packet]] = [deque() for _ in range(num_ports)]
         # Canonical residue state: bit j of _hol_bits[i] = output j still
         # unserved by input i's HOL packet; 0 when the queue is empty.
         self._hol_bits: list[int] = [0] * num_ports
+        # Pending (packet, destination) pairs, kept so total_backlog() is
+        # O(1) for the per-slot observers that call it.
+        self._backlog = 0
         self._peak_queue = [0] * num_ports
 
     # ------------------------------------------------------------------ #
@@ -69,6 +57,7 @@ class SingleInputQueueSwitch(BaseSwitch):
         i = packet.input_port
         q = self.queues[i]
         q.append(packet)
+        self._backlog += packet.fanout
         if len(q) == 1:
             self._hol_bits[i] = _mask_of(packet.destinations)
         if len(q) > self._peak_queue[i]:
@@ -79,45 +68,30 @@ class SingleInputQueueSwitch(BaseSwitch):
         bits = self._hol_bits[i]
         return {j for j in range(self.num_ports) if (bits >> j) & 1}
 
-    def hol_cells(self) -> list[SIQHolCell]:
-        """Snapshot of the HOL packet of every non-empty input queue."""
-        cells = []
-        for i, q in enumerate(self.queues):
-            if q:
-                pkt = q[0]
-                cells.append(
-                    SIQHolCell(
-                        input_port=i,
-                        remaining=frozenset(self.hol_residue(i)),
-                        arrival_slot=pkt.arrival_slot,
-                        packet_id=pkt.packet_id,
-                    )
-                )
-        return cells
-
     def hol_view(self, slot: int) -> SIQHolView:
-        """SoA view of the HOL state for the vectorized kernel backend."""
+        """This slot's HOL cells, one entry per non-empty input."""
         inputs: list[int] = []
         residue_bits: list[int] = []
         arrivals: list[int] = []
+        packet_ids: list[int] = []
         hol_bits = self._hol_bits
         for i, q in enumerate(self.queues):
             if q:
+                head = q[0]
                 inputs.append(i)
                 residue_bits.append(hol_bits[i])
-                arrivals.append(q[0].arrival_slot)
+                arrivals.append(head.arrival_slot)
+                packet_ids.append(head.packet_id)
         return SIQHolView(
-            num_ports=self.num_ports,
             current_slot=slot,
             inputs=inputs,
             residue_bits=residue_bits,
             arrivals=arrivals,
+            packet_ids=packet_ids,
         )
 
     def _decide(self, slot: int) -> tuple[ScheduleDecision, int]:
-        if self.backend == "vectorized":
-            return self.scheduler.schedule_vectorized(self.hol_view(slot)), 0
-        return self.scheduler.schedule(self.hol_cells(), slot), 0
+        return self.scheduler.schedule(self.hol_view(slot)), 0
 
     def _transfer(
         self, decision: ScheduleDecision, result: SlotResult, slot: int
@@ -139,6 +113,7 @@ class SingleInputQueueSwitch(BaseSwitch):
                     Delivery(packet=packet, output_port=j, service_slot=slot)
                 )
             self._hol_bits[i] = bits
+            self._backlog -= len(grant.output_ports)
             if not bits:
                 q.popleft()
                 if q:
@@ -150,15 +125,10 @@ class SingleInputQueueSwitch(BaseSwitch):
         return [len(q) for q in self.queues]
 
     def total_backlog(self) -> int:
-        total = 0
-        for i, q in enumerate(self.queues):
-            if not q:
-                continue
-            total += self._hol_bits[i].bit_count()
-            total += sum(p.fanout for k, p in enumerate(q) if k > 0)
-        return total
+        return self._backlog
 
     def check_invariants(self) -> None:
+        walked = 0
         for i, q in enumerate(self.queues):
             bits = self._hol_bits[i]
             if q:
@@ -166,5 +136,12 @@ class SingleInputQueueSwitch(BaseSwitch):
                     raise SchedulingError(f"non-empty queue {i} with empty residue")
                 if bits & ~_mask_of(q[0].destinations):
                     raise SchedulingError(f"residue of input {i} not a fanout subset")
+                walked += bits.bit_count() - q[0].fanout
+                walked += sum(p.fanout for p in q)
             elif bits:
                 raise SchedulingError(f"empty queue {i} with residue")
+        if walked != self._backlog:
+            raise SchedulingError(
+                f"backlog counter drift: counter says {self._backlog}, "
+                f"the queues hold {walked}"
+            )

@@ -29,14 +29,12 @@ class TestListCommand:
         assert "fig4" in out and "burst" in out
 
     def test_lists_the_body_each_default_resolves_to(self, capsys):
-        from repro.schedulers.tatra import TATRAScheduler
-
         assert main(["list"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "  fifoms  vectorized" in lines
-        assert "  siq-fifo  vectorized" in lines
+        assert "  siq-fifo  (one body)" in lines
         assert "  islip  (one body)" in lines
-        assert f"  tatra  object — {TATRAScheduler.object_only_reason}" in lines
+        assert "  tatra  (one body)" in lines
 
     @pytest.mark.parametrize("command", ["run", "profile"])
     def test_backend_help_names_the_default(self, command, capsys):

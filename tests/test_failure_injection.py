@@ -106,10 +106,10 @@ class TestInfeasibleMatchings:
 
     def test_siq_grant_outside_residue(self):
         class Evil:
-            def schedule(self, cells, slot):
+            def schedule(self, view):
                 d = ScheduleDecision()
-                if cells:
-                    d.add(cells[0].input_port, (3,))
+                if view.inputs:
+                    d.add(view.inputs[0], (3,))
                 return d
 
         sw = SingleInputQueueSwitch(4, Evil())

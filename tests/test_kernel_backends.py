@@ -52,19 +52,27 @@ class TestResolveBackend:
             resolve_backend(sched, "simd")
 
     def test_tatra_demotion_rejects_vectorized_with_reason(self):
-        with pytest.raises(ConfigurationError, match="inherently sequential"):
-            make_switch("tatra", 4, backend="vectorized")
+        """TATRA is single-bodied like the other baselines (the id
+        predates that): "vectorized" is accepted and selects nothing,
+        the scheduler declares no backend vocabulary of its own."""
+        from repro.schedulers.tatra import TATRAScheduler
+
+        sw = make_switch("tatra", 4, backend="vectorized")
+        assert type(sw) is type(make_switch("tatra", 4, backend="object"))
+        assert sw.backend == "object"
+        assert not hasattr(TATRAScheduler, "supported_backends")
+        assert not hasattr(TATRAScheduler, "object_only_reason")
 
     def test_every_other_pairing_constructs_vectorized(self):
-        """Every pairing but TATRA builds under ``backend="vectorized"``:
-        a dual pairing reports the representation it was asked for (and
-        builds the vectorized one when asked for nothing), a
-        single-bodied one builds the same class under both names and
-        reports its one representation."""
+        """Every pairing builds under ``backend="vectorized"``: a dual
+        pairing reports the representation it was asked for (and builds
+        the vectorized one when asked for nothing), a single-bodied one
+        builds the same class under both names and reports its one
+        representation."""
         from repro.kernel.equivalence import classify_registry
 
-        object_only, single, dual = classify_registry()
-        assert set(object_only) == {"tatra"}
+        single, dual = classify_registry()
+        assert "tatra" in single
         for name in dual:
             assert make_switch(name, 4).backend == "vectorized", name
             assert make_switch(name, 4, backend="object").backend == "object", name
@@ -98,16 +106,14 @@ class TestDefaultBackend:
         from repro.schedulers.base import scheduler_backends
         from repro.schedulers.registry import available_schedulers
 
-        object_only, single, dual = classify_registry()
-        assert len(dual) == 5 and len(single) == 10
-        assert sorted([*object_only, *single, *dual]) == list(
-            available_schedulers()
-        )
+        single, dual = classify_registry()
+        assert len(dual) == 3 and len(single) == 13
+        assert sorted([*single, *dual]) == list(available_schedulers())
         for name in dual:
             sw = make_switch(name, 4)
             preferred = scheduler_backends(self._scheduler(sw))[-1]
             assert sw.backend == preferred == "vectorized", name
-        for name in (*object_only, *single):
+        for name in single:
             assert make_switch(name, 4).backend == "object", name
         nosplit = make_switch("fifoms", 4, fanout_splitting=False)
         assert nosplit.backend == "object"
@@ -123,28 +129,35 @@ class TestDefaultBackend:
         assert MulticastVOQSwitch(4, Undeclared()).backend == "object"
 
     def test_constructors_and_config_default_to_unset(self):
+        """The two seamed constructors default to the fast kernel; the
+        single-input-queue switch and the config carry no ``backend``."""
+        import inspect
+        from dataclasses import fields
+
         from repro.qos.switch import PriorityMulticastVOQSwitch
         from repro.schedulers.siq_fifo import SIQFifoScheduler
-        from repro.schedulers.tatra import TATRAScheduler
         from repro.sim.config import SimulationConfig
         from repro.switch.single_queue import SingleInputQueueSwitch
         from repro.switch.voq_multicast import MulticastVOQSwitch
 
-        assert SimulationConfig(num_slots=10).backend is None
+        assert "backend" not in {f.name for f in fields(SimulationConfig)}
+        with pytest.raises(TypeError):
+            SimulationConfig(num_slots=10, backend="object")
         assert MulticastVOQSwitch(4).backend == "vectorized"
         assert PriorityMulticastVOQSwitch(4).backend == "vectorized"
-        assert SingleInputQueueSwitch(4, SIQFifoScheduler(4)).backend == "vectorized"
-        assert SingleInputQueueSwitch(4, TATRAScheduler(4)).backend == "object"
+        assert "backend" not in inspect.signature(SingleInputQueueSwitch).parameters
+        assert SingleInputQueueSwitch(4, SIQFifoScheduler(4)).backend == "object"
 
     def test_explicit_vectorized_on_tatra_keeps_its_error_text(self):
-        from repro.schedulers.tatra import TATRAScheduler
-
+        """TATRA no longer refuses a registered name (the id predates
+        that); an unregistered one gets the single-bodied pairings'
+        error text."""
+        make_switch("tatra", 4, backend="vectorized")
         with pytest.raises(ConfigurationError) as excinfo:
-            make_switch("tatra", 4, backend="vectorized")
+            make_switch("tatra", 4, backend="simd")
         assert str(excinfo.value) == (
-            "scheduler 'tatra' does not support the 'vectorized' kernel "
-            "backend (supported: object) — "
-            + TATRAScheduler.object_only_reason
+            "switch pairing 'tatra' got unknown kernel backend 'simd'; "
+            "available: object, vectorized"
         )
 
     def test_engine_reports_what_was_built(self):
@@ -162,11 +175,12 @@ class TestDefaultBackend:
 
     @pytest.mark.parametrize("figure_id", ["fig4", "abl-split"])
     def test_run_figure_summaries_do_not_depend_on_the_backend(self, figure_id):
-        """The default, explicit "object" and — where the pairing allows
-        it — explicit "vectorized" give the same figure."""
+        """The default, explicit "object" and explicit "vectorized" give
+        the same figure; only no-splitting FIFOMS refuses "vectorized",
+        by ``FIFOMSScheduler.supported_backends``."""
         from dataclasses import replace
 
-        from repro.experiments.figures import ALGO_ALIASES, get_figure
+        from repro.experiments.figures import get_figure
         from repro.experiments.sweep import run_figure
 
         spec = get_figure(figure_id)
@@ -176,14 +190,10 @@ class TestDefaultBackend:
             kwargs = {}
             for algorithm in spec.algorithms:
                 own = dict(spec.switch_kwargs.get(algorithm, {}))
-                if backend == "vectorized":
-                    base = ALGO_ALIASES.get(algorithm, algorithm)
-                    try:
-                        make_switch(base, 4, backend=backend, **own)
-                    except ConfigurationError:
-                        kwargs[algorithm] = own  # object-only by declaration
-                        continue
-                if backend is not None:
+                refuses = backend == "vectorized" and not own.get(
+                    "fanout_splitting", True
+                )
+                if backend is not None and not refuses:
                     own["backend"] = backend
                 kwargs[algorithm] = own
             result = run_figure(

@@ -9,7 +9,6 @@ from repro.kernel.equivalence import (
     RecordingSwitch,
     default_grid,
     main,
-    object_only_pairings,
     run_case,
     single_bodied_pairings,
     slot_digest,
@@ -69,13 +68,13 @@ class TestRecordingSwitch:
 class TestGrid:
     def test_grid_generated_from_registry(self):
         """Every registry pairing is either in the grid (twice: two
-        traffic models), in the object-only skip map with a declared
-        reason, or single-bodied (nothing to compare; golden-pinned) —
-        no pairing can silently drop out of the claim."""
+        traffic models) or single-bodied (nothing to compare;
+        golden-pinned) — no pairing can silently drop out of the
+        claim."""
         from repro.schedulers.registry import available_schedulers
 
         grid = default_grid()
-        skipped = set(object_only_pairings()) | set(single_bodied_pairings())
+        skipped = set(single_bodied_pairings())
         covered = {c.algorithm for c in grid}
         for name in available_schedulers():
             if name in skipped:
@@ -88,15 +87,26 @@ class TestGrid:
         assert sum(1 for c in grid if c.fault is not None) == 1
 
     def test_tatra_skip_carries_declared_reason(self):
-        skipped = object_only_pairings()
-        assert set(skipped) == {"tatra"}
-        assert "inherently sequential" in skipped["tatra"]
-        # The pairings the grid no longer compares are exactly the ten
+        """TATRA is not a refusal with a reason any more (the id predates
+        that) but one of the single-bodied pairings: the same class
+        under every registered name, an unregistered one still refused."""
+        from repro.errors import ConfigurationError
+        from repro.schedulers.registry import make_switch
+
+        # The pairings the grid does not compare are exactly the thirteen
         # whose switch has one body whatever ``backend`` says.
         assert set(single_bodied_pairings()) == {
             "2drr", "cicq", "cioq-islip", "eslip", "islip",
             "maxweight-lqf", "maxweight-ocf", "oqfifo", "pim", "serena",
+            "siq-fifo", "tatra", "wba",
         }
+        built = {
+            type(make_switch("tatra", 4, **kw))
+            for kw in ({}, {"backend": "object"}, {"backend": "vectorized"})
+        }
+        assert len(built) == 1
+        with pytest.raises(ConfigurationError, match="unknown kernel backend"):
+            make_switch("tatra", 4, backend="simd")
 
     @pytest.mark.parametrize(
         "case",
@@ -131,8 +141,9 @@ class TestGrid:
         assert main(["--ports", "4", "--slots", "120"]) == 0
         out = capsys.readouterr().out
         assert f"all {len(default_grid())} cases bit-identical" in out
-        assert "skip tatra: object-only" in out
-        assert "not compared (10 single-bodied" in out
+        assert "skip" not in out
+        assert "not compared (13 single-bodied" in out
+        assert "tatra" in out.split("not compared")[1].splitlines()[0]
 
 
 class TestSanitizedGrid:

@@ -644,15 +644,22 @@ class TestKB001VectorizedEntryPoint:
         assert "FancyScheduler" in findings[0].message
 
     def test_schedule_vectorized_clean(self, tmp_path):
+        # ``schedule_state`` is the one array entry point; the retired
+        # ``schedule_vectorized`` name no longer satisfies the rule.
         src = """
             class FancyScheduler:
                 supported_backends = ("object", "vectorized")
 
-                def schedule_vectorized(self, state, slot):
+                def {entry}(self, state, slot):
                     pass
         """
-        files = {"repro/schedulers/fancy.py": src}
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
+        clean = {"repro/schedulers/fancy.py": src.format(entry="schedule_state")}
+        assert lint_tree(tmp_path / "clean", clean, [self.RULE()]) == []
+        retired = {
+            "repro/schedulers/fancy.py": src.format(entry="schedule_vectorized")
+        }
+        findings = lint_tree(tmp_path / "retired", retired, [self.RULE()])
+        assert only_ids(findings) == ["KB001"]
 
     def test_property_form_and_schedule_state_clean(self, tmp_path):
         # The FIFOMS shape: conditional property + schedule_state entry.
@@ -684,7 +691,7 @@ class TestKB001VectorizedEntryPoint:
         files = {
             "repro/schedulers/base2.py": """
                 class ArrayBase:
-                    def schedule_vectorized(self, state, slot):
+                    def schedule_state(self, state, slot):
                         pass
             """,
             "repro/schedulers/fancy.py": """
@@ -720,7 +727,7 @@ class TestKB001VectorizedEntryPoint:
 KB002_REGISTRY = """
     __all__ = []
 
-    def _require_object_backend(kw, name):
+    def _discard_backend(kw, name):
         pass
 
     class SeamedSwitch:
@@ -732,14 +739,14 @@ KB002_REGISTRY = """
             pass
 
     def _guarded_seam(num_ports, **kw):
-        _require_object_backend(kw, "guarded-seam")
+        _discard_backend(kw, "guarded-seam")
         return SeamedSwitch(num_ports, None, **kw)
 
     def _unguarded_seamless(num_ports, **kw):
         return SeamlessSwitch(num_ports, None, **kw)
 
     def _guarded_seamless(num_ports, **kw):
-        _require_object_backend(kw, "ok-guard")
+        _discard_backend(kw, "ok-guard")
         return SeamlessSwitch(num_ports, None, **kw)
 
     def _unguarded_seam(num_ports, **kw):
@@ -767,7 +774,7 @@ class TestKB002RegistryBackendPairing:
         src = """
             __all__ = []
 
-            def _require_object_backend(kw, name):
+            def _discard_backend(kw, name):
                 pass
 
             class SeamlessSwitch:
@@ -775,7 +782,7 @@ class TestKB002RegistryBackendPairing:
                     pass
 
             def _factory(num_ports, **kw):
-                _require_object_backend(kw, "x")
+                _discard_backend(kw, "x")
                 return SeamlessSwitch(num_ports)
         """
         files = {"repro/schedulers/registry.py": src}
@@ -833,14 +840,14 @@ class TestKB002RegistryBackendPairing:
                 __all__ = []
                 from repro.switch.base2 import SwitchBase
 
-                def _require_object_backend(kw, name):
+                def _discard_backend(kw, name):
                     pass
 
                 class ChildSwitch(SwitchBase):
                     pass
 
                 def _factory(num_ports, **kw):
-                    _require_object_backend(kw, "child")
+                    _discard_backend(kw, "child")
                     return ChildSwitch(num_ports, **kw)
             """,
         }

@@ -249,9 +249,8 @@ class TestBenchCheckCli:
         validate_record(records[0])
         # The grid (and with it every history record) covers exactly the
         # registry pairings with two bodies to compare — the equivalence
-        # grid's own classification; the object-only demotions (TATRA)
-        # cannot appear — the schema requires a positive vectorized rate
-        # per row — and a single-bodied pairing has no ratio to record.
+        # grid's own classification; a single-bodied pairing (TATRA among
+        # them) has no ratio to record.
         from repro.kernel.equivalence import dual_pairings
 
         assert set(records[0]["results"]) == set(dual_pairings())

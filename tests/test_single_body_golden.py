@@ -1,12 +1,13 @@
 """Golden pins for the pairings that have one body whatever ``backend`` says.
 
-The equivalence grid compares two bodies; the ten single-bodied pairings
-have no second one, so each of their 20 former grid cases is held to a
-sha256 recorded while both bodies still existed and agreed (recipe in
-``tests/data/single_body_golden.json``). iSLIP's int-mask body is also
-held, for ``islip`` and ``cioq-islip``, to pins the numpy body it
-replaced produced at 16 ports and at 70 (masks wider than a machine
-word).
+The equivalence grid compares two bodies; the thirteen single-bodied
+pairings have no second one, so each is held, under the grid's two
+traffic specs, to a sha256 recorded while the bodies it replaced still
+existed and agreed (recipe in ``tests/data/single_body_golden.json``).
+The int-mask bodies are also held — iSLIP's for ``islip`` and
+``cioq-islip``, the single-input-queue ones for ``wba``, ``siq-fifo``
+and ``tatra`` — to pins the bodies they replaced produced at 16 ports
+and at 70 (masks wider than a machine word).
 """
 
 from __future__ import annotations
@@ -55,14 +56,21 @@ def test_single_body_matches_golden(label, monkeypatch):
     assert _case_hash(label, GOLDEN["ports"]) == GOLDEN["pins"][label]
 
 
-@pytest.mark.parametrize(
-    "ports,label",
-    [
+def _wide_cases(block: str) -> list[tuple[int, str]]:
+    return [
         (int(ports), label)
-        for ports, pins in sorted(GOLDEN["islip_pins"].items())
+        for ports, pins in sorted(GOLDEN[block].items())
         for label in sorted(pins)
-    ],
-)
+    ]
+
+
+@pytest.mark.parametrize("ports,label", _wide_cases("islip_pins"))
 def test_islip_matches_golden_at_paper_size_and_wide(ports, label, monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "hard")
     assert _case_hash(label, ports) == GOLDEN["islip_pins"][str(ports)][label]
+
+
+@pytest.mark.parametrize("ports,label", _wide_cases("siq_pins"))
+def test_siq_matches_golden_at_paper_size_and_wide(ports, label, monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "hard")
+    assert _case_hash(label, ports) == GOLDEN["siq_pins"][str(ports)][label]

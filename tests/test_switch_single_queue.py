@@ -80,7 +80,7 @@ class TestHOLBlocking:
 
     def test_grant_outside_residue_detected(self):
         class BadScheduler:
-            def schedule(self, cells, slot):
+            def schedule(self, view):
                 from repro.core.matching import ScheduleDecision
 
                 d = ScheduleDecision()
@@ -95,6 +95,25 @@ class TestHOLBlocking:
         sw = SingleInputQueueSwitch(4, TATRAScheduler(4))
         sw.step(_lane(4, make_packet(0, (0, 2), 0), make_packet(3, (2,), 0)), 0)
         sw.check_invariants()
+
+    def test_backlog_counter_follows_the_queues(self):
+        """total_backlog() is a kept integer; check_invariants() holds it
+        to a walk over every queued packet."""
+        sw = SingleInputQueueSwitch(4, SIQFifoScheduler(4, rng=0))
+        sw.step(
+            _lane(4, make_packet(0, (0, 1, 2), 0), make_packet(1, (0, 1), 0)), 0
+        )
+        sw.step(_lane(4, make_packet(0, (3,), 1), make_packet(1, (2, 3), 1)), 1)
+        sw.check_invariants()
+        assert sw.total_backlog() == 8 - sw.cells_delivered > 0
+        sw._backlog += 1
+        with pytest.raises(SchedulingError, match="backlog counter drift"):
+            sw.check_invariants()
+        sw._backlog -= 1
+        for slot in range(2, 8):
+            sw.step(_lane(4), slot)
+        sw.check_invariants()
+        assert sw.total_backlog() == 0
 
 
 class TestTATRAIntegration:

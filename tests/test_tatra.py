@@ -6,23 +6,15 @@ import pytest
 
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError
-from repro.schedulers.base import SIQHolCell
 from repro.schedulers.tatra import TATRAScheduler
 
-
-def _cell(i: int, remaining, arrival: int, pid: int | None = None) -> SIQHolCell:
-    return SIQHolCell(
-        input_port=i,
-        remaining=frozenset(remaining),
-        arrival_slot=arrival,
-        packet_id=pid if pid is not None else 1000 + i,
-    )
+from conftest import siq_cell as _cell, siq_view as _view
 
 
 class TestBoxMechanics:
     def test_lone_multicast_served_immediately(self):
         sched = TATRAScheduler(4)
-        d = sched.schedule([_cell(0, {0, 2}, 0)], 0)
+        d = sched.schedule(_view(0, _cell(0, {0, 2}, 0)))
         assert d.grants[0].output_ports == (0, 2)
         assert sched.box_heights() == [0, 0, 0, 0]
 
@@ -30,13 +22,13 @@ class TestBoxMechanics:
         sched = TATRAScheduler(4)
         a = _cell(0, {1}, 0, pid=1)
         b = _cell(1, {1}, 0, pid=2)
-        d0 = sched.schedule([a, b], 0)
+        d0 = sched.schedule(_view(0, a, b))
         # One of them serves now; the other sits at height 1 in column 1.
         assert len(d0.grants) == 1
         assert sched.box_heights()[1] == 1
         winner = next(iter(d0.grants))
         loser_cell = b if winner == 0 else a
-        d1 = sched.schedule([loser_cell], 1)
+        d1 = sched.schedule(_view(1, loser_cell))
         assert loser_cell.input_port in d1.grants
 
     def test_placement_order_prefers_earlier_departure(self):
@@ -45,7 +37,7 @@ class TestBoxMechanics:
         sched = TATRAScheduler(3)
         wide = _cell(0, {0, 1, 2}, 0, pid=1)
         narrow = _cell(1, {0}, 0, pid=2)
-        sched.schedule([wide, narrow], 0)
+        sched.schedule(_view(0, wide, narrow))
         # narrow (date 1) placed before wide (date 1 too but later arrival
         # tie-break by arrival then input: both arrival 0, input 0 first).
         # Either way the box must hold exactly one leftover square per
@@ -57,7 +49,7 @@ class TestBoxMechanics:
         sched = TATRAScheduler(3)
         first = _cell(0, {0, 1}, 0, pid=1)
         second = _cell(1, {1, 2}, 0, pid=2)
-        d0 = sched.schedule([first, second], 0)
+        d0 = sched.schedule(_view(0, first, second))
         served0 = {
             (i, j) for i, g in d0.grants.items() for j in g.output_ports
         }
@@ -69,7 +61,7 @@ class TestBoxMechanics:
 
     def test_departure_date_query(self):
         sched = TATRAScheduler(2)
-        sched.schedule([_cell(0, {0}, 0, pid=1), _cell(1, {0}, 0, pid=2)], 0)
+        sched.schedule(_view(0, _cell(0, {0}, 0, pid=1), _cell(1, {0}, 0, pid=2)))
         # The loser's remaining square departs next slot (date 1).
         dates = [sched.departure_date(i) for i in (0, 1)]
         assert sorted(x for x in dates if x is not None) == [1]
@@ -82,13 +74,13 @@ class TestHOLSemantics:
         sched = TATRAScheduler(2)
         a = _cell(0, {0, 1}, 0, pid=1)
         b = _cell(1, {0, 1}, 0, pid=2)
-        d0 = sched.schedule([a, b], 0)
+        d0 = sched.schedule(_view(0, a, b))
         # Piece a (placed first) departs whole; b's two squares remain.
         assert d0.grants[0].output_ports == (0, 1)
         assert sum(sched.box_heights()) == 2
         # Offer b's (unchanged) residue again: same packet_id, so the box
         # must NOT re-place the piece — it just serves the stored squares.
-        d1 = sched.schedule([b], 1)
+        d1 = sched.schedule(_view(1, b))
         assert d1.grants[1].output_ports == (0, 1)
         assert sum(sched.box_heights()) == 0
 
@@ -96,15 +88,15 @@ class TestHOLSemantics:
         from repro.errors import SchedulingError
 
         sched = TATRAScheduler(2)
-        sched.schedule([_cell(0, {0}, 0, pid=1), _cell(1, {0}, 0, pid=2)], 0)
+        sched.schedule(_view(0, _cell(0, {0}, 0, pid=1), _cell(1, {0}, 0, pid=2)))
         # Next slot we lie about who is at HOL: the box says the loser
         # still has a pending square but we present nothing.
         with pytest.raises(SchedulingError):
-            sched.schedule([], 1)
+            sched.schedule(_view(1))
 
     def test_reset(self):
         sched = TATRAScheduler(2)
-        sched.schedule([_cell(0, {0}, 0, pid=1), _cell(1, {0}, 0, pid=2)], 0)
+        sched.schedule(_view(0, _cell(0, {0}, 0, pid=1), _cell(1, {0}, 0, pid=2)))
         sched.reset()
         assert sched.box_heights() == [0, 0]
 
@@ -119,5 +111,5 @@ class TestHOLSemantics:
             _cell(1, {1, 3}, 0, pid=2),
             _cell(2, {2}, 0, pid=3),
         ]
-        d: ScheduleDecision = sched.schedule(cells, 0)
+        d: ScheduleDecision = sched.schedule(_view(0, *cells))
         d.validate(4, 4)

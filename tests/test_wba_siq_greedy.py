@@ -7,21 +7,11 @@ import pytest
 from repro.core.preprocess import preprocess_packet
 from repro.errors import ConfigurationError
 from repro.packet import Packet
-from repro.schedulers.base import SIQHolCell
 from repro.schedulers.greedy_mcast import GreedyMcastScheduler
 from repro.schedulers.siq_fifo import SIQFifoScheduler
 from repro.schedulers.wba import WBAScheduler
 
-from conftest import mk_ports
-
-
-def _cell(i: int, remaining, arrival: int) -> SIQHolCell:
-    return SIQHolCell(
-        input_port=i,
-        remaining=frozenset(remaining),
-        arrival_slot=arrival,
-        packet_id=500 + i,
-    )
+from conftest import mk_ports, siq_cell as _cell, siq_view as _view
 
 
 class TestWBA:
@@ -29,28 +19,29 @@ class TestWBA:
         sched = WBAScheduler(4, age_coeff=2.0, fanout_coeff=0.5)
         cell = _cell(0, {0, 1}, 3)
         # age at slot 7 = 7-3+1 = 5 -> 2*5 - 0.5*2 = 9
-        assert sched.weight_of(cell, 7) == pytest.approx(9.0)
+        weight = sched.weight_of(cell.arrival_slot, cell.residue_bits, 7)
+        assert weight == pytest.approx(9.0)
 
     def test_older_heavier_wins(self):
         sched = WBAScheduler(4, rng=0)
-        d = sched.schedule([_cell(0, {2}, 0), _cell(1, {2}, 5)], 6)
+        d = sched.schedule(_view(6, _cell(0, {2}, 0), _cell(1, {2}, 5)))
         assert 0 in d.grants and 1 not in d.grants
 
     def test_fanout_penalty_can_flip_winner(self):
         sched = WBAScheduler(4, age_coeff=1.0, fanout_coeff=3.0, rng=0)
         wide_old = _cell(0, {0, 1, 2, 3}, 4)  # age 3, weight 3 - 12 = -9
         slim_new = _cell(1, {0}, 6)  # age 1, weight 1 - 3 = -2
-        d = sched.schedule([wide_old, slim_new], 6)
+        d = sched.schedule(_view(6, wide_old, slim_new))
         assert d.grants[1].output_ports == (0,)
 
     def test_multicast_grant_set_forms(self):
         sched = WBAScheduler(4, rng=0)
-        d = sched.schedule([_cell(0, {0, 1, 3}, 0)], 0)
+        d = sched.schedule(_view(0, _cell(0, {0, 1, 3}, 0)))
         assert d.grants[0].output_ports == (0, 1, 3)
 
     def test_single_pass(self):
         sched = WBAScheduler(4, rng=0)
-        d = sched.schedule([_cell(0, {0}, 0), _cell(1, {1}, 0)], 0)
+        d = sched.schedule(_view(0, _cell(0, {0}, 0), _cell(1, {1}, 0)))
         assert d.rounds == 1
 
     def test_negative_coeff_rejected(self):
@@ -61,7 +52,7 @@ class TestWBA:
         sched = WBAScheduler(2, rng=0)
         winners = set()
         for _ in range(40):
-            d = sched.schedule([_cell(0, {0}, 0), _cell(1, {0}, 0)], 0)
+            d = sched.schedule(_view(0, _cell(0, {0}, 0), _cell(1, {0}, 0)))
             winners.add(next(iter(d.grants)))
         assert winners == {0, 1}
 
@@ -69,18 +60,18 @@ class TestWBA:
 class TestSIQFifo:
     def test_oldest_wins_each_output(self):
         sched = SIQFifoScheduler(4, rng=0)
-        d = sched.schedule([_cell(0, {1, 2}, 5), _cell(1, {1}, 2)], 6)
+        d = sched.schedule(_view(6, _cell(0, {1, 2}, 5), _cell(1, {1}, 2)))
         assert d.grants[1].output_ports == (1,)
         assert d.grants[0].output_ports == (2,)
 
     def test_empty(self):
-        d = SIQFifoScheduler(4).schedule([], 0)
+        d = SIQFifoScheduler(4).schedule(_view(0))
         assert not d and not d.requests_made
 
     def test_decision_feasible(self):
         sched = SIQFifoScheduler(4, rng=1)
         cells = [_cell(i, {0, 1, 2, 3}, i) for i in range(4)]
-        d = sched.schedule(cells, 4)
+        d = sched.schedule(_view(4, *cells))
         d.validate(4, 4)
         # The single oldest HOL cell takes everything.
         assert d.grants[0].output_ports == (0, 1, 2, 3)
