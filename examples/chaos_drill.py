@@ -8,7 +8,8 @@ proves it against real processes, end to end:
 1. Run a small campaign to completion (the *clean* reference).
 2. Run the same campaign again; once the journal holds ``--kill-after``
    completed points (a seeded slot, so CI drills are reproducible),
-   SIGKILL the supervisor process — no handlers, no cleanup.
+   SIGKILL the supervisor process — no handlers, no cleanup — and check
+   that its pool workers follow it within a few seconds.
 3. ``repro-sim campaign resume`` the killed store.
 4. Assert: resumed CSV and REPORT.md bytes equal the clean run's, and
    no point key appears twice as ``done`` in the journal.
@@ -70,6 +71,22 @@ def done_keys(journal: Path) -> list[str]:
     return keys
 
 
+def pids_naming(path: Path) -> list[int]:
+    """Live processes with ``path`` on their command line (Linux /proc;
+    forked pool workers carry their supervisor's command line)."""
+    needle = str(path).encode()
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            if needle in (entry / "cmdline").read_bytes():
+                pids.append(int(entry.name))
+        except OSError:
+            continue  # exited mid-scan
+    return pids
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="drill output directory")
@@ -118,6 +135,14 @@ def main() -> int:
     proc.wait(timeout=30)
     survivors = len(done_keys(journal))
     print(f"      killed supervisor; {survivors} points survived in journal")
+    # Workers exit when their parent does; an orphan would keep simulating
+    # under PID 1 and skew whatever runs next on this host.
+    deadline = time.monotonic() + 10
+    while pids_naming(chaos_dir) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    if orphans := pids_naming(chaos_dir):
+        print(f"FAIL: workers outlived the supervisor: {orphans}", file=sys.stderr)
+        return 1
 
     print(f"[3/4] resume {chaos_dir}")
     proc = spawn(campaign_argv("resume", chaos_dir, args))

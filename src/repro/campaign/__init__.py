@@ -9,9 +9,11 @@ is that durability layer on top of
   on-disk store (manifest + fsynced JSONL journal) keyed by point config
   + code signature. See docs/campaigns.md for the layout and schema.
 * :class:`~repro.campaign.supervisor.CampaignSupervisor` — the
-  self-healing execution loop: skip-on-resume, seeded backoff retries,
-  a pool watchdog with orphan reaping, clean SIGINT/SIGTERM shutdown,
-  ``campaign.*`` metrics through the sink layer.
+  durable retry policy: skip-on-resume, journal-before-anything-else,
+  seeded backoff, clean SIGINT/SIGTERM shutdown, ``campaign.*`` metrics
+  through the sink layer. The points themselves run on
+  :class:`repro.experiments.sweep.PointPool`, the one watched executor
+  (timeout, worker death, reaping) that ``run_figure`` uses too.
 * :func:`run_durable_campaign` / :func:`resume_campaign` /
   :func:`campaign_status` — the functional API behind the
   ``repro-sim campaign run/resume/status`` CLI.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from pathlib import Path
+from typing import Any
 
 from repro.errors import CampaignError
 from repro.experiments.campaign import PAPER_FIGURES, CampaignResult
@@ -71,17 +74,17 @@ def run_durable_campaign(
     *,
     num_slots: int = 30_000,
     seed: int = 2004,
-    workers: int | None = None,
-    point_timeout: float | None = None,
-    max_attempts: int = 3,
-    backoff_base: float = 0.5,
-    backoff_cap: float = 30.0,
-    metric_sink: object | None = None,
-    max_points: int | None = None,
     figures: Mapping[str, FigureSpec] | None = None,
-    install_signal_handlers: bool = True,
+    **execution: Any,
 ) -> tuple[CampaignResult, CampaignStats]:
     """Run a campaign with a durable checkpoint store at ``directory``.
+
+    Creates the store (or matches the one already there), then resumes
+    it: ``execution`` takes :func:`resume_campaign`'s execution knobs —
+    ``workers``, ``point_timeout``, ``max_attempts``, ``backoff_base``,
+    ``backoff_cap``, ``metric_sink``, ``max_points``,
+    ``install_signal_handlers`` — with its defaults; anything else is a
+    ``TypeError``.
 
     Re-invoking on a directory that already holds the *same* campaign
     configuration resumes it (completed points are skipped); a
@@ -94,23 +97,11 @@ def run_durable_campaign(
     """
     if not figure_ids:
         raise CampaignError("no figures requested")
-    specs = _resolve_figures(figure_ids, figures)
-    store = CampaignStore.create(
+    _resolve_figures(figure_ids, figures)  # before a store exists to regret
+    CampaignStore.create(
         directory, figure_ids=figure_ids, num_slots=num_slots, seed=seed
     )
-    supervisor = CampaignSupervisor(
-        store,
-        specs,
-        workers=workers,
-        point_timeout=point_timeout,
-        max_attempts=max_attempts,
-        backoff_base=backoff_base,
-        backoff_cap=backoff_cap,
-        metric_sink=metric_sink,
-        max_points=max_points,
-        install_signal_handlers=install_signal_handlers,
-    )
-    return supervisor.run(), supervisor.stats
+    return resume_campaign(directory, figures=figures, **execution)
 
 
 def resume_campaign(

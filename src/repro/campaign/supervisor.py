@@ -13,12 +13,14 @@ can offer:
   seed) before re-running only the failed points, up to
   ``max_attempts`` rounds. Deterministic failures exhaust quickly;
   environmental flakes (killed workers, OOM) get breathing room.
-* **Watchdog respawn** — in pool mode each point's result is awaited for
-  at most ``point_timeout`` seconds; a wedged or killed worker tears the
-  whole ``ProcessPoolExecutor`` down (terminate, then reap with a
-  SIGKILL fallback) and a fresh pool is spawned for the next batch.
-* **Clean interruption** — SIGINT/SIGTERM set a flag the loop honours
-  between futures; the journal is already durable per append, the
+* **Watchdog respawn** — execution itself is
+  :class:`repro.experiments.sweep.PointPool`, the executor
+  :func:`~repro.experiments.sweep.run_figure` drives too: it owns the
+  ``point_timeout`` watchdog, worker death, collateral failures and
+  reaping (docs/robustness.md, "Self-healing sweeps"); the supervisor
+  reads its outcomes and counts its respawns.
+* **Clean interruption** — SIGINT/SIGTERM set a flag the pool polls
+  between outcomes; the journal is already durable per append, the
   manifest flips to ``interrupted``, and
   :class:`~repro.errors.CampaignInterrupted` carries the progress made.
   Nothing is lost; ``resume`` continues from the checkpoint.
@@ -29,15 +31,8 @@ Progress streams through the PR 6 sink layer as ``campaign.*`` metrics
 
 from __future__ import annotations
 
-import os
 import signal
 import time
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    TimeoutError as FutureTimeout,
-)
-from concurrent.futures.process import BrokenProcessPool
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
@@ -50,14 +45,8 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.paper import check_expectations
 from repro.experiments.spec import FigureSpec, SweepPoint
-from repro.experiments.sweep import (
-    FailedPoint,
-    FigureResult,
-    _terminate_pool,
-    run_sweep_point,
-)
+from repro.experiments.sweep import FailedPoint, FigureResult, PointPool
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import clock_ns
 from repro.campaign.store import CampaignStore, PointRecord, point_key
 from repro.report.export import write_csv
 from repro.stats.summary import SimulationSummary
@@ -174,7 +163,6 @@ class CampaignSupervisor:
         self.stats = CampaignStats()
         self.registry = MetricsRegistry()
         self._stop_signal: int | None = None
-        self._pool: ProcessPoolExecutor | None = None
 
     # ------------------------------------------------------------------ #
     # Public entry point
@@ -220,7 +208,8 @@ class CampaignSupervisor:
         self.store.set_state("running")
         old_handlers = self._install_handlers()
         backoff_rng = make_rng(seed ^ 0xBACC0FF)
-        exhausted: list[_Job] = []
+        pool = PointPool(self.workers, self.point_timeout)
+        exhausted: dict[str, PointRecord] = {}
         try:
             for attempt in range(1, self.max_attempts + 1):
                 if not jobs:
@@ -242,27 +231,22 @@ class CampaignSupervisor:
                         0, self.max_points - self.stats.points_executed
                     )
                     run_now, deferred = jobs[:budget_left], jobs[budget_left:]
-                failed = (
-                    self._run_attempt(run_now, attempt, done) if run_now else []
-                )
-                jobs = failed + deferred
+                jobs = self._run_attempt(pool, run_now, attempt, done) + deferred
                 self._emit_snapshot(kind="round", round_=attempt, done=done,
                                     pending=len(jobs))
                 self._check_stop(done, pending=len(jobs))
-            exhausted = jobs
-            for job in exhausted:
+            for job in jobs:
                 error_type, message = job.last_error
-                self.store.append(
-                    PointRecord.failed(
-                        job.key,
-                        job.point,
-                        error_type=error_type,
-                        message=message,
-                        attempts=job.attempts,
-                        elapsed_s=job.elapsed_s,
-                        backoff_s=job.backoff_s,
-                    )
+                exhausted[job.key] = PointRecord.failed(
+                    job.key,
+                    job.point,
+                    error_type=error_type,
+                    message=message,
+                    attempts=job.attempts,
+                    elapsed_s=job.elapsed_s,
+                    backoff_s=job.backoff_s,
                 )
+                self.store.append(exhausted[job.key])
                 self.stats.points_failed += 1
                 self.registry.counter("campaign.points_failed").inc()
         except CampaignInterrupted:
@@ -271,7 +255,7 @@ class CampaignSupervisor:
                                 pending=None)
             raise
         finally:
-            self._teardown_pool()
+            pool.close()
             self._restore_handlers(old_handlers)
             self.store.close()
 
@@ -290,22 +274,40 @@ class CampaignSupervisor:
 
     def _run_attempt(
         self,
+        pool: PointPool,
         jobs: list[_Job],
         attempt: int,
         done: dict[str, PointRecord],
     ) -> list[_Job]:
-        """Run one attempt round; journal successes; return still-failing."""
-        workers = self.workers
-        if workers is None:
-            workers = (
-                min(os.cpu_count() or 1, len(jobs)) if len(jobs) > 4 else 1
-            )
+        """Run one attempt round; journal successes; return still-failing.
+
+        A signal stops the pool between outcomes: what already finished
+        is still journaled, the rest stays un-journaled and re-runs on
+        resume.
+        """
         if attempt > 1:
             self.stats.retries += len(jobs)
             self.registry.counter("campaign.retries").inc(len(jobs))
-        if workers > 1:
-            return self._run_pooled(jobs, done, workers)
-        return self._run_serial(jobs, done)
+        failed: list[_Job] = []
+        try:
+            for job, summary, error, elapsed_s in pool.run(
+                [(job, job.point) for job in jobs],
+                stop=lambda: self._stop_signal is not None,
+            ):
+                job.attempts += 1
+                job.elapsed_s += elapsed_s
+                if summary is not None:
+                    self._complete(job, summary, elapsed_s, done)
+                else:
+                    job.last_error = error
+                    failed.append(job)
+        finally:
+            respawns = pool.respawns - self.stats.pool_respawns
+            if respawns:
+                self.stats.pool_respawns += respawns
+                self.registry.counter("campaign.pool_respawns").inc(respawns)
+        self._check_stop(done, pending=len(failed))
+        return failed
 
     def _complete(
         self,
@@ -315,8 +317,6 @@ class CampaignSupervisor:
         done: dict[str, PointRecord],
     ) -> None:
         """Durably journal one finished point before anything else moves."""
-        job.attempts += 1
-        job.elapsed_s += elapsed_s
         record = PointRecord.done(
             job.key,
             job.point,
@@ -330,12 +330,6 @@ class CampaignSupervisor:
         self.stats.points_executed += 1
         self.registry.counter("campaign.points_executed").inc()
         self.registry.histogram("campaign.point_elapsed_s").observe(elapsed_s)
-
-    def _fail(self, job: _Job, error_type: str, message: str,
-              elapsed_s: float) -> None:
-        job.attempts += 1
-        job.elapsed_s += elapsed_s
-        job.last_error = (error_type, message)
 
     def _check_stop(
         self, done: dict[str, PointRecord], *, pending: int
@@ -365,117 +359,6 @@ class CampaignSupervisor:
             points_done=len(done),
             points_total=self.stats.points_total,
         )
-
-    def _run_serial(
-        self, jobs: list[_Job], done: dict[str, PointRecord]
-    ) -> list[_Job]:
-        failed: list[_Job] = []
-        for idx, job in enumerate(jobs):
-            self._check_stop(done, pending=len(jobs) - idx)
-            start = clock_ns()
-            try:
-                summary = run_sweep_point(job.point)
-            except Exception as exc:
-                self._fail(job, type(exc).__name__, str(exc),
-                           (clock_ns() - start) / 1e9)
-                failed.append(job)
-                continue
-            self._complete(job, summary, (clock_ns() - start) / 1e9, done)
-        self._check_stop(done, pending=len(failed))
-        return failed
-
-    def _run_pooled(
-        self,
-        jobs: list[_Job],
-        done: dict[str, PointRecord],
-        workers: int,
-    ) -> list[_Job]:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-        failed: list[_Job] = []
-        start = clock_ns()
-
-        def elapsed() -> float:
-            return (clock_ns() - start) / 1e9
-
-        futures: list[tuple[_Job, Future]] = [
-            (job, self._pool.submit(run_sweep_point, job.point)) for job in jobs
-        ]
-        pool_broken = False
-        for job, future in futures:
-            if pool_broken:
-                if (
-                    future.done()
-                    and not future.cancelled()
-                    and future.exception() is None
-                ):
-                    self._complete(job, future.result(), elapsed(), done)
-                    continue
-                self._fail(
-                    job, "CampaignError",
-                    "worker pool torn down after a timeout or worker death",
-                    elapsed(),
-                )
-                failed.append(job)
-                continue
-            try:
-                summary = future.result(timeout=self.point_timeout)
-            except FutureTimeout:
-                # The wall-clock watchdog: the worker is wedged; tear the
-                # pool down (reaping any orphans) and respawn next round.
-                pool_broken = True
-                self._fail(
-                    job, "TimeoutError",
-                    f"no result within {self.point_timeout}s", elapsed(),
-                )
-                failed.append(job)
-                self._respawn_pool()
-            except BrokenProcessPool:
-                # A worker died hard (SIGKILL, OOM). Everything still in
-                # flight on this pool is lost; respawn and retry them.
-                pool_broken = True
-                self._fail(
-                    job, "BrokenProcessPool",
-                    "a worker process died before returning", elapsed(),
-                )
-                failed.append(job)
-                self._respawn_pool()
-            except Exception as exc:
-                self._fail(job, type(exc).__name__, str(exc), elapsed())
-                failed.append(job)
-            else:
-                self._complete(job, summary, elapsed(), done)
-            if self._stop_signal is not None:
-                # Journal whatever already finished, abandon the rest —
-                # they stay un-journaled and re-run on resume.
-                for later_job, later_future in futures:
-                    if (
-                        later_job.key not in done
-                        and later_future.done()
-                        and not later_future.cancelled()
-                        and later_future.exception() is None
-                    ):
-                        self._complete(
-                            later_job, later_future.result(), elapsed(), done
-                        )
-                self._teardown_pool()
-                self._check_stop(done, pending=1)
-        self._check_stop(done, pending=len(failed))
-        return failed
-
-    # ------------------------------------------------------------------ #
-    # Pool lifecycle
-    # ------------------------------------------------------------------ #
-    def _respawn_pool(self) -> None:
-        """Tear down a compromised pool; a fresh one spawns lazily."""
-        self._teardown_pool()
-        self.stats.pool_respawns += 1
-        self.registry.counter("campaign.pool_respawns").inc()
-
-    def _teardown_pool(self) -> None:
-        if self._pool is not None:
-            _terminate_pool(self._pool)
-            self._pool = None
 
     # ------------------------------------------------------------------ #
     # Signals
@@ -533,7 +416,7 @@ class CampaignSupervisor:
         num_slots: int,
         seed: int,
         done: dict[str, PointRecord],
-        exhausted: list[_Job],
+        exhausted: dict[str, PointRecord],
     ) -> CampaignResult:
         """Fold journal records into figures; write the final artifacts.
 
@@ -541,10 +424,7 @@ class CampaignSupervisor:
         an interrupted-and-resumed campaign writes files byte-identical
         to an uninterrupted run (the chaos harness asserts this).
         """
-        by_key = {record.key: record for record in done.values()}
-        failed_jobs = {job.key: job for job in exhausted}
         result = CampaignResult(num_slots=num_slots, seed=seed)
-        failure_records: list[PointRecord] = []
         for fid in figure_ids:
             spec = self.figures[fid]
             fig = FigureResult(
@@ -553,38 +433,24 @@ class CampaignSupervisor:
             for point in spec.points(num_slots=num_slots, seed=seed):
                 key = point_key(point)
                 cell = (point.algorithm, point.load)
-                record = by_key.get(key)
-                if record is not None:
-                    fig.summaries[cell] = record.to_summary()
-                    continue
-                job = failed_jobs.get(key)
-                if job is not None:
-                    error_type, message = job.last_error
+                if key in done:
+                    fig.summaries[cell] = done[key].to_summary()
+                elif key in exhausted:
+                    record = exhausted[key]
                     fig.failures[cell] = FailedPoint(
                         point=point,
-                        error_type=error_type,
-                        message=message,
-                        attempts=job.attempts,
-                        elapsed_s=job.elapsed_s,
-                        backoff_s=job.backoff_s,
-                    )
-                    failure_records.append(
-                        PointRecord.failed(
-                            key,
-                            point,
-                            error_type=error_type,
-                            message=message,
-                            attempts=job.attempts,
-                            elapsed_s=job.elapsed_s,
-                            backoff_s=job.backoff_s,
-                        )
+                        error_type=record.error_type,
+                        message=record.message,
+                        attempts=record.attempts,
+                        elapsed_s=record.elapsed_s,
+                        backoff_s=record.backoff_s,
                     )
             result.figures[fid] = fig
             result.expectations[fid] = check_expectations(fig)
             self.store.csv_dir.mkdir(parents=True, exist_ok=True)
             write_csv(self.store.csv_dir / f"{fid}.csv", fig.all_summaries())
-        if failure_records:
-            self.store.write_failures_artifact(failure_records)
+        if exhausted:
+            self.store.write_failures_artifact(exhausted.values())
         atomic_write_text(
             self.store.directory / "REPORT.md", render_markdown_report(result)
         )

@@ -6,6 +6,7 @@ from repro.experiments.figures import FIGURES, get_figure
 from repro.experiments.sweep import (
     FailedPoint,
     FigureResult,
+    PointPool,
     run_figure,
     run_sweep_point,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "get_figure",
     "FailedPoint",
     "FigureResult",
+    "PointPool",
     "run_figure",
     "run_sweep_point",
     "check_expectations",

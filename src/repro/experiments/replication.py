@@ -86,7 +86,13 @@ def run_replicated(
     workers: int | None = None,
     **kwargs: Any,
 ) -> list[SimulationSummary]:
-    """Run ``replicas`` independent-seed copies of one configuration."""
+    """Run ``replicas`` independent-seed copies of one configuration.
+
+    Deliberately a plain ``pool.map`` rather than a batch on
+    :class:`~repro.experiments.sweep.PointPool`: there is no watchdog or
+    retry policy to share, and a failing replica raises its own exception
+    here where the point pool would hand back an outcome tuple.
+    """
     if replicas < 1:
         raise ConfigurationError(f"replicas must be >= 1, got {replicas}")
     jobs = [

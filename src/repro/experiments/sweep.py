@@ -7,36 +7,52 @@ in separate processes with bit-identical results — the rank-decomposition
 pattern of the MPI guide, realized with ``concurrent.futures`` since the
 offline environment has no MPI.
 
-Robustness: one crashing or hanging point must not take the whole figure
-with it. :func:`run_figure` runs the grid in rounds — every point that
-fails (worker exception) or times out is retried with the *same* seed up
-to ``point_retries`` extra rounds (a deterministic job either always
-fails or always succeeds; the retry guards against environmental flakes
-like a killed worker). Points still failing after the last round either
-poison the sweep with a :class:`~repro.errors.SweepPointError` carrying
-the originating point (``on_point_failure="raise"``, the default) or are
-recorded as structured :class:`FailedPoint` entries on the result
-(``on_point_failure="record"``), and every presentation helper tolerates
-the holes.
+Two layers. :class:`PointPool` *executes* batches of points — the only
+code here or in :mod:`repro.campaign` that builds a process pool, awaits
+a future, applies ``point_timeout`` or reaps a worker (reference:
+docs/robustness.md, "Self-healing sweeps"). :func:`run_figure` is the
+in-memory *policy* over it: one crashing or hanging point must not take
+the whole figure with it, so every point that fails or times out is
+retried with the *same* seed up to ``point_retries`` extra rounds (a
+deterministic job either always fails or always succeeds; the retry
+guards against environmental flakes like a killed worker). Points still
+failing after the last round either poison the sweep with a
+:class:`~repro.errors.SweepPointError` carrying the originating point
+(``on_point_failure="raise"``, the default) or are recorded as structured
+:class:`FailedPoint` entries on the result (``on_point_failure="record"``),
+and every presentation helper tolerates the holes. The durable policy
+over the same pool is :class:`repro.campaign.supervisor.CampaignSupervisor`.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
-from collections.abc import Sequence
+import threading
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from concurrent.futures import (
+    Future,
+    ProcessPoolExecutor,
+    TimeoutError as FutureTimeout,
+)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.errors import ConfigurationError, SweepPointError
 from repro.experiments.figures import ALGO_ALIASES
 from repro.experiments.spec import METRIC_LABELS, FigureSpec, SweepPoint
+from repro.obs.profiler import clock_ns
 from repro.report.ascii import format_series, render_ascii_chart
 from repro.sim.runner import run_simulation
 from repro.stats.summary import SimulationSummary
 
-__all__ = ["run_sweep_point", "run_figure", "FigureResult", "FailedPoint"]
+__all__ = [
+    "run_sweep_point", "run_figure", "FigureResult", "FailedPoint", "PointPool",
+]
+
+K = TypeVar("K")
 
 
 def run_sweep_point(point: SweepPoint) -> SimulationSummary:
@@ -75,9 +91,8 @@ class FailedPoint:
     #: Total attempts made (1 + configured retries).
     attempts: int
     #: Wall-clock seconds spent executing (or waiting on) this point
-    #: across every attempt. In pool mode this is measured from round
-    #: start to failure detection, so it bounds rather than isolates the
-    #: point's own cost.
+    #: across every attempt; in pool mode an upper bound, not the point's
+    #: own cost (docs/robustness.md, "Self-healing sweeps").
     elapsed_s: float = 0.0
     #: Total seconds of retry backoff charged to this point (zero for
     #: plain ``run_figure`` sweeps; the durable campaign supervisor
@@ -185,8 +200,32 @@ class FigureResult:
 
 
 # --------------------------------------------------------------------- #
-# Round execution
+# The point pool
 # --------------------------------------------------------------------- #
+#: What a point inherits when another point of its batch compromised the
+#: pool (a timeout or a dead worker) before its own result arrived.
+_COLLATERAL = (
+    "SweepPointError", "worker pool torn down after a timeout or worker death"
+)
+_NO_ERROR = ("", "")
+
+
+def _exit_with_parent() -> None:
+    """Worker initializer: exit as soon as the submitting process is gone.
+
+    Forked workers hold both ends of the pool's own pipes, so a SIGKILLed
+    parent never reads as EOF there; ``parent_process()`` is the stdlib's
+    liveness pipe for exactly this, under every start method.
+    """
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 def _terminate_pool(pool: ProcessPoolExecutor, *, grace_s: float = 2.0) -> None:
     """Teardown of a pool holding hung or killed workers — and *reap* them.
 
@@ -200,13 +239,9 @@ def _terminate_pool(pool: ProcessPoolExecutor, *, grace_s: float = 2.0) -> None:
     access is guarded because the interpreter may rearrange internals
     across versions.
     """
-    from repro.obs.profiler import clock_ns
-
+    # Snapshot first: shutdown() drops the executor's process table.
+    procs = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None)
-    if not processes:
-        return
-    procs = list(processes.values())
     for proc in procs:
         try:
             proc.terminate()
@@ -239,77 +274,119 @@ def _proc_is_alive(proc: object) -> bool:
         return False
 
 
-def _run_round(
-    jobs: list[tuple[tuple[str, float], SweepPoint]],
-    *,
-    workers: int,
-    point_timeout: float | None,
-) -> tuple[
-    dict[tuple[str, float], SimulationSummary],
-    dict[tuple[str, float], tuple[str, str, float]],
-]:
-    """Run one retry round; return (completed, failed) keyed by grid cell.
+def _succeeded(future: Future[SimulationSummary]) -> bool:
+    return (
+        future.done() and not future.cancelled() and future.exception() is None
+    )
 
-    Failures are ``(error_type_name, message, elapsed_s)`` triples; the
-    elapsed seconds feed :class:`FailedPoint` provenance. With
-    ``workers > 1`` each point's result is awaited for at most
-    ``point_timeout`` seconds; a timeout marks the point failed and tears
-    the pool down (the hung worker cannot be cancelled cooperatively).
-    The serial path cannot preempt a hung simulation, so
-    ``point_timeout`` is a pool-only guard.
+
+class PointPool:
+    """The one executor grids of sweep points run on.
+
+    :func:`run_figure` and the durable campaign supervisor are retry
+    policies over :meth:`run`; serial or pooled execution, the
+    ``point_timeout`` watchdog, worker death, collateral failures and
+    reaping live here (docs/robustness.md, "Self-healing sweeps").
+
+    ``workers=None`` is resolved once, from the size of the first batch.
+    Worker processes are spawned on the first pooled batch, kept across
+    batches, replaced after a timeout or a worker death (counted in
+    ``respawns``) and gone after :meth:`close`, which the caller owes the
+    pool in a ``finally``.
     """
-    from repro.obs.profiler import clock_ns
 
-    results: dict[tuple[str, float], SimulationSummary] = {}
-    failed: dict[tuple[str, float], tuple[str, str, float]] = {}
-    if workers > 1:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        hung = False
-        start = clock_ns()
-        try:
-            futures = [
-                (key, pool.submit(run_sweep_point, point)) for key, point in jobs
-            ]
-            for key, future in futures:
-                elapsed_s = (clock_ns() - start) / 1e9
-                if hung:
-                    # The pool is compromised; fail fast on the rest so
-                    # the retry round gets a fresh pool.
-                    if not future.done():
-                        failed[key] = (
-                            "SweepPointError",
-                            "pool torn down after a timeout",
-                            elapsed_s,
-                        )
-                        continue
+    def __init__(self, workers: int | None, point_timeout: float | None) -> None:
+        self.workers = workers
+        self.point_timeout = point_timeout
+        #: Times a compromised pool was torn down (a fresh one spawns lazily).
+        self.respawns = 0
+        self._pool: ProcessPoolExecutor | None = None
+
+    def run(
+        self,
+        jobs: Iterable[tuple[K, SweepPoint]],
+        stop: Callable[[], bool] = lambda: False,
+    ) -> Iterator[tuple[K, SimulationSummary | None, tuple[str, str], float]]:
+        """Execute one batch; yield ``(key, summary, error, elapsed_s)``
+        per job in submission order.
+
+        ``summary`` is ``None`` for a failed point and ``error`` its
+        ``(error_type_name, message)``. ``elapsed_s`` is the point's own
+        wall clock on the serial path; on a pool it runs from batch start
+        to the moment the outcome was seen, so it bounds rather than
+        isolates the point's cost. ``stop`` is polled after each outcome:
+        once true, points that already finished successfully are still
+        yielded (a durable caller journals them), the rest produce no
+        outcome, and the pool is closed.
+        """
+        jobs = list(jobs)
+        if not jobs:
+            return
+        if self.workers is None:
+            self.workers = (
+                min(os.cpu_count() or 1, len(jobs)) if len(jobs) > 4 else 1
+            )
+        if self.workers <= 1:
+            for key, point in jobs:
+                if stop():
+                    return
+                start = clock_ns()
                 try:
-                    results[key] = future.result(timeout=point_timeout)
-                except FutureTimeout:
-                    hung = True
-                    failed[key] = (
-                        "TimeoutError",
-                        f"no result within {point_timeout}s",
-                        (clock_ns() - start) / 1e9,
-                    )
+                    summary, error = run_sweep_point(point), _NO_ERROR
                 except Exception as exc:
-                    failed[key] = (
-                        type(exc).__name__, str(exc), (clock_ns() - start) / 1e9
-                    )
-        finally:
-            if hung:
-                _terminate_pool(pool)
-            else:
-                pool.shutdown(wait=True)
-    else:
-        for key, point in jobs:
-            start = clock_ns()
-            try:
-                results[key] = run_sweep_point(point)
-            except Exception as exc:
-                failed[key] = (
-                    type(exc).__name__, str(exc), (clock_ns() - start) / 1e9
-                )
-    return results, failed
+                    summary, error = None, (type(exc).__name__, str(exc))
+                yield key, summary, error, (clock_ns() - start) / 1e9
+            return
+
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_exit_with_parent
+            )
+        start = clock_ns()
+        futures = [
+            (key, self._pool.submit(run_sweep_point, point)) for key, point in jobs
+        ]
+        for idx, (key, future) in enumerate(futures):
+            summary, error = self._await(future)
+            yield key, summary, error, (clock_ns() - start) / 1e9
+            if stop():
+                for later_key, later in futures[idx + 1:]:
+                    if _succeeded(later):
+                        elapsed_s = (clock_ns() - start) / 1e9
+                        yield later_key, later.result(), _NO_ERROR, elapsed_s
+                self.close()
+                return
+
+    def _await(
+        self, future: Future[SimulationSummary]
+    ) -> tuple[SimulationSummary | None, tuple[str, str]]:
+        """One future's outcome; a timeout or a dead worker costs the pool."""
+        if self._pool is None:
+            # Compromised earlier in this batch: keep what finished, fail
+            # the rest fast so the retry gets a fresh pool.
+            if _succeeded(future):
+                return future.result(), _NO_ERROR
+            return None, _COLLATERAL
+        try:
+            return future.result(timeout=self.point_timeout), _NO_ERROR
+        except FutureTimeout:
+            error = ("TimeoutError", f"no result within {self.point_timeout}s")
+        except BrokenProcessPool:
+            error = ("BrokenProcessPool", "a worker process died before returning")
+        except Exception as exc:
+            return None, (type(exc).__name__, str(exc))
+        # A wedged worker cannot be cancelled cooperatively, and one that
+        # died hard (SIGKILL, OOM) took its in-flight work along: either
+        # way everything still on this pool goes with it.
+        self.close()
+        self.respawns += 1
+        return None, error
+
+    def close(self) -> None:
+        """Terminate and reap the workers; a later batch spawns new ones."""
+        if self._pool is not None:
+            _terminate_pool(self._pool)
+            self._pool = None
 
 
 def run_figure(
@@ -375,8 +452,6 @@ def run_figure(
         raise ConfigurationError("empty sweep grid")
     if collect_telemetry or metric_sink is not None:
         points = [replace(p, collect_telemetry=True) for p in points]
-    if workers is None:
-        workers = min(os.cpu_count() or 1, len(points)) if len(points) > 4 else 1
 
     by_key = {(p.algorithm, p.load): p for p in points}
     pending = [((p.algorithm, p.load), p) for p in points]
@@ -384,29 +459,34 @@ def run_figure(
     last_error: dict[tuple[str, float], tuple[str, str]] = {}
     elapsed_by_key: dict[tuple[str, float], float] = {}
     attempts = 0
-    for _round in range(point_retries + 1):
-        if not pending:
-            break
-        attempts = _round + 1
-        results, failed = _run_round(
-            pending, workers=workers, point_timeout=point_timeout
-        )
-        summaries.update(results)
-        for key, (error_type, message, elapsed_s) in failed.items():
-            last_error[key] = (error_type, message)
-            elapsed_by_key[key] = elapsed_by_key.get(key, 0.0) + elapsed_s
-        pending = [(key, by_key[key]) for key in sorted(failed)]
-        if metric_sink is not None:
-            from repro.obs.telemetry import aggregate_telemetry
+    pool = PointPool(workers, point_timeout)
+    try:
+        for _round in range(point_retries + 1):
+            if not pending:
+                break
+            attempts = _round + 1
+            failed = []
+            for key, summary, error, elapsed_s in pool.run(pending):
+                if summary is not None:
+                    summaries[key] = summary
+                    continue
+                failed.append(key)
+                last_error[key] = error
+                elapsed_by_key[key] = elapsed_by_key.get(key, 0.0) + elapsed_s
+            pending = [(key, by_key[key]) for key in sorted(failed)]
+            if metric_sink is not None:
+                from repro.obs.telemetry import aggregate_telemetry
 
-            metric_sink.emit({
-                "kind": "round",
-                "round": _round + 1,
-                "points_done": len(summaries),
-                "points_total": len(points),
-                "points_pending": len(pending),
-                "metrics": aggregate_telemetry(summaries.values()).to_dict(),
-            })
+                metric_sink.emit({
+                    "kind": "round",
+                    "round": _round + 1,
+                    "points_done": len(summaries),
+                    "points_total": len(points),
+                    "points_pending": len(pending),
+                    "metrics": aggregate_telemetry(summaries.values()).to_dict(),
+                })
+    finally:
+        pool.close()
 
     failures: dict[tuple[str, float], FailedPoint] = {}
     for key, _point in pending:

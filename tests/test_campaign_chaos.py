@@ -93,6 +93,22 @@ def _child_pids(pid: int) -> list[int]:
     return children
 
 
+def _pids_naming(path: Path) -> list[int]:
+    """Live processes whose command line carries ``path`` (forked pool
+    workers share their supervisor's)."""
+    needle = str(path).encode()
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            if needle in (entry / "cmdline").read_bytes():
+                pids.append(int(entry.name))
+        except OSError:
+            continue  # exited mid-scan
+    return pids
+
+
 @pytest.fixture(scope="module")
 def clean_reference(tmp_path_factory):
     """Uninterrupted run of the same campaign: the byte-identity oracle."""
@@ -126,6 +142,13 @@ class TestSupervisorSigkill:
         manifest = json.loads((store_dir / "manifest.json").read_text())
         assert manifest["state"] == "running"  # died without a transition
 
+        # The pool's workers watch for their supervisor's death rather
+        # than idling (or simulating on) under PID 1 forever.
+        deadline = time.monotonic() + 10
+        while _pids_naming(store_dir) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _pids_naming(store_dir) == []
+
         _, stats = resume_campaign(
             store_dir, workers=2, install_signal_handlers=False
         )
@@ -148,6 +171,11 @@ class TestSupervisorSigkill:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="needs /proc and SIGKILL")
 class TestWorkerSigkill:
+    """The pool under test is ``repro.experiments.sweep.PointPool``, the
+    one ``run_figure`` drives too, so this is also the worker-death test
+    of a plain figure sweep (its hang test: ``tests/test_point_pool.py``).
+    """
+
     def test_pool_respawns_after_worker_kill_and_completes(
         self, tmp_path, clean_reference
     ):
