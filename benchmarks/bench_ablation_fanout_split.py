@@ -12,8 +12,8 @@ from __future__ import annotations
 from conftest import sweep_and_report
 
 
-def test_ablation_fanout_splitting(benchmark, capsys):
-    result = sweep_and_report("abl-split", benchmark, capsys)
+def test_ablation_fanout_splitting(capsys):
+    result = sweep_and_report("abl-split", capsys)
     split_sat = result.saturation_load("fifoms")
     nosplit_sat = result.saturation_load("fifoms-nosplit")
     # Splitting FIFOMS survives the whole grid; all-or-nothing dies early.

@@ -20,8 +20,8 @@ def _finite(values):
     return [v for v in values if math.isfinite(v)]
 
 
-def test_ablation_iteration_caps(benchmark, capsys):
-    result = sweep_and_report("abl-iterations", benchmark, capsys)
+def test_ablation_iteration_caps(capsys):
+    result = sweep_and_report("abl-iterations", capsys)
     rounds = result.series("rounds")
     # The capped variants must never exceed one productive round (values
     # at destabilized points are censored to inf and excluded).

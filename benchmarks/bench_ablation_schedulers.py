@@ -15,8 +15,8 @@ from __future__ import annotations
 from conftest import sweep_and_report
 
 
-def test_ablation_scheduler_shootout(benchmark, capsys):
-    result = sweep_and_report("abl-schedulers", benchmark, capsys)
+def test_ablation_scheduler_shootout(capsys):
+    result = sweep_and_report("abl-schedulers", capsys)
     # Structure ablation: at the highest load both survive, the VOQ
     # version (fifoms) must not be worse than its single-queue twin.
     f_sat = result.saturation_load("fifoms")

@@ -12,8 +12,8 @@ from __future__ import annotations
 from conftest import sweep_and_report
 
 
-def test_ablation_tiebreak_policies(benchmark, capsys):
-    result = sweep_and_report("abl-tiebreak", benchmark, capsys)
+def test_ablation_tiebreak_policies(capsys):
+    result = sweep_and_report("abl-tiebreak", capsys)
     series = result.series("output_delay")
     for load_idx in range(len(result.loads)):
         vals = [series[a][load_idx] for a in result.algorithms]

@@ -18,34 +18,27 @@ SPEC = {"model": "uniform", "p": 0.85, "max_fanout": 1}
 N = 16
 
 
-def test_cioq_speedup_closes_oq_gap(benchmark, report):
-    rows_box = []
-
-    def run_all():
-        rows = []
-        for label, alg, kw in (
-            ("islip (S=1)", "islip", {}),
-            ("cioq S=1", "cioq-islip", {"speedup": 1}),
-            ("cioq S=2", "cioq-islip", {"speedup": 2}),
-            ("cioq S=3", "cioq-islip", {"speedup": 3}),
-            ("oqfifo (S=N)", "oqfifo", {}),
-        ):
-            s = run_simulation(
-                alg, N, SPEC, num_slots=BENCH_SLOTS, seed=BENCH_SEED, **kw
-            )
-            rows.append(
-                [
-                    label,
-                    round(s.average_output_delay, 3),
-                    round(s.average_queue_size, 3),
-                    s.max_queue_size,
-                    "SAT" if s.unstable else "ok",
-                ]
-            )
-        rows_box.append(rows)
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows = rows_box[-1]
+def test_cioq_speedup_closes_oq_gap(report):
+    rows = []
+    for label, alg, kw in (
+        ("islip (S=1)", "islip", {}),
+        ("cioq S=1", "cioq-islip", {"speedup": 1}),
+        ("cioq S=2", "cioq-islip", {"speedup": 2}),
+        ("cioq S=3", "cioq-islip", {"speedup": 3}),
+        ("oqfifo (S=N)", "oqfifo", {}),
+    ):
+        s = run_simulation(
+            alg, N, SPEC, num_slots=BENCH_SLOTS, seed=BENCH_SEED, **kw
+        )
+        rows.append(
+            [
+                label,
+                round(s.average_output_delay, 3),
+                round(s.average_queue_size, 3),
+                s.max_queue_size,
+                "SAT" if s.unstable else "ok",
+            ]
+        )
     report(
         "\n"
         + format_table(

@@ -16,8 +16,8 @@ from __future__ import annotations
 from conftest import sweep_and_report
 
 
-def test_ext_mixed_traffic(benchmark, capsys):
-    result = sweep_and_report("ext-mixed", benchmark, capsys)
+def test_ext_mixed_traffic(capsys):
+    result = sweep_and_report("ext-mixed", capsys)
     loads = [l for l in result.loads if l <= 0.85]
     f = result.series("output_delay")["fifoms"]
     t = result.series("output_delay")["tatra"]
@@ -36,8 +36,8 @@ def test_ext_mixed_traffic(benchmark, capsys):
             assert fv <= iv * 1.1 + 1e-9
 
 
-def test_ext_buffered_crossbar(benchmark, capsys):
-    result = sweep_and_report("ext-cicq", benchmark, capsys)
+def test_ext_buffered_crossbar(capsys):
+    result = sweep_and_report("ext-cicq", capsys)
     # CICQ is a copy-splitting architecture: under this multicast load it
     # must sit between FIFOMS (native multicast) and worse-or-equal to
     # OQFIFO, and FIFOMS must keep the smallest buffers.

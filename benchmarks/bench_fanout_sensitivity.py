@@ -19,21 +19,13 @@ FANOUTS = (1.5, 2.0, 4.0, 8.0)
 LOADS = (0.4, 0.7)
 
 
-def test_fanout_sensitivity(benchmark, report):
-    box = []
-
-    def run():
-        box.append(
-            run_fanout_sweep(
-                fanouts=FANOUTS,
-                loads=LOADS,
-                num_slots=min(BENCH_SLOTS, 6000),
-                seed=BENCH_SEED,
-            )
-        )
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    result = box[-1]
+def test_fanout_sensitivity(report):
+    result = run_fanout_sweep(
+        fanouts=FANOUTS,
+        loads=LOADS,
+        num_slots=min(BENCH_SLOTS, 6000),
+        seed=BENCH_SEED,
+    )
     ratio = result.advantage_grid("output_delay")
     report(
         "\n"

@@ -16,8 +16,8 @@ from conftest import sweep_and_report
 LOADS = (0.3, 0.5, 0.7, 0.85, 0.95)
 
 
-def test_fig4_bernoulli_b02(benchmark, capsys):
-    result = sweep_and_report("fig4", benchmark, capsys, loads=LOADS)
+def test_fig4_bernoulli_b02(capsys):
+    result = sweep_and_report("fig4", capsys, loads=LOADS)
     # Hard floor under the soft claim check: FIFOMS must survive every
     # swept load and deliver everything it accepted.
     assert result.saturation_load("fifoms") is None

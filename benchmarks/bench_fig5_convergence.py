@@ -11,8 +11,8 @@ from conftest import sweep_and_report
 LOADS = (0.3, 0.5, 0.7, 0.85)
 
 
-def test_fig5_convergence_rounds(benchmark, capsys):
-    result = sweep_and_report("fig5", benchmark, capsys, loads=LOADS)
+def test_fig5_convergence_rounds(capsys):
+    result = sweep_and_report("fig5", capsys, loads=LOADS)
     rounds = result.series("rounds")
     # The §IV.C bound, measured: nobody ever needs more than N rounds.
     for series in rounds.values():

@@ -11,8 +11,8 @@ from conftest import sweep_and_report
 LOADS = (0.3, 0.5, 0.58, 0.7, 0.85, 0.95)
 
 
-def test_fig6_pure_unicast(benchmark, capsys):
-    result = sweep_and_report("fig6", benchmark, capsys, loads=LOADS)
+def test_fig6_pure_unicast(capsys):
+    result = sweep_and_report("fig6", capsys, loads=LOADS)
     sat = result.saturation_load("tatra")
     assert sat is not None and sat <= 0.85, (
         f"TATRA should hit the HOL-blocking wall near 0.586, got {sat}"

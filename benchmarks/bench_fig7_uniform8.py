@@ -12,6 +12,6 @@ from conftest import sweep_and_report
 LOADS = (0.3, 0.5, 0.7, 0.85, 0.95)
 
 
-def test_fig7_uniform_maxfanout8(benchmark, capsys):
-    result = sweep_and_report("fig7", benchmark, capsys, loads=LOADS)
+def test_fig7_uniform_maxfanout8(capsys):
+    result = sweep_and_report("fig7", capsys, loads=LOADS)
     assert result.saturation_load("fifoms") is None

@@ -12,8 +12,8 @@ from conftest import sweep_and_report
 LOADS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 
-def test_fig8_bursty_multicast(benchmark, capsys):
-    result = sweep_and_report("fig8", benchmark, capsys, loads=LOADS)
+def test_fig8_bursty_multicast(capsys):
+    result = sweep_and_report("fig8", capsys, loads=LOADS)
     # Bursts of mean fanout 8 multiply iSLIP's input work by 8: it must
     # fare far worse than FIFOMS everywhere (claim checked in detail by
     # the expectation lines).

@@ -45,33 +45,26 @@ def _per_class_delays(load: float, slots: int):
     )
 
 
-def test_qos_strict_priority_isolation(benchmark, report):
-    rows_box = []
-
-    def run_all():
-        rows = []
-        for load in LOADS:
-            hi, lo = _per_class_delays(load, BENCH_SLOTS)
-            classless = run_simulation(
-                "fifoms",
-                N,
-                {"model": "bernoulli",
-                 "p": bernoulli_arrival_probability(N, load, B), "b": B},
-                num_slots=BENCH_SLOTS,
-                seed=BENCH_SEED,
-            )
-            rows.append(
-                [
-                    round(load, 2),
-                    round(hi, 2),
-                    round(lo, 2),
-                    round(classless.average_output_delay, 2),
-                ]
-            )
-        rows_box.append(rows)
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows = rows_box[-1]
+def test_qos_strict_priority_isolation(report):
+    rows = []
+    for load in LOADS:
+        hi, lo = _per_class_delays(load, BENCH_SLOTS)
+        classless = run_simulation(
+            "fifoms",
+            N,
+            {"model": "bernoulli",
+             "p": bernoulli_arrival_probability(N, load, B), "b": B},
+            num_slots=BENCH_SLOTS,
+            seed=BENCH_SEED,
+        )
+        rows.append(
+            [
+                round(load, 2),
+                round(hi, 2),
+                round(lo, 2),
+                round(classless.average_output_delay, 2),
+            ]
+        )
     report(
         "\n"
         + format_table(

@@ -36,29 +36,22 @@ def _mcast(load: float) -> dict:
     }
 
 
-def test_saturation_points(benchmark, report):
-    box = []
-
-    def run():
-        rows = []
-        for alg, traffic, label in (
-            ("siq-fifo", _unicast, "unicast"),
-            ("tatra", _unicast, "unicast"),
-            ("fifoms", _unicast, "unicast"),
-            ("tatra", _mcast, "multicast b=0.2"),
-            ("fifoms", _mcast, "multicast b=0.2"),
-        ):
-            r = find_saturation(
-                alg, traffic, lo=0.2, hi=0.97, tol=TOL,
-                num_slots=SLOTS, seed=BENCH_SEED,
-            )
-            rows.append(
-                [alg, label, round(r.estimate, 3), round(r.uncertainty, 3), r.probes]
-            )
-        box.append(rows)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = box[-1]
+def test_saturation_points(report):
+    rows = []
+    for alg, traffic, label in (
+        ("siq-fifo", _unicast, "unicast"),
+        ("tatra", _unicast, "unicast"),
+        ("fifoms", _unicast, "unicast"),
+        ("tatra", _mcast, "multicast b=0.2"),
+        ("fifoms", _mcast, "multicast b=0.2"),
+    ):
+        r = find_saturation(
+            alg, traffic, lo=0.2, hi=0.97, tol=TOL,
+            num_slots=SLOTS, seed=BENCH_SEED,
+        )
+        rows.append(
+            [alg, label, round(r.estimate, 3), round(r.uncertainty, 3), r.probes]
+        )
     report(
         "\n"
         + format_table(

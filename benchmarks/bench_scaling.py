@@ -23,19 +23,11 @@ SIZES = (8, 16, 32, 48)
 ALGOS = ("fifoms", "islip", "oqfifo")
 
 
-def test_scaling_in_port_count(benchmark, report):
-    box = []
-
-    def run():
-        box.append(
-            run_scaling(
-                ALGOS, SIZES, load=0.7, mean_fanout=4.0,
-                num_slots=4_000, seed=BENCH_SEED,
-            )
-        )
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    points = box[-1]
+def test_scaling_in_port_count(report):
+    points = run_scaling(
+        ALGOS, SIZES, load=0.7, mean_fanout=4.0,
+        num_slots=4_000, seed=BENCH_SEED,
+    )
     by = {(p.algorithm, p.num_ports): p for p in points}
     rows = []
     for n in SIZES:

@@ -1,9 +1,9 @@
 """Shared infrastructure for the figure-regeneration benchmarks.
 
-Every paper figure has one benchmark that *is* the experiment: the timed
-callable runs the full (reduced-length) sweep, and the bench then prints
-the same series the paper plots plus PASS/FAIL lines for the paper's
-qualitative claims (see EXPERIMENTS.md).
+Every paper figure has one benchmark that *is* the experiment: it runs
+the full (reduced-length) sweep and prints the same series the paper
+plots plus PASS/FAIL lines for the paper's qualitative claims (see
+EXPERIMENTS.md). No result here is a timing; speed is ``bench/``'s job.
 
 All narration goes through one :class:`repro.obs.ProgressReporter` per
 print site instead of ad-hoc ``print`` calls, so two command-line flags
@@ -63,13 +63,6 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=False,
         help="narrate benchmark sweeps with heartbeat lines",
     )
-    group.addoption(
-        "--bench-json",
-        default=None,
-        metavar="PATH",
-        help="write machine-readable benchmark results (slots/sec per "
-        "kernel backend, per scheduler) to PATH as JSON",
-    )
 
 
 def pytest_configure(config: pytest.Config) -> None:
@@ -86,14 +79,13 @@ def _reporter(label: str = "") -> ProgressReporter:
 
 def sweep_and_report(
     figure_id: str,
-    benchmark,
     capsys,
     *,
     loads: Sequence[float] | None = None,
     min_pass_fraction: float = 0.7,
 ) -> FigureResult:
-    """Run one figure sweep under the benchmark timer, print the paper-
-    style series and claim checks, and assert most claims hold.
+    """Run one figure sweep, print the paper-style series and claim
+    checks, and assert most claims hold.
 
     ``min_pass_fraction`` is deliberately below 1.0: short benchmark runs
     are noisy and a single flaky borderline claim should not fail the
@@ -110,24 +102,18 @@ def sweep_and_report(
                 f"{BENCH_SLOTS} slots"
             )
 
-    result_box: list[FigureResult] = []
-
-    def _run() -> None:
-        t0 = clock_ns()
-        result_box.append(
-            run_figure(spec, num_slots=BENCH_SLOTS, seed=BENCH_SEED, loads=sweep_loads)
-        )
-        if PROGRESS:
-            elapsed = (clock_ns() - t0) / 1e9
-            rate = points * BENCH_SLOTS / elapsed if elapsed > 0 else 0.0
-            with capsys.disabled():
-                _reporter(figure_id).line(
-                    f"[progress] {figure_id}: swept in {elapsed:.1f}s "
-                    f"({rate:,.0f} slots/s aggregate)"
-                )
-
-    benchmark.pedantic(_run, rounds=1, iterations=1)
-    result = result_box[-1]
+    t0 = clock_ns()
+    result = run_figure(
+        spec, num_slots=BENCH_SLOTS, seed=BENCH_SEED, loads=sweep_loads
+    )
+    if PROGRESS:
+        elapsed = (clock_ns() - t0) / 1e9
+        rate = points * BENCH_SLOTS / elapsed if elapsed > 0 else 0.0
+        with capsys.disabled():
+            _reporter(figure_id).line(
+                f"[progress] {figure_id}: swept in {elapsed:.1f}s "
+                f"({rate:,.0f} slots/s aggregate)"
+            )
     expectations = check_expectations(result)
     with capsys.disabled():
         rep = _reporter()

@@ -6,7 +6,6 @@ Subcommands::
     repro-sim run --algorithm fifoms ...   # one simulation, print summary
     repro-sim profile --algorithm fifoms   # phase-level wall-clock profile
     repro-sim report RUNDIR [--html F]     # dashboard from a run directory
-    repro-sim bench-check [--history F]    # perf-trajectory regression gate
     repro-sim figure --id fig4 ...         # regenerate a paper figure
     repro-sim campaign run|resume|status DIR   # durable figure campaign
     repro-sim trace record|run ...         # persist / replay workloads
@@ -246,27 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a self-contained static HTML page",
     )
 
-    bench_p = sub.add_parser(
-        "bench-check",
-        help="compare the latest BENCH_history.jsonl record to the "
-        "rolling baseline and flag perf regressions",
-    )
-    bench_p.add_argument(
-        "--history", default="BENCH_history.jsonl", metavar="FILE",
-        help="perf-trajectory file appended by the kernel benchmark",
-    )
-    bench_p.add_argument(
-        "--tolerance", type=float, default=0.10, metavar="FRACTION",
-        help="allowed relative speedup drop vs baseline (default 0.10)",
-    )
-    bench_p.add_argument(
-        "--window", type=int, default=5, metavar="N",
-        help="baseline = median of up to N records before the latest",
-    )
-    bench_p.add_argument(
-        "--json", action="store_true", help="machine-readable JSON output"
-    )
-
     ver_p = sub.add_parser(
         "verify", help="exhaustively verify an algorithm on a tiny domain"
     )
@@ -490,25 +468,6 @@ def _report_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_check_command(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.obs.bench import check_history
-
-    try:
-        verdict = check_history(
-            args.history, tolerance=args.tolerance, window=args.window
-        )
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(_json.dumps(verdict.to_dict(), indent=2))
-    else:
-        print(verdict.describe())
-    return 1 if verdict.regressed else 0
-
-
 def _lint_command(args: argparse.Namespace) -> int:
     from repro.lint import (
         Baseline,
@@ -687,8 +646,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _profile_command(args)
         if args.command == "report":
             return _report_command(args)
-        if args.command == "bench-check":
-            return _bench_check_command(args)
         if args.command == "trace":
             return _trace_command(args)
         if args.command == "lint":

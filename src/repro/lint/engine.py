@@ -49,7 +49,6 @@ from repro.lint.rules_kernel import (
     RegistryBackendPairingRule,
     VectorizedEntryPointRule,
 )
-from repro.lint.rules_observability import KernelBenchClockRule
 from repro.lint.rules_rng import (
     NoGlobalNumpySeedRule,
     NoLegacyNumpyRandomRule,
@@ -95,7 +94,6 @@ def default_rules() -> tuple[Rule, ...]:
         GeneratorIntoWorkerRule(),
         NoWallClockRule(),
         NoUnsortedSetIterationRule(),
-        KernelBenchClockRule(),
         OrderFlowRule(),
         SwitchInvariantsRule(),
         SchedulerRegistryRule(),

@@ -11,8 +11,6 @@ Three independent concerns behind one :class:`Telemetry` bundle:
 * :mod:`repro.obs.sinks` — streaming :class:`MetricSink` receivers
   (in-memory, JSONL-with-rotation, callback) for observing runs
   mid-flight via periodic registry snapshots.
-* :mod:`repro.obs.bench` — the perf-trajectory recorder behind
-  ``BENCH_history.jsonl`` and ``repro-sim bench-check``.
 
 Plus :class:`ProgressReporter`, the heartbeat printer shared by the CLI's
 ``--progress`` flag and the benchmarks.

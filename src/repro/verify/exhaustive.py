@@ -83,10 +83,10 @@ def _check_one(
     offered = sum(p.fanout for p in packets)
     total_slots = horizon + offered + 1
     deliveries = []
-    check_fifo = True
+    # Built outside the try: an unknown algorithm or a bad switch option
+    # is the caller's ConfigurationError, not a violation of the algorithm.
+    switch = make_switch(algorithm, num_ports, rng=0, **switch_kwargs)
     try:
-        switch = make_switch(algorithm, num_ports, rng=0, **switch_kwargs)
-        check_fifo = switch.fifo_per_pair
         traffic = TraceTraffic(num_ports, packets)
         delivered = 0
         for slot in range(total_slots):
@@ -135,7 +135,7 @@ def _check_one(
         delay = d.service_slot - d.packet.arrival_slot + 1
         if delay > report.max_delay_seen:
             report.max_delay_seen = delay
-    if check_fifo:
+    if switch.fifo_per_pair:
         for services in per_pair.values():
             services.sort()
             arrivals_in_service_order = [a for _, a in services]

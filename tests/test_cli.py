@@ -122,6 +122,12 @@ class TestVerifyCommand:
         assert main(["verify", "-a", "fifoms", "-n", "4", "--horizon", "4"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_algorithm_is_a_usage_error(self, capsys):
+        assert main(["verify", "-a", "nope", "-n", "2", "--horizon", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: unknown scheduler 'nope'" in captured.err
+        assert "VIOLATIONS" not in captured.out + captured.err
+
 
 class TestCampaignCommand:
     def test_small_campaign(self, capsys, tmp_path):

@@ -6,6 +6,7 @@ bench files; these tests fail if the docs drift from the code.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -126,3 +127,66 @@ class TestApiDoc:
             resolved |= set(dir(importlib.import_module(mod)))
         missing = sorted(n for n in names if n not in resolved)
         assert not missing, f"documented but unresolvable: {missing}"
+
+
+#: Prose that describes the tree as it is (docs/perf_log.md is history).
+PROSE = [
+    REPO / name
+    for name in ("README.md", "CONTRIBUTING.md", "DESIGN.md", "EXPERIMENTS.md")
+] + sorted(p for p in (REPO / "docs").glob("*.md") if p.name != "perf_log.md")
+
+#: The legacy `step()`-only perf ledger, deleted in PR 23. Only the
+#: history files may still name it (and bench/README.md and ISSUE.md,
+#: which a non-benchmark PR cannot edit, and this file, to forbid it).
+RETIRED = (
+    "bench-check", "BENCH_kernel.json", "BENCH_history.jsonl",
+    "bench_kernel_backends", "bench_engine_speed", "repro.obs.bench",
+    "OBS001",
+)
+MAY_NAME_RETIRED = {
+    "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",
+    "docs/perf_log.md", "bench/README.md",
+    "tests/test_docs_consistency.py",
+}
+TEXT_SUFFIXES = {
+    ".py", ".md", ".toml", ".yml", ".yaml", ".json", ".jsonl", ".cfg", ".txt",
+}
+
+
+class TestOnePerfLedger:
+    def test_every_named_subcommand_is_registered(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (sub,) = (
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        named = re.compile(r"(?:repro-sim|python -m repro) ([a-z][a-z-]*)")
+        for doc in PROSE:
+            for cmd in named.findall(doc.read_text()):
+                assert cmd in sub.choices, f"{doc.name} names `{cmd}`"
+
+    def test_retired_ledger_is_named_nowhere(self):
+        hits = []
+        for root, dirs, files in os.walk(REPO):
+            dirs[:] = [
+                d for d in dirs
+                if d != "__pycache__"
+                and (not d.startswith(".") or d in (".github", ".claude"))
+            ]
+            for name in files:
+                path = Path(root, name)
+                rel = path.relative_to(REPO).as_posix()
+                if rel in MAY_NAME_RETIRED or path.suffix not in TEXT_SUFFIXES:
+                    continue
+                text = rel + "\n" + path.read_text(errors="replace")
+                hits += [f"{rel}: {r}" for r in RETIRED if r in text]
+        assert not hits, sorted(hits)
+
+    def test_design_does_not_restate_the_rule_count(self, design_text):
+        """The catalog's size has one home (`repro-sim lint --list-rules`,
+        docs/static_analysis.md); a digit here goes stale."""
+        (row,) = re.findall(r"^\| S39 \|.*$", design_text, flags=re.MULTILINE)
+        assert not re.search(r"\d+\s+rules", row), row

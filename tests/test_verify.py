@@ -17,6 +17,12 @@ class TestDomainControl:
         with pytest.raises(ConfigurationError):
             exhaustive_verify("fifoms", num_ports=0, horizon=1)
 
+    def test_unknown_algorithm_is_not_a_violation(self):
+        """A typo is the caller's error; only raises from inside a run
+        become ``exception`` violations."""
+        with pytest.raises(ConfigurationError, match="unknown scheduler 'nope'"):
+            exhaustive_verify("nope", num_ports=2, horizon=1)
+
     def test_trace_count(self):
         report = exhaustive_verify(
             "oqfifo", num_ports=2, horizon=1
