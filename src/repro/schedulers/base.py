@@ -3,9 +3,9 @@
 Unicast VOQ schedulers (iSLIP, PIM, MaxWeight) do not need to see queue
 contents — only occupancy counts and head-of-line ages, or just which
 VOQs are non-empty — so the switch hands them a :class:`UnicastVOQView`
-of NumPy arrays and per-output request bitmasks that it maintains
-incrementally. Single-input-queue schedulers (TATRA, WBA, SIQ-FIFO) see
-one :class:`SIQHolView` per slot: the non-empty inputs and, for the HOL
+of per-output request bitmasks and NumPy matrices that its VOQ bank
+maintains incrementally. Single-input-queue schedulers (TATRA, WBA,
+SIQ-FIFO) see one :class:`SIQHolView` per slot: the non-empty inputs and, for the HOL
 packet of each, its unserved-destination bitmask, arrival slot and id;
 :func:`grant_best_key` is the arbitration pass WBA and SIQ-FIFO share
 over it. ``backend`` (:func:`resolve_backend`) concerns neither view: it
@@ -15,6 +15,7 @@ names the multicast VOQ kernel a scheduler is handed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,9 +84,13 @@ def note_round(decision: ScheduleDecision, new_matches: int) -> None:
     decision.round_grants.append(new_matches)
 
 
-@dataclass(slots=True)
 class UnicastVOQView:
-    """Snapshot arrays describing a unicast VOQ switch's N² queues.
+    """What a unicast scheduler may read of a switch's N² VOQs in one slot.
+
+    Built by :meth:`repro.switch.voq_bank.UnicastVOQBank.view` (which
+    documents when the matrices exist), or by keyword from bare matrices
+    — ``UnicastVOQView(occupancy=..., hol_arrival=..., current_slot=...)``
+    — by tests and custom switches.
 
     Attributes
     ----------
@@ -101,19 +106,42 @@ class UnicastVOQView:
         ``cols[j]`` = bitmask of the inputs whose VOQ for output j is
         non-empty (bit i set <=> ``occupancy[i, j] > 0``) — the request
         bit-vector a mask-based arbiter (iSLIP) reads instead of the
-        count matrix. The switches keep it incrementally and pass their
-        own list, so schedulers must not write to it; a view built
-        without it derives it from ``occupancy`` on first use.
+        count matrix. A bank passes its own list, so schedulers must not
+        write to it; a view built without it derives it from
+        ``occupancy`` on first use.
     """
 
-    occupancy: np.ndarray
-    hol_arrival: np.ndarray
-    current_slot: int
-    cols: list[int] | None = None
+    __slots__ = ("current_slot", "cols", "num_ports", "_matrices")
+
+    def __init__(
+        self,
+        *,
+        current_slot: int,
+        occupancy: np.ndarray | None = None,
+        hol_arrival: np.ndarray | None = None,
+        cols: list[int] | None = None,
+        bank: object | None = None,
+    ) -> None:
+        self.current_slot = current_slot
+        self.cols = cols
+        if bank is None:
+            bank = SimpleNamespace(
+                num_ports=len(occupancy),
+                occupancy=occupancy,
+                hol_arrival=hol_arrival,
+            )
+        self.num_ports = bank.num_ports
+        # Read through on every access: a bank builds its matrices the
+        # first time one is asked for, so a view nobody asks costs none.
+        self._matrices = bank
 
     @property
-    def num_ports(self) -> int:
-        return self.occupancy.shape[0]
+    def occupancy(self) -> np.ndarray:
+        return self._matrices.occupancy
+
+    @property
+    def hol_arrival(self) -> np.ndarray:
+        return self._matrices.hol_arrival
 
     def request_columns(self) -> list[int]:
         """Per-output request bitmasks (:attr:`cols`), derived from
@@ -125,18 +153,6 @@ class UnicastVOQView:
                 cols[j] |= 1 << i
             self.cols = cols
         return self.cols
-
-    def request_matrix(self) -> np.ndarray:
-        """Boolean (N, N): input i has something for output j."""
-        return self.occupancy > 0
-
-    def hol_age(self) -> np.ndarray:
-        """(N, N) waiting time of HOL cells (+1 so a fresh cell has weight
-        1, not 0); 0 where the VOQ is empty."""
-        age = np.where(
-            self.hol_arrival >= 0, self.current_slot - self.hol_arrival + 1, 0
-        )
-        return age.astype(np.int64)
 
 
 @dataclass(slots=True)

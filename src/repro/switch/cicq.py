@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.errors import ConfigurationError, SchedulingError
 from repro.packet import Delivery, Packet
 from repro.switch.base import BaseSwitch, SlotResult
+from repro.switch.voq_bank import UnicastVOQBank
 
 __all__ = ["BufferedCrossbarSwitch"]
 
@@ -47,37 +46,28 @@ class BufferedCrossbarSwitch(BaseSwitch):
             )
         self.crosspoint_depth = crosspoint_depth
         n = num_ports
-        self.voqs: list[list[deque[Packet]]] = [
-            [deque() for _ in range(n)] for _ in range(n)
-        ]
-        self._occupancy = np.zeros((n, n), dtype=np.int64)
-        # Crosspoint FIFOs: xpoint[i][j] holds cells in flight; _xp_occ
-        # mirrors their lengths for the backlog sums.
+        self.bank = UnicastVOQBank(n)
+        # Crosspoint FIFOs: xpoint[i][j] holds cells in flight; _xp_cells
+        # counts them all for the backlog sums.
         self.xpoint: list[list[deque[Packet]]] = [
             [deque() for _ in range(n)] for _ in range(n)
         ]
-        self._xp_occ = np.zeros((n, n), dtype=np.int64)
+        self._xp_cells = 0
         self._in_ptr = [0] * n  # per-input RR over outputs
         self._out_ptr = [0] * n  # per-output RR over inputs
-        # Bit-parallel eligibility rows for the arbiters: one python int
-        # per port, bit j of _voq_bits[i] = VOQ (i, j) non-empty, bit j
-        # of _xp_full[i] = crosspoint (i, j) at depth, bit i of
-        # _xp_col[j] = crosspoint (i, j) non-empty. _accept maintains
-        # _voq_bits (one |= per copy); the arbiters maintain the rest.
+        # Bit-parallel eligibility rows for the arbiters, beside the
+        # bank's request rows: one python int per port, bit j of
+        # _xp_full[i] = crosspoint (i, j) at depth, bit i of _xp_col[j] =
+        # crosspoint (i, j) non-empty. The arbiters maintain both.
         self._full_mask = (1 << n) - 1
-        self._voq_bits = [0] * n
         self._xp_full = [0] * n
         self._xp_col = [0] * n
 
     # ------------------------------------------------------------------ #
     def _accept(self, packet: Packet, slot: int) -> None:
-        i = packet.input_port
-        bits = self._voq_bits[i]
+        push = self.bank.push
         for j in packet.destinations:
-            self.voqs[i][j].append(packet)
-            self._occupancy[i, j] += 1
-            bits |= 1 << j
-        self._voq_bits[i] = bits
+            push(packet, j)
 
     def _schedule_and_transmit(self, slot: int) -> SlotResult:
         """Run both round-robin arbiters for one slot, bit-parallel.
@@ -93,27 +83,23 @@ class BufferedCrossbarSwitch(BaseSwitch):
         n = self.num_ports
         result = SlotResult(slot=slot, rounds=1, requests_made=False)
         full_mask = self._full_mask
-        voq_bits = self._voq_bits
+        voq_rows = self.bank.rows
+        pop = self.bank.pop
         xp_full = self._xp_full
         xp_col = self._xp_col
         depth = self.crosspoint_depth
         # --- input arbitration: VOQ -> crosspoint ---
         for i in range(n):
-            mask = voq_bits[i] & ~xp_full[i]
+            mask = voq_rows[i] & ~xp_full[i]
             if not mask:
                 continue
             result.requests_made = True
             ptr = self._in_ptr[i]
             spun = ((mask >> ptr) | (mask << (n - ptr))) & full_mask
             j = (ptr + (spun & -spun).bit_length() - 1) % n
-            q = self.voqs[i][j]
-            pkt = q.popleft()
-            self._occupancy[i, j] -= 1
-            if not q:
-                voq_bits[i] &= ~(1 << j)
             xq = self.xpoint[i][j]
-            xq.append(pkt)
-            self._xp_occ[i, j] += 1
+            xq.append(pop(i, j))
+            self._xp_cells += 1
             if len(xq) >= depth:
                 xp_full[i] |= 1 << j
             xp_col[j] |= 1 << i
@@ -130,7 +116,7 @@ class BufferedCrossbarSwitch(BaseSwitch):
             i = (ptr + (spun & -spun).bit_length() - 1) % n
             xq = self.xpoint[i][j]
             pkt = xq.popleft()
-            self._xp_occ[i, j] -= 1
+            self._xp_cells -= 1
             if len(xq) < depth:
                 xp_full[i] &= ~(1 << j)
             if not xq:
@@ -144,36 +130,30 @@ class BufferedCrossbarSwitch(BaseSwitch):
     # ------------------------------------------------------------------ #
     def queue_sizes(self) -> list[int]:
         """Queued copies per input (VOQ side, comparable to iSLIP)."""
-        return [int(self._occupancy[i].sum()) for i in range(self.num_ports)]
+        return list(self.bank.input_backlog)
 
     def crosspoint_occupancy(self) -> int:
         """Cells currently held inside the fabric."""
-        return int(self._xp_occ.sum())
+        return self._xp_cells
 
     def total_backlog(self) -> int:
-        return int(self._occupancy.sum()) + self.crosspoint_occupancy()
+        return self.bank.backlog() + self._xp_cells
 
     def check_invariants(self) -> None:
+        self.bank.check()
+        if self._xp_cells != sum(len(xq) for row in self.xpoint for xq in row):
+            raise SchedulingError("crosspoint occupancy drift")
         for i in range(self.num_ports):
             for j in range(self.num_ports):
-                if len(self.voqs[i][j]) != self._occupancy[i, j]:
-                    raise SchedulingError(f"occupancy drift at VOQ ({i}, {j})")
-                if len(self.xpoint[i][j]) != self._xp_occ[i, j]:
-                    raise SchedulingError(
-                        f"crosspoint occupancy drift at ({i}, {j})"
-                    )
                 if len(self.xpoint[i][j]) > self.crosspoint_depth:
                     raise SchedulingError(
                         f"crosspoint ({i}, {j}) overflow: "
                         f"{len(self.xpoint[i][j])} > {self.crosspoint_depth}"
                     )
         # The bit-parallel rows the arbiters match on must mirror the
-        # deques exactly.
+        # crosspoint deques exactly.
         n = self.num_ports
         for i in range(n):
-            voq_bits = sum(1 << j for j in range(n) if self.voqs[i][j])
-            if voq_bits != self._voq_bits[i]:
-                raise SchedulingError(f"VOQ bit-row drift at input {i}")
             full = sum(
                 1 << j
                 for j in range(n)

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError, SchedulingError
 from repro.packet import Delivery, Packet
-from repro.schedulers.base import UnicastVOQView
 from repro.schedulers.islip import ISLIPScheduler
 from repro.switch.base import BaseSwitch, SlotResult
+from repro.switch.voq_bank import UnicastVOQBank
 
 __all__ = ["CIOQSwitch"]
 
@@ -51,41 +49,26 @@ class CIOQSwitch(BaseSwitch):
             raise ConfigurationError(f"speedup must be >= 1, got {speedup}")
         self.speedup = speedup
         self.scheduler = scheduler if scheduler is not None else ISLIPScheduler(num_ports)
-        n = num_ports
-        self.voqs: list[list[deque[Packet]]] = [
-            [deque() for _ in range(n)] for _ in range(n)
+        self.bank = UnicastVOQBank(num_ports)
+        self.output_queues: list[deque[Packet]] = [
+            deque() for _ in range(num_ports)
         ]
-        self._occupancy = np.zeros((n, n), dtype=np.int64)
-        self._hol_arrival = np.full((n, n), -1, dtype=np.int64)
-        # Request columns for mask-based arbiters: bit i of _cols[j] is
-        # set while VOQ (i, j) is non-empty.
-        self._cols = [0] * n
-        self.output_queues: list[deque[Packet]] = [deque() for _ in range(n)]
         self.phases_run = 0
 
     # ------------------------------------------------------------------ #
     def _accept(self, packet: Packet, slot: int) -> None:
-        i = packet.input_port
+        push = self.bank.push
         for j in packet.destinations:
-            q = self.voqs[i][j]
-            if not q:
-                self._hol_arrival[i, j] = packet.arrival_slot
-                self._cols[j] |= 1 << i
-            q.append(packet)
-            self._occupancy[i, j] += 1
+            push(packet, j)
 
     def _schedule_and_transmit(self, slot: int) -> SlotResult:
         n = self.num_ports
         result = SlotResult(slot=slot)
         # --- S internal phases: input side -> output queues ---
         for _phase in range(self.speedup):
-            view = UnicastVOQView(
-                occupancy=self._occupancy,
-                hol_arrival=self._hol_arrival,
-                current_slot=slot,
-                cols=self._cols,
+            decision: ScheduleDecision = self.scheduler.schedule(
+                self.bank.view(slot)
             )
-            decision: ScheduleDecision = self.scheduler.schedule(view)
             decision.validate(n, n)
             if decision.requests_made:
                 result.requests_made = True
@@ -97,17 +80,7 @@ class CIOQSwitch(BaseSwitch):
                 if grant.fanout != 1:
                     raise SchedulingError("CIOQ needs unicast grants")
                 j = grant.output_ports[0]
-                q = self.voqs[i][j]
-                if not q:
-                    raise SchedulingError(f"grant for empty VOQ ({i}, {j})")
-                pkt = q.popleft()
-                self._occupancy[i, j] -= 1
-                if q:
-                    self._hol_arrival[i, j] = q[0].arrival_slot
-                else:
-                    self._hol_arrival[i, j] = -1
-                    self._cols[j] &= ~(1 << i)
-                self.output_queues[j].append(pkt)
+                self.output_queues[j].append(self.bank.pop(i, j))
         # --- one external departure per output per slot ---
         for j, q in enumerate(self.output_queues):
             if q:
@@ -120,24 +93,14 @@ class CIOQSwitch(BaseSwitch):
     # ------------------------------------------------------------------ #
     def queue_sizes(self) -> list[int]:
         """Queued copies at the *input* side (comparable to iSLIP)."""
-        return [int(self._occupancy[i].sum()) for i in range(self.num_ports)]
+        return list(self.bank.input_backlog)
 
     def output_queue_sizes(self) -> list[int]:
         """Cells staged at each output queue (inside the switch)."""
         return [len(q) for q in self.output_queues]
 
     def total_backlog(self) -> int:
-        return int(self._occupancy.sum()) + sum(
-            len(q) for q in self.output_queues
-        )
+        return self.bank.backlog() + sum(len(q) for q in self.output_queues)
 
     def check_invariants(self) -> None:
-        for i in range(self.num_ports):
-            for j in range(self.num_ports):
-                q = self.voqs[i][j]
-                if len(q) != self._occupancy[i, j]:
-                    raise SchedulingError(f"occupancy drift at VOQ ({i}, {j})")
-                if bool(q) != bool((self._cols[j] >> i) & 1):
-                    raise SchedulingError(
-                        f"request-column drift at VOQ ({i}, {j})"
-                    )
+        self.bank.check()

@@ -47,6 +47,7 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.fabric.crossbar import MulticastCrossbar
 from repro.packet import Delivery, Packet
 from repro.switch.base import BaseSwitch, SlotResult
+from repro.switch.voq_bank import UnicastVOQBank
 
 __all__ = ["ESLIPSwitch"]
 
@@ -75,10 +76,7 @@ class ESLIPSwitch(BaseSwitch):
         n = num_ports
         self.crossbar = MulticastCrossbar(n)
         # Unicast side (iSLIP state).
-        self.uni_voqs: list[list[deque[Packet]]] = [
-            [deque() for _ in range(n)] for _ in range(n)
-        ]
-        self._uni_occ = np.zeros((n, n), dtype=np.int64)
+        self.bank = UnicastVOQBank(n)
         self.grant_ptr = [0] * n
         self.accept_ptr = [0] * n
         # Multicast side. _mc_mask mirrors _mc_residue as an (N, N) bool
@@ -101,9 +99,7 @@ class ESLIPSwitch(BaseSwitch):
     def _accept(self, packet: Packet, slot: int) -> None:
         i = packet.input_port
         if packet.fanout == 1:
-            j = packet.destinations[0]
-            self.uni_voqs[i][j].append(packet)
-            self._uni_occ[i, j] += 1
+            self.bank.push(packet, packet.destinations[0])
         else:
             q = self.mc_queues[i]
             q.append(packet)
@@ -131,7 +127,7 @@ class ESLIPSwitch(BaseSwitch):
         rounds = 0
         iteration = 0
         requests_made = False
-        uni = self._uni_occ > 0
+        uni = self.bank.occupancy > 0
         while self.max_iterations is None or iteration < self.max_iterations:
             iteration += 1
             # ---- grant ----
@@ -230,25 +226,20 @@ class ESLIPSwitch(BaseSwitch):
                     self.mcast_ptr = (i + 1) % n
         # Unicast transmissions.
         for i, j in uni_match.items():
-            q = self.uni_voqs[i][j]
-            if not q:
-                raise SchedulingError(f"unicast grant for empty VOQ ({i}, {j})")
-            pkt = q.popleft()
-            self._uni_occ[i, j] -= 1
             result.deliveries.append(
-                Delivery(packet=pkt, output_port=j, service_slot=slot)
+                Delivery(packet=self.bank.pop(i, j), output_port=j, service_slot=slot)
             )
 
     # ------------------------------------------------------------------ #
     def queue_sizes(self) -> list[int]:
         """Data cells per input: unicast cells + multicast packets."""
         return [
-            int(self._uni_occ[i].sum()) + len(self.mc_queues[i])
-            for i in range(self.num_ports)
+            cells + len(q)
+            for cells, q in zip(self.bank.input_backlog, self.mc_queues)
         ]
 
     def total_backlog(self) -> int:
-        total = int(self._uni_occ.sum())
+        total = self.bank.backlog()
         for i, q in enumerate(self.mc_queues):
             if q:
                 total += len(self._mc_residue[i])
@@ -256,11 +247,8 @@ class ESLIPSwitch(BaseSwitch):
         return total
 
     def check_invariants(self) -> None:
-        for i in range(self.num_ports):
-            for j in range(self.num_ports):
-                if len(self.uni_voqs[i][j]) != self._uni_occ[i, j]:
-                    raise SchedulingError(f"unicast occupancy drift ({i}, {j})")
-            q = self.mc_queues[i]
+        self.bank.check()
+        for i, q in enumerate(self.mc_queues):
             if q:
                 if not self._mc_residue[i]:
                     raise SchedulingError(f"empty residue with queued mcast at {i}")

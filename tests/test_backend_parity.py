@@ -3,8 +3,8 @@
 One trace-pinned :func:`repro.kernel.equivalence.run_pair` per pairing
 at a moderate and a heavy load: both kernel backends must produce
 identical summaries on the identical arrival sequence. (FIFOMS, iSLIP
-and TATRA have their own deeper cases in ``test_fast_engines.py`` /
-``test_fast_tatra.py``.)
+and TATRA have their own deeper cases in ``test_kernel_parity_traces.py`` /
+``test_tatra_traces.py``.)
 """
 
 from __future__ import annotations

@@ -135,13 +135,15 @@ PROSE = [
     for name in ("README.md", "CONTRIBUTING.md", "DESIGN.md", "EXPERIMENTS.md")
 ] + sorted(p for p in (REPO / "docs").glob("*.md") if p.name != "perf_log.md")
 
-#: The legacy `step()`-only perf ledger, deleted in PR 23. Only the
-#: history files may still name it (and bench/README.md and ISSUE.md,
+#: The legacy `step()`-only perf ledger, deleted in PR 23, and the
+#: per-switch VOQ upkeep the one bank replaced in PR 24. Only the
+#: history files may still name them (and bench/README.md and ISSUE.md,
 #: which a non-benchmark PR cannot edit, and this file, to forbid it).
 RETIRED = (
     "bench-check", "BENCH_kernel.json", "BENCH_history.jsonl",
     "bench_kernel_backends", "bench_engine_speed", "repro.obs.bench",
     "OBS001",
+    "_flush_pending", "_pend_flat", "_uni_occ", "_xp_occ",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",

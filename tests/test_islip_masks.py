@@ -1,5 +1,5 @@
 """iSLIP on request bitmasks: a scalar oracle, mask-less views, and the
-integrity checks on the column masks the unicast switches maintain."""
+integrity checks on the VOQ bank the four unicast-queued switches hold."""
 
 from __future__ import annotations
 
@@ -134,49 +134,98 @@ def _lane(n, *packets):
     return lane
 
 
-def _voqs(switch):
-    return switch.queues if hasattr(switch, "queues") else switch.voqs
+#: Bank corruptions and the drift ``check_invariants()`` must name for
+#: each; reading ``bank.occupancy`` brings the matrices into existence
+#: for the mask-only pairings, so the last two apply to all five.
+def _flip_column(bank):
+    bank.cols[1] ^= 1 << 3  # claims VOQ (3, 1) holds a cell
 
 
-@pytest.mark.parametrize("algorithm", ["islip", "cioq-islip"])
+def _flip_row(bank):
+    bank.rows[3] ^= 1 << 1
+
+
+def _reverse_deque(bank):
+    next(q for row in bank.queues for q in row if len(q) > 1).reverse()
+
+
+def _bump_count(bank):
+    bank.occupancy[3, 1] += 1
+
+
+def _age_hol(bank):
+    bank.hol_arrival[bank.occupancy > 0] -= 1
+
+
+DRIFTS = {
+    "column": (_flip_column, r"request-column drift at VOQ \(3, 1\)"),
+    "row": (_flip_row, r"request-row drift at VOQ \(3, 1\)"),
+    "reversed": (_reverse_deque, "not FIFO-ordered"),
+    "count": (_bump_count, r"occupancy drift at VOQ \(3, 1\)"),
+    "hol": (_age_hol, "HOL-arrival drift"),
+}
+
+
+@pytest.mark.parametrize("algorithm", ["islip", "cioq-islip", "cicq", "eslip", "pim"])
 class TestColumnMaskIntegrity:
     @staticmethod
     def _loaded(algorithm):
-        sw = make_switch(algorithm, 4)
-        # Three inputs fight for output 2: at least one copy stays queued
-        # at the input side (CIOQ's two phases move two of them).
-        sw.step(_lane(4, *(make_packet(i, (2,), 0) for i in range(3))), 0)
-        sw.check_invariants()
+        sw = make_switch(algorithm, 4, rng=5)
+        # Three inputs fight for output 2 for four slots: under every
+        # pairing at least four copies stay queued at the input side
+        # (CIOQ's two phases move two a slot, CICQ's crosspoints hold
+        # three), so some VOQ is two deep.
+        for slot in range(4):
+            sw.step(_lane(4, *(make_packet(i, (2,), slot) for i in range(3))), slot)
+            sw.check_invariants()
         return sw
 
     def test_masks_follow_the_queues(self, algorithm):
         sw = self._loaded(algorithm)
         n = sw.num_ports
-        queues = _voqs(sw)
-        assert any(sw._cols)
+        bank = sw.bank
+        assert any(bank.cols)
         for j in range(n):
-            assert sw._cols[j] == sum(
-                1 << i for i in range(n) if queues[i][j]
+            assert bank.cols[j] == sum(
+                1 << i for i in range(n) if bank.queues[i][j]
             )
-        for slot in range(1, 4):
+        for i in range(n):
+            assert bank.rows[i] == sum(
+                1 << j for j in range(n) if bank.queues[i][j]
+            )
+        for slot in range(4, 14):
             sw.step(_lane(4), slot)
             sw.check_invariants()
-        assert sw._cols == [0] * n
+        assert bank.cols == bank.rows == bank.input_backlog == [0] * n
+
+    def test_matrices_exist_once_read_and_then_keep_step(self, algorithm):
+        sw = self._loaded(algorithm)
+        bank = sw.bank
+        # Only a scheduler that reads a matrix brings it into existence.
+        assert (bank._occupancy is not None) == (algorithm in ("eslip", "pim"))
+        counts = [[len(q) for q in row] for row in bank.queues]
+        assert bank.occupancy.tolist() == counts
+        assert bank.view(4).occupancy is bank.occupancy
+        for slot in range(4, 10):
+            sw.step(_lane(4, make_packet(3, (1,), slot)), slot)
+            sw.check_invariants()
+        assert bank.occupancy.sum() == sum(bank.input_backlog) == bank.backlog()
 
     def test_flipped_bit_fails_check_invariants(self, algorithm):
         sw = self._loaded(algorithm)
-        sw._cols[1] ^= 1 << 3  # claims VOQ (3, 1) holds a cell
+        cols = sw.bank.cols
+        cols[1] ^= 1 << 3
         with pytest.raises(SchedulingError, match=r"request-column drift at VOQ \(3, 1\)"):
             sw.check_invariants()
-        sw._cols[1] ^= 1 << 3
-        (j,) = [j for j, col in enumerate(sw._cols) if col]
-        sw._cols[j] = 0  # hides the queued copy from the scheduler
+        cols[1] ^= 1 << 3
+        (j,) = [j for j, col in enumerate(cols) if col]
+        cols[j] = 0  # hides the queued copies from the scheduler
         with pytest.raises(SchedulingError, match="request-column drift"):
             sw.check_invariants()
 
     def test_record_mode_records_state_cross_violation(self, algorithm):
         sw = self._loaded(algorithm)
-        sw._cols[1] ^= 1 << 3
+        _flip_column(sw.bank)
         suite = SanitizerSuite()
         suite.attach(sw, algorithm=algorithm)
         with pytest.raises(SanitizerError, match="request-column drift"):
@@ -187,9 +236,29 @@ class TestColumnMaskIntegrity:
     def test_hard_mode_raises_sanitizer_error(self, algorithm, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "hard")
         sw = self._loaded(algorithm)
-        sw._cols[1] ^= 1 << 3
+        _flip_column(sw.bank)
         suite = suite_from_env()
         assert suite.hard_fail
         suite.attach(sw, algorithm=algorithm)
         with pytest.raises(SanitizerError, match="request-column drift"):
             suite.finish()
+
+    @pytest.mark.parametrize("drift", ["row", "reversed", "count", "hol"])
+    def test_every_other_drift_is_caught_in_every_mode(
+        self, algorithm, drift, monkeypatch
+    ):
+        corrupt, message = DRIFTS[drift]
+        sw = self._loaded(algorithm)
+        corrupt(sw.bank)
+        with pytest.raises(SchedulingError, match=message):
+            sw.check_invariants()
+        record = SanitizerSuite()
+        record.attach(sw, algorithm=algorithm)
+        with pytest.raises(SanitizerError, match=message):
+            record.finish()
+        assert [v.checker for v in record.violations] == ["state_cross"]
+        monkeypatch.setenv("REPRO_SANITIZE", "hard")
+        hard = suite_from_env()
+        hard.attach(sw, algorithm=algorithm)
+        with pytest.raises(SanitizerError, match=message):
+            hard.finish()

@@ -1,7 +1,6 @@
 """The vectorized kernel backend behind the reference FIFOMS / iSLIP
 switches: exact parity with the object backend on pinned traces, and the
-paper behaviours it must preserve. (The file name predates the fold of
-the bespoke fast engines into the kernel seam.)"""
+paper behaviours it must preserve."""
 
 from __future__ import annotations
 

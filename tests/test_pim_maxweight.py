@@ -102,18 +102,5 @@ class TestMaxWeightOCF:
 
 
 class TestUnicastVOQView:
-    def test_hol_age(self):
-        view = _view([[1, 0], [0, 2]], hol_arrival=[[3, -1], [-1, 8]], slot=10)
-        age = view.hol_age()
-        assert age[0, 0] == 8  # 10 - 3 + 1
-        assert age[1, 1] == 3
-        assert age[0, 1] == 0  # empty VOQ
-
-    def test_request_matrix(self):
-        view = _view([[1, 0], [0, 2]])
-        req = view.request_matrix()
-        assert req[0, 0] and req[1, 1]
-        assert not req[0, 1] and not req[1, 0]
-
     def test_num_ports(self):
         assert _view([[0, 0], [0, 0]]).num_ports == 2

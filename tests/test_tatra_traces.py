@@ -1,6 +1,5 @@
 """TATRA on pinned traces: the object-only pairing's determinism check
-through ``run_pair`` and the HOL-blocking behaviour it must show. (The
-file name predates the retirement of the flat-state TATRA engine.)"""
+through ``run_pair`` and the HOL-blocking behaviour it must show."""
 
 from __future__ import annotations
 
