@@ -32,10 +32,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.matching import GrantSet, ScheduleDecision
+from repro.core.matching import ScheduleDecision
 from repro.core.voq import MulticastVOQInputPort
 from repro.errors import ConfigurationError
-from repro.utils.bitsets import bitmask_from_iterable, bitmask_to_tuple
+from repro.utils.bitsets import bitmask_from_iterable, iter_bits
 from repro.utils.rng import make_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -155,8 +155,7 @@ class FIFOMSScheduler:
             output_free = [True] * n
         if len(input_free) != n or len(output_free) != n:
             raise ConfigurationError("port masks must have length N")
-        # granted_outputs[i] accumulates outputs granted to input i.
-        granted_outputs: list[list[int]] = [[] for _ in range(n)]
+        granted = [0] * n  # granted[i]: bitmask of the outputs input i won
         decision = ScheduleDecision()
         rounds = 0
 
@@ -197,7 +196,7 @@ class FIFOMSScheduler:
                 winner = self._pick(winners, j)
                 output_free[j] = False
                 input_free[winner] = False
-                granted_outputs[winner].append(j)
+                granted[winner] |= 1 << j
                 new_matches += 1
             if not new_matches:
                 break
@@ -207,9 +206,7 @@ class FIFOMSScheduler:
             # requests again this slot, so the outputs it did NOT win stay
             # pending in their VOQs and are served in later slots.
 
-        for i in range(n):
-            if granted_outputs[i]:
-                decision.add(i, tuple(granted_outputs[i]))
+        decision.masks = {i: mask for i, mask in enumerate(granted) if mask}
         decision.rounds = rounds
         return decision
 
@@ -266,6 +263,7 @@ class FIFOMSScheduler:
             free_out = bitmask_from_iterable(
                 j for j, free in enumerate(output_free) if free
             )
+        offered = free_out
         decision = ScheduleDecision()
         granted: dict[int, int] = {}  # input -> bitmask of outputs won
         hol_request = state.hol_request
@@ -329,20 +327,17 @@ class FIFOMSScheduler:
             decision.round_grants.append(taken.bit_count())
 
         decision.rounds = rounds
-        # Ascending input order, ascending outputs within a grant: the
-        # canonical order commit and the delivery stream depend on.
-        grants = decision.grants
-        for i in sorted(granted):
-            grants[i] = GrantSet(i, bitmask_to_tuple(granted[i]))
+        # Ascending input order: the canonical order commit and the
+        # delivery stream depend on.
+        decision.masks = dict(sorted(granted.items()))
         # The object path's mutate-in-place contract for the caller's
         # reservation lists (fifoms-prio chains classes through it).
         if input_free is not None:
-            for i in grants:
+            for i in granted:
                 input_free[i] = False
         if output_free is not None:
-            for grant in grants.values():
-                for j in grant.output_ports:
-                    output_free[j] = False
+            for j in iter_bits(offered & ~free_out):
+                output_free[j] = False
         return decision
 
     # ------------------------------------------------------------------ #

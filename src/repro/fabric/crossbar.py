@@ -12,36 +12,50 @@ crosspoints. Its physical constraints are:
 The model validates every configuration against these constraints and
 keeps per-slot and cumulative transfer accounting, so scheduler bugs that
 produce infeasible matchings are caught at the fabric boundary rather than
-silently corrupting statistics.
+silently corrupting statistics. It reads the decision's output bitmasks
+(docs/kernel.md, "The grant is a mask from round to commit").
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.core.matching import ScheduleDecision
 from repro.errors import FabricConflictError
+from repro.utils.bitsets import bitmask_to_tuple
 from repro.utils.validation import check_index, check_port_count
 
 __all__ = ["CrossbarConfig", "MulticastCrossbar"]
 
 
+def _driver_of(masks: Mapping[int, int], output_port: int) -> int:
+    for i, mask in masks.items():
+        if mask >> output_port & 1:
+            return i
+    return -1
+
+
 @dataclass(frozen=True, slots=True)
 class CrossbarConfig:
-    """One slot's crosspoint setting: ``driver[j]`` = input driving output
-    ``j``, or -1 when output ``j`` is idle."""
+    """One slot's crosspoint setting: the output bitmask each input
+    drives (the configured decision's ``masks``)."""
 
-    driver: tuple[int, ...]
+    masks: Mapping[int, int]
+    num_outputs: int
+
+    @property
+    def driver(self) -> tuple[int, ...]:
+        """``driver[j]`` = input driving output ``j``, or -1 when idle."""
+        return tuple(_driver_of(self.masks, j) for j in range(self.num_outputs))
 
     @property
     def busy_outputs(self) -> int:
-        return sum(1 for d in self.driver if d >= 0)
+        return sum(m.bit_count() for m in self.masks.values())
 
     def outputs_of(self, input_port: int) -> tuple[int, ...]:
         """Outputs driven by ``input_port`` under this configuration."""
-        return tuple(j for j, d in enumerate(self.driver) if d == input_port)
+        return bitmask_to_tuple(self.masks.get(input_port, 0))
 
 
 class MulticastCrossbar:
@@ -52,13 +66,15 @@ class MulticastCrossbar:
         self.num_outputs = check_port_count(
             num_inputs if num_outputs is None else num_outputs, "num_outputs"
         )
-        self._driver = np.full(self.num_outputs, -1, dtype=np.int64)
+        self._masks: Mapping[int, int] = {}
         self._configured = False
         self._failed_crosspoints: frozenset[tuple[int, int]] = frozenset()
+        #: Per input with a failed crosspoint: bitmask of those outputs.
+        self._failed_masks: dict[int, int] = {}
         # Cumulative accounting.
         self.slots_configured = 0
         self.cells_transferred = 0
-        self.multicast_transfers = 0  # grant sets with fanout > 1
+        self.multicast_transfers = 0  # grants with fanout > 1
 
     # ------------------------------------------------------------------ #
     def set_crosspoint_faults(self, pairs) -> None:
@@ -70,10 +86,13 @@ class MulticastCrossbar:
         sync with its per-slot state; pass an empty iterable to clear it.
         """
         failed = frozenset((int(i), int(j)) for i, j in pairs)
+        masks: dict[int, int] = {}
         for i, j in failed:
             check_index(i, self.num_inputs, "input_port")
             check_index(j, self.num_outputs, "output_port")
+            masks[i] = masks.get(i, 0) | 1 << j
         self._failed_crosspoints = failed
+        self._failed_masks = masks
 
     @property
     def failed_crosspoints(self) -> frozenset[tuple[int, int]]:
@@ -89,69 +108,48 @@ class MulticastCrossbar:
         :meth:`set_crosspoint_faults` (the fault-aware layers above must
         prune such branches before configuring).
         """
-        self._driver.fill(-1)
-        failed = self._failed_crosspoints
-        for input_port, grant in decision.grants.items():
-            check_index(input_port, self.num_inputs, "input_port")
-            for out in grant.output_ports:
-                check_index(out, self.num_outputs, "output_port")
-                if failed and (input_port, out) in failed:
+        masks = decision.masks
+        num_inputs, num_outputs = self.num_inputs, self.num_outputs
+        full = 1 << num_outputs
+        failed = self._failed_masks
+        seen = 0
+        multicast = 0
+        for i, mask in masks.items():
+            if (
+                not 0 <= i < num_inputs
+                or not 0 <= mask < full
+                or seen & mask
+                or (failed and failed.get(i, 0) & mask)
+            ):
+                # Refuse what a per-output walk meets first: a failed or
+                # driven crosspoint (in range) before an out-of-range output.
+                check_index(i, num_inputs, "input_port")
+                broken = failed.get(i, 0)
+                bad = (broken | seen) & mask or mask >> num_outputs << num_outputs
+                out = (bad & -bad).bit_length() - 1
+                check_index(out, num_outputs, "output_port")
+                if broken >> out & 1:
                     raise FabricConflictError(
-                        f"crosspoint ({input_port}, {out}) is failed; the "
+                        f"crosspoint ({i}, {out}) is failed; the "
                         "decision was not pruned for the current fault state"
                     )
-                if self._driver[out] != -1:
-                    raise FabricConflictError(
-                        f"output {out} claimed by inputs {self._driver[out]} "
-                        f"and {input_port}"
-                    )
-                self._driver[out] = input_port
-        self._configured = True
-        self.slots_configured += 1
-        for grant in decision.grants.values():
-            self.cells_transferred += grant.fanout
-            if grant.fanout > 1:
-                self.multicast_transfers += 1
-        return CrossbarConfig(driver=tuple(self._driver.tolist()))
-
-    def configure_drivers(self, driver: np.ndarray) -> CrossbarConfig:
-        """Array twin of :meth:`configure` for the vectorized kernel.
-
-        ``driver[j]`` is the input driving output ``j`` (-1 = idle), as
-        produced by a validated :class:`~repro.core.matching.\
-        ScheduleDecision` — one driver per output by construction, so only
-        the failed-crosspoint constraint needs checking. Accounting
-        matches :meth:`configure` exactly: cells = busy outputs, one
-        multicast transfer per input driving more than one output.
-        """
-        if driver.shape != (self.num_outputs,):
-            raise FabricConflictError(
-                f"driver vector of shape {driver.shape} for a "
-                f"{self.num_inputs}x{self.num_outputs} crossbar"
-            )
-        row = driver.tolist()
-        for input_port, out in sorted(self._failed_crosspoints):
-            if row[out] == input_port:
                 raise FabricConflictError(
-                    f"crosspoint ({input_port}, {out}) is failed; the "
-                    "decision was not pruned for the current fault state"
+                    f"output {out} claimed by inputs {_driver_of(masks, out)} "
+                    f"and {i}"
                 )
-        np.copyto(self._driver, driver)
+            seen |= mask
+            if mask & (mask - 1):
+                multicast += 1
+        self._masks = masks
         self._configured = True
         self.slots_configured += 1
-        drivers_seen: dict[int, int] = {}
-        for d in row:
-            if d >= 0:
-                self.cells_transferred += 1
-                drivers_seen[d] = drivers_seen.get(d, 0) + 1
-        for count in drivers_seen.values():
-            if count > 1:
-                self.multicast_transfers += 1
-        return CrossbarConfig(driver=tuple(row))
+        self.cells_transferred += seen.bit_count()
+        self.multicast_transfers += multicast
+        return CrossbarConfig(masks, num_outputs)
 
     def release(self) -> None:
         """Tear down the crosspoints at the end of the slot."""
-        self._driver.fill(-1)
+        self._masks = {}
         self._configured = False
 
     # ------------------------------------------------------------------ #
@@ -162,12 +160,12 @@ class MulticastCrossbar:
     def driver_of(self, output_port: int) -> int:
         """Input currently driving ``output_port`` (-1 if idle)."""
         check_index(output_port, self.num_outputs, "output_port")
-        return int(self._driver[output_port])
+        return _driver_of(self._masks, output_port)
 
     def fanout_of(self, input_port: int) -> int:
         """How many outputs ``input_port`` currently drives."""
         check_index(input_port, self.num_inputs, "input_port")
-        return int(np.count_nonzero(self._driver == input_port))
+        return self._masks.get(input_port, 0).bit_count()
 
     @property
     def utilization(self) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.matching import GrantSet, ScheduleDecision
+from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError
 from repro.faults.models import (
     CellDropModel,
@@ -26,6 +26,7 @@ from repro.faults.models import (
     LinkDownSchedule,
 )
 from repro.packet import Packet
+from repro.utils.bitsets import iter_bits
 from repro.utils.rng import RngStreams
 from repro.utils.validation import check_port_count
 
@@ -231,44 +232,38 @@ class FaultInjector:
         ascending). Returns ``(pruned_decision, grants_lost_this_slot)``;
         the same decision object comes back untouched when nothing prunes.
         """
-        if not decision.grants:
+        masks = decision.masks
+        if not masks:
             return decision, 0
         lost = blocked = 0
         glm = self.grant_loss
         draw = glm is not None and glm.active(state.slot)
         if not (state.degraded or draw):
             return decision, 0
-        new_grants: dict[int, GrantSet] = {}
-        changed = False
-        for i in sorted(decision.grants):
-            grant = decision.grants[i]
+        failed = state.failed_crosspoints
+        kept: dict[int, int] = {}
+        for i in sorted(masks):
+            mask = masks[i]
             if state.input_is_down(i):
-                blocked += grant.fanout
-                changed = True
+                blocked += mask.bit_count()
                 continue
-            keep: list[int] = []
-            for j in grant.output_ports:
-                if state.output_is_down(j) or (i, j) in state.failed_crosspoints:
+            keep = mask
+            for j in iter_bits(mask):
+                if state.output_is_down(j) or (i, j) in failed:
                     blocked += 1
-                    changed = True
-                    continue
-                if draw and glm.lose(state.slot, self._grant_rng):
+                elif draw and glm.lose(state.slot, self._grant_rng):
                     lost += 1
-                    changed = True
+                else:
                     continue
-                keep.append(j)
+                keep ^= 1 << j
             if keep:
-                new_grants[i] = (
-                    grant
-                    if len(keep) == grant.fanout
-                    else GrantSet(i, tuple(keep))
-                )
+                kept[i] = keep
         self.grants_lost += lost
         self.grants_blocked += blocked
-        if not changed:
+        if not (lost or blocked):
             return decision, 0
         pruned = ScheduleDecision(
-            grants=new_grants,
+            masks=kept,
             rounds=decision.rounds,
             requests_made=decision.requests_made,
             round_grants=list(decision.round_grants),

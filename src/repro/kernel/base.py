@@ -28,6 +28,7 @@ is the harness that proves it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import ItemsView
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.matching import ScheduleDecision
@@ -35,9 +36,6 @@ from repro.errors import ConfigurationError
 from repro.packet import Packet
 
 if TYPE_CHECKING:  # avoid a runtime repro.switch <-> repro.kernel cycle
-    import numpy as np
-    import numpy.typing as npt
-
     from repro.switch.base import SlotResult
 
 __all__ = [
@@ -87,13 +85,12 @@ class KernelBackend(ABC):
         slot's :class:`~repro.packet.Delivery` records plus the
         ``splits`` / ``reclaimed`` counts to ``result``."""
 
-    def driver_row(
-        self, decision: ScheduleDecision
-    ) -> npt.NDArray[np.int64] | None:
-        """Optional fast path for crossbar setup: a per-output driver
-        vector (int64, -1 = idle) equivalent to ``decision``, or None to
-        use :meth:`~repro.fabric.crossbar.MulticastCrossbar.configure`."""
-        return None
+    def driver_row(self, decision: ScheduleDecision) -> ItemsView[int, int]:
+        """The slot's crossbar rows, ``(driving input, output mask)`` in
+        decision order: what both kernels' :meth:`commit` walk, so they
+        serve grants and emit deliveries in one order (docs/kernel.md,
+        "The grant is a mask from round to commit")."""
+        return decision.masks.items()
 
     def harvest_slot_stats(self) -> dict[str, object]:
         """Cheap per-slot counters derived from the backend's own state.

@@ -24,6 +24,7 @@ from repro.errors import SchedulingError
 from repro.kernel.base import KernelBackend, register_backend
 from repro.kernel.state import soa_snapshot
 from repro.packet import Delivery, Packet
+from repro.utils.bitsets import iter_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.switch.base import SlotResult
@@ -84,11 +85,11 @@ class ObjectBackend(KernelBackend):
         """Paper step 4, post-transmission processing: pop every granted
         HOL address cell, decrement the shared fanout counter once per
         served destination, destroy the data cell when it is exhausted."""
-        for input_port, grant in decision.grants.items():
+        for input_port, mask in self.driver_row(decision):
             port = self.ports[input_port]
             # Pop every granted HOL address cell; they must all point to
             # one data cell (the paper's "no accept step needed" argument).
-            cells = [port.voqs[j].pop_head() for j in grant.output_ports]
+            cells = [port.voqs[j].pop_head() for j in iter_bits(mask)]
             data_cell = cells[0].data_cell
             for cell in cells[1:]:
                 if cell.data_cell is not data_cell:

@@ -235,11 +235,10 @@ class SwitchState:
             self.peak_live[i] = live[i]
         return True
 
-    def serve(
-        self, input_port: int, output_ports: tuple[int, ...]
-    ) -> tuple[Packet, bool]:
-        """Pop the HOL placeholder of each granted VOQ and decrement the
-        packet's fanout counter (post-transmission processing).
+    def serve(self, input_port: int, mask: int) -> tuple[Packet, bool]:
+        """Pop the HOL placeholder of each VOQ in the output bitmask
+        ``mask`` and decrement the packet's fanout counter
+        (post-transmission processing).
 
         All granted heads must carry one pid — the paper's "one data cell
         per input per slot" invariant — otherwise
@@ -253,8 +252,11 @@ class SwitchState:
         p_hol = self.p_hol
         heading = self.hol_pids[i]
         pid = -1
-        served_bits = 0
-        for j in output_ports:
+        bits = mask
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            j = bit.bit_length() - 1
             dq = row[j]
             if not dq:
                 raise SchedulingError(f"grant for empty VOQ ({i}, {j})")
@@ -267,8 +269,6 @@ class SwitchState:
                     f"(pids {pid} and {p})"
                 )
             occ[j] -= 1
-            bit = 1 << j
-            served_bits |= bit
             if dq:
                 head = dq[0]
                 if not p_hol[head]:
@@ -276,10 +276,10 @@ class SwitchState:
                     # place in arrival order.
                     insort(heading, head, key=self.p_ts.__getitem__)
                 p_hol[head] |= bit
-        p_hol[pid] &= ~served_bits
+        p_hol[pid] &= ~mask
         if not p_hol[pid]:
             heading.remove(pid)
-        served = len(output_ports)
+        served = mask.bit_count()
         before = self.p_fanout[pid]
         remaining = before - served
         if remaining < 0:

@@ -8,9 +8,9 @@ request/grant rounds over the state's HOL-packet index — one
 ``(timestamp, input, output bitmask)`` request per competing input,
 granted oldest first with int bit operations. Commit is one
 :meth:`SwitchState.serve` per grant (pop the heads, move the HOL bits,
-decrement the fanout counter), and :meth:`driver_row` emits the
-per-output driver vector consumed by
-:meth:`~repro.fabric.crossbar.MulticastCrossbar.configure_drivers`.
+decrement the fanout counter), reading the grant's output mask as the
+scheduler left it (docs/kernel.md, "The grant is a mask from round to
+commit").
 
 Bit-exactness contract: every RNG draw, tie-break, and emission order
 matches the ``object`` backend — ``repro.kernel.equivalence`` enforces
@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError
 from repro.kernel.base import KernelBackend, register_backend
@@ -30,8 +28,6 @@ from repro.kernel.state import SwitchState
 from repro.packet import Delivery, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy.typing as npt
-
     from repro.switch.base import SlotResult
 
 __all__ = ["VectorizedBackend"]
@@ -55,7 +51,6 @@ class VectorizedBackend(KernelBackend):
             buffer_capacity=buffer_capacity,
             buffer_overflow=buffer_overflow,
         )
-        self._driver = np.empty(num_ports, dtype=np.int64)
 
     def admit(self, packet: Packet, slot: int) -> bool:
         """Install the arrival into the SoA state (no cell objects)."""
@@ -87,29 +82,20 @@ class VectorizedBackend(KernelBackend):
         """Post-transmission processing over the SoA state: one
         :meth:`SwitchState.serve` per granted input pops the HOL
         placeholders, hands their HOL bits to the new heads and
-        decrements the fanout counter in one subtract."""
-        deliveries = result.deliveries
-        for input_port, grant in decision.grants.items():
-            packet, released = self.state.serve(input_port, grant.output_ports)
-            for j in grant.output_ports:
-                deliveries.append(
-                    Delivery(packet=packet, output_port=j, service_slot=slot)
-                )
-            if released:
-                result.reclaimed += 1
-            else:
-                result.splits += 1
-
-    def driver_row(self, decision: ScheduleDecision) -> npt.NDArray[np.int64]:
-        """Per-output driver vector (int64, -1 = idle) for the crossbar's
-        array configuration path."""
-        row = [-1] * self.num_ports
-        for input_port, grant in decision.grants.items():
-            for j in grant.output_ports:
-                row[j] = input_port
-        driver = self._driver
-        driver[:] = row
-        return driver
+        decrements the fanout counter in one subtract; one delivery per
+        mask bit, ascending."""
+        append = result.deliveries.append
+        serve = self.state.serve
+        reclaimed = 0
+        for input_port, mask in self.driver_row(decision):
+            packet, released = serve(input_port, mask)
+            reclaimed += released
+            while mask:
+                low = mask & -mask
+                append(Delivery(packet, low.bit_length() - 1, slot))
+                mask ^= low
+        result.reclaimed += reclaimed
+        result.splits += len(decision.masks) - reclaimed
 
     def harvest_slot_stats(self) -> dict[str, object]:
         """Kernel-seam counters off the SoA state (one N×N occupancy

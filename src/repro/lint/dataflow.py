@@ -7,7 +7,8 @@ including ``self.x``-style dotted attribute chains — to sets of string
 *tags*. Rules subclass it and define what creates a tag
 (:meth:`ForwardFlow.call_tags`, :meth:`ForwardFlow.expr_origin_tags`)
 and what to do at interesting program points
-(:meth:`ForwardFlow.on_call`, :meth:`ForwardFlow.on_return`).
+(:meth:`ForwardFlow.on_call`, :meth:`ForwardFlow.on_return`,
+:meth:`ForwardFlow.on_store`).
 
 The analysis is deliberately modest, matching what the RNG-provenance
 and order-flow rules need:
@@ -104,6 +105,10 @@ class ForwardFlow:
     def on_return(self, node: ast.Return, tags: Tags, env: Env) -> None:
         """Sink hook: inspect a return value's tags."""
 
+    def on_store(self, target: ast.Subscript, tags: Tags, env: Env) -> None:
+        """Sink hook: a value with ``tags`` is stored into ``target``
+        (``x[k] = v`` or ``x[k] op= v``)."""
+
     # ------------------------------------------------------------------ #
     # Driver
     # ------------------------------------------------------------------ #
@@ -142,6 +147,8 @@ class ForwardFlow:
                 self._bind(stmt.target, self._eval(stmt.value, env), env)
         elif isinstance(stmt, ast.AugAssign):
             tags = self._eval(stmt.value, env)
+            if isinstance(stmt.target, ast.Subscript):
+                self.on_store(stmt.target, tags, env)
             key = dotted_name(stmt.target)
             if key is not None:
                 env[key] = env.get(key, _EMPTY) | tags
@@ -199,6 +206,9 @@ class ForwardFlow:
             return
         if isinstance(target, ast.Starred):
             self._bind(target.value, tags, env)
+            return
+        if isinstance(target, ast.Subscript):
+            self.on_store(target, tags, env)
             return
         key = dotted_name(target)
         if key is not None:

@@ -19,7 +19,9 @@ through assignments, attributes and call arguments within each scope.
   iteration (sets; dict views) must not flow into grant/accept decisions
   or queue ordering. DET002 flags ``for x in {...}`` syntactically;
   DET003 follows the taint through ``order = list(pending)`` and loop
-  variables until it reaches a decision sink, and ``sorted()`` launders
+  variables until it reaches a decision sink — a ``grant``/``add``-style
+  call, or a key stored into a decision's ``masks`` (directly or through
+  a local bound from ``<decision>.masks``) — and ``sorted()`` launders
   it on the way.
 """
 
@@ -202,6 +204,9 @@ class _OrderFlow(ForwardFlow):
     U = "unordered"
     #: A sequence/element whose order came from unordered iteration.
     T = "order-tainted"
+    #: A decision's grant dict (``<decision>.masks``): the order its keys
+    #: are stored in is the order commit emits deliveries in.
+    M = "decision-masks"
 
     clearing_calls = ForwardFlow.clearing_calls | {"sum", "len"}
 
@@ -215,6 +220,8 @@ class _OrderFlow(ForwardFlow):
     def expr_origin_tags(self, expr: ast.expr, env: Env) -> Tags:
         if isinstance(expr, (ast.Set, ast.SetComp, ast.Dict, ast.DictComp)):
             return frozenset({self.U})
+        if isinstance(expr, ast.Attribute) and expr.attr == "masks":
+            return frozenset({self.M})
         return _EMPTY
 
     def call_tags(self, call: ast.Call, env: Env) -> Tags:
@@ -232,7 +239,7 @@ class _OrderFlow(ForwardFlow):
 
     # -- propagation: iterating U yields T ------------------------------ #
     def element_tags(self, container_tags: Tags) -> Tags:
-        out = set(container_tags - {self.U})
+        out = set(container_tags - {self.U, self.M})
         if self.U in container_tags:
             out.add(self.T)
         return frozenset(out)
@@ -273,6 +280,23 @@ class _OrderFlow(ForwardFlow):
                 )
                 return
 
+    def on_store(self, target: ast.Subscript, tags: Tags, env: Env) -> None:
+        # ``masks[i] = m``: the key's order is the grant order; the value
+        # is an int mask, which carries none.
+        if self.M not in self._eval(target.value, env):
+            return
+        if self.T in self._eval(target.slice, env):
+            self.findings.append(
+                self.rule.finding(
+                    self.module,
+                    target,
+                    f"key {ast.unparse(target.slice)!r} stored into a "
+                    "decision's masks carries an ordering derived from "
+                    "set/dict iteration; the grant order varies with "
+                    "hash/insertion order — sort the iterable at its source",
+                )
+            )
+
     def on_return(self, node: ast.Return, tags: Tags, env: Env) -> None:
         # Returning a set/dict object is fine (still unordered at the
         # caller); only a *materialized order* (T) commits the decision.
@@ -301,8 +325,9 @@ class OrderFlowRule(Rule):
         "DET002 catches `for x in {...}` at the loop header, but the "
         "taint survives `order = list(pending)` and loop variables: once "
         "a sequence whose order came from a set or dict reaches "
-        "grant/accept/enqueue calls or is returned from a schedule_* "
-        "function, the same seed no longer reproduces the same matching. "
+        "grant/accept/enqueue calls, keys a decision's masks or is "
+        "returned from a schedule_* function, the same seed no longer "
+        "reproduces the same matching. "
         "sorted() launders the taint at any point on the path."
     )
     severity = Severity.WARNING

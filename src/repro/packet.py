@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import lt
+from typing import NamedTuple
 
 from repro.errors import TrafficError
 from repro.utils.bitsets import bitmask_from_iterable
@@ -89,9 +90,9 @@ class Packet:
         return bitmask_from_iterable(self.destinations)
 
 
-@dataclass(frozen=True, slots=True)
-class Delivery:
-    """One (packet, output port) service event.
+class Delivery(NamedTuple):
+    """One (packet, output port) service event — a named tuple, which
+    builds faster than a frozen dataclass: a switch makes one per copy.
 
     ``delay`` follows the convention documented in DESIGN.md §5: a packet
     served in its arrival slot has delay 1.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.core.matching import ScheduleDecision
-from repro.errors import ConfigurationError, TrafficError
+from repro.errors import ConfigurationError, SchedulingError, TrafficError
 from repro.fabric.crossbar import MulticastCrossbar
 from repro.kernel.base import make_backend
 from repro.packet import Packet
@@ -104,6 +104,7 @@ class PriorityMulticastVOQSwitch(BaseSwitch):
         input_free = [True] * n
         output_free = [True] * n
         combined = ScheduleDecision()
+        masks = combined.masks
         per_class: list[ScheduleDecision] = []
         total_rounds = 0
         for cls in range(self.num_classes):
@@ -116,8 +117,9 @@ class PriorityMulticastVOQSwitch(BaseSwitch):
             total_rounds += decision.rounds
             if decision.requests_made:
                 combined.requests_made = True
-            for i, grant in decision.grants.items():
-                combined.add(i, grant.output_ports)
+            if masks.keys() & decision.masks.keys():
+                raise SchedulingError("an input granted by two classes in one slot")
+            masks.update(decision.masks)
         combined.rounds = total_rounds
         self._pending = per_class
         return combined, 0

@@ -19,9 +19,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.core.matching import GrantSet, ScheduleDecision
+from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError
-from repro.utils.bitsets import bitmask_to_tuple
 
 __all__ = [
     "UnicastVOQView",
@@ -230,9 +229,6 @@ def grant_best_key(
         for low in sorted(rivals):
             tied = rivals[low]
             granted[tied[int(rng.integers(len(tied)))]] |= low
-    grants = decision.grants
-    for i in sorted(granted):
-        if granted[i]:
-            grants[i] = GrantSet(i, bitmask_to_tuple(granted[i]))
-    decision.rounds = 1 if grants else 0
+    decision.masks = {i: granted[i] for i in sorted(granted) if granted[i]}
+    decision.rounds = 1 if decision.masks else 0
     return decision

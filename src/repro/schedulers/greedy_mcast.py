@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 from repro.core.matching import ScheduleDecision
 from repro.core.voq import MulticastVOQInputPort
 from repro.errors import ConfigurationError
-from repro.utils.bitsets import bitmask_from_iterable, bitmask_to_tuple
+from repro.utils.bitsets import bitmask_from_iterable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.state import SwitchState
@@ -115,7 +115,7 @@ class GreedyMcastScheduler:
             decision.requests_made = True
             mask = request[2]
             free &= ~mask
-            decision.add(i, bitmask_to_tuple(mask))
+            decision.masks[i] = mask
             matched += 1
         self._pointer = (self._pointer + 1) % n
         decision.rounds = 1 if matched else 0

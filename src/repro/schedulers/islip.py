@@ -122,8 +122,7 @@ class ISLIPScheduler:
             active = [j for j in requesting if not (matched_outputs >> j) & 1]
             note_round(decision, len(grants))
 
-        for i in sorted(match_of_input):
-            decision.add(i, (match_of_input[i],))
+        decision.masks = {i: 1 << match_of_input[i] for i in sorted(match_of_input)}
         decision.rounds = len(decision.round_grants)
         return decision
 

@@ -178,7 +178,7 @@ class SerenaScheduler:
         for i, j in enumerate(merged.tolist()):
             if j >= 0:
                 decision.add(i, (j,))
-        decision.rounds = 1 if decision.grants else 0
+        decision.rounds = 1 if decision.masks else 0
         self._prev = merged
         self._last_occupancy = occ.copy()
         return decision

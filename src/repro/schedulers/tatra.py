@@ -80,12 +80,12 @@ class TATRAScheduler:
 
         # 2. Serve the bottom row.
         residue_of = dict(zip(inputs, residue_bits))
-        grants: dict[int, list[int]] = {}
+        grants: dict[int, int] = {}  # input -> bitmask of departing squares
         for j, col in enumerate(columns):
             if not col:
                 continue
             i = col.pop(0)  # the bottom square departs; the column falls
-            grants.setdefault(i, []).append(j)
+            grants[i] = grants.get(i, 0) | 1 << j
             if not (residue_of.get(i, 0) >> j) & 1:
                 raise SchedulingError(
                     f"TATRA box out of sync: column {j} bottom square points "
@@ -94,8 +94,9 @@ class TATRAScheduler:
 
         if inputs:
             decision.requests_made = True
-        for i, outs in sorted(grants.items()):
-            decision.add(i, tuple(outs))
+        masks = decision.masks
+        for i in sorted(grants):
+            masks[i] = grants[i]
             # If this serves the piece's last squares, the input's box slot
             # frees up so the next HOL cell registers as fresh.
             if not any(i in col for col in columns):

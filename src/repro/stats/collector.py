@@ -36,7 +36,6 @@ class StatsCollector:
         self.extended = extended
         self.delay_histogram = DelayHistogram() if extended else None
         self.multicast = MulticastServiceTracker(warmup_slot) if extended else None
-        self._arrival_slots: dict[int, int] = {}
         # Whole-run loss/fault accounting (the throughput tracker keeps
         # the post-warmup view). Dropped packets are NEVER registered with
         # the delay tracker, so the engine's conservation audit — pending
@@ -54,7 +53,7 @@ class StatsCollector:
     ) -> None:
         """Process one completed slot (arrivals already include warmup)."""
         dropped = result.dropped_packets
-        dropped_ids = frozenset(p.packet_id for p in dropped)
+        dropped_ids = frozenset(p.packet_id for p in dropped) if dropped else None
         dropped_cells = 0
         dropped_packets = 0
         arrived_cells = 0
@@ -64,7 +63,7 @@ class StatsCollector:
                 continue
             arrived_packets += 1
             arrived_cells += pkt.fanout
-            if dropped_ids and pkt.packet_id in dropped_ids:
+            if dropped_ids is not None and pkt.packet_id in dropped_ids:
                 dropped_packets += 1
                 dropped_cells += pkt.fanout
                 continue
@@ -73,15 +72,13 @@ class StatsCollector:
                 self.multicast.on_arrival(
                     pkt.packet_id, pkt.arrival_slot, pkt.fanout
                 )
-        for delivery in result.deliveries:
-            self.delay.on_delivery(delivery)
-            if self.multicast is not None:
-                self.multicast.on_delivery(delivery)
-            if (
-                self.delay_histogram is not None
-                and delivery.packet.arrival_slot >= self.warmup_slot
-            ):
-                self.delay_histogram.record(delivery.delay)
+        self.delay.on_deliveries(result.deliveries)
+        multicast, histogram = self.multicast, self.delay_histogram
+        if multicast is not None and histogram is not None:
+            for delivery in result.deliveries:
+                multicast.on_delivery(delivery)
+                if delivery.packet.arrival_slot >= self.warmup_slot:
+                    histogram.record(delivery.delay)
         self.cells_dropped += dropped_cells
         self.packets_dropped += dropped_packets
         self.grants_lost += result.grants_lost

@@ -14,6 +14,7 @@ steady-state packet population (DESIGN.md §5, convention 3 and 4).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -59,42 +60,46 @@ class DelayTracker:
 
     def on_delivery(self, delivery: Delivery) -> None:
         """Record one (packet, output) service."""
-        self.total_deliveries += 1
-        pkt = delivery.packet
-        entry = self._pending.get(pkt.packet_id)
-        if entry is None:
-            raise SimulationError(
-                f"delivery for unregistered packet {pkt.packet_id}"
-            )
-        if delivery.service_slot < entry.arrival_slot:
-            raise SimulationError(
-                f"packet {pkt.packet_id} served at {delivery.service_slot} "
-                f"before arrival {entry.arrival_slot}"
-            )
-        entry.delivered += 1
-        if delivery.service_slot > entry.max_service:
-            entry.max_service = delivery.service_slot
-        counted = entry.arrival_slot >= self.warmup_slot
-        if counted:
-            d = delivery.delay
-            self.delivery_count += 1
-            self.delivery_delay_sum += d
-            self.delivery_delay_sq_sum += d * d
-            if d > self.max_delivery_delay:
-                self.max_delivery_delay = d
-        if entry.delivered == entry.fanout:
-            del self._pending[pkt.packet_id]
+        self.on_deliveries((delivery,))
+
+    def on_deliveries(self, deliveries: Iterable[Delivery]) -> None:
+        """Record a slot's (packet, output) services, in order."""
+        pending = self._pending
+        for packet, _, service in deliveries:
+            self.total_deliveries += 1
+            pid = packet.packet_id
+            entry = pending.get(pid)
+            if entry is None:
+                raise SimulationError(f"delivery for unregistered packet {pid}")
+            if service < entry.arrival_slot:
+                raise SimulationError(
+                    f"packet {pid} served at {service} "
+                    f"before arrival {entry.arrival_slot}"
+                )
+            entry.delivered += 1
+            if service > entry.max_service:
+                entry.max_service = service
+            counted = entry.arrival_slot >= self.warmup_slot
             if counted:
-                d = entry.max_service - entry.arrival_slot + 1
-                self.packet_count += 1
-                self.packet_delay_sum += d
-                if d > self.max_packet_delay:
-                    self.max_packet_delay = d
-        elif entry.delivered > entry.fanout:
-            raise SimulationError(
-                f"packet {pkt.packet_id} over-delivered "
-                f"({entry.delivered} > fanout {entry.fanout})"
-            )
+                d = service - packet.arrival_slot + 1
+                self.delivery_count += 1
+                self.delivery_delay_sum += d
+                self.delivery_delay_sq_sum += d * d
+                if d > self.max_delivery_delay:
+                    self.max_delivery_delay = d
+            if entry.delivered == entry.fanout:
+                del pending[pid]
+                if counted:
+                    d = entry.max_service - entry.arrival_slot + 1
+                    self.packet_count += 1
+                    self.packet_delay_sum += d
+                    if d > self.max_packet_delay:
+                        self.max_packet_delay = d
+            elif entry.delivered > entry.fanout:
+                raise SimulationError(
+                    f"packet {pid} over-delivered "
+                    f"({entry.delivered} > fanout {entry.fanout})"
+                )
 
     # ------------------------------------------------------------------ #
     @property

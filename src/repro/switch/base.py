@@ -6,6 +6,9 @@ input port, as in all the paper's traffic models) and receives a
 :class:`SlotResult` listing the deliveries that happened in the slot plus
 scheduler metadata. Between steps the engine may query queue occupancy for
 the paper's queue-size metrics and for instability detection.
+
+Grants travel as output bitmasks from the scheduler to the transfer
+(docs/kernel.md, "The grant is a mask from round to commit").
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 import abc
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.errors import ConfigurationError, TrafficError
 from repro.packet import Delivery, Packet
@@ -155,10 +156,10 @@ class BaseSwitch(abc.ABC):
         copy-paste — validate the decision, build the
         :class:`SlotResult` from its metadata, configure the fabric,
         transfer, release, surface ingress drops — lives here once.
-        Subclasses implement :meth:`_decide` and :meth:`_transfer` (and
-        optionally :meth:`_configure_fabric`); architectures whose slot
-        sequence is not decision-shaped (output-queued, CIOQ's speedup
-        phases) override this method wholesale instead.
+        Subclasses implement :meth:`_decide` and :meth:`_transfer`;
+        architectures whose slot sequence is not decision-shaped
+        (output-queued, CIOQ's speedup phases) override this method
+        wholesale instead.
         """
         decision, grants_lost = self._decide(slot)
         decision.validate(self.num_ports, self.num_ports)
@@ -171,7 +172,7 @@ class BaseSwitch(abc.ABC):
         )
         crossbar = getattr(self, "crossbar", None)
         if crossbar is not None:
-            self._configure_fabric(decision)
+            crossbar.configure(decision)
         self._transfer(decision, result, slot)
         if crossbar is not None:
             crossbar.release()
@@ -190,24 +191,6 @@ class BaseSwitch(abc.ABC):
             f"{type(self).__name__} must implement _decide() or override "
             f"_schedule_and_transmit()"
         )
-
-    def _configure_fabric(self, decision) -> None:
-        """Set the crossbar from the validated decision's driver vector
-        (template hook).
-
-        The template method has already validated the decision (index
-        ranges, one driver per output), so the driver vector is built
-        directly and handed to
-        :meth:`~repro.fabric.crossbar.MulticastCrossbar.configure_drivers`,
-        skipping :meth:`~repro.fabric.crossbar.MulticastCrossbar.configure`'s
-        per-index re-validation. Accounting and the failed-crosspoint
-        constraint are identical.
-        """
-        driver = [-1] * self.num_ports
-        for i, grant in decision.grants.items():
-            for j in grant.output_ports:
-                driver[j] = i
-        self.crossbar.configure_drivers(np.array(driver, dtype=np.int64))
 
     def _transfer(self, decision, result: SlotResult, slot: int) -> None:
         """Move the granted cells and record deliveries/accounting on

@@ -73,13 +73,13 @@ class CIOQSwitch(BaseSwitch):
             if decision.requests_made:
                 result.requests_made = True
             result.rounds += decision.rounds
-            if not decision.grants:
+            if not decision.masks:
                 break  # nothing left to move this slot
             self.phases_run += 1
-            for i, grant in decision.grants.items():
-                if grant.fanout != 1:
+            for i, mask in decision.masks.items():
+                if mask & (mask - 1):
                     raise SchedulingError("CIOQ needs unicast grants")
-                j = grant.output_ports[0]
+                j = mask.bit_length() - 1
                 self.output_queues[j].append(self.bank.pop(i, j))
         # --- one external departure per output per slot ---
         for j, q in enumerate(self.output_queues):

@@ -48,6 +48,7 @@ from repro.fabric.crossbar import MulticastCrossbar
 from repro.packet import Delivery, Packet
 from repro.switch.base import BaseSwitch, SlotResult
 from repro.switch.voq_bank import UnicastVOQBank
+from repro.utils.bitsets import bitmask_from_iterable
 
 __all__ = ["ESLIPSwitch"]
 
@@ -184,10 +185,11 @@ class ESLIPSwitch(BaseSwitch):
         :meth:`_transfer` (multicast and unicast queues drain differently)."""
         mc_grants, uni_match, rounds, requests_made = self._schedule()
         decision = ScheduleDecision()
+        masks = decision.masks
         for i, outs in mc_grants.items():
-            decision.add(i, tuple(outs))
+            masks[i] = bitmask_from_iterable(outs)
         for i, j in uni_match.items():
-            decision.add(i, (j,))
+            masks[i] = 1 << j
         decision.rounds = rounds
         decision.requests_made = requests_made
         self._pending = (mc_grants, uni_match)

@@ -23,15 +23,9 @@ from repro.fabric.crossbar import MulticastCrossbar
 from repro.packet import Delivery, Packet
 from repro.schedulers.base import SIQHolView
 from repro.switch.base import BaseSwitch, SlotResult
+from repro.utils.bitsets import iter_bits
 
 __all__ = ["SingleInputQueueSwitch"]
-
-
-def _mask_of(destinations: tuple[int, ...]) -> int:
-    mask = 0
-    for j in destinations:
-        mask |= 1 << j
-    return mask
 
 
 class SingleInputQueueSwitch(BaseSwitch):
@@ -59,14 +53,9 @@ class SingleInputQueueSwitch(BaseSwitch):
         q.append(packet)
         self._backlog += packet.fanout
         if len(q) == 1:
-            self._hol_bits[i] = _mask_of(packet.destinations)
+            self._hol_bits[i] = packet.destination_mask
         if len(q) > self._peak_queue[i]:
             self._peak_queue[i] = len(q)
-
-    def hol_residue(self, i: int) -> set[int]:
-        """Unserved destinations of input i's HOL packet (empty if idle)."""
-        bits = self._hol_bits[i]
-        return {j for j in range(self.num_ports) if (bits >> j) & 1}
 
     def hol_view(self, slot: int) -> SIQHolView:
         """This slot's HOL cells, one entry per non-empty input."""
@@ -96,28 +85,28 @@ class SingleInputQueueSwitch(BaseSwitch):
     def _transfer(
         self, decision: ScheduleDecision, result: SlotResult, slot: int
     ) -> None:
-        for i, grant in decision.grants.items():
+        hol_bits = self._hol_bits
+        for i, mask in decision.masks.items():
             q = self.queues[i]
             if not q:
                 raise SchedulingError(f"grant for empty input queue {i}")
-            bits = self._hol_bits[i]
-            packet = q[0]
-            for j in grant.output_ports:
-                if not (bits >> j) & 1:
-                    raise SchedulingError(
-                        f"output {j} granted to input {i} but HOL residue is "
-                        f"{sorted(self.hol_residue(i))}"
-                    )
-                bits &= ~(1 << j)
-                result.deliveries.append(
-                    Delivery(packet=packet, output_port=j, service_slot=slot)
+            bits = hol_bits[i]
+            stray = mask & ~bits
+            if stray:
+                raise SchedulingError(
+                    f"output {(stray & -stray).bit_length() - 1} granted to "
+                    f"input {i} but HOL residue is {list(iter_bits(bits))}"
                 )
-            self._hol_bits[i] = bits
-            self._backlog -= len(grant.output_ports)
+            packet = q[0]
+            for j in iter_bits(mask):
+                result.deliveries.append(Delivery(packet, j, slot))
+            bits ^= mask
+            hol_bits[i] = bits
+            self._backlog -= mask.bit_count()
             if not bits:
                 q.popleft()
                 if q:
-                    self._hol_bits[i] = _mask_of(q[0].destinations)
+                    hol_bits[i] = q[0].destination_mask
 
     # ------------------------------------------------------------------ #
     def queue_sizes(self) -> list[int]:
@@ -134,7 +123,7 @@ class SingleInputQueueSwitch(BaseSwitch):
             if q:
                 if not bits:
                     raise SchedulingError(f"non-empty queue {i} with empty residue")
-                if bits & ~_mask_of(q[0].destinations):
+                if bits & ~q[0].destination_mask:
                     raise SchedulingError(f"residue of input {i} not a fanout subset")
                 walked += bits.bit_count() - q[0].fanout
                 walked += sum(p.fanout for p in q)

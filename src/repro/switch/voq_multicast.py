@@ -20,7 +20,9 @@ per-VOQ pid deques, a recycled packet table and the HOL-packet bitmask
 index, no per-cell objects and no numpy matrices
 (:class:`~repro.kernel.vectorized.VectorizedBackend`) — and routes
 scheduling through the scheduler's ``schedule_state`` entry point.
-Both produce bit-identical slot streams (``repro.kernel.equivalence``).
+Both produce bit-identical slot streams (``repro.kernel.equivalence``),
+and both hand the crossbar and their commit the decision's output masks
+unchanged (docs/kernel.md, "The grant is a mask from round to commit").
 
 Fault injection (optional): with a
 :class:`~repro.faults.injector.FaultInjector` attached, arrivals may be
@@ -170,15 +172,6 @@ class MulticastVOQSwitch(BaseSwitch):
         decision, grants_lost = injector.filter_decision(state, decision)
         self.crossbar.set_crosspoint_faults(state.failed_crosspoints)
         return decision, grants_lost
-
-    def _configure_fabric(self, decision: ScheduleDecision) -> None:
-        """Crossbar setup: array path when the backend provides a driver
-        vector, per-branch path otherwise."""
-        driver = self._backend.driver_row(decision)
-        if driver is None:
-            self.crossbar.configure(decision)
-        else:
-            self.crossbar.configure_drivers(driver)
 
     def _transfer(
         self, decision: ScheduleDecision, result: SlotResult, slot: int

@@ -54,15 +54,14 @@ class UnicastVOQSwitch(BaseSwitch):
     ) -> None:
         pop = self.bank.pop
         deliveries = result.deliveries
-        for i, grant in decision.grants.items():
-            if grant.fanout != 1:
+        for i, mask in decision.masks.items():
+            if mask & (mask - 1):
                 raise SchedulingError(
-                    f"unicast scheduler granted fanout {grant.fanout} to input {i}"
+                    f"unicast scheduler granted fanout {mask.bit_count()} "
+                    f"to input {i}"
                 )
-            j = grant.output_ports[0]
-            deliveries.append(
-                Delivery(packet=pop(i, j), output_port=j, service_slot=slot)
-            )
+            j = mask.bit_length() - 1
+            deliveries.append(Delivery(pop(i, j), j, slot))
 
     # ------------------------------------------------------------------ #
     def queue_sizes(self) -> list[int]:

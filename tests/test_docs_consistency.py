@@ -135,19 +135,21 @@ PROSE = [
     for name in ("README.md", "CONTRIBUTING.md", "DESIGN.md", "EXPERIMENTS.md")
 ] + sorted(p for p in (REPO / "docs").glob("*.md") if p.name != "perf_log.md")
 
-#: The legacy `step()`-only perf ledger, deleted in PR 23, and the
-#: per-switch VOQ upkeep the one bank replaced in PR 24. Only the
-#: history files may still name them (and bench/README.md and ISSUE.md,
-#: which a non-benchmark PR cannot edit, and this file, to forbid it).
+#: The legacy `step()`-only perf ledger, the per-switch VOQ upkeep the
+#: one unicast VOQ bank replaced, and the crossbar's driver-vector twin
+#: the grant masks replaced. Only the history files may still name them
+#: (and the benchmark's own files, which only a benchmark change may
+#: edit, and this file, to forbid it).
 RETIRED = (
     "bench-check", "BENCH_kernel.json", "BENCH_history.jsonl",
     "bench_kernel_backends", "bench_engine_speed", "repro.obs.bench",
     "OBS001",
     "_flush_pending", "_pend_flat", "_uni_occ", "_xp_occ",
+    "configure_drivers",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",
-    "docs/perf_log.md", "bench/README.md",
+    "docs/perf_log.md", "bench/README.md", "bench/tracing.py",
     "tests/test_docs_consistency.py",
 }
 TEXT_SUFFIXES = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.matching import GrantSet, ScheduleDecision
+from repro.core.matching import ScheduleDecision
 from repro.errors import (
     BufferError_,
     FabricConflictError,
@@ -35,7 +35,7 @@ class _EvilDecision(ScheduleDecision):
     """Bypasses add()'s checks to forge invalid matchings."""
 
     def force(self, input_port: int, outputs: tuple[int, ...]) -> None:
-        self.grants[input_port] = GrantSet(input_port, outputs)
+        self.masks[input_port] = sum(1 << j for j in set(outputs))
 
 
 class TestInfeasibleMatchings:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
@@ -250,15 +249,50 @@ class TestBackendBehaviour:
         with pytest.raises(ConfigurationError, match="schedule_state"):
             vec.schedule(NoArrayScheduler())
 
+    def _configured_masks(self, name):
+        """Masks every ``crossbar.configure`` call received over two
+        slots of a FIFOMS switch on kernel ``name``."""
+        switch = make_switch(
+            "fifoms", 4, backend=name, tie_break=TieBreak.LOWEST_INPUT
+        )
+        seen = []
+        configure = switch.crossbar.configure
+
+        def spy(decision):
+            config = configure(decision)
+            seen.append((dict(decision.masks), config.driver))
+            return config
+
+        switch.crossbar.configure = spy
+        switch.step(
+            [
+                Packet(input_port=0, destinations=(1, 2), arrival_slot=0),
+                None,
+                Packet(input_port=2, destinations=(2, 3), arrival_slot=0),
+                Packet(input_port=3, destinations=(0,), arrival_slot=0),
+            ],
+            0,
+        )
+        switch.step([None] * 4, 1)
+        return seen
+
     def test_driver_row_matches_decision(self):
-        vec = make_backend("vectorized", 4)
-        decision = ScheduleDecision()
-        decision.add(2, (0, 3))
-        decision.add(1, (1,))
-        row = vec.driver_row(decision)
-        assert isinstance(row, np.ndarray)
-        assert row.tolist() == [2, 1, -1, 2]
+        """Both kernels configure the crossbar from the same masks; the
+        driver row is derived from them on read."""
+        want = [
+            ({0: 0b0110, 2: 0b1000, 3: 0b0001}, (3, 0, 0, 2)),
+            ({2: 0b0100}, (-1, -1, 2, -1)),
+        ]
+        assert self._configured_masks("object") == want
+        assert self._configured_masks("vectorized") == want
 
     def test_object_backend_has_no_driver_row_fast_path(self):
-        obj = make_backend("object", 4)
-        assert obj.driver_row(ScheduleDecision()) is None
+        """Neither kernel builds a driver vector any more: both hand back
+        the decision's own masks, in decision order, as the rows they
+        commit — the masks the crossbar was configured from."""
+        decision = ScheduleDecision()
+        decision.add(2, (0, 3))
+        decision.add(0, (1,))
+        for name in ("object", "vectorized"):
+            rows = make_backend(name, 4).driver_row(decision)
+            assert list(rows) == [(2, 0b1001), (0, 0b0010)]

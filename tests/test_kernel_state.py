@@ -72,7 +72,7 @@ class TestServe:
     def test_partial_fanout_leaves_residue(self):
         st = SwitchState(4)
         st.admit(_pkt(0, (1, 2, 3), 0), 0)
-        packet, released = st.serve(0, (1, 3))
+        packet, released = st.serve(0, 0b1010)
         assert packet.destinations == (1, 2, 3)
         assert not released
         hol_ts = _hol_ts(st)
@@ -81,7 +81,7 @@ class TestServe:
         assert st.total_backlog() == 1
         assert st.queue_sizes() == [1, 0, 0, 0]
         st.check_invariants()
-        _, released = st.serve(0, (2,))
+        _, released = st.serve(0, 0b0100)
         assert released
         assert st.total_backlog() == 0
         assert st.queue_sizes() == [0, 0, 0, 0]
@@ -93,7 +93,7 @@ class TestServe:
         st = SwitchState(4)
         st.admit(_pkt(0, (2,), 3), 3)
         st.admit(_pkt(0, (2,), 9), 9)
-        st.serve(0, (2,))
+        st.serve(0, 0b0100)
         assert _hol_ts(st)[0, 2] == 9
         (pid,) = st.hol_pids[0]
         assert st.p_ts[pid] == 9 and st.p_hol[pid] == 0b0100
@@ -102,14 +102,14 @@ class TestServe:
     def test_empty_voq_grant_rejected(self):
         st = SwitchState(4)
         with pytest.raises(SchedulingError):
-            st.serve(0, (1,))
+            st.serve(0, 0b0010)
 
     def test_two_data_cells_per_input_rejected(self):
         st = SwitchState(4)
         st.admit(_pkt(0, (1,), 0), 0)
         st.admit(_pkt(0, (2,), 1), 1)
         with pytest.raises(SchedulingError):
-            st.serve(0, (1, 2))
+            st.serve(0, 0b0110)
 
 
 class TestIntegrity:
@@ -146,7 +146,7 @@ class TestIntegrity:
         st.admit(_pkt(0, (1,), 0), 0)
         st.admit(_pkt(0, (2,), 1), 1)
         gone = st.hol_pids[0][0]
-        st.serve(0, (1,))
+        st.serve(0, 0b0010)
         st.check_invariants()
         st.hol_pids[0].insert(0, gone)
         with pytest.raises(SchedulingError, match="hol_pids"):
@@ -188,7 +188,7 @@ class TestPidPool:
         st = SwitchState(4)
         st.admit(_pkt(0, (1,), 0), 0)
         st.admit(_pkt(2, (1,), 0), 0)
-        st.serve(0, (1,))
+        st.serve(0, 0b0010)
         assert st.free_pids == [0] and st.packets[0] is None
         st.admit(_pkt(3, (0, 2), 1), 1)
         assert st.hol_pids[3] == [0] and not st.free_pids
@@ -228,10 +228,10 @@ class TestHolIndex:
         st.admit(_pkt(0, (2,), 1), 1)     # pid 1 heads VOQ 2
         st.admit(_pkt(0, (1, 2), 2), 2)   # pid 2 heads nothing yet
         assert st.hol_pids[0] == [0, 1] and st.p_hol[2] == 0
-        st.serve(0, (2,))
+        st.serve(0, 0b0100)
         assert st.hol_pids[0] == [0, 2] and st.p_hol[2] == 0b0100
         st.check_invariants()
-        st.serve(0, (1,))
+        st.serve(0, 0b0010)
         assert st.hol_pids[0] == [2] and st.p_hol[2] == 0b0110
         st.check_invariants()
 
@@ -241,7 +241,7 @@ class TestHolIndex:
         st.admit(_pkt(0, (1,), 1), 1)     # pid 1 waits behind pid 0
         st.admit(_pkt(0, (3,), 2), 2)     # pid 2 heads VOQ 3
         assert st.hol_pids[0] == [0, 2]
-        st.serve(0, (1,))
+        st.serve(0, 0b0010)
         assert st.hol_pids[0] == [1, 2]   # pid 1 is older than pid 2
         st.check_invariants()
 
@@ -276,7 +276,7 @@ class TestArrayLayout:
         ``state_arrays()`` snapshot."""
         st = SwitchState(n)
         st.admit(_pkt(0, (0, 1), 0), 0)
-        st.serve(0, (1,))
+        st.serve(0, 0b0010)
         attrs = {name: getattr(st, name) for name in SwitchState.__slots__}
         assert not any(isinstance(v, np.ndarray) for v in attrs.values())
         per_input = ("hol_pids", "live", "peak_live", "allocated_total",
@@ -323,7 +323,7 @@ class TestSoaSnapshotParity:
         for j in (1, 3):
             cell = ports[0].voqs[j].pop_head()
             ports[0].buffer.record_service(cell.data_cell)
-        st.serve(0, (1, 3))
+        st.serve(0, 0b1010)
         obj = soa_snapshot(ports)
         vec = st.state_arrays()
         assert np.array_equal(obj["hol_ts"], vec["hol_ts"])

@@ -1087,6 +1087,43 @@ class TestDET003OrderFlow:
         files = {"repro/schedulers/x.py": src}
         assert lint_tree(tmp_path, files, [self.RULE()]) == []
 
+    def test_flags_set_order_stored_into_decision_masks(self, tmp_path):
+        src = """
+            def schedule(decision):
+                for i in list({3, 1, 2}):
+                    decision.masks[i] = 1
+        """
+        findings = lint_tree(
+            tmp_path, {"repro/schedulers/x.py": src}, [self.RULE()]
+        )
+        assert only_ids(findings) == ["DET003"]
+        assert "masks" in findings[0].message
+
+    def test_flags_set_order_stored_through_masks_local(self, tmp_path):
+        src = """
+            def schedule(decision, granted):
+                masks = decision.masks
+                for i in list(set(granted)):
+                    masks[i] |= granted[i]
+        """
+        findings = lint_tree(
+            tmp_path, {"repro/schedulers/x.py": src}, [self.RULE()]
+        )
+        assert only_ids(findings) == ["DET003"]
+
+    def test_sorted_keys_into_masks_clean(self, tmp_path):
+        src = """
+            def schedule(decision, granted):
+                pending = {3, 1, 2}
+                masks = decision.masks
+                for i in sorted(pending):
+                    masks[i] = 1
+                for i in sorted(set(granted)):
+                    decision.masks[i] |= granted[i]
+        """
+        files = {"repro/schedulers/x.py": src}
+        assert lint_tree(tmp_path, files, [self.RULE()]) == []
+
     def test_adding_to_set_receiver_clean(self, tmp_path):
         # set.add() of a tainted element is harmless — the container has
         # no order to corrupt.
