@@ -13,8 +13,7 @@ one directory::
 Every grid point is keyed by a **content address**: the SHA-256 of the
 point's full configuration (algorithm, load, ports, traffic spec, slots,
 seed, switch kwargs, fault scenario) combined with a *code signature*
-hashing every ``repro`` source file — the same pattern the lint cache
-uses for its analysis keys. Two consequences:
+hashing every ``repro`` source file. Two consequences:
 
 * A completed point is *checkpointed*: resuming a campaign looks up each
   point's key in the journal and skips the simulation entirely on a hit,
@@ -68,9 +67,8 @@ _signature_cache: dict[str, str] = {}
 def code_signature() -> str:
     """Digest of every ``repro`` source file — the executable's identity.
 
-    Any edit to the simulator invalidates every journaled point, exactly
-    like the lint cache's analyzer-source signature: correctness is never
-    traded for reuse. The walk is sorted so the digest is stable across
+    Any edit to the simulator invalidates every journaled point:
+    correctness is never traded for reuse. The walk is sorted so the digest is stable across
     filesystems, and cached per process (the tree cannot change under a
     running supervisor without invalidating far more than this cache).
     """

@@ -260,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: the repro source tree)",
     )
     lint_p.add_argument(
-        "--paths", dest="extra_paths", nargs="+", default=[], metavar="PATH",
-        help="additional trees to lint (opt in benchmarks/, examples/, ...)",
-    )
-    lint_p.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
     )
     lint_p.add_argument(
@@ -273,22 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog (id, severity, rationale) and exit",
-    )
-    lint_p.add_argument(
-        "--sarif", metavar="FILE", default=None,
-        help="also write the findings as SARIF 2.1.0 to FILE ('-' = stdout)",
-    )
-    lint_p.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="content-hash analysis cache directory (incremental re-runs)",
-    )
-    lint_p.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="subtract known findings listed in this baseline file",
-    )
-    lint_p.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="write the run's findings as a fresh baseline file and exit 0",
     )
     return parser
 
@@ -470,52 +450,23 @@ def _report_command(args: argparse.Namespace) -> int:
 
 def _lint_command(args: argparse.Namespace) -> int:
     from repro.lint import (
-        Baseline,
         default_rules,
         format_json,
         format_rule_catalog,
-        format_sarif,
         format_text,
         run_lint,
-        write_baseline,
     )
 
     rules = default_rules()
     if args.list_rules:
         print(format_rule_catalog(rules))
         return 0
-    baseline = Baseline.load(args.baseline) if args.baseline else None
-    paths = list(args.paths or []) + list(args.extra_paths)
     try:
-        report = run_lint(
-            paths or None,
-            rules=rules,
-            cache_dir=args.cache,
-            baseline=baseline,
-        )
+        report = run_lint(args.paths or None, rules=rules)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, report.findings)
-        print(f"wrote {args.write_baseline}: {count} baseline entr"
-              f"{'y' if count == 1 else 'ies'}")
-        return 0
-    if args.sarif:
-        sarif = format_sarif(report, rules)
-        if args.sarif == "-":
-            print(sarif)
-        else:
-            from repro.utils.fileio import atomic_write_text
-
-            atomic_write_text(args.sarif, sarif + "\n")
-            print(f"wrote {args.sarif}", file=sys.stderr)
-    # With the SARIF payload on stdout ('-'), keep it parseable: the
-    # human report drops to stderr.
-    print(
-        format_json(report) if args.json else format_text(report),
-        file=sys.stderr if args.sarif == "-" else sys.stdout,
-    )
+    print(format_json(report) if args.json else format_text(report))
     return report.exit_code(strict=args.strict)
 
 

@@ -27,8 +27,6 @@ from repro.lint.base import (
     finding_sort_key,
     parse_suppressions,
 )
-from repro.lint.baseline import Baseline, write_baseline
-from repro.lint.cache import AnalysisCache, lint_package_signature
 from repro.lint.engine import (
     PARSE_RULE_ID,
     LintReport,
@@ -39,7 +37,6 @@ from repro.lint.engine import (
 )
 from repro.lint.graph import ProjectGraph, project_graph
 from repro.lint.report import format_json, format_rule_catalog, format_text
-from repro.lint.sarif import format_sarif, sarif_document
 
 __all__ = [
     "Severity",
@@ -59,12 +56,6 @@ __all__ = [
     "format_text",
     "format_json",
     "format_rule_catalog",
-    "format_sarif",
-    "sarif_document",
-    "Baseline",
-    "write_baseline",
-    "AnalysisCache",
-    "lint_package_signature",
     "ProjectGraph",
     "project_graph",
 ]

@@ -17,6 +17,8 @@ rest of the package speaks:
 
 Suppression syntax: a comment ``# lint: disable=RNG001`` (comma-separated
 ids, or ``all``) anywhere in a file disables those rules *for that file*.
+Only a real comment that starts with that text counts — the same words in
+a docstring, a string literal or the middle of a prose comment do not.
 Suppressions are deliberately file-granular — the codebase conventions the
 rules encode are module-level properties, and coarse suppressions are
 easy to spot in review.
@@ -27,7 +29,9 @@ from __future__ import annotations
 import abc
 import ast
 import enum
+import io
 import re
+import tokenize
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,8 +47,8 @@ __all__ = [
     "parse_suppressions",
 ]
 
-#: ``# lint: disable=ID1,ID2`` or ``# lint: disable=all``.
-_SUPPRESS_RE = re.compile(r"#[ \t]*lint:[ \t]*disable=([A-Za-z0-9_, \t-]+)")
+#: A comment token that opens with the suppression marker, then the ids.
+_SUPPRESS_RE = re.compile(r"# lint: disable=([A-Za-z0-9_, \t-]+)")
 
 
 class Severity(enum.Enum):
@@ -84,9 +88,9 @@ class Finding:
 def finding_sort_key(finding: Finding) -> tuple[str, int, str, str]:
     """The canonical finding order: path, line, rule id, message.
 
-    Every consumer (text report, JSON, SARIF, baselines) sorts by this
+    Every consumer (the engine, the text report, JSON) sorts by this
     one key, so lint output is byte-stable across runs regardless of
-    rule execution order, cache hits, or dict iteration — diffable in
+    rule execution order or dict iteration — diffable in
     CI and safe to snapshot. The message tiebreaker matters when one
     rule fires twice on one line (e.g. two bad arguments in one call).
     """
@@ -97,14 +101,19 @@ def parse_suppressions(source: str) -> frozenset[str]:
     """Collect every rule id disabled by ``# lint: disable=...`` comments.
 
     Returns the union over all such comments in ``source``; the special id
-    ``all`` disables every rule for the file.
+    ``all`` disables every rule for the file. Only ``COMMENT`` tokens that
+    start with the marker count (trailing comments included), so the
+    marker quoted in a docstring, a string or prose suppresses nothing.
     """
+    if "# lint: disable=" not in source:
+        return frozenset()  # no marker anywhere: skip the tokenizer
     ids: set[str] = set()
-    for match in _SUPPRESS_RE.finditer(source):
-        for raw in match.group(1).split(","):
-            rule_id = raw.strip()
-            if rule_id:
-                ids.add(rule_id)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.match(token.string)
+        if match is not None:
+            ids.update(r.strip() for r in match.group(1).split(",") if r.strip())
     return frozenset(ids)
 
 

@@ -25,19 +25,12 @@ def format_text(report: LintReport) -> str:
     """
     lines = [str(f) for f in sorted(report.findings, key=finding_sort_key)]
     noun = "file" if report.files_scanned == 1 else "files"
-    extras = []
-    reused = report.files_scanned - report.files_reanalyzed
-    if reused > 0:
-        extras.append(f"{reused} from cache")
-    if report.baselined:
-        extras.append(f"{report.baselined} baselined")
-    tail = f" ({', '.join(extras)})" if extras else ""
     if report.ok:
-        lines.append(f"clean: {report.files_scanned} {noun}, no findings{tail}")
+        lines.append(f"clean: {report.files_scanned} {noun}, no findings")
     else:
         lines.append(
             f"{report.errors} error(s), {report.warnings} warning(s) "
-            f"in {report.files_scanned} {noun}{tail}"
+            f"in {report.files_scanned} {noun}"
         )
     return "\n".join(lines)
 

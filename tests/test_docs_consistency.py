@@ -136,8 +136,9 @@ PROSE = [
 ] + sorted(p for p in (REPO / "docs").glob("*.md") if p.name != "perf_log.md")
 
 #: The legacy `step()`-only perf ledger, the per-switch VOQ upkeep the
-#: one unicast VOQ bank replaced, and the crossbar's driver-vector twin
-#: the grant masks replaced. Only the history files may still name them
+#: one unicast VOQ bank replaced, the crossbar's driver-vector twin the
+#: grant masks replaced, and the lint cache / baseline / SARIF layers the
+#: one lint pass replaced. Only the history files may still name them
 #: (and the benchmark's own files, which only a benchmark change may
 #: edit, and this file, to forbid it).
 RETIRED = (
@@ -146,6 +147,8 @@ RETIRED = (
     "OBS001",
     "_flush_pending", "_pend_flat", "_uni_occ", "_xp_occ",
     "configure_drivers",
+    "AnalysisCache", "lint_package_signature", "format_sarif",
+    "write_baseline", "--write-baseline", ".lint-cache",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",
@@ -194,3 +197,16 @@ class TestOnePerfLedger:
         docs/static_analysis.md); a digit here goes stale."""
         (row,) = re.findall(r"^\| S39 \|.*$", design_text, flags=re.MULTILINE)
         assert not re.search(r"\d+\s+rules", row), row
+
+
+class TestOneLintPass:
+    @pytest.mark.parametrize(
+        "flag", ["--cache", "--baseline", "--write-baseline", "--sarif", "--paths"]
+    )
+    def test_removed_lint_flag_exits_2(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", flag, "x"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

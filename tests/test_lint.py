@@ -17,22 +17,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.lint import (
     PARSE_RULE_ID,
-    Baseline,
     Finding,
     ModuleInfo,
     Severity,
     default_rules,
     format_json,
-    format_sarif,
     format_text,
     iter_python_files,
     parse_suppressions,
     run_lint,
-    sarif_document,
-    write_baseline,
 )
 from repro.lint.rules_flow import (
     GeneratorIntoWorkerRule,
@@ -73,15 +68,6 @@ def lint_tree(tmp_path, files: dict[str, str], rules) -> list[Finding]:
 
 def only_ids(findings) -> list[str]:
     return [f.rule_id for f in findings]
-
-
-def lint_with_baseline(tmp_path, files: dict[str, str], rules):
-    """Lint ``files``, baseline every finding, lint again with the baseline."""
-    first = lint_tree(tmp_path, files, rules)
-    assert first, "baseline fixture must produce at least one finding"
-    bpath = tmp_path / "lint-baseline.json"
-    write_baseline(bpath, first)
-    return run_lint([tmp_path], rules=rules, baseline=Baseline.load(bpath))
 
 
 # --------------------------------------------------------------------- #
@@ -655,13 +641,6 @@ class TestKB001VectorizedEntryPoint:
         files = {"repro/schedulers/fancy.py": src}
         assert lint_tree(tmp_path, files, [self.RULE()]) == []
 
-    def test_baseline_suppression(self, tmp_path):
-        report = lint_with_baseline(
-            tmp_path, {"repro/schedulers/fancy.py": KB001_BAD}, [self.RULE()]
-        )
-        assert report.findings == []
-        assert report.baselined == 1
-
 
 KB002_REGISTRY = """
     __all__ = []
@@ -803,15 +782,6 @@ class TestKB002RegistryBackendPairing:
         files = {"repro/schedulers/registry.py": src}
         assert lint_tree(tmp_path, files, [self.RULE()]) == []
 
-    def test_baseline_suppression(self, tmp_path):
-        report = lint_with_baseline(
-            tmp_path,
-            {"repro/schedulers/registry.py": KB002_REGISTRY},
-            [self.RULE()],
-        )
-        assert report.findings == []
-        assert report.baselined == 2
-
 
 KB003_TREE = {
     "repro/kernel/vectorized.py": """
@@ -876,11 +846,6 @@ class TestKB003KernelClosurePurity:
         )
         assert lint_tree(tmp_path, files, [self.RULE()]) == []
 
-    def test_baseline_suppression(self, tmp_path):
-        report = lint_with_baseline(tmp_path, dict(KB003_TREE), [self.RULE()])
-        assert report.findings == []
-        assert report.baselined == 1
-
 
 # --------------------------------------------------------------------- #
 # Flow-aware RNG provenance
@@ -934,14 +899,6 @@ class TestRNG005GeneratorProvenance:
             "from numpy.random import default_rng\ng = default_rng(3)\n"
         )
         assert lint_tree(tmp_path, {"repro/core/x.py": src}, [self.RULE()]) == []
-
-    def test_baseline_suppression(self, tmp_path):
-        src = "from numpy.random import default_rng\ng = default_rng(3)\n"
-        report = lint_with_baseline(
-            tmp_path, {"repro/core/x.py": src}, [self.RULE()]
-        )
-        assert report.findings == []
-        assert report.baselined == 1
 
 
 RNG006_BAD = """
@@ -1020,13 +977,6 @@ class TestRNG006GeneratorIntoWorker:
         src = "# lint: disable=RNG006\n" + textwrap.dedent(RNG006_BAD)
         files = {"repro/experiments/x.py": src}
         assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-    def test_baseline_suppression(self, tmp_path):
-        report = lint_with_baseline(
-            tmp_path, {"repro/experiments/x.py": RNG006_BAD}, [self.RULE()]
-        )
-        assert report.findings == []
-        assert report.baselined == 1
 
 
 # --------------------------------------------------------------------- #
@@ -1161,13 +1111,6 @@ class TestDET003OrderFlow:
         files = {"repro/schedulers/x.py": src}
         assert lint_tree(tmp_path, files, [self.RULE()]) == []
 
-    def test_baseline_suppression(self, tmp_path):
-        report = lint_with_baseline(
-            tmp_path, {"repro/schedulers/x.py": DET003_SINK}, [self.RULE()]
-        )
-        assert report.findings == []
-        assert report.baselined == 1
-
 
 # --------------------------------------------------------------------- #
 # Framework: suppressions, discovery, reports
@@ -1187,6 +1130,21 @@ class TestSuppressionParsing:
 
     def test_no_comment_no_suppression(self):
         assert parse_suppressions("x = 1\n") == frozenset()
+
+    def test_docstring_text_is_not_a_suppression(self, tmp_path):
+        src = '"""Say ``# lint: disable=all`` to opt out."""\nimport time\nt = time.time()\n'
+        findings = lint_tree(
+            tmp_path, {"repro/sim/x.py": src}, [NoWallClockRule()]
+        )
+        assert only_ids(findings) == ["DET001"]
+
+    def test_prose_comment_is_not_a_suppression(self):
+        src = "# Write ``# lint: disable=RNG001`` to opt out.\nx = 's # lint: disable=all'\n"
+        assert parse_suppressions(src) == frozenset()
+
+    def test_lint_package_suppresses_nothing(self):
+        for path in sorted((REPO / "src" / "repro" / "lint").glob("*.py")):
+            assert parse_suppressions(path.read_text()) == frozenset(), path
 
 
 class TestEngine:
@@ -1214,8 +1172,8 @@ class TestEngine:
     def test_discovery_skips_hidden_dirs(self, tmp_path):
         (tmp_path / ".venv" / "lib").mkdir(parents=True)
         (tmp_path / ".venv" / "lib" / "x.py").write_text("")
-        (tmp_path / ".lint-cache").mkdir()
-        (tmp_path / ".lint-cache" / "y.py").write_text("")
+        (tmp_path / ".tox").mkdir()
+        (tmp_path / ".tox" / "y.py").write_text("")
         (tmp_path / "a.py").write_text("")
         found = [p.name for p in iter_python_files([tmp_path])]
         assert found == ["a.py"]
@@ -1269,270 +1227,6 @@ class TestReportFormats:
         assert data["errors"] == 1
         assert data["findings"][0]["rule"] == "RNG003"
         assert data["findings"][0]["line"] == 1
-
-
-# --------------------------------------------------------------------- #
-# Incremental analysis cache
-# --------------------------------------------------------------------- #
-CACHE_TREE = {
-    "repro/core/a.py": "import random\n__all__ = []\n",
-    "repro/core/b.py": "__all__ = []\n",
-    "repro/schedulers/registry.py": "__all__ = []\n",
-}
-
-
-class TestAnalysisCache:
-    def _write(self, root: Path, files: dict[str, str]) -> None:
-        for rel, source in files.items():
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(textwrap.dedent(source))
-
-    def test_warm_run_reanalyzes_zero_files(self, tmp_path):
-        tree, cache = tmp_path / "tree", tmp_path / "cache"
-        self._write(tree, CACHE_TREE)
-        cold = run_lint([tree], cache_dir=cache)
-        assert cold.files_reanalyzed == cold.files_scanned == 3
-        warm = run_lint([tree], cache_dir=cache)
-        assert warm.files_reanalyzed == 0
-        assert warm.files_scanned == 3
-        assert [f.to_dict() for f in warm.findings] == [
-            f.to_dict() for f in cold.findings
-        ]
-
-    def test_changed_file_alone_is_reanalyzed(self, tmp_path):
-        tree, cache = tmp_path / "tree", tmp_path / "cache"
-        self._write(tree, CACHE_TREE)
-        run_lint([tree], cache_dir=cache)
-        (tree / "repro/core/b.py").write_text("import random\n__all__ = []\n")
-        partial = run_lint([tree], cache_dir=cache)
-        assert partial.files_reanalyzed == 1
-        assert sorted(only_ids(partial.findings)).count("RNG003") == 2
-
-    def test_rule_set_change_invalidates(self, tmp_path):
-        tree, cache = tmp_path / "tree", tmp_path / "cache"
-        self._write(tree, CACHE_TREE)
-        run_lint([tree], cache_dir=cache, rules=[NoStdlibRandomRule()])
-        swapped = run_lint(
-            [tree], cache_dir=cache, rules=[NoStdlibRandomRule(), NoWallClockRule()]
-        )
-        assert swapped.files_reanalyzed == swapped.files_scanned
-
-    def test_corrupt_cache_is_treated_as_empty(self, tmp_path):
-        tree, cache = tmp_path / "tree", tmp_path / "cache"
-        self._write(tree, CACHE_TREE)
-        cache.mkdir()
-        (cache / "lint-cache.json").write_text("{ not json")
-        report = run_lint([tree], cache_dir=cache)
-        assert report.files_reanalyzed == report.files_scanned
-        warm = run_lint([tree], cache_dir=cache)
-        assert warm.files_reanalyzed == 0
-
-    def test_cache_and_baseline_compose(self, tmp_path):
-        tree, cache = tmp_path / "tree", tmp_path / "cache"
-        self._write(tree, CACHE_TREE)
-        cold = run_lint([tree], cache_dir=cache)
-        bpath = tmp_path / "baseline.json"
-        write_baseline(bpath, cold.findings)
-        warm = run_lint([tree], cache_dir=cache, baseline=Baseline.load(bpath))
-        assert warm.files_reanalyzed == 0
-        assert warm.findings == []
-        assert warm.baselined == len(cold.findings)
-
-
-# --------------------------------------------------------------------- #
-# Baseline files
-# --------------------------------------------------------------------- #
-class TestBaseline:
-    def test_round_trip_subtracts_and_counts(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {"repro/core/x.py": "import random\n__all__ = []\n"},
-            [NoStdlibRandomRule()],
-        )
-        bpath = tmp_path / "baseline.json"
-        count = write_baseline(bpath, findings)
-        assert count == 1
-        doc = json.loads(bpath.read_text())
-        assert doc["version"] == 1
-        assert doc["entries"][0]["rule"] == "RNG003"
-        assert "reason" in doc["entries"][0]
-        report = run_lint(
-            [tmp_path], rules=[NoStdlibRandomRule()], baseline=Baseline.load(bpath)
-        )
-        assert report.findings == [] and report.baselined == 1
-
-    def test_matching_is_line_insensitive(self, tmp_path):
-        path = tmp_path / "repro" / "core" / "x.py"
-        path.parent.mkdir(parents=True)
-        path.write_text("import random\n__all__ = []\n")
-        report = run_lint([tmp_path], rules=[NoStdlibRandomRule()])
-        bpath = tmp_path / "baseline.json"
-        write_baseline(bpath, report.findings)
-        # Shift the finding down a line; the baseline still matches.
-        path.write_text("'''doc'''\nimport random\n__all__ = []\n")
-        shifted = run_lint(
-            [tmp_path], rules=[NoStdlibRandomRule()], baseline=Baseline.load(bpath)
-        )
-        assert shifted.findings == [] and shifted.baselined == 1
-
-    def test_new_findings_pass_through(self, tmp_path):
-        files = {"repro/core/x.py": "import random\n__all__ = []\n"}
-        findings = lint_tree(tmp_path, files, [NoStdlibRandomRule()])
-        bpath = tmp_path / "baseline.json"
-        write_baseline(bpath, findings)
-        other = tmp_path / "repro" / "core" / "y.py"
-        other.write_text("import random\n__all__ = []\n")
-        report = run_lint(
-            [tmp_path], rules=[NoStdlibRandomRule()], baseline=Baseline.load(bpath)
-        )
-        assert len(report.findings) == 1
-        assert "y.py" in report.findings[0].path
-        assert report.baselined == 1
-
-    def test_invalid_baseline_raises_configuration_error(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("[]")
-        with pytest.raises(ConfigurationError):
-            Baseline.load(bad)
-        bad.write_text("{ nope")
-        with pytest.raises(ConfigurationError):
-            Baseline.load(bad)
-        with pytest.raises(ConfigurationError):
-            Baseline.load(tmp_path / "missing.json")
-
-
-# --------------------------------------------------------------------- #
-# SARIF output
-# --------------------------------------------------------------------- #
-
-#: The slice of the SARIF 2.1.0 schema the GitHub code-scanning ingester
-#: actually requires; jsonschema-validated so a shape regression fails
-#: here, not at upload time.
-SARIF_SCHEMA_SUBSET = {
-    "type": "object",
-    "required": ["$schema", "version", "runs"],
-    "properties": {
-        "version": {"const": "2.1.0"},
-        "runs": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["tool", "results"],
-                "properties": {
-                    "tool": {
-                        "type": "object",
-                        "required": ["driver"],
-                        "properties": {
-                            "driver": {
-                                "type": "object",
-                                "required": ["name", "rules"],
-                                "properties": {
-                                    "rules": {
-                                        "type": "array",
-                                        "items": {
-                                            "type": "object",
-                                            "required": ["id", "shortDescription"],
-                                        },
-                                    }
-                                },
-                            }
-                        },
-                    },
-                    "results": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["ruleId", "level", "message", "locations"],
-                            "properties": {
-                                "level": {"enum": ["error", "warning", "note"]},
-                                "message": {
-                                    "type": "object",
-                                    "required": ["text"],
-                                },
-                                "locations": {
-                                    "type": "array",
-                                    "minItems": 1,
-                                    "items": {
-                                        "type": "object",
-                                        "required": ["physicalLocation"],
-                                        "properties": {
-                                            "physicalLocation": {
-                                                "type": "object",
-                                                "required": ["artifactLocation"],
-                                                "properties": {
-                                                    "region": {
-                                                        "type": "object",
-                                                        "properties": {
-                                                            "startLine": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            }
-                                                        },
-                                                    }
-                                                },
-                                            }
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
-
-
-class TestSarif:
-    def _report(self, tmp_path, source="import random\n__all__ = []\n"):
-        path = tmp_path / "repro" / "core" / "x.py"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source)
-        rules = [NoStdlibRandomRule(), NoUnsortedSetIterationRule()]
-        return run_lint([tmp_path], rules=rules), rules
-
-    def test_document_validates_against_schema(self, tmp_path):
-        jsonschema = pytest.importorskip("jsonschema")
-        report, rules = self._report(tmp_path)
-        doc = json.loads(format_sarif(report, rules))
-        jsonschema.validate(doc, SARIF_SCHEMA_SUBSET)
-
-    def test_result_contents(self, tmp_path):
-        report, rules = self._report(tmp_path)
-        doc = sarif_document(report, rules)
-        assert doc["version"] == "2.1.0"
-        assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
-        run = doc["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        ids = [r["id"] for r in driver["rules"]]
-        assert "RNG003" in ids and "DET002" in ids and PARSE_RULE_ID in ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "RNG003"
-        assert result["level"] == "error"
-        assert "random" in result["message"]["text"]
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"].endswith("repro/core/x.py")
-        assert loc["artifactLocation"]["uriBaseId"] == "%SRCROOT%"
-        assert loc["region"]["startLine"] == 1
-        assert result["ruleIndex"] == ids.index("RNG003")
-
-    def test_warning_maps_to_warning_level(self, tmp_path):
-        report, rules = self._report(
-            tmp_path, "for j in {1, 2}:\n    pass\n__all__ = []\n"
-        )
-        doc = sarif_document(report, rules)
-        (result,) = doc["runs"][0]["results"]
-        assert result["ruleId"] == "DET002"
-        assert result["level"] == "warning"
-
-    def test_clean_report_has_empty_results(self, tmp_path):
-        report, rules = self._report(tmp_path, "__all__ = []\n")
-        doc = sarif_document(report, rules)
-        assert doc["runs"][0]["results"] == []
 
 
 # --------------------------------------------------------------------- #

@@ -3,9 +3,8 @@ and for deterministic finding order.
 
 Same fixture discipline as tests/test_lint.py: every rule gets positive
 (violation flagged), clean (not flagged) and suppression-comment cases on
-small structured temp trees, plus a baseline round-trip. The ordering
-tests pin satellite guarantee #2 — findings sort canonically before any
-report or SARIF emission, so reruns diff byte-stable.
+small structured temp trees. The ordering tests pin that findings sort
+canonically before any report is emitted, so reruns diff byte-stable.
 """
 
 from __future__ import annotations
@@ -15,15 +14,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import (
-    Baseline,
-    Finding,
-    finding_sort_key,
-    format_text,
-    run_lint,
-    sarif_document,
-    write_baseline,
-)
+from repro.lint import Finding, finding_sort_key, format_text, run_lint
 from repro.lint.engine import LintReport, default_rules
 from repro.lint.rules_sanitize import (
     InvariantCoverageRule,
@@ -366,27 +357,6 @@ class TestRACE001SubmitThenMutate:
             lint_tree(tmp_path, {"repro/experiments/sweep.py": src}, [self.RULE()]) == []
         )
 
-    def test_baseline_round_trip(self, tmp_path):
-        src = """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def sweep(run_point):
-                pool = ProcessPoolExecutor()
-                cfg = {"p": 0.1}
-                pool.submit(run_point, cfg)
-                cfg["p"] = 0.9
-        """
-        files = {"repro/experiments/sweep.py": src}
-        first = lint_tree(tmp_path, files, [self.RULE()])
-        assert first
-        bpath = tmp_path / "lint-baseline.json"
-        write_baseline(bpath, first)
-        report = run_lint(
-            [tmp_path], rules=[self.RULE()], baseline=Baseline.load(bpath)
-        )
-        assert report.findings == []
-        assert report.baselined == len(first)
-
 
 # --------------------------------------------------------------------- #
 # Deterministic finding order
@@ -425,13 +395,6 @@ class TestDeterministicOrder:
         findings, shuffled = _shuffled_findings()
         a = format_text(LintReport(findings=findings, files_scanned=2))
         b = format_text(LintReport(findings=shuffled, files_scanned=2))
-        assert a == b
-
-    def test_sarif_results_are_order_independent(self):
-        findings, shuffled = _shuffled_findings()
-        rules = default_rules()
-        a = sarif_document(LintReport(findings=findings, files_scanned=2), rules)
-        b = sarif_document(LintReport(findings=shuffled, files_scanned=2), rules)
         assert a == b
 
     def test_engine_emits_sorted_findings(self, tmp_path):
