@@ -246,7 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ver_p = sub.add_parser(
-        "verify", help="exhaustively verify an algorithm on a tiny domain"
+        "verify",
+        help="run every trace of a tiny domain through the engine under "
+        "the sanitizer",
     )
     ver_p.add_argument("--algorithm", "-a", required=True)
     ver_p.add_argument("--ports", "-n", type=int, default=2)

@@ -314,8 +314,8 @@ class InvariantCoverageRule(Rule):
     rationale = (
         "BaseSwitch.check_invariants() is a deliberate no-op, so a "
         "registered switch that never overrides it sails through the "
-        "engine's periodic checks, the exhaustive verifier and the "
-        "sanitizer's deep passes while certifying nothing. And an "
+        "sanitizer's deep passes, and so through the exhaustive "
+        "verifier, while certifying nothing. And an "
         "override nobody calls is the same hole one refactor later — "
         "some non-test module must still invoke .check_invariants()."
     )

@@ -74,7 +74,7 @@ class SwitchInvariantsRule(Rule):
     rule_id = "STR001"
     title = "Switch subclass without check_invariants()"
     rationale = (
-        "The engine's periodic deep checks (fanout-counter conservation, "
+        "The sanitizer's deep checks (fanout-counter conservation, "
         "buffer/VOQ agreement) only verify what a switch implements; "
         "BaseSwitch.check_invariants is a silent no-op, so a subclass that "
         "skips the override ships unverifiable state."

@@ -163,11 +163,12 @@ def _discover_streams(
     """Collect the named RNG streams one run exposes.
 
     Only objects that look like :class:`numpy.random.Generator` (have a
-    ``bit_generator``) qualify — deterministic schedulers keep
-    ``rng=None`` and simply contribute nothing.
+    ``bit_generator``) qualify — deterministic schedulers hold no
+    generator and simply contribute nothing. Schedulers keep their
+    tie-break stream as ``_rng``.
     """
     candidates: list[tuple[str, Any]] = [
-        ("scheduler", getattr(getattr(switch, "scheduler", None), "rng", None)),
+        ("scheduler", getattr(getattr(switch, "scheduler", None), "_rng", None)),
         ("traffic", getattr(traffic, "rng", None)),
     ]
     if injector is not None:

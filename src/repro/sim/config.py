@@ -38,9 +38,6 @@ class SimulationConfig:
     stability_growth_windows:
         Consecutive strictly-growing windows that trigger the unstable
         flag (filters stochastic wiggle from real divergence).
-    check_invariants_every:
-        Run ``switch.check_invariants()`` every k slots (0 = never).
-        Invaluable in tests, too slow for production sweeps.
     raise_on_unstable:
         Raise :class:`~repro.errors.UnstableSimulationError` instead of
         flagging.
@@ -61,7 +58,6 @@ class SimulationConfig:
     max_backlog: int | None = 200_000
     stability_window: int = 2_000
     stability_growth_windows: int = 8
-    check_invariants_every: int = 0
     raise_on_unstable: bool = False
     extended_stats: bool = False
     slot_chunk: int = 1
@@ -85,11 +81,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 "stability_growth_windows must be >= 1, got "
                 f"{self.stability_growth_windows}"
-            )
-        if self.check_invariants_every < 0:
-            raise ConfigurationError(
-                "check_invariants_every must be >= 0, got "
-                f"{self.check_invariants_every}"
             )
         if self.slot_chunk < 1:
             raise ConfigurationError(

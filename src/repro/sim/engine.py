@@ -8,8 +8,8 @@ loop serves every algorithm, every experiment and every mode identically.
 
 There is exactly one loop, in :meth:`SimulationEngine.run`. Per slot it
 does ``injector.advance`` (fault runs) → ``switch.step`` →
-``collector.on_slot`` → the run's observers → the invariant check on its
-cadence; the stability monitor is fed at every window boundary.
+``collector.on_slot`` → the run's observers; the stability monitor is fed
+at every window boundary.
 ``slot_chunk`` only sets how many arrival vectors are drawn ahead of the
 slots that consume them (same ``traffic.next_slot()`` call order, and
 traffic and ``faults.*`` are independent named RNG streams), so it
@@ -20,7 +20,9 @@ Observers are built once per run from what is present, each a callable
 
 * ``sanitize=True`` / ``REPRO_SANITIZE=1`` adds
   :meth:`repro.sanitize.SanitizerSuite.on_slot` — conservation, matching
-  validity, FIFO order and the kernel seam on every slot.
+  validity and FIFO order on every slot, and ``switch.check_invariants()``
+  with the kernel-seam cross-checks on the suite's ``deep_every`` cadence.
+  The suite is the loop's only invariant hook.
 * ``telemetry=`` adds :meth:`repro.obs.telemetry.SlotObserver.on_slot` —
   the metrics registry, one JSONL trace record per slot when tracing,
   heartbeats, periodic sink snapshots. With profiling on, the loop's core
@@ -123,7 +125,6 @@ class SimulationEngine:
         step = switch.step
         queue_sizes = switch.queue_sizes
         on_slot = collector.on_slot
-        check_invariants = switch.check_invariants
         observe_stability = self._observe_stability
 
         observers = []
@@ -147,13 +148,11 @@ class SimulationEngine:
                 step = timed("schedule", step)
                 queue_sizes = timed("stats", queue_sizes)
                 on_slot = timed("stats", on_slot)
-                check_invariants = timed("invariants", check_invariants)
                 observe_stability = timed("invariants", observe_stability)
 
         total = cfg.num_slots
         chunk = cfg.slot_chunk
         window = cfg.stability_window
-        check_every = cfg.check_invariants_every
         unstable = False
         ahead: deque = deque()  # arrival vectors drawn but not yet stepped
         for slot in range(total):
@@ -179,8 +178,6 @@ class SimulationEngine:
             for observe in observers:
                 observe(slot, arrivals, result)
             self.slots_run = done = slot + 1
-            if check_every and done % check_every == 0:
-                check_invariants()
             if window and done % window == 0:
                 if observe_stability(injector, switch.total_backlog()):
                     unstable = True

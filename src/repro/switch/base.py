@@ -212,10 +212,10 @@ class BaseSwitch(abc.ABC):
     def check_invariants(self) -> None:
         """Optional deep consistency check; overridden where meaningful.
 
-        Called by the engine every ``check_invariants_every`` slots, by
-        the exhaustive verifier every slot, and by the runtime
-        sanitizer's deep passes (:mod:`repro.sanitize`), which convert a
-        raise into a structured violation record instead of a crash.
+        Called only by the runtime sanitizer's deep passes
+        (:mod:`repro.sanitize`; every slot under ``repro-sim verify``),
+        which convert a raise into a structured violation record instead
+        of a crash.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -24,6 +24,10 @@ class TraceTraffic(TrafficModel):
 
     def __init__(self, num_ports: int, packets: Iterable[Packet]) -> None:
         super().__init__(num_ports, rng=0)
+        # A replay draws nothing, so it holds no stream: a seed-0
+        # generator here would read as an alias of any component seeded
+        # 0 to the sanitizer's rng_isolation check.
+        self.rng = None
         self._by_slot: dict[int, list[Packet]] = {}
         total_cells = 0
         count = 0

@@ -4,11 +4,17 @@ Property tests sample the trace space; for very small switches the space
 is small enough to *enumerate completely*, turning invariant checks into
 exhaustive proofs over a bounded domain — the model-checking style of
 assurance. :func:`exhaustive_verify` enumerates every possible arrival
-trace for an N-port switch over a bounded horizon and drives the chosen
-algorithm through each, checking conservation, crossbar feasibility,
-causality, FIFO order per (input, output) pair and guaranteed drain.
+trace for an N-port switch over a bounded horizon and runs each through
+the simulation engine under the hard-fail runtime sanitizer, so the
+invariants it proves are the sanitizer's catalogue (docs/sanitizers.md),
+plus guaranteed drain.
 """
 
-from repro.verify.exhaustive import VerificationReport, Violation, exhaustive_verify
+from repro.verify.exhaustive import (
+    VerificationReport,
+    Violation,
+    check_trace,
+    exhaustive_verify,
+)
 
-__all__ = ["exhaustive_verify", "VerificationReport", "Violation"]
+__all__ = ["check_trace", "exhaustive_verify", "VerificationReport", "Violation"]

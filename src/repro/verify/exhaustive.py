@@ -1,4 +1,4 @@
-"""Enumerate every bounded trace and check every invariant.
+"""Run every bounded trace through the engine under the sanitizer.
 
 The trace domain: for each of ``horizon`` slots and each of ``num_ports``
 inputs, either no arrival or a packet with any non-empty destination
@@ -7,31 +7,38 @@ radix counter. For N = 2, horizon = 3 that is 4^6 = 4096 traces; each is
 run to drain (bounded by total cells) under the algorithm's deterministic
 configuration.
 
-Checks per trace (a :class:`Violation` records the first failure):
+Each trace runs through :class:`~repro.sim.engine.SimulationEngine`, the
+loop every simulation uses, with a hard-fail
+:class:`~repro.sanitize.SanitizerSuite` whose deep pass runs every slot.
+The invariants checked are therefore exactly the sanitizer's catalogue
+(docs/sanitizers.md): conservation, matching validity, per-pair FIFO
+order, the switch's own ``check_invariants()`` with the kernel-seam
+cross-checks, and RNG isolation. The engine adds its collector's refusals
+(a delivery before its arrival, or for a packet never offered) and its
+end-of-run conservation audit. The harness owns only what no per-slot
+check can see: ``drain`` — everything delivered within
+``horizon + cells`` slots.
 
-* ``conservation`` — delivered + backlog == offered after every slot;
-* ``feasible`` — validated inside the switch (crossbar/decision checks
-  raise), surfaced here as an ``exception`` violation;
-* ``causality`` — no delivery before arrival;
-* ``output-exclusivity`` — one delivery per (output, slot);
-* ``fifo`` — per (input, output) services in arrival order;
-* ``drain`` — everything delivered within ``horizon + cells`` slots;
-* ``internal`` — the switch's own ``check_invariants`` every slot.
+A :class:`Violation` records the first failure of a trace. Its ``kind``
+is the sanitizer checker's name, ``"drain"``, or ``"exception"`` for any
+other :class:`~repro.errors.ReproError` raised inside the run.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
 
 from repro.errors import ConfigurationError, ReproError
 from repro.packet import Packet
+from repro.sanitize import SanitizerError, SanitizerSuite
 from repro.schedulers.registry import make_switch
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import TraceTraffic
 from repro.utils.bitsets import bitmask_to_tuple
 
-__all__ = ["Violation", "VerificationReport", "exhaustive_verify"]
+__all__ = ["Violation", "VerificationReport", "check_trace", "exhaustive_verify"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,81 +75,62 @@ class VerificationReport:
         )
 
 
-def _check_one(
-    algorithm: str,
-    num_ports: int,
-    trace_desc: tuple[tuple[int, int, tuple[int, ...]], ...],
-    horizon: int,
+def check_trace(
     report: VerificationReport,
+    trace: tuple[tuple[int, int, tuple[int, ...]], ...],
     **switch_kwargs,
 ) -> None:
+    """Run one ``(slot, input, dests)`` trace to drain; record the outcome.
+
+    The switch is ``report.algorithm`` at ``report.num_ports`` ports; the
+    arrivals span ``report.horizon`` slots. The first violation, if any,
+    is appended to ``report.violations``; a clean trace adds its cells
+    and its largest delay to the report.
+    """
     packets = [
         Packet(input_port=i, destinations=dests, arrival_slot=slot)
-        for slot, i, dests in trace_desc
+        for slot, i, dests in trace
     ]
-    offered = sum(p.fanout for p in packets)
-    total_slots = horizon + offered + 1
-    deliveries = []
+    total_slots = report.horizon + sum(p.fanout for p in packets) + 1
     # Built outside the try: an unknown algorithm or a bad switch option
     # is the caller's ConfigurationError, not a violation of the algorithm.
-    switch = make_switch(algorithm, num_ports, rng=0, **switch_kwargs)
+    switch = make_switch(report.algorithm, report.num_ports, rng=0, **switch_kwargs)
+    suite = SanitizerSuite(hard_fail=True, deep_every=1)
+    engine = SimulationEngine(
+        switch,
+        TraceTraffic(report.num_ports, packets),
+        SimulationConfig(
+            num_slots=total_slots,
+            warmup_fraction=0.0,
+            max_backlog=None,
+            stability_window=0,
+        ),
+        algorithm_name=report.algorithm,
+        sanitize=suite,
+    )
     try:
-        traffic = TraceTraffic(num_ports, packets)
-        delivered = 0
-        for slot in range(total_slots):
-            arrivals = traffic.next_slot() if slot < horizon else [None] * num_ports
-            result = switch.step(arrivals, slot)
-            deliveries.extend(result.deliveries)
-            delivered += result.cells_delivered
-            arrived = sum(p.fanout for p in packets if p.arrival_slot <= slot)
-            if delivered + switch.total_backlog() != arrived:
-                report.violations.append(
-                    Violation("conservation", f"slot {slot}", trace_desc)
-                )
-                return
-            switch.check_invariants()
-        if switch.total_backlog() != 0:
-            report.violations.append(
-                Violation(
-                    "drain",
-                    f"{switch.total_backlog()} cells left after {total_slots} slots",
-                    trace_desc,
-                )
-            )
-            return
-    except ReproError as exc:
-        report.violations.append(Violation("exception", str(exc), trace_desc))
+        summary = engine.run()
+    except SanitizerError:
+        first = suite.violations[0]
+        detail = f"slot {first.slot}: {first.message}"
+        report.violations.append(Violation(first.checker, detail, trace))
         return
-    # Cross-cutting checks over the delivery log.
-    seen_output_slot = set()
-    per_pair: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-    for d in deliveries:
-        if d.service_slot < d.packet.arrival_slot:
-            report.violations.append(
-                Violation("causality", f"{d.packet.packet_id}", trace_desc)
+    except ReproError as exc:
+        report.violations.append(Violation("exception", str(exc), trace))
+        return
+    if summary.final_backlog:
+        report.violations.append(
+            Violation(
+                "drain",
+                f"{summary.final_backlog} cells left after {total_slots} slots",
+                trace,
             )
-            return
-        key = (d.output_port, d.service_slot)
-        if key in seen_output_slot:
-            report.violations.append(
-                Violation("output-exclusivity", str(key), trace_desc)
-            )
-            return
-        seen_output_slot.add(key)
-        per_pair[(d.packet.input_port, d.output_port)].append(
-            (d.service_slot, d.packet.arrival_slot)
         )
-        delay = d.service_slot - d.packet.arrival_slot + 1
-        if delay > report.max_delay_seen:
-            report.max_delay_seen = delay
-    if switch.fifo_per_pair:
-        for services in per_pair.values():
-            services.sort()
-            arrivals_in_service_order = [a for _, a in services]
-            if arrivals_in_service_order != sorted(arrivals_in_service_order):
-                report.violations.append(Violation("fifo", "", trace_desc))
-                return
-    report.cells_delivered += len(deliveries)
+        return
+    report.cells_delivered += summary.cells_delivered
+    report.max_delay_seen = max(
+        report.max_delay_seen, engine.collector.delay.max_delivery_delay
+    )
 
 
 def exhaustive_verify(
@@ -157,9 +145,9 @@ def exhaustive_verify(
 
     The domain has ``(2^num_ports) ** (num_ports * horizon)`` traces;
     keep ``num_ports``/``horizon`` tiny (the default domain has 4096).
-    ``switch_kwargs`` go to the registry factory — pass deterministic
-    configurations (e.g. ``tie_break='lowest_input'``) so a reported
-    violation is replayable.
+    ``switch_kwargs`` go to the registry factory (e.g.
+    ``tie_break='lowest_input'``); the scheduler's tie-break stream is
+    seeded, so every reported violation replays.
     """
     if num_ports < 1 or horizon < 1:
         raise ConfigurationError("num_ports and horizon must be >= 1")
@@ -174,15 +162,13 @@ def exhaustive_verify(
     options = list(range(2**num_ports))  # 0 = no arrival, else dest mask
     cells = [(slot, i) for slot in range(horizon) for i in range(num_ports)]
     for assignment in product(options, repeat=len(cells)):
-        trace_desc = tuple(
+        trace = tuple(
             (slot, i, bitmask_to_tuple(mask))
             for (slot, i), mask in zip(cells, assignment)
             if mask
         )
         report.traces_checked += 1
-        _check_one(
-            algorithm, num_ports, trace_desc, horizon, report, **switch_kwargs
-        )
+        check_trace(report, trace, **switch_kwargs)
         if report.violations and stop_at_first:
             break
     return report

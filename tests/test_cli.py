@@ -122,6 +122,24 @@ class TestVerifyCommand:
         assert main(["verify", "-a", "fifoms", "-n", "4", "--horizon", "4"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_violation_exits_1_and_names_the_checker(self, capsys):
+        from repro.schedulers import registry
+        from repro.switch.output_queue import OutputQueuedSwitch
+
+        class Leaky(OutputQueuedSwitch):
+            def total_backlog(self):
+                return 0
+
+        registry.register_switch_factory("leaky", lambda n, **kw: Leaky(n))
+        try:
+            code = main(["verify", "-a", "leaky", "-n", "2", "--horizon", "1"])
+        finally:
+            registry._REGISTRY.pop("leaky", None)
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "1 VIOLATIONS" in out
+        assert "  conservation: slot 0: cell conservation broken" in out
+
     def test_unknown_algorithm_is_a_usage_error(self, capsys):
         assert main(["verify", "-a", "nope", "-n", "2", "--horizon", "1"]) == 2
         captured = capsys.readouterr()

@@ -149,6 +149,7 @@ RETIRED = (
     "configure_drivers",
     "AnalysisCache", "lint_package_signature", "format_sarif",
     "write_baseline", "--write-baseline", ".lint-cache",
+    "check_invariants_every",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",

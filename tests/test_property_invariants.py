@@ -2,15 +2,14 @@
 must preserve the global invariants of DESIGN.md §6.
 
 Strategy: hypothesis draws a small random trace (N in 2..5, a handful of
-slots, random fanout sets), each switch consumes it, then runs with no
-arrivals until drained. Checked throughout:
-
-* crossbar feasibility (validated inside every step),
-* conservation: offered cells == delivered cells + backlog at all times,
-* per-(input, output) services in FIFO (arrival-order) order,
-* one distinct data payload per input per slot,
-* eventual delivery of every cell (starvation freedom / drain),
-* structure-specific internal invariants via check_invariants().
+slots, random fanout sets) and hands it to
+:func:`repro.verify.exhaustive.check_trace` — the per-trace runner behind
+``repro-sim verify``. It drives the switch through the engine under the
+hard-fail sanitizer until drained, so the invariants checked here are
+the sanitizer's catalogue (docs/sanitizers.md): conservation, crossbar
+matching validity, per-(input, output) FIFO order, the switch's own
+``check_invariants()`` every slot, causality (the stats collector's
+refusal), plus eventual delivery of every cell.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from hypothesis import strategies as st
 from repro.packet import Packet
 from repro.schedulers.registry import make_switch
 from repro.traffic.trace import TraceTraffic
+from repro.verify.exhaustive import VerificationReport, check_trace
 
 ALGOS = (
     "fifoms",
@@ -45,7 +45,7 @@ ALGOS = (
 def traces(draw):
     n = draw(st.integers(min_value=2, max_value=5))
     horizon = draw(st.integers(min_value=1, max_value=10))
-    packets = []
+    trace = []
     for slot in range(horizon):
         for i in range(n):
             if draw(st.booleans()):
@@ -56,87 +56,39 @@ def traces(draw):
                         max_size=n,
                     )
                 )
-                packets.append(
-                    Packet(input_port=i, destinations=tuple(dests), arrival_slot=slot)
-                )
-    return n, horizon, packets
+                trace.append((slot, i, tuple(sorted(dests))))
+    return n, horizon, tuple(trace)
 
 
-def _run_to_drain(algorithm: str, n: int, horizon: int, packets):
-    switch = make_switch(algorithm, n, rng=0)
-    traffic = TraceTraffic(n, packets)
-    offered = sum(p.fanout for p in packets)
-    deliveries = []
-    delivered = 0
-    # Enough slots to drain serially even with worst-case blocking.
-    total_slots = horizon + offered + 4
-    for slot in range(total_slots):
-        arrivals = traffic.next_slot() if slot < horizon else [None] * n
-        result = switch.step(arrivals, slot)
-        deliveries.extend(result.deliveries)
-        delivered += result.cells_delivered
-        # Conservation at every slot boundary.
-        arrived_so_far = sum(
-            p.fanout for p in packets if p.arrival_slot <= slot
-        )
-        assert delivered + switch.total_backlog() == arrived_so_far
-        switch.check_invariants()
-    return switch, deliveries, offered
+def _assert_clean(algorithm: str, n: int, horizon: int, trace) -> None:
+    report = VerificationReport(algorithm=algorithm, num_ports=n, horizon=horizon)
+    check_trace(report, trace)
+    assert report.ok, report.violations
+    # Everything delivered: no starvation.
+    assert report.cells_delivered == sum(len(dests) for _, _, dests in trace)
 
 
 @settings(max_examples=25, deadline=None)
 @given(traces())
 def test_fifoms_invariants(trace):
-    n, horizon, packets = trace
-    switch, deliveries, offered = _run_to_drain("fifoms", n, horizon, packets)
-    assert len(deliveries) == offered  # everything delivered: no starvation
-    assert switch.total_backlog() == 0
-    # FIFO per (input, output) pair.
-    per_pair = defaultdict(list)
-    for d in deliveries:
-        per_pair[(d.packet.input_port, d.output_port)].append(
-            (d.service_slot, d.packet.arrival_slot)
-        )
-    for services in per_pair.values():
-        services.sort()
-        arrivals = [a for _, a in services]
-        assert arrivals == sorted(arrivals)
-    # One distinct packet per input per slot (single data cell rule).
-    per_input_slot = defaultdict(set)
-    for d in deliveries:
-        per_input_slot[(d.packet.input_port, d.service_slot)].add(
-            d.packet.packet_id
-        )
-    assert all(len(v) == 1 for v in per_input_slot.values())
-    # One input per output per slot (crossbar rule).
-    per_output_slot = defaultdict(list)
-    for d in deliveries:
-        per_output_slot[(d.output_port, d.service_slot)].append(d)
-    assert all(len(v) == 1 for v in per_output_slot.values())
+    _assert_clean("fifoms", *trace)
 
 
 @settings(max_examples=12, deadline=None)
 @given(traces(), st.sampled_from(ALGOS))
 def test_all_architectures_conserve_and_drain(trace, algorithm):
-    n, horizon, packets = trace
-    switch, deliveries, offered = _run_to_drain(algorithm, n, horizon, packets)
-    assert len(deliveries) == offered
-    assert switch.total_backlog() == 0
-    # No output ever double-booked in a slot.
-    seen = set()
-    for d in deliveries:
-        key = (d.output_port, d.service_slot)
-        assert key not in seen
-        seen.add(key)
-    # Causality: service never precedes arrival.
-    assert all(d.service_slot >= d.packet.arrival_slot for d in deliveries)
+    _assert_clean(algorithm, *trace)
 
 
 @settings(max_examples=12, deadline=None)
 @given(traces())
 def test_oqfifo_work_conservation(trace):
     """OQFIFO serves an output in every slot in which it has backlog."""
-    n, horizon, packets = trace
+    n, horizon, trace = trace
+    packets = [
+        Packet(input_port=i, destinations=dests, arrival_slot=slot)
+        for slot, i, dests in trace
+    ]
     switch = make_switch("oqfifo", n)
     traffic = TraceTraffic(n, packets)
     offered = sum(p.fanout for p in packets)

@@ -399,6 +399,24 @@ class TestRngIsolationChecker:
         assert len(out) == 1 and "identical" in out[0].message
         assert out[0].slot == 5
 
+    def test_discovers_the_scheduler_stream(self):
+        """Schedulers keep their stream as ``_rng``; one seeded like its
+        traffic trips the checker at attach. A trace replay draws nothing
+        and holds no stream, so the same seed is silent there."""
+        from repro.schedulers import make_switch
+        from repro.traffic.bernoulli import BernoulliMulticastTraffic
+        from repro.traffic.trace import TraceTraffic
+
+        fired = []
+        for traffic in (
+            BernoulliMulticastTraffic(2, p=0.5, b=0.5, rng=0),
+            TraceTraffic(2, []),
+        ):
+            suite = SanitizerSuite(fail_at_finish=False)
+            suite.attach(make_switch("fifoms", 2, rng=0), traffic=traffic)
+            fired.append([v.checker for v in suite.violations])
+        assert fired == [["rng_isolation"], []]
+
 
 # --------------------------------------------------------------------- #
 # Suite semantics

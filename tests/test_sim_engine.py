@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.errors import ConfigurationError, SimulationError, UnstableSimulationError
+from repro.sanitize import SanitizerSuite
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.stability import StabilityMonitor
@@ -30,7 +31,7 @@ class TestConfig:
             {"max_backlog": 0},
             {"stability_window": -1},
             {"stability_growth_windows": 0},
-            {"check_invariants_every": -2},
+            {"slot_chunk": 0},
         ],
     )
     def test_invalid(self, kwargs):
@@ -105,7 +106,7 @@ class TestEngine:
     def test_unstable_flag_and_raise(self):
         # Offered load ~3.2 cells/output/slot: hopelessly overloaded.
         traffic = BernoulliMulticastTraffic(8, p=1.0, b=0.9, rng=0)
-        switch = MulticastVOQSwitch(8, FIFOMSScheduler(8, rng=0))
+        switch = MulticastVOQSwitch(8, FIFOMSScheduler(8, rng=1))
         cfg = SimulationConfig(
             num_slots=3000,
             warmup_fraction=0.0,
@@ -117,7 +118,7 @@ class TestEngine:
         assert summary.slots_run < 3000  # stopped early
 
         traffic2 = BernoulliMulticastTraffic(8, p=1.0, b=0.9, rng=0)
-        switch2 = MulticastVOQSwitch(8, FIFOMSScheduler(8, rng=0))
+        switch2 = MulticastVOQSwitch(8, FIFOMSScheduler(8, rng=1))
         cfg2 = SimulationConfig(
             num_slots=3000,
             warmup_fraction=0.0,
@@ -129,17 +130,19 @@ class TestEngine:
             SimulationEngine(switch2, traffic2, cfg2).run()
 
     def test_invariant_checking_hook_runs(self):
-        calls = []
-        engine = _trace_engine(
-            [make_packet(0, (0,), 0)], slots=6, check_invariants_every=2
-        )
-        # force the sanitizer off: its deep passes also call the hook,
-        # which would break this exact count under REPRO_SANITIZE=1
-        engine.sanitizer = None
-        original = engine.switch.check_invariants
-        engine.switch.check_invariants = lambda: calls.append(1) or original()
-        engine.run()
-        assert len(calls) == 3
+        """The sanitizer's deep pass is the loop's only caller of
+        ``check_invariants()``: every ``deep_every`` slots and once at
+        finish; a plain run never calls it."""
+        counts = []
+        for sanitizer in (SanitizerSuite(deep_every=2), None):
+            calls = []
+            engine = _trace_engine([make_packet(0, (0,), 0)], slots=6)
+            engine.sanitizer = sanitizer
+            original = engine.switch.check_invariants
+            engine.switch.check_invariants = lambda: calls.append(1) or original()
+            engine.run()
+            counts.append(len(calls))
+        assert counts == [4, 0]  # slots 1, 3, 5 + the final pass; none
 
     def test_summary_provenance(self):
         summary = _trace_engine([make_packet(0, (0,), 0)], slots=2).run()

@@ -25,16 +25,16 @@ TRAFFIC = {"model": "bernoulli", "p": 0.4, "b": 0.3}
 CHUNKS = (1, 7, 64, 5000)
 
 
-def _summary(algorithm, backend, slot_chunk, *, slots=1500, check_every=0):
+def _summary(algorithm, backend, slot_chunk, *, slots=1500, sanitize=None):
     cfg = SimulationConfig(
         num_slots=slots,
         warmup_fraction=0.5,
         stability_window=700,  # deliberately coprime-ish with the chunks
-        check_invariants_every=check_every,
         slot_chunk=slot_chunk,
     )
     return run_simulation(
-        algorithm, 8, TRAFFIC, seed=11, config=cfg, backend=backend
+        algorithm, 8, TRAFFIC, seed=11, config=cfg, backend=backend,
+        sanitize=sanitize,
     )
 
 
@@ -78,11 +78,14 @@ class TestChunkedEquivalence:
         assert chunked.to_json() == base.to_json()
 
     def test_chunks_respect_invariant_cadence(self):
-        # check_invariants_every=13 never divides chunk=8 evenly: the
-        # check must still run on its own per-slot cadence.
-        base = _summary("fifoms", "object", 1, check_every=13)
-        chunked = _summary("fifoms", "object", 8, check_every=13)
+        # deep_every=13 never divides chunk=8 evenly: the sanitizer's deep
+        # pass (check_invariants + seam cross-checks) must still run on
+        # its own per-slot cadence.
+        suites = [SanitizerSuite(hard_fail=True, deep_every=13) for _ in "ab"]
+        base = _summary("fifoms", "object", 1, sanitize=suites[0])
+        chunked = _summary("fifoms", "object", 8, sanitize=suites[1])
         assert chunked.to_json() == base.to_json()
+        assert [s.deep_passes for s in suites] == [1500 // 13 + 1] * 2
 
     def test_unstable_run_stops_at_same_slot(self):
         overload = {"model": "bernoulli", "p": 0.95, "b": 0.9}

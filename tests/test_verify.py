@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
+from repro.packet import Delivery
+from repro.schedulers import registry
+from repro.switch.base import SlotResult
+from repro.switch.output_queue import OutputQueuedSwitch
 from repro.verify.exhaustive import exhaustive_verify
 
 
@@ -108,3 +112,68 @@ class TestViolationDetection:
             assert report.violations[0].kind == "drain"
         finally:
             registry._REGISTRY.pop("starver", None)
+
+
+class _Lifo(OutputQueuedSwitch):
+    """Serves each output queue from the tail."""
+
+    def _schedule_and_transmit(self, slot):
+        result = SlotResult(slot=slot)
+        for j, q in enumerate(self.queues):
+            if q:
+                result.deliveries.append(Delivery(q.pop(), j, slot))
+        return result
+
+
+class _DoubleServe(OutputQueuedSwitch):
+    """Sends two cells down output 0 whenever two are queued there."""
+
+    def _schedule_and_transmit(self, slot):
+        result = super()._schedule_and_transmit(slot)
+        if self.queues[0]:
+            result.deliveries.append(Delivery(self.queues[0].popleft(), 0, slot))
+        return result
+
+
+class _Leaky(OutputQueuedSwitch):
+    """Under-reports its backlog by one cell."""
+
+    def total_backlog(self):
+        return max(0, super().total_backlog() - 1)
+
+
+class _Corrupt(OutputQueuedSwitch):
+    """Its own deep check rejects any queue holding two cells."""
+
+    def check_invariants(self):
+        if any(len(q) > 1 for q in self.queues):
+            raise SchedulingError("planted corruption")
+
+
+class TestOneInvariantCatalogue:
+    """Each family of the sanitizer catalogue, driven through the engine
+    by ``exhaustive_verify``, kills a planted mutant and names itself."""
+
+    @pytest.mark.parametrize(
+        "factory,kind",
+        [
+            (lambda n, rng=None, **kw: _Lifo(n), "fifo_order"),
+            (lambda n, rng=None, **kw: _DoubleServe(n), "matching"),
+            (lambda n, rng=None, **kw: _Leaky(n), "conservation"),
+            (lambda n, rng=None, **kw: _Corrupt(n), "state_cross"),
+        ],
+        ids=["fifo_order", "matching", "conservation", "state_cross"],
+    )
+    def test_mutant_is_killed_by_its_checker(self, factory, kind):
+        registry.register_switch_factory("mutant", factory)
+        try:
+            report = exhaustive_verify("mutant", num_ports=2, horizon=2)
+        finally:
+            registry._REGISTRY.pop("mutant", None)
+        assert not report.ok
+        (violation,) = report.violations
+        assert violation.kind == kind, violation
+        assert violation.detail.startswith("slot ")
+
+    def test_unmutated_parent_passes(self):
+        assert exhaustive_verify("oqfifo", num_ports=2, horizon=2).ok
