@@ -103,26 +103,14 @@ class FIFOMSScheduler:
         self.tie_break = tie_break
         self.max_iterations = max_iterations
         self.fanout_splitting = fanout_splitting
-        #: Fault-aware switches pass ``input_free``/``output_free`` port
-        #: masks when this is True, so requests to down ports are withheld
-        #: at the source (the no-splitting variant rejects masks and is
-        #: degraded by post-scheduling pruning instead).
-        self.supports_port_masks = fanout_splitting
         self._rng = make_rng(rng)
         # Per-output round-robin pointers (only used for ROUND_ROBIN ties).
         self._grant_pointers = [0] * num_ports
 
-    @property
-    def supported_backends(self) -> tuple[str, ...]:
-        """Kernel backends this configuration can drive.
-
-        The vectorized entry point (:meth:`schedule_state`) implements
-        the paper's fanout-splitting rounds only; the no-splitting
-        ablation stays object-only.
-        """
-        if self.fanout_splitting:
-            return ("object", "vectorized")
-        return ("object",)
+    #: Fault-aware switches pass ``input_free``/``output_free`` port masks
+    #: in both fanout modes, so requests to down ports are withheld at the
+    #: source instead of pruned after scheduling.
+    supports_port_masks = True
 
     # ------------------------------------------------------------------ #
     def schedule(
@@ -143,18 +131,14 @@ class FIFOMSScheduler:
             raise ConfigurationError(
                 f"scheduler built for {n} ports, got {len(ports)} input ports"
             )
-        if not self.fanout_splitting:
-            if input_free is not None or output_free is not None:
-                raise ConfigurationError(
-                    "port masks are not supported by the no-splitting variant"
-                )
-            return self._schedule_no_split(ports)
         if input_free is None:
             input_free = [True] * n
         if output_free is None:
             output_free = [True] * n
         if len(input_free) != n or len(output_free) != n:
             raise ConfigurationError("port masks must have length N")
+        if not self.fanout_splitting:
+            return self._schedule_no_split(ports, input_free, output_free)
         granted = [0] * n  # granted[i]: bitmask of the outputs input i won
         decision = ScheduleDecision()
         rounds = 0
@@ -219,34 +203,20 @@ class FIFOMSScheduler:
         output_free: list[bool] | None = None,
     ) -> ScheduleDecision:
         """Array twin of :meth:`schedule` over a struct-of-arrays
-        :class:`~repro.kernel.state.SwitchState`.
+        :class:`~repro.kernel.state.SwitchState`, in both fanout modes.
 
-        A round touches the HOL *packets* that compete, not the N×N VOQ
-        heads. Request: each still-free input asks
-        :meth:`~repro.kernel.state.SwitchState.hol_request` for its
-        oldest packet with a HOL cell at a free output — one
-        ``(timestamp, input, output bitmask)`` triple. Grant: the triples
-        are walked oldest first; a request keeps the outputs no strictly
-        older request asked for, and an output wanted by several inputs
-        of one timestamp goes to :meth:`_pick`. Every requested free
-        output is granted to somebody, so the round's grant count is the
-        popcount of the requested outputs, and an input that won nothing
-        requests again from what is left.
-
-        Tie-breaks see the same winner lists (ascending input) at the
-        same outputs in the same order (ascending within the round) as
-        the object path, so RNG draws and round-robin pointer movement
-        are bit-identical — the equivalence harness holds this method to
-        that.
+        The passes touch the HOL *packets* that compete, not the N×N VOQ
+        heads: :meth:`_schedule_state_rounds` runs the paper's rounds,
+        :meth:`_schedule_state_no_split` the no-splitting ablation. Both
+        start from the caller's ``input_free`` / ``output_free`` and write
+        the ports they reserve back into them, as :meth:`schedule` does
+        (fifoms-prio chains classes through these lists; a fault-injected
+        switch passes its port outages in them).
         """
         n = self.num_ports
         if state.num_ports != n:
             raise ConfigurationError(
                 f"scheduler built for {n} ports, got a {state.num_ports}-port state"
-            )
-        if not self.fanout_splitting:
-            raise ConfigurationError(
-                "the no-splitting variant has no vectorized kernel entry"
             )
         if (input_free is not None and len(input_free) != n) or (
             output_free is not None and len(output_free) != n
@@ -263,7 +233,41 @@ class FIFOMSScheduler:
             free_out = bitmask_from_iterable(
                 j for j, free in enumerate(output_free) if free
             )
-        offered = free_out
+        if self.fanout_splitting:
+            decision = self._schedule_state_rounds(state, contenders, free_out)
+        else:
+            decision = self._schedule_state_no_split(state, contenders, free_out)
+        if input_free is not None:
+            for i in decision.masks:
+                input_free[i] = False
+        if output_free is not None:
+            for mask in decision.masks.values():
+                for j in iter_bits(mask):
+                    output_free[j] = False
+        return decision
+
+    def _schedule_state_rounds(
+        self, state: "SwitchState", contenders: list[int], free_out: int
+    ) -> ScheduleDecision:
+        """The request/grant rounds over the HOL-packet index.
+
+        Request: each still-free input asks
+        :meth:`~repro.kernel.state.SwitchState.hol_request` for its
+        oldest packet with a HOL cell at a free output — one
+        ``(timestamp, input, output bitmask)`` triple. Grant: the triples
+        are walked oldest first; a request keeps the outputs no strictly
+        older request asked for, and an output wanted by several inputs
+        of one timestamp goes to :meth:`_pick`. Every requested free
+        output is granted to somebody, so the round's grant count is the
+        popcount of the requested outputs, and an input that won nothing
+        requests again from what is left.
+
+        Tie-breaks see the same winner lists (ascending input) at the
+        same outputs in the same order (ascending within the round) as
+        the object path, so RNG draws and round-robin pointer movement
+        are bit-identical — the equivalence harness holds this method to
+        that.
+        """
         decision = ScheduleDecision()
         granted: dict[int, int] = {}  # input -> bitmask of outputs won
         hol_request = state.hol_request
@@ -330,19 +334,46 @@ class FIFOMSScheduler:
         # Ascending input order: the canonical order commit and the
         # delivery stream depend on.
         decision.masks = dict(sorted(granted.items()))
-        # The object path's mutate-in-place contract for the caller's
-        # reservation lists (fifoms-prio chains classes through it).
-        if input_free is not None:
-            for i in granted:
-                input_free[i] = False
-        if output_free is not None:
-            for j in iter_bits(offered & ~free_out):
-                output_free[j] = False
+        return decision
+
+    def _schedule_state_no_split(
+        self, state: "SwitchState", contenders: list[int], free_out: int
+    ) -> ScheduleDecision:
+        """:meth:`_schedule_no_split` over the HOL-packet index.
+
+        A contender offers its oldest live packet, ``hol_pids[i][0]``,
+        whose ``p_hol`` bits are every destination it still has (see
+        :mod:`repro.kernel.state`); the packet is granted iff
+        ``p_hol & ~free == 0``. Candidates are ordered as the object pass
+        orders them — one permutation draw over ascending inputs under
+        RANDOM, then a stable timestamp sort — and granted in that order.
+        """
+        decision = ScheduleDecision()
+        if not contenders:
+            return decision
+        decision.requests_made = True
+        p_ts, p_hol, hol_pids = state.p_ts, state.p_hol, state.hol_pids
+        candidates = [(p_ts[hol_pids[i][0]], i) for i in contenders]
+        if self.tie_break is TieBreak.RANDOM:
+            order = self._rng.permutation(len(candidates))
+            candidates = [candidates[int(k)] for k in order]
+        candidates.sort(key=lambda pair: pair[0])  # stable: keeps tie order
+        for _ts, i in candidates:
+            mask = p_hol[hol_pids[i][0]]
+            if not mask & ~free_out:
+                free_out ^= mask
+                decision.masks[i] = mask
+        if decision.masks:
+            decision.rounds = 1
+            decision.round_grants.append(len(decision.masks))
         return decision
 
     # ------------------------------------------------------------------ #
     def _schedule_no_split(
-        self, ports: Sequence[MulticastVOQInputPort]
+        self,
+        ports: Sequence[MulticastVOQInputPort],
+        input_free: list[bool],
+        output_free: list[bool],
     ) -> ScheduleDecision:
         """All-or-nothing variant for the ABL-SPLIT ablation.
 
@@ -352,15 +383,17 @@ class FIFOMSScheduler:
         formulation from the multicast-scheduling literature: consider HOL
         packets in FIFO (timestamp) order, tie-broken per the configured
         policy, and grant a packet only if *every* one of its remaining
-        destinations is still free. One pass, at most one packet per input.
+        destinations is still free. One pass, at most one packet per input;
+        only free inputs offer one, and the ports a grant takes are marked
+        reserved in ``input_free`` / ``output_free``.
         """
-        n = self.num_ports
         decision = ScheduleDecision()
         candidates: list[tuple[int, int]] = []  # (timestamp, input)
-        for i in range(n):
-            ts = ports[i].min_hol_timestamp(None)
-            if ts is not None:
-                candidates.append((ts, i))
+        for i, port in enumerate(ports):
+            if input_free[i]:
+                ts = port.min_hol_timestamp(None)
+                if ts is not None:
+                    candidates.append((ts, i))
         if not candidates:
             return decision
         decision.requests_made = True
@@ -368,22 +401,20 @@ class FIFOMSScheduler:
             order = self._rng.permutation(len(candidates))
             candidates = [candidates[int(k)] for k in order]
         candidates.sort(key=lambda pair: pair[0])  # stable: keeps tie order
-        output_free = [True] * n
-        matched = 0
-        for _ts, i in candidates:
-            port = ports[i]
-            ts = port.min_hol_timestamp(None)
+        for ts, i in candidates:
             pending = [
-                j for j, q in enumerate(port.voqs) if q and q.head().timestamp == ts
+                j
+                for j, q in enumerate(ports[i].voqs)
+                if q and q.head().timestamp == ts
             ]
             if all(output_free[j] for j in pending):
                 for j in pending:
                     output_free[j] = False
-                decision.add(i, tuple(pending))
-                matched += 1
-        decision.rounds = 1 if matched else 0
-        if matched:
-            decision.round_grants.append(matched)
+                input_free[i] = False
+                decision.add(i, pending)
+        if decision.masks:
+            decision.rounds = 1
+            decision.round_grants.append(len(decision.masks))
         return decision
 
     # ------------------------------------------------------------------ #

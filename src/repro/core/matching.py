@@ -48,7 +48,8 @@ class ScheduleDecision:
     masks:
         One output bitmask per matched input, keyed by input index, in
         the order the scheduler granted them (ascending input for every
-        built-in scheduler but the pointer-ordered greedy pass, ESLIP's
+        built-in scheduler but the pointer-ordered greedy pass, the
+        timestamp-ordered no-splitting FIFOMS pass, ESLIP's
         multicast-then-unicast merge and the class-ordered QoS combine).
         Commit emits deliveries in this order.
     rounds:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.core.matching import ScheduleDecision
-from repro.errors import ConfigurationError
 from repro.kernel.base import KernelBackend, register_backend
 from repro.kernel.state import SwitchState
 from repro.packet import Delivery, Packet
@@ -63,15 +62,10 @@ class VectorizedBackend(KernelBackend):
         input_free: list[bool] | None = None,
         output_free: list[bool] | None = None,
     ) -> ScheduleDecision:
-        """Dispatch to the scheduler's ``schedule_state`` array entry."""
-        schedule_state = getattr(scheduler, "schedule_state", None)
-        if schedule_state is None:
-            raise ConfigurationError(
-                f"scheduler {getattr(scheduler, 'name', type(scheduler).__name__)!r} "
-                f"has no schedule_state entry point; it cannot drive the "
-                f"'vectorized' kernel backend"
-            )
-        decision: ScheduleDecision = schedule_state(
+        """Dispatch to the scheduler's ``schedule_state`` array entry
+        (``resolve_backend`` builds this kernel only for a scheduler
+        that defines one)."""
+        decision: ScheduleDecision = scheduler.schedule_state(
             self.state, input_free=input_free, output_free=output_free
         )
         return decision

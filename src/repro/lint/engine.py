@@ -32,11 +32,7 @@ from repro.lint.rules_flow import (
     GeneratorProvenanceRule,
     OrderFlowRule,
 )
-from repro.lint.rules_kernel import (
-    KernelClosurePurityRule,
-    RegistryBackendPairingRule,
-    VectorizedEntryPointRule,
-)
+from repro.lint.rules_kernel import KernelClosurePurityRule, RegistryBackendPairingRule
 from repro.lint.rules_rng import (
     NoGlobalNumpySeedRule,
     NoLegacyNumpyRandomRule,
@@ -84,7 +80,6 @@ def default_rules() -> tuple[Rule, ...]:
         SchedulerRegistryRule(),
         PublicModuleAllRule(),
         KernelHotPathImportRule(),
-        VectorizedEntryPointRule(),
         RegistryBackendPairingRule(),
         KernelClosurePurityRule(),
         ExceptHygieneRule(),

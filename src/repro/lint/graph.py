@@ -2,16 +2,14 @@
 
 The per-file rules in ``rules_*`` see one AST at a time; the kernel-
 contract (KB) family needs to answer questions that span module
-boundaries: *which class declares vectorized support, and does it define
-the array entry point?* — *does the import closure of the kernel hot path
-reach a per-cell object module?* This module builds that view once per
-lint run, from the same parsed :class:`~repro.lint.base.ModuleInfo`
-objects the engine already holds:
+boundaries: *does a registry factory's switch accept ``backend``?* —
+*does the import closure of the kernel hot path reach a per-cell object
+module?* This module builds that view once per lint run, from the same
+parsed :class:`~repro.lint.base.ModuleInfo` objects the engine already
+holds:
 
-* :class:`ClassSymbol` — one class statement: bases, method names,
-  ``__init__`` parameters, and its declared ``supported_backends``
-  (read from a literal tuple/list assignment *or* collected from the
-  string constants returned by a ``supported_backends`` property).
+* :class:`ClassSymbol` — one class statement: bases, method names and
+  ``__init__`` parameters.
 * :class:`ModuleNode` — one module: its dotted name (derived from the
   path, so fixture trees under ``tmp/repro/...`` resolve like the real
   package) and its import edges, each tagged with whether it sits under
@@ -23,7 +21,7 @@ objects the engine already holds:
   reached it (so findings can print the offending path).
 
 Build it through :func:`project_graph`, which memoizes on the
-:class:`~repro.lint.base.Project` so the three KB rules share one build.
+:class:`~repro.lint.base.Project` so the KB rules share one build.
 """
 
 from __future__ import annotations
@@ -86,14 +84,8 @@ class ClassSymbol:
     lineno: int
     bases: tuple[str, ...]
     methods: frozenset[str]
-    #: Declared kernel backends, or None when the class declares nothing.
-    supported_backends: tuple[str, ...] | None
-    #: Line of the supported_backends declaration (for findings).
-    backends_lineno: int | None
     #: Parameter names of ``__init__`` (excluding self), if defined here.
     init_params: frozenset[str]
-    #: ``__init__`` accepts ``**kwargs`` (may forward params deeper).
-    init_has_kwargs: bool
 
 
 def _is_type_checking_test(test: ast.expr) -> bool:
@@ -147,51 +139,9 @@ def _iter_imports(tree: ast.Module) -> Iterator[ImportEdge]:
     yield from walk(tree.body, False)
 
 
-def _declared_backends(cls: ast.ClassDef) -> tuple[tuple[str, ...] | None, int | None]:
-    """The class's ``supported_backends`` declaration, if any.
-
-    Handles both forms the codebase uses: a literal tuple/list attribute
-    (``supported_backends = ("object", "vectorized")``) and a property
-    whose return statements are scanned for string constants (the FIFOMS
-    scheduler declares support conditionally; the union of returned
-    strings is what the contract rule cares about).
-    """
-    for stmt in cls.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "supported_backends":
-                if isinstance(value, (ast.Tuple, ast.List)):
-                    literal = tuple(
-                        el.value
-                        for el in value.elts
-                        if isinstance(el, ast.Constant) and isinstance(el.value, str)
-                    )
-                    return literal, stmt.lineno
-                return (), stmt.lineno
-        if (
-            isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and stmt.name == "supported_backends"
-        ):
-            returned: list[str] = []
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Return) and node.value is not None:
-                    for sub in ast.walk(node.value):
-                        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                            returned.append(sub.value)
-            seen: dict[str, None] = dict.fromkeys(returned)
-            return tuple(seen), stmt.lineno
-    return None, None
-
-
 def _scan_class(cls: ast.ClassDef, module_name: str, info: ModuleInfo) -> ClassSymbol:
     methods: set[str] = set()
     init_params: frozenset[str] = frozenset()
-    init_has_kwargs = False
     for stmt in cls.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods.add(stmt.name)
@@ -199,8 +149,6 @@ def _scan_class(cls: ast.ClassDef, module_name: str, info: ModuleInfo) -> ClassS
                 a = stmt.args
                 names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
                 init_params = frozenset(names[1:] if names else [])
-                init_has_kwargs = a.kwarg is not None
-    backends, backends_lineno = _declared_backends(cls)
     bases = tuple(
         seg
         for seg in (dotted_name(b) for b in cls.bases)
@@ -213,10 +161,7 @@ def _scan_class(cls: ast.ClassDef, module_name: str, info: ModuleInfo) -> ClassS
         lineno=cls.lineno,
         bases=bases,
         methods=frozenset(methods),
-        supported_backends=backends,
-        backends_lineno=backends_lineno,
         init_params=init_params,
-        init_has_kwargs=init_has_kwargs,
     )
 
 
@@ -263,23 +208,6 @@ class ProjectGraph:
         if sym is not None:
             return sym
         return self.classes.get(name.rsplit(".", 1)[-1])
-
-    def class_defines(self, sym: ClassSymbol, method: str) -> bool:
-        """Does ``sym`` or a project-visible ancestor define ``method``?"""
-        seen: set[str] = set()
-        stack = [sym]
-        while stack:
-            cur = stack.pop()
-            if cur.name in seen:
-                continue
-            seen.add(cur.name)
-            if method in cur.methods:
-                return True
-            for base in cur.bases:
-                parent = self.resolve_class(base)
-                if parent is not None:
-                    stack.append(parent)
-        return False
 
     def resolve_module(self, target: str) -> ModuleNode | None:
         """Module node an import target refers to, if in the project.

@@ -1,16 +1,12 @@
 """Kernel-backend contract rules (KB family).
 
-PR 4's kernel seam turned the paper's bit-exactness claims into
-*conventions*: a scheduler advertises kernel support through
-``supported_backends``, the registry decides which pairings may see a
-non-object backend, and the vectorized hot path stays free of per-cell
-objects. Each convention spans modules, so the per-file rules cannot see
-a violation; these rules reason over the
+The kernel seam turned the paper's bit-exactness claims into
+*conventions*: the registry decides which pairings may see a non-object
+backend, and the vectorized hot path stays free of per-cell objects.
+Each convention spans modules, so the per-file rules cannot see a
+violation; these rules reason over the
 :class:`~repro.lint.graph.ProjectGraph` instead.
 
-* **KB001** — a class that declares ``"vectorized"`` support must define
-  the array entry point the multicast kernel dispatches to
-  (``schedule_state``), directly or via an ancestor.
 * **KB002** — registry factories must match their switch's seam: a
   factory that guards with ``_discard_backend`` (single-bodied: validate
   and drop) while building a switch whose ``__init__`` accepts
@@ -40,52 +36,9 @@ from repro.lint.graph import (
 )
 
 __all__ = [
-    "VectorizedEntryPointRule",
     "RegistryBackendPairingRule",
     "KernelClosurePurityRule",
 ]
-
-#: Array entry points a vectorized-capable scheduler may implement.
-_VECTORIZED_ENTRY_POINTS = ("schedule_state",)
-
-
-class VectorizedEntryPointRule(Rule):
-    """KB001 — declared vectorized support without an array entry point."""
-
-    rule_id = "KB001"
-    title = "supported_backends declares 'vectorized' without an entry point"
-    rationale = (
-        "A scheduler advertising \"vectorized\" in supported_backends "
-        "passes resolve_backend(), so the switch will dispatch to its "
-        "array entry point (schedule_state) at the "
-        "first scheduled slot; if the method is missing the failure is a "
-        "runtime AttributeError deep inside the slot loop instead of a "
-        "configuration-time error."
-    )
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        graph = project_graph(project)
-        seen: set[int] = set()
-        for sym in graph.classes.values():
-            if id(sym) in seen:
-                continue
-            seen.add(id(sym))
-            backends = sym.supported_backends
-            if backends is None or "vectorized" not in backends:
-                continue
-            if any(
-                graph.class_defines(sym, entry)
-                for entry in _VECTORIZED_ENTRY_POINTS
-            ):
-                continue
-            yield self.finding(
-                sym.info,
-                sym.backends_lineno or sym.lineno,
-                f"{sym.name} declares 'vectorized' in supported_backends "
-                "but neither it nor an ancestor defines "
-                "schedule_state(); the switch will "
-                "fail with AttributeError on the first scheduled slot",
-            )
 
 
 def _iter_registry_factories(

@@ -362,8 +362,8 @@ class InvariantCoverageRule(Rule):
 def _overrides_check_invariants(graph: ProjectGraph, sym: ClassSymbol) -> bool:
     """Does ``sym`` define check_invariants below BaseSwitch?
 
-    ``class_defines`` would always answer yes (BaseSwitch carries the
-    no-op), so this walk deliberately stops at BaseSwitch.
+    Every switch inherits the no-op from BaseSwitch, so an ancestor
+    walk that reached it would always answer yes; this one stops there.
     """
     seen: set[str] = set()
     stack = [sym]

@@ -36,8 +36,9 @@ class PriorityMulticastVOQSwitch(BaseSwitch):
 
     ``backend`` names the kernel backend every class lane is built on
     (``"object"`` or ``"vectorized"``); left unset (``None``, the
-    default) it is the per-class FIFOMS scheduler's preferred declared
-    body, ``"vectorized"``. ``switch.backend`` reports what was built.
+    default) it is ``"vectorized"``, which the per-class FIFOMS
+    schedulers drive through ``schedule_state``. ``switch.backend``
+    reports what was built.
     """
 
     name = "mcast-voq-prio"

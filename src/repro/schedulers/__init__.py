@@ -12,12 +12,7 @@
   scheduler on the multicast VOQ switch (ablation baseline).
 """
 
-from repro.schedulers.base import (
-    SIQHolView,
-    UnicastVOQView,
-    resolve_backend,
-    scheduler_backends,
-)
+from repro.schedulers.base import SIQHolView, UnicastVOQView, resolve_backend
 from repro.schedulers.islip import ISLIPScheduler
 from repro.schedulers.pim import PIMScheduler
 from repro.schedulers.maxweight import MaxWeightScheduler
@@ -35,7 +30,6 @@ __all__ = [
     "UnicastVOQView",
     "SIQHolView",
     "resolve_backend",
-    "scheduler_backends",
     "ISLIPScheduler",
     "PIMScheduler",
     "MaxWeightScheduler",

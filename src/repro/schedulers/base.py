@@ -27,39 +27,23 @@ __all__ = [
     "SIQHolView",
     "grant_best_key",
     "note_round",
-    "DEFAULT_BACKENDS",
-    "scheduler_backends",
     "resolve_backend",
 ]
 
-#: Backends a scheduler supports when it declares nothing: the per-cell
-#: object model is always available; the vectorized kernel is opt-in via
-#: a ``supported_backends`` attribute.
-DEFAULT_BACKENDS: tuple[str, ...] = ("object",)
-
-
-def scheduler_backends(scheduler: object) -> tuple[str, ...]:
-    """Kernel backends ``scheduler`` declares support for.
-
-    Schedulers opt in by exposing ``supported_backends`` (attribute or
-    property), listed reference body first and preferred body last;
-    anything else runs on the object kernel.
-    """
-    return tuple(getattr(scheduler, "supported_backends", DEFAULT_BACKENDS))
-
 
 def resolve_backend(scheduler: object, backend: str | None) -> str:
-    """Resolve ``backend`` against the scheduler's declared support.
+    """Resolve ``backend`` against the kernels ``scheduler`` can drive.
 
-    ``None`` (left unset) resolves to the scheduler's preferred body —
-    the last entry of its ``supported_backends``: ``"vectorized"`` for
-    the schedulers that declare it, ``"object"`` for the ones that
-    declare only that (no-splitting FIFOMS) or declare nothing. A name
-    is returned unchanged when the scheduler supports it and otherwise
+    Every scheduler drives the ``"object"`` kernel through ``schedule``;
+    one that defines ``schedule_state`` also drives ``"vectorized"``,
+    which is what ``None`` (left unset) resolves to for it. A name is
+    returned unchanged when the scheduler can drive it and otherwise
     raises :class:`~repro.errors.ConfigurationError` naming the
     scheduler and what it does support.
     """
-    supported = scheduler_backends(scheduler)
+    supported: tuple[str, ...] = ("object",)
+    if hasattr(scheduler, "schedule_state"):
+        supported = ("object", "vectorized")
     if backend is None:
         return supported[-1]
     if backend not in supported:

@@ -40,11 +40,6 @@ class GreedyMcastScheduler:
         self.num_ports = num_ports
         self._pointer = 0
 
-    #: The greedy pass is deterministic (pointer order, then smallest HOL
-    #: timestamp), so the SoA entry point below is bit-exact with
-    #: :meth:`schedule` and both kernel backends are supported.
-    supported_backends = ("object", "vectorized")
-
     def schedule(self, ports: Sequence[MulticastVOQInputPort]) -> ScheduleDecision:
         """One greedy pointer pass over the inputs; single iteration."""
         n = self.num_ports

@@ -73,11 +73,9 @@ def make_switch(
     selects something only for the pairings on that switch — fifoms,
     fifoms-prio, greedy-mcast; every other pairing has one body, accepts
     any registered name and builds the same switch. Left unset
-    (``None``, the default) it resolves to the pairing's fast body — the
-    last entry of the scheduler's ``supported_backends``: "vectorized"
-    for the three dual pairings, "object" for fifoms with
-    ``fanout_splitting=False`` by its own declaration
-    (:func:`~repro.schedulers.base.resolve_backend`).
+    (``None``, the default) it resolves to the pairing's fast body:
+    "vectorized" for the three dual pairings, whose schedulers define
+    ``schedule_state`` (:func:`~repro.schedulers.base.resolve_backend`).
     ``switch.backend`` reports what was built. An unregistered name
     raises :class:`~repro.errors.ConfigurationError` for every pairing.
     Extra keyword arguments are forwarded to the factory (e.g.

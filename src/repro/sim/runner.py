@@ -106,8 +106,7 @@ def run_simulation(
     Kernel backend: the explicit ``backend`` argument wins, then a
     ``backend`` key in ``switch_kwargs``; left unset in both, the
     pairing builds its fast body (``"vectorized"`` for fifoms,
-    fifoms-prio, greedy-mcast; ``"object"`` for fifoms with
-    ``fanout_splitting=False``). Both multicast VOQ kernels produce
+    fifoms-prio, greedy-mcast). Both multicast VOQ kernels produce
     bit-identical summaries (``repro.kernel.equivalence`` enforces
     this); for a single-bodied pairing (iSLIP, TATRA, OQFIFO, …) a name
     is accepted and selects nothing.

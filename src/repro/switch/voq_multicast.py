@@ -65,11 +65,10 @@ class MulticastVOQSwitch(BaseSwitch):
     backend:
         Kernel backend holding the queue state: ``"object"`` (reference
         per-cell semantics) or ``"vectorized"`` (struct-of-arrays hot
-        path); the scheduler must declare support for a named one
-        (``supported_backends``). Left unset (``None``, the default) it
-        is the scheduler's preferred declared body — ``"vectorized"``
-        for FIFOMS and greedy-mcast, ``"object"`` for the no-splitting
-        FIFOMS variant and for a scheduler that declares nothing;
+        path, for a scheduler that defines ``schedule_state``). Left
+        unset (``None``, the default) it is ``"vectorized"`` when the
+        scheduler defines ``schedule_state`` — FIFOMS in both fanout
+        modes and greedy-mcast — and ``"object"`` otherwise;
         ``switch.backend`` reports what was built.
     buffer_capacity:
         Optional finite per-input data-cell buffer (None = unbounded, as

@@ -137,8 +137,9 @@ PROSE = [
 
 #: The legacy `step()`-only perf ledger, the per-switch VOQ upkeep the
 #: one unicast VOQ bank replaced, the crossbar's driver-vector twin the
-#: grant masks replaced, and the lint cache / baseline / SARIF layers the
-#: one lint pass replaced. Only the history files may still name them
+#: grant masks replaced, the lint cache / baseline / SARIF layers the
+#: one lint pass replaced, and the backend declarations that
+#: ``schedule_state`` replaced. Only the history files may still name them
 #: (and the benchmark's own files, which only a benchmark change may
 #: edit, and this file, to forbid it).
 RETIRED = (
@@ -150,6 +151,7 @@ RETIRED = (
     "AnalysisCache", "lint_package_signature", "format_sarif",
     "write_baseline", "--write-baseline", ".lint-cache",
     "check_invariants_every",
+    "scheduler_backends", "DEFAULT_BACKENDS", "supported_backends",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",

@@ -74,10 +74,23 @@ class TestPortMasks:
         with pytest.raises(ConfigurationError):
             self._sched().schedule(ports, input_free=[True] * 3)
 
-    def test_masks_rejected_by_no_split_variant(self):
-        sched = FIFOMSScheduler(4, fanout_splitting=False)
-        with pytest.raises(ConfigurationError):
-            sched.schedule(mk_ports(4), input_free=[True] * 4)
+    def test_masks_honoured_by_no_split_variant(self):
+        """A packet needing a reserved output waits whole, a reserved
+        input offers nothing, and the grants are written back."""
+        ports = mk_ports(4)
+        load(ports, 0, (1, 2), 0)  # needs reserved output 2
+        load(ports, 1, (0,), 1)  # reserved input
+        load(ports, 3, (1, 3), 2)
+        sched = FIFOMSScheduler(
+            4, tie_break=TieBreak.LOWEST_INPUT, fanout_splitting=False
+        )
+        in_free = [True, False, True, True]
+        out_free = [True, True, False, True]
+        decision = sched.schedule(ports, input_free=in_free, output_free=out_free)
+        assert dict(decision.masks) == {3: 0b1010}
+        assert (decision.rounds, decision.round_grants) == (1, [1])
+        assert in_free == [True, False, True, False]
+        assert out_free == [True, False, False, False]
 
     def test_all_masked_is_a_noop(self):
         ports = mk_ports(4)
@@ -87,3 +100,23 @@ class TestPortMasks:
         )
         assert not decision
         assert not decision.requests_made
+
+
+@pytest.mark.parametrize("backend", ["object", "vectorized"])
+def test_no_split_variant_never_splits_under_an_output_outage(backend):
+    """The no-splitting ablation withholds a packet that needs a down
+    output instead of being granted it whole and pruned to a split."""
+    from repro.sim.runner import run_simulation
+
+    summary = run_simulation(
+        "fifoms", 8, {"model": "bernoulli", "p": 0.3, "b": 0.25},
+        num_slots=4000, seed=3, faults="output-outage",
+        fanout_splitting=False, backend=backend, collect_telemetry=True,
+    )
+    assert summary.faults["outage_slots"] > 0
+    (splits,) = (
+        m["value"]
+        for m in summary.telemetry["metrics"]["metrics"]
+        if m["name"] == "sim.fanout_splits"
+    )
+    assert splits == 0

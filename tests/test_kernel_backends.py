@@ -59,7 +59,7 @@ class TestResolveBackend:
         sw = make_switch("tatra", 4, backend="vectorized")
         assert type(sw) is type(make_switch("tatra", 4, backend="object"))
         assert sw.backend == "object"
-        assert not hasattr(TATRAScheduler, "supported_backends")
+        assert not hasattr(TATRAScheduler, "schedule_state")
         assert not hasattr(TATRAScheduler, "object_only_reason")
 
     def test_every_other_pairing_constructs_vectorized(self):
@@ -92,40 +92,49 @@ class TestResolveBackend:
 
 
 class TestDefaultBackend:
-    """``backend`` left unset builds each pairing's fast body: the last
-    entry of what its scheduler declares."""
-
-    @staticmethod
-    def _scheduler(switch):
-        # The strict-priority switch holds one scheduler per class.
-        return getattr(switch, "scheduler", None) or switch.schedulers[0]
+    """``backend`` left unset builds each pairing's fast body: the
+    vectorized kernel whenever its scheduler defines ``schedule_state``."""
 
     def test_whole_registry_default(self):
         from repro.kernel.equivalence import classify_registry
-        from repro.schedulers.base import scheduler_backends
         from repro.schedulers.registry import available_schedulers
 
         single, dual = classify_registry()
         assert len(dual) == 3 and len(single) == 13
         assert sorted([*single, *dual]) == list(available_schedulers())
         for name in dual:
-            sw = make_switch(name, 4)
-            preferred = scheduler_backends(self._scheduler(sw))[-1]
-            assert sw.backend == preferred == "vectorized", name
+            assert make_switch(name, 4).backend == "vectorized", name
         for name in single:
             assert make_switch(name, 4).backend == "object", name
         nosplit = make_switch("fifoms", 4, fanout_splitting=False)
-        assert nosplit.backend == "object"
-        assert nosplit.scheduler.supported_backends == ("object",)
+        assert nosplit.backend == "vectorized"
+        assert isinstance(nosplit._backend, VectorizedBackend)
+        reference = make_switch(
+            "fifoms", 4, fanout_splitting=False, backend="object"
+        )
+        assert isinstance(reference._backend, ObjectBackend)
 
     def test_undeclared_scheduler_builds_object(self):
+        """A third-party scheduler is built on what it defines: the
+        object kernel for ``schedule`` alone, the vectorized one once it
+        also has ``schedule_state``."""
         from repro.switch.voq_multicast import MulticastVOQSwitch
 
         class Undeclared:
             name = "third-party"
 
+        class WithArrayEntry(Undeclared):
+            def schedule_state(self, state, *, input_free=None, output_free=None):
+                return ScheduleDecision()
+
         assert resolve_backend(Undeclared(), None) == "object"
         assert MulticastVOQSwitch(4, Undeclared()).backend == "object"
+        assert resolve_backend(WithArrayEntry(), None) == "vectorized"
+        assert MulticastVOQSwitch(4, WithArrayEntry()).backend == "vectorized"
+        assert (
+            MulticastVOQSwitch(4, WithArrayEntry(), backend="object").backend
+            == "object"
+        )
 
     def test_constructors_and_config_default_to_unset(self):
         """The two seamed constructors default to the fast kernel; the
@@ -175,8 +184,7 @@ class TestDefaultBackend:
     @pytest.mark.parametrize("figure_id", ["fig4", "abl-split"])
     def test_run_figure_summaries_do_not_depend_on_the_backend(self, figure_id):
         """The default, explicit "object" and explicit "vectorized" give
-        the same figure; only no-splitting FIFOMS refuses "vectorized",
-        by ``FIFOMSScheduler.supported_backends``."""
+        the same figure, no-splitting FIFOMS (``abl-split``) included."""
         from dataclasses import replace
 
         from repro.experiments.figures import get_figure
@@ -189,10 +197,7 @@ class TestDefaultBackend:
             kwargs = {}
             for algorithm in spec.algorithms:
                 own = dict(spec.switch_kwargs.get(algorithm, {}))
-                refuses = backend == "vectorized" and not own.get(
-                    "fanout_splitting", True
-                )
-                if backend is not None and not refuses:
+                if backend is not None:
                     own["backend"] = backend
                 kwargs[algorithm] = own
             result = run_figure(
@@ -242,12 +247,19 @@ class TestBackendBehaviour:
         vec.check_invariants()
 
     def test_vectorized_requires_schedule_state(self):
+        """Support is read off the method: a scheduler without
+        ``schedule_state`` is refused the vectorized kernel at build."""
+        from repro.switch.voq_multicast import MulticastVOQSwitch
+
         class NoArrayScheduler:
             name = "stub"
 
-        vec = make_backend("vectorized", 4)
-        with pytest.raises(ConfigurationError, match="schedule_state"):
-            vec.schedule(NoArrayScheduler())
+        with pytest.raises(
+            ConfigurationError,
+            match=r"'stub' does not support the 'vectorized' kernel "
+            r"backend \(supported: object\)",
+        ):
+            MulticastVOQSwitch(4, NoArrayScheduler(), backend="vectorized")
 
     def _configured_masks(self, name):
         """Masks every ``crossbar.configure`` call received over two

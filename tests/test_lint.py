@@ -34,11 +34,7 @@ from repro.lint.rules_flow import (
     GeneratorProvenanceRule,
     OrderFlowRule,
 )
-from repro.lint.rules_kernel import (
-    KernelClosurePurityRule,
-    RegistryBackendPairingRule,
-    VectorizedEntryPointRule,
-)
+from repro.lint.rules_kernel import KernelClosurePurityRule, RegistryBackendPairingRule
 from repro.lint.rules_determinism import NoUnsortedSetIterationRule, NoWallClockRule
 from repro.lint.rules_errors import ExceptHygieneRule
 from repro.lint.rules_rng import (
@@ -547,101 +543,6 @@ class TestERR001ExceptHygiene:
 # --------------------------------------------------------------------- #
 # Kernel-backend contracts (flow-aware, whole-project)
 # --------------------------------------------------------------------- #
-KB001_BAD = """
-    __all__ = []
-
-    class FancyScheduler:
-        supported_backends = ("object", "vectorized")
-
-        def schedule(self, views, slot):
-            pass
-"""
-
-
-class TestKB001VectorizedEntryPoint:
-    RULE = VectorizedEntryPointRule
-
-    def test_flags_missing_entry_point(self, tmp_path):
-        findings = lint_tree(
-            tmp_path, {"repro/schedulers/fancy.py": KB001_BAD}, [self.RULE()]
-        )
-        assert only_ids(findings) == ["KB001"]
-        assert "FancyScheduler" in findings[0].message
-
-    def test_schedule_vectorized_clean(self, tmp_path):
-        # ``schedule_state`` is the one array entry point; the retired
-        # ``schedule_vectorized`` name no longer satisfies the rule.
-        src = """
-            class FancyScheduler:
-                supported_backends = ("object", "vectorized")
-
-                def {entry}(self, state, slot):
-                    pass
-        """
-        clean = {"repro/schedulers/fancy.py": src.format(entry="schedule_state")}
-        assert lint_tree(tmp_path / "clean", clean, [self.RULE()]) == []
-        retired = {
-            "repro/schedulers/fancy.py": src.format(entry="schedule_vectorized")
-        }
-        findings = lint_tree(tmp_path / "retired", retired, [self.RULE()])
-        assert only_ids(findings) == ["KB001"]
-
-    def test_property_form_and_schedule_state_clean(self, tmp_path):
-        # The FIFOMS shape: conditional property + schedule_state entry.
-        src = """
-            class CondScheduler:
-                @property
-                def supported_backends(self):
-                    if self.fanout_splitting:
-                        return ("object", "vectorized")
-                    return ("object",)
-
-                def schedule_state(self, state, slot):
-                    pass
-        """
-        files = {"repro/core/cond.py": src}
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-    def test_property_form_flagged_without_entry(self, tmp_path):
-        src = """
-            class CondScheduler:
-                @property
-                def supported_backends(self):
-                    return ("object", "vectorized")
-        """
-        files = {"repro/core/cond.py": src}
-        assert only_ids(lint_tree(tmp_path, files, [self.RULE()])) == ["KB001"]
-
-    def test_entry_point_on_ancestor_clean(self, tmp_path):
-        files = {
-            "repro/schedulers/base2.py": """
-                class ArrayBase:
-                    def schedule_state(self, state, slot):
-                        pass
-            """,
-            "repro/schedulers/fancy.py": """
-                from repro.schedulers.base2 import ArrayBase
-
-                class FancyScheduler(ArrayBase):
-                    supported_backends = ("object", "vectorized")
-            """,
-        }
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-    def test_object_only_clean(self, tmp_path):
-        src = """
-            class PlainScheduler:
-                supported_backends = ("object",)
-        """
-        files = {"repro/schedulers/plain.py": src}
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-    def test_suppression_comment(self, tmp_path):
-        src = "# lint: disable=KB001\n" + textwrap.dedent(KB001_BAD)
-        files = {"repro/schedulers/fancy.py": src}
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-
 KB002_REGISTRY = """
     __all__ = []
 
@@ -1195,7 +1096,7 @@ class TestEngine:
         ids = [r.rule_id for r in default_rules()]
         assert len(ids) == len(set(ids))
         assert len(ids) >= 8
-        for new in ("KB001", "KB002", "KB003", "RNG005", "RNG006", "DET003"):
+        for new in ("KB002", "KB003", "RNG005", "RNG006", "DET003"):
             assert new in ids
         # The catalog and its documentation move together: a rule added
         # or deleted on one side only fails here.

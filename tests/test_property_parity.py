@@ -1,5 +1,5 @@
 """Property-based exact-parity tests on hypothesis-drawn traces: object
-vs vectorized FIFOMS kernel, and the two transfer bodies (plain VOQ
+vs vectorized FIFOMS kernel in both fanout modes, and the two transfer bodies (plain VOQ
 switch, speedup-1 CIOQ) over the one unicast VOQ bank."""
 
 from __future__ import annotations
@@ -49,15 +49,19 @@ def _cfg(horizon: int, cells: int) -> SimulationConfig:
 
 
 @settings(max_examples=30, deadline=None)
-@given(traces())
-def test_fast_fifoms_bit_identical_on_any_trace(trace):
+@given(traces(), st.booleans())
+def test_fast_fifoms_bit_identical_on_any_trace(trace, fanout_splitting):
     n, horizon, packets = trace
     cells = sum(p.fanout for p in packets)
     cfg = _cfg(horizon, cells)
     ref = SimulationEngine(
         MulticastVOQSwitch(
             n,
-            FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT),
+            FIFOMSScheduler(
+                n,
+                tie_break=TieBreak.LOWEST_INPUT,
+                fanout_splitting=fanout_splitting,
+            ),
             backend="object",
         ),
         TraceTraffic(n, packets),
@@ -66,7 +70,8 @@ def test_fast_fifoms_bit_identical_on_any_trace(trace):
     ).run()
     fast = SimulationEngine(
         make_switch(
-            "fifoms", n, tie_break="lowest_input", backend="vectorized"
+            "fifoms", n, tie_break="lowest_input", backend="vectorized",
+            fanout_splitting=fanout_splitting,
         ),
         TraceTraffic(n, packets),
         cfg,
@@ -142,13 +147,16 @@ def _random_queue_state(n: int, rnd, slots: int):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     mask_inputs=st.booleans(),
     mask_outputs=st.booleans(),
+    fanout_splitting=st.booleans(),
 )
 def test_schedule_state_matches_schedule_on_random_queue_states(
-    n, tie_break, max_iterations, seed, mask_inputs, mask_outputs
+    n, tie_break, max_iterations, seed, mask_inputs, mask_outputs,
+    fanout_splitting,
 ):
-    """``schedule_state`` against the object ``schedule``: equal grants
-    (and grant order), rounds, round_grants, written-back masks and final
-    RNG state, over three schedule→commit steps from a random state."""
+    """``schedule_state`` against the object ``schedule``, in both fanout
+    modes: equal grants (and grant order), rounds, round_grants,
+    written-back masks and final RNG state, over three schedule→commit
+    steps from a random state."""
     import random
 
     from repro.switch.base import SlotResult
@@ -156,11 +164,15 @@ def test_schedule_state_matches_schedule_on_random_queue_states(
     rnd = random.Random(seed)
     slots = rnd.randint(1, 6)
     obj, vec = _random_queue_state(n, rnd, slots)
-    ref = FIFOMSScheduler(
-        n, tie_break=tie_break, max_iterations=max_iterations, rng=seed
-    )
-    fast = FIFOMSScheduler(
-        n, tie_break=tie_break, max_iterations=max_iterations, rng=seed
+    ref, fast = (
+        FIFOMSScheduler(
+            n,
+            tie_break=tie_break,
+            max_iterations=max_iterations,
+            fanout_splitting=fanout_splitting,
+            rng=seed,
+        )
+        for _ in range(2)
     )
     ref._grant_pointers = [rnd.randrange(n) for _ in range(n)]
     fast._grant_pointers = list(ref._grant_pointers)
