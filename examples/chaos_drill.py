@@ -34,6 +34,10 @@ import sys
 import time
 from pathlib import Path
 
+from repro.obs.profiler import clock_ns
+
+__all__ = ["main"]
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -120,8 +124,8 @@ def main() -> int:
     print(f"[2/4] chaos run -> {chaos_dir} (SIGKILL after {kill_after} points)")
     proc = spawn(campaign_argv("run", chaos_dir, args))
     journal = chaos_dir / "journal.jsonl"
-    deadline = time.monotonic() + args.timeout
-    while time.monotonic() < deadline and proc.poll() is None:
+    deadline = clock_ns() + args.timeout * 1_000_000_000
+    while clock_ns() < deadline and proc.poll() is None:
         if len(done_keys(journal)) >= kill_after:
             break
         time.sleep(0.05)
@@ -137,8 +141,8 @@ def main() -> int:
     print(f"      killed supervisor; {survivors} points survived in journal")
     # Workers exit when their parent does; an orphan would keep simulating
     # under PID 1 and skew whatever runs next on this host.
-    deadline = time.monotonic() + 10
-    while pids_naming(chaos_dir) and time.monotonic() < deadline:
+    deadline = clock_ns() + 10_000_000_000
+    while pids_naming(chaos_dir) and clock_ns() < deadline:
         time.sleep(0.1)
     if orphans := pids_naming(chaos_dir):
         print(f"FAIL: workers outlived the supervisor: {orphans}", file=sys.stderr)

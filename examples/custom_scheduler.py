@@ -31,6 +31,8 @@ from repro.analysis.loads import bernoulli_arrival_probability
 from repro.core.voq import MulticastVOQInputPort
 from repro.report.ascii import format_table
 
+__all__ = ["main"]
+
 
 class LQFMulticastScheduler:
     """FIFOMS's request structure with longest-queue-first grants."""

@@ -21,6 +21,8 @@ from repro import run_simulation
 from repro.analysis.queueing import siq_saturation_load
 from repro.report.ascii import format_table
 
+__all__ = ["main"]
+
 NUM_PORTS = 16
 NUM_SLOTS = 25_000
 

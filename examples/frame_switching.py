@@ -19,13 +19,14 @@ Usage::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import MulticastVOQSwitch
 from repro.core.fifoms import FIFOMSScheduler
 from repro.frames import FrameTrafficAdapter, FrameWorkload
 from repro.report.ascii import format_table
 from repro.stats.histogram import DelayHistogram
+from repro.utils.rng import make_rng
+
+__all__ = ["main"]
 
 NUM_PORTS = 8
 NUM_SLOTS = 20_000
@@ -42,7 +43,7 @@ def run_mix(mean_size: float, frame_rate: float) -> list:
     )
     adapter = FrameTrafficAdapter(workload, warmup_slot=NUM_SLOTS // 2)
     switch = MulticastVOQSwitch(
-        NUM_PORTS, FIFOMSScheduler(NUM_PORTS, rng=np.random.default_rng(12))
+        NUM_PORTS, FIFOMSScheduler(NUM_PORTS, rng=make_rng(12))
     )
     cell_delays = DelayHistogram()
     for slot in range(NUM_SLOTS):

@@ -22,6 +22,8 @@ from __future__ import annotations
 from repro import run_simulation
 from repro.report.ascii import format_table
 
+__all__ = ["main"]
+
 NUM_PORTS = 16  # line cards
 E_ON = 16.0  # mean burst length (slots) — one GOP-ish burst
 E_OFF = 150.0  # mean gap between bursts per stream

@@ -18,6 +18,8 @@ from repro import run_simulation
 from repro.analysis.loads import bernoulli_arrival_probability
 from repro.report.ascii import format_table
 
+__all__ = ["main"]
+
 NUM_PORTS = 16
 B = 0.2  # per-output destination probability (mean fanout ~3.3)
 NUM_SLOTS = 20_000

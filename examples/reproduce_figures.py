@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 from pathlib import Path
 
 from repro.experiments import check_expectations, get_figure, run_figure
+from repro.obs.profiler import clock_ns
 from repro.report.export import write_csv
+
+__all__ = ["main"]
 
 DEFAULT_SLOTS = 30_000
 PAPER_SLOTS = 1_000_000
@@ -34,9 +36,9 @@ def main() -> None:
     for fid in figure_ids:
         spec = get_figure(fid)
         print(f"\n{'=' * 72}\nRunning {spec.title}  ({num_slots} slots/point)\n{'=' * 72}")
-        t0 = time.perf_counter()
+        t0 = clock_ns()
         result = run_figure(spec, num_slots=num_slots, seed=2004)
-        elapsed = time.perf_counter() - t0
+        elapsed = (clock_ns() - t0) / 1e9
         print(result.to_text(charts=True))
         for expectation in check_expectations(result):
             print(expectation)

@@ -19,6 +19,8 @@ from repro.analysis.loads import bernoulli_arrival_probability
 from repro.experiments.replication import compare, metric_over, run_replicated
 from repro.report.ascii import format_table
 
+__all__ = ["main"]
+
 N = 16
 LOAD = 0.7
 SPEC = {

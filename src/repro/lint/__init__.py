@@ -3,8 +3,10 @@
 The reproduction's central claim (bit-for-bit identical FIFOMS/iSLIP/
 TATRA comparisons from one integer seed) rests on codebase conventions —
 all randomness through :mod:`repro.utils.rng`, no wall-clock outside
-:mod:`repro.obs`, every switch deep-checkable — that ordinary tests
-cannot enforce for code that does not exist yet. This package is a
+:mod:`repro.obs`, a kernel hot path free of per-cell objects — that
+ordinary tests cannot enforce for code that does not exist yet. Facts
+about the live registry and class tree are checked by tests over the
+real objects instead (tests/test_registry.py). This package is a
 rule-driven static analyzer (stdlib :mod:`ast` only, no dependencies)
 that checks those conventions over the source tree itself.
 
@@ -35,7 +37,6 @@ from repro.lint.engine import (
     iter_python_files,
     run_lint,
 )
-from repro.lint.graph import ProjectGraph, project_graph
 from repro.lint.report import format_json, format_rule_catalog, format_text
 
 __all__ = [
@@ -56,6 +57,4 @@ __all__ = [
     "format_text",
     "format_json",
     "format_rule_catalog",
-    "ProjectGraph",
-    "project_graph",
 ]

@@ -10,7 +10,7 @@ rest of the package speaks:
   scope themselves by (is it the RNG choke point? an ``obs`` module? a
   test?), including its ``# lint: disable=...`` suppressions.
 * :class:`Project` — every :class:`ModuleInfo` of one lint run, for rules
-  that reason across files (registry completeness, class hierarchies).
+  that reason across files (the kernel hot path's import closure).
 * :class:`Rule` — the contract rules implement: per-module checks via
   :meth:`Rule.check_module`, whole-tree checks via
   :meth:`Rule.check_project`.
@@ -207,17 +207,6 @@ class Project:
     """Every module of one lint run, for cross-file rules."""
 
     modules: list[ModuleInfo]
-    #: Memoized :class:`~repro.lint.graph.ProjectGraph` (built lazily by
-    #: :func:`repro.lint.graph.project_graph` so the flow-aware rules
-    #: share one symbol-table/import-graph build per run).
-    graph_cache: object | None = None
-
-    def find(self, suffix: str) -> ModuleInfo | None:
-        """First module whose resolved path ends with ``suffix``."""
-        for mod in self.modules:
-            if mod.abspath.endswith(suffix):
-                return mod
-        return None
 
 
 class Rule(abc.ABC):

@@ -32,24 +32,15 @@ from repro.lint.rules_flow import (
     GeneratorProvenanceRule,
     OrderFlowRule,
 )
-from repro.lint.rules_kernel import KernelClosurePurityRule, RegistryBackendPairingRule
+from repro.lint.rules_kernel import KernelClosurePurityRule
 from repro.lint.rules_rng import (
     NoGlobalNumpySeedRule,
     NoLegacyNumpyRandomRule,
     NoStdlibRandomRule,
     NoUnseededGeneratorRule,
 )
-from repro.lint.rules_sanitize import (
-    InvariantCoverageRule,
-    StateSeamOwnershipRule,
-    SubmitThenMutateRule,
-)
-from repro.lint.rules_structure import (
-    KernelHotPathImportRule,
-    PublicModuleAllRule,
-    SchedulerRegistryRule,
-    SwitchInvariantsRule,
-)
+from repro.lint.rules_sanitize import StateSeamOwnershipRule, SubmitThenMutateRule
+from repro.lint.rules_structure import PublicModuleAllRule
 
 __all__ = [
     "PARSE_RULE_ID",
@@ -76,15 +67,10 @@ def default_rules() -> tuple[Rule, ...]:
         NoWallClockRule(),
         NoUnsortedSetIterationRule(),
         OrderFlowRule(),
-        SwitchInvariantsRule(),
-        SchedulerRegistryRule(),
         PublicModuleAllRule(),
-        KernelHotPathImportRule(),
-        RegistryBackendPairingRule(),
         KernelClosurePurityRule(),
         ExceptHygieneRule(),
         StateSeamOwnershipRule(),
-        InvariantCoverageRule(),
         SubmitThenMutateRule(),
     )
 

@@ -1,10 +1,9 @@
-"""Interprocedural sanitizer-counterpart rules (SAN/RACE families).
+"""Sanitizer-counterpart dataflow rules (SAN/RACE families).
 
 The runtime sanitizer (:mod:`repro.sanitize`) checks invariants while a
 run executes; these rules enforce the *conventions that make those
-checks sound* at lint time, riding the PR 5 call-graph
-(:class:`~repro.lint.graph.ProjectGraph`) and dataflow
-(:class:`~repro.lint.dataflow.ForwardFlow`) layers:
+checks sound* at lint time, riding the dataflow layer
+(:class:`~repro.lint.dataflow.ForwardFlow`):
 
 * **SAN001** — kernel-seam state ownership: only the kernel package may
   mutate a :class:`~repro.kernel.state.SwitchState`. Scheduler code
@@ -13,12 +12,6 @@ checks sound* at lint time, riding the PR 5 call-graph
   ``occupancy``/``p_hol``/``hol_pids``/... directly bypasses the
   admit/serve bookkeeping the sanitizer's cross-checks certify, so the
   two backends silently diverge.
-* **SAN002** — invariant coverage: every switch class the registry can
-  build must override ``check_invariants()`` somewhere below
-  ``BaseSwitch`` (the base method is a no-op, so inheriting only it
-  means the sanitizer's deep passes certify nothing), and the override
-  must actually be reachable — some non-test module must call
-  ``.check_invariants()``.
 * **RACE001** — publish-then-mutate: an object submitted to a
   ``ProcessPoolExecutor`` must not be mutated afterwards in the same
   scope. ``submit()`` serializes its arguments *lazily* (when a worker
@@ -37,21 +30,11 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.lint.base import (
-    Finding,
-    ModuleInfo,
-    Project,
-    Rule,
-    Severity,
-    dotted_name,
-)
+from repro.lint.base import Finding, ModuleInfo, Rule, dotted_name
 from repro.lint.dataflow import Env, ForwardFlow, Tags, iter_scopes
-from repro.lint.graph import ClassSymbol, ProjectGraph, project_graph
-from repro.lint.rules_kernel import _derives_from_switch, _factory_calls
 
 __all__ = [
     "StateSeamOwnershipRule",
-    "InvariantCoverageRule",
     "SubmitThenMutateRule",
 ]
 
@@ -101,17 +84,10 @@ class _StateFlow(ForwardFlow):
 
     STATE = "switch-state"
 
-    def __init__(
-        self,
-        rule: "StateSeamOwnershipRule",
-        module: ModuleInfo,
-        exempt_funcs: frozenset[int],
-    ) -> None:
+    def __init__(self, rule: "StateSeamOwnershipRule", module: ModuleInfo) -> None:
         super().__init__()
         self.rule = rule
         self.module = module
-        #: ids of FunctionDef nodes inside kernel-exempt classes.
-        self.exempt_funcs = exempt_funcs
         self.findings: list[Finding] = []
 
     # -- origins ------------------------------------------------------- #
@@ -145,10 +121,6 @@ class _StateFlow(ForwardFlow):
         # ``state`` (other "state" params are annotated with their type).
         return arg.arg == "state"
 
-    # -- context ------------------------------------------------------- #
-    def _in_exempt_scope(self) -> bool:
-        return id(self.scope) in self.exempt_funcs
-
     # -- sinks: writes ------------------------------------------------- #
     def _exec(self, stmt: ast.stmt, env: Env) -> None:
         if isinstance(stmt, ast.Assign):
@@ -159,8 +131,6 @@ class _StateFlow(ForwardFlow):
         super()._exec(stmt, env)
 
     def _check_write(self, target: ast.expr, env: Env) -> None:
-        if self._in_exempt_scope():
-            return
         root = _mutation_root(target)
         if not isinstance(root, ast.Attribute):
             return
@@ -183,8 +153,6 @@ class _StateFlow(ForwardFlow):
 
     # -- sinks: mutating calls ----------------------------------------- #
     def on_call(self, call: ast.Call, env: Env) -> None:
-        if self._in_exempt_scope():
-            return
         func = call.func
         if not isinstance(func, ast.Attribute):
             return
@@ -246,155 +214,12 @@ class StateSeamOwnershipRule(Rule):
         "point, and the sanitizer flags as corruption."
     )
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        graph = project_graph(project)
-        for module in project.modules:
-            if module.is_test_module:
-                continue
-            if "repro/kernel/" in module.abspath:
-                continue  # the kernel owns the state
-            yield from self._check_one(graph, module)
-
-    def _check_one(
-        self, graph: ProjectGraph, module: ModuleInfo
-    ) -> Iterator[Finding]:
-        exempt = self._exempt_function_ids(graph, module)
-        flow = _StateFlow(self, module, exempt)
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
+        if module.is_test_module or "repro/kernel/" in module.abspath:
+            return  # the kernel owns the state
+        flow = _StateFlow(self, module)
         flow.analyze_module(module.tree)
         yield from flow.findings
-
-    @staticmethod
-    def _exempt_function_ids(
-        graph: ProjectGraph, module: ModuleInfo
-    ) -> frozenset[int]:
-        """ids of methods belonging to kernel-backend classes.
-
-        A KernelBackend subclass outside ``repro/kernel/`` (a test
-        double promoted to source, an experiment backend) is still the
-        state's owner — exempt its methods rather than its whole file.
-        """
-        exempt: set[int] = set()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            sym = graph.resolve_class(node.name)
-            if sym is None or not _derives_from_backend(graph, sym):
-                continue
-            for stmt in ast.walk(node):
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    exempt.add(id(stmt))
-        return frozenset(exempt)
-
-
-def _derives_from_backend(graph: ProjectGraph, sym: ClassSymbol) -> bool:
-    """Is ``sym`` in the KernelBackend lineage (state owners)?"""
-    seen: set[str] = set()
-    stack = [sym]
-    while stack:
-        cur = stack.pop()
-        if cur.name in seen:
-            continue
-        seen.add(cur.name)
-        if cur.name == "KernelBackend":
-            return True
-        for base in cur.bases:
-            if base.rsplit(".", 1)[-1] == "KernelBackend":
-                return True
-            parent = graph.resolve_class(base)
-            if parent is not None:
-                stack.append(parent)
-    return False
-
-
-class InvariantCoverageRule(Rule):
-    """SAN002 — registered switch without live invariant coverage."""
-
-    rule_id = "SAN002"
-    title = "registered switch class lacks reachable check_invariants()"
-    rationale = (
-        "BaseSwitch.check_invariants() is a deliberate no-op, so a "
-        "registered switch that never overrides it sails through the "
-        "sanitizer's deep passes, and so through the exhaustive "
-        "verifier, while certifying nothing. And an "
-        "override nobody calls is the same hole one refactor later — "
-        "some non-test module must still invoke .check_invariants()."
-    )
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        registry = project.find("repro/schedulers/registry.py")
-        if registry is None:
-            return
-        graph = project_graph(project)
-        call_sites = _invariant_call_sites(project)
-        seen: set[int] = set()
-        for func in ast.walk(registry.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for call in _factory_calls(func):
-                fname = dotted_name(call.func)
-                if fname is None:
-                    continue
-                sym = graph.resolve_class(fname.rsplit(".", 1)[-1])
-                if sym is None or id(sym) in seen:
-                    continue
-                if not _derives_from_switch(graph, sym):
-                    continue
-                seen.add(id(sym))
-                if not _overrides_check_invariants(graph, sym):
-                    yield self.finding(
-                        sym.info,
-                        sym.lineno,
-                        f"{sym.name} is registered (factory {func.name}()) "
-                        "but inherits only BaseSwitch's no-op "
-                        "check_invariants(); the sanitizer's deep passes "
-                        "certify nothing for it — implement the override",
-                    )
-                elif not call_sites:
-                    yield self.finding(
-                        sym.info,
-                        sym.lineno,
-                        f"{sym.name} overrides check_invariants() but no "
-                        "non-test module ever calls .check_invariants(); "
-                        "the declared invariants are dead code",
-                    )
-
-
-def _overrides_check_invariants(graph: ProjectGraph, sym: ClassSymbol) -> bool:
-    """Does ``sym`` define check_invariants below BaseSwitch?
-
-    Every switch inherits the no-op from BaseSwitch, so an ancestor
-    walk that reached it would always answer yes; this one stops there.
-    """
-    seen: set[str] = set()
-    stack = [sym]
-    while stack:
-        cur = stack.pop()
-        if cur.name in seen or cur.name == "BaseSwitch":
-            continue
-        seen.add(cur.name)
-        if "check_invariants" in cur.methods:
-            return True
-        for base in cur.bases:
-            parent = graph.resolve_class(base)
-            if parent is not None:
-                stack.append(parent)
-    return False
-
-
-def _invariant_call_sites(project: Project) -> list[tuple[str, int]]:
-    """Every ``<expr>.check_invariants()`` call in non-test modules."""
-    sites: list[tuple[str, int]] = []
-    for module in project.modules:
-        if module.is_test_module:
-            continue
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "check_invariants"
-            ):
-                sites.append((module.path, node.lineno))
-    return sites
 
 
 #: Receiver methods that mutate common containers in place.

@@ -305,8 +305,8 @@ class TestLintCommand:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RNG001", "DET001", "STR001", "ERR001",
-                        "KB002", "KB003", "RNG005", "RNG006", "DET003"):
+        for rule_id in ("RNG001", "DET001", "STR003", "ERR001",
+                        "KB003", "RNG005", "RNG006", "DET003"):
             assert rule_id in out
 
     def test_missing_path_exit_2(self, capsys):

@@ -152,6 +152,8 @@ RETIRED = (
     "write_baseline", "--write-baseline", ".lint-cache",
     "check_invariants_every",
     "scheduler_backends", "DEFAULT_BACKENDS", "supported_backends",
+    "SwitchInvariantsRule", "SchedulerRegistryRule", "KernelHotPathImportRule",
+    "RegistryBackendPairingRule", "InvariantCoverageRule", "ClassSymbol",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",

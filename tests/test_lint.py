@@ -34,7 +34,7 @@ from repro.lint.rules_flow import (
     GeneratorProvenanceRule,
     OrderFlowRule,
 )
-from repro.lint.rules_kernel import KernelClosurePurityRule, RegistryBackendPairingRule
+from repro.lint.rules_kernel import KernelClosurePurityRule
 from repro.lint.rules_determinism import NoUnsortedSetIterationRule, NoWallClockRule
 from repro.lint.rules_errors import ExceptHygieneRule
 from repro.lint.rules_rng import (
@@ -43,12 +43,7 @@ from repro.lint.rules_rng import (
     NoStdlibRandomRule,
     NoUnseededGeneratorRule,
 )
-from repro.lint.rules_structure import (
-    KernelHotPathImportRule,
-    PublicModuleAllRule,
-    SchedulerRegistryRule,
-    SwitchInvariantsRule,
-)
+from repro.lint.rules_structure import PublicModuleAllRule
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -288,114 +283,6 @@ class TestDET002UnsortedSetIteration:
 # --------------------------------------------------------------------- #
 # Structure
 # --------------------------------------------------------------------- #
-SWITCH_NO_INVARIANTS = """
-    from repro.switch.base import BaseSwitch
-
-    class BrokenSwitch(BaseSwitch):
-        def _accept(self, packet, slot):
-            pass
-"""
-
-SWITCH_WITH_INVARIANTS = """
-    from repro.switch.base import BaseSwitch
-
-    class GoodSwitch(BaseSwitch):
-        def check_invariants(self):
-            pass
-"""
-
-
-class TestSTR001SwitchInvariants:
-    RULE = SwitchInvariantsRule
-
-    def test_flags_missing_override(self, tmp_path):
-        findings = lint_tree(
-            tmp_path, {"repro/switch/x.py": SWITCH_NO_INVARIANTS}, [self.RULE()]
-        )
-        assert only_ids(findings) == ["STR001"]
-        assert "BrokenSwitch" in findings[0].message
-
-    def test_override_clean(self, tmp_path):
-        findings = lint_tree(
-            tmp_path, {"repro/switch/x.py": SWITCH_WITH_INVARIANTS}, [self.RULE()]
-        )
-        assert findings == []
-
-    def test_inherited_override_covers_subclass(self, tmp_path):
-        src = SWITCH_WITH_INVARIANTS + """
-            class DerivedSwitch(GoodSwitch):
-                pass
-        """
-        assert lint_tree(tmp_path, {"repro/switch/x.py": src}, [self.RULE()]) == []
-
-    def test_abstract_intermediate_exempt(self, tmp_path):
-        src = """
-            import abc
-            from repro.switch.base import BaseSwitch
-
-            class AbstractSwitch(BaseSwitch, abc.ABC):
-                @abc.abstractmethod
-                def flavour(self):
-                    ...
-        """
-        assert lint_tree(tmp_path, {"repro/switch/x.py": src}, [self.RULE()]) == []
-
-    def test_unrelated_class_ignored(self, tmp_path):
-        src = "class Collector:\n    pass\n"
-        assert lint_tree(tmp_path, {"repro/stats/x.py": src}, [self.RULE()]) == []
-
-    def test_suppression_comment(self, tmp_path):
-        src = "# lint: disable=STR001\n" + textwrap.dedent(SWITCH_NO_INVARIANTS)
-        assert lint_tree(tmp_path, {"repro/switch/x.py": src}, [self.RULE()]) == []
-
-
-class TestSTR002SchedulerRegistry:
-    RULE = SchedulerRegistryRule
-
-    REGISTRY_EMPTY = '"""Registry."""\n__all__ = []\n'
-    REGISTRY_WIRED = """
-        from repro.schedulers.myalgo import MyScheduler
-        __all__ = []
-    """
-
-    def test_flags_unregistered_module(self, tmp_path):
-        files = {
-            "repro/schedulers/myalgo.py": "class MyScheduler:\n    pass\n",
-            "repro/schedulers/registry.py": self.REGISTRY_EMPTY,
-        }
-        findings = lint_tree(tmp_path, files, [self.RULE()])
-        assert only_ids(findings) == ["STR002"]
-        assert "myalgo" in findings[0].message
-
-    def test_imported_module_clean(self, tmp_path):
-        files = {
-            "repro/schedulers/myalgo.py": "class MyScheduler:\n    pass\n",
-            "repro/schedulers/registry.py": self.REGISTRY_WIRED,
-        }
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-    def test_no_registry_in_tree_skips(self, tmp_path):
-        files = {"repro/schedulers/myalgo.py": "class MyScheduler:\n    pass\n"}
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-    def test_base_and_init_exempt(self, tmp_path):
-        files = {
-            "repro/schedulers/base.py": "class SchedulerBase:\n    pass\n",
-            "repro/schedulers/__init__.py": "",
-            "repro/schedulers/registry.py": self.REGISTRY_EMPTY,
-        }
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-    def test_suppression_comment(self, tmp_path):
-        files = {
-            "repro/schedulers/myalgo.py": (
-                "# lint: disable=STR002\nclass MyScheduler:\n    pass\n"
-            ),
-            "repro/schedulers/registry.py": self.REGISTRY_EMPTY,
-        }
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-
 class TestSTR003PublicModuleAll:
     RULE = PublicModuleAllRule
 
@@ -418,69 +305,6 @@ class TestSTR003PublicModuleAll:
     def test_suppression_comment(self, tmp_path):
         src = "# lint: disable=STR003\ndef helper():\n    pass\n"
         assert lint_tree(tmp_path, {"repro/stats/x.py": src}, [self.RULE()]) == []
-
-
-class TestSTR004KernelHotPathImport:
-    RULE = KernelHotPathImportRule
-
-    def test_flags_per_cell_import_in_kernel(self, tmp_path):
-        src = (
-            '"""Kernel module."""\n'
-            "from repro.core.cells import AddressCell\n"
-            "__all__ = []\n"
-        )
-        findings = lint_tree(
-            tmp_path, {"repro/kernel/fastpath.py": src}, [self.RULE()]
-        )
-        assert only_ids(findings) == ["STR004"]
-        assert "repro.core.cells" in findings[0].message
-
-    def test_flags_plain_import_form(self, tmp_path):
-        src = "import repro.core.voq\n__all__ = []\n"
-        findings = lint_tree(
-            tmp_path, {"repro/kernel/fastpath.py": src}, [self.RULE()]
-        )
-        assert only_ids(findings) == ["STR004"]
-
-    def test_object_backend_is_exempt(self, tmp_path):
-        src = (
-            "from repro.core.cells import AddressCell\n"
-            "from repro.core.voq import MulticastVOQInputPort\n"
-            "from repro.core.preprocess import preprocess_packet\n"
-            "__all__ = []\n"
-        )
-        assert (
-            lint_tree(
-                tmp_path, {"repro/kernel/object_backend.py": src}, [self.RULE()]
-            )
-            == []
-        )
-
-    def test_non_kernel_modules_not_flagged(self, tmp_path):
-        src = "from repro.core.cells import AddressCell\n__all__ = []\n"
-        assert (
-            lint_tree(tmp_path, {"repro/switch/x.py": src}, [self.RULE()]) == []
-        )
-
-    def test_clean_kernel_module(self, tmp_path):
-        src = "from repro.core.matching import ScheduleDecision\n__all__ = []\n"
-        assert (
-            lint_tree(tmp_path, {"repro/kernel/state.py": src}, [self.RULE()])
-            == []
-        )
-
-    def test_suppression_comment(self, tmp_path):
-        src = (
-            "# lint: disable=STR004\n"
-            "from repro.core.buffers import DataCellBuffer\n"
-            "__all__ = []\n"
-        )
-        assert (
-            lint_tree(
-                tmp_path, {"repro/kernel/fastpath.py": src}, [self.RULE()]
-            )
-            == []
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -541,149 +365,8 @@ class TestERR001ExceptHygiene:
 
 
 # --------------------------------------------------------------------- #
-# Kernel-backend contracts (flow-aware, whole-project)
+# Kernel hot-path purity (whole-project import graph)
 # --------------------------------------------------------------------- #
-KB002_REGISTRY = """
-    __all__ = []
-
-    def _discard_backend(kw, name):
-        pass
-
-    class SeamedSwitch:
-        def __init__(self, num_ports, scheduler, backend="object"):
-            pass
-
-    class SeamlessSwitch:
-        def __init__(self, num_ports, scheduler):
-            pass
-
-    def _guarded_seam(num_ports, **kw):
-        _discard_backend(kw, "guarded-seam")
-        return SeamedSwitch(num_ports, None, **kw)
-
-    def _unguarded_seamless(num_ports, **kw):
-        return SeamlessSwitch(num_ports, None, **kw)
-
-    def _guarded_seamless(num_ports, **kw):
-        _discard_backend(kw, "ok-guard")
-        return SeamlessSwitch(num_ports, None, **kw)
-
-    def _unguarded_seam(num_ports, **kw):
-        return SeamedSwitch(num_ports, None, **kw)
-"""
-
-
-class TestKB002RegistryBackendPairing:
-    RULE = RegistryBackendPairingRule
-
-    def test_flags_both_mismatch_directions(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {"repro/schedulers/registry.py": KB002_REGISTRY},
-            [self.RULE()],
-        )
-        assert only_ids(findings) == ["KB002", "KB002"]
-        messages = " | ".join(f.message for f in findings)
-        assert "_guarded_seam()" in messages
-        assert "_unguarded_seamless()" in messages
-        assert "_guarded_seamless()" not in messages
-        assert "_unguarded_seam()" not in messages
-
-    def test_consistent_registry_clean(self, tmp_path):
-        src = """
-            __all__ = []
-
-            def _discard_backend(kw, name):
-                pass
-
-            class SeamlessSwitch:
-                def __init__(self, num_ports):
-                    pass
-
-            def _factory(num_ports, **kw):
-                _discard_backend(kw, "x")
-                return SeamlessSwitch(num_ports)
-        """
-        files = {"repro/schedulers/registry.py": src}
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-    def test_discard_in_front_of_seamed_switch_flagged(self, tmp_path):
-        # _discard_backend is the single-bodied guard: dropping the kwarg
-        # in front of a switch that *does* take ``backend`` hides a seam.
-        src = """
-            __all__ = []
-
-            def _discard_backend(kw, name):
-                pass
-
-            class SeamedSwitch:
-                def __init__(self, num_ports, scheduler, backend="object"):
-                    pass
-
-            def _discarded_seam(num_ports, **kw):
-                _discard_backend(kw, "discarded-seam")
-                return SeamedSwitch(num_ports, None, **kw)
-        """
-        files = {"repro/schedulers/registry.py": src}
-        findings = lint_tree(tmp_path, files, [self.RULE()])
-        assert only_ids(findings) == ["KB002"]
-        assert "_discard_backend()" in findings[0].message
-        assert "SeamedSwitch" in findings[0].message
-
-    def test_discard_in_front_of_seamless_switch_clean(self, tmp_path):
-        src = """
-            __all__ = []
-
-            def _discard_backend(kw, name):
-                pass
-
-            class SeamlessSwitch:
-                def __init__(self, num_ports, scheduler):
-                    pass
-
-            def _single_bodied(num_ports, **kw):
-                _discard_backend(kw, "single-bodied")
-                return SeamlessSwitch(num_ports, None, **kw)
-        """
-        files = {"repro/schedulers/registry.py": src}
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-    def test_seam_on_ancestor_counts(self, tmp_path):
-        files = {
-            "repro/switch/base2.py": """
-                class SwitchBase:
-                    def __init__(self, num_ports, backend="object"):
-                        pass
-            """,
-            "repro/schedulers/registry.py": """
-                __all__ = []
-                from repro.switch.base2 import SwitchBase
-
-                def _discard_backend(kw, name):
-                    pass
-
-                class ChildSwitch(SwitchBase):
-                    pass
-
-                def _factory(num_ports, **kw):
-                    _discard_backend(kw, "child")
-                    return ChildSwitch(num_ports, **kw)
-            """,
-        }
-        findings = lint_tree(tmp_path, files, [self.RULE()])
-        assert only_ids(findings) == ["KB002"]
-        assert "ChildSwitch" in findings[0].message
-
-    def test_no_registry_module_skips(self, tmp_path):
-        files = {"repro/schedulers/other.py": "__all__ = []\n"}
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-    def test_suppression_comment(self, tmp_path):
-        src = "# lint: disable=KB002\n" + textwrap.dedent(KB002_REGISTRY)
-        files = {"repro/schedulers/registry.py": src}
-        assert lint_tree(tmp_path, files, [self.RULE()]) == []
-
-
 KB003_TREE = {
     "repro/kernel/vectorized.py": """
         __all__ = []
@@ -714,6 +397,44 @@ class TestKB003KernelClosurePurity:
         f = findings[0]
         assert "vectorized" in f.path
         assert "repro.kernel.helper -> repro.core.cells" in f.message
+
+    @pytest.mark.parametrize(
+        ("root", "line", "target"),
+        [
+            ("state", "from repro.core.cells import AddressCell", "repro.core.cells"),
+            ("vectorized", "import repro.core.voq", "repro.core.voq"),
+            ("state", "from ..core.voq import MulticastVOQInputPort", "repro.core.voq"),
+        ],
+    )
+    def test_flags_object_import_in_root(self, tmp_path, root, line, target):
+        src = f"__all__ = []\n{line}\n"
+        findings = lint_tree(
+            tmp_path, {f"repro/kernel/{root}.py": src}, [self.RULE()]
+        )
+        assert only_ids(findings) == ["KB003"]
+        assert findings[0].line == 2
+        assert target in findings[0].message
+
+    def test_flags_relative_import_of_helper(self, tmp_path):
+        files = {
+            "repro/kernel/vectorized.py": "__all__ = []\nfrom . import helper\n",
+            "repro/kernel/helper.py": (
+                "__all__ = []\nfrom repro.core.cells import DataCell\n"
+            ),
+        }
+        findings = lint_tree(tmp_path, files, [self.RULE()])
+        assert only_ids(findings) == ["KB003"]
+        assert findings[0].path.endswith("repro/kernel/vectorized.py")
+        assert findings[0].line == 2
+        assert "repro.kernel.helper -> repro.core.cells" in findings[0].message
+
+    def test_object_backend_outside_closure_clean(self, tmp_path):
+        files = dict(KB003_TREE)
+        files["repro/kernel/helper.py"] = "__all__ = []\n"
+        files["repro/kernel/object_backend.py"] = (
+            "__all__ = []\nfrom repro.core.cells import Cell\n"
+        )
+        assert lint_tree(tmp_path, files, [self.RULE()]) == []
 
     def test_type_checking_import_exempt(self, tmp_path):
         files = dict(KB003_TREE)
@@ -1096,7 +817,7 @@ class TestEngine:
         ids = [r.rule_id for r in default_rules()]
         assert len(ids) == len(set(ids))
         assert len(ids) >= 8
-        for new in ("KB002", "KB003", "RNG005", "RNG006", "DET003"):
+        for new in ("KB003", "RNG005", "RNG006", "DET003"):
             assert new in ids
         # The catalog and its documentation move together: a rule added
         # or deleted on one side only fails here.

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import repro
+import repro.schedulers
 from repro.errors import ConfigurationError
 from repro.schedulers.registry import (
     available_schedulers,
@@ -63,3 +69,54 @@ class TestRegistry:
     def test_bad_registration_name(self):
         with pytest.raises(ConfigurationError):
             register_switch_factory("", lambda n, **kw: None)
+
+
+def _import_every_module() -> None:
+    """Import all of ``repro`` — some switch classes are imported only
+    inside registry factories, so a plain ``import repro`` misses them."""
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        importlib.import_module(info.name)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestRegistryCoverage:
+    def test_every_switch_overrides_check_invariants(self):
+        """BaseSwitch.check_invariants is a no-op: a concrete switch that
+        inherits only it gives the sanitizer's deep passes nothing to
+        check."""
+        _import_every_module()
+        switches = {
+            cls
+            for cls in _subclasses(BaseSwitch)
+            if cls.__module__.startswith("repro.") and not inspect.isabstract(cls)
+        }
+        assert len(switches) >= 8
+        uncovered = sorted(
+            cls.__qualname__
+            for cls in switches
+            if cls.check_invariants is BaseSwitch.check_invariants
+        )
+        assert not uncovered, uncovered
+
+    def test_every_scheduler_module_is_reachable_by_name(self):
+        """Each module under repro.schedulers defines the scheduler of
+        some registered pairing, so the CLI and experiments can reach it."""
+        modules = {
+            f"repro.schedulers.{info.name}"
+            for info in pkgutil.iter_modules(repro.schedulers.__path__)
+            if info.name not in ("base", "registry")
+        }
+        built = set()
+        for name in available_schedulers():
+            switch = make_switch(name, 4)
+            scheduler = getattr(switch, "scheduler", None)
+            if scheduler is None and getattr(switch, "schedulers", None):
+                scheduler = switch.schedulers[0]
+            built.add(type(scheduler).__module__)
+        assert len(modules) >= 9
+        assert sorted(modules - built) == []
