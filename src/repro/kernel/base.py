@@ -8,7 +8,7 @@ implements the four per-slot state transitions the switch layer needs:
 2. ``schedule`` — run the scheduler against the backend's native state
    representation;
 3. ``commit`` — post-transmission processing (pop HOL entries, decrement
-   fanout counters, reclaim buffer space, emit deliveries);
+   fanout counters, reclaim buffer space, append the grant rows);
 4. metric/invariant taps (``queue_sizes``, ``total_backlog``,
    ``check_invariants``, ``state_arrays``).
 
@@ -81,14 +81,15 @@ class KernelBackend(ABC):
         self, decision: ScheduleDecision, result: SlotResult, slot: int
     ) -> None:
         """Apply a validated decision: pop served HOL entries, decrement
-        fanout counters, reclaim exhausted buffer space, and append the
-        slot's :class:`~repro.packet.Delivery` records plus the
-        ``splits`` / ``reclaimed`` counts to ``result``."""
+        fanout counters, reclaim exhausted buffer space, and append one
+        ``(packet, output_mask)`` row per grant plus the
+        ``cells_delivered`` / ``splits`` / ``reclaimed`` counts to
+        ``result``."""
 
     def driver_row(self, decision: ScheduleDecision) -> ItemsView[int, int]:
         """The slot's crossbar rows, ``(driving input, output mask)`` in
         decision order: what both kernels' :meth:`commit` walk, so they
-        serve grants and emit deliveries in one order (docs/kernel.md,
+        serve grants and append rows in one order (docs/kernel.md,
         "The grant is a mask from round to commit")."""
         return decision.masks.items()
 

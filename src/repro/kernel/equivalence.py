@@ -58,6 +58,7 @@ from repro.stats.summary import SimulationSummary
 from repro.switch.base import SlotResult
 from repro.traffic.base import TrafficModel
 from repro.traffic.trace import TraceTraffic, record_trace
+from repro.utils.bitsets import iter_bits
 from repro.utils.rng import RngStreams
 
 __all__ = [
@@ -87,13 +88,9 @@ def slot_digest(result: SlotResult) -> tuple:
     set-equality of the slot's events, not accidental ordering.
     """
     deliveries = sorted(
-        (
-            d.packet.input_port,
-            d.packet.arrival_slot,
-            d.output_port,
-            d.service_slot,
-        )
-        for d in result.deliveries
+        (packet.input_port, packet.arrival_slot, j, result.slot)
+        for packet, mask in result.rows
+        for j in iter_bits(mask)
     )
     dropped = sorted(
         (p.input_port, p.arrival_slot, p.destinations)

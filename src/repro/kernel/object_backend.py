@@ -23,7 +23,7 @@ from repro.core.voq import MulticastVOQInputPort
 from repro.errors import SchedulingError
 from repro.kernel.base import KernelBackend, register_backend
 from repro.kernel.state import soa_snapshot
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.utils.bitsets import iter_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,15 +98,10 @@ class ObjectBackend(KernelBackend):
                         f"in one slot (timestamps "
                         f"{[c.timestamp for c in cells]})"
                     )
+            result.rows.append((data_cell.packet, mask))
+            result.cells_delivered += len(cells)
             released = False
             for cell in cells:
-                result.deliveries.append(
-                    Delivery(
-                        packet=data_cell.packet,
-                        output_port=cell.output_port,
-                        service_slot=slot,
-                    )
-                )
                 if port.buffer.record_service(data_cell):
                     released = True
             if released:

@@ -48,9 +48,8 @@ numpy appears only in the snapshots (:meth:`SwitchState.state_arrays`,
 head-of-line timestamps, ``+inf`` for an empty VOQ — is rebuilt on
 demand for the equivalence grid and the sanitizer's state cross-check.
 The only Python objects kept are the immutable
-:class:`~repro.packet.Packet` references needed to emit
-:class:`~repro.packet.Delivery` records. No per-cell objects are ever
-allocated.
+:class:`~repro.packet.Packet` references commit puts in the slot's
+``(packet, output_mask)`` rows. No per-cell objects are ever allocated.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.matching import ScheduleDecision
 from repro.kernel.base import KernelBackend, register_backend
 from repro.kernel.state import SwitchState
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.switch.base import SlotResult
@@ -76,18 +76,19 @@ class VectorizedBackend(KernelBackend):
         """Post-transmission processing over the SoA state: one
         :meth:`SwitchState.serve` per granted input pops the HOL
         placeholders, hands their HOL bits to the new heads and
-        decrements the fanout counter in one subtract; one delivery per
-        mask bit, ascending."""
-        append = result.deliveries.append
-        serve = self.state.serve
+        decrements the fanout counter in one subtract; one
+        ``(packet, mask)`` row per grant."""
+        append = result.rows.append
+        state = self.state
+        serve = state.serve
+        backlog = state.backlog
         reclaimed = 0
         for input_port, mask in self.driver_row(decision):
             packet, released = serve(input_port, mask)
             reclaimed += released
-            while mask:
-                low = mask & -mask
-                append(Delivery(packet, low.bit_length() - 1, slot))
-                mask ^= low
+            append((packet, mask))
+        # serve() drops the backlog by one per copy it pops.
+        result.cells_delivered += backlog - state.backlog
         result.reclaimed += reclaimed
         result.splits += len(decision.masks) - reclaimed
 

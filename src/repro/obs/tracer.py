@@ -36,6 +36,7 @@ from typing import IO
 
 from repro.packet import Packet
 from repro.switch.base import SlotResult
+from repro.utils.bitsets import iter_bits
 from repro.utils.fileio import open_text
 
 __all__ = [
@@ -55,9 +56,7 @@ def build_slot_record(
 ) -> dict[str, object]:
     """Assemble the trace record for one completed slot."""
     arr = [[p.input_port, p.fanout] for p in arrivals if p is not None]
-    grants: dict[str, int] = {}
-    for d in result.deliveries:
-        grants[str(d.output_port)] = d.packet.input_port
+    grants = {str(j): p.input_port for p, mask in result.rows for j in iter_bits(mask)}
     return {
         "slot": slot,
         "arrivals": arr,

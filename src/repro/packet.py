@@ -2,7 +2,9 @@
 
 A *packet* is the unit of arrival: it enters the switch at one input port
 at one time slot and must be delivered to a set of output ports (its
-*fanout set*). A *delivery* records one (packet, output) service event.
+*fanout set*). A *delivery* is one (packet, output) service event, as
+read off :attr:`SlotResult.deliveries <repro.switch.base.SlotResult.deliveries>`,
+the per-copy view of a slot's ``(packet, output_mask)`` grant rows.
 
 These are deliberately tiny immutable records — all mutable switching
 state (fanout counters, queue positions) lives in the switch models, not
@@ -91,8 +93,8 @@ class Packet:
 
 
 class Delivery(NamedTuple):
-    """One (packet, output port) service event — a named tuple, which
-    builds faster than a frozen dataclass: a switch makes one per copy.
+    """One (packet, output port) service event. No switch builds one:
+    readers get them from the per-copy ``SlotResult.deliveries`` view.
 
     ``delay`` follows the convention documented in DESIGN.md §5: a packet
     served in its arrival slot has delay 1.

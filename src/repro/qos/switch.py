@@ -131,9 +131,9 @@ class PriorityMulticastVOQSwitch(BaseSwitch):
         per_class = self._pending
         self._pending = None
         for cls, class_decision in enumerate(per_class):
-            before = len(result.deliveries)
+            before = result.cells_delivered
             self._backends[cls].commit(class_decision, result, slot)
-            self.deliveries_per_class[cls] += len(result.deliveries) - before
+            self.deliveries_per_class[cls] += result.cells_delivered - before
 
     # ------------------------------------------------------------------ #
     def queue_sizes(self) -> list[int]:

@@ -2,7 +2,7 @@
 
 Each checker watches one invariant family of the paper's correctness
 claims (see docs/sanitizers.md for the catalog). Checkers are cheap by
-construction: the per-slot hooks are O(deliveries) bookkeeping; anything
+construction: the per-slot hooks are bookkeeping over the slot's rows; anything
 that walks full queue state (deep kernel cross-checks) runs only on the
 suite's periodic deep passes.
 
@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.sanitize.records import Violation
+from repro.utils.bitsets import iter_bits
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -200,7 +201,7 @@ class MatchingValidityChecker(Checker):
       (``switch.matching_discipline == "crossbar"``), all of one input's
       deliveries in a slot carry the *same* data cell (multicast fanout
       is one cell to many outputs, never two cells from one input);
-    * deliveries are stamped with the slot they happen in; and
+    * a slot's rows are stamped with the slot they happen in; and
     * with fault injection active, no delivery crosses a down input, a
       down output, or a failed crosspoint (grants ⊆ the fault mask).
     """
@@ -215,7 +216,7 @@ class MatchingValidityChecker(Checker):
         result: "SlotResult",
     ) -> list[Violation]:
         out: list[Violation] = []
-        outputs_seen: set[int] = set()
+        outputs_seen = 0
         per_input: dict[int, set[int]] = {}
         crossbar = (
             getattr(ctx.switch, "matching_discipline", "crossbar")
@@ -223,30 +224,33 @@ class MatchingValidityChecker(Checker):
         )
         state = ctx.injector.current if ctx.injector is not None else None
         masked = state is not None and state.degraded
-        for d in result.deliveries:
-            if d.service_slot != slot:
-                out.append(
-                    self.violation(
-                        ctx,
-                        slot,
-                        "delivery stamped with a foreign service slot",
-                        service_slot=d.service_slot,
-                    )
+        if result.rows and result.slot != slot:
+            out.append(
+                self.violation(
+                    ctx,
+                    slot,
+                    "delivery stamped with a foreign service slot",
+                    service_slot=result.slot,
                 )
-            if d.output_port in outputs_seen:
-                out.append(
-                    self.violation(
-                        ctx,
-                        slot,
-                        "two cells delivered to one output in one slot",
-                        output=d.output_port,
+            )
+        for packet, mask in result.rows:
+            clash = outputs_seen & mask
+            if clash:
+                for j in iter_bits(clash):
+                    out.append(
+                        self.violation(
+                            ctx,
+                            slot,
+                            "two cells delivered to one output in one slot",
+                            output=j,
+                        )
                     )
-                )
-            outputs_seen.add(d.output_port)
-            src = d.packet.input_port
-            per_input.setdefault(src, set()).add(d.packet.packet_id)
+            outputs_seen |= mask
+            src = packet.input_port
+            per_input.setdefault(src, set()).add(packet.packet_id)
             if masked:
-                out.extend(self._check_mask(ctx, slot, state, src, d.output_port))
+                for j in iter_bits(mask):
+                    out.extend(self._check_mask(ctx, slot, state, src, j))
         if crossbar:
             for src, pids in sorted(per_input.items()):
                 if len(pids) > 1:
@@ -318,24 +322,27 @@ class FifoOrderChecker(Checker):
         if not getattr(ctx.switch, "fifo_per_pair", True):
             return []
         out: list[Violation] = []
-        for d in result.deliveries:
-            key = (d.packet.input_port, d.output_port)
-            prev = self._last_served.get(key)
-            if prev is not None and d.packet.arrival_slot < prev:
-                out.append(
-                    self.violation(
-                        ctx,
-                        slot,
-                        "FIFO order broken: a younger cell overtook an "
-                        "older one on the same (input, output) pair",
-                        input=key[0],
-                        output=key[1],
-                        served_arrival=d.packet.arrival_slot,
-                        previous_arrival=prev,
+        last_served = self._last_served
+        for packet, mask in result.rows:
+            src, arrival = packet.input_port, packet.arrival_slot
+            for j in iter_bits(mask):
+                key = (src, j)
+                prev = last_served.get(key)
+                if prev is not None and arrival < prev:
+                    out.append(
+                        self.violation(
+                            ctx,
+                            slot,
+                            "FIFO order broken: a younger cell overtook an "
+                            "older one on the same (input, output) pair",
+                            input=src,
+                            output=j,
+                            served_arrival=arrival,
+                            previous_arrival=prev,
+                        )
                     )
-                )
-            else:
-                self._last_served[key] = d.packet.arrival_slot
+                else:
+                    last_served[key] = arrival
         return out
 
 

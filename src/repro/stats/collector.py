@@ -72,13 +72,14 @@ class StatsCollector:
                 self.multicast.on_arrival(
                     pkt.packet_id, pkt.arrival_slot, pkt.fanout
                 )
-        self.delay.on_deliveries(result.deliveries)
+        self.delay.on_rows(result.rows, slot)
         multicast, histogram = self.multicast, self.delay_histogram
         if multicast is not None and histogram is not None:
-            for delivery in result.deliveries:
-                multicast.on_delivery(delivery)
-                if delivery.packet.arrival_slot >= self.warmup_slot:
-                    histogram.record(delivery.delay)
+            for packet, mask in result.rows:
+                n = mask.bit_count()
+                multicast.on_service(packet, n, slot)
+                if packet.arrival_slot >= self.warmup_slot:
+                    histogram.record(slot - packet.arrival_slot + 1, n)
         self.cells_dropped += dropped_cells
         self.packets_dropped += dropped_packets
         self.grants_lost += result.grants_lost

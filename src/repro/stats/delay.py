@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.packet import Delivery
+from repro.packet import Delivery, Packet
 
 __all__ = ["DelayTracker"]
 
@@ -60,31 +60,34 @@ class DelayTracker:
 
     def on_delivery(self, delivery: Delivery) -> None:
         """Record one (packet, output) service."""
-        self.on_deliveries((delivery,))
+        packet, output, service = delivery
+        self.on_rows(((packet, 1 << output),), service)
 
-    def on_deliveries(self, deliveries: Iterable[Delivery]) -> None:
-        """Record a slot's (packet, output) services, in order."""
+    def on_rows(self, rows: Iterable[tuple[Packet, int]], slot: int) -> None:
+        """Record a slot's services, one ``(packet, output_mask)`` row per
+        grant: ``n`` outputs add ``n`` deliveries and ``n * d``, ``n * d * d``."""
         pending = self._pending
-        for packet, _, service in deliveries:
-            self.total_deliveries += 1
+        for packet, mask in rows:
+            n = mask.bit_count()
+            self.total_deliveries += n
             pid = packet.packet_id
             entry = pending.get(pid)
             if entry is None:
                 raise SimulationError(f"delivery for unregistered packet {pid}")
-            if service < entry.arrival_slot:
+            if slot < entry.arrival_slot:
                 raise SimulationError(
-                    f"packet {pid} served at {service} "
+                    f"packet {pid} served at {slot} "
                     f"before arrival {entry.arrival_slot}"
                 )
-            entry.delivered += 1
-            if service > entry.max_service:
-                entry.max_service = service
+            entry.delivered += n
+            if slot > entry.max_service:
+                entry.max_service = slot
             counted = entry.arrival_slot >= self.warmup_slot
             if counted:
-                d = service - packet.arrival_slot + 1
-                self.delivery_count += 1
-                self.delivery_delay_sum += d
-                self.delivery_delay_sq_sum += d * d
+                d = slot - packet.arrival_slot + 1
+                self.delivery_count += n
+                self.delivery_delay_sum += n * d
+                self.delivery_delay_sq_sum += n * d * d
                 if d > self.max_delivery_delay:
                     self.max_delivery_delay = d
             if entry.delivered == entry.fanout:

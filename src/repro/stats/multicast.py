@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.packet import Delivery
+from repro.packet import Packet
 
 __all__ = ["MulticastServiceTracker"]
 
 
 @dataclass(slots=True)
 class _Open:
+    arrival_slot: int
     fanout: int
     delivered: int
     slots: set
@@ -37,7 +38,6 @@ class MulticastServiceTracker:
     def __init__(self, warmup_slot: int = 0) -> None:
         self.warmup_slot = warmup_slot
         self._open: dict[int, _Open] = {}
-        self._arrivals: dict[int, int] = {}
         # Completed multicast packets only (fanout >= 2).
         self.completed = 0
         self.split_packets = 0
@@ -51,19 +51,18 @@ class MulticastServiceTracker:
         """Register an accepted packet for service-slot tracking."""
         if packet_id in self._open:
             raise SimulationError(f"packet {packet_id} registered twice")
-        self._open[packet_id] = _Open(fanout=fanout, delivered=0, slots=set())
-        self._arrivals[packet_id] = arrival_slot
+        self._open[packet_id] = _Open(arrival_slot, fanout, 0, set())
 
-    def on_delivery(self, delivery: Delivery) -> None:
-        """Record one delivery; finalizes the packet when fanout completes."""
-        pid = delivery.packet.packet_id
+    def on_service(self, packet: Packet, n: int, slot: int) -> None:
+        """Record ``n`` copies served in ``slot``; finalizes a completed packet."""
+        pid = packet.packet_id
         entry = self._open.get(pid)
         if entry is None:
             raise SimulationError(f"delivery for unknown packet {pid}")
-        entry.delivered += 1
-        entry.slots.add(delivery.service_slot)
+        entry.delivered += n
+        entry.slots.add(slot)
         if entry.delivered == entry.fanout:
-            counted = self._arrivals.pop(pid) >= self.warmup_slot
+            counted = entry.arrival_slot >= self.warmup_slot
             slots_used = len(entry.slots)
             del self._open[pid]
             if not counted:

@@ -3,7 +3,7 @@
 A switch is a discrete-time machine: once per slot the engine calls
 :meth:`BaseSwitch.step` with that slot's arrivals (at most one packet per
 input port, as in all the paper's traffic models) and receives a
-:class:`SlotResult` listing the deliveries that happened in the slot plus
+:class:`SlotResult`: one ``(packet, output_mask)`` row per grant plus
 scheduler metadata. Between steps the engine may query queue occupancy for
 the paper's queue-size metrics and for instability detection.
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, TrafficError
 from repro.packet import Delivery, Packet
+from repro.utils.bitsets import iter_bits
 from repro.utils.validation import check_port_count
 
 __all__ = ["SlotResult", "BaseSwitch"]
@@ -29,7 +30,10 @@ class SlotResult:
     """Everything that happened inside the switch during one time slot."""
 
     slot: int
-    deliveries: list[Delivery] = field(default_factory=list)
+    #: One ``(packet, output_mask)`` row per grant, in service order.
+    rows: list[tuple[Packet, int]] = field(default_factory=list)
+    #: The rows' popcount sum, kept by the producer that appends them.
+    cells_delivered: int = 0
     #: Scheduling rounds used this slot (0 for non-iterative switches).
     rounds: int = 0
     #: Whether any scheduling request was made (gates the rounds average).
@@ -53,8 +57,11 @@ class SlotResult:
     grants_lost: int = 0
 
     @property
-    def cells_delivered(self) -> int:
-        return len(self.deliveries)
+    def deliveries(self) -> list[Delivery]:
+        """Per-copy view of :attr:`rows`, rebuilt on every read: one
+        :class:`Delivery` per mask bit, outputs ascending within a row."""
+        slot = self.slot
+        return [Delivery(p, j, slot) for p, mask in self.rows for j in iter_bits(mask)]
 
     @property
     def cells_dropped(self) -> int:
@@ -193,7 +200,7 @@ class BaseSwitch(abc.ABC):
         )
 
     def _transfer(self, decision, result: SlotResult, slot: int) -> None:
-        """Move the granted cells and record deliveries/accounting on
+        """Move the granted cells and append the rows/accounting on
         ``result`` (template hook paired with :meth:`_decide`)."""
         raise NotImplementedError(
             f"{type(self).__name__} must implement _transfer() or override "

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import ConfigurationError, SchedulingError
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.switch.base import BaseSwitch, SlotResult
 from repro.switch.voq_bank import UnicastVOQBank
 
@@ -105,7 +105,7 @@ class BufferedCrossbarSwitch(BaseSwitch):
             xp_col[j] |= 1 << i
             self._in_ptr[i] = (j + 1) % n
         # --- output arbitration: crosspoint -> line ---
-        deliveries = result.deliveries
+        append = result.rows.append
         for j in range(n):
             mask = xp_col[j]
             if not mask:
@@ -121,10 +121,9 @@ class BufferedCrossbarSwitch(BaseSwitch):
                 xp_full[i] &= ~(1 << j)
             if not xq:
                 xp_col[j] &= ~(1 << i)
-            deliveries.append(
-                Delivery(packet=pkt, output_port=j, service_slot=slot)
-            )
+            append((pkt, 1 << j))
             self._out_ptr[j] = (i + 1) % n
+        result.cells_delivered = len(result.rows)
         return result
 
     # ------------------------------------------------------------------ #

@@ -21,7 +21,7 @@ from collections import deque
 
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError, SchedulingError
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.schedulers.islip import ISLIPScheduler
 from repro.switch.base import BaseSwitch, SlotResult
 from repro.switch.voq_bank import UnicastVOQBank
@@ -82,12 +82,10 @@ class CIOQSwitch(BaseSwitch):
                 j = mask.bit_length() - 1
                 self.output_queues[j].append(self.bank.pop(i, j))
         # --- one external departure per output per slot ---
-        for j, q in enumerate(self.output_queues):
-            if q:
-                pkt = q.popleft()
-                result.deliveries.append(
-                    Delivery(packet=pkt, output_port=j, service_slot=slot)
-                )
+        result.rows = [
+            (q.popleft(), 1 << j) for j, q in enumerate(self.output_queues) if q
+        ]
+        result.cells_delivered = len(result.rows)
         return result
 
     # ------------------------------------------------------------------ #

@@ -45,7 +45,7 @@ import numpy as np
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError, SchedulingError
 from repro.fabric.crossbar import MulticastCrossbar
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.switch.base import BaseSwitch, SlotResult
 from repro.switch.voq_bank import UnicastVOQBank
 from repro.utils.bitsets import bitmask_from_iterable
@@ -215,9 +215,8 @@ class ESLIPSwitch(BaseSwitch):
                     )
                 residue.discard(j)
                 self._mc_mask[i, j] = False
-                result.deliveries.append(
-                    Delivery(packet=pkt, output_port=j, service_slot=slot)
-                )
+            result.rows.append((pkt, decision.masks[i]))
+            result.cells_delivered += len(outs)
             if not residue:
                 q.popleft()
                 if q:
@@ -228,9 +227,8 @@ class ESLIPSwitch(BaseSwitch):
                     self.mcast_ptr = (i + 1) % n
         # Unicast transmissions.
         for i, j in uni_match.items():
-            result.deliveries.append(
-                Delivery(packet=self.bank.pop(i, j), output_port=j, service_slot=slot)
-            )
+            result.rows.append((self.bank.pop(i, j), 1 << j))
+        result.cells_delivered += len(uni_match)
 
     # ------------------------------------------------------------------ #
     def queue_sizes(self) -> list[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import SchedulingError
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.switch.base import BaseSwitch, SlotResult
 
 __all__ = ["OutputQueuedSwitch"]
@@ -49,14 +49,8 @@ class OutputQueuedSwitch(BaseSwitch):
             queues[j].append(packet)
 
     def _schedule_and_transmit(self, slot: int) -> SlotResult:
-        result = SlotResult(slot=slot, rounds=0, requests_made=False)
-        deliveries = result.deliveries
-        for j, q in enumerate(self.queues):
-            if q:
-                deliveries.append(
-                    Delivery(packet=q.popleft(), output_port=j, service_slot=slot)
-                )
-        return result
+        rows = [(q.popleft(), 1 << j) for j, q in enumerate(self.queues) if q]
+        return SlotResult(slot=slot, rows=rows, cells_delivered=len(rows))
 
     # ------------------------------------------------------------------ #
     def queue_sizes(self) -> list[int]:

@@ -20,7 +20,7 @@ from collections import deque
 from repro.core.matching import ScheduleDecision
 from repro.errors import SchedulingError
 from repro.fabric.crossbar import MulticastCrossbar
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.schedulers.base import SIQHolView
 from repro.switch.base import BaseSwitch, SlotResult
 from repro.utils.bitsets import iter_bits
@@ -97,12 +97,12 @@ class SingleInputQueueSwitch(BaseSwitch):
                     f"output {(stray & -stray).bit_length() - 1} granted to "
                     f"input {i} but HOL residue is {list(iter_bits(bits))}"
                 )
-            packet = q[0]
-            for j in iter_bits(mask):
-                result.deliveries.append(Delivery(packet, j, slot))
+            result.rows.append((q[0], mask))
+            served = mask.bit_count()
+            result.cells_delivered += served
             bits ^= mask
             hol_bits[i] = bits
-            self._backlog -= mask.bit_count()
+            self._backlog -= served
             if not bits:
                 q.popleft()
                 if q:

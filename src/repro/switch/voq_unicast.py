@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core.matching import ScheduleDecision
 from repro.errors import SchedulingError
 from repro.fabric.crossbar import MulticastCrossbar
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.switch.base import BaseSwitch, SlotResult
 from repro.switch.voq_bank import UnicastVOQBank
 
@@ -53,15 +53,15 @@ class UnicastVOQSwitch(BaseSwitch):
         self, decision: ScheduleDecision, result: SlotResult, slot: int
     ) -> None:
         pop = self.bank.pop
-        deliveries = result.deliveries
+        append = result.rows.append
         for i, mask in decision.masks.items():
             if mask & (mask - 1):
                 raise SchedulingError(
                     f"unicast scheduler granted fanout {mask.bit_count()} "
                     f"to input {i}"
                 )
-            j = mask.bit_length() - 1
-            deliveries.append(Delivery(pop(i, j), j, slot))
+            append((pop(i, mask.bit_length() - 1), mask))
+        result.cells_delivered += len(decision.masks)
 
     # ------------------------------------------------------------------ #
     def queue_sizes(self) -> list[int]:

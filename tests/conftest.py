@@ -10,9 +10,17 @@ import pytest
 from repro.core.voq import MulticastVOQInputPort
 from repro.packet import Packet
 from repro.schedulers.base import SIQHolView
+from repro.switch.base import SlotResult
 from repro.traffic.trace import TraceTraffic
 
-__all__ = ["make_packet", "mk_ports", "drain_slots", "siq_cell", "siq_view"]
+__all__ = [
+    "make_packet",
+    "mk_ports",
+    "drain_slots",
+    "siq_cell",
+    "siq_view",
+    "slot_result",
+]
 
 
 def make_packet(
@@ -23,6 +31,16 @@ def make_packet(
         input_port=input_port,
         destinations=tuple(destinations),
         arrival_slot=arrival_slot,
+    )
+
+
+def slot_result(slot: int, *rows: tuple[Packet, int]) -> SlotResult:
+    """A :class:`SlotResult` stamped ``slot`` serving ``rows``, each one
+    ``(packet, output_mask)`` grant, with its delivered-cell count."""
+    return SlotResult(
+        slot=slot,
+        rows=list(rows),
+        cells_delivered=sum(mask.bit_count() for _, mask in rows),
     )
 
 

@@ -13,21 +13,20 @@ from repro.kernel.equivalence import (
     single_bodied_pairings,
     slot_digest,
 )
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.switch.base import SlotResult
+
+from conftest import slot_result
 
 
 class TestSlotDigest:
     def test_delivery_order_is_canonicalized(self):
         p1 = Packet(input_port=0, destinations=(1,), arrival_slot=3)
         p2 = Packet(input_port=2, destinations=(1,), arrival_slot=1)
-        a = SlotResult(slot=5, rounds=2, requests_made=True)
-        a.deliveries = [
-            Delivery(packet=p1, output_port=1, service_slot=5),
-            Delivery(packet=p2, output_port=0, service_slot=5),
-        ]
-        b = SlotResult(slot=5, rounds=2, requests_made=True)
-        b.deliveries = list(reversed(a.deliveries))
+        a = slot_result(5, (p1, 1 << 1), (p2, 1 << 0))
+        b = slot_result(5, (p2, 1 << 0), (p1, 1 << 1))
+        for r in (a, b):
+            r.rounds, r.requests_made = 2, True
         assert slot_digest(a) == slot_digest(b)
 
     def test_digest_sees_every_counter(self):

@@ -1,6 +1,7 @@
 """The grant seam on bitmasks: ``ScheduleDecision.validate`` and
 ``MulticastCrossbar.configure`` against the per-output walk they replaced,
-and ``DelayTracker``'s one delivery loop fed per delivery and per slot.
+and ``DelayTracker.on_rows`` against a per-copy reference of the delay
+statistics that shares no code with ``repro.stats``.
 
 The scalar reference keeps a dict from output to input and walks every
 grant output by output, raising what the tuple-based code raised; the
@@ -23,8 +24,9 @@ from repro.errors import (
     SimulationError,
 )
 from repro.fabric.crossbar import MulticastCrossbar
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.stats.delay import DelayTracker
+from repro.switch.base import SlotResult
 
 SIZES = (1, 2, 5, 16, 70, 256)
 
@@ -119,6 +121,41 @@ def test_validate_and_configure_match_scalar_walk(n, data):
 
 
 # ---------------------------------------------------------------------- #
+def reference_delays(packets, services, warmup):
+    """The delay statistics by definition, one copy at a time.
+
+    ``packets`` is ``(pid, arrival, fanout)`` per packet; ``services``
+    maps each slot to the ``(pid, output)`` copies served in it. A copy
+    counts iff its packet arrived at or after ``warmup``; a packet's delay
+    is that of its last copy. Returns ``(copies served, counted copies,
+    delay sum, squared sum, max, completed packets, packet delay sum,
+    max)``."""
+    arrival = {pid: a for pid, a, _ in packets}
+    left = {pid: f for pid, _, f in packets}
+    served = 0
+    copies, finished = [], []
+    for slot in sorted(services):
+        for pid, _ in services[slot]:
+            served += 1
+            left[pid] -= 1
+            if arrival[pid] < warmup:
+                continue
+            d = slot - arrival[pid] + 1
+            copies.append(d)
+            if left[pid] == 0:
+                finished.append(d)
+    return (
+        served,
+        len(copies),
+        sum(copies),
+        sum(d * d for d in copies),
+        max(copies, default=0),
+        len(finished),
+        sum(finished),
+        max(finished, default=0),
+    )
+
+
 def _accumulators(tracker):
     return (
         tracker.total_deliveries,
@@ -135,20 +172,24 @@ def _accumulators(tracker):
 
 
 @st.composite
-def delivery_streams(draw):
-    """Packets with their per-destination service slots, as a stream of
-    slots (each a list of deliveries), plus a warmup boundary."""
-    packets, stream = [], {}
+def row_streams(draw, n=8):
+    """Packets on an ``n``-output switch, each destination served in some
+    slot after arrival or never, as ``{slot: [(packet, mask), ...]}`` —
+    one row per packet per slot, rows in any order — plus a warmup
+    boundary equal to one of the arrival slots."""
+    packets, served = [], {}
+    outputs = st.one_of(st.integers(0, n - 1), st.sampled_from(sorted({0, n - 1})))
     for k in range(draw(st.integers(1, 12))):
         arrival = draw(st.integers(0, 6))
-        dests = draw(st.sets(st.integers(0, 7), min_size=1, max_size=4))
-        packet = Packet(k % 8, tuple(dests), arrival)
+        packet = Packet(k % n, tuple(draw(st.sets(outputs, min_size=1, max_size=4))), arrival)
         packets.append(packet)
-        for j in dests:
-            served = arrival + draw(st.integers(0, 5))
-            stream.setdefault(served, []).append(Delivery(packet, j, served))
-    slots = [draw(st.permutations(stream[s])) for s in sorted(stream)]
-    return packets, slots, draw(st.integers(0, 8))
+        for j in packet.destinations:
+            wait = draw(st.one_of(st.none(), st.integers(0, 3)))
+            if wait is not None:
+                row = served.setdefault(arrival + wait, {})
+                row[packet] = row.get(packet, 0) | 1 << j
+    rows = {s: draw(st.permutations(list(served[s].items()))) for s in sorted(served)}
+    return packets, rows, draw(st.sampled_from([p.arrival_slot for p in packets]))
 
 
 def _tracker(packets, warmup, extra=None, extra_fanout=1):
@@ -160,56 +201,57 @@ def _tracker(packets, warmup, extra=None, extra_fanout=1):
     return tracker
 
 
-def _feed(tracker, slots, per_slot):
-    for deliveries in slots:
-        if per_slot:
-            tracker.on_deliveries(deliveries)
-        else:
-            for d in deliveries:
-                tracker.on_delivery(d)
-    return tracker
-
-
+@pytest.mark.parametrize("n", SIZES)
 @settings(max_examples=150, deadline=None)
-@given(delivery_streams())
-def test_delay_tracker_batch_equals_per_delivery(case):
-    packets, slots, warmup = case
-    one = _feed(_tracker(packets, warmup), slots, per_slot=False)
-    batched = _feed(_tracker(packets, warmup), slots, per_slot=True)
-    assert _accumulators(one) == _accumulators(batched)
-    # And both equal the definitions, computed from the stream directly.
-    counted = [d for s in slots for d in s if d.packet.arrival_slot >= warmup]
-    last = {}
-    for d in counted:
-        last[d.packet] = max(last.get(d.packet, 0), d.delay)
-    assert _accumulators(one)[:8] == (
-        sum(map(len, slots)),
-        len(counted),
-        sum(d.delay for d in counted),
-        sum(d.delay ** 2 for d in counted),
-        max((d.delay for d in counted), default=0),
-        len(last),
-        sum(last.values()),
-        max(last.values(), default=0),
+@given(data=st.data())
+def test_delay_tracker_matches_row_oracle(n, data):
+    packets, rows, warmup = data.draw(row_streams(n))
+    tracker = _tracker(packets, warmup)
+    for slot, slot_rows in rows.items():
+        tracker.on_rows(slot_rows, slot)
+    services = {
+        slot: [(p.packet_id, j) for p, mask in slot_rows for j in range(n) if mask >> j & 1]
+        for slot, slot_rows in rows.items()
+    }
+    oracle = reference_delays(
+        [(p.packet_id, p.arrival_slot, p.fanout) for p in packets], services, warmup
     )
+    assert _accumulators(tracker)[:8] == oracle
+    left = sum(p.fanout for p in packets) - oracle[0]
+    assert tracker.pending_cells() == left
 
 
 @pytest.mark.parametrize("case", ["unregistered", "before arrival", "over-delivered"])
 @settings(max_examples=60, deadline=None)
-@given(stream=delivery_streams(), data=st.data())
+@given(stream=row_streams(), data=st.data())
 def test_delay_tracker_refuses_alike(case, stream, data):
-    packets, slots, warmup = stream
-    at = data.draw(st.integers(0, len(slots) - 1))
-    service = slots[at][0].service_slot
-    bad = Packet(0, (0,), service + 1 if case == "before arrival" else service)
-    slots = [list(s) for s in slots]
-    slots[at].insert(data.draw(st.integers(0, len(slots[at]))), Delivery(bad, 0, service))
+    """A bad row is refused fed as rows and fed as the per-copy view,
+    with one message and one tracker state."""
+    packets, rows, warmup = stream
+    if not rows:
+        rows = {0: []}
+    at = data.draw(st.sampled_from(sorted(rows)))
+    bad = Packet(0, (0,), at + 1 if case == "before arrival" else at)
+    rows = {s: list(r) for s, r in rows.items()}
+    rows[at].insert(data.draw(st.integers(0, len(rows[at]))), (bad, 1))
     extra = None if case == "unregistered" else bad
     extra_fanout = 0 if case == "over-delivered" else 1
     outcomes = []
-    for per_slot in (False, True):
+    for per_copy in (False, True):
         tracker = _tracker(packets, warmup, extra, extra_fanout)
         with pytest.raises(SimulationError, match=case) as exc:
-            _feed(tracker, slots, per_slot)
+            for slot, slot_rows in rows.items():
+                if per_copy:
+                    for d in SlotResult(slot, slot_rows).deliveries:
+                        tracker.on_delivery(d)
+                else:
+                    tracker.on_rows(slot_rows, slot)
         outcomes.append((str(exc.value), _accumulators(tracker)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_delay_tracker_refuses_an_over_delivering_row():
+    packet = Packet(0, (0, 1), 0)
+    tracker = _tracker([packet], 0)
+    with pytest.raises(SimulationError, match="over-delivered"):
+        tracker.on_rows([(packet, 0b111)], 0)

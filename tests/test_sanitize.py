@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.sanitize import (
     SANITIZE_ENV,
     ConservationChecker,
@@ -29,18 +29,13 @@ from repro.sanitize import (
     sanitize_mode,
     suite_from_env,
 )
-from repro.switch.base import SlotResult
 from repro.utils.rng import make_rng
+
+from conftest import slot_result
 
 
 def _packet(src=0, dests=(1,), slot=0):
     return Packet(input_port=src, destinations=tuple(dests), arrival_slot=slot)
-
-
-def _result(slot, deliveries=()):
-    result = SlotResult(slot=slot)
-    result.deliveries = list(deliveries)
-    return result
 
 
 class _StubSwitch:
@@ -134,14 +129,14 @@ class TestConservationChecker:
         checker = ConservationChecker()
         # One 2-fanout arrival: 1 cell delivered, 1 still queued.
         pkt = _packet(dests=(0, 1))
-        result = _result(0, [Delivery(packet=pkt, output_port=0, service_slot=0)])
+        result = slot_result(0, (pkt, 1 << 0))
         assert checker.on_slot(ctx, 0, [pkt], result) == []
 
     def test_fires_when_cells_vanish(self):
         switch = _StubSwitch(backlog=0)  # nothing queued, nothing delivered
         ctx = RunContext(switch=switch)
         checker = ConservationChecker()
-        out = checker.on_slot(ctx, 0, [_packet(dests=(0, 1))], _result(0))
+        out = checker.on_slot(ctx, 0, [_packet(dests=(0, 1))], slot_result(0))
         assert [v.checker for v in out] == ["conservation"]
         assert "conservation" in out[0].message
 
@@ -149,7 +144,7 @@ class TestConservationChecker:
         switch = _StubSwitch(backlog=0)
         switch.cells_delivered = 5  # claims deliveries the stream never saw
         ctx = RunContext(switch=switch)
-        out = ConservationChecker().on_slot(ctx, 0, [], _result(0))
+        out = ConservationChecker().on_slot(ctx, 0, [], slot_result(0))
         assert len(out) == 1 and "lifetime" in out[0].message
 
     def test_fires_on_ledger_drift(self):
@@ -159,7 +154,7 @@ class TestConservationChecker:
 
         switch = _StubSwitch(backlog=0)
         ctx = RunContext(switch=switch, injector=_Injector())
-        out = ConservationChecker().on_slot(ctx, 0, [], _result(0))
+        out = ConservationChecker().on_slot(ctx, 0, [], slot_result(0))
         assert len(out) == 1 and "grants_lost" in out[0].message
 
 
@@ -184,36 +179,18 @@ class TestMatchingValidityChecker:
 
     def test_clean_multicast_slot(self):
         pkt = _packet(src=0, dests=(1, 2))
-        result = _result(
-            4,
-            [
-                Delivery(packet=pkt, output_port=1, service_slot=4),
-                Delivery(packet=pkt, output_port=2, service_slot=4),
-            ],
-        )
+        result = slot_result(4, (pkt, 0b110))
         assert MatchingValidityChecker().on_slot(self._ctx(), 4, [], result) == []
 
     def test_fires_on_output_collision(self):
         a, b = _packet(src=0, dests=(1,)), _packet(src=2, dests=(1,))
-        result = _result(
-            0,
-            [
-                Delivery(packet=a, output_port=1, service_slot=0),
-                Delivery(packet=b, output_port=1, service_slot=0),
-            ],
-        )
+        result = slot_result(0, (a, 1 << 1), (b, 1 << 1))
         out = MatchingValidityChecker().on_slot(self._ctx(), 0, [], result)
         assert any("one output" in v.message for v in out)
 
     def test_fires_on_two_cells_from_one_input(self):
         a, b = _packet(src=0, dests=(1,)), _packet(src=0, dests=(2,))
-        result = _result(
-            0,
-            [
-                Delivery(packet=a, output_port=1, service_slot=0),
-                Delivery(packet=b, output_port=2, service_slot=0),
-            ],
-        )
+        result = slot_result(0, (a, 1 << 1), (b, 1 << 2))
         out = MatchingValidityChecker().on_slot(self._ctx(), 0, [], result)
         assert any("distinct data cells" in v.message for v in out)
         # Output-disciplined switches (CICQ, CIOQ, ...) are allowed to.
@@ -224,9 +201,30 @@ class TestMatchingValidityChecker:
 
     def test_fires_on_foreign_service_slot(self):
         pkt = _packet(src=0, dests=(1,))
-        result = _result(5, [Delivery(packet=pkt, output_port=1, service_slot=9)])
-        out = MatchingValidityChecker().on_slot(self._ctx(), 5, [], result)
+        result = slot_result(5, (pkt, 1 << 1))
+        out = MatchingValidityChecker().on_slot(self._ctx(), 6, [], result)
         assert any("service slot" in v.message for v in out)
+        assert MatchingValidityChecker().on_slot(self._ctx(), 5, [], result) == []
+
+    def test_fires_on_overlapping_masks(self):
+        a, b = _packet(src=0, dests=(1, 2)), _packet(src=2, dests=(2, 3))
+        result = slot_result(0, (a, 0b0110), (b, 0b1100))
+        out = MatchingValidityChecker().on_slot(self._ctx(), 0, [], result)
+        assert [(v.message, dict(v.context)) for v in out] == [
+            ("two cells delivered to one output in one slot", {"output": 2})
+        ]
+
+    def test_fires_on_two_rows_of_one_input(self):
+        a, b = _packet(src=1, dests=(0, 1)), _packet(src=1, dests=(2, 3))
+        result = slot_result(0, (a, 0b0011), (b, 0b1100))
+        out = MatchingValidityChecker().on_slot(self._ctx(), 0, [], result)
+        assert [(v.message, dict(v.context)) for v in out] == [
+            (
+                "input delivered two distinct data cells in one slot "
+                "through a crossbar matching",
+                {"input": 1, "distinct_cells": 2},
+            )
+        ]
 
     def test_fires_on_masked_delivery(self):
         class _Injector:
@@ -234,11 +232,11 @@ class TestMatchingValidityChecker:
 
         ctx = self._ctx(injector=_Injector())
         pkt = _packet(src=1, dests=(2,))
-        down = _result(0, [Delivery(packet=pkt, output_port=2, service_slot=0)])
+        down = slot_result(0, (pkt, 1 << 2))
         out = MatchingValidityChecker().on_slot(ctx, 0, [], down)
         assert any("crosspoint" in v.message for v in out)
         pkt2 = _packet(src=3, dests=(4,))
-        down2 = _result(0, [Delivery(packet=pkt2, output_port=0, service_slot=0)])
+        down2 = slot_result(0, (pkt2, 1 << 0))
         out2 = MatchingValidityChecker().on_slot(ctx, 0, [], down2)
         kinds = " ".join(v.message for v in out2)
         assert "down input" in kinds and "down output" in kinds
@@ -251,10 +249,10 @@ class TestFifoOrderChecker:
         old = _packet(src=0, dests=(1,), slot=0)
         young = _packet(src=0, dests=(1,), slot=5)
         checker.on_slot(
-            ctx, 6, [], _result(6, [Delivery(packet=young, output_port=1, service_slot=6)])
+            ctx, 6, [], slot_result(6, (young, 1 << 1))
         )
         out = checker.on_slot(
-            ctx, 7, [], _result(7, [Delivery(packet=old, output_port=1, service_slot=7)])
+            ctx, 7, [], slot_result(7, (old, 1 << 1))
         )
         assert [v.checker for v in out] == ["fifo_order"]
 
@@ -263,7 +261,7 @@ class TestFifoOrderChecker:
         checker = FifoOrderChecker()
         for slot, arrival in [(3, 0), (4, 1), (5, 1)]:
             pkt = _packet(src=0, dests=(1,), slot=arrival)
-            result = _result(slot, [Delivery(packet=pkt, output_port=1, service_slot=slot)])
+            result = slot_result(slot, (pkt, 1 << 1))
             assert checker.on_slot(ctx, slot, [], result) == []
 
     def test_skips_non_fifo_switches(self):
@@ -274,10 +272,10 @@ class TestFifoOrderChecker:
         old = _packet(src=0, dests=(1,), slot=0)
         young = _packet(src=0, dests=(1,), slot=5)
         checker.on_slot(
-            ctx, 6, [], _result(6, [Delivery(packet=young, output_port=1, service_slot=6)])
+            ctx, 6, [], slot_result(6, (young, 1 << 1))
         )
         assert checker.on_slot(
-            ctx, 7, [], _result(7, [Delivery(packet=old, output_port=1, service_slot=7)])
+            ctx, 7, [], slot_result(7, (old, 1 << 1))
         ) == []
 
 
@@ -448,26 +446,26 @@ class TestSanitizerSuite:
     def test_hard_fail_raises_on_first_violation(self):
         suite = self._attached(hard_fail=True)
         with pytest.raises(SanitizerError, match="synthetic violation"):
-            suite.on_slot(0, [], _result(0))
+            suite.on_slot(0, [], slot_result(0))
 
     def test_record_mode_collects_then_fails_at_finish(self):
         suite = self._attached()
         for slot in range(3):
-            suite.on_slot(slot, [], _result(slot))
+            suite.on_slot(slot, [], slot_result(slot))
         assert len(suite.violations) == 3 and not suite.ok
         with pytest.raises(SanitizerError, match="3 violation"):
             suite.finish()
 
     def test_observer_mode_never_raises(self):
         suite = self._attached(fail_at_finish=False)
-        suite.on_slot(0, [], _result(0))
+        suite.on_slot(0, [], slot_result(0))
         suite.finish()
         assert len(suite.violations) == 1
 
     def test_max_violations_caps_memory(self):
         suite = self._attached(fail_at_finish=False, max_violations=2)
         for slot in range(5):
-            suite.on_slot(slot, [], _result(slot))
+            suite.on_slot(slot, [], slot_result(slot))
         assert len(suite.violations) == 2
         assert suite.slots_checked == 5
 
@@ -482,24 +480,24 @@ class TestSanitizerSuite:
             checkers=[_AlwaysFires()], fail_at_finish=False, sink=_Sink()
         )
         suite.attach(_StubSwitch(), algorithm="stub")
-        suite.on_slot(0, [], _result(0))
+        suite.on_slot(0, [], slot_result(0))
         assert emitted and emitted[0]["kind"] == "sanitizer"
         assert emitted[0]["algorithm"] == "stub"
 
     def test_on_slot_before_attach_raises(self):
         with pytest.raises(SanitizerError, match="attach"):
-            SanitizerSuite().on_slot(0, [], _result(0))
+            SanitizerSuite().on_slot(0, [], slot_result(0))
 
     def test_deep_every_cadence(self):
         suite = SanitizerSuite(checkers=[], deep_every=4)
         suite.attach(_StubSwitch())
         for slot in range(8):
-            suite.on_slot(slot, [], _result(slot))
+            suite.on_slot(slot, [], slot_result(slot))
         assert suite.deep_passes == 2
 
     def test_report_schema(self):
         suite = self._attached(fail_at_finish=False)
-        suite.on_slot(0, [], _result(0))
+        suite.on_slot(0, [], slot_result(0))
         report = suite.report()
         assert report["enabled"] is True
         assert report["checkers"] == ["always"]

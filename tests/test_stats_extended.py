@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.packet import Delivery, Packet
+from repro.packet import Packet
 from repro.stats.histogram import DelayHistogram
 from repro.stats.multicast import MulticastServiceTracker
 
@@ -89,7 +89,7 @@ class TestDelayHistogram:
 
 class TestMulticastServiceTracker:
     def _deliver(self, t, pkt, output, slot):
-        t.on_delivery(Delivery(packet=pkt, output_port=output, service_slot=slot))
+        t.on_service(pkt, 1, slot)
 
     def test_whole_fanout_one_slot(self):
         t = MulticastServiceTracker()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
-from repro.packet import Delivery
 from repro.schedulers import registry
 from repro.switch.base import SlotResult
 from repro.switch.output_queue import OutputQueuedSwitch
@@ -121,7 +120,8 @@ class _Lifo(OutputQueuedSwitch):
         result = SlotResult(slot=slot)
         for j, q in enumerate(self.queues):
             if q:
-                result.deliveries.append(Delivery(q.pop(), j, slot))
+                result.rows.append((q.pop(), 1 << j))
+                result.cells_delivered += 1
         return result
 
 
@@ -131,7 +131,8 @@ class _DoubleServe(OutputQueuedSwitch):
     def _schedule_and_transmit(self, slot):
         result = super()._schedule_and_transmit(slot)
         if self.queues[0]:
-            result.deliveries.append(Delivery(self.queues[0].popleft(), 0, slot))
+            result.rows.append((self.queues[0].popleft(), 1))
+            result.cells_delivered += 1
         return result
 
 
