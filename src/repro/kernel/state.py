@@ -114,6 +114,7 @@ class SwitchState:
         "capacity",
         "on_overflow",
         "occupancy",
+        "row_peak", "seen_allocated", "grown_rows",
         "voq_pids",
         "hol_pids",
         "live",
@@ -150,6 +151,10 @@ class SwitchState:
         self.capacity = buffer_capacity
         self.on_overflow = buffer_overflow
         self.occupancy: list[list[int]] = [[0] * n for _ in range(n)]
+        #: Per input as of slot_stats(): a bound on its largest VOQ count.
+        self.row_peak: list[int] = [0] * n
+        self.seen_allocated: list[int] = [0] * n
+        self.grown_rows = 0
         # FIFO order per VOQ: deques of pids (plain ints, not cells).
         self.voq_pids: list[list[deque[int]]] = [
             [deque() for _ in range(n)] for _ in range(n)
@@ -220,6 +225,7 @@ class SwitchState:
                 hol |= 1 << j
             dq.append(pid)
             occ[j] += 1
+        self.grown_rows |= 1 << i
         self.packets[pid] = packet
         self.p_fanout[pid] = len(destinations)
         self.p_ts[pid] = slot
@@ -339,11 +345,21 @@ class SwitchState:
         object model derives from its cell structures — see
         :meth:`repro.kernel.base.KernelBackend.harvest_slot_stats`.
         """
-        peak = 0
-        for row in self.occupancy:
-            m = max(row)
-            if m > peak:
-                peak = m
+        # Bounds: an admit adds at most one to a row's peak, serve only
+        # lowers it, live cells cap it. Rescan the top row till exact.
+        bounds, seen = self.row_peak, self.seen_allocated
+        allocated, grown, self.grown_rows = self.allocated_total, self.grown_rows, 0
+        while grown:
+            i = (grown & -grown).bit_length() - 1
+            grown &= grown - 1
+            bounds[i] = min(self.live[i], bounds[i] + allocated[i] - seen[i])
+            seen[i] = allocated[i]
+        while True:
+            peak = max(bounds)
+            i = bounds.index(peak)
+            bounds[i] = max(self.occupancy[i])
+            if bounds[i] == peak:
+                break
         # An input's oldest live packet heads every VOQ it is still in,
         # so the oldest HOL timestamp is the oldest of the N list heads.
         p_ts = self.p_ts

@@ -93,8 +93,8 @@ class VectorizedBackend(KernelBackend):
         result.splits += len(decision.masks) - reclaimed
 
     def harvest_slot_stats(self) -> dict[str, object]:
-        """Kernel-seam counters off the SoA state (one N×N occupancy
-        scan, the rest O(N))."""
+        """Kernel-seam counters off the SoA state (O(N), plus a rescan
+        of the few VOQ rows whose peak bound is on top)."""
         return self.state.slot_stats()
 
     def queue_sizes(self) -> list[int]:

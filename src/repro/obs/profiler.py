@@ -1,9 +1,9 @@
 """Phase-level wall-clock attribution for the simulation loop.
 
 The engine's slot cycle has four phases — traffic generation, the switch's
-schedule-and-transmit step, statistics collection, and the stability
-monitor (phase ``invariants``; the switch's own invariant walk runs only
-under the sanitizer). :class:`PhaseProfiler` accumulates ``time.perf_counter_ns`` deltas
+schedule-and-transmit step, statistics collection, and ``invariants``: the
+stability monitor and a sanitized run's per-slot checks (whose deep pass
+walks the switch's own invariants). :class:`PhaseProfiler` accumulates ``time.perf_counter_ns`` deltas
 per phase and reports totals, shares and per-slot costs, answering "where
 does a run actually spend its time" before any optimisation PR.
 """

@@ -200,19 +200,22 @@ class SlotObserver:
         arrivals: "Sequence[Packet | None]",
         result: "SlotResult",
     ) -> None:
-        """Record one stepped slot."""
+        """Record one stepped slot (a zero increment skips its counter)."""
         packets = cells = 0
-        for pkt in arrivals:
-            if pkt is not None:
-                packets += 1
-                cells += pkt.fanout
+        for pkt in filter(None, arrivals):
+            packets += 1
+            cells += len(pkt.destinations)
         backlog = self.switch.total_backlog()
         self.c_slots.inc()
-        self.c_packets.inc(packets)
-        self.c_offered.inc(cells)
-        self.c_delivered.inc(result.cells_delivered)
-        self.c_splits.inc(result.splits)
-        self.c_reclaimed.inc(result.reclaimed)
+        if packets:
+            self.c_packets.inc(packets)
+            self.c_offered.inc(cells)
+        if result.cells_delivered:
+            self.c_delivered.inc(result.cells_delivered)
+        if result.splits:
+            self.c_splits.inc(result.splits)
+        if result.reclaimed:
+            self.c_reclaimed.inc(result.reclaimed)
         if result.dropped_packets:
             self.c_dropped.inc(result.cells_dropped)
         if result.grants_lost:

@@ -15,6 +15,7 @@ saw, not a parallel model.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -58,6 +59,17 @@ class RunContext:
     algorithm: str = "unknown"
     #: Named RNG streams discovered at attach time (for isolation checks).
     rng_streams: list[tuple[str, Any]] = field(default_factory=list)
+    #: Switch facts fixed for the run, read once for the per-slot checks.
+    crossbar: bool = field(init=False)
+    fifo_per_pair: bool = field(init=False)
+    counts_deliveries: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        discipline = getattr(self.switch, "matching_discipline", "crossbar")
+        self.crossbar = discipline == "crossbar"
+        self.fifo_per_pair = getattr(self.switch, "fifo_per_pair", True)
+        counter = getattr(self.switch, "cells_delivered", None)
+        self.counts_deliveries = counter is not None
 
 
 class Checker:
@@ -128,9 +140,11 @@ class ConservationChecker(Checker):
         arrivals: "Sequence[Packet | None]",
         result: "SlotResult",
     ) -> list[Violation]:
-        self.offered += sum(p.fanout for p in arrivals if p is not None)
+        for p in filter(None, arrivals):
+            self.offered += len(p.destinations)
         self.delivered += result.cells_delivered
-        self.dropped += result.cells_dropped
+        if result.dropped_packets:
+            self.dropped += result.cells_dropped
         self.grants_lost += result.grants_lost
         out: list[Violation] = []
         backlog = int(ctx.switch.total_backlog())
@@ -148,15 +162,14 @@ class ConservationChecker(Checker):
                     backlog=backlog,
                 )
             )
-        switch_delivered = getattr(ctx.switch, "cells_delivered", None)
-        if switch_delivered is not None and switch_delivered != self.delivered:
+        if ctx.counts_deliveries and ctx.switch.cells_delivered != self.delivered:
             out.append(
                 self.violation(
                     ctx,
                     slot,
                     "switch lifetime delivery counter disagrees with the "
                     "per-slot delivery stream",
-                    switch_counter=switch_delivered,
+                    switch_counter=ctx.switch.cells_delivered,
                     slot_stream=self.delivered,
                 )
             )
@@ -216,12 +229,6 @@ class MatchingValidityChecker(Checker):
         result: "SlotResult",
     ) -> list[Violation]:
         out: list[Violation] = []
-        outputs_seen = 0
-        per_input: dict[int, set[int]] = {}
-        crossbar = (
-            getattr(ctx.switch, "matching_discipline", "crossbar")
-            == "crossbar"
-        )
         state = ctx.injector.current if ctx.injector is not None else None
         masked = state is not None and state.degraded
         if result.rows and result.slot != slot:
@@ -233,6 +240,7 @@ class MatchingValidityChecker(Checker):
                     service_slot=result.slot,
                 )
             )
+        outputs_seen = inputs_seen = repeated = 0  # bitmasks
         for packet, mask in result.rows:
             clash = outputs_seen & mask
             if clash:
@@ -247,12 +255,14 @@ class MatchingValidityChecker(Checker):
                     )
             outputs_seen |= mask
             src = packet.input_port
-            per_input.setdefault(src, set()).add(packet.packet_id)
+            repeated |= inputs_seen & 1 << src
+            inputs_seen |= 1 << src
             if masked:
                 for j in iter_bits(mask):
                     out.extend(self._check_mask(ctx, slot, state, src, j))
-        if crossbar:
-            for src, pids in sorted(per_input.items()):
+        if repeated and ctx.crossbar:
+            for src in iter_bits(repeated):
+                pids = {p.packet_id for p, _ in result.rows if p.input_port == src}
                 if len(pids) > 1:
                     out.append(
                         self.violation(
@@ -267,32 +277,22 @@ class MatchingValidityChecker(Checker):
         return out
 
     def _check_mask(
-        self, ctx: RunContext, slot: int, state: Any, src: int, dst: int
+        self, ctx: RunContext, slot: int, state: Any, i: int, j: int
     ) -> list[Violation]:
-        out: list[Violation] = []
-        if state.input_is_down(src):
-            out.append(
-                self.violation(
-                    ctx, slot, "delivery from a down input port", input=src
-                )
-            )
-        if state.output_is_down(dst):
-            out.append(
-                self.violation(
-                    ctx, slot, "delivery to a down output port", output=dst
-                )
-            )
-        if (src, dst) in state.failed_crosspoints:
-            out.append(
-                self.violation(
-                    ctx,
-                    slot,
-                    "delivery through a failed crosspoint",
-                    input=src,
-                    output=dst,
-                )
-            )
-        return out
+        checks = (
+            (state.input_is_down(i), "delivery from a down input port", {"input": i}),
+            (state.output_is_down(j), "delivery to a down output port", {"output": j}),
+            (
+                (i, j) in state.failed_crosspoints,
+                "delivery through a failed crosspoint",
+                {"input": i, "output": j},
+            ),
+        )
+        return [
+            self.violation(ctx, slot, message, **context)
+            for hit, message, context in checks
+            if hit
+        ]
 
 
 class FifoOrderChecker(Checker):
@@ -310,7 +310,8 @@ class FifoOrderChecker(Checker):
     name = "fifo_order"
 
     def __init__(self) -> None:
-        self._last_served: dict[tuple[int, int], int] = {}
+        #: Per input, the arrival last served on each output (-1: none).
+        self._last_served: defaultdict[int, list[int]] = defaultdict(list)
 
     def on_slot(
         self,
@@ -319,30 +320,33 @@ class FifoOrderChecker(Checker):
         arrivals: "Sequence[Packet | None]",
         result: "SlotResult",
     ) -> list[Violation]:
-        if not getattr(ctx.switch, "fifo_per_pair", True):
-            return []
         out: list[Violation] = []
+        if not ctx.fifo_per_pair:
+            return out
         last_served = self._last_served
         for packet, mask in result.rows:
-            src, arrival = packet.input_port, packet.arrival_slot
-            for j in iter_bits(mask):
-                key = (src, j)
-                prev = last_served.get(key)
-                if prev is not None and arrival < prev:
+            row, arrival = last_served[packet.input_port], packet.arrival_slot
+            if mask >> len(row):
+                row.extend([-1] * (mask.bit_length() - len(row)))
+            while mask:
+                j = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                prev = row[j]
+                if arrival < prev:
                     out.append(
                         self.violation(
                             ctx,
                             slot,
                             "FIFO order broken: a younger cell overtook an "
                             "older one on the same (input, output) pair",
-                            input=src,
+                            input=packet.input_port,
                             output=j,
                             served_arrival=arrival,
                             previous_arrival=prev,
                         )
                     )
                 else:
-                    last_served[key] = arrival
+                    row[j] = arrival
         return out
 
 

@@ -149,6 +149,8 @@ class SimulationEngine:
                 queue_sizes = timed("stats", queue_sizes)
                 on_slot = timed("stats", on_slot)
                 observe_stability = timed("invariants", observe_stability)
+                if sanitizer is not None:  # observers[0] is its on_slot
+                    observers[0] = timed("invariants", observers[0])
 
         total = cfg.num_slots
         chunk = cfg.slot_chunk

@@ -6,6 +6,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from repro.core.preprocess import preprocess_packet
 from repro.core.voq import MulticastVOQInputPort
@@ -181,6 +183,36 @@ class TestIntegrity:
         assert _hol_ts(st)[0, 1] == 0
         assert st.occupancy[0][1] == 1
         st.check_invariants()
+
+
+class TestVoqPeak:
+    """``slot_stats()["voq_peak"]`` is the largest VOQ count however
+    often it is read: every op, every k ops, or twice in a row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=hs.sampled_from([2, 4, 16]),
+        every=hs.integers(1, 6),
+        ops=hs.lists(
+            hs.tuples(hs.booleans(), hs.integers(0, 15), hs.integers(1, 0xFFFF)),
+            max_size=250,
+        ),
+    )
+    def test_matches_a_full_scan(self, n, every, ops):
+        state = SwitchState(n)
+        everyone = (1 << n) - 1
+        for slot, (arrive, i, bits) in enumerate(ops):
+            i %= n
+            if arrive:
+                dests = [j for j in range(n) if bits >> j & 1] or [i]
+                state.admit(_pkt(i, dests, slot), slot)
+            elif (request := state.hol_request(i, everyone)) is not None:
+                state.serve(i, request[2] & bits or request[2])
+            if slot % every == 0:
+                for _ in range(1 + slot % 2):
+                    peak = state.slot_stats()["voq_peak"]
+                    assert peak == max(map(max, state.occupancy))
+        assert state.slot_stats()["voq_peak"] == max(map(max, state.occupancy))
 
 
 class TestPidPool:

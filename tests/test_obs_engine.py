@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 
 import pytest
 
@@ -161,6 +162,27 @@ class TestInstrumentedRun:
         assert report["slots_per_sec"] > 0
         for entry in report["phases"].values():
             assert entry["per_slot_us"] >= 0
+
+    def test_sanitizer_is_charged_to_invariants(self, monkeypatch):
+        """A profiled, sanitized run times the sanitizer's per-slot call
+        under ``invariants``. With a clock that ticks once per read, every
+        timed call costs exactly one tick, so sanitizing adds one tick per
+        slot to that phase and nothing anywhere else."""
+
+        def phase_ticks(sanitize):
+            monkeypatch.setattr(profiler_mod, "clock_ns", itertools.count().__next__)
+            tel = Telemetry(profile=True)
+            run_simulation(
+                "fifoms", 4, TRAFFIC, num_slots=300, seed=7,
+                telemetry=tel, sanitize=sanitize,
+            )
+            return {phase: tel.profiler.total_ns(phase) for phase in profiler_mod.PHASES}
+
+        sanitized, plain = phase_ticks(True), phase_ticks(False)
+        assert sanitized["invariants"] - plain["invariants"] == 300
+        assert {p: sanitized[p] - plain[p] for p in plain} == {
+            "traffic_gen": 0, "schedule": 0, "stats": 0, "invariants": 300
+        }
 
     def test_progress_heartbeat_lines(self):
         buf = io.StringIO()

@@ -7,6 +7,13 @@ The digests were recorded at commit 4522eec, before slot results carried
 produced. FIFOMS runs under chaos faults; iSLIP (the unicast VOQ bank's
 producer) refuses fault injection, so it runs fault-free.
 
+A third pin holds the ``metrics.json`` of the Fig. 4 recipe at N = 16
+and load ≈ 0.8 (``bernoulli_arrival_probability(16, 0.8, 0.2)`` =
+0.24296), where VOQs run longer than at N = 8: the ``kernel.voq_peak``
+gauge and the other kernel-seam series read through
+``SwitchState.slot_stats()``'s per-row caches. Recorded at commit
+ad54254, before those caches existed.
+
 Re-recording (only for a deliberate behaviour change)::
 
     PYTHONPATH=src python -m repro run <args> --out-dir D
@@ -49,3 +56,17 @@ def test_trace_and_metrics_bytes_are_pinned(algorithm, tmp_path, capsys):
     assert hashlib.sha256(trace).hexdigest() == trace_sha
     metrics = (out / "metrics.json").read_bytes()
     assert hashlib.sha256(metrics).hexdigest() == metrics_sha
+
+
+def test_n16_metrics_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = [
+        "run", "-a", "fifoms", "-n", "16", "--p", "0.243", "--b", "0.2",
+        "--slots", "2000", "--seed", "2004", "--sanitize", "--out-dir", str(out),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    metrics = (out / "metrics.json").read_bytes()
+    assert hashlib.sha256(metrics).hexdigest() == (
+        "d6204ef0d8773c85911b7496d1f974e630b4bd46b0f01e3bcbb388839263cd46"
+    )
