@@ -19,20 +19,19 @@ from repro.analysis.complexity import (
     space_bits_multicast_voq,
     space_bits_replicated_voq,
 )
-from repro.core.preprocess import preprocess_packet
-from repro.core.voq import MulticastVOQInputPort
 from repro.hw.comparator import MinComparatorTree
 from repro.hw.scheduler_rtl import FIFOMSControlUnit
 from repro.packet import Packet
 from repro.report.ascii import format_table
+from repro.verify.reference import ReferenceFIFOMS
 
 
-def _staircase_ports(n: int) -> list[MulticastVOQInputPort]:
-    ports = [MulticastVOQInputPort(i, n) for i in range(n)]
+def _staircase_ports(n: int) -> ReferenceFIFOMS:
+    model = ReferenceFIFOMS(n)
     for i in range(n):
         for k in range(i + 1):
-            preprocess_packet(ports[i], Packet(i, (k,), k), k)
-    return ports
+            model.preprocess(Packet(i, (k,), k), k)
+    return model
 
 
 def test_comparator_depth_scaling(report):

@@ -19,16 +19,14 @@ Usage::
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro import (
     MulticastVOQSwitch,
     ScheduleDecision,
+    SwitchState,
     register_switch_factory,
     run_simulation,
 )
 from repro.analysis.loads import bernoulli_arrival_probability
-from repro.core.voq import MulticastVOQInputPort
 from repro.report.ascii import format_table
 
 __all__ = ["main"]
@@ -42,51 +40,44 @@ class LQFMulticastScheduler:
     def __init__(self, num_ports: int) -> None:
         self.num_ports = num_ports
 
-    def schedule(self, ports: Sequence[MulticastVOQInputPort]) -> ScheduleDecision:
+    def schedule_state(
+        self,
+        state: SwitchState,
+        *,
+        input_free: list[bool] | None = None,
+        output_free: list[bool] | None = None,
+    ) -> ScheduleDecision:
         n = self.num_ports
         decision = ScheduleDecision()
-        input_free = [True] * n
-        output_free = [True] * n
-        granted: list[list[int]] = [[] for _ in range(n)]
-        rounds = 0
+        free_in = [True] * n if input_free is None else input_free
+        free_out = sum(
+            1 << j for j in range(n) if output_free is None or output_free[j]
+        )
+        # Weight = total address cells an input holds (its occupancy row).
+        weight = [sum(row) for row in state.occupancy]
+        granted: dict[int, int] = {}  # input -> bitmask of outputs won
         while True:
-            # Request: free inputs offer the HOL packet of their most
-            # backlogged eligible VOQ (weight = total address cells held).
-            requests: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-            any_request = False
-            for i in range(n):
-                if not input_free[i]:
-                    continue
-                port = ports[i]
-                weight = port.total_address_cells
-                best_ts = port.min_hol_timestamp(output_free)
-                if best_ts is None:
-                    continue
-                for j, q in enumerate(port.voqs):
-                    if output_free[j] and q and q.head().timestamp == best_ts:
-                        requests[j].append((weight, i))
-                        any_request = True
-            if any_request:
-                decision.requests_made = True
-            else:
+            # Request: each free input offers its oldest HOL packet's
+            # cells at free outputs, as (timestamp, input, output mask).
+            requests = [state.hol_request(i, free_out) for i in range(n) if free_in[i]]
+            requests = [r for r in requests if r is not None]
+            if not requests:
                 break
-            # Grant: heaviest input wins (ties to lowest index).
-            new_match = False
-            for j in range(n):
-                if not output_free[j] or not requests[j]:
-                    continue
-                _, winner = max(requests[j], key=lambda wi: (wi[0], -wi[1]))
-                output_free[j] = False
-                input_free[winner] = False
-                granted[winner].append(j)
-                new_match = True
-            if not new_match:
-                break
-            rounds += 1
-        for i in range(n):
-            if granted[i]:
-                decision.add(i, tuple(granted[i]))
-        decision.rounds = rounds
+            decision.requests_made = True
+            # Grant: heaviest input wins each output (ties to lowest index).
+            winner: dict[int, int] = {}  # output -> input
+            for _, i, mask in requests:
+                for j in range(n):
+                    if not mask >> j & 1:
+                        continue
+                    if j not in winner or weight[i] > weight[winner[j]]:
+                        winner[j] = i
+            for j, i in winner.items():
+                granted[i] = granted.get(i, 0) | 1 << j
+                free_in[i] = False
+                free_out &= ~(1 << j)
+            decision.rounds += 1
+        decision.masks = dict(sorted(granted.items()))
         return decision
 
 

@@ -2,7 +2,8 @@
 Algorithm for VOQ Packet Switches" (ICPP 2004).
 
 The package implements the paper's multicast VOQ queue structure (data
-cells + address cells) and the FIFOMS scheduler, the baselines it is
+cells + address cells; the literal model is :mod:`repro.verify.reference`)
+and the FIFOMS scheduler, the baselines it is
 evaluated against (TATRA, iSLIP, OQFIFO, plus PIM/WBA/MaxWeight
 extensions), the three traffic models of the evaluation, a discrete
 time-slot simulation engine with the paper's metrics, and an experiment
@@ -23,16 +24,10 @@ Quickstart::
 from repro._version import __version__
 from repro.packet import Delivery, Packet
 from repro.core import (
-    AddressCell,
-    DataCell,
-    DataCellBuffer,
     FIFOMSScheduler,
     GrantSet,
-    MulticastVOQInputPort,
     ScheduleDecision,
     TieBreak,
-    VirtualOutputQueue,
-    preprocess_packet,
 )
 from repro.fabric import MulticastCrossbar
 from repro.switch import (
@@ -94,13 +89,12 @@ from repro.obs import (
 )
 from repro.kernel import (
     KernelBackend,
-    ObjectBackend,
+    ReferenceBackend,
     SwitchState,
     VectorizedBackend,
     available_backends,
     make_backend,
     register_backend,
-    soa_snapshot,
 )
 from repro.switch.cioq import CIOQSwitch
 from repro.qos import PriorityMulticastVOQSwitch, PriorityTagger
@@ -131,12 +125,6 @@ __all__ = [
     "Packet",
     "Delivery",
     # core (the paper's contribution)
-    "DataCell",
-    "AddressCell",
-    "DataCellBuffer",
-    "VirtualOutputQueue",
-    "MulticastVOQInputPort",
-    "preprocess_packet",
     "FIFOMSScheduler",
     "TieBreak",
     "GrantSet",
@@ -195,12 +183,11 @@ __all__ = [
     # kernel backends
     "KernelBackend",
     "SwitchState",
-    "ObjectBackend",
+    "ReferenceBackend",
     "VectorizedBackend",
     "available_backends",
     "make_backend",
     "register_backend",
-    "soa_snapshot",
     # extensions
     "CIOQSwitch",
     "PriorityMulticastVOQSwitch",

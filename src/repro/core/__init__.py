@@ -1,22 +1,15 @@
-"""The paper's primary contribution: the multicast VOQ queue structure
-(data cells + address cells, Section II) and the FIFOMS scheduling
-algorithm (Section III, Table 2).
+"""The paper's primary contribution: the FIFOMS scheduling algorithm
+(Section III, Table 2) and the decision it hands the crossbar. The
+Section II queue structure it schedules over is
+:class:`~repro.kernel.state.SwitchState`; PAPER.md's literal data cells
+and address cells are the reference model,
+:mod:`repro.verify.reference`.
 """
 
-from repro.core.cells import AddressCell, DataCell
-from repro.core.buffers import DataCellBuffer
-from repro.core.voq import MulticastVOQInputPort, VirtualOutputQueue
-from repro.core.preprocess import preprocess_packet
 from repro.core.matching import GrantSet, ScheduleDecision
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
 
 __all__ = [
-    "AddressCell",
-    "DataCell",
-    "DataCellBuffer",
-    "MulticastVOQInputPort",
-    "VirtualOutputQueue",
-    "preprocess_packet",
     "GrantSet",
     "ScheduleDecision",
     "FIFOMSScheduler",

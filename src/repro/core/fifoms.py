@@ -27,13 +27,11 @@ capability the algorithm is designed to exploit.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.matching import ScheduleDecision
-from repro.core.voq import MulticastVOQInputPort
 from repro.errors import ConfigurationError
 from repro.utils.bitsets import bitmask_from_iterable, iter_bits
 from repro.utils.rng import make_rng
@@ -113,88 +111,6 @@ class FIFOMSScheduler:
     supports_port_masks = True
 
     # ------------------------------------------------------------------ #
-    def schedule(
-        self,
-        ports: Sequence[MulticastVOQInputPort],
-        *,
-        input_free: list[bool] | None = None,
-        output_free: list[bool] | None = None,
-    ) -> ScheduleDecision:
-        """Run one slot's worth of FIFOMS rounds and return the decision.
-
-        ``input_free`` / ``output_free`` pre-reserve ports (mutated in
-        place when given): the strict-priority extension runs one FIFOMS
-        pass per class, carrying reservations from higher classes down.
-        """
-        n = self.num_ports
-        if len(ports) != n:
-            raise ConfigurationError(
-                f"scheduler built for {n} ports, got {len(ports)} input ports"
-            )
-        if input_free is None:
-            input_free = [True] * n
-        if output_free is None:
-            output_free = [True] * n
-        if len(input_free) != n or len(output_free) != n:
-            raise ConfigurationError("port masks must have length N")
-        if not self.fanout_splitting:
-            return self._schedule_no_split(ports, input_free, output_free)
-        granted = [0] * n  # granted[i]: bitmask of the outputs input i won
-        decision = ScheduleDecision()
-        rounds = 0
-
-        while self.max_iterations is None or rounds < self.max_iterations:
-            # ---------------- request step ---------------- #
-            # requests[j] = list of input indices requesting output j; all
-            # requests from one input this round share one timestamp.
-            requests: list[list[int]] = [[] for _ in range(n)]
-            request_ts: list[int | None] = [None] * n  # per-input timestamp
-            any_request = False
-            for i in range(n):
-                if not input_free[i]:
-                    continue
-                port = ports[i]
-                smallest = port.min_hol_timestamp(output_free)
-                if smallest is None:
-                    continue
-                request_ts[i] = smallest
-                for j, q in enumerate(port.voqs):
-                    if not output_free[j] or not q:
-                        continue
-                    if q.head().timestamp == smallest:
-                        requests[j].append(i)
-                        any_request = True
-            if any_request:
-                decision.requests_made = True
-            else:
-                break
-
-            # ---------------- grant step ---------------- #
-            new_matches = 0
-            for j in range(n):
-                reqs = requests[j]
-                if not output_free[j] or not reqs:
-                    continue
-                best_ts = min(request_ts[i] for i in reqs)  # type: ignore[type-var]
-                winners = [i for i in reqs if request_ts[i] == best_ts]
-                winner = self._pick(winners, j)
-                output_free[j] = False
-                input_free[winner] = False
-                granted[winner] |= 1 << j
-                new_matches += 1
-            if not new_matches:
-                break
-            rounds += 1
-            decision.round_grants.append(new_matches)
-            # Fanout splitting happens implicitly: a matched input never
-            # requests again this slot, so the outputs it did NOT win stay
-            # pending in their VOQs and are served in later slots.
-
-        decision.masks = {i: mask for i, mask in enumerate(granted) if mask}
-        decision.rounds = rounds
-        return decision
-
-    # ------------------------------------------------------------------ #
     def schedule_state(
         self,
         state: "SwitchState",
@@ -202,16 +118,16 @@ class FIFOMSScheduler:
         input_free: list[bool] | None = None,
         output_free: list[bool] | None = None,
     ) -> ScheduleDecision:
-        """Array twin of :meth:`schedule` over a struct-of-arrays
+        """One slot of FIFOMS over a struct-of-arrays
         :class:`~repro.kernel.state.SwitchState`, in both fanout modes.
 
         The passes touch the HOL *packets* that compete, not the N×N VOQ
         heads: :meth:`_schedule_state_rounds` runs the paper's rounds,
         :meth:`_schedule_state_no_split` the no-splitting ablation. Both
         start from the caller's ``input_free`` / ``output_free`` and write
-        the ports they reserve back into them, as :meth:`schedule` does
-        (fifoms-prio chains classes through these lists; a fault-injected
-        switch passes its port outages in them).
+        the ports they reserve back into them (fifoms-prio chains classes
+        through these lists; a fault-injected switch passes its port
+        outages in them).
         """
         n = self.num_ports
         if state.num_ports != n:
@@ -264,9 +180,9 @@ class FIFOMSScheduler:
 
         Tie-breaks see the same winner lists (ascending input) at the
         same outputs in the same order (ascending within the round) as
-        the object path, so RNG draws and round-robin pointer movement
-        are bit-identical — the equivalence harness holds this method to
-        that.
+        a per-output walk of Table 2, so RNG draws and round-robin
+        pointer movement are bit-identical — the equivalence harness
+        holds this method to the reference (:mod:`repro.verify.reference`).
         """
         decision = ScheduleDecision()
         granted: dict[int, int] = {}  # input -> bitmask of outputs won
@@ -305,8 +221,8 @@ class FIFOMSScheduler:
                 # one (all rivals for an output share a timestamp, so
                 # sorted order lists them by ascending input) and
                 # arbitrate in ascending output order: same winner list,
-                # same output, same arbiter state and draw order as the
-                # object path.
+                # same output, same arbiter state and draw order as a
+                # per-output walk.
                 rivals: dict[int, list[int]] = {}
                 for _, i, _ in requests:
                     held = granted.get(i, 0)
@@ -339,14 +255,20 @@ class FIFOMSScheduler:
     def _schedule_state_no_split(
         self, state: "SwitchState", contenders: list[int], free_out: int
     ) -> ScheduleDecision:
-        """:meth:`_schedule_no_split` over the HOL-packet index.
+        """The all-or-nothing variant for the ABL-SPLIT ablation.
 
-        A contender offers its oldest live packet, ``hol_pids[i][0]``,
-        whose ``p_hol`` bits are every destination it still has (see
-        :mod:`repro.kernel.state`); the packet is granted iff
-        ``p_hol & ~free == 0``. Candidates are ordered as the object pass
-        orders them — one permutation draw over ascending inputs under
-        RANDOM, then a stable timestamp sort — and granted in that order.
+        Iterative request/grant does not extend cleanly to no-splitting
+        (a partially-granted input would have to release outputs and
+        retry, which can livelock), so this pass uses the standard
+        formulation from the multicast-scheduling literature: HOL packets
+        in FIFO (timestamp) order, each granted only if *every* one of
+        its remaining destinations is still free; one pass, at most one
+        packet per input. A contender offers its oldest live packet,
+        ``hol_pids[i][0]``, whose ``p_hol`` bits are every destination it
+        still has (see :mod:`repro.kernel.state`); the packet is granted
+        iff ``p_hol & ~free == 0``. Candidates are ordered by one permutation
+        draw over ascending inputs under RANDOM, then a stable timestamp
+        sort, and granted in that order.
         """
         decision = ScheduleDecision()
         if not contenders:
@@ -363,55 +285,6 @@ class FIFOMSScheduler:
             if not mask & ~free_out:
                 free_out ^= mask
                 decision.masks[i] = mask
-        if decision.masks:
-            decision.rounds = 1
-            decision.round_grants.append(len(decision.masks))
-        return decision
-
-    # ------------------------------------------------------------------ #
-    def _schedule_no_split(
-        self,
-        ports: Sequence[MulticastVOQInputPort],
-        input_free: list[bool],
-        output_free: list[bool],
-    ) -> ScheduleDecision:
-        """All-or-nothing variant for the ABL-SPLIT ablation.
-
-        Iterative request/grant does not extend cleanly to no-splitting
-        (a partially-granted input would have to release outputs and retry,
-        which can livelock), so this variant uses the standard
-        formulation from the multicast-scheduling literature: consider HOL
-        packets in FIFO (timestamp) order, tie-broken per the configured
-        policy, and grant a packet only if *every* one of its remaining
-        destinations is still free. One pass, at most one packet per input;
-        only free inputs offer one, and the ports a grant takes are marked
-        reserved in ``input_free`` / ``output_free``.
-        """
-        decision = ScheduleDecision()
-        candidates: list[tuple[int, int]] = []  # (timestamp, input)
-        for i, port in enumerate(ports):
-            if input_free[i]:
-                ts = port.min_hol_timestamp(None)
-                if ts is not None:
-                    candidates.append((ts, i))
-        if not candidates:
-            return decision
-        decision.requests_made = True
-        if self.tie_break is TieBreak.RANDOM:
-            order = self._rng.permutation(len(candidates))
-            candidates = [candidates[int(k)] for k in order]
-        candidates.sort(key=lambda pair: pair[0])  # stable: keeps tie order
-        for ts, i in candidates:
-            pending = [
-                j
-                for j, q in enumerate(ports[i].voqs)
-                if q and q.head().timestamp == ts
-            ]
-            if all(output_free[j] for j in pending):
-                for j in pending:
-                    output_free[j] = False
-                input_free[i] = False
-                decision.add(i, pending)
         if decision.masks:
             decision.rounds = 1
             decision.round_grants.append(len(decision.masks))

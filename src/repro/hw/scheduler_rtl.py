@@ -5,9 +5,9 @@ smallest HOL time stamp among VOQs whose outputs are free) and one per
 output port (selecting the smallest-weight request). Each scheduling round
 is: input trees → request crossbar wires → output trees → grant feedback.
 
-The model consumes the same :class:`~repro.core.voq.MulticastVOQInputPort`
-objects as the behavioural scheduler and must produce **identical**
-decisions to ``FIFOMSScheduler(tie_break=TieBreak.LOWEST_INPUT)`` —
+The model reads the VOQ heads of the reference model
+(:class:`~repro.verify.reference.ReferenceFIFOMS`) and must produce
+**identical** decisions to ``FIFOMSScheduler(tie_break=TieBreak.LOWEST_INPUT)`` —
 comparator hardware resolves ties toward the lower lane index, so the
 deterministic tie-break is the faithful one. Latency accounting follows
 §IV.C: each round costs ``depth(input tree) + depth(output tree) + 1``
@@ -16,12 +16,10 @@ comparator levels (the +1 is the grant feedback register).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.core.matching import ScheduleDecision
-from repro.core.voq import MulticastVOQInputPort
 from repro.errors import ConfigurationError
 from repro.hw.comparator import MinComparatorTree
+from repro.verify.reference import ReferenceFIFOMS
 
 __all__ = ["FIFOMSControlUnit"]
 
@@ -39,12 +37,14 @@ class FIFOMSControlUnit:
         self.total_comparator_levels = 0
 
     # ------------------------------------------------------------------ #
-    def schedule(self, ports: Sequence[MulticastVOQInputPort]) -> ScheduleDecision:
-        """One slot of FIFOMS, executed through the comparator fabric."""
+    def schedule(self, model: ReferenceFIFOMS) -> ScheduleDecision:
+        """One slot of FIFOMS over ``model``'s VOQ heads, executed
+        through the comparator fabric."""
         n = self.num_ports
-        if len(ports) != n:
+        voqs = model.voqs
+        if len(voqs) != n:
             raise ConfigurationError(
-                f"control unit built for {n} ports, got {len(ports)}"
+                f"control unit built for {n} ports, got {len(voqs)}"
             )
         input_free = [True] * n
         output_free = [True] * n
@@ -61,8 +61,8 @@ class FIFOMSControlUnit:
             round_levels = 0
             for i in range(n):
                 lanes: list[int | None] = [
-                    ports[i].voqs[j].head().timestamp
-                    if input_free[i] and output_free[j] and ports[i].voqs[j]
+                    voqs[i][j][0].time_stamp
+                    if input_free[i] and output_free[j] and voqs[i][j]
                     else None
                     for j in range(n)
                 ]

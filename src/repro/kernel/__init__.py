@@ -5,16 +5,18 @@ The kernel package separates *what* a multicast VOQ switch does each slot
 
 * :mod:`repro.kernel.base` — the :class:`~repro.kernel.base.KernelBackend`
   interface and the backend registry;
-* :mod:`repro.kernel.object_backend` — reference per-cell semantics
-  (the paper's address/data-cell objects);
+* :mod:`repro.kernel.reference_backend` — the ``object`` kernel: the
+  scheduler's settings run on the reference FIFOMS of
+  :mod:`repro.verify.reference` (the paper's address/data-cell objects);
 * :mod:`repro.kernel.vectorized` — struct-of-arrays state
   (:class:`~repro.kernel.state.SwitchState`): integer packet ids, a
   recycled packet table and the HOL-packet index (per packet a bitmask
   of the VOQs it heads, per input its heading packets oldest first)
   that makes a request/grant round cost the competing HOL packets, not
   N² — no per-cell objects and no numpy call on the hot path;
-* :mod:`repro.kernel.equivalence` — the harness proving the two backends
-  bit-identical (import it explicitly; it pulls in the simulation stack).
+* :mod:`repro.kernel.equivalence` — the harness holding production to
+  the reference, bit for bit (import it explicitly; it pulls in the
+  simulation stack).
 
 Select a backend with ``MulticastVOQSwitch(..., backend="vectorized")``,
 ``run_simulation(..., backend=...)``, or ``repro run --backend ...``.
@@ -26,17 +28,16 @@ from repro.kernel.base import (
     make_backend,
     register_backend,
 )
-from repro.kernel.object_backend import ObjectBackend
-from repro.kernel.state import SwitchState, soa_snapshot
+from repro.kernel.reference_backend import ReferenceBackend
+from repro.kernel.state import SwitchState
 from repro.kernel.vectorized import VectorizedBackend
 
 __all__ = [
     "KernelBackend",
     "SwitchState",
-    "ObjectBackend",
+    "ReferenceBackend",
     "VectorizedBackend",
     "available_backends",
     "make_backend",
     "register_backend",
-    "soa_snapshot",
 ]

@@ -14,15 +14,17 @@ implements the four per-slot state transitions the switch layer needs:
 
 Two implementations register themselves here:
 
-* ``object`` — the reference semantics: per-cell ``AddressCell`` /
-  ``DataCell`` objects in :class:`~repro.core.voq.MulticastVOQInputPort`
-  structures, exactly as the paper describes them.
-* ``vectorized`` — the same transitions over the struct-of-arrays
-  :class:`~repro.kernel.state.SwitchState`, with no per-cell objects on
-  the hot path.
+* ``vectorized`` — production: the struct-of-arrays
+  :class:`~repro.kernel.state.SwitchState` driven through the
+  scheduler's ``schedule_state``, with no per-cell objects on the hot
+  path.
+* ``object`` — the reference: the scheduler's settings run on
+  :class:`~repro.verify.reference.ReferenceFIFOMS`, per-cell
+  ``AddressCell`` / ``DataCell`` objects exactly as the paper describes
+  them, sharing no code with production (FIFOMS and greedy-mcast only).
 
 The two are interchangeable and bit-exact; ``repro.kernel.equivalence``
-is the harness that proves it.
+is the harness that holds production to the reference.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class KernelBackend(ABC):
         """Run ``scheduler`` over this backend's state for one slot.
 
         ``input_free`` / ``output_free`` are the fault-mask vectors; when
-        given they are mutated in place by the scheduler, exactly as in
-        the object-model ``schedule(ports, ...)`` contract.
+        given, the ports a grant takes are marked reserved in them in
+        place (fifoms-prio chains its class lanes through them).
         """
 
     @abstractmethod
@@ -97,9 +99,9 @@ class KernelBackend(ABC):
         """Cheap per-slot counters derived from the backend's own state.
 
         Called by the *instrumented* engine loop after each ``step()`` so
-        vectorized runs emit the same kernel-seam metric names and values
-        as object runs (``repro.kernel.equivalence`` compares the two
-        registries). Keys both built-in backends emit:
+        both kernels emit the same kernel-seam metric names and values
+        (``repro.kernel.equivalence`` compares the two registries). Keys
+        both built-in backends emit:
 
         * ``live_cells``    — live data cells across all inputs;
         * ``residue_cells`` — live data cells already partially served

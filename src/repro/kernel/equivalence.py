@@ -1,11 +1,15 @@
-"""Backend equivalence harness: object vs vectorized, bit for bit.
+"""Equivalence harness: reference vs production, bit for bit.
 
-The vectorized kernel is only admissible because it is *indistinguishable*
-from the reference per-cell object model. This module is the executable
-form of that claim for every pairing that holds two representations of
-its queue state: it runs the same (scheduler, traffic, seed) case once
-per backend, records a digest of every :class:`~repro.switch.base.SlotResult`
-as the slots stream by, and requires
+The production kernel (``vectorized``: :class:`~repro.kernel.state.SwitchState`
+and the schedulers' ``schedule_state``) is only admissible because it is
+*indistinguishable* from the reference model of PAPER.md
+(:mod:`repro.verify.reference`, run as the ``object`` kernel), which
+shares no code with it. This module is the executable form of that claim
+for every pairing that holds two representations of its queue state: it
+runs the same (scheduler, traffic, seed) case once on the reference and
+once on production, records a digest of every
+:class:`~repro.switch.base.SlotResult` as the slots stream by, and
+requires
 
 1. the per-slot digest streams to be identical — same deliveries (by
    cross-run packet identity), same rounds, same per-round grant counts,
@@ -50,6 +54,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import EquivalenceError
+from repro.packet import Packet
 from repro.schedulers.registry import available_schedulers, make_switch
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
@@ -60,6 +65,7 @@ from repro.traffic.base import TrafficModel
 from repro.traffic.trace import TraceTraffic, record_trace
 from repro.utils.bitsets import iter_bits
 from repro.utils.rng import RngStreams
+from repro.verify.exhaustive import traces
 
 __all__ = [
     "EquivalenceCase",
@@ -75,6 +81,7 @@ __all__ = [
     "run_grid",
     "PARITY_FIELDS",
     "run_pair",
+    "diverging_traces",
     "compare_summaries",
     "main",
 ]
@@ -241,43 +248,43 @@ def _state_equal(a: Any, b: Any) -> bool:
 
 
 def _first_digest_divergence(
-    obj: list[tuple], vec: list[tuple]
+    ref: list[tuple], prod: list[tuple]
 ) -> int | None:
     """Index of the first differing slot digest, or None when identical."""
-    if obj == vec:
+    if ref == prod:
         return None
-    for k, (x, y) in enumerate(zip(obj, vec)):
+    for k, (x, y) in enumerate(zip(ref, prod)):
         if x != y:
             return k
-    return min(len(obj), len(vec))
+    return min(len(ref), len(prod))
 
 
 def run_case(
     case: EquivalenceCase, *, num_ports: int = 8, num_slots: int = 4000
 ) -> EquivalenceReport:
-    """Run one case on both backends and compare every level.
+    """Run one case on the reference and on production; compare every level.
 
     Raises :class:`~repro.errors.EquivalenceError` on the first mismatch,
     with the slot index of the first digest divergence when there is one.
     """
-    obj_digests, obj_summary, obj_state, obj_metrics = run_one_backend(
+    ref_digests, ref_summary, ref_state, ref_metrics = run_one_backend(
         case, num_ports, num_slots, "object"
     )
-    vec_digests, vec_summary, vec_state, vec_metrics = run_one_backend(
+    prod_digests, prod_summary, prod_state, prod_metrics = run_one_backend(
         case, num_ports, num_slots, "vectorized"
     )
     # json round-trip makes NaN compare equal (both serialize to "NaN").
-    summaries_match = json.dumps(obj_summary, sort_keys=True) == json.dumps(
-        vec_summary, sort_keys=True
+    summaries_match = json.dumps(ref_summary, sort_keys=True) == json.dumps(
+        prod_summary, sort_keys=True
     )
-    divergence = _first_digest_divergence(obj_digests, vec_digests)
-    state_match = _state_equal(obj_state, vec_state)
-    telemetry_match = json.dumps(obj_metrics, sort_keys=True) == json.dumps(
-        vec_metrics, sort_keys=True
+    divergence = _first_digest_divergence(ref_digests, prod_digests)
+    state_match = _state_equal(ref_state, prod_state)
+    telemetry_match = json.dumps(ref_metrics, sort_keys=True) == json.dumps(
+        prod_metrics, sort_keys=True
     )
     report = EquivalenceReport(
         case=case,
-        slots_compared=len(obj_digests),
+        slots_compared=len(ref_digests),
         summaries_match=summaries_match,
         digests_match=divergence is None,
         state_match=state_match,
@@ -294,7 +301,8 @@ def run_case(
         if not telemetry_match:
             detail.append("metrics registries differ")
         raise EquivalenceError(
-            f"backends diverge for {case.label}: " + "; ".join(detail)
+            f"production diverges from the reference for {case.label}: "
+            + "; ".join(detail)
         )
     return report
 
@@ -373,7 +381,7 @@ def run_grid(
         if verbose:
             print(
                 f"  ok  {case.label:34s} {report.slots_compared} slots, "
-                f"digests+summary+state+telemetry identical"
+                f"digests+summary+state+telemetry identical to the reference"
             )
         reports.append(report)
     return reports
@@ -405,10 +413,11 @@ def run_pair(
     seed: int = 0,
     **switch_kwargs: object,
 ) -> tuple[SimulationSummary, SimulationSummary]:
-    """Run (object, vectorized) backends on one recorded trace.
+    """Run (reference, production) — the ``object`` and ``vectorized``
+    kernels — on one recorded trace.
 
     Where :func:`run_case` compares two seeded runs slot by slot, this
-    pins both backends to the *identical* arrival sequence by recording
+    pins both to the *identical* arrival sequence by recording
     ``traffic`` into a trace and replaying it twice; both sides build
     their scheduler from the same tie-break ``seed``, so randomized
     arbiters consume identical RNG streams. ``algorithm`` is any registry
@@ -434,6 +443,42 @@ def run_pair(
         ).run()
 
     return one("object"), one("vectorized")
+
+
+def diverging_traces(
+    algorithm: str, num_ports: int, horizon: int, **switch_kwargs: object
+) -> list[tuple]:
+    """Every trace of the bounded domain (:func:`repro.verify.exhaustive.traces`)
+    on which production's slot digests differ from the reference's.
+
+    Each trace runs to drain once per kernel, both schedulers seeded
+    alike (``rng=0``), so an empty list is decision-equality over the
+    whole domain: same grants, rounds, per-round grants, splits and
+    deliveries in every slot. ``switch_kwargs`` go to the registry
+    factory (e.g. ``tie_break="lowest_input"``).
+    """
+    diverging = []
+    for trace in traces(num_ports, horizon):
+        packets = [Packet(i, dests, slot) for slot, i, dests in trace]
+        cfg = SimulationConfig(
+            num_slots=horizon + sum(p.fanout for p in packets) + 1,
+            warmup_fraction=0.0,
+            max_backlog=None,
+            stability_window=0,
+        )
+        streams = []
+        for backend in ("object", "vectorized"):
+            recorder = RecordingSwitch(make_switch(
+                algorithm, num_ports, rng=0, backend=backend, **switch_kwargs
+            ))
+            SimulationEngine(
+                recorder, TraceTraffic(num_ports, packets), cfg,
+                algorithm_name=algorithm,
+            ).run()
+            streams.append(recorder.digests)
+        if streams[0] != streams[1]:
+            diverging.append(trace)
+    return diverging
 
 
 def compare_summaries(
@@ -463,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point: run the default grid, exit 0 on full equivalence."""
     parser = argparse.ArgumentParser(
         prog="repro.kernel.equivalence",
-        description="Prove object and vectorized backends bit-identical.",
+        description="Hold production to the reference model, bit for bit.",
     )
     parser.add_argument("--ports", type=int, default=8, help="switch size N")
     parser.add_argument(
@@ -471,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     print(
-        f"backend equivalence grid: N={args.ports}, "
+        f"reference vs production grid: N={args.ports}, "
         f"{args.slots} slots per case"
     )
     single = single_bodied_pairings()
@@ -486,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     except EquivalenceError as exc:
         print(f"FAIL: {exc}")
         return 1
-    print(f"all {len(reports)} cases bit-identical across backends")
+    print(f"all {len(reports)} cases bit-identical: production == reference")
     return 0
 
 

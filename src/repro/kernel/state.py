@@ -1,10 +1,11 @@
 """Struct-of-arrays switch state — the data model of the vectorized kernel.
 
-The object backend represents the paper's queue structure literally: one
-:class:`~repro.core.cells.AddressCell` per pending destination, chained
-through per-VOQ deques, each pointing at a heap-allocated
-:class:`~repro.core.cells.DataCell`. That is faithful but pointer-chasing:
-every scheduling round walks Python objects.
+The reference model (:mod:`repro.verify.reference`) represents the
+paper's queue structure literally: one
+:class:`~repro.verify.reference.AddressCell` per pending destination,
+chained through per-VOQ deques, each pointing at a heap-allocated
+:class:`~repro.verify.reference.DataCell`. That is faithful but
+pointer-chasing: every scheduling round walks Python objects.
 
 :class:`SwitchState` stores the *same information* flat, keyed by an
 integer packet id (``pid``), and keeps next to it an incrementally
@@ -43,10 +44,10 @@ and with all outputs free the lookup stops there.
 
 Every attribute is a plain Python scalar, list or deque: at these sizes
 per-entry numpy scalar indexing costs more than the int it updates.
-numpy appears only in the snapshots (:meth:`SwitchState.state_arrays`,
-:func:`soa_snapshot`), where ``hol_ts`` — the (N, N) float64 matrix of
-head-of-line timestamps, ``+inf`` for an empty VOQ — is rebuilt on
-demand for the equivalence grid and the sanitizer's state cross-check.
+numpy appears only in the snapshot (:meth:`SwitchState.state_arrays`),
+where ``hol_ts`` — the (N, N) float64 matrix of head-of-line
+timestamps, ``+inf`` for an empty VOQ — is rebuilt on demand for the
+equivalence grid and the sanitizer's state cross-check.
 The only Python objects kept are the immutable
 :class:`~repro.packet.Packet` references commit puts in the slot's
 ``(packet, output_mask)`` rows. No per-cell objects are ever allocated.
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from typing import Any, Sequence
 
 import numpy as np
 
@@ -64,46 +64,17 @@ from repro.errors import BufferError_, ConfigurationError, SchedulingError
 from repro.packet import Packet
 from repro.utils.validation import check_port_count
 
-__all__ = ["SwitchState", "soa_snapshot"]
+__all__ = ["SwitchState"]
 
 #: ``hol_ts`` snapshot value of an empty VOQ.
 EMPTY_TS = np.inf
-
-
-def soa_snapshot(ports: Sequence[Any]) -> dict[str, object]:
-    """Struct-of-arrays view of an object-model port row.
-
-    ``ports`` is a sequence of
-    :class:`~repro.core.voq.MulticastVOQInputPort` (duck-typed through
-    their ``hol_timestamp_row`` / ``occupancy_row`` / ``fanout_counters``
-    SoA exports). The returned dict mirrors the arrays a live
-    :class:`SwitchState` maintains incrementally — the equivalence
-    harness compares the two at end of run, which pins the object and
-    vectorized backends to one state, not merely one output stream.
-    """
-    n = len(ports)
-    hol_ts = np.full((n, n), EMPTY_TS, dtype=np.float64)
-    occupancy = np.zeros((n, n), dtype=np.int64)
-    live = np.zeros(n, dtype=np.int64)
-    fanouts: list[Any] = []
-    for i, port in enumerate(ports):
-        hol_ts[i] = port.hol_timestamp_row()
-        occupancy[i] = port.occupancy_row()
-        live[i] = port.queue_size
-        fanouts.append(port.buffer.fanout_counters())
-    return {
-        "hol_ts": hol_ts,
-        "occupancy": occupancy,
-        "live": live,
-        "fanout_counters": fanouts,
-    }
 
 
 class SwitchState:
     """Flat twin of ``N`` multicast VOQ input ports.
 
     Construction parameters mirror
-    :class:`~repro.core.buffers.DataCellBuffer`: ``buffer_capacity``
+    :class:`~repro.verify.reference.ReferenceFIFOMS`: ``buffer_capacity``
     bounds live data cells *per input*; on overflow the state either
     raises :class:`~repro.errors.BufferError_` (``"raise"``) or
     drop-tails the arriving packet (``"drop"``).
@@ -145,7 +116,7 @@ class SwitchState:
             )
         if buffer_overflow not in ("raise", "drop"):
             raise ConfigurationError(
-                f"on_overflow must be 'raise' or 'drop', got {buffer_overflow!r}"
+                f"buffer_overflow must be 'raise' or 'drop', got {buffer_overflow!r}"
             )
         self.num_ports = n
         self.capacity = buffer_capacity
@@ -342,7 +313,7 @@ class SwitchState:
         """Kernel-seam counters straight off the SoA state.
 
         Same keys (and, by the equivalence contract, same values) as the
-        object model derives from its cell structures — see
+        reference model derives from its cell structures — see
         :meth:`repro.kernel.base.KernelBackend.harvest_slot_stats`.
         """
         # Bounds: an admit adds at most one to a row's peak, serve only
@@ -376,7 +347,7 @@ class SwitchState:
         return self.backlog
 
     def check_invariants(self) -> None:
-        """Deep consistency check, mirroring the object model's checks:
+        """Deep consistency check, mirroring the reference model's checks:
         occupancy/deque agreement, per-VOQ timestamp order, the
         HOL-packet index against the VOQ heads (``p_hol`` names exactly
         the VOQs each queued pid heads, ``hol_pids`` exactly the heading
@@ -464,8 +435,8 @@ class SwitchState:
 
     def state_arrays(self) -> dict[str, object]:
         """The SoA state as fresh numpy arrays plus per-input live
-        fanout counters (allocation order), shaped like
-        :func:`soa_snapshot` output. Everything is read off the VOQs,
+        fanout counters (allocation order), shaped like the reference
+        kernel's snapshot. Everything is read off the VOQs,
         nothing off the HOL-packet index."""
         p_ts = self.p_ts
         p_fanout = self.p_fanout

@@ -1,11 +1,12 @@
-"""Kernel hot-path purity rule (KB003).
+"""Kernel hot-path independence rule (KB003).
 
-repro.kernel exists to keep per-cell Python objects off the vectorized
-hot path. The runtime import closure of ``repro.kernel.vectorized`` /
-``state`` / ``base`` must not reach the per-cell object modules — a
-direct import in a root, or a helper module slipped in between, or a
-relative import (``from ..core.voq import …``), all land in the same
-closure walk over the :class:`~repro.lint.graph.ProjectGraph`.
+The equivalence grid holds the production kernel to the reference model
+(:mod:`repro.verify.reference`); it proves something only while the two
+share no code. The runtime import closure of ``repro.kernel.vectorized``
+/ ``state`` / ``base`` must not reach the reference — a direct import in
+a root, or a helper module slipped in between, or a relative import
+(``from ..verify.reference import …``), all land in the same closure
+walk over the :class:`~repro.lint.graph.ProjectGraph`.
 ``if TYPE_CHECKING:`` imports are exempt (annotation-only, no runtime
 object traffic).
 """
@@ -24,31 +25,26 @@ class KernelClosurePurityRule(Rule):
     """KB003 — kernel hot-path import closure reaches per-cell objects."""
 
     rule_id = "KB003"
-    title = "kernel hot path transitively imports the per-cell object model"
+    title = "kernel hot path transitively imports the reference model"
     rationale = (
-        "repro.kernel exists to keep per-cell Python objects off the "
-        "vectorized hot path; a hot-path module that imports "
-        "repro.core.cells/voq/buffers/preprocess — directly, relatively, "
-        "or through a helper module in between — reintroduces the "
-        "pointer-chasing state the backend seam was built to exclude. "
-        "The runtime import closure of the hot-path modules must stay "
-        "pure; only the object backend bridges the two worlds."
+        "The equivalence grid holds the production kernel to "
+        "repro.verify.reference, and proves something only while the two "
+        "share no code; a hot-path module that imports the reference — "
+        "directly, relatively, or through a helper module in between — "
+        "would let one bug live on both sides of the comparison. The "
+        "runtime import closure of the hot-path modules must stay clear "
+        "of it; only the 'object' kernel adapter bridges the two."
     )
 
-    #: Hot-path roots whose closure must stay object-free.
+    #: Hot-path roots whose closure must stay clear of the reference.
     _ROOTS = (
         "repro.kernel.vectorized",
         "repro.kernel.state",
         "repro.kernel.base",
     )
 
-    #: Object-model modules the closure must not reach.
-    _FORBIDDEN = (
-        "repro.core.buffers",
-        "repro.core.cells",
-        "repro.core.preprocess",
-        "repro.core.voq",
-    )
+    #: The reference model the closure must not reach.
+    _FORBIDDEN = ("repro.verify.reference",)
 
     def _forbidden_target(self, dotted: str) -> str | None:
         for target in self._FORBIDDEN:
@@ -81,9 +77,9 @@ class KernelClosurePurityRule(Rule):
                     node.info,
                     lineno,
                     f"import closure of {root} reaches {target} "
-                    f"(per-cell object model) via {via}; keep the hot "
-                    "path free of object-model imports (only the "
-                    "'object' backend may bridge)",
+                    f"(the reference model) via {via}; keep the hot "
+                    "path independent of the reference (only the "
+                    "'object' kernel adapter may bridge)",
                 )
 
     @staticmethod

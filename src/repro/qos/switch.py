@@ -1,14 +1,13 @@
 """The strict-priority multicast VOQ switch.
 
 Composition of the paper's building blocks: ``num_classes`` full
-:class:`~repro.core.voq.MulticastVOQInputPort` rows (class c of input i
-holds the class-c address cells of input i), one FIFOMS scheduler per
-class, and a shared crossbar. Per slot:
+multicast VOQ kernels (class c's lane holds the class-c cells of every
+input), one FIFOMS scheduler per class, and a shared crossbar. Per slot:
 
 1. arrivals are preprocessed into their class's port row;
 2. class 0 schedules with all ports free; each lower class schedules over
    the ports the classes above left unreserved (the ``input_free`` /
-   ``output_free`` masks of :meth:`FIFOMSScheduler.schedule`);
+   ``output_free`` masks of :meth:`FIFOMSScheduler.schedule_state`);
 3. all grants transmit together — feasibility across classes is
    guaranteed because the masks made the passes disjoint, and the
    combined decision is still validated against the crossbar.
@@ -70,7 +69,7 @@ class PriorityMulticastVOQSwitch(BaseSwitch):
         ]
         self.backend = resolve_backend(self.schedulers[0], backend)
         # One kernel backend per class: class c's priority lane is a full
-        # VOQ state (object port row or SoA SwitchState) of its own.
+        # VOQ state (reference model or SoA SwitchState) of its own.
         self._backends = [
             make_backend(self.backend, num_ports) for _ in range(num_classes)
         ]
@@ -78,16 +77,6 @@ class PriorityMulticastVOQSwitch(BaseSwitch):
         self.deliveries_per_class = [0] * num_classes
         # Per-class decisions staged by _decide() for _transfer().
         self._pending: list[ScheduleDecision] | None = None
-
-    @property
-    def class_ports(self):
-        """[class][input] port objects (reference semantics only).
-
-        The vectorized backend has no per-cell port objects; use
-        :meth:`queue_sizes_by_class` or the per-class backends'
-        ``state_arrays()`` for a backend-agnostic view.
-        """
-        return [b.ports for b in self._backends]
 
     # ------------------------------------------------------------------ #
     def _accept(self, packet: Packet, slot: int) -> None:

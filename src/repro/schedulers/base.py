@@ -19,8 +19,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from repro.core.fifoms import FIFOMSScheduler
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError
+from repro.schedulers.greedy_mcast import GreedyMcastScheduler
 
 __all__ = [
     "UnicastVOQView",
@@ -32,25 +34,36 @@ __all__ = [
 
 
 def resolve_backend(scheduler: object, backend: str | None) -> str:
-    """Resolve ``backend`` against the kernels ``scheduler`` can drive.
+    """Resolve ``backend`` against the multicast VOQ kernels ``scheduler``
+    can drive, refusing at construction what it cannot.
 
-    Every scheduler drives the ``"object"`` kernel through ``schedule``;
-    one that defines ``schedule_state`` also drives ``"vectorized"``,
-    which is what ``None`` (left unset) resolves to for it. A name is
-    returned unchanged when the scheduler can drive it and otherwise
-    raises :class:`~repro.errors.ConfigurationError` naming the
-    scheduler and what it does support.
+    The switch drives a scheduler through ``schedule_state`` alone, so a
+    scheduler without one is refused whatever ``backend`` says.
+    ``"vectorized"`` (what ``None``, left unset, resolves to) runs it;
+    ``"object"`` runs the reference model of :mod:`repro.verify.reference`
+    instead, which exists for FIFOMS and greedy-mcast only. Every refusal
+    is a :class:`~repro.errors.ConfigurationError` naming the scheduler.
     """
-    supported: tuple[str, ...] = ("object",)
-    if hasattr(scheduler, "schedule_state"):
-        supported = ("object", "vectorized")
+    name = getattr(scheduler, "name", type(scheduler).__name__)
+    if not hasattr(scheduler, "schedule_state"):
+        raise ConfigurationError(
+            f"scheduler {name!r} defines no schedule_state(state, *, "
+            "input_free, output_free), the one entry point the multicast "
+            "VOQ switch drives"
+        )
     if backend is None:
-        return supported[-1]
-    if backend not in supported:
-        name = getattr(scheduler, "name", type(scheduler).__name__)
+        return "vectorized"
+    if backend == "object" and not isinstance(
+        scheduler, (FIFOMSScheduler, GreedyMcastScheduler)
+    ):
+        raise ConfigurationError(
+            f"scheduler {name!r} has no reference model: the 'object' "
+            "kernel runs fifoms and greedy-mcast only"
+        )
+    if backend not in ("object", "vectorized"):
         raise ConfigurationError(
             f"scheduler {name!r} does not support the {backend!r} kernel "
-            f"backend (supported: {', '.join(supported)})"
+            f"backend (supported: object, vectorized)"
         )
     return backend
 

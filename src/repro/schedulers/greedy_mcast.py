@@ -15,11 +15,9 @@ fanouts more than FIFOMS, but it is single-pass.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.matching import ScheduleDecision
-from repro.core.voq import MulticastVOQInputPort
 from repro.errors import ConfigurationError
 from repro.utils.bitsets import bitmask_from_iterable
 
@@ -40,37 +38,6 @@ class GreedyMcastScheduler:
         self.num_ports = num_ports
         self._pointer = 0
 
-    def schedule(self, ports: Sequence[MulticastVOQInputPort]) -> ScheduleDecision:
-        """One greedy pointer pass over the inputs; single iteration."""
-        n = self.num_ports
-        if len(ports) != n:
-            raise ConfigurationError(
-                f"scheduler built for {n} ports, got {len(ports)}"
-            )
-        decision = ScheduleDecision()
-        output_free = [True] * n
-        matched = 0
-        for k in range(n):
-            i = (self._pointer + k) % n
-            port = ports[i]
-            ts = port.min_hol_timestamp(output_free)
-            if ts is None:
-                continue
-            decision.requests_made = True
-            outs = tuple(
-                j
-                for j, q in enumerate(port.voqs)
-                if output_free[j] and q and q.head().timestamp == ts
-            )
-            for j in outs:
-                output_free[j] = False
-            decision.add(i, outs)
-            matched += 1
-        # Rotate the starting pointer so no input is permanently favored.
-        self._pointer = (self._pointer + 1) % n
-        decision.rounds = 1 if matched else 0
-        return decision
-
     def schedule_state(
         self,
         state: "SwitchState",
@@ -78,12 +45,13 @@ class GreedyMcastScheduler:
         input_free: list[bool] | None = None,
         output_free: list[bool] | None = None,
     ) -> ScheduleDecision:
-        """SoA twin of :meth:`schedule` for the vectorized kernel backend.
+        """One greedy pointer pass over a struct-of-arrays
+        :class:`~repro.kernel.state.SwitchState`; single iteration.
 
-        Each visited input's ``min_hol_timestamp`` comparator and grant
-        set are one :meth:`~repro.kernel.state.SwitchState.hol_request`
-        lookup — the oldest packet with a HOL cell at a still-free
-        output, and the free outputs it heads. The pointer walk itself
+        Each visited input's request is one
+        :meth:`~repro.kernel.state.SwitchState.hol_request` lookup — the
+        oldest packet with a HOL cell at a still-free output, and the
+        free outputs it heads. The pointer walk itself
         stays sequential — that *is* the algorithm (later inputs see
         earlier claims).
         """

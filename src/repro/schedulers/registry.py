@@ -68,8 +68,9 @@ def make_switch(
 
     ``rng`` seeds the scheduler's tie-breaking stream (ignored by
     deterministic algorithms). ``backend`` names the multicast VOQ
-    kernel the scheduler is handed: "object" (cell objects, the
-    paper-literal reference) or "vectorized" (``SwitchState``). It
+    kernel the scheduler is handed: "vectorized" (``SwitchState``,
+    production) or "object" (the paper-literal reference model of
+    :mod:`repro.verify.reference`). It
     selects something only for the pairings on that switch — fifoms,
     fifoms-prio, greedy-mcast; every other pairing has one body, accepts
     any registered name and builds the same switch. Left unset

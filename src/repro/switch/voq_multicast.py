@@ -12,17 +12,19 @@ paper exactly:
 4. *post-transmission processing* — pop served address cells, decrement
    fanout counters, destroy exhausted data cells.
 
-The queue state itself lives behind ``backend=``: ``"object"`` keeps the
-reference per-cell address/data-cell structures
-(:class:`~repro.kernel.object_backend.ObjectBackend`); ``"vectorized"``
-holds the same state as :class:`~repro.kernel.state.SwitchState` — flat
+The queue state itself lives behind ``backend=``: ``"vectorized"`` (the
+default) holds it as :class:`~repro.kernel.state.SwitchState` — flat
 per-VOQ pid deques, a recycled packet table and the HOL-packet bitmask
 index, no per-cell objects and no numpy matrices
 (:class:`~repro.kernel.vectorized.VectorizedBackend`) — and routes
-scheduling through the scheduler's ``schedule_state`` entry point.
-Both produce bit-identical slot streams (``repro.kernel.equivalence``),
-and both hand the crossbar and their commit the decision's output masks
-unchanged (docs/kernel.md, "The grant is a mask from round to commit").
+scheduling through the scheduler's ``schedule_state`` entry point;
+``"object"`` runs the scheduler's settings on the reference FIFOMS of
+:mod:`repro.verify.reference`, the paper's per-cell address/data-cell
+structures (:class:`~repro.kernel.reference_backend.ReferenceBackend`,
+FIFOMS and greedy-mcast only). Both produce bit-identical slot streams
+(``repro.kernel.equivalence``), and both hand the crossbar and their
+commit the decision's output masks unchanged (docs/kernel.md, "The
+grant is a mask from round to commit").
 
 Fault injection (optional): with a
 :class:`~repro.faults.injector.FaultInjector` attached, arrivals may be
@@ -56,19 +58,17 @@ class MulticastVOQSwitch(BaseSwitch):
     num_ports:
         N. The switch is square, as in the paper.
     scheduler:
-        Any object exposing ``schedule(ports) -> ScheduleDecision`` over a
-        sequence of :class:`~repro.core.voq.MulticastVOQInputPort` (plus
-        ``schedule_state(state)`` for the vectorized backend). Defaults to
-        a paper-configured :class:`~repro.core.fifoms.FIFOMSScheduler`.
-        Schedulers advertising ``supports_port_masks`` are handed
+        Any object exposing ``schedule_state(state, *, input_free=None,
+        output_free=None) -> ScheduleDecision`` over a
+        :class:`~repro.kernel.state.SwitchState`; a scheduler without it
+        is refused at construction. Defaults to a paper-configured
+        :class:`~repro.core.fifoms.FIFOMSScheduler`. Schedulers
+        advertising ``supports_port_masks`` are handed
         ``input_free``/``output_free`` masks during port outages.
     backend:
-        Kernel backend holding the queue state: ``"object"`` (reference
-        per-cell semantics) or ``"vectorized"`` (struct-of-arrays hot
-        path, for a scheduler that defines ``schedule_state``). Left
-        unset (``None``, the default) it is ``"vectorized"`` when the
-        scheduler defines ``schedule_state`` — FIFOMS in both fanout
-        modes and greedy-mcast — and ``"object"`` otherwise;
+        Kernel backend holding the queue state: ``"vectorized"``
+        (production; what ``None``, the default, builds) or ``"object"``
+        (the reference model, for FIFOMS and greedy-mcast only);
         ``switch.backend`` reports what was built.
     buffer_capacity:
         Optional finite per-input data-cell buffer (None = unbounded, as
@@ -107,15 +107,6 @@ class MulticastVOQSwitch(BaseSwitch):
         )
         self.crossbar = MulticastCrossbar(num_ports)
         self.fault_injector = fault_injector
-
-    @property
-    def ports(self):
-        """The object backend's port tuple (reference semantics only).
-
-        The vectorized backend has no per-cell port objects; use
-        :meth:`state_arrays` for a backend-agnostic view.
-        """
-        return self._backend.ports
 
     def state_arrays(self) -> dict[str, object]:
         """Struct-of-arrays snapshot of the queue state (both backends)."""

@@ -26,6 +26,7 @@ other :class:`~repro.errors.ReproError` raised inside the run.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -38,7 +39,13 @@ from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import TraceTraffic
 from repro.utils.bitsets import bitmask_to_tuple
 
-__all__ = ["Violation", "VerificationReport", "check_trace", "exhaustive_verify"]
+__all__ = [
+    "Violation",
+    "VerificationReport",
+    "check_trace",
+    "exhaustive_verify",
+    "traces",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +140,30 @@ def check_trace(
     )
 
 
+def traces(
+    num_ports: int, horizon: int
+) -> Iterator[tuple[tuple[int, int, tuple[int, ...]], ...]]:
+    """Every ``(slot, input, dests)`` trace of the bounded domain, in a
+    fixed order: ``(2^num_ports) ** (num_ports * horizon)`` of them.
+    Raises :class:`~repro.errors.ConfigurationError` for an empty or an
+    oversized domain (more than 200 000 traces)."""
+    if num_ports < 1 or horizon < 1:
+        raise ConfigurationError("num_ports and horizon must be >= 1")
+    domain_size = (2**num_ports) ** (num_ports * horizon)
+    if domain_size > 200_000:
+        raise ConfigurationError(
+            f"domain has {domain_size} traces; shrink num_ports/horizon"
+        )
+    options = list(range(2**num_ports))  # 0 = no arrival, else dest mask
+    cells = [(slot, i) for slot in range(horizon) for i in range(num_ports)]
+    for assignment in product(options, repeat=len(cells)):
+        yield tuple(
+            (slot, i, bitmask_to_tuple(mask))
+            for (slot, i), mask in zip(cells, assignment)
+            if mask
+        )
+
+
 def exhaustive_verify(
     algorithm: str,
     *,
@@ -141,7 +172,8 @@ def exhaustive_verify(
     stop_at_first: bool = True,
     **switch_kwargs,
 ) -> VerificationReport:
-    """Check ``algorithm`` against every trace of the bounded domain.
+    """Check ``algorithm`` against every trace of the bounded domain
+    (:func:`traces`).
 
     The domain has ``(2^num_ports) ** (num_ports * horizon)`` traces;
     keep ``num_ports``/``horizon`` tiny (the default domain has 4096).
@@ -149,24 +181,11 @@ def exhaustive_verify(
     ``tie_break='lowest_input'``); the scheduler's tie-break stream is
     seeded, so every reported violation replays.
     """
-    if num_ports < 1 or horizon < 1:
-        raise ConfigurationError("num_ports and horizon must be >= 1")
-    domain_size = (2**num_ports) ** (num_ports * horizon)
-    if domain_size > 200_000:
-        raise ConfigurationError(
-            f"domain has {domain_size} traces; shrink num_ports/horizon"
-        )
+    domain = traces(num_ports, horizon)
     report = VerificationReport(
         algorithm=algorithm, num_ports=num_ports, horizon=horizon
     )
-    options = list(range(2**num_ports))  # 0 = no arrival, else dest mask
-    cells = [(slot, i) for slot in range(horizon) for i in range(num_ports)]
-    for assignment in product(options, repeat=len(cells)):
-        trace = tuple(
-            (slot, i, bitmask_to_tuple(mask))
-            for (slot, i), mask in zip(cells, assignment)
-            if mask
-        )
+    for trace in domain:
         report.traces_checked += 1
         check_trace(report, trace, **switch_kwargs)
         if report.violations and stop_at_first:

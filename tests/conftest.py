@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro.core.voq import MulticastVOQInputPort
+from repro.kernel import make_backend
 from repro.packet import Packet
 from repro.schedulers.base import SIQHolView
 from repro.switch.base import SlotResult
@@ -15,7 +15,8 @@ from repro.traffic.trace import TraceTraffic
 
 __all__ = [
     "make_packet",
-    "mk_ports",
+    "KERNELS",
+    "loaded_kernels",
     "drain_slots",
     "siq_cell",
     "siq_view",
@@ -44,9 +45,20 @@ def slot_result(slot: int, *rows: tuple[Packet, int]) -> SlotResult:
     )
 
 
-def mk_ports(n: int) -> list[MulticastVOQInputPort]:
-    """A row of n fresh multicast VOQ input ports for an n-output switch."""
-    return [MulticastVOQInputPort(i, n) for i in range(n)]
+#: The two multicast VOQ kernels a hand-checked FIFOMS or greedy-mcast
+#: decision is asserted on: production (``SwitchState`` driven through
+#: ``schedule_state``) and the reference model of repro.verify.reference.
+KERNELS = ("vectorized", "object")
+
+
+def loaded_kernels(n: int, *loads: tuple[int, tuple[int, ...], int]) -> list:
+    """Both kernels (:data:`KERNELS` order) at ``n`` ports, each holding
+    the same ``(input, destinations, timestamp)`` arrivals."""
+    kernels = [make_backend(name, n) for name in KERNELS]
+    for i, dests, ts in loads:
+        for kernel in kernels:
+            assert kernel.admit(Packet(i, tuple(dests), ts), ts)
+    return kernels
 
 
 class SIQCell(NamedTuple):

@@ -1,85 +1,82 @@
-"""Unit tests for repro.core.buffers (DataCellBuffer)."""
+"""The per-input data-cell buffer: the reference model's live cells and
+capacity, and the production ``SwitchState`` ledgers."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.buffers import DataCellBuffer
 from repro.errors import BufferError_, ConfigurationError
+from repro.kernel.state import SwitchState
 from repro.packet import Packet
+from repro.verify.reference import ReferenceFIFOMS
 
 
-def _pkt(fanout: int = 2) -> Packet:
-    return Packet(0, tuple(range(fanout)), 0)
+def _pkt(fanout: int = 2, slot: int = 0) -> Packet:
+    return Packet(0, tuple(range(fanout)), slot)
 
 
 class TestAllocate:
     def test_occupancy_counts_live_cells(self):
-        buf = DataCellBuffer()
-        buf.allocate(_pkt())
-        buf.allocate(_pkt())
-        assert buf.occupancy == 2
-        assert len(buf) == 2
+        model = ReferenceFIFOMS(4)
+        model.preprocess(_pkt(), 0)
+        model.preprocess(_pkt(slot=1), 1)
+        assert len(model.buffer[0]) == 2
 
     def test_peak_tracks_high_water_mark(self):
-        buf = DataCellBuffer()
-        cells = [buf.allocate(_pkt(1)) for _ in range(3)]
-        for c in cells:
-            buf.record_service(c)
-        assert buf.occupancy == 0
-        assert buf.peak_occupancy == 3
+        state = SwitchState(4)
+        for slot in range(3):
+            state.admit(_pkt(1, slot), slot)
+        for _ in range(3):
+            state.serve(0, 0b1)
+        assert state.live[0] == 0
+        assert state.peak_live[0] == 3
 
     def test_capacity_enforced(self):
-        buf = DataCellBuffer(capacity=1)
-        buf.allocate(_pkt())
+        model = ReferenceFIFOMS(4, buffer_capacity=1)
+        model.preprocess(_pkt(), 0)
         with pytest.raises(BufferError_):
-            buf.allocate(_pkt())
+            model.preprocess(_pkt(slot=1), 1)
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
-            DataCellBuffer(capacity=0)
+            ReferenceFIFOMS(4, buffer_capacity=0)
 
 
 class TestRelease:
     def test_release_on_exhaustion_only(self):
-        buf = DataCellBuffer()
-        cell = buf.allocate(_pkt(2))
-        with pytest.raises(BufferError_):
-            buf.release(cell)  # counter still 2
+        state = SwitchState(4)
+        state.admit(_pkt(2), 0)
+        assert state.serve(0, 0b01)[1] is False  # counter still 1
+        assert state.live[0] == 1
 
     def test_record_service_full_cycle(self):
-        buf = DataCellBuffer()
-        cell = buf.allocate(_pkt(2))
-        assert buf.record_service(cell) is False
-        assert cell in buf
-        assert buf.record_service(cell) is True
-        assert cell not in buf
-        assert buf.occupancy == 0
-
-    def test_double_free_detected(self):
-        buf = DataCellBuffer()
-        cell = buf.allocate(_pkt(1))
-        buf.record_service(cell)
-        cell.fanout_counter = 0
-        with pytest.raises(BufferError_):
-            buf.release(cell)
+        model = ReferenceFIFOMS(4)
+        model.preprocess(_pkt(2), 0)
+        (cell,) = model.buffer[0]
+        assert model.transmit(0, [0])[1] is False
+        assert cell in model.buffer[0]
+        assert model.transmit(0, [1])[1] is True
+        assert cell not in model.buffer[0]
+        assert not model.buffer[0]
 
     def test_counters(self):
-        buf = DataCellBuffer()
-        cells = [buf.allocate(_pkt(1)) for _ in range(4)]
-        for c in cells[:3]:
-            buf.record_service(c)
-        assert buf.allocated_total == 4
-        assert buf.released_total == 3
+        state = SwitchState(4)
+        for slot in range(4):
+            state.admit(_pkt(1, slot), slot)
+        for _ in range(3):
+            state.serve(0, 0b1)
+        assert state.allocated_total[0] == 4
+        assert state.released_total[0] == 3
 
     def test_capacity_freed_by_release(self):
-        buf = DataCellBuffer(capacity=1)
-        cell = buf.allocate(_pkt(1))
-        buf.record_service(cell)
-        buf.allocate(_pkt(1))  # must not raise
+        model = ReferenceFIFOMS(4, buffer_capacity=1)
+        model.preprocess(_pkt(1), 0)
+        model.transmit(0, [0])
+        assert model.preprocess(_pkt(1, 1), 1)  # must not raise
 
     def test_live_cells_order(self):
-        buf = DataCellBuffer()
-        a = buf.allocate(_pkt())
-        b = buf.allocate(_pkt())
-        assert buf.live_cells() == [a, b]
+        model = ReferenceFIFOMS(4)
+        a, b = _pkt(), _pkt(slot=1)
+        model.preprocess(a, 0)
+        model.preprocess(b, 1)
+        assert [cell.packet for cell in model.buffer[0]] == [a, b]

@@ -138,8 +138,9 @@ PROSE = [
 #: The legacy `step()`-only perf ledger, the per-switch VOQ upkeep the
 #: one unicast VOQ bank replaced, the crossbar's driver-vector twin the
 #: grant masks replaced, the lint cache / baseline / SARIF layers the
-#: one lint pass replaced, and the backend declarations that
-#: ``schedule_state`` replaced. Only the history files may still name them
+#: one lint pass replaced, the backend declarations that
+#: ``schedule_state`` replaced, and the per-cell object stack the
+#: reference model replaced. Only the history files may still name them
 #: (and the benchmark's own files, which only a benchmark change may
 #: edit, and this file, to forbid it).
 RETIRED = (
@@ -154,6 +155,8 @@ RETIRED = (
     "scheduler_backends", "DEFAULT_BACKENDS", "supported_backends",
     "SwitchInvariantsRule", "SchedulerRegistryRule", "KernelHotPathImportRule",
     "RegistryBackendPairingRule", "InvariantCoverageRule", "ClassSymbol",
+    "ObjectBackend", "soa_snapshot", "DataCellBuffer", "preprocess_packet",
+    "class_ports",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",

@@ -41,7 +41,7 @@ class _EvilDecision(ScheduleDecision):
 class TestInfeasibleMatchings:
     def test_output_double_booking_caught_by_validate(self):
         class Evil:
-            def schedule(self, ports):
+            def schedule_state(self, state, *, input_free=None, output_free=None):
                 d = _EvilDecision()
                 d.force(0, (1,))
                 d.force(1, (1,))  # same output, two inputs
@@ -65,7 +65,7 @@ class TestInfeasibleMatchings:
 
     def test_grant_for_empty_voq(self):
         class Evil:
-            def schedule(self, ports):
+            def schedule_state(self, state, *, input_free=None, output_free=None):
                 d = ScheduleDecision()
                 d.add(2, (3,))  # input 2 holds nothing
                 return d
@@ -79,11 +79,9 @@ class TestInfeasibleMatchings:
         one slot violates the single-data-cell rule and must be caught."""
 
         class Evil:
-            def schedule(self, ports):
+            def schedule_state(self, state, *, input_free=None, output_free=None):
                 d = ScheduleDecision()
-                pending = [
-                    j for j, q in enumerate(ports[0].voqs) if len(q) > 0
-                ]
+                pending = [j for j, queued in enumerate(state.occupancy[0]) if queued]
                 if len(pending) >= 2:
                     d.add(0, tuple(pending))
                 return d
@@ -119,22 +117,24 @@ class TestInfeasibleMatchings:
 
 class TestBufferLifecycleAbuse:
     def test_counter_underflow(self):
-        from repro.core.buffers import DataCellBuffer
+        from repro.kernel.state import SwitchState
 
-        buf = DataCellBuffer()
-        cell = buf.allocate(make_packet(0, (0,), 0))
-        buf.record_service(cell)
-        cell.fanout_counter = 1
-        with pytest.raises(BufferError_):
-            buf.record_service(cell)  # cell no longer owned by the pool
+        state = SwitchState(4)
+        state.admit(make_packet(0, (0,), 0), 0)
+        state.p_fanout[0] = 0  # corrupt: the counter is already spent
+        with pytest.raises(BufferError_, match="fanout_counter underflow"):
+            state.serve(0, 0b1)
 
     def test_premature_release(self):
-        from repro.core.buffers import DataCellBuffer
+        """A data cell destroyed while address cells still point at it is
+        caught by the reference model's structural check."""
+        from repro.verify.reference import ReferenceFIFOMS
 
-        buf = DataCellBuffer()
-        cell = buf.allocate(make_packet(0, (0, 1), 0))
-        with pytest.raises(BufferError_, match="fanout_counter"):
-            buf.release(cell)
+        model = ReferenceFIFOMS(4)
+        model.preprocess(make_packet(0, (0, 1), 0), 0)
+        model.buffer[0].clear()  # destroy the cell with fanoutCounter 2
+        with pytest.raises(SchedulingError, match="fanout counters|dangling"):
+            model.check()
 
 
 class TestStatisticsDesync:
@@ -161,13 +161,14 @@ class TestStatisticsDesync:
                 result = super()._schedule_and_transmit(slot)
                 if slot == 1:
                     # Drop a queued address cell on the floor.
-                    for port in self.ports:
-                        for q in port.voqs:
-                            if len(q) > 0:
-                                cell = q.pop_head()
+                    model = self._backend.model
+                    for i, voqs in enumerate(model.voqs):
+                        for q in voqs:
+                            if q:
+                                cell = q.popleft()
                                 cell.data_cell.fanout_counter -= 1
-                                if cell.data_cell.exhausted:
-                                    port.buffer.release(cell.data_cell)
+                                if cell.data_cell.fanout_counter == 0:
+                                    del model.buffer[i][cell.data_cell]
                                 return result
                 return result
 
@@ -179,8 +180,8 @@ class TestStatisticsDesync:
             make_packet(0, (1,), 1),
             make_packet(1, (1,), 1),
         ]
-        # The leak reaches into the per-cell port objects, which only the
-        # object backend holds.
+        # The leak reaches into the per-cell cell objects, which only the
+        # reference (object) kernel holds.
         sw = Leaky(
             2,
             FIFOMSScheduler(2, tie_break=TieBreak.LOWEST_INPUT),

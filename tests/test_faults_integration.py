@@ -24,6 +24,7 @@ from repro.faults import (
     LinkDownSchedule,
     PortOutage,
 )
+from repro.schedulers.registry import make_switch
 from repro.sim.runner import run_simulation
 from repro.sim.stability import StabilityMonitor
 from repro.utils.rng import RngStreams
@@ -206,10 +207,14 @@ class TestDropTailBuffer:
             )
 
     def test_invalid_policy_rejected(self):
-        from repro.core.buffers import DataCellBuffer
-
-        with pytest.raises(ConfigurationError):
-            DataCellBuffer(capacity=4, on_overflow="explode")
+        """The refusal names the parameter the caller passed, on
+        production and on the reference kernel."""
+        for backend in ("vectorized", "object"):
+            with pytest.raises(ConfigurationError, match="buffer_overflow must be"):
+                make_switch(
+                    "fifoms", 4, backend=backend,
+                    buffer_capacity=4, buffer_overflow="explode",
+                )
 
 
 class TestDegradedStability:

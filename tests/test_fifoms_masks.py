@@ -5,101 +5,94 @@ from __future__ import annotations
 import pytest
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
-from repro.core.preprocess import preprocess_packet
 from repro.errors import ConfigurationError
-from repro.packet import Packet
+from repro.kernel.state import SwitchState
 
-from conftest import mk_ports
-
-
-def load(ports, i, dests, ts):
-    preprocess_packet(ports[i], Packet(i, tuple(dests), ts), ts)
+from conftest import loaded_kernels
 
 
 class TestPortMasks:
+    """Each case runs on production and on the reference model."""
+
     def _sched(self):
         return FIFOMSScheduler(4, tie_break=TieBreak.LOWEST_INPUT)
 
     def test_reserved_output_not_granted(self):
-        ports = mk_ports(4)
-        load(ports, 0, (1, 2), 0)
-        out_free = [True, False, True, True]  # output 1 pre-reserved
-        decision = self._sched().schedule(ports, output_free=out_free)
-        assert decision.grants[0].output_ports == (2,)
+        for kernel in loaded_kernels(4, (0, (1, 2), 0)):
+            out_free = [True, False, True, True]  # output 1 pre-reserved
+            decision = kernel.schedule(self._sched(), output_free=out_free)
+            assert decision.grants[0].output_ports == (2,)
 
     def test_reserved_input_does_not_request(self):
-        ports = mk_ports(4)
-        load(ports, 0, (1,), 0)
-        load(ports, 1, (1,), 5)  # younger, would lose normally
-        in_free = [False, True, True, True]
-        decision = self._sched().schedule(ports, input_free=in_free)
-        assert 0 not in decision.grants
-        assert decision.grants[1].output_ports == (1,)
+        # Input 1's packet is younger and would lose normally.
+        for kernel in loaded_kernels(4, (0, (1,), 0), (1, (1,), 5)):
+            in_free = [False, True, True, True]
+            decision = kernel.schedule(self._sched(), input_free=in_free)
+            assert 0 not in decision.grants
+            assert decision.grants[1].output_ports == (1,)
 
     def test_masks_mutated_in_place_for_chaining(self):
-        ports = mk_ports(4)
-        load(ports, 0, (1, 3), 0)
-        in_free = [True] * 4
-        out_free = [True] * 4
-        self._sched().schedule(ports, input_free=in_free, output_free=out_free)
-        assert in_free[0] is False
-        assert out_free[1] is False and out_free[3] is False
-        assert out_free[0] is True and out_free[2] is True
+        for kernel in loaded_kernels(4, (0, (1, 3), 0)):
+            in_free = [True] * 4
+            out_free = [True] * 4
+            kernel.schedule(self._sched(), input_free=in_free, output_free=out_free)
+            assert in_free[0] is False
+            assert out_free[1] is False and out_free[3] is False
+            assert out_free[0] is True and out_free[2] is True
 
     def test_two_pass_chaining_is_feasible(self):
-        """Run two FIFOMS passes over two port rows sharing masks — the
+        """Run two FIFOMS passes over two kernels sharing masks — the
         priority-switch composition — and check the union matching."""
-        hi = mk_ports(4)
-        lo = mk_ports(4)
-        load(hi, 0, (0, 1), 0)
-        load(lo, 1, (1, 2), 0)  # output 1 contended across classes
-        in_free = [True] * 4
-        out_free = [True] * 4
-        sched = self._sched()
-        d_hi = sched.schedule(hi, input_free=in_free, output_free=out_free)
-        d_lo = sched.schedule(lo, input_free=in_free, output_free=out_free)
-        assert d_hi.grants[0].output_ports == (0, 1)
-        assert d_lo.grants[1].output_ports == (2,)  # output 1 was taken
-        # Union is crossbar-feasible by construction.
-        outs = [
-            j
-            for d in (d_hi, d_lo)
-            for g in d.grants.values()
-            for j in g.output_ports
-        ]
-        assert len(outs) == len(set(outs))
+        his = loaded_kernels(4, (0, (0, 1), 0))
+        los = loaded_kernels(4, (1, (1, 2), 0))  # output 1 contended across classes
+        for hi, lo in zip(his, los):
+            in_free = [True] * 4
+            out_free = [True] * 4
+            sched = self._sched()
+            d_hi = hi.schedule(sched, input_free=in_free, output_free=out_free)
+            d_lo = lo.schedule(sched, input_free=in_free, output_free=out_free)
+            assert d_hi.grants[0].output_ports == (0, 1)
+            assert d_lo.grants[1].output_ports == (2,)  # output 1 was taken
+            # Union is crossbar-feasible by construction.
+            outs = [
+                j
+                for d in (d_hi, d_lo)
+                for g in d.grants.values()
+                for j in g.output_ports
+            ]
+            assert len(outs) == len(set(outs))
 
     def test_bad_mask_length(self):
-        ports = mk_ports(4)
         with pytest.raises(ConfigurationError):
-            self._sched().schedule(ports, input_free=[True] * 3)
+            self._sched().schedule_state(SwitchState(4), input_free=[True] * 3)
 
     def test_masks_honoured_by_no_split_variant(self):
         """A packet needing a reserved output waits whole, a reserved
         input offers nothing, and the grants are written back."""
-        ports = mk_ports(4)
-        load(ports, 0, (1, 2), 0)  # needs reserved output 2
-        load(ports, 1, (0,), 1)  # reserved input
-        load(ports, 3, (1, 3), 2)
-        sched = FIFOMSScheduler(
-            4, tie_break=TieBreak.LOWEST_INPUT, fanout_splitting=False
-        )
-        in_free = [True, False, True, True]
-        out_free = [True, True, False, True]
-        decision = sched.schedule(ports, input_free=in_free, output_free=out_free)
-        assert dict(decision.masks) == {3: 0b1010}
-        assert (decision.rounds, decision.round_grants) == (1, [1])
-        assert in_free == [True, False, True, False]
-        assert out_free == [True, False, False, False]
+        loads = [
+            (0, (1, 2), 0),  # needs reserved output 2
+            (1, (0,), 1),  # reserved input
+            (3, (1, 3), 2),
+        ]
+        for kernel in loaded_kernels(4, *loads):
+            sched = FIFOMSScheduler(
+                4, tie_break=TieBreak.LOWEST_INPUT, fanout_splitting=False
+            )
+            in_free = [True, False, True, True]
+            out_free = [True, True, False, True]
+            decision = kernel.schedule(sched, input_free=in_free, output_free=out_free)
+            assert dict(decision.masks) == {3: 0b1010}
+            assert (decision.rounds, decision.round_grants) == (1, [1])
+            assert in_free == [True, False, True, False]
+            assert out_free == [True, False, False, False]
 
     def test_all_masked_is_a_noop(self):
-        ports = mk_ports(4)
-        load(ports, 0, (1,), 0)
-        decision = self._sched().schedule(
-            ports, input_free=[False] * 4, output_free=[False] * 4
-        )
-        assert not decision
-        assert not decision.requests_made
+        for kernel in loaded_kernels(4, (0, (1,), 0)):
+            decision = kernel.schedule(
+                self._sched(), input_free=[False] * 4, output_free=[False] * 4
+            )
+            assert not decision
+            assert not decision.requests_made
 
 
 @pytest.mark.parametrize("backend", ["object", "vectorized"])

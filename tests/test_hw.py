@@ -8,14 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
-from repro.core.preprocess import preprocess_packet
 from repro.errors import ConfigurationError
 from repro.hw.comparator import MinComparatorTree
 from repro.hw.scheduler_rtl import FIFOMSControlUnit
 from repro.packet import Packet
 from repro.utils.rng import make_rng
+from repro.verify.reference import ReferenceFIFOMS
 
-from conftest import mk_ports
+from conftest import loaded_kernels
 
 
 class TestComparatorTree:
@@ -76,44 +76,37 @@ class TestComparatorTree:
 
 
 class TestControlUnitCrossValidation:
-    def _random_ports(self, n, density, seed):
+    def _random_loads(self, n, density, seed):
         rng = make_rng(seed)
-        ports = mk_ports(n)
-        ts = 0
-        for _ in range(6):  # several waves of arrivals
+        loads = []
+        for ts in range(6):  # several waves of arrivals
             for i in range(n):
                 if rng.random() < density:
                     dests = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-                    preprocess_packet(
-                        ports[i],
-                        Packet(i, tuple(int(d) for d in dests), ts),
-                        ts,
-                    )
-            ts += 1
-        return ports
+                    loads.append((i, tuple(sorted(int(d) for d in dests)), ts))
+        return loads
 
     @pytest.mark.parametrize("seed", range(8))
     def test_identical_to_behavioural_scheduler(self, seed):
         """The comparator-fabric execution must match the behavioural
-        FIFOMS decision exactly (deterministic tie-break)."""
+        FIFOMS decision exactly (deterministic tie-break), on production
+        and on the reference model."""
         n = 6
-        ports_a = self._random_ports(n, 0.7, seed)
-        ports_b = self._random_ports(n, 0.7, seed)  # identical reconstruction
-        behavioural = FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT)
-        rtl = FIFOMSControlUnit(n)
-        da = behavioural.schedule(ports_a)
-        db = rtl.schedule(ports_b)
-        assert {i: g.output_ports for i, g in da.grants.items()} == {
-            i: g.output_ports for i, g in db.grants.items()
-        }
-        assert da.rounds == db.rounds
+        kernels = loaded_kernels(n, *self._random_loads(n, 0.7, seed))
+        db = FIFOMSControlUnit(n).schedule(kernels[1].model)
+        for kernel in kernels:
+            da = kernel.schedule(FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT))
+            assert {i: g.output_ports for i, g in da.grants.items()} == {
+                i: g.output_ports for i, g in db.grants.items()
+            }
+            assert da.rounds == db.rounds
 
     def test_latency_accounting(self):
         n = 8
         unit = FIFOMSControlUnit(n)
-        ports = mk_ports(n)
-        preprocess_packet(ports[0], Packet(0, (0, 1), 0), 0)
-        unit.schedule(ports)
+        model = ReferenceFIFOMS(n)
+        model.preprocess(Packet(0, (0, 1), 0), 0)
+        unit.schedule(model)
         assert unit.total_rounds == 1
         # One round: input tree depth + output tree depth + feedback.
         assert unit.total_comparator_levels == 2 * 3 + 1
@@ -122,9 +115,9 @@ class TestControlUnitCrossValidation:
 
     def test_empty(self):
         unit = FIFOMSControlUnit(4)
-        d = unit.schedule(mk_ports(4))
+        d = unit.schedule(ReferenceFIFOMS(4))
         assert not d and d.rounds == 0
 
     def test_port_mismatch(self):
         with pytest.raises(ConfigurationError):
-            FIFOMSControlUnit(4).schedule(mk_ports(5))
+            FIFOMSControlUnit(4).schedule(ReferenceFIFOMS(5))

@@ -8,7 +8,7 @@ from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError
 from repro.kernel import (
-    ObjectBackend,
+    ReferenceBackend,
     VectorizedBackend,
     available_backends,
     make_backend,
@@ -27,7 +27,7 @@ class TestRegistry:
         assert names == tuple(sorted(names))
 
     def test_make_backend_types(self):
-        assert isinstance(make_backend("object", 4), ObjectBackend)
+        assert isinstance(make_backend("object", 4), ReferenceBackend)
         assert isinstance(make_backend("vectorized", 4), VectorizedBackend)
 
     def test_unknown_backend_rejected(self):
@@ -112,29 +112,42 @@ class TestDefaultBackend:
         reference = make_switch(
             "fifoms", 4, fanout_splitting=False, backend="object"
         )
-        assert isinstance(reference._backend, ObjectBackend)
+        assert isinstance(reference._backend, ReferenceBackend)
 
-    def test_undeclared_scheduler_builds_object(self):
-        """A third-party scheduler is built on what it defines: the
-        object kernel for ``schedule`` alone, the vectorized one once it
-        also has ``schedule_state``."""
+    def test_undeclared_scheduler_is_refused(self):
+        """No silent fallback: a scheduler without ``schedule_state`` is
+        refused at construction, whatever ``backend`` says."""
         from repro.switch.voq_multicast import MulticastVOQSwitch
 
         class Undeclared:
             name = "third-party"
 
-        class WithArrayEntry(Undeclared):
+            def schedule(self, ports):
+                return ScheduleDecision()
+
+        for backend in (None, "object", "vectorized"):
+            with pytest.raises(ConfigurationError, match="schedule_state"):
+                MulticastVOQSwitch(4, Undeclared(), backend=backend)
+
+    def test_scheduler_without_reference_is_refused_by_object(self):
+        """A scheduler with ``schedule_state`` builds production; the
+        ``object`` kernel, which runs the reference model of FIFOMS and
+        greedy-mcast only, refuses it at construction."""
+        from repro.qos.switch import PriorityMulticastVOQSwitch
+        from repro.switch.voq_multicast import MulticastVOQSwitch
+
+        class WithArrayEntry:
+            name = "third-party"
+
             def schedule_state(self, state, *, input_free=None, output_free=None):
                 return ScheduleDecision()
 
-        assert resolve_backend(Undeclared(), None) == "object"
-        assert MulticastVOQSwitch(4, Undeclared()).backend == "object"
-        assert resolve_backend(WithArrayEntry(), None) == "vectorized"
         assert MulticastVOQSwitch(4, WithArrayEntry()).backend == "vectorized"
-        assert (
-            MulticastVOQSwitch(4, WithArrayEntry(), backend="object").backend
-            == "object"
-        )
+        with pytest.raises(ConfigurationError, match="'third-party' has no reference"):
+            MulticastVOQSwitch(4, WithArrayEntry(), backend="object")
+        for name in ("fifoms", "greedy-mcast", "fifoms-prio"):
+            assert make_switch(name, 4, backend="object").backend == "object"
+        assert PriorityMulticastVOQSwitch(4, backend="object").backend == "object"
 
     def test_constructors_and_config_default_to_unset(self):
         """The two seamed constructors default to the fast kernel; the
@@ -255,9 +268,7 @@ class TestBackendBehaviour:
             name = "stub"
 
         with pytest.raises(
-            ConfigurationError,
-            match=r"'stub' does not support the 'vectorized' kernel "
-            r"backend \(supported: object\)",
+            ConfigurationError, match=r"'stub' defines no schedule_state"
         ):
             MulticastVOQSwitch(4, NoArrayScheduler(), backend="vectorized")
 
@@ -308,3 +319,28 @@ class TestBackendBehaviour:
         for name in ("object", "vectorized"):
             rows = make_backend(name, 4).driver_row(decision)
             assert list(rows) == [(2, 0b1001), (0, 0b0010)]
+
+
+class TestReferenceIndependence:
+    def test_reference_imports_only_stdlib_and_errors(self):
+        """The grid compares production against code it shares nothing
+        with: repro.verify.reference imports the standard library and
+        repro.errors, nothing else of the project."""
+        import ast
+        import sys
+        from pathlib import Path
+
+        import repro.verify.reference as reference
+
+        tree = ast.parse(Path(reference.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import in the reference"
+                imported.add(node.module)
+        project = {name for name in imported if name.split(".")[0] == "repro"}
+        assert project == {"repro.errors"}
+        others = {name.split(".")[0] for name in imported - project}
+        assert others <= set(sys.stdlib_module_names), others

@@ -1,4 +1,4 @@
-"""Tests for repro.kernel.equivalence (backend bit-exactness harness)."""
+"""Tests for repro.kernel.equivalence (the reference vs production harness)."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from repro.kernel.equivalence import (
     EquivalenceCase,
     RecordingSwitch,
     default_grid,
+    diverging_traces,
     main,
     run_case,
     single_bodied_pairings,
@@ -157,3 +158,27 @@ class TestSanitizedGrid:
             report = run_case(case, num_ports=4, num_slots=200)
             assert report.ok, case.label
             assert report.slots_compared == 200
+
+
+class TestExhaustiveDecisionEquality:
+    """Production and the reference agree slot by slot on *every* trace
+    of the bounded domain — the small-N proof behind the sampled grid.
+    CI's backend-equivalence job also runs N = 2 at horizon 3."""
+
+    @pytest.mark.parametrize("tie_break", ["lowest_input", "random"])
+    @pytest.mark.parametrize("num_ports, horizon", [(2, 2), (3, 1)])
+    def test_fifoms_decision_equal_on_every_trace(
+        self, num_ports, horizon, tie_break
+    ):
+        assert diverging_traces(
+            "fifoms", num_ports, horizon, tie_break=tie_break
+        ) == []
+
+    def test_a_diverging_trace_is_reported(self, monkeypatch):
+        """The check can fail: a reference that breaks every tie for the
+        highest input diverges from production's lowest-input pick."""
+        from repro.kernel.reference_backend import ReferenceBackend
+
+        monkeypatch.setattr(ReferenceBackend, "_pick", lambda self, w, j: max(w))
+        diverging = diverging_traces("fifoms", 2, 1, tie_break="lowest_input")
+        assert ((0, 0, (0,)), (0, 1, (0,))) in diverging

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from repro.core.preprocess import preprocess_packet
-from repro.core.voq import MulticastVOQInputPort
 from repro.errors import BufferError_, ConfigurationError, SchedulingError
-from repro.kernel.state import EMPTY_TS, SwitchState, soa_snapshot
+from repro.kernel import make_backend
+from repro.kernel.state import EMPTY_TS, SwitchState
 from repro.packet import Packet
 
 
@@ -337,10 +336,10 @@ class TestArrayLayout:
 
 class TestSoaSnapshotParity:
     def test_matches_live_state_after_identical_ops(self):
-        """The SoA export of object-model ports equals a SwitchState fed
+        """The reference kernel's SoA snapshot equals a SwitchState fed
         the same admits/serves — the anchor the equivalence harness uses."""
         n = 4
-        ports = [MulticastVOQInputPort(i, n) for i in range(n)]
+        reference = make_backend("object", n)
         st = SwitchState(n)
         script = [
             _pkt(0, (1, 2, 3), 0),
@@ -349,14 +348,12 @@ class TestSoaSnapshotParity:
             _pkt(3, (0, 1), 2),
         ]
         for pkt in script:
-            preprocess_packet(ports[pkt.input_port], pkt, pkt.arrival_slot)
+            reference.admit(pkt, pkt.arrival_slot)
             st.admit(pkt, pkt.arrival_slot)
         # Serve input 0's head on outputs 1 and 3 in both models.
-        for j in (1, 3):
-            cell = ports[0].voqs[j].pop_head()
-            ports[0].buffer.record_service(cell.data_cell)
+        reference.model.transmit(0, [1, 3])
         st.serve(0, 0b1010)
-        obj = soa_snapshot(ports)
+        obj = reference.state_arrays()
         vec = st.state_arrays()
         assert np.array_equal(obj["hol_ts"], vec["hol_ts"])
         assert np.array_equal(obj["occupancy"], vec["occupancy"])

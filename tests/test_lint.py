@@ -374,15 +374,15 @@ KB003_TREE = {
     """,
     "repro/kernel/helper.py": """
         __all__ = []
-        from repro.core.cells import Cell
+        from repro.verify.reference import DataCell
 
         def pack(cell):
             pass
     """,
-    "repro/core/cells.py": """
+    "repro/verify/reference.py": """
         __all__ = []
 
-        class Cell:
+        class DataCell:
             pass
     """,
 }
@@ -396,43 +396,45 @@ class TestKB003KernelClosurePurity:
         assert only_ids(findings) == ["KB003"]
         f = findings[0]
         assert "vectorized" in f.path
-        assert "repro.kernel.helper -> repro.core.cells" in f.message
+        assert "repro.kernel.helper -> repro.verify.reference" in f.message
 
     @pytest.mark.parametrize(
-        ("root", "line", "target"),
+        "root, line",
         [
-            ("state", "from repro.core.cells import AddressCell", "repro.core.cells"),
-            ("vectorized", "import repro.core.voq", "repro.core.voq"),
-            ("state", "from ..core.voq import MulticastVOQInputPort", "repro.core.voq"),
+            ("state", "from repro.verify.reference import AddressCell"),
+            ("vectorized", "import repro.verify.reference"),
+            ("state", "from ..verify.reference import ReferenceFIFOMS"),
         ],
     )
-    def test_flags_object_import_in_root(self, tmp_path, root, line, target):
+    def test_flags_reference_import_in_root(self, tmp_path, root, line):
         src = f"__all__ = []\n{line}\n"
         findings = lint_tree(
             tmp_path, {f"repro/kernel/{root}.py": src}, [self.RULE()]
         )
         assert only_ids(findings) == ["KB003"]
         assert findings[0].line == 2
-        assert target in findings[0].message
+        assert "repro.verify.reference" in findings[0].message
 
     def test_flags_relative_import_of_helper(self, tmp_path):
         files = {
             "repro/kernel/vectorized.py": "__all__ = []\nfrom . import helper\n",
             "repro/kernel/helper.py": (
-                "__all__ = []\nfrom repro.core.cells import DataCell\n"
+                "__all__ = []\nfrom repro.verify.reference import DataCell\n"
             ),
         }
         findings = lint_tree(tmp_path, files, [self.RULE()])
         assert only_ids(findings) == ["KB003"]
         assert findings[0].path.endswith("repro/kernel/vectorized.py")
         assert findings[0].line == 2
-        assert "repro.kernel.helper -> repro.core.cells" in findings[0].message
+        assert "repro.kernel.helper -> repro.verify.reference" in findings[0].message
 
     def test_object_backend_outside_closure_clean(self, tmp_path):
+        """The 'object' kernel adapter is the one kernel module that may
+        import the reference: it is outside the hot-path closure."""
         files = dict(KB003_TREE)
         files["repro/kernel/helper.py"] = "__all__ = []\n"
-        files["repro/kernel/object_backend.py"] = (
-            "__all__ = []\nfrom repro.core.cells import Cell\n"
+        files["repro/kernel/reference_backend.py"] = (
+            "__all__ = []\nfrom repro.verify.reference import DataCell\n"
         )
         assert lint_tree(tmp_path, files, [self.RULE()]) == []
 
@@ -443,7 +445,7 @@ class TestKB003KernelClosurePurity:
             from typing import TYPE_CHECKING
 
             if TYPE_CHECKING:
-                from repro.core.cells import Cell
+                from repro.verify.reference import DataCell
 
             def pack(cell):
                 pass

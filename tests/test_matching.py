@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.core.matching import GrantSet, ScheduleDecision
-from repro.core.preprocess import preprocess_packet
-from repro.core.voq import MulticastVOQInputPort
 from repro.errors import SchedulingError
-from repro.kernel.state import SwitchState
-from repro.packet import Packet
+
+from conftest import loaded_kernels
 
 
 class TestGrantSet:
@@ -69,14 +66,14 @@ class TestScheduleDecision:
         d.validate(4, 4)
 
 
-def _fed(n, packets):
-    """(object ports, SwitchState) pair loaded with the same packets."""
-    ports = [MulticastVOQInputPort(i, n) for i in range(n)]
-    state = SwitchState(n)
-    for pkt in packets:
-        preprocess_packet(ports[pkt.input_port], pkt, pkt.arrival_slot)
-        state.admit(pkt, pkt.arrival_slot)
-    return ports, state
+def _decisions(n, *loads, **scheduler_kwargs):
+    """One decision per kernel (production, reference) over the same
+    ``(input, destinations, timestamp)`` arrivals, each by a fresh
+    scheduler built from ``scheduler_kwargs``."""
+    return [
+        kernel.schedule(FIFOMSScheduler(n, **scheduler_kwargs))
+        for kernel in loaded_kernels(n, *loads)
+    ]
 
 
 def _grants(decision):
@@ -84,14 +81,11 @@ def _grants(decision):
 
 
 class TestMatchingEdgeCases:
-    """Decision-shape edge cases, checked on both scheduler entry points."""
+    """Decision-shape edge cases, checked on production and on the
+    reference model."""
 
     def test_empty_request_matrix(self):
-        ports, state = _fed(4, [])
-        for decision in (
-            FIFOMSScheduler(4, tie_break=TieBreak.LOWEST_INPUT).schedule(ports),
-            FIFOMSScheduler(4, tie_break=TieBreak.LOWEST_INPUT).schedule_state(state),
-        ):
+        for decision in _decisions(4, tie_break=TieBreak.LOWEST_INPUT):
             assert not decision
             assert not decision.requests_made
             assert decision.grants == {}
@@ -99,11 +93,8 @@ class TestMatchingEdgeCases:
             decision.validate(4, 4)
 
     def test_full_fanout_single_input(self):
-        pkt = Packet(input_port=2, destinations=(0, 1, 2, 3), arrival_slot=0)
-        ports, state = _fed(4, [pkt])
-        for decision in (
-            FIFOMSScheduler(4, tie_break=TieBreak.LOWEST_INPUT).schedule(ports),
-            FIFOMSScheduler(4, tie_break=TieBreak.LOWEST_INPUT).schedule_state(state),
+        for decision in _decisions(
+            4, (2, (0, 1, 2, 3), 0), tie_break=TieBreak.LOWEST_INPUT
         ):
             assert _grants(decision) == {2: (0, 1, 2, 3)}
             assert decision.matched_outputs == 4
@@ -112,32 +103,18 @@ class TestMatchingEdgeCases:
     def test_equal_timestamp_tie_lowest_input(self):
         """Three equal-timestamp HOL cells contending for output 1:
         LOWEST_INPUT must give it to the smallest input index."""
-        packets = [
-            Packet(input_port=i, destinations=(1,), arrival_slot=0)
-            for i in (3, 0, 2)
-        ]
-        ports, state = _fed(4, packets)
-        for decision in (
-            FIFOMSScheduler(4, tie_break=TieBreak.LOWEST_INPUT).schedule(ports),
-            FIFOMSScheduler(4, tie_break=TieBreak.LOWEST_INPUT).schedule_state(state),
-        ):
+        loads = [(i, (1,), 0) for i in (3, 0, 2)]
+        for decision in _decisions(4, *loads, tie_break=TieBreak.LOWEST_INPUT):
             assert _grants(decision) == {0: (1,)}
 
     @pytest.mark.parametrize("tie", list(TieBreak), ids=lambda t: t.value)
     def test_equal_timestamp_tie_parity_across_entry_points(self, tie):
-        """Whatever the tie-break policy picks, schedule() and
-        schedule_state() must pick the *same* winner (same RNG draws)."""
-        packets = [
-            Packet(input_port=i, destinations=(1, 2), arrival_slot=0)
-            for i in range(4)
-        ]
-        ports, state = _fed(4, packets)
-        d_obj = FIFOMSScheduler(
-            4, tie_break=tie, rng=np.random.default_rng(99)
-        ).schedule(ports)
-        d_vec = FIFOMSScheduler(
-            4, tie_break=tie, rng=np.random.default_rng(99)
-        ).schedule_state(state)
-        assert _grants(d_obj) == _grants(d_vec)
-        assert d_obj.rounds == d_vec.rounds
-        assert list(d_obj.round_grants) == list(d_vec.round_grants)
+        """Whatever the tie-break policy picks, production and the
+        reference must pick the *same* winner (same RNG draws)."""
+        loads = [(i, (1, 2), 0) for i in range(4)]
+        prod, ref = _decisions(
+            4, *loads, tie_break=tie, rng=99
+        )
+        assert _grants(ref) == _grants(prod)
+        assert ref.rounds == prod.rounds
+        assert list(ref.round_grants) == list(prod.round_grants)

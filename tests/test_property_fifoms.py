@@ -1,25 +1,28 @@
-"""Property-based tests specific to FIFOMS semantics (DESIGN.md §6)."""
+"""Property-based tests specific to FIFOMS semantics (DESIGN.md §6).
+
+Each property is asserted on production (``schedule_state`` over a
+``SwitchState``) and on the reference model; queue contents are read off
+the reference's VOQs, which hold the same arrivals.
+"""
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
-from repro.core.preprocess import preprocess_packet
-from repro.core.voq import MulticastVOQInputPort
 from repro.hw.scheduler_rtl import FIFOMSControlUnit
-from repro.packet import Packet
+
+from conftest import loaded_kernels
 
 
 @st.composite
 def port_states(draw):
-    """A random consistent multicast-VOQ state (several arrival waves)."""
+    """A random consistent multicast-VOQ state (several arrival waves):
+    ``(n, [(input, destinations, timestamp), ...])``."""
     n = draw(st.integers(min_value=2, max_value=6))
-    ports = [MulticastVOQInputPort(i, n) for i in range(n)]
     waves = draw(st.integers(min_value=0, max_value=4))
+    loads = []
     for ts in range(waves):
         for i in range(n):
             if draw(st.booleans()):
@@ -30,31 +33,40 @@ def port_states(draw):
                         max_size=n,
                     )
                 )
-                preprocess_packet(ports[i], Packet(i, tuple(dests), ts), ts)
-    return n, ports
+                loads.append((i, tuple(sorted(dests)), ts))
+    return n, loads
+
+
+def _decisions(n, loads, **scheduler_kwargs):
+    """(reference VOQs, [production decision, reference decision])."""
+    kernels = loaded_kernels(n, *loads)
+    decisions = [k.schedule(FIFOMSScheduler(n, **scheduler_kwargs)) for k in kernels]
+    return kernels[1].model.voqs, decisions
+
+
+def _head_ts(voqs, i, j):
+    return voqs[i][j][0].time_stamp if voqs[i][j] else None
 
 
 @settings(max_examples=60, deadline=None)
 @given(port_states(), st.sampled_from(list(TieBreak)))
 def test_decision_always_feasible(state, tie):
-    n, ports = state
-    decision = FIFOMSScheduler(n, tie_break=tie, rng=0).schedule(ports)
-    decision.validate(n, n)
-    assert decision.rounds <= n  # §IV.C worst case
+    n, loads = state
+    for decision in _decisions(n, loads, tie_break=tie, rng=0)[1]:
+        decision.validate(n, n)
+        assert decision.rounds <= n  # §IV.C worst case
 
 
 @settings(max_examples=60, deadline=None)
 @given(port_states())
 def test_grants_cover_hol_cells_only_and_one_timestamp_per_input(state):
-    n, ports = state
-    decision = FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT).schedule(ports)
-    for i, grant in decision.grants.items():
-        stamps = set()
-        for j in grant.output_ports:
-            head = ports[i].voqs[j].head()
-            assert head is not None  # only HOL cells are schedulable
-            stamps.add(head.timestamp)
-        assert len(stamps) == 1  # one packet per input per slot
+    n, loads = state
+    voqs, decisions = _decisions(n, loads, tie_break=TieBreak.LOWEST_INPUT)
+    for decision in decisions:
+        for i, grant in decision.grants.items():
+            stamps = {_head_ts(voqs, i, j) for j in grant.output_ports}
+            assert None not in stamps  # only HOL cells are schedulable
+            assert len(stamps) == 1  # one packet per input per slot
 
 
 @settings(max_examples=60, deadline=None)
@@ -62,22 +74,23 @@ def test_grants_cover_hol_cells_only_and_one_timestamp_per_input(state):
 def test_maximality(state):
     """FIFOMS iterates until no free input/output pair can match: the
     result is a maximal multicast matching (no augmenting single edge)."""
-    n, ports = state
-    decision = FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT).schedule(ports)
-    matched_inputs = set(decision.grants)
-    matched_outputs = {
-        j for g in decision.grants.values() for j in g.output_ports
-    }
-    for i in range(n):
-        if i in matched_inputs:
-            continue
-        for j in range(n):
-            if j in matched_outputs:
+    n, loads = state
+    voqs, decisions = _decisions(n, loads, tie_break=TieBreak.LOWEST_INPUT)
+    for decision in decisions:
+        matched_inputs = set(decision.grants)
+        matched_outputs = {
+            j for g in decision.grants.values() for j in g.output_ports
+        }
+        for i in range(n):
+            if i in matched_inputs:
                 continue
-            assert not ports[i].voqs[j], (
-                f"free input {i} holds a cell for free output {j}: "
-                "the matching is not maximal"
-            )
+            for j in range(n):
+                if j in matched_outputs:
+                    continue
+                assert not voqs[i][j], (
+                    f"free input {i} holds a cell for free output {j}: "
+                    "the matching is not maximal"
+                )
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,63 +100,60 @@ def test_output_grants_globally_oldest_requesting_cell(state):
     eligible HOL cell *whose input was also free in round one*. (Across
     rounds inputs get matched, so the guarantee is per-round; we check
     the first round's winners.)"""
-    n, ports = state
-    decision = FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT).schedule(ports)
-    if not decision.grants:
-        return
+    n, loads = state
+    voqs, decisions = _decisions(n, loads, tie_break=TieBreak.LOWEST_INPUT)
     # Reconstruct round-1: every input free, every output free.
     request_ts = {}
     for i in range(n):
-        ts = ports[i].min_hol_timestamp(None)
-        if ts is not None:
-            request_ts[i] = ts
-    for i, grant in decision.grants.items():
-        for j in grant.output_ports:
-            head_ts = ports[i].voqs[j].head().timestamp
-            # Any other input whose round-1 request targeted j with a
-            # strictly smaller stamp would have beaten us in round 1 --
-            # unless it spent its slot on a different output, which shows
-            # up as that input being matched elsewhere.
-            for k, kts in request_ts.items():
-                if k == i or kts >= head_ts:
-                    continue
-                q = ports[k].voqs[j]
-                if q and q.head().timestamp == kts:
-                    assert k in decision.grants, (
-                        f"input {k} held an older cell for output {j} but "
-                        "was left unmatched"
-                    )
+        heads = [_head_ts(voqs, i, j) for j in range(n) if voqs[i][j]]
+        if heads:
+            request_ts[i] = min(heads)
+    for decision in decisions:
+        for i, grant in decision.grants.items():
+            for j in grant.output_ports:
+                head_ts = _head_ts(voqs, i, j)
+                # Any other input whose round-1 request targeted j with a
+                # strictly smaller stamp would have beaten us in round 1
+                # -- unless it spent its slot on a different output,
+                # which shows up as that input being matched elsewhere.
+                for k, kts in request_ts.items():
+                    if k == i or kts >= head_ts:
+                        continue
+                    if _head_ts(voqs, k, j) == kts:
+                        assert k in decision.grants, (
+                            f"input {k} held an older cell for output {j} "
+                            "but was left unmatched"
+                        )
 
 
 @settings(max_examples=30, deadline=None)
 @given(port_states())
 def test_rtl_control_unit_matches_behavioural(state):
     """Gate-level Fig. 3 execution == behavioural Table 2 execution."""
-    n, ports = state
-    # Snapshot VOQ contents before either scheduler consumes the state
-    # (schedule() does not mutate, but be explicit).
-    behavioural = FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT).schedule(ports)
-    rtl = FIFOMSControlUnit(n).schedule(ports)
-    assert {i: g.output_ports for i, g in behavioural.grants.items()} == {
-        i: g.output_ports for i, g in rtl.grants.items()
-    }
-    assert behavioural.rounds == rtl.rounds
+    n, loads = state
+    kernels = loaded_kernels(n, *loads)
+    rtl = FIFOMSControlUnit(n).schedule(kernels[1].model)
+    for kernel in kernels:
+        behavioural = kernel.schedule(
+            FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT)
+        )
+        assert {i: g.output_ports for i, g in behavioural.grants.items()} == {
+            i: g.output_ports for i, g in rtl.grants.items()
+        }
+        assert behavioural.rounds == rtl.rounds
 
 
 @settings(max_examples=25, deadline=None)
 @given(port_states())
 def test_no_split_grants_are_subset_semantics(state):
     """The no-splitting variant grants whole remaining fanouts only."""
-    n, ports = state
-    decision = FIFOMSScheduler(
-        n, tie_break=TieBreak.LOWEST_INPUT, fanout_splitting=False
-    ).schedule(ports)
-    decision.validate(n, n)
-    for i, grant in decision.grants.items():
-        ts = ports[i].voqs[grant.output_ports[0]].head().timestamp
-        pending = tuple(
-            j
-            for j, q in enumerate(ports[i].voqs)
-            if q and q.head().timestamp == ts
-        )
-        assert grant.output_ports == pending
+    n, loads = state
+    voqs, decisions = _decisions(
+        n, loads, tie_break=TieBreak.LOWEST_INPUT, fanout_splitting=False
+    )
+    for decision in decisions:
+        decision.validate(n, n)
+        for i, grant in decision.grants.items():
+            ts = _head_ts(voqs, i, grant.output_ports[0])
+            pending = tuple(j for j in range(n) if _head_ts(voqs, i, j) == ts)
+            assert grant.output_ports == pending

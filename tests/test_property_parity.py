@@ -1,6 +1,7 @@
-"""Property-based exact-parity tests on hypothesis-drawn traces: object
-vs vectorized FIFOMS kernel in both fanout modes, and the two transfer bodies (plain VOQ
-switch, speedup-1 CIOQ) over the one unicast VOQ bank."""
+"""Property-based exact-parity tests on hypothesis-drawn traces: the
+reference (object) vs production (vectorized) FIFOMS kernel in both
+fanout modes, and the two transfer bodies (plain VOQ switch, speedup-1
+CIOQ) over the one unicast VOQ bank."""
 
 from __future__ import annotations
 
@@ -107,7 +108,7 @@ def test_fast_islip_bit_identical_on_any_trace(trace):
 
 
 # --------------------------------------------------------------------- #
-# FIFOMS array entry point vs the object reference, decision by decision
+# FIFOMS array entry point vs the reference model, decision by decision
 # --------------------------------------------------------------------- #
 def _random_queue_state(n: int, rnd, slots: int):
     """Both kernel backends after one script of random admits and random
@@ -153,10 +154,11 @@ def test_schedule_state_matches_schedule_on_random_queue_states(
     n, tie_break, max_iterations, seed, mask_inputs, mask_outputs,
     fanout_splitting,
 ):
-    """``schedule_state`` against the object ``schedule``, in both fanout
-    modes: equal grants (and grant order), rounds, round_grants,
-    written-back masks and final RNG state, over three schedule→commit
-    steps from a random state."""
+    """``schedule_state`` against the reference model (the ``object``
+    kernel), in both fanout modes: equal grants (and grant order),
+    rounds, round_grants, written-back masks, round-robin pointers and
+    final RNG state, over three schedule→commit steps from a random
+    state."""
     import random
 
     from repro.switch.base import SlotResult
@@ -174,8 +176,8 @@ def test_schedule_state_matches_schedule_on_random_queue_states(
         )
         for _ in range(2)
     )
-    ref._grant_pointers = [rnd.randrange(n) for _ in range(n)]
-    fast._grant_pointers = list(ref._grant_pointers)
+    obj.pointers = [rnd.randrange(n) for _ in range(n)]
+    fast._grant_pointers = list(obj.pointers)
     for slot in range(slots, slots + 3):
         in_mask = [rnd.random() < 0.7 for _ in range(n)] if mask_inputs else None
         out_mask = [rnd.random() < 0.7 for _ in range(n)] if mask_outputs else None
@@ -188,7 +190,7 @@ def test_schedule_state_matches_schedule_on_random_queue_states(
         assert got.round_grants == want.round_grants
         assert got.requests_made == want.requests_made
         assert (got_in, got_out) == (ref_in, ref_out)
-        assert fast._grant_pointers == ref._grant_pointers
+        assert fast._grant_pointers == obj.pointers
         assert (
             fast._rng.bit_generator.state == ref._rng.bit_generator.state
         )

@@ -92,10 +92,10 @@ class TestViolationDetection:
             def __init__(self, n):
                 self.n = n
 
-            def schedule(self, ports):
+            def schedule_state(self, state, *, input_free=None, output_free=None):
                 d = ScheduleDecision()
-                for i, port in enumerate(ports):
-                    if port.voqs[0]:
+                for i, row in enumerate(state.occupancy):
+                    if row[0]:
                         d.add(i, (0,))
                         d.requests_made = True
                         d.rounds = 1

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.preprocess import preprocess_packet
 from repro.errors import ConfigurationError
-from repro.packet import Packet
+from repro.kernel.state import SwitchState
 from repro.schedulers.greedy_mcast import GreedyMcastScheduler
 from repro.schedulers.siq_fifo import SIQFifoScheduler
 from repro.schedulers.wba import WBAScheduler
 
-from conftest import mk_ports, siq_cell as _cell, siq_view as _view
+from conftest import loaded_kernels, siq_cell as _cell, siq_view as _view
 
 
 class TestWBA:
@@ -78,32 +77,25 @@ class TestSIQFifo:
 
 
 class TestGreedyMcast:
+    """Each case runs on production and on the reference model."""
+
     def test_pointer_rotation(self):
-        sched = GreedyMcastScheduler(2)
-        winners = []
-        for _ in range(2):
-            ports = mk_ports(2)
-            for i in range(2):
-                preprocess_packet(ports[i], Packet(i, (0,), 0), 0)
-            winners.append(next(iter(sched.schedule(ports).grants)))
-        assert winners == [0, 1]
+        for kernel in loaded_kernels(2, (0, (0,), 0), (1, (0,), 0)):
+            sched = GreedyMcastScheduler(2)
+            winners = [next(iter(kernel.schedule(sched).grants)) for _ in range(2)]
+            assert winners == [0, 1]
 
     def test_claims_whole_packet_of_free_outputs(self):
-        sched = GreedyMcastScheduler(4)
-        ports = mk_ports(4)
-        preprocess_packet(ports[0], Packet(0, (0, 2), 0), 0)
-        d = sched.schedule(ports)
-        assert d.grants[0].output_ports == (0, 2)
+        for kernel in loaded_kernels(4, (0, (0, 2), 0)):
+            d = kernel.schedule(GreedyMcastScheduler(4))
+            assert d.grants[0].output_ports == (0, 2)
 
     def test_later_input_takes_leftovers(self):
-        sched = GreedyMcastScheduler(4)
-        ports = mk_ports(4)
-        preprocess_packet(ports[0], Packet(0, (0, 1), 0), 0)
-        preprocess_packet(ports[1], Packet(1, (1, 3), 0), 0)
-        d = sched.schedule(ports)
-        assert d.grants[0].output_ports == (0, 1)
-        assert d.grants[1].output_ports == (3,)  # output 1 already taken
+        for kernel in loaded_kernels(4, (0, (0, 1), 0), (1, (1, 3), 0)):
+            d = kernel.schedule(GreedyMcastScheduler(4))
+            assert d.grants[0].output_ports == (0, 1)
+            assert d.grants[1].output_ports == (3,)  # output 1 already taken
 
     def test_port_count_mismatch(self):
         with pytest.raises(ConfigurationError):
-            GreedyMcastScheduler(4).schedule(mk_ports(3))
+            GreedyMcastScheduler(4).schedule_state(SwitchState(3))
