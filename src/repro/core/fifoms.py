@@ -47,7 +47,7 @@ class TieBreak(enum.Enum):
 
     The paper specifies RANDOM. LOWEST_INPUT is deterministic (useful for
     hand-checkable traces); ROUND_ROBIN rotates a per-output
-    pointer like iSLIP's grant pointer (an ablation in the benchmarks).
+    pointer like iSLIP's grant pointer (the ``abl-tiebreak`` ablation).
     """
 
     RANDOM = "random"
@@ -67,7 +67,7 @@ class FIFOMSScheduler:
     max_iterations:
         Cap on scheduling rounds per slot. ``None`` (default) iterates to
         convergence, which the paper proves needs at most N rounds; small
-        caps are an ablation (benchmarks/bench_ablation_iterations.py).
+        caps are an ablation (the ``abl-iterations`` figure).
     fanout_splitting:
         When True (the paper's algorithm) the destinations of a multicast
         packet may be served across several slots. When False, an input

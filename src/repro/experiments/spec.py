@@ -64,8 +64,6 @@ class FigureSpec:
     #: load -> traffic spec dict for build_traffic().
     traffic_for_load: Callable[[float], dict[str, Any]]
     metrics: tuple[str, ...]
-    #: Paper default simulation length (benches scale this down).
-    paper_num_slots: int = 1_000_000
     #: Per-algorithm constructor overrides.
     switch_kwargs: dict[str, dict[str, Any]] = field(default_factory=dict)
 

@@ -186,11 +186,10 @@ class ModuleInfo:
 
     @property
     def is_test_module(self) -> bool:
-        """Test/benchmark files get looser RNG and clock discipline."""
-        if self.name.startswith(("test_", "bench_")) or self.stem == "conftest":
+        """Test files get looser RNG and clock discipline."""
+        if self.name.startswith("test_") or self.stem == "conftest":
             return True
-        parts = self.abspath.split("/")
-        return "tests" in parts or "benchmarks" in parts
+        return "tests" in self.abspath.split("/")
 
     @property
     def is_private_module(self) -> bool:

@@ -12,8 +12,8 @@ Three independent concerns behind one :class:`Telemetry` bundle:
   (in-memory, JSONL-with-rotation, callback) for observing runs
   mid-flight via periodic registry snapshots.
 
-Plus :class:`ProgressReporter`, the heartbeat printer shared by the CLI's
-``--progress`` flag and the benchmarks.
+Plus :class:`ProgressReporter`, the heartbeat printer behind the CLI's
+``--progress`` flag.
 """
 
 from repro.obs.metrics import (

@@ -1,8 +1,7 @@
 """Heartbeat progress reporting for long runs.
 
-One throttled reporter serves both the engine's ``--progress`` heartbeat
-(slots/sec and backlog every N slots) and the benchmarks' narration lines,
-replacing ad-hoc ``print`` calls with a single quiet-able sink.
+One throttled reporter prints the engine's ``--progress`` heartbeat
+(slots/sec and backlog every N slots) to a single quiet-able sink.
 """
 
 from __future__ import annotations
@@ -69,11 +68,6 @@ class ProgressReporter:
     def start(self) -> None:
         """Start (or restart) the rate clock; called at loop entry."""
         self._t0 = clock_ns()
-
-    def line(self, text: str) -> None:
-        """Print one raw narration line (benchmarks, phase notes)."""
-        if not self.quiet:
-            print(text, file=self.stream)
 
     def emit(self, slots_done: int, backlog: int | None = None) -> None:
         """Print one heartbeat: slot position, slots/sec, ETA and backlog.

@@ -9,7 +9,7 @@ unicast, speedup 2 famously suffices to emulate output queueing.
 
 Included as an extension (the natural follow-up question to the paper:
 "how much speedup buys back the OQ delay?") — see
-``benchmarks/bench_cioq_speedup.py``. The scheduler can be any unicast
+``tests/test_cioq.py::TestSpeedupClosesTheOQGap``. The scheduler can be any unicast
 VOQ scheduler from the registry family (iSLIP by default); multicast
 packets are split into copies at arrival like the paper's iSLIP setup,
 so this switch pairs with the same workloads as everything else.

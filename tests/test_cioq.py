@@ -69,7 +69,7 @@ class TestMechanics:
 
 
 class TestSpeedupClosesTheOQGap:
-    @pytest.mark.parametrize("load", [0.7])
+    @pytest.mark.parametrize("load", [0.7, 0.85])
     def test_delay_ordering_s1_s2_oq(self, load):
         """Unicast delay: speedup 1 (= iSLIP) >= speedup 2 ~ OQFIFO."""
         spec = {"model": "uniform", "p": load, "max_fanout": 1}

@@ -1,7 +1,8 @@
 """Meta-tests keeping the documentation honest.
 
 DESIGN.md and EXPERIMENTS.md name modules, algorithms, figure ids and
-bench files; these tests fail if the docs drift from the code.
+the tests that hold each experiment; these tests fail if the docs drift
+from the code.
 """
 
 from __future__ import annotations
@@ -37,9 +38,17 @@ class TestDesignDoc:
             # split on commas upstream, so a plain existence check works.
             assert any(c.exists() for c in candidates), f"{dotted} missing"
 
-    def test_every_bench_target_exists(self, design_text):
-        for bench in set(re.findall(r"`benchmarks/([a-z0-9_]+\.py)`", design_text)):
-            assert (REPO / "benchmarks" / bench).exists(), bench
+    def test_every_experiment_home_exists(self, design_text):
+        from repro.experiments.paper import CLAIMS
+
+        for path in set(re.findall(r"`((?:tests|bench)/[a-z0-9_]+\.py)`", design_text)):
+            assert (REPO / path).exists(), path
+        scored = {fid for fid, _, _ in CLAIMS}
+        rows = re.findall(r"`((?:fig|abl-|ext-)[a-z0-9]+)` \((\d+)\)", design_text)
+        assert rows
+        for fid, count in rows:
+            assert fid in scored, fid
+            assert sum(f == fid for f, _, _ in CLAIMS) == int(count), fid
 
     def test_every_figure_id_registered(self, design_text):
         from repro.experiments.figures import FIGURES

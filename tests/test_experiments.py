@@ -8,9 +8,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.figures import ALGO_ALIASES, FIGURES, get_figure
-from repro.experiments.paper import check_expectations
+from repro.experiments.paper import CLAIMS, check_expectations
 from repro.experiments.spec import METRIC_LABELS, FigureSpec
-from repro.experiments.sweep import run_figure, run_sweep_point
+from repro.experiments.sweep import FigureResult, run_figure, run_sweep_point
 
 
 class TestFigureCatalog:
@@ -21,9 +21,6 @@ class TestFigureCatalog:
     def test_paper_figures_use_16_ports(self):
         for fid in ("fig4", "fig5", "fig6", "fig7", "fig8"):
             assert FIGURES[fid].num_ports == 16
-
-    def test_paper_figures_default_to_paper_length(self):
-        assert FIGURES["fig4"].paper_num_slots == 1_000_000
 
     def test_four_panel_figures(self):
         for fid in ("fig4", "fig6", "fig7", "fig8"):
@@ -77,6 +74,118 @@ class TestFigureCatalog:
                 traffic_for_load=lambda l: {},
                 metrics=("rounds",),
             )
+
+
+class _StubPoint:
+    """A completed point whose every metric reads ``value`` and whose
+    max_rounds is 1; each read adds ``key`` to ``reads``."""
+
+    def __init__(self, key, reads, unstable=False, value=1.0):
+        self._key, self._reads = key, reads
+        self._unstable, self._value = unstable, value
+
+    @property
+    def unstable(self):
+        self._reads.add(self._key)
+        return self._unstable
+
+    @property
+    def max_rounds(self):
+        self._reads.add(self._key)
+        return 1
+
+    def metric(self, name):
+        self._reads.add(self._key)
+        return self._value
+
+
+def _stub_result(spec, *, without=None, drop=(), reads=None, **points):
+    """Every point completed and stable with metrics 1.0, except the
+    algorithm ``without``, the (algorithm, load) points in ``drop`` and
+    the ``points`` overrides, keyed "alg@load"."""
+    reads = set() if reads is None else reads
+    summaries = {}
+    for a in spec.algorithms:
+        for load in spec.loads:
+            if a != without and (a, load) not in drop:
+                kw = points.get(f"{a}@{load}", {})
+                summaries[(a, load)] = _StubPoint((a, load), reads, **kw)
+    return FigureResult(spec, spec.loads, spec.algorithms, summaries)
+
+
+def _score(fid, **kw):
+    return {e.claim: e for e in check_expectations(_stub_result(FIGURES[fid], **kw))}
+
+
+class TestClaimTable:
+    def test_every_figure_is_scored(self):
+        for fid, spec in FIGURES.items():
+            names = [e.claim for e in check_expectations(_stub_result(spec))]
+            assert names, fid
+            # bench keys its ops as claim:<name>; a duplicate would collide.
+            assert len(set(names)) == len(names), fid
+        assert {fid for fid, _, _ in CLAIMS} == set(FIGURES)
+
+    @pytest.mark.parametrize("fid", sorted(FIGURES))
+    def test_claim_names_survive_a_missing_algorithm(self, fid):
+        """Points lost to a --keep-going sweep fail rows; they never
+        drop or rename one."""
+        spec = FIGURES[fid]
+        full = [e.claim for e in check_expectations(_stub_result(spec))]
+        for alg in spec.algorithms:
+            partial = check_expectations(_stub_result(spec, without=alg))
+            assert [e.claim for e in partial] == full, alg
+
+    def test_missing_algorithm_fails_its_rows(self):
+        verdicts = _score("fig5", without="islip")
+        assert len(verdicts) == 4
+        assert not any(e.passed for e in verdicts.values())
+        rounds = verdicts.pop("no slot needs more than N rounds (§IV.C)")
+        assert rounds.detail == f"no islip points at loads {list(FIGURES['fig5'].loads)}"
+        assert {e.detail for e in verdicts.values()} == {"no common stable loads"}
+
+    @pytest.mark.parametrize("fid", sorted(FIGURES))
+    def test_rows_fail_without_a_point_they_read(self, fid):
+        """A missing point never reads as PASS: dropping every point of
+        an algorithm a row reads, or only the lowest-load point it reads,
+        FAILs the row."""
+        spec = FIGURES[fid]
+        for figure_id, claim, predicate in CLAIMS:
+            if figure_id != fid:
+                continue
+            reads = set()
+            predicate(_stub_result(spec, reads=reads))
+            assert reads, claim
+            for alg in {a for a, _ in reads}:
+                lowest = min(l for a, l in reads if a == alg)
+                assert not predicate(_stub_result(spec, without=alg))[0], (claim, alg)
+                dropped = _stub_result(spec, drop=((alg, lowest),))
+                assert not predicate(dropped)[0], (claim, alg, lowest)
+
+    def test_cicq_row_fails_where_only_fifoms_saturates(self):
+        claim = "FIFOMS queues are no larger than CICQ's at loads >= 0.5"
+        unstable = {"unstable": True}
+        assert _score("ext-cicq")[claim].passed
+        assert _score("ext-cicq", **{"fifoms@0.3": unstable})[claim].passed
+        both = {"fifoms@0.7": unstable, "cicq@0.7": unstable}
+        assert _score("ext-cicq", **both)[claim].passed
+        verdict = _score("ext-cicq", **{"fifoms@0.7": unstable})[claim]
+        assert not verdict.passed
+        assert verdict.detail == "fifoms unstable or larger at [0.7]"
+        larger = _score("ext-cicq", **{"fifoms@0.85": {"value": 1.01}})[claim]
+        assert not larger.passed
+
+    def test_tiebreak_row_compares_policies_beside_a_saturated_one(self):
+        (claim,) = _score("abl-tiebreak")
+        assert _score("abl-tiebreak")[claim].passed
+        diverged = {"fifoms-rr@0.85": {"unstable": True}, "fifoms-lowest@0.85": {"value": 3.0}}
+        verdict = _score("abl-tiebreak", **diverged)[claim]
+        assert not verdict.passed
+        assert verdict.detail == "diverged at [(0.85, 1.0, 3.0)]"
+        alone = {f"{a}@{l}": {"unstable": True}
+                 for a in ("fifoms-lowest", "fifoms-rr") for l in FIGURES["abl-tiebreak"].loads}
+        verdict = _score("abl-tiebreak", **alone)[claim]
+        assert (verdict.passed, verdict.detail) == (False, "no load where two policies are stable")
 
 
 class TestSweepPoints:

@@ -15,7 +15,7 @@ class TestFanoutSweep:
     def result(self):
         return run_fanout_sweep(
             num_ports=8,
-            fanouts=(1.5, 4.0),
+            fanouts=(1.5, 4.0, 8.0),
             loads=(0.5,),
             algorithms=("fifoms", "islip"),
             num_slots=2500,
@@ -24,13 +24,21 @@ class TestFanoutSweep:
 
     def test_grid_shapes(self, result):
         grid = result.metric_grid("fifoms", "output_delay")
-        assert grid.shape == (2, 1)
+        assert grid.shape == (3, 1)
         assert np.isfinite(grid).all()
 
     def test_advantage_grows_with_fanout(self, result):
         adv = result.advantage_grid("output_delay")
         assert adv[1, 0] > adv[0, 0]
         assert adv[1, 0] > 1.5  # fanout 4: iSLIP pays at least 1.5x
+        assert adv[2, 0] > adv[0, 0]
+        assert adv[2, 0] >= 2.0  # fanout 8: at least 2x
+
+    def test_fifoms_delay_flat_in_fanout(self, result):
+        """FIFOMS rides the crossbar's native fanout: its delay moves at
+        most 2.5x from mean fanout 1.5 to 8."""
+        grid = result.metric_grid("fifoms", "output_delay")
+        assert grid.max() <= grid.min() * 2.5
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

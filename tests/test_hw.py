@@ -39,7 +39,7 @@ class TestComparatorTree:
         assert tree.evaluate([None] * 4) == (None, None)
 
     def test_depth_is_log2(self):
-        for width in (1, 2, 3, 4, 7, 8, 16, 33):
+        for width in (1, 2, 3, 4, 7, 8, 16, 33, 64, 128):
             tree = MinComparatorTree(width)
             tree.evaluate(list(range(width)))
             assert tree.stats.depth == tree.theoretical_depth
@@ -100,6 +100,17 @@ class TestControlUnitCrossValidation:
                 i: g.output_ports for i, g in db.grants.items()
             }
             assert da.rounds == db.rounds
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_staircase_takes_exactly_n_rounds(self, n):
+        """§IV.C's worst case, realized on the control unit: input i holds
+        one cell for each output 0..i, stamped 0..i, so each round matches
+        one more input and the rounds run to N."""
+        model = ReferenceFIFOMS(n)
+        for i in range(n):
+            for k in range(i + 1):
+                model.preprocess(Packet(i, (k,), k), k)
+        assert FIFOMSControlUnit(n).schedule(model).rounds == n
 
     def test_latency_accounting(self):
         n = 8

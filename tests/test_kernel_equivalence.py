@@ -137,6 +137,20 @@ class TestGrid:
         assert report.ok
         assert report.slots_compared == 600
 
+    def test_fig4_recipe_at_paper_size(self):
+        """The grid runs N = 8 and 70; this is the paper's N = 16, slot
+        for slot, on the Fig. 4 workload at load 0.8."""
+        from repro.experiments import get_figure
+
+        traffic = get_figure("fig4").traffic_for_load(0.8)
+        report = run_case(
+            EquivalenceCase("fifoms", traffic, seed=2004),
+            num_ports=16,
+            num_slots=2000,
+        )
+        assert report.ok
+        assert report.slots_compared == 2000
+
     def test_main_runs_reduced_grid(self, capsys):
         assert main(["--ports", "4", "--slots", "120"]) == 0
         out = capsys.readouterr().out

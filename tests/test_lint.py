@@ -223,6 +223,14 @@ class TestDET001WallClock:
         src = "import time\nt0 = time.perf_counter()\n"
         assert lint_tree(tmp_path, {"repro/obs/x.py": src}, [self.RULE()]) == []
 
+    def test_only_tests_are_exempt(self, tmp_path):
+        src = "import time\nt0 = time.perf_counter()\n"
+        exempt = {"tests/x.py": src, "test_x.py": src, "conftest.py": src}
+        assert lint_tree(tmp_path / "a", exempt, [self.RULE()]) == []
+        checked = {"bench_x.py": src, "benchmarks/x.py": src}
+        findings = lint_tree(tmp_path / "b", checked, [self.RULE()])
+        assert only_ids(findings) == ["DET001", "DET001"]
+
     def test_clock_ns_alias_clean(self, tmp_path):
         src = """
             from repro.obs.profiler import clock_ns

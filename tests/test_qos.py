@@ -26,6 +26,26 @@ def _lane(n, *pkts):
     return lanes
 
 
+def _class_delays(n, p, b, slots, warmup, seed):
+    """Mean delay and delivery count per class, driving the switch
+    directly so deliveries keep their class tags (30 % premium)."""
+    import numpy as np
+
+    base = BernoulliMulticastTraffic(n, p=p, b=b, rng=seed)
+    tagger = PriorityTagger(base, [0.3, 0.7], rng=seed + 2)
+    sw = PriorityMulticastVOQSwitch(n, 2, rng=np.random.default_rng(seed + 3))
+    sums = [0.0, 0.0]
+    counts = [0, 0]
+    for slot in range(slots):
+        result = sw.step(tagger.next_slot(), slot)
+        if slot < warmup:
+            continue
+        for d in result.deliveries:
+            sums[d.packet.priority] += d.delay
+            counts[d.packet.priority] += 1
+    return [s / c for s, c in zip(sums, counts)], counts
+
+
 class TestStrictPriority:
     def _switch(self, n=4, classes=2):
         return PriorityMulticastVOQSwitch(
@@ -169,26 +189,21 @@ class TestEndToEndViaRunner:
         assert s.delivery_ratio == pytest.approx(1.0, abs=0.05)
 
     def test_per_class_delay_ordering(self):
-        """At high load the premium class must see markedly lower delay.
-
-        Measured by driving the switch directly so deliveries keep their
-        class tags.
-        """
-        import numpy as np
-
-        n = 8
-        base = BernoulliMulticastTraffic(n, p=0.55, b=0.25, rng=3)
-        tagger = PriorityTagger(base, [0.3, 0.7], rng=5)
-        sw = PriorityMulticastVOQSwitch(n, 2, rng=np.random.default_rng(6))
-        sums = [0.0, 0.0]
-        counts = [0, 0]
-        for slot in range(6000):
-            result = sw.step(tagger.next_slot(), slot)
-            if slot < 2000:
-                continue
-            for d in result.deliveries:
-                sums[d.packet.priority] += d.delay
-                counts[d.packet.priority] += 1
+        """At high load the premium class must see markedly lower delay."""
+        (high, low), counts = _class_delays(8, 0.55, 0.25, 6000, 2000, seed=3)
         assert counts[0] > 100 and counts[1] > 100
-        high, low = sums[0] / counts[0], sums[1] / counts[1]
         assert high < low
+
+    def test_premium_delay_is_load_insensitive(self):
+        """On the Fig. 4 workload the premium class preempts everything,
+        so it stays below best effort at every load and its delay grows
+        at most 3x from load 0.5 to load 0.85."""
+        from repro.analysis.loads import bernoulli_arrival_probability
+
+        premium = []
+        for load in (0.5, 0.7, 0.85):
+            p = bernoulli_arrival_probability(16, load, 0.2)
+            (high, low), _ = _class_delays(16, p, 0.2, 4000, 2000, seed=2004)
+            assert high < low
+            premium.append(high)
+        assert premium[-1] <= premium[0] * 3

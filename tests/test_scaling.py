@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -33,6 +35,21 @@ class TestRunScaling:
         )
         assert point.output_delay > 0
         assert point.rounds >= 1.0
+
+    def test_rounds_sublinear_and_delay_flat_in_n(self):
+        """At fixed load 0.7 and mean fanout 4: average rounds stay below
+        2 log2 N + 2 (far under the worst case N), and FIFOMS delay moves
+        at most 2x across the sizes."""
+        sizes = (8, 16, 32)
+        points = run_scaling(
+            ("fifoms", "islip"), sizes, load=0.7, mean_fanout=4.0,
+            num_slots=2_000, seed=2004,
+        )
+        for p in points:
+            assert p.rounds < 2 * math.log2(p.num_ports) + 2, p
+        delays = [p.output_delay for p in points if p.algorithm == "fifoms"]
+        assert len(delays) == len(sizes)
+        assert max(delays) <= min(delays) * 2.0
 
     @pytest.mark.parametrize(
         "kwargs",
