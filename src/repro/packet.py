@@ -24,10 +24,10 @@ from repro.utils.bitsets import bitmask_from_iterable
 
 __all__ = ["Packet", "Delivery"]
 
-_packet_ids = itertools.count()
+_next_packet_id = itertools.count().__next__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Packet:
     """A fixed-length (multicast) packet.
 
@@ -52,29 +52,48 @@ class Packet:
     input_port: int
     destinations: tuple[int, ...]
     arrival_slot: int
-    packet_id: int = field(default_factory=_packet_ids.__next__)
+    packet_id: int = field(default_factory=_next_packet_id)
     priority: int = 0
 
-    def __post_init__(self) -> None:
-        dests = self.destinations
+    def __init__(
+        self,
+        input_port: int,
+        destinations: tuple[int, ...],
+        arrival_slot: int,
+        packet_id: int | None = None,
+        priority: int = 0,
+    ) -> None:
+        # Checked once, here; stored through the slot descriptors below
+        # because the frozen ``__setattr__`` refuses plain assignment.
+        if packet_id is None:
+            packet_id = _next_packet_id()
+        dests = destinations
         if not dests:
             raise TrafficError("a packet must have at least one destination")
-        # Generators emit strictly increasing tuples of int: nothing to do.
+        # Generators emit a 1-tuple of int or a strictly increasing tuple
+        # of int: nothing to do.
         if not (
             type(dests) is tuple
-            and set(map(type, dests)) == {int}
-            and all(map(lt, dests, dests[1:]))
+            and (
+                type(dests[0]) is int
+                if len(dests) == 1
+                else set(map(type, dests)) == {int} and all(map(lt, dests, dests[1:]))
+            )
         ):
             dests = tuple(sorted(set(int(d) for d in dests)))
-            object.__setattr__(self, "destinations", dests)
         if dests[0] < 0:
             raise TrafficError(f"negative destination in {dests}")
-        if self.input_port < 0:
-            raise TrafficError(f"negative input port {self.input_port}")
-        if self.arrival_slot < 0:
-            raise TrafficError(f"negative arrival slot {self.arrival_slot}")
-        if self.priority < 0:
-            raise TrafficError(f"negative priority {self.priority}")
+        if input_port < 0:
+            raise TrafficError(f"negative input port {input_port}")
+        if arrival_slot < 0:
+            raise TrafficError(f"negative arrival slot {arrival_slot}")
+        if priority < 0:
+            raise TrafficError(f"negative priority {priority}")
+        _set_input_port(self, input_port)
+        _set_destinations(self, dests)
+        _set_arrival_slot(self, arrival_slot)
+        _set_packet_id(self, packet_id)
+        _set_priority(self, priority)
 
     @property
     def fanout(self) -> int:
@@ -90,6 +109,13 @@ class Packet:
     def destination_mask(self) -> int:
         """The fanout set as an integer bitmask (bit j <=> output j)."""
         return bitmask_from_iterable(self.destinations)
+
+
+_set_input_port = Packet.input_port.__set__  # type: ignore[attr-defined]
+_set_destinations = Packet.destinations.__set__  # type: ignore[attr-defined]
+_set_arrival_slot = Packet.arrival_slot.__set__  # type: ignore[attr-defined]
+_set_packet_id = Packet.packet_id.__set__  # type: ignore[attr-defined]
+_set_priority = Packet.priority.__set__  # type: ignore[attr-defined]
 
 
 class Delivery(NamedTuple):

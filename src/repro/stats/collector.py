@@ -58,22 +58,24 @@ class StatsCollector:
         dropped_packets = 0
         arrived_cells = 0
         arrived_packets = 0
+        register = self.delay.on_arrival
+        multicast = self.multicast
         for pkt in arrivals:
             if pkt is None:
                 continue
+            fanout = len(pkt.destinations)
             arrived_packets += 1
-            arrived_cells += pkt.fanout
-            if dropped_ids is not None and pkt.packet_id in dropped_ids:
+            arrived_cells += fanout
+            pid = pkt.packet_id
+            if dropped_ids is not None and pid in dropped_ids:
                 dropped_packets += 1
-                dropped_cells += pkt.fanout
+                dropped_cells += fanout
                 continue
-            self.delay.on_arrival(pkt.packet_id, pkt.arrival_slot, pkt.fanout)
-            if self.multicast is not None:
-                self.multicast.on_arrival(
-                    pkt.packet_id, pkt.arrival_slot, pkt.fanout
-                )
+            register(pid, pkt.arrival_slot, fanout)
+            if multicast is not None:
+                multicast.on_arrival(pid, pkt.arrival_slot, fanout)
         self.delay.on_rows(result.rows, slot)
-        multicast, histogram = self.multicast, self.delay_histogram
+        histogram = self.delay_histogram
         if multicast is not None and histogram is not None:
             for packet, mask in result.rows:
                 n = mask.bit_count()

@@ -15,7 +15,6 @@ steady-state packet population (DESIGN.md §5, convention 3 and 4).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.packet import Delivery, Packet
@@ -23,20 +22,13 @@ from repro.packet import Delivery, Packet
 __all__ = ["DelayTracker"]
 
 
-@dataclass(slots=True)
-class _Pending:
-    arrival_slot: int
-    fanout: int
-    delivered: int
-    max_service: int
-
-
 class DelayTracker:
     """Accumulates per-delivery and per-packet delay statistics."""
 
     def __init__(self, warmup_slot: int = 0) -> None:
         self.warmup_slot = warmup_slot
-        self._pending: dict[int, _Pending] = {}
+        # packet_id -> [arrival_slot, fanout, delivered, max_service]
+        self._pending: dict[int, list[int]] = {}
         # Output-oriented accumulators (per delivery).
         self.delivery_count = 0
         self.delivery_delay_sum = 0
@@ -52,11 +44,9 @@ class DelayTracker:
     # ------------------------------------------------------------------ #
     def on_arrival(self, packet_id: int, arrival_slot: int, fanout: int) -> None:
         """Register an accepted packet (every packet, warmup included)."""
-        if packet_id in self._pending:
+        entry = [arrival_slot, fanout, 0, -1]
+        if self._pending.setdefault(packet_id, entry) is not entry:
             raise SimulationError(f"packet {packet_id} registered twice")
-        self._pending[packet_id] = _Pending(
-            arrival_slot=arrival_slot, fanout=fanout, delivered=0, max_service=-1
-        )
 
     def on_delivery(self, delivery: Delivery) -> None:
         """Record one (packet, output) service."""
@@ -67,6 +57,7 @@ class DelayTracker:
         """Record a slot's services, one ``(packet, output_mask)`` row per
         grant: ``n`` outputs add ``n`` deliveries and ``n * d``, ``n * d * d``."""
         pending = self._pending
+        warmup = self.warmup_slot
         for packet, mask in rows:
             n = mask.bit_count()
             self.total_deliveries += n
@@ -74,35 +65,37 @@ class DelayTracker:
             entry = pending.get(pid)
             if entry is None:
                 raise SimulationError(f"delivery for unregistered packet {pid}")
-            if slot < entry.arrival_slot:
+            arrival, fanout, delivered, max_service = entry
+            if slot < arrival:
                 raise SimulationError(
-                    f"packet {pid} served at {slot} "
-                    f"before arrival {entry.arrival_slot}"
+                    f"packet {pid} served at {slot} before arrival {arrival}"
                 )
-            entry.delivered += n
-            if slot > entry.max_service:
-                entry.max_service = slot
-            counted = entry.arrival_slot >= self.warmup_slot
+            delivered += n
+            if slot > max_service:
+                max_service = entry[3] = slot
+            counted = arrival >= warmup
             if counted:
-                d = slot - packet.arrival_slot + 1
+                d = slot - arrival + 1
                 self.delivery_count += n
                 self.delivery_delay_sum += n * d
                 self.delivery_delay_sq_sum += n * d * d
                 if d > self.max_delivery_delay:
                     self.max_delivery_delay = d
-            if entry.delivered == entry.fanout:
+            if delivered == fanout:
                 del pending[pid]
                 if counted:
-                    d = entry.max_service - entry.arrival_slot + 1
+                    d = max_service - arrival + 1
                     self.packet_count += 1
                     self.packet_delay_sum += d
                     if d > self.max_packet_delay:
                         self.max_packet_delay = d
-            elif entry.delivered > entry.fanout:
-                raise SimulationError(
-                    f"packet {pid} over-delivered "
-                    f"({entry.delivered} > fanout {entry.fanout})"
-                )
+            else:
+                entry[2] = delivered
+                if delivered > fanout:
+                    raise SimulationError(
+                        f"packet {pid} over-delivered "
+                        f"({delivered} > fanout {fanout})"
+                    )
 
     # ------------------------------------------------------------------ #
     @property
@@ -134,4 +127,4 @@ class DelayTracker:
 
     def pending_cells(self) -> int:
         """Undelivered (packet, destination) pairs (backlog in cells)."""
-        return sum(e.fanout - e.delivered for e in self._pending.values())
+        return sum(e[1] - e[2] for e in self._pending.values())

@@ -16,20 +16,10 @@ over the greedy pointer scheduler on the identical queue structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import SimulationError
 from repro.packet import Packet
 
 __all__ = ["MulticastServiceTracker"]
-
-
-@dataclass(slots=True)
-class _Open:
-    arrival_slot: int
-    fanout: int
-    delivered: int
-    slots: set
 
 
 class MulticastServiceTracker:
@@ -37,7 +27,8 @@ class MulticastServiceTracker:
 
     def __init__(self, warmup_slot: int = 0) -> None:
         self.warmup_slot = warmup_slot
-        self._open: dict[int, _Open] = {}
+        # packet_id -> [arrival_slot, fanout, delivered, service slots]
+        self._open: dict[int, list] = {}
         # Completed multicast packets only (fanout >= 2).
         self.completed = 0
         self.split_packets = 0
@@ -49,9 +40,9 @@ class MulticastServiceTracker:
     # ------------------------------------------------------------------ #
     def on_arrival(self, packet_id: int, arrival_slot: int, fanout: int) -> None:
         """Register an accepted packet for service-slot tracking."""
-        if packet_id in self._open:
+        entry = [arrival_slot, fanout, 0, set()]
+        if self._open.setdefault(packet_id, entry) is not entry:
             raise SimulationError(f"packet {packet_id} registered twice")
-        self._open[packet_id] = _Open(arrival_slot, fanout, 0, set())
 
     def on_service(self, packet: Packet, n: int, slot: int) -> None:
         """Record ``n`` copies served in ``slot``; finalizes a completed packet."""
@@ -59,17 +50,17 @@ class MulticastServiceTracker:
         entry = self._open.get(pid)
         if entry is None:
             raise SimulationError(f"delivery for unknown packet {pid}")
-        entry.delivered += n
-        entry.slots.add(slot)
-        if entry.delivered == entry.fanout:
-            counted = entry.arrival_slot >= self.warmup_slot
-            slots_used = len(entry.slots)
+        arrival, fanout, delivered, slots = entry
+        entry[2] = delivered = delivered + n
+        slots.add(slot)
+        if delivered == fanout:
             del self._open[pid]
-            if not counted:
+            if arrival < self.warmup_slot:
                 return
-            if entry.fanout == 1:
+            if fanout == 1:
                 self.completed_unicast += 1
                 return
+            slots_used = len(slots)
             self.completed += 1
             self.service_slots_sum += slots_used
             if slots_used > 1:

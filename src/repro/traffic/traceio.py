@@ -71,7 +71,10 @@ def load_trace(path: str | Path) -> tuple[int, list[Packet]]:
             raise TrafficError(
                 f"{path}: unsupported trace version {header[_HEADER_KEY]}"
             )
-        num_ports = int(header["num_ports"])
+        try:
+            num_ports = int(header["num_ports"])
+        except (KeyError, ValueError, TypeError) as exc:
+            raise TrafficError(f"{path}: bad num_ports in header ({exc!r})") from None
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -86,7 +89,7 @@ def load_trace(path: str | Path) -> tuple[int, list[Packet]]:
                         priority=int(rec.get("priority", 0)),
                     )
                 )
-            except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+            except (KeyError, ValueError, TypeError, TrafficError) as exc:
                 raise TrafficError(f"{path}:{line_no}: bad record ({exc})") from None
     declared = header.get("packets")
     if declared is not None and declared != len(packets):

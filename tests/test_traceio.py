@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -136,6 +137,33 @@ class TestErrorHandling:
             + '\n{"slot": 0}\n'
         )
         with pytest.raises(TrafficError, match=":2"):
+            load_trace(p)
+
+    @pytest.mark.parametrize(
+        "header",
+        [{"repro-trace": 1}, {"repro-trace": 1, "num_ports": "eight"}],
+        ids=["missing", "not-an-int"],
+    )
+    def test_bad_num_ports(self, tmp_path, header):
+        p = tmp_path / "ports.jsonl"
+        p.write_text(json.dumps(header) + "\n")
+        with pytest.raises(TrafficError, match="num_ports"):
+            load_trace(p)
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"slot": 0, "input": 0, "dests": []}, {"slot": -1, "input": 0, "dests": [1]}],
+        ids=["no-dests", "negative-slot"],
+    )
+    def test_record_packet_rejects_names_its_line(self, tmp_path, record):
+        p = tmp_path / "rec.jsonl"
+        p.write_text(
+            json.dumps({"repro-trace": 1, "num_ports": 4, "packets": 1})
+            + "\n"
+            + json.dumps(record)
+            + "\n"
+        )
+        with pytest.raises(TrafficError, match=re.escape(f"{p}:2: bad record")):
             load_trace(p)
 
     def test_count_mismatch(self, tmp_path):
