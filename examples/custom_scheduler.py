@@ -53,8 +53,8 @@ class LQFMulticastScheduler:
         free_out = sum(
             1 << j for j in range(n) if output_free is None or output_free[j]
         )
-        # Weight = total address cells an input holds (its occupancy row).
-        weight = [sum(row) for row in state.occupancy]
+        # Weight = total address cells an input holds (its VOQ lengths).
+        weight = [sum(map(len, row)) for row in state.voq_pids]
         granted: dict[int, int] = {}  # input -> bitmask of outputs won
         while True:
             # Request: each free input offers its oldest HOL packet's

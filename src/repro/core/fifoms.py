@@ -27,6 +27,7 @@ capability the algorithm is designed to exploit.
 from __future__ import annotations
 
 import enum
+from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.state import SwitchState
 
 __all__ = ["FIFOMSScheduler", "TieBreak"]
+
+_BATCHED_DRAWS = 8  # fewer clashed outputs draw cheaper one by one (break-even ~5)
 
 
 class TieBreak(enum.Enum):
@@ -138,11 +141,9 @@ class FIFOMSScheduler:
             output_free is not None and len(output_free) != n
         ):
             raise ConfigurationError("port masks must have length N")
-        contenders = [
-            i
-            for i, pids in enumerate(state.hol_pids)
-            if pids and (input_free is None or input_free[i])
-        ]
+        contenders = list(compress(range(n), state.hol_pids))  # inputs with HOL packets
+        if input_free is not None:
+            contenders = [i for i in contenders if input_free[i]]
         if output_free is None:
             free_out = (1 << n) - 1
         else:
@@ -167,9 +168,9 @@ class FIFOMSScheduler:
     ) -> ScheduleDecision:
         """The request/grant rounds over the HOL-packet index.
 
-        Request: each still-free input asks
-        :meth:`~repro.kernel.state.SwitchState.hol_request` for its
-        oldest packet with a HOL cell at a free output — one
+        Request: each still-free input offers its oldest packet with a
+        HOL cell at a free output, read off the index as
+        :meth:`~repro.kernel.state.SwitchState.hol_request` does — one
         ``(timestamp, input, output bitmask)`` triple. Grant: the triples
         are walked oldest first; a request keeps the outputs no strictly
         older request asked for, and an output wanted by several inputs
@@ -181,21 +182,26 @@ class FIFOMSScheduler:
         Tie-breaks see the same winner lists (ascending input) at the
         same outputs in the same order (ascending within the round) as
         a per-output walk of Table 2, so RNG draws and round-robin
-        pointer movement are bit-identical — the equivalence harness
-        holds this method to the reference (:mod:`repro.verify.reference`).
+        pointer movement are bit-identical; under RANDOM, a round with
+        ``_BATCHED_DRAWS`` or more clashed outputs draws them all in one
+        ``rng.integers(0, sizes)``, the same stream as one scalar draw
+        per output. The equivalence harness holds this method to the
+        reference (:mod:`repro.verify.reference`).
         """
         decision = ScheduleDecision()
         granted: dict[int, int] = {}  # input -> bitmask of outputs won
-        hol_request = state.hol_request
+        p_ts, p_hol, hol_pids = state.p_ts, state.p_hol, state.hol_pids
         max_it = self.max_iterations
         rounds = 0
         while contenders and (max_it is None or rounds < max_it):
             # Request step: one triple per input with an eligible packet.
             requests = []
             for i in contenders:
-                request = hol_request(i, free_out)
-                if request is not None:
-                    requests.append(request)
+                for pid in hol_pids[i]:
+                    mask = p_hol[pid] & free_out
+                    if mask:
+                        requests.append((p_ts[pid], i, mask))
+                        break
             if not requests:
                 break
             decision.requests_made = True
@@ -237,8 +243,14 @@ class FIFOMSScheduler:
                         low = clash & -clash
                         clash ^= low
                         rivals.setdefault(low, []).append(i)
-                for low in sorted(rivals):
-                    winner = self._pick(rivals[low], low.bit_length() - 1)
+                ties = sorted(rivals.items())
+                if len(ties) >= _BATCHED_DRAWS and self.tie_break is TieBreak.RANDOM:
+                    # Every list here has two or more rivals.
+                    picks = self._rng.integers(0, [len(who) for _, who in ties])
+                    winners = [who[k] for (_, who), k in zip(ties, picks.tolist())]
+                else:
+                    winners = [self._pick(who, low.bit_length() - 1) for low, who in ties]
+                for (low, _), winner in zip(ties, winners):
                     granted[winner] = granted.get(winner, 0) | low
             taken = older | same
             free_out &= ~taken
@@ -249,7 +261,7 @@ class FIFOMSScheduler:
         decision.rounds = rounds
         # Ascending input order: the canonical order commit and the
         # delivery stream depend on.
-        decision.masks = dict(sorted(granted.items()))
+        decision.masks = {i: granted[i] for i in sorted(granted)}
         return decision
 
     def _schedule_state_no_split(

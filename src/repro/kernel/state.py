@@ -18,10 +18,14 @@ read:
   that packet's address cell is *at the head* of its VOQ. ``admit`` sets
   the bits of the destination VOQs that were empty; ``serve`` clears the
   served bits and sets the bit of each popped VOQ's new head.
+  :meth:`~SwitchState.serve_rows` walks a whole slot's ``(input, mask)``
+  grants in one loop; :meth:`~SwitchState.serve` is one grant of it.
 * ``hol_pids``    — N lists, each input's *HOL packets* — the pids with
   a non-zero ``p_hol`` — oldest first. At most N per input however long
   the queues grow, so a request lookup never walks a backlog.
-* ``occupancy``   — N lists of N ints, queued address cells per VOQ.
+* ``nonempty``    — N int bitmasks of the non-empty VOQs: ``admit`` ORs in
+  the destination mask ``dmask`` (the HOL bits are ``dmask & ~nonempty[i]``),
+  ``serve`` clears the bits of the VOQs it empties.
 * ``packets`` / ``p_fanout`` / ``p_ts`` — per pid, the
   :class:`~repro.packet.Packet`, the paper's fanout counter and the
   timestamp. A released pid goes onto ``free_pids`` and is handed to a
@@ -57,6 +61,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -84,7 +89,7 @@ class SwitchState:
         "num_ports",
         "capacity",
         "on_overflow",
-        "occupancy",
+        "nonempty",
         "row_peak", "seen_allocated", "grown_rows",
         "voq_pids",
         "hol_pids",
@@ -121,7 +126,8 @@ class SwitchState:
         self.num_ports = n
         self.capacity = buffer_capacity
         self.on_overflow = buffer_overflow
-        self.occupancy: list[list[int]] = [[0] * n for _ in range(n)]
+        #: Per input: bitmask of its non-empty VOQs.
+        self.nonempty: list[int] = [0] * n
         #: Per input as of slot_stats(): a bound on its largest VOQ count.
         self.row_peak: list[int] = [0] * n
         self.seen_allocated: list[int] = [0] * n
@@ -177,7 +183,6 @@ class SwitchState:
                 f"data-cell buffer overflow: capacity {self.capacity} reached"
             )
         destinations = packet.destinations
-        occ = self.occupancy[i]
         row = self.voq_pids[i]
         if self.free_pids:
             pid = self.free_pids.pop()
@@ -189,13 +194,13 @@ class SwitchState:
             self.p_fanout.append(0)
             self.p_ts.append(0)
             self.p_hol.append(0)
-        hol = 0
+        dmask = 0
         for j in destinations:
-            dq = row[j]
-            if not dq:
-                hol |= 1 << j
-            dq.append(pid)
-            occ[j] += 1
+            dmask |= 1 << j
+            row[j].append(pid)
+        nonempty = self.nonempty
+        hol = dmask & ~nonempty[i]
+        nonempty[i] |= dmask
         self.grown_rows |= 1 << i
         self.packets[pid] = packet
         self.p_fanout[pid] = len(destinations)
@@ -212,70 +217,91 @@ class SwitchState:
         return True
 
     def serve(self, input_port: int, mask: int) -> tuple[Packet, bool]:
-        """Pop the HOL placeholder of each VOQ in the output bitmask
-        ``mask`` and decrement the packet's fanout counter
-        (post-transmission processing).
+        """:meth:`serve_rows` over one grant; returns the served packet and
+        whether its buffer space was reclaimed (fanout counter hit zero)."""
+        rows: list[tuple[Packet, int]] = []
+        released = self.serve_rows(((input_port, mask),), rows.append)
+        return rows[0][0], released == 1
 
-        All granted heads must carry one pid — the paper's "one data cell
-        per input per slot" invariant — otherwise
-        :class:`~repro.errors.SchedulingError` is raised. Returns the
-        served packet and whether its buffer space was reclaimed (fanout
-        counter hit zero).
+    def serve_rows(
+        self,
+        grants: Iterable[tuple[int, int]],
+        append: Callable[[tuple[Packet, int]], object],
+    ) -> int:
+        """Post-transmission processing of a slot's ``(input, mask)``
+        grants, in order: pop the HOL placeholder of each VOQ in the
+        output bitmask, hand the HOL bits to the new heads, decrement the
+        packet's fanout counter and ``append((packet, mask))``.
+
+        All granted heads of one input must carry one pid — the paper's
+        "one data cell per input per slot" invariant — otherwise
+        :class:`~repro.errors.SchedulingError` is raised. Returns how many
+        packets were released (fanout counter hit zero). ``backlog`` and
+        ``residue`` are written back once, also when a grant raises.
         """
-        i = input_port
-        row = self.voq_pids[i]
-        occ = self.occupancy[i]
-        p_hol = self.p_hol
-        heading = self.hol_pids[i]
-        pid = -1
-        bits = mask
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            j = bit.bit_length() - 1
-            dq = row[j]
-            if not dq:
-                raise SchedulingError(f"grant for empty VOQ ({i}, {j})")
-            p = dq.popleft()
-            if pid < 0:
-                pid = p
-            elif p != pid:
-                raise SchedulingError(
-                    f"input {i} granted two distinct data cells in one slot "
-                    f"(pids {pid} and {p})"
-                )
-            occ[j] -= 1
-            if dq:
-                head = dq[0]
-                if not p_hol[head]:
-                    # Its first VOQ head: it joins the HOL packets at its
-                    # place in arrival order.
-                    insort(heading, head, key=self.p_ts.__getitem__)
-                p_hol[head] |= bit
-        p_hol[pid] &= ~mask
-        if not p_hol[pid]:
-            heading.remove(pid)
-        served = mask.bit_count()
-        before = self.p_fanout[pid]
-        remaining = before - served
-        if remaining < 0:
-            raise BufferError_(f"fanout_counter underflow for pid {pid} at input {i}")
-        self.p_fanout[pid] = remaining
-        self.backlog -= served
-        packet = self.packets[pid]
-        assert packet is not None
-        was_residue = before < packet.fanout
-        released = remaining == 0
-        if released:
-            if was_residue:
-                self.residue -= 1
-            self.live[i] -= 1
-            self.released_total[i] += 1
-            self.packets[pid] = None  # the pool slot is reclaimed
-            self.free_pids.append(pid)
-        elif not was_residue:
-            self.residue += 1
-        return packet, released
+        voq_pids, hol_pids, nonempty = self.voq_pids, self.hol_pids, self.nonempty
+        p_hol, p_ts, p_fanout = self.p_hol, self.p_ts, self.p_fanout
+        packets, live, free_pids = self.packets, self.live, self.free_pids
+        backlog, residue = self.backlog, self.residue
+        reclaimed = 0
+        try:
+            for i, mask in grants:
+                row = voq_pids[i]
+                heading = hol_pids[i]
+                pid = -1
+                kept = 0  # the granted VOQs a cell is left in
+                bits = mask
+                while bits:
+                    bit = bits & -bits
+                    bits ^= bit
+                    j = bit.bit_length() - 1
+                    dq = row[j]
+                    if not dq:
+                        raise SchedulingError(f"grant for empty VOQ ({i}, {j})")
+                    p = dq.popleft()
+                    if pid < 0:
+                        pid = p
+                    elif p != pid:
+                        raise SchedulingError(
+                            f"input {i} granted two distinct data cells in one slot "
+                            f"(pids {pid} and {p})"
+                        )
+                    if dq:
+                        head = dq[0]
+                        if not p_hol[head]:
+                            # Its first VOQ head: it joins the HOL packets at
+                            # its place in arrival order.
+                            insort(heading, head, key=p_ts.__getitem__)
+                        p_hol[head] |= bit
+                        kept |= bit
+                nonempty[i] &= ~mask | kept
+                p_hol[pid] &= ~mask
+                if not p_hol[pid]:
+                    heading.remove(pid)
+                served = mask.bit_count()
+                before = p_fanout[pid]
+                remaining = before - served
+                if remaining < 0:
+                    raise BufferError_(f"fanout_counter underflow for pid {pid} at input {i}")
+                p_fanout[pid] = remaining
+                backlog -= served
+                packet = packets[pid]
+                assert packet is not None
+                was_residue = before < len(packet.destinations)
+                if remaining == 0:
+                    if was_residue:
+                        residue -= 1
+                    live[i] -= 1
+                    self.released_total[i] += 1
+                    packets[pid] = None  # the pool slot is reclaimed
+                    free_pids.append(pid)
+                    reclaimed += 1
+                elif not was_residue:
+                    residue += 1
+                append((packet, mask))
+        finally:
+            self.backlog, self.residue = backlog, residue
+        return reclaimed
 
     # ------------------------------------------------------------------ #
     # The HOL-packet index, as the schedulers read it
@@ -328,7 +354,7 @@ class SwitchState:
         while True:
             peak = max(bounds)
             i = bounds.index(peak)
-            bounds[i] = max(self.occupancy[i])
+            bounds[i] = max(map(len, self.voq_pids[i]))
             if bounds[i] == peak:
                 break
         # An input's oldest live packet heads every VOQ it is still in,
@@ -348,7 +374,7 @@ class SwitchState:
 
     def check_invariants(self) -> None:
         """Deep consistency check, mirroring the reference model's checks:
-        occupancy/deque agreement, per-VOQ timestamp order, the
+        the non-empty masks against the deques, per-VOQ timestamp order, the
         HOL-packet index against the VOQ heads (``p_hol`` names exactly
         the VOQs each queued pid heads, ``hol_pids`` exactly the heading
         pids in arrival order), fanout-counter conservation, live counts,
@@ -360,11 +386,11 @@ class SwitchState:
         for i in range(n):
             queued: dict[int, int] = {}  # pid -> placeholders queued
             heads: dict[int, int] = {}  # pid -> bitmask of VOQs it heads
+            occupied = 0
             for j in range(n):
                 dq = self.voq_pids[i][j]
-                if len(dq) != self.occupancy[i][j]:
-                    raise SchedulingError(f"occupancy drift at VOQ ({i}, {j})")
                 if dq:
+                    occupied |= 1 << j
                     heads[dq[0]] = heads.get(dq[0], 0) | 1 << j
                 prev = -1
                 for pid in dq:
@@ -375,6 +401,11 @@ class SwitchState:
                         )
                     prev = ts
                     queued[pid] = queued.get(pid, 0) + 1
+            if occupied != self.nonempty[i]:
+                raise SchedulingError(
+                    f"non-empty mask drift at input {i}: VOQs {occupied:#b} "
+                    f"hold cells but nonempty says {self.nonempty[i]:#b}"
+                )
             total_queued += sum(queued.values())
             if len(queued) != self.live[i]:
                 raise SchedulingError(
@@ -457,7 +488,9 @@ class SwitchState:
             )
         return {
             "hol_ts": hol_ts,
-            "occupancy": np.array(self.occupancy, dtype=np.int64),
+            "occupancy": np.array(
+                [list(map(len, row)) for row in self.voq_pids], dtype=np.int64
+            ),
             "live": np.array(self.live, dtype=np.int64),
             "fanout_counters": fanouts,
         }

@@ -7,10 +7,10 @@ goes through the scheduler's array entry point
 request/grant rounds over the state's HOL-packet index — one
 ``(timestamp, input, output bitmask)`` request per competing input,
 granted oldest first with int bit operations. Commit is one
-:meth:`SwitchState.serve` per grant (pop the heads, move the HOL bits,
-decrement the fanout counter), reading the grant's output mask as the
-scheduler left it (docs/kernel.md, "The grant is a mask from round to
-commit").
+:meth:`SwitchState.serve_rows` loop over the slot's grants (pop the
+heads, move the HOL bits, decrement the fanout counter), reading each
+grant's output mask as the scheduler left it (docs/kernel.md, "The grant
+is a mask from round to commit").
 
 Bit-exactness contract: every RNG draw, tie-break, and emission order
 matches the ``object`` backend — ``repro.kernel.equivalence`` enforces
@@ -74,20 +74,14 @@ class VectorizedBackend(KernelBackend):
         self, decision: ScheduleDecision, result: "SlotResult", slot: int
     ) -> None:
         """Post-transmission processing over the SoA state: one
-        :meth:`SwitchState.serve` per granted input pops the HOL
-        placeholders, hands their HOL bits to the new heads and
-        decrements the fanout counter in one subtract; one
+        :meth:`SwitchState.serve_rows` loop over the slot's grants pops
+        the HOL placeholders, hands their HOL bits to the new heads and
+        decrements each fanout counter in one subtract; one
         ``(packet, mask)`` row per grant."""
-        append = result.rows.append
         state = self.state
-        serve = state.serve
         backlog = state.backlog
-        reclaimed = 0
-        for input_port, mask in self.driver_row(decision):
-            packet, released = serve(input_port, mask)
-            reclaimed += released
-            append((packet, mask))
-        # serve() drops the backlog by one per copy it pops.
+        reclaimed = state.serve_rows(self.driver_row(decision), result.rows.append)
+        # serve_rows() drops the backlog by one per copy it pops.
         result.cells_delivered += backlog - state.backlog
         result.reclaimed += reclaimed
         result.splits += len(decision.masks) - reclaimed

@@ -45,7 +45,7 @@ _EMPTY: Tags = frozenset()
 #: the sanitizer's state cross-checks rely on.
 _PROTECTED_FIELDS = frozenset(
     {
-        "occupancy",
+        "nonempty",
         "voq_pids",
         "hol_pids",
         "live",
@@ -65,7 +65,7 @@ _PROTECTED_FIELDS = frozenset(
 
 #: State methods that mutate (the kernel backend's admission/service
 #: bookkeeping) — calling them from scheduler code is a seam breach.
-_STATE_MUTATORS = frozenset({"admit", "serve", "drop", "reset"})
+_STATE_MUTATORS = frozenset({"admit", "serve", "serve_rows", "drop", "reset"})
 
 #: ndarray methods that write through the receiver (list / deque / dict
 #: ones are ``_CONTAINER_MUTATORS``, shared with RACE001 below).

@@ -9,6 +9,7 @@ buffer space for an algorithm to work without loss of packets").
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import mul
 
 __all__ = ["OccupancyTracker"]
 
@@ -26,15 +27,15 @@ class OccupancyTracker:
 
     def on_slot(self, slot: int, queue_sizes: Sequence[int]) -> None:
         """Record the end-of-slot queue sizes."""
-        self._last_sizes = tuple(queue_sizes)
-        if slot < self.warmup_slot:
+        sizes = self._last_sizes = tuple(queue_sizes)
+        if slot < self.warmup_slot or not sizes:
             return
-        for s in queue_sizes:
-            self.samples += 1
-            self.size_sum += s
-            self.size_sq_sum += s * s
-            if s > self.max_size:
-                self.max_size = s
+        self.samples += len(sizes)
+        self.size_sum += sum(sizes)
+        self.size_sq_sum += sum(map(mul, sizes, sizes))
+        peak = max(sizes)
+        if peak > self.max_size:
+            self.max_size = peak
 
     # ------------------------------------------------------------------ #
     @property

@@ -81,7 +81,8 @@ class TestInfeasibleMatchings:
         class Evil:
             def schedule_state(self, state, *, input_free=None, output_free=None):
                 d = ScheduleDecision()
-                pending = [j for j, queued in enumerate(state.occupancy[0]) if queued]
+                occupancy = state.state_arrays()["occupancy"]
+                pending = [j for j, queued in enumerate(occupancy[0]) if queued]
                 if len(pending) >= 2:
                     d.add(0, tuple(pending))
                 return d

@@ -32,7 +32,7 @@ class TestAdmit:
         assert hol_ts[1, 0] == 5 and hol_ts[1, 2] == 5
         assert hol_ts[1, 1] == EMPTY_TS
         assert st.hol_pids[1] == [0] and st.p_hol[0] == 0b0101
-        assert st.occupancy[1] == [1, 0, 1, 0]
+        assert st.state_arrays()["occupancy"][1].tolist() == [1, 0, 1, 0]
         assert st.total_backlog() == 2
         assert st.queue_sizes() == [0, 1, 0, 0]
         st.check_invariants()
@@ -45,7 +45,7 @@ class TestAdmit:
         # The second packet queues behind the first: no HOL bit yet, so
         # it is not among the input's HOL packets.
         assert st.hol_pids[0] == [0] and st.p_hol[:2] == [0b1000, 0]
-        assert st.occupancy[0][3] == 2
+        assert st.state_arrays()["occupancy"][0, 3] == 2
         st.check_invariants()
 
     def test_capacity_drop_policy(self):
@@ -112,14 +112,78 @@ class TestServe:
         with pytest.raises(SchedulingError):
             st.serve(0, 0b0110)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=hs.sampled_from([2, 4, 70]),
+        ops=hs.lists(
+            hs.tuples(hs.booleans(), hs.integers(0, 69), hs.integers(1, 2**70 - 1)),
+            max_size=120,
+        ),
+    )
+    def test_serve_clears_a_bit_exactly_when_it_empties_a_voq(self, n, ops):
+        state = SwitchState(n)
+        everyone = (1 << n) - 1
+        for slot, (arrive, i, bits) in enumerate(ops):
+            i %= n
+            if arrive:
+                dests = [j for j in range(n) if bits >> j & 1] or [i]
+                before = state.nonempty[i]
+                state.admit(_pkt(i, dests, slot), slot)
+                assert state.nonempty[i] == before | sum(1 << j for j in dests)
+            elif (request := state.hol_request(i, everyone)) is not None:
+                mask = request[2] & bits or request[2]
+                before = state.nonempty[i]
+                state.serve(i, mask)
+                emptied = sum(
+                    1 << j
+                    for j in range(n)
+                    if mask >> j & 1 and not state.voq_pids[i][j]
+                )
+                assert state.nonempty[i] == before & ~emptied
+            state.check_invariants()
+
+    def test_serve_rows_is_a_serve_loop(self):
+        """One serve_rows call over a slot's grants leaves the state,
+        rows and reclaimed count of one serve per grant."""
+        script = [_pkt(0, (1, 2, 3), 0), _pkt(1, (0, 2), 0), _pkt(2, (3,), 0)]
+        grants = [(0, 0b0010), (1, 0b0101), (2, 0b1000)]
+        looped, batched = SwitchState(4), SwitchState(4)
+        for pkt in script:
+            looped.admit(pkt, 0)
+            batched.admit(pkt, 0)
+        served = [looped.serve(i, mask) for i, mask in grants]
+        rows: list = []
+        reclaimed = batched.serve_rows(grants, rows.append)
+        assert rows == [(packet, mask) for (packet, _), (_, mask) in zip(served, grants)]
+        assert reclaimed == sum(released for _, released in served) == 2
+        for name in SwitchState.__slots__:
+            assert getattr(batched, name) == getattr(looped, name), name
+        batched.check_invariants()
+
+    def test_serve_rows_keeps_counters_of_grants_served_before_a_fault(self):
+        """A grant that raises leaves the backlog and residue counters of
+        the grants served before it (the rows appended so far)."""
+        st = SwitchState(4)
+        st.admit(_pkt(0, (1, 2), 0), 0)
+        st.admit(_pkt(1, (3,), 0), 0)
+        rows: list = []
+        with pytest.raises(SchedulingError, match="empty VOQ"):
+            st.serve_rows([(0, 0b0010), (1, 0b0001)], rows.append)
+        assert [mask for _, mask in rows] == [0b0010]
+        assert st.total_backlog() == 2
+        assert st.residue == 1
+
 
 class TestIntegrity:
-    def test_check_invariants_catches_occupancy_drift(self):
-        st = SwitchState(4)
-        st.admit(_pkt(0, (1,), 0), 0)
-        st.occupancy[0][1] = 2
-        with pytest.raises(SchedulingError):
-            st.check_invariants()
+    def test_check_invariants_catches_nonempty_drift(self):
+        """Clearing the bit of a non-empty VOQ, or setting the bit of an
+        empty one, is caught."""
+        for bit in (0b0010, 0b0100):
+            st = SwitchState(4)
+            st.admit(_pkt(0, (1,), 0), 0)
+            st.nonempty[0] ^= bit
+            with pytest.raises(SchedulingError, match="non-empty mask drift"):
+                st.check_invariants()
 
     def test_check_invariants_catches_hol_drift(self):
         st = SwitchState(4)
@@ -180,7 +244,7 @@ class TestIntegrity:
         snap["hol_ts"][0, 1] = -1.0
         snap["occupancy"][0, 1] = 7
         assert _hol_ts(st)[0, 1] == 0
-        assert st.occupancy[0][1] == 1
+        assert st.state_arrays()["occupancy"][0, 1] == 1
         st.check_invariants()
 
 
@@ -210,8 +274,8 @@ class TestVoqPeak:
             if slot % every == 0:
                 for _ in range(1 + slot % 2):
                     peak = state.slot_stats()["voq_peak"]
-                    assert peak == max(map(max, state.occupancy))
-        assert state.slot_stats()["voq_peak"] == max(map(max, state.occupancy))
+                    assert peak == state.state_arrays()["occupancy"].max()
+        assert state.slot_stats()["voq_peak"] == state.state_arrays()["occupancy"].max()
 
 
 class TestPidPool:
@@ -311,11 +375,11 @@ class TestArrayLayout:
         attrs = {name: getattr(st, name) for name in SwitchState.__slots__}
         assert not any(isinstance(v, np.ndarray) for v in attrs.values())
         per_input = ("hol_pids", "live", "peak_live", "allocated_total",
-                     "released_total", "dropped_total", "occupancy", "voq_pids")
+                     "released_total", "dropped_total", "nonempty", "voq_pids")
         for name in per_input:
             assert type(attrs[name]) is list and len(attrs[name]) == n
         assert all(type(pids) is list for pids in st.hol_pids)
-        assert all(type(row) is list and len(row) == n for row in st.occupancy)
+        assert all(type(mask) is int for mask in st.nonempty)
         assert all(
             type(dq) is deque for row in st.voq_pids for dq in row
         ) and all(len(row) == n for row in st.voq_pids)

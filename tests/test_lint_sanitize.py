@@ -73,7 +73,7 @@ class TestSAN001StateSeamOwnership:
     def test_flags_inplace_array_mutation(self, tmp_path):
         src = """
             def schedule_state(state):
-                state.occupancy.fill(0)
+                state.nonempty.fill(0)
         """
         findings = lint_tree(tmp_path, {"repro/core/algo.py": src}, [self.RULE()])
         assert only_ids(findings) == ["SAN001"]

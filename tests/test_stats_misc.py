@@ -7,6 +7,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stats.convergence import ConvergenceTracker
 from repro.stats.occupancy import OccupancyTracker
@@ -37,6 +39,40 @@ class TestOccupancy:
 
     def test_nan_empty(self):
         assert math.isnan(OccupancyTracker().average_queue_size)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        warmup=st.integers(0, 6),
+        slots=st.lists(
+            # Few distinct sizes, so maxima repeat within and across slots.
+            st.lists(st.integers(0, 5) | st.integers(0, 10**6), max_size=12),
+            max_size=12,
+        ),
+    )
+    def test_matches_the_per_port_loop(self, warmup, slots):
+        """``on_slot`` keeps the exact ints of a per-port loop: empty
+        size lists, warmup slots and repeated maxima included."""
+        t = OccupancyTracker(warmup_slot=warmup)
+        samples = size_sum = size_sq_sum = max_size = 0
+        last: tuple[int, ...] = ()
+        for slot, sizes in enumerate(slots):
+            t.on_slot(slot, sizes)
+            last = tuple(sizes)
+            if slot >= warmup:
+                for s in sizes:
+                    samples += 1
+                    size_sum += s
+                    size_sq_sum += s * s
+                    if s > max_size:
+                        max_size = s
+            assert (t.samples, t.size_sum, t.size_sq_sum, t.max_size) == (
+                samples, size_sum, size_sq_sum, max_size
+            )
+            assert t.last_sizes == last
+            assert all(
+                type(v) is int
+                for v in (t.samples, t.size_sum, t.size_sq_sum, t.max_size)
+            )
 
 
 class TestConvergence:

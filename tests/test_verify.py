@@ -94,7 +94,7 @@ class TestViolationDetection:
 
             def schedule_state(self, state, *, input_free=None, output_free=None):
                 d = ScheduleDecision()
-                for i, row in enumerate(state.occupancy):
+                for i, row in enumerate(state.state_arrays()["occupancy"]):
                     if row[0]:
                         d.add(i, (0,))
                         d.requests_made = True
