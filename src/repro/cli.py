@@ -37,6 +37,7 @@ from repro.kernel.base import available_backends
 from repro.report.ascii import format_table
 from repro.report.export import write_csv, write_json
 from repro.schedulers.registry import available_schedulers
+from repro.sim.config import DEFAULT_SLOT_CHUNK
 from repro.sim.runner import TRAFFIC_MODELS, run_simulation
 from repro.stats.summary import SimulationSummary
 
@@ -107,9 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
         "greedy-mcast; every other algorithm has one body and ignores it)",
     )
     run_p.add_argument(
-        "--slot-chunk", type=int, default=1, metavar="K",
-        help="arrival vectors drawn ahead of the slots that consume them "
-        "(bit-identical for every K, in every mode)",
+        "--slot-chunk", type=int, default=DEFAULT_SLOT_CHUNK, metavar="K",
+        help="slots of arrivals drawn in one traffic call, ahead of the "
+        "slots that consume them (default: %(default)s; bit-identical "
+        "for every K, in every mode)",
     )
     run_p.add_argument(
         "--sanitize", action="store_true",

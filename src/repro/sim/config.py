@@ -17,6 +17,10 @@ __all__ = ["SimulationConfig"]
 #: The paper's simulation length.
 PAPER_NUM_SLOTS = 1_000_000
 
+#: Slots of arrivals the engine draws per traffic call unless told
+#: otherwise (``SimulationConfig.slot_chunk``).
+DEFAULT_SLOT_CHUNK = 64
+
 
 @dataclass(frozen=True, slots=True)
 class SimulationConfig:
@@ -46,11 +50,15 @@ class SimulationConfig:
         multicast fanout-splitting tracker; results land in
         ``SimulationSummary.extra``.
     slot_chunk:
-        Arrival vectors the engine draws from the traffic model ahead of
-        the slots that consume them (1, the default, draws each slot's
-        arrivals just before stepping it). The prefetch never crosses a
-        stability-window boundary, composes with faults, the sanitizer
-        and telemetry, and the slot stream is bit-identical for every K.
+        Slots of arrivals the engine draws from the traffic model in one
+        :meth:`~repro.traffic.base.TrafficModel.next_slots` call, ahead
+        of the slots that consume them (default 64; 1 draws each slot's
+        arrivals just before stepping it). Bernoulli traffic draws such
+        a window in a few capped block draws instead of one set per
+        slot. The prefetch never crosses a stability-window boundary or
+        the run's end, composes with faults, the sanitizer and
+        telemetry, and the slot stream — the traffic generator's final
+        state included — is bit-identical for every K.
     """
 
     num_slots: int = PAPER_NUM_SLOTS
@@ -60,7 +68,7 @@ class SimulationConfig:
     stability_growth_windows: int = 8
     raise_on_unstable: bool = False
     extended_stats: bool = False
-    slot_chunk: int = 1
+    slot_chunk: int = DEFAULT_SLOT_CHUNK
 
     def __post_init__(self) -> None:
         if self.num_slots < 1:

@@ -10,10 +10,12 @@ There is exactly one loop, in :meth:`SimulationEngine.run`. Per slot it
 does ``injector.advance`` (fault runs) → ``switch.step`` →
 ``collector.on_slot`` → the run's observers; the stability monitor is fed
 at every window boundary.
-``slot_chunk`` only sets how many arrival vectors are drawn ahead of the
-slots that consume them (same ``traffic.next_slot()`` call order, and
-traffic and ``faults.*`` are independent named RNG streams), so it
-composes with every mode and never changes a result.
+Arrivals are prefetched: one ``traffic.next_slots(k)`` call draws the
+next ``k <= slot_chunk`` slots (default 64), never past a stability-
+window boundary or the run's end. Any split into windows yields the same
+lanes and generator state, and traffic and ``faults.*`` are independent
+named RNG streams, so ``slot_chunk`` composes with every mode and never
+changes a result.
 
 Observers are built once per run from what is present, each a callable
 ``(slot, arrivals, result)``:
@@ -121,7 +123,7 @@ class SimulationEngine:
         telemetry = self.telemetry
         # Resolved here, not in __init__: callers may shadow these methods
         # on the instances between construction and run().
-        next_slot = self.traffic.next_slot
+        next_slots = self.traffic.next_slots
         step = switch.step
         queue_sizes = switch.queue_sizes
         on_slot = collector.on_slot
@@ -144,7 +146,7 @@ class SimulationEngine:
             observers.append(slot_telemetry.on_slot)
             if telemetry.profiler.enabled:
                 timed = telemetry.profiler.timed
-                next_slot = timed("traffic_gen", next_slot)
+                next_slots = timed("traffic_gen", next_slots)
                 step = timed("schedule", step)
                 queue_sizes = timed("stats", queue_sizes)
                 on_slot = timed("stats", on_slot)
@@ -159,10 +161,9 @@ class SimulationEngine:
         ahead: deque = deque()  # arrival vectors drawn but not yet stepped
         for slot in range(total):
             if not ahead:
-                # Draw up to slot_chunk vectors, never past a stability-
-                # window boundary: a run that stops there must not have
-                # drawn arrivals for slots it never steps. (Comparisons,
-                # not min(): at the default slot_chunk=1 this is per slot.)
+                # Draw up to slot_chunk slots in one call, never past a
+                # stability-window boundary: a run that stops there must
+                # not have drawn arrivals for slots it never steps.
                 stop = slot + chunk
                 if stop > total:
                     stop = total
@@ -170,8 +171,7 @@ class SimulationEngine:
                     boundary = slot - slot % window + window
                     if stop > boundary:
                         stop = boundary
-                for _ in range(slot, stop):
-                    ahead.append(next_slot())
+                ahead.extend(next_slots(stop - slot))
             arrivals = ahead.popleft()
             if injector is not None:
                 injector.advance(slot)

@@ -14,7 +14,7 @@ from typing import Any
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import Telemetry
 from repro.schedulers.registry import make_switch
-from repro.sim.config import SimulationConfig
+from repro.sim.config import DEFAULT_SLOT_CHUNK, SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.stats.summary import SimulationSummary
 from repro.traffic.base import TrafficModel
@@ -73,7 +73,7 @@ def run_simulation(
     *,
     num_slots: int = 100_000,
     warmup_fraction: float = 0.5,
-    slot_chunk: int = 1,
+    slot_chunk: int = DEFAULT_SLOT_CHUNK,
     seed: int | None = 0,
     config: SimulationConfig | None = None,
     extended_stats: bool = False,
@@ -87,7 +87,9 @@ def run_simulation(
     """Build switch + traffic + engine from plain values and run.
 
     Parameters mirror the registry/traffic specs; ``config`` overrides the
-    (num_slots, warmup_fraction, slot_chunk) shorthand when given. Determinism: the
+    (num_slots, warmup_fraction, slot_chunk) shorthand when given;
+    ``slot_chunk`` (default 64) is how many slots of arrivals the engine
+    draws per traffic call, and no value changes a result. Determinism: the
     ``seed`` spawns two independent named streams, one for the traffic
     model and one for scheduler tie-breaking; fault models draw from
     their own ``faults.*`` streams off the same root seed.

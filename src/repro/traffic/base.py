@@ -1,10 +1,12 @@
 """Abstract traffic model interface.
 
 A traffic model is a stateful generator: :meth:`TrafficModel.next_slot`
-is called exactly once per simulated slot, in order, and returns one
-arrival lane per input port (``None`` = no arrival). Models own their RNG
-stream so that a (model, seed) pair deterministically reproduces the same
-arrival sequence regardless of what the switch does with it.
+returns the next slot's arrival lanes, one per input port (``None`` = no
+arrival), and :meth:`TrafficModel.next_slots` the next ``k`` slots' at
+once; any mix of the two yields the same slots in order. Models own
+their RNG stream so that a (model, seed) pair deterministically
+reproduces the same arrival sequence regardless of what the switch does
+with it.
 """
 
 from __future__ import annotations
@@ -60,6 +62,15 @@ class TrafficModel(abc.ABC):
         slot = self._next_slot
         self._next_slot += 1
         return self._generate(slot)
+
+    def next_slots(self, k: int) -> list[list[Packet | None]]:
+        """Arrivals for the next ``k`` slots, in slot order.
+
+        The same lanes, counters and RNG state as ``k`` calls of
+        :meth:`next_slot`, which is what this default does; a model
+        overrides it only to draw a window in fewer calls.
+        """
+        return [self.next_slot() for _ in range(k)]
 
     def _arrivals(
         self, slot: int, inputs: list[int], dests: list[tuple[int, ...]]

@@ -84,6 +84,9 @@ def record_trace(model: TrafficModel, num_slots: int) -> list[Packet]:
     if num_slots < 0:
         raise TrafficError(f"num_slots must be >= 0, got {num_slots}")
     packets: list[Packet] = []
-    for _ in range(num_slots):
-        packets.extend(p for p in model.next_slot() if p is not None)
+    # Drawn in windows (same slots as one next_slot() call each), so a
+    # Bernoulli model pays a few block draws per 64 slots, not per slot.
+    for start in range(0, num_slots, 64):
+        for lanes in model.next_slots(min(64, num_slots - start)):
+            packets.extend(p for p in lanes if p is not None)
     return packets

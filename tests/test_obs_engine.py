@@ -163,6 +163,24 @@ class TestInstrumentedRun:
         for entry in report["phases"].values():
             assert entry["per_slot_us"] >= 0
 
+    def test_traffic_prefetch_is_charged_to_traffic_gen(self, monkeypatch):
+        """Bernoulli traffic is drawn one window per ``next_slots`` call
+        (it never calls ``next_slot`` under the engine): the profiler
+        times that call. With a clock that ticks once per read, every
+        timed call costs one tick, so ``traffic_gen`` counts the windows:
+        300 slots in 64-slot windows cut at the 100-slot stability
+        windows are six calls."""
+        monkeypatch.setattr(profiler_mod, "clock_ns", itertools.count().__next__)
+        tel = Telemetry(profile=True)
+        summary = run_simulation(
+            "fifoms", 4, TRAFFIC, num_slots=300, seed=7, telemetry=tel
+        )
+        report = tel.profiler.report(summary.slots_run)
+        assert list(report["phases"]) == [
+            "traffic_gen", "schedule", "stats", "invariants"
+        ]
+        assert tel.profiler.total_ns("traffic_gen") == 6
+
     def test_sanitizer_is_charged_to_invariants(self, monkeypatch):
         """A profiled, sanitized run times the sanitizer's per-slot call
         under ``invariants``. With a clock that ticks once per read, every

@@ -15,11 +15,15 @@ import json
 
 import pytest
 
+from repro.core.fifoms import FIFOMSScheduler
 from repro.errors import ConfigurationError
 from repro.obs import SlotTracer, Telemetry
 from repro.sanitize import SanitizerSuite
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimulationEngine
 from repro.sim.runner import run_simulation
+from repro.switch.voq_multicast import MulticastVOQSwitch
+from repro.traffic.bernoulli import BernoulliMulticastTraffic
 
 TRAFFIC = {"model": "bernoulli", "p": 0.4, "b": 0.3}
 CHUNKS = (1, 7, 64, 5000)
@@ -115,6 +119,32 @@ class TestChunkedEquivalence:
                 # stepped past the stop.
                 assert registry == base_registry, mode
                 assert trace == base_trace, mode
+
+    def test_early_stop_under_the_default_window(self):
+        """The default prefetch (64) never crosses a stability window
+        (150 here, not a multiple of 64): a run that stops there has
+        drawn exactly the slots it stepped, and its traffic generator
+        is where a slot_chunk=1 run leaves it."""
+
+        def run(**chunk):
+            traffic = BernoulliMulticastTraffic(8, p=0.95, b=0.9, rng=5)
+            switch = MulticastVOQSwitch(8, FIFOMSScheduler(8, rng=6))
+            cfg = SimulationConfig(
+                num_slots=4000, warmup_fraction=0.0,
+                stability_window=150, max_backlog=300, **chunk,
+            )
+            engine = SimulationEngine(switch, traffic, cfg)
+            return engine.run(), traffic
+
+        assert SimulationConfig().slot_chunk == 64
+        summary, traffic = run()
+        assert summary.unstable and summary.slots_run < 4000
+        assert summary.slots_run % 150 == 0
+        assert traffic.slots_generated == summary.slots_run
+        per_slot, traffic_1 = run(slot_chunk=1)
+        assert per_slot.to_json() == summary.to_json()
+        assert traffic.packets_generated == traffic_1.packets_generated
+        assert traffic.rng.bit_generator.state == traffic_1.rng.bit_generator.state
 
 
 class TestModeMatrix:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.errors import TrafficError
 from repro.packet import Packet
 from repro.traffic.base import binomial_destination_rows
-from repro.traffic.bernoulli import BernoulliMulticastTraffic
+from repro.traffic.bernoulli import BLOCK_DOUBLES, BernoulliMulticastTraffic
 from repro.traffic.burst import BurstMulticastTraffic
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.mixed import MixedTraffic
@@ -201,6 +201,111 @@ def test_destination_rows_match_one_row_redraws(seed, rows, n, b, min_hits):
     rng = np.random.default_rng(seed)
     assert binomial_destination_rows(rng, rows, n, b, min_hits) == expected
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# --------------------------------------------------------------------- #
+# Windows: next_slots(k) reads the same rows, whatever the split.
+# --------------------------------------------------------------------- #
+def _same_state(a, b) -> bool:
+    """Bit-generator states equal, array fields (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return bool(np.array_equal(a, b))
+    return a == b
+
+
+def _window_splits(total: int, window: int) -> list[int]:
+    return [window] * (total // window) + [total % window]
+
+
+def _assert_windows_identical(model, splits, oracle_rng, *, p, b) -> None:
+    """``next_slots`` over ``splits`` against the per-packet oracle: same
+    arrivals, counters and final bit-generator state."""
+    expected = oracle_bernoulli(oracle_rng, model.num_ports, sum(splits), p=p, b=b)
+    got: list[Arrival] = []
+    for k in splits:
+        first = model.slots_generated
+        window = model.next_slots(k)
+        assert len(window) == k
+        for slot, lanes in enumerate(window, first):
+            assert len(lanes) == model.num_ports
+            for i, pkt in enumerate(lanes):
+                if pkt is not None:
+                    assert (pkt.input_port, pkt.arrival_slot) == (i, slot)
+                    assert all(type(d) is int for d in pkt.destinations)
+                    got.append((slot, i, pkt.destinations))
+    assert got == expected
+    assert model.slots_generated == sum(splits)
+    assert model.packets_generated == len(expected)
+    assert model.cells_generated == sum(len(d) for _, _, d in expected)
+    assert _same_state(model.rng.bit_generator.state, oracle_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("window", (1, 7, 64, 100, 128))
+@pytest.mark.parametrize("n", (1, *PORTS))
+@pytest.mark.parametrize("p", ARRIVAL_PROBS)
+@pytest.mark.parametrize("b", (0.05, 0.5))
+def test_bernoulli_windows(window, n, p, b):
+    # b = 0.05 below N = 4 rejects most destination rows.
+    total = 24 if n == 256 else 150
+    model = BernoulliMulticastTraffic(n, p=p, b=b, rng=11)
+    _assert_windows_identical(
+        model, _window_splits(total, window), np.random.default_rng(11), p=p, b=b
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=20),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.02, max_value=1.0),
+    st.lists(st.integers(min_value=0, max_value=70), max_size=6),
+)
+def test_bernoulli_windows_any_split(seed, n, p, b, splits):
+    model = BernoulliMulticastTraffic(n, p=p, b=b, rng=seed)
+    _assert_windows_identical(
+        model, splits, np.random.default_rng(seed), p=p, b=b
+    )
+
+
+@pytest.mark.parametrize("n", (3, 16, 256))
+def test_bernoulli_windows_on_mt19937(n):
+    """The rewind restores and redraws; it assumes nothing about the bit
+    generator."""
+    model = BernoulliMulticastTraffic(
+        n, p=0.3, b=0.2, rng=np.random.Generator(np.random.MT19937(0))
+    )
+    _assert_windows_identical(
+        model, [1, 64, 7, 0, 28], np.random.Generator(np.random.MT19937(0)),
+        p=0.3, b=0.2,
+    )
+
+
+def test_bernoulli_window_draws_are_capped():
+    """A 64-slot window at N = 256 (the scale workload's traffic) is drawn
+    in several blocks, none over ``BLOCK_DOUBLES``: peak memory does not
+    grow with the window."""
+    n, p, b = 256, 0.0625, 0.05
+    model = BernoulliMulticastTraffic(n, p=p, b=b, rng=2004)
+    generator = model.rng
+    sizes: list[int] = []
+
+    class DrawSizes:
+        bit_generator = generator.bit_generator
+
+        def random(self, size=None, out=None):
+            drawn = generator.random(size, out=out)
+            sizes.append(drawn.size)
+            return drawn
+
+    model.rng = DrawSizes()
+    _assert_windows_identical(
+        model, [64, 64], np.random.default_rng(2004), p=p, b=b
+    )
+    assert len(sizes) > 2
+    assert max(sizes) <= BLOCK_DOUBLES
 
 
 # --------------------------------------------------------------------- #
