@@ -185,8 +185,8 @@ class FIFOMSScheduler:
         pointer movement are bit-identical; under RANDOM, a round with
         ``_BATCHED_DRAWS`` or more clashed outputs draws them all in one
         ``rng.integers(0, sizes)``, the same stream as one scalar draw
-        per output. The equivalence harness holds this method to the
-        reference (:mod:`repro.verify.reference`).
+        per output. :class:`~repro.verify.shadow.ReferenceShadow` holds
+        this method to the reference (:mod:`repro.verify.reference`).
         """
         decision = ScheduleDecision()
         granted: dict[int, int] = {}  # input -> bitmask of outputs won

@@ -64,11 +64,11 @@ class UnstableSimulationError(SimulationError):
 
 
 class EquivalenceError(SimulationError):
-    """Two kernel backends produced observably different behaviour.
+    """Production behaved observably differently from the reference.
 
-    Raised by :mod:`repro.kernel.equivalence` when the object and
-    vectorized backends disagree on any per-slot digest, the final
-    summary, or the final queue-state snapshot of a grid case.
+    Raised by :mod:`repro.kernel.equivalence` when a grid case's run
+    trips a sanitizer checker — the reference shadow at the first slot
+    whose decision, counters or queue state differ from the reference's.
     """
 
 

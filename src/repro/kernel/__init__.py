@@ -7,16 +7,16 @@ The kernel package separates *what* a multicast VOQ switch does each slot
   interface and the backend registry;
 * :mod:`repro.kernel.reference_backend` — the ``object`` kernel: the
   scheduler's settings run on the reference FIFOMS of
-  :mod:`repro.verify.reference` (the paper's address/data-cell objects);
+  :mod:`repro.verify.reference` by one ``repro.verify.shadow`` lane;
 * :mod:`repro.kernel.vectorized` — struct-of-arrays state
   (:class:`~repro.kernel.state.SwitchState`): integer packet ids, a
   recycled packet table and the HOL-packet index (per packet a bitmask
   of the VOQs it heads, per input its heading packets oldest first)
   that makes a request/grant round cost the competing HOL packets, not
   N² — no per-cell objects and no numpy call on the hot path;
-* :mod:`repro.kernel.equivalence` — the harness holding production to
-  the reference, bit for bit (import it explicitly; it pulls in the
-  simulation stack).
+* :mod:`repro.kernel.equivalence` — the grid holding production to
+  the reference, bit for bit, one shadowed run per case (import it
+  explicitly; it pulls in the simulation stack).
 
 Select a backend with ``MulticastVOQSwitch(..., backend="vectorized")``,
 ``run_simulation(..., backend=...)``, or ``repro run --backend ...``.

@@ -23,8 +23,8 @@ Two implementations register themselves here:
   ``AddressCell`` / ``DataCell`` objects exactly as the paper describes
   them, sharing no code with production (FIFOMS and greedy-mcast only).
 
-The two are interchangeable and bit-exact; ``repro.kernel.equivalence``
-is the harness that holds production to the reference.
+The two are interchangeable and bit-exact; ``repro.verify.shadow``
+holds production to the reference slot by slot, inside one run.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ class KernelBackend(ABC):
 
         Called by the *instrumented* engine loop after each ``step()`` so
         both kernels emit the same kernel-seam metric names and values
-        (``repro.kernel.equivalence`` compares the two registries). Keys
-        both built-in backends emit:
+        (:class:`~repro.verify.shadow.ReferenceShadow` compares them every
+        slot). Keys both built-in backends emit:
 
         * ``live_cells``    — live data cells across all inputs;
         * ``residue_cells`` — live data cells already partially served

@@ -13,8 +13,8 @@ grant's output mask as the scheduler left it (docs/kernel.md, "The grant
 is a mask from round to commit").
 
 Bit-exactness contract: every RNG draw, tie-break, and emission order
-matches the ``object`` backend — ``repro.kernel.equivalence`` enforces
-this across the scheduler × traffic × faults grid.
+matches the ``object`` backend — ``repro.verify.shadow`` enforces this
+slot by slot across the scheduler × traffic × faults grid.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Kernel hot-path independence rule (KB003).
 
-The equivalence grid holds the production kernel to the reference model
-(:mod:`repro.verify.reference`); it proves something only while the two
-share no code. The runtime import closure of ``repro.kernel.vectorized``
+The reference shadow (``repro.verify.shadow``) holds the production kernel
+to the reference model (:mod:`repro.verify.reference`); it proves something
+only while the two share no code. The runtime import closure of ``repro.kernel.vectorized``
 / ``state`` / ``base`` must not reach the reference — a direct import in
 a root, or a helper module slipped in between, or a relative import
 (``from ..verify.reference import …``), all land in the same closure
@@ -27,13 +27,13 @@ class KernelClosurePurityRule(Rule):
     rule_id = "KB003"
     title = "kernel hot path transitively imports the reference model"
     rationale = (
-        "The equivalence grid holds the production kernel to "
+        "The reference shadow holds the production kernel to "
         "repro.verify.reference, and proves something only while the two "
         "share no code; a hot-path module that imports the reference — "
         "directly, relatively, or through a helper module in between — "
         "would let one bug live on both sides of the comparison. The "
         "runtime import closure of the hot-path modules must stay clear "
-        "of it; only the 'object' kernel adapter bridges the two."
+        "of it; only the lane driver (repro.verify.shadow) bridges the two."
     )
 
     #: Hot-path roots whose closure must stay clear of the reference.
@@ -79,7 +79,7 @@ class KernelClosurePurityRule(Rule):
                     f"import closure of {root} reaches {target} "
                     f"(the reference model) via {via}; keep the hot "
                     "path independent of the reference (only the "
-                    "'object' kernel adapter may bridge)",
+                    "reference lane driver may bridge)",
                 )
 
     @staticmethod

@@ -177,7 +177,7 @@ class SlotObserver:
         # harvest_slot_stats() contract (both built-ins do) expose the
         # same keys regardless of representation, so object and
         # vectorized runs emit identical kernel.* series — the
-        # equivalence harness compares the registries to prove it. An
+        # reference shadow compares the counters every slot. An
         # empty probe dict means "no kernel seam" (e.g. a third-party
         # switch) and the block is skipped for the whole run.
         harvest = getattr(switch, "harvest_slot_stats", None)

@@ -143,7 +143,7 @@ class PriorityMulticastVOQSwitch(BaseSwitch):
         Sums live/residue cells, takes the worst per-class VOQ peak and
         the oldest HOL timestamp across classes — the same keys both
         kernel backends produce, so the ``kernel.*`` telemetry series and
-        the metrics-identical equivalence level cover this pairing too.
+        the reference shadow's per-slot check cover this pairing too.
         """
         live = 0
         residue = 0

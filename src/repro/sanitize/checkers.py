@@ -47,10 +47,9 @@ __all__ = [
 class RunContext:
     """What one sanitized run exposes to its checkers.
 
-    ``switch`` and ``injector`` are duck-typed on purpose — the engine
-    drives proxies (e.g. the equivalence harness's ``RecordingSwitch``)
-    through the same loop, and the checkers must see exactly what the
-    engine sees.
+    ``switch`` and ``injector`` are duck-typed on purpose: the checkers
+    read them through the public seams the engine uses, and see exactly
+    what the engine sees.
     """
 
     switch: Any

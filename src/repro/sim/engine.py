@@ -91,11 +91,6 @@ class SimulationEngine:
         self.config = config or SimulationConfig()
         self.seed = seed
         self.algorithm_name = algorithm_name or getattr(switch, "name", "unknown")
-        #: Kernel backend the switch is running on ("object" for switches
-        #: without a backend seam). Introspection only — deliberately kept
-        #: out of the summary so backend-equivalence comparisons stay
-        #: bit-identical.
-        self.backend = getattr(switch, "backend", "object")
         self.telemetry = telemetry
         #: Runtime sanitizer suite, or None. ``sanitize=None`` (default)
         #: consults ``$REPRO_SANITIZE`` so an entire test suite can run

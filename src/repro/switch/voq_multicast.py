@@ -22,9 +22,9 @@ scheduling through the scheduler's ``schedule_state`` entry point;
 :mod:`repro.verify.reference`, the paper's per-cell address/data-cell
 structures (:class:`~repro.kernel.reference_backend.ReferenceBackend`,
 FIFOMS and greedy-mcast only). Both produce bit-identical slot streams
-(``repro.kernel.equivalence``), and both hand the crossbar and their
-commit the decision's output masks unchanged (docs/kernel.md, "The
-grant is a mask from round to commit").
+(``repro.verify.shadow`` checks it slot by slot), and both hand the
+crossbar and their commit the decision's output masks unchanged
+(docs/kernel.md, "The grant is a mask from round to commit").
 
 Fault injection (optional): with a
 :class:`~repro.faults.injector.FaultInjector` attached, arrivals may be
@@ -99,6 +99,7 @@ class MulticastVOQSwitch(BaseSwitch):
             scheduler if scheduler is not None else FIFOMSScheduler(num_ports)
         )
         self.backend = resolve_backend(self.scheduler, backend)
+        self.buffer_capacity, self.buffer_overflow = buffer_capacity, buffer_overflow
         self._backend = make_backend(
             self.backend,
             num_ports,

@@ -13,11 +13,14 @@ loop every simulation uses, with a hard-fail
 The invariants checked are therefore exactly the sanitizer's catalogue
 (docs/sanitizers.md): conservation, matching validity, per-pair FIFO
 order, the switch's own ``check_invariants()`` with the kernel-seam
-cross-checks, and RNG isolation. The engine adds its collector's refusals
-(a delivery before its arrival, or for a packet never offered) and its
-end-of-run conservation audit. The harness owns only what no per-slot
-check can see: ``drain`` — everything delivered within
-``horizon + cells`` slots.
+cross-checks, and RNG isolation — plus, for the pairings the reference
+models (fifoms, fifoms-prio, greedy-mcast),
+:class:`~repro.verify.shadow.ReferenceShadow`: every slot's decision
+equal to the reference's, stepped in lockstep. The engine adds its
+collector's refusals (a delivery before its arrival, or for a packet
+never offered) and its end-of-run conservation audit. The harness owns
+only what no per-slot check can see: ``drain`` — everything delivered
+within ``horizon + cells`` slots.
 
 A :class:`Violation` records the first failure of a trace. Its ``kind``
 is the sanitizer checker's name, ``"drain"``, or ``"exception"`` for any
@@ -38,6 +41,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.traffic.trace import TraceTraffic
 from repro.utils.bitsets import bitmask_to_tuple
+from repro.verify.shadow import checkers_for
 
 __all__ = [
     "Violation",
@@ -102,7 +106,7 @@ def check_trace(
     # Built outside the try: an unknown algorithm or a bad switch option
     # is the caller's ConfigurationError, not a violation of the algorithm.
     switch = make_switch(report.algorithm, report.num_ports, rng=0, **switch_kwargs)
-    suite = SanitizerSuite(hard_fail=True, deep_every=1)
+    suite = SanitizerSuite(checkers=checkers_for(switch), hard_fail=True, deep_every=1)
     engine = SimulationEngine(
         switch,
         TraceTraffic(report.num_ports, packets),

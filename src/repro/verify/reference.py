@@ -55,17 +55,20 @@ class ReferenceFIFOMS:
 
     def preprocess(self, packet: Any, slot: int) -> bool:
         """Table 1; False when a full drop-tail buffer refuses the packet."""
-        i = packet.input_port
-        if self.capacity is not None and len(self.buffer[i]) >= self.capacity:
+        if self.full(packet.input_port):
             if self.overflow == "drop":
                 return False
             raise BufferError_(
                 f"data-cell buffer overflow: capacity {self.capacity} reached")
-        cell = DataCell(packet, len(packet.destinations))
+        i, cell = packet.input_port, DataCell(packet, len(packet.destinations))
         self.buffer[i][cell] = None
         for j in packet.destinations:
             self.voqs[i][j].append(AddressCell(slot, cell))
         return True
+
+    def full(self, i: int) -> bool:
+        """Whether input i's finite buffer holds ``capacity`` data cells."""
+        return self.capacity is not None and len(self.buffer[i]) >= self.capacity
 
     def _request(self, i: int, output_free: list[bool]) -> tuple[int, list[int]]:
         """Input i's oldest HOL time stamp at a free output, and those outputs."""

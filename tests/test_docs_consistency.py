@@ -148,8 +148,9 @@ PROSE = [
 #: one unicast VOQ bank replaced, the crossbar's driver-vector twin the
 #: grant masks replaced, the lint cache / baseline / SARIF layers the
 #: one lint pass replaced, the backend declarations that
-#: ``schedule_state`` replaced, and the per-cell object stack the
-#: reference model replaced. Only the history files may still name them
+#: ``schedule_state`` replaced, the per-cell object stack the
+#: reference model replaced, and the two-run proxy the reference shadow
+#: replaced. Only the history files may still name them
 #: (and the benchmark's own files, which only a benchmark change may
 #: edit, and this file, to forbid it).
 RETIRED = (
@@ -165,7 +166,7 @@ RETIRED = (
     "SwitchInvariantsRule", "SchedulerRegistryRule", "KernelHotPathImportRule",
     "RegistryBackendPairingRule", "InvariantCoverageRule", "ClassSymbol",
     "ObjectBackend", "soa_snapshot", "DataCellBuffer", "preprocess_packet",
-    "class_ports",
+    "class_ports", "RecordingSwitch",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",

@@ -192,7 +192,7 @@ class TestDefaultBackend:
             engine = SimulationEngine(
                 make_switch(name, 4), build_traffic(traffic, 4, rng=1), cfg
             )
-            assert engine.backend == built
+            assert engine.switch.backend == built
 
     @pytest.mark.parametrize("figure_id", ["fig4", "abl-split"])
     def test_run_figure_summaries_do_not_depend_on_the_backend(self, figure_id):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
-from repro.kernel.equivalence import RecordingSwitch, compare_summaries
+from repro.kernel.equivalence import compare_summaries, record_digests
 from repro.packet import Packet
 from repro.schedulers.registry import make_switch
 from repro.schedulers.islip import ISLIPScheduler
@@ -96,12 +96,12 @@ def test_fast_islip_bit_identical_on_any_trace(trace):
             UnicastVOQSwitch(n, make_scheduler(n)),
             CIOQSwitch(n, 1, make_scheduler(n)),
         ):
-            recorder = RecordingSwitch(switch)
+            digests = record_digests(switch)
             summary = SimulationEngine(
-                recorder, TraceTraffic(n, packets), cfg, algorithm_name="islip"
+                switch, TraceTraffic(n, packets), cfg, algorithm_name="islip"
             ).run()
             switch.check_invariants()
-            runs.append((summary, [digest[-2] for digest in recorder.digests]))
+            runs.append((summary, [digest[-2] for digest in digests]))
         (ref, ref_deliveries), (other, other_deliveries) = runs
         assert other_deliveries == ref_deliveries
         assert compare_summaries(ref, other) == []
@@ -176,8 +176,8 @@ def test_schedule_state_matches_schedule_on_random_queue_states(
         )
         for _ in range(2)
     )
-    obj.pointers = [rnd.randrange(n) for _ in range(n)]
-    fast._grant_pointers = list(obj.pointers)
+    obj.lane.pointers = [rnd.randrange(n) for _ in range(n)]
+    fast._grant_pointers = list(obj.lane.pointers)
     for slot in range(slots, slots + 3):
         in_mask = [rnd.random() < 0.7 for _ in range(n)] if mask_inputs else None
         out_mask = [rnd.random() < 0.7 for _ in range(n)] if mask_outputs else None
@@ -190,7 +190,7 @@ def test_schedule_state_matches_schedule_on_random_queue_states(
         assert got.round_grants == want.round_grants
         assert got.requests_made == want.requests_made
         assert (got_in, got_out) == (ref_in, ref_out)
-        assert fast._grant_pointers == obj.pointers
+        assert fast._grant_pointers == obj.lane.pointers
         assert (
             fast._rng.bit_generator.state == ref._rng.bit_generator.state
         )
