@@ -53,8 +53,12 @@ class LQFMulticastScheduler:
         free_out = sum(
             1 << j for j in range(n) if output_free is None or output_free[j]
         )
-        # Weight = total address cells an input holds (its VOQ lengths).
-        weight = [sum(map(len, row)) for row in state.voq_pids]
+        # Weight = total address cells an input holds (its VOQ lengths):
+        # one head per non-empty VOQ plus the cells queued behind them.
+        weight = [
+            state.nonempty[i].bit_count() + sum(map(len, state.behind[i].values()))
+            for i in range(n)
+        ]
         granted: dict[int, int] = {}  # input -> bitmask of outputs won
         while True:
             # Request: each free input offers its oldest HOL packet's

@@ -12,20 +12,31 @@ integer packet id (``pid``), and keeps next to it an incrementally
 maintained **HOL-packet index** — the only state the scheduling rounds
 read:
 
-* ``voq_pids``    — N×N deques of pids, the FIFO order of every VOQ (the
-  ground truth the index is derived from and checked against).
 * ``p_hol``       — per pid, a Python-int bitmask of the outputs where
-  that packet's address cell is *at the head* of its VOQ. ``admit`` sets
-  the bits of the destination VOQs that were empty; ``serve`` clears the
+  that packet's address cell is *at the head* of its VOQ. This is the
+  only place a VOQ's head lives: the scheduler reads nothing else (the
+  paper's rounds look at head address cells only). ``admit`` sets the
+  bits of the destination VOQs that were empty; ``serve`` clears the
   served bits and sets the bit of each popped VOQ's new head.
   :meth:`~SwitchState.serve_rows` walks a whole slot's ``(input, mask)``
   grants in one loop; :meth:`~SwitchState.serve` is one grant of it.
 * ``hol_pids``    — N lists, each input's *HOL packets* — the pids with
   a non-zero ``p_hol`` — oldest first. At most N per input however long
   the queues grow, so a request lookup never walks a backlog.
+* ``behind``      — N dicts ``{output: deque[pid]}``, the cells queued
+  *behind* each VOQ's head, oldest first. A deque exists only while its
+  VOQ holds two cells or more: ``admit`` creates it for the VOQ's second
+  cell, ``serve`` deletes it when the VOQ drains back to one. Nothing is
+  allocated per VOQ up front, so a 256-port state starts as 256 empty
+  dicts; at N = 256, b = 0.05 under load 0.8 about 5 of the ~580
+  non-empty VOQs have one.
+* ``deep``        — N int bitmasks of the outputs that have a ``behind``
+  deque: a grant pops a deque only for ``mask & deep[i]``.
 * ``nonempty``    — N int bitmasks of the non-empty VOQs: ``admit`` ORs in
-  the destination mask ``dmask`` (the HOL bits are ``dmask & ~nonempty[i]``),
-  ``serve`` clears the bits of the VOQs it empties.
+  the destination mask ``dmask`` (the HOL bits are ``dmask & ~nonempty[i]``,
+  the queued ones ``dmask & nonempty[i]``), ``serve`` clears the bits of
+  the VOQs it empties (``~mask | mask & deep[i]``). It equals the union
+  of the input's ``p_hol`` masks, which are disjoint.
 * ``packets`` / ``p_fanout`` / ``p_ts`` — per pid, the
   :class:`~repro.packet.Packet`, the paper's fanout counter and the
   timestamp. A released pid goes onto ``free_pids`` and is handed to a
@@ -46,12 +57,12 @@ packet of an input has every remaining cell at the head of its VOQ —
 nothing older is in front of it — so it is always ``hol_pids[i][0]``,
 and with all outputs free the lookup stops there.
 
-Every attribute is a plain Python scalar, list or deque: at these sizes
+Every attribute is a plain Python scalar, list, dict or deque: at these sizes
 per-entry numpy scalar indexing costs more than the int it updates.
 numpy appears only in the snapshot (:meth:`SwitchState.state_arrays`),
 where ``hol_ts`` — the (N, N) float64 matrix of head-of-line
-timestamps, ``+inf`` for an empty VOQ — is rebuilt on demand for the
-equivalence grid and the sanitizer's state cross-check.
+timestamps, ``+inf`` for an empty VOQ — is rebuilt on demand from
+``hol_pids`` / ``p_hol`` for the reference shadow's state cross-check.
 The only Python objects kept are the immutable
 :class:`~repro.packet.Packet` references commit puts in the slot's
 ``(packet, output_mask)`` rows. No per-cell objects are ever allocated.
@@ -62,11 +73,13 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from collections.abc import Callable, Iterable
+from typing import NoReturn
 
 import numpy as np
 
 from repro.errors import BufferError_, ConfigurationError, SchedulingError
 from repro.packet import Packet
+from repro.utils.bitsets import iter_bits
 from repro.utils.validation import check_port_count
 
 __all__ = ["SwitchState"]
@@ -91,7 +104,9 @@ class SwitchState:
         "on_overflow",
         "nonempty",
         "row_peak", "seen_allocated", "grown_rows",
-        "voq_pids",
+        "behind",
+        "deep",
+        "bit",
         "hol_pids",
         "live",
         "peak_live",
@@ -132,10 +147,12 @@ class SwitchState:
         self.row_peak: list[int] = [0] * n
         self.seen_allocated: list[int] = [0] * n
         self.grown_rows = 0
-        # FIFO order per VOQ: deques of pids (plain ints, not cells).
-        self.voq_pids: list[list[deque[int]]] = [
-            [deque() for _ in range(n)] for _ in range(n)
-        ]
+        #: Per input: {output: the pids queued behind that VOQ's head}.
+        self.behind: list[dict[int, deque[int]]] = [{} for _ in range(n)]
+        #: Per input: bitmask of the outputs that have a ``behind`` deque.
+        self.deep: list[int] = [0] * n
+        #: ``bit[j] == 1 << j``, read per destination by admit.
+        self.bit: list[int] = [1 << j for j in range(n)]
         #: Per input: the pids heading at least one VOQ, oldest first —
         #: with ``p_hol`` the HOL-packet index the scheduling rounds read.
         self.hol_pids: list[list[int]] = [[] for _ in range(n)]
@@ -166,10 +183,10 @@ class SwitchState:
     def admit(self, packet: Packet, slot: int) -> bool:
         """Install one arriving packet (the paper's Table 1, SoA form).
 
-        Allocates a pid carrying the fanout counter, stamps ``slot`` as
-        the timestamp of every placeholder, and appends the pid to each
-        destination VOQ; the destinations whose VOQ was empty become the
-        packet's HOL bits. Returns ``False`` when a finite buffer
+        Allocates a pid carrying the fanout counter and stamps ``slot`` as
+        the timestamp of every placeholder. The destinations whose VOQ
+        was empty become the packet's HOL bits; at the others the pid
+        queues behind the head. Returns ``False`` when a finite buffer
         drop-tails the packet; raises :class:`~repro.errors.BufferError_`
         under the ``"raise"`` overflow policy.
         """
@@ -183,7 +200,6 @@ class SwitchState:
                 f"data-cell buffer overflow: capacity {self.capacity} reached"
             )
         destinations = packet.destinations
-        row = self.voq_pids[i]
         if self.free_pids:
             pid = self.free_pids.pop()
         else:
@@ -194,13 +210,32 @@ class SwitchState:
             self.p_fanout.append(0)
             self.p_ts.append(0)
             self.p_hol.append(0)
+        bit, deep = self.bit, self.deep[i]
         dmask = 0
-        for j in destinations:
-            dmask |= 1 << j
-            row[j].append(pid)
+        if deep:  # a VOQ of this input has a deque: queue behind its head
+            row = self.behind[i]
+            for j in destinations:
+                b = bit[j]
+                dmask |= b
+                if b & deep:
+                    row[j].append(pid)
+        else:
+            for j in destinations:
+                dmask |= bit[j]
         nonempty = self.nonempty
-        hol = dmask & ~nonempty[i]
-        nonempty[i] |= dmask
+        occupied = nonempty[i]
+        nonempty[i] = occupied | dmask
+        hol = dmask & ~occupied
+        second = dmask & occupied & ~deep
+        if second:
+            # The VOQ's second cell: it starts the deque behind the head.
+            row = self.behind[i]
+            bits = second
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                row[b.bit_length() - 1] = deque((pid,))
+            self.deep[i] = deep | second
         self.grown_rows |= 1 << i
         self.packets[pid] = packet
         self.p_fanout[pid] = len(destinations)
@@ -229,60 +264,62 @@ class SwitchState:
         append: Callable[[tuple[Packet, int]], object],
     ) -> int:
         """Post-transmission processing of a slot's ``(input, mask)``
-        grants, in order: pop the HOL placeholder of each VOQ in the
-        output bitmask, hand the HOL bits to the new heads, decrement the
-        packet's fanout counter and ``append((packet, mask))``.
+        grants, in order: clear the packet's HOL bits in the output
+        bitmask, pop the cell behind each granted head that has one (it
+        becomes the new head), decrement the packet's fanout counter and
+        ``append((packet, mask))``.
 
-        All granted heads of one input must carry one pid — the paper's
-        "one data cell per input per slot" invariant — otherwise
-        :class:`~repro.errors.SchedulingError` is raised. Returns how many
-        packets were released (fanout counter hit zero). ``backlog`` and
-        ``residue`` are written back once, also when a grant raises.
+        The granted heads of one input must all be one packet's — the
+        paper's "one data cell per input per slot" invariant — and every
+        granted VOQ non-empty; otherwise
+        :class:`~repro.errors.SchedulingError` is raised before that grant
+        changes anything. Returns how many packets were released (fanout
+        counter hit zero). ``backlog`` and ``residue`` are written back
+        once, also when a grant raises.
         """
-        voq_pids, hol_pids, nonempty = self.voq_pids, self.hol_pids, self.nonempty
+        behind, deep, hol_pids, nonempty = self.behind, self.deep, self.hol_pids, self.nonempty
         p_hol, p_ts, p_fanout = self.p_hol, self.p_ts, self.p_fanout
         packets, live, free_pids = self.packets, self.live, self.free_pids
         backlog, residue = self.backlog, self.residue
         reclaimed = 0
         try:
             for i, mask in grants:
-                row = voq_pids[i]
                 heading = hol_pids[i]
-                pid = -1
-                kept = 0  # the granted VOQs a cell is left in
-                bits = mask
-                while bits:
-                    bit = bits & -bits
-                    bits ^= bit
-                    j = bit.bit_length() - 1
-                    dq = row[j]
-                    if not dq:
-                        raise SchedulingError(f"grant for empty VOQ ({i}, {j})")
-                    p = dq.popleft()
-                    if pid < 0:
-                        pid = p
-                    elif p != pid:
-                        raise SchedulingError(
-                            f"input {i} granted two distinct data cells in one slot "
-                            f"(pids {pid} and {p})"
-                        )
-                    if dq:
-                        head = dq[0]
-                        if not p_hol[head]:
-                            # Its first VOQ head: it joins the HOL packets at
-                            # its place in arrival order.
-                            insort(heading, head, key=p_ts.__getitem__)
-                        p_hol[head] |= bit
-                        kept |= bit
-                nonempty[i] &= ~mask | kept
-                p_hol[pid] &= ~mask
-                if not p_hol[pid]:
-                    heading.remove(pid)
+                for pid in heading:
+                    if p_hol[pid] & mask:
+                        held = p_hol[pid]
+                        break
+                else:
+                    held = 0
+                if mask & ~held or not mask:
+                    self._refuse(i, mask)
                 served = mask.bit_count()
                 before = p_fanout[pid]
                 remaining = before - served
                 if remaining < 0:
                     raise BufferError_(f"fanout_counter underflow for pid {pid} at input {i}")
+                kept = mask & deep[i]  # the granted VOQs a cell is left in
+                if kept:
+                    row = behind[i]
+                    bits = kept
+                    while bits:
+                        bit = bits & -bits
+                        bits ^= bit
+                        j = bit.bit_length() - 1
+                        dq = row[j]
+                        head = dq.popleft()
+                        if not dq:
+                            del row[j]
+                            deep[i] ^= bit
+                        if not p_hol[head]:
+                            # Its first VOQ head: it joins the HOL packets at
+                            # its place in arrival order.
+                            insort(heading, head, key=p_ts.__getitem__)
+                        p_hol[head] |= bit
+                nonempty[i] &= ~mask | kept
+                p_hol[pid] = held ^ mask
+                if held == mask:
+                    heading.remove(pid)
                 p_fanout[pid] = remaining
                 backlog -= served
                 packet = packets[pid]
@@ -302,6 +339,24 @@ class SwitchState:
         finally:
             self.backlog, self.residue = backlog, residue
         return reclaimed
+
+    def _refuse(self, i: int, mask: int) -> NoReturn:
+        """Raise the :class:`~repro.errors.SchedulingError` for a grant
+        that is not a subset of one HOL packet's heads: the first granted
+        output, ascending, that is empty or headed by a second packet."""
+        pid = -1
+        for j in iter_bits(mask):
+            head = next((p for p in self.hol_pids[i] if self.p_hol[p] >> j & 1), -1)
+            if not self.nonempty[i] >> j & 1 or head < 0:
+                raise SchedulingError(f"grant for empty VOQ ({i}, {j})")
+            if pid < 0:
+                pid = head
+            elif head != pid:
+                raise SchedulingError(
+                    f"input {i} granted two distinct data cells in one slot "
+                    f"(pids {pid} and {head})"
+                )
+        raise SchedulingError(f"input {i} granted the output mask {mask:#b}")
 
     # ------------------------------------------------------------------ #
     # The HOL-packet index, as the schedulers read it
@@ -354,7 +409,8 @@ class SwitchState:
         while True:
             peak = max(bounds)
             i = bounds.index(peak)
-            bounds[i] = max(map(len, self.voq_pids[i]))
+            row = self.behind[i]
+            bounds[i] = 1 + max(map(len, row.values())) if row else int(self.nonempty[i] != 0)
             if bounds[i] == peak:
                 break
         # An input's oldest live packet heads every VOQ it is still in,
@@ -374,69 +430,33 @@ class SwitchState:
 
     def check_invariants(self) -> None:
         """Deep consistency check, mirroring the reference model's checks:
-        the non-empty masks against the deques, per-VOQ timestamp order, the
-        HOL-packet index against the VOQ heads (``p_hol`` names exactly
-        the VOQs each queued pid heads, ``hol_pids`` exactly the heading
-        pids in arrival order), fanout-counter conservation, live counts,
-        the pid pool, and the O(1) backlog and residue counters."""
+        an input's ``p_hol`` masks are disjoint and ``hol_pids`` names
+        exactly its heading pids in arrival order; their union is
+        ``nonempty``; ``deep`` names exactly the ``behind`` deques, each
+        non-empty, under a head and younger than it in ascending order;
+        each pid's fanout counter is its head bits plus its queued cells;
+        then live counts, the pid pool, and the O(1) backlog and residue
+        counters."""
         n = self.num_ports
-        p_ts = self.p_ts
+        p_ts, p_hol, p_fanout = self.p_ts, self.p_hol, self.p_fanout
+        owned: list[list[int]] = [[] for _ in range(n)]  # live pids per input
+        for pid, packet in enumerate(self.packets):
+            if packet is not None:
+                owned[packet.input_port].append(pid)
         total_queued = 0
         residue = 0
         for i in range(n):
-            queued: dict[int, int] = {}  # pid -> placeholders queued
             heads: dict[int, int] = {}  # pid -> bitmask of VOQs it heads
-            occupied = 0
-            for j in range(n):
-                dq = self.voq_pids[i][j]
-                if dq:
-                    occupied |= 1 << j
-                    heads[dq[0]] = heads.get(dq[0], 0) | 1 << j
-                prev = -1
-                for pid in dq:
-                    ts = p_ts[pid]
-                    if ts < prev:
+            union = 0
+            for pid in owned[i]:
+                if p_hol[pid]:
+                    if p_hol[pid] & union:
                         raise SchedulingError(
-                            f"VOQ ({i}, {j}) is not timestamp-sorted"
+                            f"HOL-index drift at input {i}: pid {pid} claims "
+                            f"VOQs {p_hol[pid] & union:#b} another pid heads"
                         )
-                    prev = ts
-                    queued[pid] = queued.get(pid, 0) + 1
-            if occupied != self.nonempty[i]:
-                raise SchedulingError(
-                    f"non-empty mask drift at input {i}: VOQs {occupied:#b} "
-                    f"hold cells but nonempty says {self.nonempty[i]:#b}"
-                )
-            total_queued += sum(queued.values())
-            if len(queued) != self.live[i]:
-                raise SchedulingError(
-                    f"input {i}: {len(queued)} distinct queued pids but "
-                    f"live count is {self.live[i]}"
-                )
-            for pid, count in queued.items():
-                if count != self.p_fanout[pid]:
-                    raise SchedulingError(
-                        f"pid {pid}: {count} queued placeholders but fanout "
-                        f"counter is {self.p_fanout[pid]}"
-                    )
-                if self.p_hol[pid] != heads.get(pid, 0):
-                    raise SchedulingError(
-                        f"HOL-index drift at input {i}: pid {pid} heads "
-                        f"VOQs {heads.get(pid, 0):#b} but p_hol says "
-                        f"{self.p_hol[pid]:#b}"
-                    )
-                packet = self.packets[pid]
-                if packet is None:
-                    raise SchedulingError(
-                        f"pid {pid} is queued at input {i} but its pool "
-                        f"slot was reclaimed"
-                    )
-                if packet.input_port != i:
-                    raise SchedulingError(
-                        f"pid {pid} of input {packet.input_port} queued "
-                        f"at input {i}"
-                    )
-                if self.p_fanout[pid] < packet.fanout:
-                    residue += 1
+                    heads[pid] = p_hol[pid]
+                    union |= p_hol[pid]
             # Strictly increasing: one arrival per input per slot is what
             # lets a timestamp name a packet.
             by_arrival = sorted(heads, key=p_ts.__getitem__)
@@ -448,6 +468,52 @@ class SwitchState:
                     f"{self.hol_pids[i]} but pids {by_arrival} head its "
                     f"VOQs, in arrival order"
                 )
+            if union != self.nonempty[i]:
+                raise SchedulingError(
+                    f"non-empty mask drift at input {i}: VOQs {union:#b} "
+                    f"have a head but nonempty says {self.nonempty[i]:#b}"
+                )
+            row = self.behind[i]
+            deep = sum(1 << j for j in row)
+            if deep != self.deep[i] or deep & ~union:
+                raise SchedulingError(
+                    f"deep mask drift at input {i}: VOQs {deep:#b} have a "
+                    f"queue behind their head but deep says {self.deep[i]:#b} "
+                    f"(heads at {union:#b})"
+                )
+            queued: dict[int, int] = {}  # pid -> cells queued behind heads
+            for j, dq in row.items():
+                prev = next(p_ts[pid] for pid, m in heads.items() if m >> j & 1)
+                if not dq:
+                    raise SchedulingError(f"VOQ ({i}, {j}) keeps an empty deque")
+                for pid in dq:
+                    if p_ts[pid] <= prev:
+                        raise SchedulingError(
+                            f"VOQ ({i}, {j}) is not timestamp-sorted behind its head"
+                        )
+                    prev = p_ts[pid]
+                    queued[pid] = queued.get(pid, 0) + 1
+            stray = queued.keys() - set(owned[i])
+            if stray:
+                raise SchedulingError(
+                    f"pids {sorted(stray)} are queued at input {i} but are "
+                    f"not live packets of it"
+                )
+            if len(owned[i]) != self.live[i]:
+                raise SchedulingError(
+                    f"input {i}: {len(owned[i])} live pids but live count is "
+                    f"{self.live[i]}"
+                )
+            for pid in owned[i]:
+                cells = p_hol[pid].bit_count() + queued.get(pid, 0)
+                if not cells or cells != p_fanout[pid]:
+                    raise SchedulingError(
+                        f"pid {pid}: {cells} queued placeholders (heads and "
+                        f"behind) but fanout counter is {p_fanout[pid]}"
+                    )
+                total_queued += cells
+                if p_fanout[pid] < self.packets[pid].fanout:  # type: ignore[union-attr]
+                    residue += 1
         if total_queued != self.backlog:
             raise SchedulingError(
                 f"backlog counter {self.backlog} != {total_queued} queued "
@@ -467,30 +533,29 @@ class SwitchState:
     def state_arrays(self) -> dict[str, object]:
         """The SoA state as fresh numpy arrays plus per-input live
         fanout counters (allocation order), shaped like the reference
-        kernel's snapshot. Everything is read off the VOQs,
-        nothing off the HOL-packet index."""
-        p_ts = self.p_ts
-        p_fanout = self.p_fanout
-        hol_ts = np.array(
-            [
-                [p_ts[dq[0]] if dq else EMPTY_TS for dq in row]
-                for row in self.voq_pids
-            ],
-            dtype=np.float64,
-        )
+        kernel's snapshot: heads off ``hol_pids`` / ``p_hol``, the cells
+        behind them off ``behind``."""
+        n = self.num_ports
+        p_ts, p_hol, p_fanout = self.p_ts, self.p_hol, self.p_fanout
+        hol_ts = np.full((n, n), EMPTY_TS, dtype=np.float64)
+        occupancy = np.zeros((n, n), dtype=np.int64)
         fanouts = []
-        for row in self.voq_pids:
+        for i, (heading, row) in enumerate(zip(self.hol_pids, self.behind)):
+            for pid in heading:
+                for j in iter_bits(p_hol[pid]):
+                    hol_ts[i, j] = p_ts[pid]
+                    occupancy[i, j] = 1
+            for j, dq in row.items():
+                occupancy[i, j] += len(dq)
             # An input's live pids; its timestamps are distinct, so
             # sorting by them is allocation order.
-            live_pids = sorted(set().union(*row), key=p_ts.__getitem__)
+            live_pids = sorted(set(heading).union(*row.values()), key=p_ts.__getitem__)
             fanouts.append(
                 np.array([p_fanout[pid] for pid in live_pids], dtype=np.int64)
             )
         return {
             "hol_ts": hol_ts,
-            "occupancy": np.array(
-                [list(map(len, row)) for row in self.voq_pids], dtype=np.int64
-            ),
+            "occupancy": occupancy,
             "live": np.array(self.live, dtype=np.int64),
             "fanout_counters": fanouts,
         }

@@ -7,8 +7,9 @@ goes through the scheduler's array entry point
 request/grant rounds over the state's HOL-packet index — one
 ``(timestamp, input, output bitmask)`` request per competing input,
 granted oldest first with int bit operations. Commit is one
-:meth:`SwitchState.serve_rows` loop over the slot's grants (pop the
-heads, move the HOL bits, decrement the fanout counter), reading each
+:meth:`SwitchState.serve_rows` loop over the slot's grants (clear the
+granted HOL bits, promote the cell queued behind each head that has one,
+decrement the fanout counter), reading each
 grant's output mask as the scheduler left it (docs/kernel.md, "The grant
 is a mask from round to commit").
 
@@ -74,9 +75,9 @@ class VectorizedBackend(KernelBackend):
         self, decision: ScheduleDecision, result: "SlotResult", slot: int
     ) -> None:
         """Post-transmission processing over the SoA state: one
-        :meth:`SwitchState.serve_rows` loop over the slot's grants pops
-        the HOL placeholders, hands their HOL bits to the new heads and
-        decrements each fanout counter in one subtract; one
+        :meth:`SwitchState.serve_rows` loop over the slot's grants clears
+        the granted HOL bits, hands them to the cells queued behind (the
+        new heads) and decrements each fanout counter in one subtract; one
         ``(packet, mask)`` row per grant."""
         state = self.state
         backlog = state.backlog
@@ -100,7 +101,8 @@ class VectorizedBackend(KernelBackend):
         return self.state.total_backlog()
 
     def check_invariants(self) -> None:
-        """Deep SoA consistency checks (deques vs HOL index vs counters)."""
+        """Deep SoA consistency checks (HOL index vs the deques behind the
+        heads vs counters)."""
         self.state.check_invariants()
 
     def state_arrays(self) -> dict[str, object]:

@@ -46,7 +46,8 @@ _EMPTY: Tags = frozenset()
 _PROTECTED_FIELDS = frozenset(
     {
         "nonempty",
-        "voq_pids",
+        "behind",
+        "deep",
         "hol_pids",
         "live",
         "peak_live",

@@ -89,7 +89,9 @@ class PriorityMulticastVOQSwitch(BaseSwitch):
     def _decide(self, slot: int) -> tuple[ScheduleDecision, int]:
         """One FIFOMS pass per class, strictly high to low, carrying the
         port reservations down; the per-class decisions are staged for
-        :meth:`_transfer` (each class drains its own port set)."""
+        :meth:`_transfer` (each class drains its own port set). The slot's
+        ``rounds`` add up and its ``round_grants`` concatenate, in class
+        order."""
         n = self.num_ports
         input_free = [True] * n
         output_free = [True] * n
@@ -105,6 +107,7 @@ class PriorityMulticastVOQSwitch(BaseSwitch):
             )
             per_class.append(decision)
             total_rounds += decision.rounds
+            combined.round_grants += decision.round_grants
             if decision.requests_made:
                 combined.requests_made = True
             if masks.keys() & decision.masks.keys():

@@ -234,8 +234,7 @@ class ReferenceShadow(Checker):
             masks.update(decision.masks)
             rounds += decision.rounds
             requests |= decision.requests_made
-            # The strict-priority switch keeps no per-round counts.
-            round_grants = () if self.by_class else tuple(decision.round_grants)
+            round_grants += tuple(decision.round_grants)  # in class order
         if state is not None and state.degraded:
             for i in list(masks):
                 keep = 0 if state.input_is_down(i) else masks[i]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.errors import BufferError_, ConfigurationError, SchedulingError
 from repro.kernel import make_backend
 from repro.kernel.state import EMPTY_TS, SwitchState
 from repro.packet import Packet
+from repro.utils.bitsets import iter_bits
 
 
 def _pkt(i, dests, slot):
@@ -22,6 +24,20 @@ def _pkt(i, dests, slot):
 def _hol_ts(st):
     """The (N, N) HOL-timestamp matrix, rebuilt from the VOQ heads."""
     return st.state_arrays()["hol_ts"]
+
+
+def _plain(snapshot):
+    """A ``state_arrays()`` snapshot as nested lists, comparable with ==."""
+    return {
+        key: [np.asarray(v).tolist() for v in value] if isinstance(value, list)
+        else np.asarray(value).tolist()
+        for key, value in snapshot.items()
+    }
+
+
+def _fields(st):
+    """Every field of ``st``, deep-copied."""
+    return copy.deepcopy({name: getattr(st, name) for name in SwitchState.__slots__})
 
 
 class TestAdmit:
@@ -134,10 +150,9 @@ class TestServe:
                 mask = request[2] & bits or request[2]
                 before = state.nonempty[i]
                 state.serve(i, mask)
+                occupancy = state.state_arrays()["occupancy"][i]
                 emptied = sum(
-                    1 << j
-                    for j in range(n)
-                    if mask >> j & 1 and not state.voq_pids[i][j]
+                    1 << j for j in range(n) if mask >> j & 1 and not occupancy[j]
                 )
                 assert state.nonempty[i] == before & ~emptied
             state.check_invariants()
@@ -159,6 +174,32 @@ class TestServe:
         for name in SwitchState.__slots__:
             assert getattr(batched, name) == getattr(looped, name), name
         batched.check_invariants()
+
+    @pytest.mark.parametrize(
+        "mask, message",
+        [
+            (0b00001, r"grant for empty VOQ \(0, 0\)"),
+            (0b00011, r"grant for empty VOQ \(0, 0\)"),
+            (0b01010, r"two distinct data cells in one slot \(pids 0 and 1\)"),
+            (0b01100, r"two distinct data cells in one slot \(pids 0 and 1\)"),
+            (0b11000, r"two distinct data cells in one slot \(pids 1 and 2\)"),
+            (0b10010, r"two distinct data cells in one slot \(pids 0 and 2\)"),
+            (0, "granted the output mask 0b0"),
+        ],
+    )
+    def test_a_faulting_grant_changes_nothing(self, mask, message):
+        """The grant is checked against the HOL index before anything
+        moves: the state, invariants and snapshot are those before it."""
+        st = SwitchState(5)
+        st.admit(_pkt(0, (1, 2), 0), 0)      # pid 0 heads VOQs 1 and 2
+        st.admit(_pkt(0, (2, 3), 1), 1)      # pid 1 heads 3, waits at 2
+        st.admit(_pkt(0, (2, 4), 2), 2)      # pid 2 heads 4, waits at 2
+        fields, snapshot = _fields(st), _plain(st.state_arrays())
+        with pytest.raises(SchedulingError, match=message):
+            st.serve(0, mask)
+        assert _fields(st) == fields
+        assert _plain(st.state_arrays()) == snapshot
+        st.check_invariants()
 
     def test_serve_rows_keeps_counters_of_grants_served_before_a_fault(self):
         """A grant that raises leaves the backlog and residue counters of
@@ -237,6 +278,36 @@ class TestIntegrity:
         with pytest.raises(SchedulingError, match="arrival order"):
             st.check_invariants()
 
+    def test_check_invariants_catches_deep_drift(self):
+        """A deep bit without a deque, or a deque without its bit."""
+        for flip in (0b0100, 0b0010):
+            st = SwitchState(4)
+            st.admit(_pkt(0, (1, 2), 0), 0)
+            st.admit(_pkt(0, (1,), 1), 1)
+            st.deep[0] ^= flip
+            with pytest.raises(SchedulingError, match="deep mask drift"):
+                st.check_invariants()
+
+    def test_check_invariants_catches_a_queue_out_of_order(self):
+        st = SwitchState(4)
+        for slot in range(3):
+            st.admit(_pkt(0, (1,), slot), slot)
+        st.check_invariants()
+        st.behind[0][1].reverse()
+        with pytest.raises(SchedulingError, match="timestamp-sorted"):
+            st.check_invariants()
+
+    def test_check_invariants_catches_fanout_drift(self):
+        """A fanout counter that is not the packet's heads plus the cells
+        it has queued behind other heads."""
+        st = SwitchState(4)
+        st.admit(_pkt(0, (1,), 0), 0)
+        st.admit(_pkt(0, (1, 2), 1), 1)      # pid 1: one head, one queued
+        st.check_invariants()
+        st.p_fanout[1] = 1
+        with pytest.raises(SchedulingError, match="fanout counter"):
+            st.check_invariants()
+
     def test_state_arrays_are_copies(self):
         st = SwitchState(4)
         st.admit(_pkt(0, (1, 2), 0), 0)
@@ -246,6 +317,72 @@ class TestIntegrity:
         assert _hol_ts(st)[0, 1] == 0
         assert st.state_arrays()["occupancy"][0, 1] == 1
         st.check_invariants()
+
+
+class TestBehindHeads:
+    """Only the cells queued *behind* a VOQ's head sit in a deque."""
+
+    def test_a_deque_lives_only_while_its_voq_holds_two_cells(self):
+        st = SwitchState(256)
+        assert st.behind == [{}] * 256 and not any(st.deep)
+        st.admit(_pkt(5, (7, 200), 0), 0)    # pid 0 heads both VOQs
+        assert not any(st.behind) and not any(st.deep)
+        st.admit(_pkt(5, (200,), 1), 1)      # VOQ (5, 200)'s second cell
+        assert st.behind[5] == {200: deque([1])} and st.deep[5] == 1 << 200
+        st.admit(_pkt(5, (200,), 2), 2)
+        assert st.behind[5] == {200: deque([1, 2])}
+        st.check_invariants()
+        st.serve(5, 1 << 7 | 1 << 200)       # pid 1 is promoted
+        assert st.behind[5] == {200: deque([2])} and st.hol_pids[5] == [1]
+        st.serve(5, 1 << 200)                # back to one cell: no deque
+        assert not any(st.behind) and not any(st.deep)
+        assert st.hol_pids[5] == [2] and st.p_hol[2] == 1 << 200
+        st.check_invariants()
+        st.serve(5, 1 << 200)
+        assert st.nonempty[5] == 0 and not st.hol_pids[5]
+        st.check_invariants()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=hs.sampled_from([2, 4, 70]),
+        ops=hs.lists(
+            hs.tuples(
+                hs.integers(0, 3),
+                hs.integers(0, 2),
+                hs.integers(1, 2**70 - 1),
+                hs.integers(0, 2**70 - 1),
+            ),
+            min_size=30,
+            max_size=120,
+        ),
+    )
+    def test_matches_the_reference_with_deep_queues(self, n, ops):
+        """Random admit / serve scripts on three inputs (three arrivals
+        to a service, so queues run several cells deep): the snapshot,
+        the seam counters and every request equal the reference's."""
+        state = SwitchState(n)
+        reference = make_backend("object", n)
+        everyone = (1 << n) - 1
+        for slot, (kind, i, bits, free) in enumerate(ops):
+            i %= n
+            if kind:
+                dests = [j for j in range(n) if bits >> j & 1] or [i]
+                packet = _pkt(i, dests, slot)
+                assert state.admit(packet, slot) and reference.admit(packet, slot)
+            elif (request := state.hol_request(i, everyone)) is not None:
+                mask = request[2] & bits or request[2]
+                state.serve(i, mask)
+                reference.model.transmit(i, list(iter_bits(mask)))
+            free &= everyone
+            ts, outputs = reference.model._request(
+                i, [bool(free >> j & 1) for j in range(n)]
+            )
+            expected = (ts, i, sum(1 << j for j in outputs)) if outputs else None
+            assert state.hol_request(i, free) == expected
+            assert _plain(state.state_arrays()) == _plain(reference.state_arrays())
+            assert state.slot_stats() == reference.harvest_slot_stats()
+            assert state.total_backlog() == reference.total_backlog()
+        state.check_invariants()
 
 
 class TestVoqPeak:
@@ -375,16 +512,19 @@ class TestArrayLayout:
         attrs = {name: getattr(st, name) for name in SwitchState.__slots__}
         assert not any(isinstance(v, np.ndarray) for v in attrs.values())
         per_input = ("hol_pids", "live", "peak_live", "allocated_total",
-                     "released_total", "dropped_total", "nonempty", "voq_pids")
+                     "released_total", "dropped_total", "nonempty", "deep", "behind")
         for name in per_input:
             assert type(attrs[name]) is list and len(attrs[name]) == n
         assert all(type(pids) is list for pids in st.hol_pids)
-        assert all(type(mask) is int for mask in st.nonempty)
-        assert all(
-            type(dq) is deque for row in st.voq_pids for dq in row
-        ) and all(len(row) == n for row in st.voq_pids)
+        assert all(type(mask) is int for name in ("nonempty", "deep")
+                   for mask in attrs[name])
+        assert all(type(row) is dict for row in st.behind)
+        # A second cell queued behind a head is the only one in a deque.
+        assert not any(st.behind)
+        st.admit(_pkt(0, (0,), 1), 1)
+        assert st.behind[0] == {0: deque([1])} and st.deep[0] == 0b01
         per_pid = ("packets", "p_fanout", "p_ts", "p_hol")
-        assert {len(attrs[name]) for name in per_pid} == {1}
+        assert {len(attrs[name]) for name in per_pid} == {2}
         assert all(type(v) is int for name in per_pid[1:] for v in attrs[name])
         assert type(st.free_pids) is list
         snap = st.state_arrays()
@@ -395,7 +535,8 @@ class TestArrayLayout:
         assert snap["live"].shape == (n,) and snap["live"].dtype == np.int64
         assert len(snap["fanout_counters"]) == n
         assert all(f.dtype == np.int64 for f in snap["fanout_counters"])
-        assert snap["fanout_counters"][0].tolist() == [1]
+        assert snap["fanout_counters"][0].tolist() == [1, 1]
+        assert snap["occupancy"][0, :2].tolist() == [2, 0]
 
 
 class TestSoaSnapshotParity:

@@ -55,11 +55,15 @@ class TestSAN001StateSeamOwnership:
             def warm_caches(state):
                 state.p_hol[0] = 0
                 state.hol_pids[0].pop(0)
+                state.deep[0] |= 1
+                state.behind[0][3].popleft()
         """
         findings = lint_tree(tmp_path, {"repro/core/algo.py": src}, [self.RULE()])
-        assert only_ids(findings) == ["SAN001", "SAN001"]
+        assert only_ids(findings) == ["SAN001"] * 4
         assert "admit()/serve()" in findings[0].message
         assert "hol_pids.pop()" in findings[1].message
+        assert "admit()/serve()" in findings[2].message
+        assert "behind.popleft()" in findings[3].message
 
     def test_flags_state_mutator_call(self, tmp_path):
         src = """

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.loads import bernoulli_arrival_probability
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.errors import ConfigurationError
 from repro.faults import FAULT_SCENARIOS
@@ -62,6 +63,20 @@ def test_a_drop_tail_buffer_meets_the_reference():
     cfg = SimulationConfig(num_slots=1000, max_backlog=None, stability_window=0)
     engine = SimulationEngine(switch, traffic, cfg)
     assert _shadowed(engine).cells_dropped > 1000  # it drop-tails
+
+
+def test_long_queues_meet_the_reference():
+    """Overload (load 1.2): thousands of cells queue behind the VOQ
+    heads, so nearly every grant pops a deque and promotes a new head."""
+    n, b = 16, 0.2
+    p = bernoulli_arrival_probability(n, 1.2, b)
+    switch = make_switch("fifoms", n, rng=7)
+    traffic = build_traffic({"model": "bernoulli", "p": p, "b": b}, n, rng=8)
+    cfg = SimulationConfig(num_slots=1500, max_backlog=None, stability_window=0)
+    engine = SimulationEngine(switch, traffic, cfg)
+    _shadowed(engine)
+    assert engine.sanitizer.ok and engine.slots_run == 1500
+    assert switch.total_backlog() > 3000
 
 
 def test_round_robin_lowest_input_and_no_split_meet_the_reference():
