@@ -98,13 +98,6 @@ from repro.kernel import (
 )
 from repro.switch.cioq import CIOQSwitch
 from repro.qos import PriorityMulticastVOQSwitch, PriorityTagger
-from repro.frames import (
-    Frame,
-    FrameReassembler,
-    FrameSegmenter,
-    FrameTrafficAdapter,
-    FrameWorkload,
-)
 from repro.faults import (
     CellDropModel,
     CrosspointFailure,
@@ -192,11 +185,6 @@ __all__ = [
     "CIOQSwitch",
     "PriorityMulticastVOQSwitch",
     "PriorityTagger",
-    "Frame",
-    "FrameSegmenter",
-    "FrameReassembler",
-    "FrameWorkload",
-    "FrameTrafficAdapter",
     # fault injection
     "FaultInjector",
     "SlotFaultState",

@@ -1,6 +1,6 @@
 """Closed-form analytical companions to the simulator.
 
-Three groups:
+Three groups are exported here:
 
 * :mod:`repro.analysis.loads` — exact effective-load algebra for each
   traffic model, used by the sweep harness to place load points and by
@@ -11,6 +11,14 @@ Three groups:
   used to validate the simulator against theory.
 * :mod:`repro.analysis.complexity` — the paper's §IV time/space
   complexity accounting of the FIFOMS scheduler and queue structures.
+
+Two more are imported by module path only:
+
+* :mod:`repro.analysis.burstiness` — the on/off chain's closed-form
+  autocorrelation and dispersion, the oracle for the Fig. 8 burst
+  generator.
+* :mod:`repro.analysis.saturation` — a bisection over the offered load
+  that brackets a switch's saturation point by simulation.
 """
 
 from repro.analysis.loads import (

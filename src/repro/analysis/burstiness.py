@@ -8,7 +8,8 @@ has closed-form second-order statistics, which makes the burst generator
   ``r = 1 − 1/e_on − 1/e_off`` (the chain's second eigenvalue);
 * the stationary on-probability is ``e_on / (e_on + e_off)``;
 * the index of dispersion of counts (IDC) over long windows approaches
-  ``1 + 2·p_off·p_on·r/(1−r) / p_on`` — implemented exactly below.
+  ``(1−p_on)·(1+r)/(1−r)`` — derived and implemented in
+  :func:`onoff_idc_limit`.
 
 Tests drive the generator and check the measured statistics against
 these formulas; experiments use them to reason about how much

@@ -4,8 +4,7 @@ The paper reads saturation points off its plots ("TATRA becomes unstable
 when the effective load goes beyond 80%"); this module measures them:
 a bisection over the offered load, classifying each probe run as stable
 or saturated, converging to the throughput wall within a requested
-tolerance. Used by the saturation benchmark to print a measured
-saturation table (and by tests against Karol's limit).
+tolerance. Tests check it against Karol's limit.
 """
 
 from __future__ import annotations

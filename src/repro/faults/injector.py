@@ -118,6 +118,13 @@ class FaultInjector:
             raise ConfigurationError(
                 f"crosspoint failure out of range for a {num_ports}-port switch"
             )
+        if cell_drop is not None and any(
+            not 0 <= p < num_ports for p in cell_drop.input_ports or ()
+        ):
+            raise ConfigurationError(
+                f"cell drop names input ports {list(cell_drop.input_ports)} on a "
+                f"{num_ports}-port switch"
+            )
         streams = rng if isinstance(rng, RngStreams) else RngStreams(rng)
         # One named stream per stochastic model: adding or removing one
         # model never perturbs the draws of another.

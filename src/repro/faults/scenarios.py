@@ -23,7 +23,8 @@ works for any N.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from numbers import Integral, Real
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -63,36 +64,104 @@ def _resolve_slot(value: Any, num_slots: int, what: str) -> int | None:
     return value
 
 
-def _build_link_down(entries: list[dict[str, Any]], num_slots: int) -> LinkDownSchedule:
+def _entries(section: Any, what: str) -> Sequence[dict[str, Any]]:
+    """A spec section that must be a list of objects."""
+    if not isinstance(section, (list, tuple)) or not all(
+        isinstance(e, dict) for e in section
+    ):
+        raise ConfigurationError(f"{what}: expected a list of objects, got {section!r}")
+    return section
+
+
+def _model(section: Any, what: str) -> dict[str, Any]:
+    """A spec section that must be one object."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{what}: expected an object, got {section!r}")
+    return section
+
+
+def _field(entry: dict[str, Any], key: str, what: str) -> Any:
+    try:
+        return entry[key]
+    except KeyError:
+        raise ConfigurationError(f"{what}: missing {key!r}") from None
+
+
+def _port(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{what}: expected a port index, got {value!r}")
+    return int(value)
+
+
+def _probability(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(f"{what}: expected a probability, got {value!r}")
+    return float(value)
+
+
+def _window(entry: dict[str, Any], num_slots: int, what: str) -> dict[str, Any]:
+    """The ``start`` / ``end`` keywords of one windowed model."""
+    return {
+        "start": _resolve_slot(entry.get("start", 0), num_slots, f"{what} start") or 0,
+        "end": _resolve_slot(entry.get("end"), num_slots, f"{what} end"),
+    }
+
+
+def _build_link_down(section: Any, num_slots: int) -> LinkDownSchedule:
     """Materialize the ``link_down`` section of a spec."""
-    outages = []
-    for entry in entries:
-        outages.append(
-            PortOutage(
-                port=int(entry["port"]),
-                kind=str(entry.get("kind", "output")),
-                start=_resolve_slot(entry.get("start", 0), num_slots, "outage start") or 0,
-                end=_resolve_slot(entry.get("end"), num_slots, "outage end"),
-            )
+    return LinkDownSchedule([
+        PortOutage(
+            port=_port(_field(entry, "port", "outage"), "outage port"),
+            kind=str(entry.get("kind", "output")),
+            **_window(entry, num_slots, "outage"),
         )
-    return LinkDownSchedule(outages)
+        for entry in _entries(section, "link_down")
+    ])
 
 
-def _build_crosspoints(
-    entries: list[dict[str, Any]], num_slots: int
-) -> CrosspointFailure:
+def _build_crosspoints(section: Any, num_slots: int) -> CrosspointFailure:
     """Materialize the ``crosspoints`` section of a spec."""
-    outages = []
-    for entry in entries:
-        outages.append(
-            CrosspointOutage(
-                input_port=int(entry["input"]),
-                output_port=int(entry["output"]),
-                start=_resolve_slot(entry.get("start", 0), num_slots, "crosspoint start") or 0,
-                end=_resolve_slot(entry.get("end"), num_slots, "crosspoint end"),
-            )
+    return CrosspointFailure([
+        CrosspointOutage(
+            input_port=_port(_field(entry, "input", "crosspoint"), "crosspoint input"),
+            output_port=_port(
+                _field(entry, "output", "crosspoint"), "crosspoint output"
+            ),
+            **_window(entry, num_slots, "crosspoint"),
         )
-    return CrosspointFailure(outages)
+        for entry in _entries(section, "crosspoints")
+    ])
+
+
+def _build_grant_loss(section: Any, num_slots: int) -> GrantLossModel:
+    """Materialize the ``grant_loss`` section of a spec."""
+    gl = _model(section, "grant_loss")
+    return GrantLossModel(
+        probability=_probability(
+            _field(gl, "probability", "grant loss"), "grant loss probability"
+        ),
+        **_window(gl, num_slots, "grant loss"),
+    )
+
+
+def _build_cell_drop(section: Any, num_slots: int) -> CellDropModel:
+    """Materialize the ``cell_drop`` section of a spec."""
+    cd = _model(section, "cell_drop")
+    ports = cd.get("input_ports")
+    if ports is not None and (not isinstance(ports, (list, tuple)) or not ports):
+        raise ConfigurationError(
+            f"cell drop input_ports: expected a non-empty list, got {ports!r}"
+        )
+    return CellDropModel(
+        probability=_probability(
+            _field(cd, "probability", "cell drop"), "cell drop probability"
+        ),
+        input_ports=(
+            None if ports is None
+            else tuple(_port(p, "cell drop input port") for p in ports)
+        ),
+        **_window(cd, num_slots, "cell drop"),
+    )
 
 
 def build_fault_injector(
@@ -106,65 +175,36 @@ def build_fault_injector(
 
     ``rng`` should be the run's :class:`~repro.utils.rng.RngStreams` so
     the injector's named streams descend from the same root seed as
-    traffic and scheduler randomness.
+    traffic and scheduler randomness. A spec that is not well formed
+    (a missing field, a value of the wrong type, a port outside the
+    switch) raises :class:`~repro.errors.ConfigurationError`.
     """
     if isinstance(spec, str):
-        try:
-            _desc, builder = FAULT_SCENARIOS[spec]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown fault scenario {spec!r}; one of "
-                f"{sorted(FAULT_SCENARIOS)}"
-            ) from None
-        spec = builder(num_ports)
+        spec = scenario_spec(spec, num_ports)
     if not isinstance(spec, dict):
         raise ConfigurationError(
             f"fault spec must be a scenario name or dict, got {type(spec).__name__}"
         )
-    unknown = set(spec) - {"link_down", "crosspoints", "grant_loss", "cell_drop"}
+    builders = {
+        "link_down": _build_link_down,
+        "crosspoints": _build_crosspoints,
+        "grant_loss": _build_grant_loss,
+        "cell_drop": _build_cell_drop,
+    }
+    unknown = set(spec) - set(builders)
     if unknown:
         raise ConfigurationError(
-            f"unknown fault spec keys {sorted(unknown)}; known: "
+            f"unknown fault spec keys {sorted(map(str, unknown))}; known: "
             "link_down, crosspoints, grant_loss, cell_drop"
         )
-    link_down = (
-        _build_link_down(spec["link_down"], num_slots)
-        if spec.get("link_down")
-        else None
-    )
-    crosspoints = (
-        _build_crosspoints(spec["crosspoints"], num_slots)
-        if spec.get("crosspoints")
-        else None
-    )
-    grant_loss = None
-    if spec.get("grant_loss"):
-        gl = dict(spec["grant_loss"])
-        grant_loss = GrantLossModel(
-            probability=float(gl["probability"]),
-            start=_resolve_slot(gl.get("start", 0), num_slots, "grant loss start") or 0,
-            end=_resolve_slot(gl.get("end"), num_slots, "grant loss end"),
-        )
-    cell_drop = None
-    if spec.get("cell_drop"):
-        cd = dict(spec["cell_drop"])
-        ports = cd.get("input_ports")
-        cell_drop = CellDropModel(
-            probability=float(cd["probability"]),
-            start=_resolve_slot(cd.get("start", 0), num_slots, "cell drop start") or 0,
-            end=_resolve_slot(cd.get("end"), num_slots, "cell drop end"),
-            input_ports=tuple(int(p) for p in ports) if ports else None,
-        )
-    if link_down is None and crosspoints is None and grant_loss is None and cell_drop is None:
+    models = {
+        key: build(spec[key], num_slots)
+        for key, build in builders.items()
+        if spec.get(key)
+    }
+    if not models:
         raise ConfigurationError("fault spec enables no fault model")
-    return FaultInjector(
-        num_ports,
-        link_down=link_down,
-        crosspoints=crosspoints,
-        grant_loss=grant_loss,
-        cell_drop=cell_drop,
-        rng=rng,
-    )
+    return FaultInjector(num_ports, rng=rng, **models)
 
 
 # --------------------------------------------------------------------- #

@@ -14,7 +14,6 @@ from repro.report.dashboard import (
     render_html_report,
     write_run_artifacts,
 )
-from repro.report.heatmap import render_heatmap
 from repro.report.export import summaries_to_csv, summaries_to_json, write_csv, write_json
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "format_series",
     "format_phase_table",
     "render_ascii_chart",
-    "render_heatmap",
     "RunArtifacts",
     "load_run_dir",
     "render_ascii_report",

@@ -13,9 +13,11 @@ paper exactly:
    fanout counters, destroy exhausted data cells.
 
 The queue state itself lives behind ``backend=``: ``"vectorized"`` (the
-default) holds it as :class:`~repro.kernel.state.SwitchState` — flat
-per-VOQ pid deques, a recycled packet table and the HOL-packet bitmask
-index, no per-cell objects and no numpy matrices
+default) holds it as :class:`~repro.kernel.state.SwitchState` — a
+recycled packet table, the HOL-packet bitmask index (``p_hol`` /
+``hol_pids``) that holds every VOQ's head, and pid deques (``behind``,
+marked in ``deep``) for only the cells queued behind a head; no per-cell
+objects and no numpy matrices
 (:class:`~repro.kernel.vectorized.VectorizedBackend`) — and routes
 scheduling through the scheduler's ``schedule_state`` entry point;
 ``"object"`` runs the scheduler's settings on the reference FIFOMS of

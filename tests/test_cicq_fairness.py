@@ -1,13 +1,11 @@
-"""Tests for the buffered crossbar (CICQ) switch and fairness metrics."""
+"""Tests for the buffered crossbar (CICQ) switch."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis.fairness import PerPortDelayTracker, jain_index
 from repro.errors import ConfigurationError
-from repro.packet import Delivery, Packet
 from repro.sim.runner import run_simulation
 from repro.switch.cicq import BufferedCrossbarSwitch
 
@@ -82,66 +80,3 @@ class TestCICQMechanics:
             "cicq", 8, spec, num_slots=8000, seed=3, crosspoint_depth=4
         )
         assert d4.average_output_delay <= d1.average_output_delay * 1.1
-
-
-class TestJainIndex:
-    def test_equal_allocation(self):
-        assert jain_index([3, 3, 3, 3]) == pytest.approx(1.0)
-
-    def test_total_capture(self):
-        assert jain_index([10, 0, 0, 0]) == pytest.approx(0.25)
-
-    def test_known_value(self):
-        # J([1, 2, 3]) = 36 / (3 * 14)
-        assert jain_index([1, 2, 3]) == pytest.approx(36 / 42)
-
-    def test_all_zero(self):
-        assert jain_index([0, 0]) == 1.0
-
-    def test_errors(self):
-        with pytest.raises(ConfigurationError):
-            jain_index([])
-        with pytest.raises(ConfigurationError):
-            jain_index([-1, 2])
-
-
-class TestPerPortDelayTracker:
-    def _deliver(self, t, i, arrival, service):
-        pkt = Packet(i, (0,), arrival)
-        t.on_delivery(Delivery(packet=pkt, output_port=0, service_slot=service))
-
-    def test_means_and_fairness(self):
-        t = PerPortDelayTracker(3)
-        self._deliver(t, 0, 0, 0)  # delay 1
-        self._deliver(t, 1, 0, 0)  # delay 1
-        means = t.mean_delays()
-        assert means[0] == 1.0 and np.isnan(means[2])
-        assert t.delay_fairness() == pytest.approx(1.0)
-        assert t.service_fairness() == pytest.approx(jain_index([1, 1, 0]))
-
-    def test_warmup(self):
-        t = PerPortDelayTracker(2, warmup_slot=10)
-        self._deliver(t, 0, 0, 20)
-        assert t.counts.sum() == 0
-
-    def test_fifoms_fairer_than_greedy_on_tail_inputs(self):
-        """Fairness, quantified: run both schedulers on the same loaded
-        workload and compare per-input delay fairness."""
-        from repro.schedulers.registry import make_switch
-        from repro.traffic.bernoulli import BernoulliMulticastTraffic
-        from repro.traffic.trace import TraceTraffic, record_trace
-
-        n, slots = 8, 6000
-        packets = record_trace(
-            BernoulliMulticastTraffic(n, p=0.26, b=0.4, rng=9), slots
-        )
-        scores = {}
-        for alg in ("fifoms", "greedy-mcast"):
-            switch = make_switch(alg, n, rng=1)
-            traffic = TraceTraffic(n, packets)
-            tracker = PerPortDelayTracker(n, warmup_slot=slots // 2)
-            for slot in range(slots):
-                for d in switch.step(traffic.next_slot(), slot).deliveries:
-                    tracker.on_delivery(d)
-            scores[alg] = tracker.delay_fairness()
-        assert scores["fifoms"] >= scores["greedy-mcast"] - 0.02

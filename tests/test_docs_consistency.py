@@ -126,9 +126,7 @@ class TestApiDoc:
         api = (REPO / "docs" / "api.md").read_text()
         names = set(re.findall(r"`([A-Z][A-Za-z]+)`", api))
         submodules = [
-            "repro.experiments", "repro.experiments.scaling",
-            "repro.experiments.fanout", "repro.experiments.replication",
-            "repro.analysis.fairness", "repro.hw",
+            "repro.experiments", "repro.experiments.replication", "repro.hw",
             "repro.report", "repro.switch.cicq",
         ]
         resolved = set(dir(repro))
@@ -149,8 +147,10 @@ PROSE = [
 #: grant masks replaced, the lint cache / baseline / SARIF layers the
 #: one lint pass replaced, the backend declarations that
 #: ``schedule_state`` replaced, the per-cell object stack the
-#: reference model replaced, and the two-run proxy the reference shadow
-#: replaced. Only the history files may still name them
+#: reference model replaced, the two-run proxy the reference shadow
+#: replaced, and the frame, fanout-sweep, heatmap, scaling and fairness
+#: modules that no figure, claim or command used. Only the history files
+#: may still name them
 #: (and the benchmark's own files, which only a benchmark change may
 #: edit, and this file, to forbid it).
 RETIRED = (
@@ -167,6 +167,8 @@ RETIRED = (
     "RegistryBackendPairingRule", "InvariantCoverageRule", "ClassSymbol",
     "ObjectBackend", "soa_snapshot", "DataCellBuffer", "preprocess_packet",
     "class_ports", "RecordingSwitch",
+    "FrameTrafficAdapter", "run_fanout_sweep", "render_heatmap", "run_scaling",
+    "PerPortDelayTracker",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",

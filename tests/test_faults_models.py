@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.matching import ScheduleDecision
 from repro.errors import ConfigurationError
@@ -260,10 +262,39 @@ class TestFaultInjector:
         assert lost_after(a) == lost_after(b)
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+#: Values near the ones a spec holds, so draws reach every field check.
+_VALUE = st.one_of(
+    st.integers(-2, 9), st.floats(-0.5, 1.5), st.none(),
+    st.sampled_from(["output", "input", "x"]),
+    st.lists(st.integers(-1, 9), max_size=3), _JSON,
+)
+_ENTRY = st.dictionaries(
+    st.sampled_from(
+        ["port", "kind", "start", "end", "input", "output", "probability",
+         "input_ports"]
+    ),
+    _VALUE,
+    max_size=5,
+)
+_SPEC = st.dictionaries(
+    st.sampled_from(["link_down", "crosspoints", "grant_loss", "cell_drop"])
+    | st.text(max_size=4),
+    st.lists(_ENTRY, max_size=3) | _ENTRY | _JSON,
+    max_size=4,
+)
+
+
 class TestScenarios:
     def test_catalog_builds_for_various_sizes(self):
         for name in available_fault_scenarios():
-            for n in (1, 2, 8, 16):
+            for n in (1, 2, 3, 4, 8, 16, 70, 256):
                 inj = build_fault_injector(
                     name, num_ports=n, num_slots=1000, rng=RngStreams(0)
                 )
@@ -293,11 +324,36 @@ class TestScenarios:
             {},
             {"link_down": []},
             42,
+            {"link_down": [{}]},
+            {"crosspoints": [{"input": 0}]},
+            {"link_down": [{"port": "x"}]},
+            {"grant_loss": {"probability": "hi"}},
+            {"link_down": {"port": 1}},
+            {"grant_loss": 5},
+            {"cell_drop": {"probability": 0.1, "input_ports": [99]}},
+            {"cell_drop": {"probability": 0.1, "input_ports": []}},
         ],
     )
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(ConfigurationError):
             build_fault_injector(bad, num_ports=4, num_slots=100, rng=RngStreams(0))
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec=_SPEC, n=st.integers(1, 8), slots=st.integers(1, 300))
+    def test_json_specs_build_or_raise_configuration_error(self, spec, n, slots):
+        """A spec read from outside the program either builds an
+        injector whose every named port exists, or is refused with
+        ConfigurationError; no other exception escapes."""
+        try:
+            inj = build_fault_injector(
+                spec, num_ports=n, num_slots=slots, rng=RngStreams(0)
+            )
+        except ConfigurationError:
+            return
+        for slot in (0, slots // 2, slots):
+            inj.advance(slot)
+        if inj.cell_drop is not None and inj.cell_drop.input_ports is not None:
+            assert max(inj.cell_drop.input_ports) < n
 
     def test_fraction_out_of_range(self):
         with pytest.raises(ConfigurationError):

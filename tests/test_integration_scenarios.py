@@ -3,16 +3,24 @@
 Each scenario encodes one of the paper's qualitative arguments as an
 exact, deterministic micro-benchmark: the multicast latency advantage over
 copy-splitting (vs iSLIP), the HOL-blocking cost of the single queue (vs
-TATRA's substrate), and the buffer-replication cost.
+TATRA's substrate), and the buffer-replication cost. Two short Bernoulli
+sweeps hold the same arguments along the axes the paper fixes: the mean
+fanout (the copy-splitting tax grows with it) and the port count (FIFOMS's
+rounds and delay barely move with N).
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import pytest
 
+from repro.analysis.loads import bernoulli_arrival_probability
 from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
+from repro.sim.runner import run_simulation
 from repro.schedulers.registry import make_switch
 from repro.switch.voq_multicast import MulticastVOQSwitch
 from repro.traffic.trace import TraceTraffic
@@ -30,6 +38,35 @@ def _run_trace(algorithm: str, n: int, packets, slots: int, rng=0):
     ).run()
 
 
+@functools.cache
+def _bernoulli_run(
+    algorithm: str, n: int, load: float, mean_fanout: float, slots: int, seed: int
+):
+    """One run at an exact effective load; ``b = mean_fanout / n``."""
+    b = mean_fanout / n
+    p = bernoulli_arrival_probability(n, load, b)
+    return run_simulation(
+        algorithm, n, {"model": "bernoulli", "p": p, "b": b},
+        num_slots=slots, seed=seed,
+    )
+
+
+def _fanout_delay(algorithm: str, mean_fanout: float) -> float:
+    """Output delay at N = 8, load 0.5."""
+    return _bernoulli_run(
+        algorithm, 8, 0.5, mean_fanout, 2_500, 3 + int(mean_fanout * 8)
+    ).average_output_delay
+
+
+def _size_run(algorithm: str, n: int):
+    """A run at load 0.7 and mean fanout 4 on an N-port switch."""
+    return _bernoulli_run(algorithm, n, 0.7, 4.0, 2_000, 2004 + n)
+
+
+FANOUTS = (1.5, 4.0, 8.0)
+SIZES = (8, 16, 32)
+
+
 class TestMulticastLatencyAdvantage:
     def test_fifoms_one_slot_vs_islip_fanout_slots(self):
         """A lone fanout-4 packet: FIFOMS delivers it in 1 slot via the
@@ -41,6 +78,23 @@ class TestMulticastLatencyAdvantage:
         assert i.average_input_delay == pytest.approx(4.0)
         assert f.average_output_delay == pytest.approx(1.0)
         assert i.average_output_delay == pytest.approx(2.5)  # (1+2+3+4)/4
+
+    @pytest.mark.parametrize("mean_fanout, least_tax", [(4.0, 1.5), (8.0, 2.0)])
+    def test_copy_splitting_tax_grows_with_fanout(self, mean_fanout, least_tax):
+        """iSLIP's output delay over FIFOMS's grows from mean fanout 1.5
+        and reaches at least ``least_tax``."""
+
+        def tax(f):
+            return _fanout_delay("islip", f) / _fanout_delay("fifoms", f)
+
+        assert tax(mean_fanout) > tax(FANOUTS[0])
+        assert tax(mean_fanout) >= least_tax
+
+    def test_fifoms_delay_flat_in_fanout(self):
+        """FIFOMS rides the crossbar's native fanout: its delay moves at
+        most 2.5x from mean fanout 1.5 to 8."""
+        delays = [_fanout_delay("fifoms", f) for f in FANOUTS]
+        assert max(delays) <= min(delays) * 2.5
 
     def test_buffer_replication_cost(self):
         """While waiting, iSLIP holds one data cell per copy; FIFOMS one
@@ -132,3 +186,22 @@ class TestConvergenceRoundsMetadata:
         s = _run_trace("fifoms", 4, pkts, 4)
         assert s.average_rounds >= 1.0
         assert s.max_rounds <= 4
+
+
+class TestSizeScaling:
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("algorithm", ["fifoms", "islip"])
+    def test_rounds_sublinear_in_n(self, algorithm, n):
+        """Average rounds stay below 2 log2 N + 2, far under the §IV.C
+        worst case of N."""
+        assert _size_run(algorithm, n).average_rounds < 2 * math.log2(n) + 2
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_load_held_constant_across_sizes(self, n):
+        assert _size_run("fifoms", n).offered_load == pytest.approx(0.7, abs=0.08)
+
+    def test_fifoms_delay_flat_in_n(self):
+        """At fixed load and mean fanout, FIFOMS's delay moves at most 2x
+        from N = 8 to N = 32."""
+        delays = [_size_run("fifoms", n).average_output_delay for n in SIZES]
+        assert max(delays) <= min(delays) * 2.0

@@ -1,5 +1,5 @@
-"""Property-based tests for the extension subsystems (QoS, frames, CICQ,
-CIOQ): conservation, drain and class/frame integrity on random traces."""
+"""Property-based tests for the extension subsystems (QoS, CICQ, CIOQ):
+conservation, drain and class integrity on random traces."""
 
 from __future__ import annotations
 
@@ -8,14 +8,10 @@ from collections import defaultdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frames.adapter import FrameTrafficAdapter, FrameWorkload
-from repro.frames.segmentation import Frame, FrameSegmenter
-from repro.frames.reassembly import FrameReassembler
 from repro.packet import Packet
 from repro.qos.switch import PriorityMulticastVOQSwitch
 from repro.schedulers.registry import make_switch
-from repro.switch.voq_multicast import MulticastVOQSwitch
-from repro.core.fifoms import FIFOMSScheduler, TieBreak
+from repro.core.fifoms import TieBreak
 
 
 @st.composite
@@ -76,59 +72,6 @@ def test_priority_switch_conserves_and_drains(trace):
     assert sw.total_backlog() == 0
     # One data cell per input per slot holds ACROSS classes too.
     assert all(len(v) == 1 for v in per_input_slot_packets.values())
-
-
-@st.composite
-def frame_batches(draw):
-    n = draw(st.integers(min_value=2, max_value=4))
-    count = draw(st.integers(min_value=1, max_value=6))
-    frames = []
-    slot_of_input = defaultdict(int)
-    for _ in range(count):
-        i = draw(st.integers(min_value=0, max_value=n - 1))
-        dests = draw(
-            st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n)
-        )
-        size = draw(st.integers(min_value=1, max_value=4))
-        frames.append(
-            Frame(
-                input_port=i,
-                destinations=tuple(dests),
-                size_cells=size,
-                arrival_slot=slot_of_input[i],
-            )
-        )
-        slot_of_input[i] += draw(st.integers(min_value=0, max_value=3))
-    return n, frames
-
-
-@settings(max_examples=25, deadline=None)
-@given(frame_batches())
-def test_sar_pipeline_reassembles_every_frame(batch):
-    n, frames = batch
-    seg = FrameSegmenter(n)
-    reasm = FrameReassembler(seg)
-    for f in sorted(frames, key=lambda f: (f.arrival_slot, f.input_port)):
-        seg.offer(f)
-    switch = MulticastVOQSwitch(n, FIFOMSScheduler(n, tie_break=TieBreak.LOWEST_INPUT))
-    total_cells = sum(f.size_cells * f.fanout for f in frames)
-    completed = []
-    slot = 0
-    while (not seg.drained or switch.total_backlog()) and slot < total_cells * 4 + 50:
-        result = switch.step(seg.emit(slot), slot)
-        for d in result.deliveries:
-            done = reasm.on_delivery(d)
-            if done:
-                completed.append(done)
-        slot += 1
-    assert seg.drained and switch.total_backlog() == 0
-    assert len(completed) == len(frames)
-    assert reasm.frames_in_flight == 0
-    # Frame completion is causally sound: completion slot >= arrival +
-    # size − 1 at every destination.
-    for frame, slots in completed:
-        for s in slots.values():
-            assert s >= frame.arrival_slot + frame.size_cells - 1
 
 
 @settings(max_examples=15, deadline=None)

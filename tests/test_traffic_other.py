@@ -142,7 +142,6 @@ class TestTrace:
 
 
 def _counted_models():
-    from repro.frames.adapter import FrameTrafficAdapter, FrameWorkload
     from repro.qos.traffic import PriorityTagger
     from repro.traffic.burst import BurstMulticastTraffic
     from repro.traffic.uniform import UniformFanoutTraffic
@@ -160,9 +159,6 @@ def _counted_models():
     )
     yield PriorityTagger(
         BernoulliMulticastTraffic(6, p=0.6, b=0.3, rng=7), [1, 1], rng=8
-    )
-    yield FrameTrafficAdapter(
-        FrameWorkload(6, frame_rate=0.1, mean_size=3.0, b=0.4, max_size=8, rng=9)
     )
 
 
