@@ -97,7 +97,6 @@ from repro.kernel import (
     register_backend,
 )
 from repro.switch.cioq import CIOQSwitch
-from repro.qos import PriorityMulticastVOQSwitch, PriorityTagger
 from repro.faults import (
     CellDropModel,
     CrosspointFailure,
@@ -183,8 +182,6 @@ __all__ = [
     "register_backend",
     # extensions
     "CIOQSwitch",
-    "PriorityMulticastVOQSwitch",
-    "PriorityTagger",
     # fault injection
     "FaultInjector",
     "SlotFaultState",

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", default=None, choices=sorted(available_backends()),
         help="multicast VOQ kernel the scheduler is handed "
         "(default: the pairing's fast body, see 'repro-sim list'; "
-        "bit-identical results; selects one for fifoms, fifoms-prio, "
+        "bit-identical results; selects one for fifoms and "
         "greedy-mcast; every other algorithm has one body and ignores it)",
     )
     run_p.add_argument(

@@ -128,9 +128,8 @@ class FIFOMSScheduler:
         heads: :meth:`_schedule_state_rounds` runs the paper's rounds,
         :meth:`_schedule_state_no_split` the no-splitting ablation. Both
         start from the caller's ``input_free`` / ``output_free`` and write
-        the ports they reserve back into them (fifoms-prio chains classes
-        through these lists; a fault-injected switch passes its port
-        outages in them).
+        the ports they reserve back into them (a fault-injected switch
+        passes its port outages in them).
         """
         n = self.num_ports
         if state.num_ports != n:

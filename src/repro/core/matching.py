@@ -49,8 +49,8 @@ class ScheduleDecision:
         One output bitmask per matched input, keyed by input index, in
         the order the scheduler granted them (ascending input for every
         built-in scheduler but the pointer-ordered greedy pass, the
-        timestamp-ordered no-splitting FIFOMS pass, ESLIP's
-        multicast-then-unicast merge and the class-ordered QoS combine).
+        timestamp-ordered no-splitting FIFOMS pass and ESLIP's
+        multicast-then-unicast merge).
         Commit emits deliveries in this order.
     rounds:
         Number of productive iterations the scheduler ran (see DESIGN.md

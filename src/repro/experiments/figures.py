@@ -235,8 +235,6 @@ _add(
             "islip",
             "eslip",
             "pim",
-            "2drr",
-            "serena",
             "maxweight-lqf",
             "oqfifo",
         ),

@@ -75,7 +75,7 @@ class KernelBackend(ABC):
 
         ``input_free`` / ``output_free`` are the fault-mask vectors; when
         given, the ports a grant takes are marked reserved in them in
-        place (fifoms-prio chains its class lanes through them).
+        place.
         """
 
     @abstractmethod

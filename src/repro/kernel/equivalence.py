@@ -174,16 +174,11 @@ def default_grid() -> list[EquivalenceCase]:
     """The CI grid: every dual pairing (:func:`classify_registry`) × two
     traffic models, plus one fault-injection case. Loads keep every run
     stable for the full slot count at N = 4 and 8 (an early stop would
-    shrink what is compared); fifoms-prio gets class-tagged traffic so
-    both service classes carry cells."""
+    shrink what is compared)."""
     bernoulli = {"model": "bernoulli", "p": 0.3, "b": 0.25}
     burst = {"model": "burst", "e_on": 4.0, "e_off": 16.0, "b": 0.3}
-    cases = []
-    for name in classify_registry()[1]:
-        pair: tuple[dict[str, Any], ...] = (bernoulli, burst)
-        if name == "fifoms-prio":
-            pair = tuple(dict(spec, class_shares=[0.5, 0.5]) for spec in pair)
-        cases.extend(EquivalenceCase(name, spec) for spec in pair)
+    cases = [EquivalenceCase(name, spec)
+             for name in classify_registry()[1] for spec in (bernoulli, burst)]
     cases.append(EquivalenceCase("fifoms", bernoulli, fault="flaky-crosspoint"))
     return cases
 

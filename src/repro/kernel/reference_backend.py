@@ -43,13 +43,13 @@ class ReferenceBackend(KernelBackend):
             result.splits += not released
 
     def harvest_slot_stats(self) -> dict[str, object]:
-        return shadow.harvest([self.model])
+        return shadow.harvest(self.model)
 
     def queue_sizes(self) -> list[int]:
-        return shadow.queue_sizes([self.model])
+        return shadow.queue_sizes(self.model)
 
     def total_backlog(self) -> int:
-        return shadow.total_backlog([self.model])
+        return shadow.total_backlog(self.model)
 
     def check_invariants(self) -> None:
         self.model.check()

@@ -44,16 +44,12 @@ class Packet:
     packet_id:
         A process-unique identifier, assigned automatically. Used only for
         bookkeeping (delay attribution, tests); algorithms never key on it.
-    priority:
-        QoS class, 0 = highest. Ignored by the paper's algorithms; used
-        by the :mod:`repro.qos` strict-priority extension.
     """
 
     input_port: int
     destinations: tuple[int, ...]
     arrival_slot: int
     packet_id: int = field(default_factory=_next_packet_id)
-    priority: int = 0
 
     def __init__(
         self,
@@ -61,7 +57,6 @@ class Packet:
         destinations: tuple[int, ...],
         arrival_slot: int,
         packet_id: int | None = None,
-        priority: int = 0,
     ) -> None:
         # Checked once, here; stored through the slot descriptors below
         # because the frozen ``__setattr__`` refuses plain assignment.
@@ -87,13 +82,10 @@ class Packet:
             raise TrafficError(f"negative input port {input_port}")
         if arrival_slot < 0:
             raise TrafficError(f"negative arrival slot {arrival_slot}")
-        if priority < 0:
-            raise TrafficError(f"negative priority {priority}")
         _set_input_port(self, input_port)
         _set_destinations(self, dests)
         _set_arrival_slot(self, arrival_slot)
         _set_packet_id(self, packet_id)
-        _set_priority(self, priority)
 
     @property
     def fanout(self) -> int:
@@ -115,7 +107,6 @@ _set_input_port = Packet.input_port.__set__  # type: ignore[attr-defined]
 _set_destinations = Packet.destinations.__set__  # type: ignore[attr-defined]
 _set_arrival_slot = Packet.arrival_slot.__set__  # type: ignore[attr-defined]
 _set_packet_id = Packet.packet_id.__set__  # type: ignore[attr-defined]
-_set_priority = Packet.priority.__set__  # type: ignore[attr-defined]
 
 
 class Delivery(NamedTuple):

@@ -301,9 +301,9 @@ class FifoOrderChecker(Checker):
     (``switch.fifo_per_pair``), the arrival slots of cells delivered on
     any one (input, output) pair must be non-decreasing over the run: a
     younger cell overtaking an older sibling in the same multicast VOQ
-    means HOL discipline broke. Class-based schedulers (ESLIP, the QoS
-    switch) declare ``fifo_per_pair = False`` and are skipped, same as
-    in the property suites.
+    means HOL discipline broke. Class-based schedulers (ESLIP) declare
+    ``fifo_per_pair = False`` and are skipped, same as in the property
+    suites.
     """
 
     name = "fifo_order"
@@ -383,19 +383,8 @@ class StateCrossChecker(Checker):
         if state_arrays is None:
             return out
         arrays = state_arrays()
-        # The strict-priority switch snapshots one SoA state per service
-        # class ({"class0": {...}, ...}); flat switches return the keys
-        # directly. Aggregate lanes for the public-API comparisons, keep
-        # the HOL-liveness check per lane.
-        lanes: list[tuple[str | None, dict[str, Any]]] = (
-            [(None, arrays)]
-            if "occupancy" in arrays
-            else sorted(arrays.items())
-        )
-        occupancy = np.sum(
-            [np.asarray(sub["occupancy"]) for _, sub in lanes], axis=0
-        )
-        live = np.sum([np.asarray(sub["live"]) for _, sub in lanes], axis=0)
+        occupancy = np.asarray(arrays["occupancy"])
+        live = np.asarray(arrays["live"])
         backlog = int(ctx.switch.total_backlog())
         if int(occupancy.sum()) != backlog:
             out.append(
@@ -435,25 +424,20 @@ class StateCrossChecker(Checker):
                     queue_sizes=tuple(queue_sizes),
                 )
             )
-        for lane, sub in lanes:
-            lane_hol = np.asarray(sub["hol_ts"])
-            lane_occ = np.asarray(sub["occupancy"])
-            mismatch = np.isfinite(lane_hol) != (lane_occ > 0)
-            if bool(mismatch.any()):
-                where = np.argwhere(mismatch)
-                i, j = (int(where[0][0]), int(where[0][1]))
-                out.append(
-                    self.violation(
-                        ctx,
-                        slot,
-                        "HOL timestamp liveness disagrees with occupancy "
-                        "(finite ts iff the VOQ is non-empty)",
-                        input=i,
-                        output=j,
-                        occupancy=int(lane_occ[i, j]),
-                        **({"lane": lane} if lane is not None else {}),
-                    )
+        mismatch = np.isfinite(np.asarray(arrays["hol_ts"])) != (occupancy > 0)
+        if bool(mismatch.any()):
+            i, j = (int(v) for v in np.argwhere(mismatch)[0])
+            out.append(
+                self.violation(
+                    ctx,
+                    slot,
+                    "HOL timestamp liveness disagrees with occupancy "
+                    "(finite ts iff the VOQ is non-empty)",
+                    input=i,
+                    output=j,
+                    occupancy=int(occupancy[i, j]),
                 )
+            )
         harvest = getattr(ctx.switch, "harvest_slot_stats", None)
         if harvest is not None:
             stats = harvest()

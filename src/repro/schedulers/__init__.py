@@ -2,7 +2,7 @@
 
 * :class:`ISLIPScheduler` — iSLIP (McKeown '99), unicast VOQ.
 * :class:`PIMScheduler` — Parallel Iterative Matching (Anderson et al. '93).
-* :class:`MaxWeightScheduler` — LQF/OCF maximum-weight matching reference.
+* :class:`MaxWeightScheduler` — LQF maximum-weight matching reference.
 * :class:`TATRAScheduler` — Tetris-based multicast scheduling on the
   single-input-queued switch (Ahuja/Prabhakar/McKeown '97).
 * :class:`WBAScheduler` — weight-based multicast arbitration, same switch.

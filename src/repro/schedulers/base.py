@@ -84,8 +84,8 @@ class UnicastVOQView:
     """What a unicast scheduler may read of a switch's N² VOQs in one slot.
 
     Built by :meth:`repro.switch.voq_bank.UnicastVOQBank.view` (which
-    documents when the matrices exist), or by keyword from bare matrices
-    — ``UnicastVOQView(occupancy=..., hol_arrival=..., current_slot=...)``
+    documents when the count matrix exists), or by keyword from a bare one
+    — ``UnicastVOQView(occupancy=..., current_slot=...)``
     — by tests and custom switches.
 
     Attributes
@@ -93,11 +93,8 @@ class UnicastVOQView:
     occupancy:
         ``occupancy[i, j]`` = number of cells queued at input i for
         output j.
-    hol_arrival:
-        ``hol_arrival[i, j]`` = arrival slot of the HOL cell of VOQ (i, j),
-        or -1 when the VOQ is empty. Used by OCF weights and by tests.
     current_slot:
-        The slot being scheduled (for age computations).
+        The slot being scheduled.
     cols:
         ``cols[j]`` = bitmask of the inputs whose VOQ for output j is
         non-empty (bit i set <=> ``occupancy[i, j] > 0``) — the request
@@ -114,18 +111,13 @@ class UnicastVOQView:
         *,
         current_slot: int,
         occupancy: np.ndarray | None = None,
-        hol_arrival: np.ndarray | None = None,
         cols: list[int] | None = None,
         bank: object | None = None,
     ) -> None:
         self.current_slot = current_slot
         self.cols = cols
         if bank is None:
-            bank = SimpleNamespace(
-                num_ports=len(occupancy),
-                occupancy=occupancy,
-                hol_arrival=hol_arrival,
-            )
+            bank = SimpleNamespace(num_ports=len(occupancy), occupancy=occupancy)
         self.num_ports = bank.num_ports
         # Read through on every access: a bank builds its matrices the
         # first time one is asked for, so a view nobody asks costs none.
@@ -134,10 +126,6 @@ class UnicastVOQView:
     @property
     def occupancy(self) -> np.ndarray:
         return self._matrices.occupancy
-
-    @property
-    def hol_arrival(self) -> np.ndarray:
-        return self._matrices.hol_arrival
 
     def request_columns(self) -> list[int]:
         """Per-output request bitmasks (:attr:`cols`), derived from

@@ -6,11 +6,7 @@ switch 100% throughput for all independent admissible arrivals. It is far
 too expensive for hardware (O(N³) per slot) but is the natural upper
 baseline for the unicast experiments and for stability tests.
 
-Weights:
-
-* ``"lqf"`` — longest queue first: weight = VOQ occupancy.
-* ``"ocf"`` — oldest cell first: weight = HOL cell age.
-
+The weight of VOQ (i, j) is its occupancy (longest queue first, LQF).
 The maximization runs through
 :func:`scipy.optimize.linear_sum_assignment`; zero-weight (empty-VOQ)
 assignments the solver is forced to make are filtered out of the result.
@@ -27,23 +23,15 @@ from repro.schedulers.base import UnicastVOQView
 
 __all__ = ["MaxWeightScheduler"]
 
-_WEIGHTS = ("lqf", "ocf")
-
-
 class MaxWeightScheduler:
-    """Maximum-weight matching over the VOQ occupancy/age matrix."""
+    """Maximum-weight matching over the VOQ occupancy matrix (LQF)."""
 
     name = "maxweight"
 
-    def __init__(self, num_ports: int, *, weight: str = "lqf") -> None:
+    def __init__(self, num_ports: int) -> None:
         if num_ports < 1:
             raise ConfigurationError(f"num_ports must be >= 1, got {num_ports}")
-        if weight not in _WEIGHTS:
-            raise ConfigurationError(
-                f"weight must be one of {_WEIGHTS}, got {weight!r}"
-            )
         self.num_ports = num_ports
-        self.weight = weight
         # Weight-matrix scratch, refilled every slot.
         self._w = np.empty((num_ports, num_ports), dtype=np.float64)
 
@@ -61,12 +49,7 @@ class MaxWeightScheduler:
                 f"view has {view.num_ports} ports, scheduler built for {n}"
             )
         w = self._w
-        if self.weight == "lqf":
-            np.copyto(w, view.occupancy, casting="unsafe")
-        else:
-            hol = view.hol_arrival
-            np.subtract(view.current_slot + 1, hol, out=w, casting="unsafe")
-            w[hol < 0] = 0.0
+        np.copyto(w, view.occupancy, casting="unsafe")
         decision = ScheduleDecision()
         if not w.any():
             return decision
@@ -80,4 +63,4 @@ class MaxWeightScheduler:
         return decision
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MaxWeightScheduler(N={self.num_ports}, weight={self.weight!r})"
+        return f"MaxWeightScheduler(N={self.num_ports})"

@@ -71,11 +71,11 @@ def make_switch(
     kernel the scheduler is handed: "vectorized" (``SwitchState``,
     production) or "object" (the paper-literal reference model of
     :mod:`repro.verify.reference`). It
-    selects something only for the pairings on that switch — fifoms,
-    fifoms-prio, greedy-mcast; every other pairing has one body, accepts
-    any registered name and builds the same switch. Left unset
-    (``None``, the default) it resolves to the pairing's fast body:
-    "vectorized" for the three dual pairings, whose schedulers define
+    selects something only for the pairings on that switch — fifoms and
+    greedy-mcast; every other pairing has one body, accepts any
+    registered name and builds the same switch. Left unset (``None``,
+    the default) it resolves to the pairing's fast body: "vectorized"
+    for the two dual pairings, whose schedulers define
     ``schedule_state`` (:func:`~repro.schedulers.base.resolve_backend`).
     ``switch.backend`` reports what was built. An unregistered name
     raises :class:`~repro.errors.ConfigurationError` for every pairing.
@@ -148,14 +148,11 @@ def _pim(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     return UnicastVOQSwitch(num_ports, sched, **kw)
 
 
-def _maxweight(weight: str) -> SwitchFactory:
-    def factory(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
-        from repro.switch.voq_unicast import UnicastVOQSwitch
+def _maxweight(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
+    from repro.switch.voq_unicast import UnicastVOQSwitch
 
-        _discard_backend(kw, f"maxweight-{weight}")
-        return UnicastVOQSwitch(num_ports, MaxWeightScheduler(num_ports, weight=weight), **kw)
-
-    return factory
+    _discard_backend(kw, "maxweight-lqf")
+    return UnicastVOQSwitch(num_ports, MaxWeightScheduler(num_ports), **kw)
 
 
 def _tatra(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
@@ -198,45 +195,6 @@ def _oqfifo(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     return OutputQueuedSwitch(num_ports, **kw)
 
 
-def _fifoms_prio(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
-    from repro.qos.switch import PriorityMulticastVOQSwitch
-
-    tie = kw.pop("tie_break", TieBreak.RANDOM)
-    if isinstance(tie, str):
-        tie = TieBreak(tie)
-    return PriorityMulticastVOQSwitch(
-        num_ports, kw.pop("num_classes", 2), tie_break=tie, rng=rng, **kw
-    )
-
-
-register_switch_factory("fifoms", _fifoms)
-register_switch_factory("islip", _islip)
-register_switch_factory("pim", _pim)
-register_switch_factory("maxweight-lqf", _maxweight("lqf"))
-register_switch_factory("maxweight-ocf", _maxweight("ocf"))
-register_switch_factory("tatra", _tatra)
-register_switch_factory("wba", _wba)
-register_switch_factory("siq-fifo", _siq_fifo)
-register_switch_factory("greedy-mcast", _greedy)
-register_switch_factory("oqfifo", _oqfifo)
-def _tdrr(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
-    from repro.schedulers.tdrr import TwoDimensionalRoundRobinScheduler
-    from repro.switch.voq_unicast import UnicastVOQSwitch
-
-    _discard_backend(kw, "2drr")
-    return UnicastVOQSwitch(
-        num_ports, TwoDimensionalRoundRobinScheduler(num_ports), **kw
-    )
-
-
-def _serena(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
-    from repro.schedulers.serena import SerenaScheduler
-    from repro.switch.voq_unicast import UnicastVOQSwitch
-
-    _discard_backend(kw, "serena")
-    return UnicastVOQSwitch(num_ports, SerenaScheduler(num_ports, rng=rng), **kw)
-
-
 def _cioq(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.schedulers.islip import ISLIPScheduler
     from repro.switch.cioq import CIOQSwitch
@@ -246,8 +204,6 @@ def _cioq(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     return CIOQSwitch(num_ports, speedup, ISLIPScheduler(num_ports), **kw)
 
 
-register_switch_factory("fifoms-prio", _fifoms_prio)
-register_switch_factory("cioq-islip", _cioq)
 def _cicq(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.cicq import BufferedCrossbarSwitch
 
@@ -266,7 +222,15 @@ def _eslip(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     )
 
 
-register_switch_factory("2drr", _tdrr)
-register_switch_factory("serena", _serena)
+register_switch_factory("fifoms", _fifoms)
+register_switch_factory("islip", _islip)
+register_switch_factory("pim", _pim)
+register_switch_factory("maxweight-lqf", _maxweight)
+register_switch_factory("tatra", _tatra)
+register_switch_factory("wba", _wba)
+register_switch_factory("siq-fifo", _siq_fifo)
+register_switch_factory("greedy-mcast", _greedy)
+register_switch_factory("oqfifo", _oqfifo)
+register_switch_factory("cioq-islip", _cioq)
 register_switch_factory("cicq", _cicq)
 register_switch_factory("eslip", _eslip)

@@ -9,6 +9,7 @@ records back.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -42,28 +43,29 @@ def build_traffic(
     """Instantiate a traffic model from a plain spec dict.
 
     The spec has a ``model`` key naming one of :data:`TRAFFIC_MODELS`;
-    every other key is forwarded as a constructor keyword. An optional
-    ``class_shares`` key wraps the model in a
-    :class:`~repro.qos.traffic.PriorityTagger` with those shares.
+    every other key is forwarded as a constructor keyword. A key the
+    model's constructor does not take raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     spec = dict(spec)
     try:
         name = spec.pop("model")
     except KeyError:
         raise ConfigurationError("traffic spec needs a 'model' key") from None
-    class_shares = spec.pop("class_shares", None)
     try:
         cls = TRAFFIC_MODELS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown traffic model {name!r}; one of {sorted(TRAFFIC_MODELS)}"
         ) from None
-    model: TrafficModel = cls(num_ports, rng=rng, **spec)
-    if class_shares is not None:
-        from repro.qos.traffic import PriorityTagger
-
-        model = PriorityTagger(model, class_shares, rng=rng)
-    return model
+    takes = inspect.signature(cls).parameters.keys() - {"num_ports", "rng"}
+    unknown = sorted(spec.keys() - takes)
+    if unknown:
+        raise ConfigurationError(
+            f"traffic model {name!r} takes no key {unknown[0]!r}; "
+            f"its keys are {sorted(takes)}"
+        )
+    return cls(num_ports, rng=rng, **spec)
 
 
 def run_simulation(
@@ -107,8 +109,8 @@ def run_simulation(
 
     Kernel backend: the explicit ``backend`` argument wins, then a
     ``backend`` key in ``switch_kwargs``; left unset in both, the
-    pairing builds its fast body (``"vectorized"`` for fifoms,
-    fifoms-prio, greedy-mcast). Both multicast VOQ kernels produce
+    pairing builds its fast body (``"vectorized"`` for fifoms and
+    greedy-mcast). Both multicast VOQ kernels produce
     bit-identical summaries (``repro.kernel.equivalence`` enforces
     this); for a single-bodied pairing (iSLIP, TATRA, OQFIFO, …) a name
     is accepted and selects nothing.

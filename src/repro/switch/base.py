@@ -77,10 +77,10 @@ class BaseSwitch(abc.ABC):
 
     #: Whether the architecture guarantees FIFO service order per
     #: (input, output) pair across ALL its internal queues. Class-based
-    #: schedulers (ESLIP's multicast priority, the strict-priority QoS
-    #: switch) legitimately serve a newer high-class cell before an older
-    #: low-class one, so they set this False and the verifier/property
-    #: suites skip the cross-class FIFO check for them.
+    #: schedulers (ESLIP's multicast priority) legitimately serve a newer
+    #: high-class cell before an older low-class one, so they set this
+    #: False and the verifier/property suites skip the cross-class FIFO
+    #: check for them.
     fifo_per_pair: bool = True
 
     #: What the per-slot delivery set is allowed to look like, consumed by
@@ -90,8 +90,7 @@ class BaseSwitch(abc.ABC):
     #: output AND all of one input's deliveries carry the same data cell.
     #: Architectures with internal buffering between the matching and the
     #: output line (CIOQ/CICQ/output-queued) or with several independent
-    #: per-slot matchings (ESLIP's multicast+unicast mix, per-class QoS)
-    #: declare ``"output"`` — only the one-cell-per-output-line half holds.
+    #: per-slot matchings (ESLIP's multicast+unicast mix) declare ``"output"`` — only the one-cell-per-output-line half holds.
     matching_discipline: str = "crossbar"
 
     #: Which multicast VOQ kernel the scheduler is handed. Only the

@@ -7,7 +7,7 @@ buffered crossbar and the unicast half of ESLIP — holds one
 crosspoint buffers, a multicast queue). The bank is the single home of
 "which VOQs are non-empty and how long they are": the deque grid, the
 request bits mask-based arbiters read, per-input backlog counters and
-the count / HOL-arrival matrices the array schedulers read.
+the count matrix PIM, MaxWeight and ESLIP's grant step read.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ class UnicastVOQBank:
         self.cols = [0] * n
         self.rows = [0] * n
         self.input_backlog = [0] * n
-        # Built by the first read of ``occupancy`` / ``hol_arrival``, then
-        # kept in step by every push / pop: a switch whose scheduler reads
-        # only the request bits never pays for a matrix.
+        # Built by the first read of ``occupancy``, then kept in step by
+        # every push / pop: a switch whose scheduler reads only the
+        # request bits never pays for the matrix.
         self._occupancy: np.ndarray | None = None
-        self._hol_arrival: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     def push(self, packet: Packet, j: int) -> None:
@@ -62,8 +61,6 @@ class UnicastVOQBank:
         if not q:
             self.cols[j] |= 1 << i
             self.rows[i] |= 1 << j
-            if self._occupancy is not None:
-                self._hol_arrival[i, j] = packet.arrival_slot
         q.append(packet)
         self.input_backlog[i] += 1
         if self._occupancy is not None:
@@ -81,7 +78,6 @@ class UnicastVOQBank:
             self.rows[i] ^= 1 << j
         if self._occupancy is not None:
             self._occupancy[i, j] = len(q)
-            self._hol_arrival[i, j] = q[0].arrival_slot if q else -1
         return packet
 
     # ------------------------------------------------------------------ #
@@ -89,25 +85,10 @@ class UnicastVOQBank:
     def occupancy(self) -> np.ndarray:
         """``occupancy[i, j]`` = cells queued at VOQ (i, j) (live array)."""
         if self._occupancy is None:
-            self._build_matrices()
+            self._occupancy = np.array(
+                [[len(q) for q in row] for row in self.queues], dtype=np.int64
+            )
         return self._occupancy
-
-    @property
-    def hol_arrival(self) -> np.ndarray:
-        """``hol_arrival[i, j]`` = arrival slot of VOQ (i, j)'s HOL cell,
-        -1 when the VOQ is empty (live array)."""
-        if self._occupancy is None:
-            self._build_matrices()
-        return self._hol_arrival
-
-    def _build_matrices(self) -> None:
-        self._occupancy = np.array(
-            [[len(q) for q in row] for row in self.queues], dtype=np.int64
-        )
-        self._hol_arrival = np.array(
-            [[q[0].arrival_slot if q else -1 for q in row] for row in self.queues],
-            dtype=np.int64,
-        )
 
     def view(self, slot: int) -> UnicastVOQView:
         """What a unicast scheduler sees of the bank when scheduling ``slot``."""
@@ -119,7 +100,7 @@ class UnicastVOQBank:
 
     def check(self) -> None:
         """Verify every index against the deques, and per-VOQ FIFO order."""
-        occ, hol = self._occupancy, self._hol_arrival
+        occ = self._occupancy
         for i, row in enumerate(self.queues):
             if self.input_backlog[i] != sum(len(q) for q in row):
                 raise SchedulingError(f"input backlog drift at input {i}")
@@ -131,9 +112,5 @@ class UnicastVOQBank:
                 arrivals = [p.arrival_slot for p in q]
                 if arrivals != sorted(arrivals):
                     raise SchedulingError(f"VOQ ({i}, {j}) not FIFO-ordered")
-                if occ is None:
-                    continue
-                if len(q) != occ[i, j]:
+                if occ is not None and len(q) != occ[i, j]:
                     raise SchedulingError(f"occupancy drift at VOQ ({i}, {j})")
-                if (arrivals[0] if q else -1) != hol[i, j]:
-                    raise SchedulingError(f"HOL-arrival drift at VOQ ({i}, {j})")

@@ -14,7 +14,7 @@ The invariants checked are therefore exactly the sanitizer's catalogue
 (docs/sanitizers.md): conservation, matching validity, per-pair FIFO
 order, the switch's own ``check_invariants()`` with the kernel-seam
 cross-checks, and RNG isolation — plus, for the pairings the reference
-models (fifoms, fifoms-prio, greedy-mcast),
+models (fifoms, greedy-mcast),
 :class:`~repro.verify.shadow.ReferenceShadow`: every slot's decision
 equal to the reference's, stepped in lockstep. The engine adds its
 collector's refusals (a delivery before its arrival, or for a packet

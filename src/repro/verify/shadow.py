@@ -74,24 +74,24 @@ class ReferenceLane:
         return [offers[int(k)] for k in self.rng.permutation(len(offers))]
 
 
-def harvest(models: Sequence[Any]) -> dict[str, object]:
-    """``harvest_slot_stats()`` over the models' cells and VOQs together."""
-    cells = [cell for m in models for live in m.buffer for cell in live]
-    queues = [q for m in models for row in m.voqs for q in row]
+def harvest(model: Any) -> dict[str, object]:
+    """``harvest_slot_stats()`` over the model's cells and VOQs."""
+    cells = [cell for live in model.buffer for cell in live]
+    queues = [q for row in model.voqs for q in row]
     heads = [q[0].time_stamp for q in queues if q]
     return {"live_cells": len(cells), "voq_peak": max(map(len, queues)),
             "residue_cells": sum(c.fanout_counter < c.packet.fanout for c in cells),
             "oldest_hol_ts": min(heads, default=None)}
 
 
-def queue_sizes(models: Sequence[Any]) -> list[int]:
-    """Live data cells per input, summed over the models."""
-    return [sum(map(len, cells)) for cells in zip(*(m.buffer for m in models))]
+def queue_sizes(model: Any) -> list[int]:
+    """Live data cells per input."""
+    return [len(cells) for cells in model.buffer]
 
 
-def total_backlog(models: Sequence[Any]) -> int:
-    """Queued address cells over the models."""
-    return sum(len(q) for m in models for row in m.voqs for q in row)
+def total_backlog(model: Any) -> int:
+    """Queued address cells."""
+    return sum(len(q) for row in model.voqs for q in row)
 
 
 def state_arrays(model: Any) -> dict[str, object]:
@@ -99,7 +99,7 @@ def state_arrays(model: Any) -> dict[str, object]:
     hol = [[q[0].time_stamp if q else np.inf for q in row] for row in model.voqs]
     return {"hol_ts": np.array(hol, np.float64),
             "occupancy": np.array([list(map(len, r)) for r in model.voqs], np.int64),
-            "live": np.array(queue_sizes([model]), np.int64),
+            "live": np.array(queue_sizes(model), np.int64),
             "fanout_counters": [np.array([c.fanout_counter for c in live], np.int64)
                                 for live in model.buffer]}
 
@@ -113,24 +113,21 @@ def _plain(value: Any) -> Any:
     return np.asarray(value).tolist()
 
 
-def _schedulers(switch: Any) -> list[Any] | None:
-    """The schedulers a reference lane can stand beside, or None."""
-    from repro.qos.switch import PriorityMulticastVOQSwitch
+def _scheduler(switch: Any) -> Any:
+    """The scheduler a reference lane can stand beside, or None."""
     from repro.switch.voq_multicast import MulticastVOQSwitch
 
-    if isinstance(switch, PriorityMulticastVOQSwitch):
-        return list(switch.schedulers)
     if isinstance(switch, MulticastVOQSwitch) and isinstance(
             switch.scheduler, (FIFOMSScheduler, GreedyMcastScheduler)):
-        return [switch.scheduler]
+        return switch.scheduler
     return None
 
 
 class ReferenceShadow(Checker):
-    """Production held to the reference, slot by slot, in one run: one lane
-    per scheduler, never in :func:`~repro.sanitize.default_checkers`, the
+    """Production held to the reference, slot by slot, in one run: one
+    lane, never in :func:`~repro.sanitize.default_checkers`, the
     reference imported at :meth:`attach`. Per slot, production's rows
-    must be the lanes' decision (fault-pruned) less exactly
+    must be the lane's decision (fault-pruned) less exactly
     ``grants_lost`` branches, and its drops, rounds, splits, queue sizes
     and kernel-seam counters the reference's; deep passes compare
     ``state_arrays()`` and ``total_backlog()`` (docs/sanitizers.md)."""
@@ -141,35 +138,31 @@ class ReferenceShadow(Checker):
         from repro.verify.reference import ReferenceFIFOMS
 
         switch = ctx.switch
-        schedulers = _schedulers(switch)
-        if schedulers is None or switch.current_slot != -1:
+        scheduler = _scheduler(switch)
+        if scheduler is None or switch.current_slot != -1:
             raise ConfigurationError(
-                "ReferenceShadow stands beside a fifoms, fifoms-prio or "
-                f"greedy-mcast switch before its first slot, not {switch!r}")
-        # One memo: the lanes share a generator copy where production's share one.
-        memo: dict[int, Any] = {}
-        self.rngs = [copy.deepcopy(getattr(s, "_rng", None), memo) for s in schedulers]
-        self.schedulers, self.by_class = schedulers, hasattr(switch, "schedulers")
-        buffer = {"buffer_capacity": getattr(switch, "buffer_capacity", None),
-                  "buffer_overflow": getattr(switch, "buffer_overflow", "raise")}
-        self.models = [ReferenceFIFOMS(switch.num_ports, **buffer) for _ in schedulers]
-        self.lanes = [ReferenceLane(model) for model in self.models]
+                "ReferenceShadow stands beside a fifoms or greedy-mcast "
+                f"switch before its first slot, not {switch!r}")
+        self.scheduler = scheduler
+        self.rng = copy.deepcopy(getattr(scheduler, "_rng", None))
+        self.model = ReferenceFIFOMS(
+            switch.num_ports,
+            buffer_capacity=getattr(switch, "buffer_capacity", None),
+            buffer_overflow=getattr(switch, "buffer_overflow", "raise"))
+        self.lane = ReferenceLane(self.model)
         self.fault_drops = ctx.injector.packets_dropped if ctx.injector else 0
         return []
-
-    def _model(self, packet: "Packet") -> Any:
-        return self.models[packet.priority if self.by_class else 0]
 
     def on_slot(self, ctx: RunContext, slot: int,
                 arrivals: "Sequence[Packet | None]",
                 result: "SlotResult") -> list[Violation]:
         out = self._admit(ctx, slot, arrivals, result)
-        expected, rounds = self._decide(ctx.injector, ctx.switch.num_ports)
+        expected, rounds = self._decide(ctx.injector)
         out += self._rows(ctx, slot, expected, result)
         splits = reclaimed = 0
         for packet, mask in result.rows:
             try:
-                served, released = self._model(packet).transmit(
+                served, released = self.model.transmit(
                     packet.input_port, list(iter_bits(mask)))
             except (ReproError, IndexError):
                 served = released = None
@@ -186,8 +179,8 @@ class ReferenceShadow(Checker):
                  (result.rounds, tuple(result.round_grants), result.requests_made)),
                 ("splits, reclaimed", (splits, reclaimed),
                  (result.splits, result.reclaimed)),
-                ("queue_sizes()", queue_sizes(self.models), ctx.switch.queue_sizes()),
-                ("harvest_slot_stats()", harvest(self.models),
+                ("queue_sizes()", queue_sizes(self.model), ctx.switch.queue_sizes()),
+                ("harvest_slot_stats()", harvest(self.model),
                  ctx.switch.harvest_slot_stats())):
             if ref != prod:
                 out.append(self.violation(ctx, slot, f"{what} differ from the "
@@ -201,11 +194,10 @@ class ReferenceShadow(Checker):
         may be either loss; one at a buffer with room is the injector's."""
         out, dropped, seen, refused = [], {id(p) for p in result.dropped_packets}, 0, 0
         for packet in filter(None, arrivals):
-            model = self._model(packet)
             if id(packet) in dropped:
                 seen += 1
-                refused += model.full(packet.input_port)
-            elif not model.preprocess(packet, slot):
+                refused += self.model.full(packet.input_port)
+            elif not self.model.preprocess(packet, slot):
                 out.append(self.violation(ctx, slot, "production admitted a packet "
                                           "the reference's full buffer refuses",
                                           input=packet.input_port))
@@ -218,23 +210,15 @@ class ReferenceShadow(Checker):
                 dropped_arrivals=seen, refused=refused, injector_drops=faults))
         return out
 
-    def _decide(self, injector: Any, n: int) -> tuple[dict[int, int], tuple]:
-        """Table 2 on every lane, fault-pruned: masks, (rounds, grants, requests)."""
+    def _decide(self, injector: Any) -> tuple[dict[int, int], tuple]:
+        """Table 2 on the lane, fault-pruned: masks, (rounds, grants, requests)."""
         state = injector.current if injector is not None else None
         free: tuple = (None, None)
-        if self.by_class:  # each class schedules over the ports those above left
-            free = ([True] * n, [True] * n)
-        elif state is not None and state.has_port_outage and getattr(
-                self.schedulers[0], "supports_port_masks", False):
+        if state is not None and state.has_port_outage and getattr(
+                self.scheduler, "supports_port_masks", False):
             free = tuple(up and list(up) for up in (state.input_up, state.output_up))
-        masks: dict[int, int] = {}
-        rounds, requests, round_grants = 0, False, ()
-        for lane, scheduler, rng in zip(self.lanes, self.schedulers, self.rngs):
-            decision = lane.decide(scheduler, rng, *free)
-            masks.update(decision.masks)
-            rounds += decision.rounds
-            requests |= decision.requests_made
-            round_grants += tuple(decision.round_grants)  # in class order
+        decision = self.lane.decide(self.scheduler, self.rng, *free)
+        masks = decision.masks
         if state is not None and state.degraded:
             for i in list(masks):
                 keep = 0 if state.input_is_down(i) else masks[i]
@@ -242,7 +226,8 @@ class ReferenceShadow(Checker):
                     if state.output_is_down(j) or (i, j) in state.failed_crosspoints:
                         keep ^= 1 << j
                 masks[i] = keep
-        return masks, (rounds, round_grants, requests)
+        return masks, (decision.rounds, tuple(decision.round_grants),
+                       decision.requests_made)
 
     def _rows(self, ctx: RunContext, slot: int, expected: dict[int, int],
               result: "SlotResult") -> list[Violation]:
@@ -263,15 +248,13 @@ class ReferenceShadow(Checker):
             reference_mask=ref, production_mask=prod, grants_lost=result.grants_lost)]
 
     def deep_check(self, ctx: RunContext, slot: int) -> list[Violation]:
-        ref = ({f"class{c}": state_arrays(m) for c, m in enumerate(self.models)}
-               if self.by_class else state_arrays(self.models[0]))
-        prod, out = ctx.switch.state_arrays(), []
+        ref, prod, out = state_arrays(self.model), ctx.switch.state_arrays(), []
         differ = [k for k in sorted(ref.keys() | prod.keys())
                   if _plain(ref.get(k)) != _plain(prod.get(k))]
         if differ:
             out.append(self.violation(ctx, slot, "state_arrays() differ from the "
                                       "reference's", keys=tuple(differ)))
-        backlog = (total_backlog(self.models), ctx.switch.total_backlog())
+        backlog = (total_backlog(self.model), ctx.switch.total_backlog())
         if backlog[0] != backlog[1]:
             out.append(self.violation(ctx, slot, "total_backlog() differs from the "
                                       "reference's", reference=backlog[0],
@@ -282,8 +265,8 @@ class ReferenceShadow(Checker):
 def checkers_for(switch: Any) -> list[Checker]:
     """:func:`~repro.sanitize.default_checkers`, joined by a
     :class:`ReferenceShadow` when the reference models ``switch``
-    (fifoms, fifoms-prio, greedy-mcast)."""
+    (fifoms, greedy-mcast)."""
     checkers = default_checkers()
-    if _schedulers(switch) is not None:
+    if _scheduler(switch) is not None:
         checkers.append(ReferenceShadow())
     return checkers

@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from repro.experiments.sweep import FigureResult
 from repro.kernel import make_backend
 from repro.packet import Packet
 from repro.schedulers.base import SIQHolView
@@ -21,6 +22,7 @@ __all__ = [
     "siq_cell",
     "siq_view",
     "slot_result",
+    "stub_result",
 ]
 
 
@@ -86,6 +88,43 @@ def siq_view(slot: int, *cells: SIQCell) -> SIQHolView:
         arrivals=[c.arrival_slot for c in cells],
         packet_ids=[c.packet_id for c in cells],
     )
+
+
+class StubPoint:
+    """A completed point whose every metric reads ``value`` and whose
+    max_rounds is 1; each read adds ``key`` to ``reads``."""
+
+    def __init__(self, key, reads, unstable=False, value=1.0):
+        self._key, self._reads = key, reads
+        self._unstable, self._value = unstable, value
+
+    @property
+    def unstable(self):
+        self._reads.add(self._key)
+        return self._unstable
+
+    @property
+    def max_rounds(self):
+        self._reads.add(self._key)
+        return 1
+
+    def metric(self, name):
+        self._reads.add(self._key)
+        return self._value
+
+
+def stub_result(spec, *, without=None, drop=(), reads=None, **points):
+    """Every point completed and stable with metrics 1.0, except the
+    algorithm ``without``, the (algorithm, load) points in ``drop`` and
+    the ``points`` overrides, keyed "alg@load"."""
+    reads = set() if reads is None else reads
+    summaries = {}
+    for a in spec.algorithms:
+        for load in spec.loads:
+            if a != without and (a, load) not in drop:
+                kw = points.get(f"{a}@{load}", {})
+                summaries[(a, load)] = StubPoint((a, load), reads, **kw)
+    return FigureResult(spec, spec.loads, spec.algorithms, summaries)
 
 
 def drain_slots(packets, num_ports: int, extra: int = 0) -> int:

@@ -20,15 +20,11 @@ from repro.traffic.bernoulli import BernoulliMulticastTraffic
 NEWLY_VECTORIZED = (
     "pim",
     "maxweight-lqf",
-    "maxweight-ocf",
     "wba",
     "siq-fifo",
     "greedy-mcast",
     "oqfifo",
-    "fifoms-prio",
     "cioq-islip",
-    "2drr",
-    "serena",
     "cicq",
     "eslip",
 )

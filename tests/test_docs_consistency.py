@@ -89,8 +89,7 @@ class TestReadme:
         names = available_schedulers()
         for required in (
             "fifoms", "tatra", "islip", "oqfifo", "pim", "wba",
-            "maxweight-lqf", "2drr", "serena", "cicq", "cioq-islip",
-            "fifoms-prio",
+            "maxweight-lqf", "cicq", "cioq-islip",
         ):
             assert required in names, required
 
@@ -169,6 +168,8 @@ RETIRED = (
     "class_ports", "RecordingSwitch",
     "FrameTrafficAdapter", "run_fanout_sweep", "render_heatmap", "run_scaling",
     "PerPortDelayTracker",
+    "PriorityMulticastVOQSwitch", "PriorityTagger", "SerenaScheduler",
+    "TwoDimensionalRoundRobinScheduler",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",

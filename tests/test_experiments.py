@@ -10,7 +10,9 @@ from repro.errors import ConfigurationError
 from repro.experiments.figures import ALGO_ALIASES, FIGURES, get_figure
 from repro.experiments.paper import CLAIMS, check_expectations
 from repro.experiments.spec import METRIC_LABELS, FigureSpec
-from repro.experiments.sweep import FigureResult, run_figure, run_sweep_point
+from repro.experiments.sweep import run_figure, run_sweep_point
+
+from conftest import stub_result
 
 
 class TestFigureCatalog:
@@ -76,51 +78,14 @@ class TestFigureCatalog:
             )
 
 
-class _StubPoint:
-    """A completed point whose every metric reads ``value`` and whose
-    max_rounds is 1; each read adds ``key`` to ``reads``."""
-
-    def __init__(self, key, reads, unstable=False, value=1.0):
-        self._key, self._reads = key, reads
-        self._unstable, self._value = unstable, value
-
-    @property
-    def unstable(self):
-        self._reads.add(self._key)
-        return self._unstable
-
-    @property
-    def max_rounds(self):
-        self._reads.add(self._key)
-        return 1
-
-    def metric(self, name):
-        self._reads.add(self._key)
-        return self._value
-
-
-def _stub_result(spec, *, without=None, drop=(), reads=None, **points):
-    """Every point completed and stable with metrics 1.0, except the
-    algorithm ``without``, the (algorithm, load) points in ``drop`` and
-    the ``points`` overrides, keyed "alg@load"."""
-    reads = set() if reads is None else reads
-    summaries = {}
-    for a in spec.algorithms:
-        for load in spec.loads:
-            if a != without and (a, load) not in drop:
-                kw = points.get(f"{a}@{load}", {})
-                summaries[(a, load)] = _StubPoint((a, load), reads, **kw)
-    return FigureResult(spec, spec.loads, spec.algorithms, summaries)
-
-
 def _score(fid, **kw):
-    return {e.claim: e for e in check_expectations(_stub_result(FIGURES[fid], **kw))}
+    return {e.claim: e for e in check_expectations(stub_result(FIGURES[fid], **kw))}
 
 
 class TestClaimTable:
     def test_every_figure_is_scored(self):
         for fid, spec in FIGURES.items():
-            names = [e.claim for e in check_expectations(_stub_result(spec))]
+            names = [e.claim for e in check_expectations(stub_result(spec))]
             assert names, fid
             # bench keys its ops as claim:<name>; a duplicate would collide.
             assert len(set(names)) == len(names), fid
@@ -131,9 +96,9 @@ class TestClaimTable:
         """Points lost to a --keep-going sweep fail rows; they never
         drop or rename one."""
         spec = FIGURES[fid]
-        full = [e.claim for e in check_expectations(_stub_result(spec))]
+        full = [e.claim for e in check_expectations(stub_result(spec))]
         for alg in spec.algorithms:
-            partial = check_expectations(_stub_result(spec, without=alg))
+            partial = check_expectations(stub_result(spec, without=alg))
             assert [e.claim for e in partial] == full, alg
 
     def test_missing_algorithm_fails_its_rows(self):
@@ -154,12 +119,12 @@ class TestClaimTable:
             if figure_id != fid:
                 continue
             reads = set()
-            predicate(_stub_result(spec, reads=reads))
+            predicate(stub_result(spec, reads=reads))
             assert reads, claim
             for alg in {a for a, _ in reads}:
                 lowest = min(l for a, l in reads if a == alg)
-                assert not predicate(_stub_result(spec, without=alg))[0], (claim, alg)
-                dropped = _stub_result(spec, drop=((alg, lowest),))
+                assert not predicate(stub_result(spec, without=alg))[0], (claim, alg)
+                dropped = stub_result(spec, drop=((alg, lowest),))
                 assert not predicate(dropped)[0], (claim, alg, lowest)
 
     def test_cicq_row_fails_where_only_fifoms_saturates(self):

@@ -1,4 +1,4 @@
-"""Tests for the FIFOMS port-mask API (the strict-priority hook)."""
+"""Tests for the FIFOMS port-mask API (the fault-outage hook)."""
 
 from __future__ import annotations
 
@@ -41,10 +41,10 @@ class TestPortMasks:
             assert out_free[0] is True and out_free[2] is True
 
     def test_two_pass_chaining_is_feasible(self):
-        """Run two FIFOMS passes over two kernels sharing masks — the
-        priority-switch composition — and check the union matching."""
+        """Run two FIFOMS passes over two kernels sharing masks and
+        check the union matching."""
         his = loaded_kernels(4, (0, (0, 1), 0))
-        los = loaded_kernels(4, (1, (1, 2), 0))  # output 1 contended across classes
+        los = loaded_kernels(4, (1, (1, 2), 0))  # output 1 contended across passes
         for hi, lo in zip(his, los):
             in_free = [True] * 4
             out_free = [True] * 4

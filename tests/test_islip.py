@@ -13,8 +13,7 @@ from repro.schedulers.islip import ISLIPScheduler
 
 def _view(occupancy, slot: int = 0) -> UnicastVOQView:
     occ = np.asarray(occupancy, dtype=np.int64)
-    hol = np.where(occ > 0, 0, -1).astype(np.int64)
-    return UnicastVOQView(occupancy=occ, hol_arrival=hol, current_slot=slot)
+    return UnicastVOQView(occupancy=occ, current_slot=slot)
 
 
 class TestBasics:

@@ -100,7 +100,7 @@ class TestDefaultBackend:
         from repro.schedulers.registry import available_schedulers
 
         single, dual = classify_registry()
-        assert len(dual) == 3 and len(single) == 13
+        assert len(dual) == 2 and len(single) == 10
         assert sorted([*single, *dual]) == list(available_schedulers())
         for name in dual:
             assert make_switch(name, 4).backend == "vectorized", name
@@ -133,7 +133,6 @@ class TestDefaultBackend:
         """A scheduler with ``schedule_state`` builds production; the
         ``object`` kernel, which runs the reference model of FIFOMS and
         greedy-mcast only, refuses it at construction."""
-        from repro.qos.switch import PriorityMulticastVOQSwitch
         from repro.switch.voq_multicast import MulticastVOQSwitch
 
         class WithArrayEntry:
@@ -145,17 +144,15 @@ class TestDefaultBackend:
         assert MulticastVOQSwitch(4, WithArrayEntry()).backend == "vectorized"
         with pytest.raises(ConfigurationError, match="'third-party' has no reference"):
             MulticastVOQSwitch(4, WithArrayEntry(), backend="object")
-        for name in ("fifoms", "greedy-mcast", "fifoms-prio"):
+        for name in ("fifoms", "greedy-mcast"):
             assert make_switch(name, 4, backend="object").backend == "object"
-        assert PriorityMulticastVOQSwitch(4, backend="object").backend == "object"
 
     def test_constructors_and_config_default_to_unset(self):
-        """The two seamed constructors default to the fast kernel; the
+        """The seamed constructor defaults to the fast kernel; the
         single-input-queue switch and the config carry no ``backend``."""
         import inspect
         from dataclasses import fields
 
-        from repro.qos.switch import PriorityMulticastVOQSwitch
         from repro.schedulers.siq_fifo import SIQFifoScheduler
         from repro.sim.config import SimulationConfig
         from repro.switch.single_queue import SingleInputQueueSwitch
@@ -165,7 +162,6 @@ class TestDefaultBackend:
         with pytest.raises(TypeError):
             SimulationConfig(num_slots=10, backend="object")
         assert MulticastVOQSwitch(4).backend == "vectorized"
-        assert PriorityMulticastVOQSwitch(4).backend == "vectorized"
         assert "backend" not in inspect.signature(SingleInputQueueSwitch).parameters
         assert SingleInputQueueSwitch(4, SIQFifoScheduler(4)).backend == "object"
 

@@ -119,22 +119,6 @@ class TestKernelMetricSeries:
             >= reg.histogram("sim.rounds_per_slot", **labels).count
         )
 
-    def test_priority_classes_report_grants_per_round(self):
-        """fifoms-prio forwards each class's per-round grant counts, one
-        per round it ran, so its grants-per-round histogram fills."""
-        tel = Telemetry()
-        traffic = dict(TRAFFIC, class_shares=[0.4, 0.6])
-        run_simulation(
-            "fifoms-prio", 8, traffic, num_slots=500, seed=3,
-            num_classes=2, telemetry=tel,
-        )
-        labels = {"algorithm": "fifoms-prio"}
-        reg = tel.registry
-        grants = reg.histogram("kernel.grants_per_round", **labels)
-        rounds = reg.histogram("sim.rounds_per_slot", **labels)
-        assert grants.count > 0
-        assert grants.count == rounds.sum
-
     def test_backends_emit_identical_registries(self):
         regs = []
         for backend in ("object", "vectorized"):

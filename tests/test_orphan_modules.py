@@ -1,4 +1,5 @@
-"""Every module in ``src/repro`` has a consumer on the program's path.
+"""Every module in ``src/repro`` has a consumer on the program's path,
+and every registry name a paper claim that reads it.
 
 The walk starts at the command line (``repro.cli``, ``repro.__main__``)
 and follows runtime imports over the lint's project graph. Importing
@@ -6,15 +7,22 @@ and follows runtime imports over the lint's project graph. Importing
 parent packages are walked as well, except the top-level ``repro``
 package: its re-exports are a convenience for library users, not a
 consumer. What the walk cannot reach must be in :data:`UNREACHED`, each
-with the reason it stays.
+with the reason it stays. The CLI reaches the whole registry, so a
+registry name is held to a stricter rule: some ``CLAIMS`` row reads its
+points, or :data:`UNCLAIMED` names it with the reason it stays.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from repro.experiments.figures import ALGO_ALIASES, FIGURES
+from repro.experiments.paper import check_expectations
 from repro.lint.base import ModuleInfo, Project
 from repro.lint.graph import ProjectGraph
+from repro.schedulers.registry import available_schedulers
+
+from conftest import stub_result
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -34,6 +42,31 @@ UNREACHED = {
     "repro.experiments.replication": "replicated runs for interval-scored "
     "paper claims",
 }
+
+#: Registry names no claim row reads, and what keeps each.
+UNCLAIMED = {
+    "pim": "tests/test_integration_theory.py::TestPIMSingleIterationLimit "
+    "(the 1 - 1/e one-iteration limit); a claim-row candidate",
+    "maxweight-lqf": "tests/test_integration_theory.py::TestFIFOMSThroughputClaims"
+    "::test_maxweight_stabilizes_nonuniform_load; the throughput-optimal "
+    "reference of From MWM to iSLIP, a claim-row candidate",
+    "wba": "tests/test_wba_siq_greedy.py::TestWBA; a candidate of the "
+    "promote-or-delete decision on the abl-schedulers pairings",
+    "greedy-mcast": "the second pairing the reference models: a dual "
+    "pairing of the equivalence grid, under ReferenceShadow",
+    "cioq-islip": "tests/test_cioq.py::TestSpeedupClosesTheOQGap; a "
+    "claim-row candidate against the speedup delay envelope",
+    "eslip": "tests/test_eslip.py::TestESLIPVsFIFOMS (FIFOMS <= ESLIP <= "
+    "iSLIP on multicast delay); a claim-row candidate",
+}
+
+
+def _claimed() -> set[str]:
+    """Registry names whose points some ``CLAIMS`` row reads."""
+    reads: set = set()
+    for spec in FIGURES.values():
+        assert check_expectations(stub_result(spec, reads=reads)), spec.figure_id
+    return {ALGO_ALIASES.get(a, a) for a, _ in reads}
 
 
 def _reached(graph: ProjectGraph) -> set[str]:
@@ -61,3 +94,9 @@ def test_every_module_is_reached_or_named():
     del graph.modules["repro"]  # never follow the top-level re-exports
     unreached = set(graph.modules) - _reached(graph)
     assert unreached == set(UNREACHED)
+
+
+def test_every_registry_name_is_claimed_or_named():
+    claimed = _claimed()
+    assert claimed <= set(available_schedulers())
+    assert set(available_schedulers()) - claimed == set(UNCLAIMED)

@@ -22,11 +22,11 @@ def test_assignment_is_refused():
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.arrival_slot = 3  # type: ignore[misc]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        del p.priority
+        del p.packet_id
 
 
 def test_pickle_round_trip_keeps_the_id():
-    p = Packet(2, (0, 3), 7, priority=1)
+    p = Packet(2, (0, 3), 7)
     q = pickle.loads(pickle.dumps(p))
     assert q == p and hash(q) == hash(p)
     assert q.packet_id == p.packet_id
@@ -34,8 +34,8 @@ def test_pickle_round_trip_keeps_the_id():
 
 def test_replace_checks_again():
     p = Packet(0, (1,), 0)
-    with pytest.raises(TrafficError, match="negative priority -1"):
-        dataclasses.replace(p, priority=-1)
+    with pytest.raises(TrafficError, match="negative arrival slot -1"):
+        dataclasses.replace(p, arrival_slot=-1)
     q = dataclasses.replace(p, destinations=(3, 1, 3))
     assert q.destinations == (1, 3) and q.packet_id == p.packet_id
 
@@ -46,7 +46,7 @@ def test_explicit_packet_id_is_honoured():
     assert p == Packet(1, (2,), 4, 123_456)
     assert repr(p) == (
         "Packet(input_port=1, destinations=(2,), arrival_slot=4, "
-        "packet_id=123456, priority=0)"
+        "packet_id=123456)"
     )
 
 
@@ -56,16 +56,14 @@ def test_fields_in_order():
         "destinations",
         "arrival_slot",
         "packet_id",
-        "priority",
     ]
 
 
 @pytest.mark.parametrize(
     "args, message",
     [
-        ((-1, (0,), -3, None, -1), "negative input port -1"),
-        ((0, (0,), -3, None, -1), "negative arrival slot -3"),
-        ((0, (0,), 0, None, -1), "negative priority -1"),
+        ((-1, (0,), -3), "negative input port -1"),
+        ((0, (0,), -3), "negative arrival slot -3"),
         ((-1, (-1,), -1), "negative destination"),
     ],
 )

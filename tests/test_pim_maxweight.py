@@ -11,13 +11,9 @@ from repro.schedulers.maxweight import MaxWeightScheduler
 from repro.schedulers.pim import PIMScheduler
 
 
-def _view(occupancy, hol_arrival=None, slot: int = 10) -> UnicastVOQView:
+def _view(occupancy, slot: int = 10) -> UnicastVOQView:
     occ = np.asarray(occupancy, dtype=np.int64)
-    if hol_arrival is None:
-        hol = np.where(occ > 0, 0, -1).astype(np.int64)
-    else:
-        hol = np.asarray(hol_arrival, dtype=np.int64)
-    return UnicastVOQView(occupancy=occ, hol_arrival=hol, current_slot=slot)
+    return UnicastVOQView(occupancy=occ, current_slot=slot)
 
 
 class TestPIM:
@@ -55,7 +51,7 @@ class TestPIM:
 
 class TestMaxWeightLQF:
     def test_picks_heavier_queue(self):
-        sched = MaxWeightScheduler(2, weight="lqf")
+        sched = MaxWeightScheduler(2)
         # input0 has 5 cells for output0; input1 has 1 for output0 and 9
         # for output1: optimal total = 5 + 9.
         d = sched.schedule(_view([[5, 0], [1, 9]]))
@@ -63,14 +59,14 @@ class TestMaxWeightLQF:
         assert d.grants[1].output_ports == (1,)
 
     def test_never_grants_empty_voq(self):
-        sched = MaxWeightScheduler(3, weight="lqf")
+        sched = MaxWeightScheduler(3)
         d = sched.schedule(_view([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))
         assert len(d.grants) == 1
         assert d.grants[0].output_ports == (0,)
 
     def test_achieves_max_weight(self):
         rng = np.random.default_rng(5)
-        sched = MaxWeightScheduler(4, weight="lqf")
+        sched = MaxWeightScheduler(4)
         occ = rng.integers(0, 10, size=(4, 4))
         d = sched.schedule(_view(occ))
         got = sum(occ[i, g.output_ports[0]] for i, g in d.grants.items())
@@ -81,24 +77,6 @@ class TestMaxWeightLQF:
             sum(occ[i, p[i]] for i in range(4)) for p in permutations(range(4))
         )
         assert got == best
-
-    def test_bad_weight_name(self):
-        with pytest.raises(ConfigurationError):
-            MaxWeightScheduler(4, weight="length")
-
-
-class TestMaxWeightOCF:
-    def test_prefers_older_hol(self):
-        sched = MaxWeightScheduler(2, weight="ocf")
-        # Both inputs want output 0 only; input1's HOL is older.
-        occ = [[1, 0], [1, 0]]
-        hol = [[8, -1], [2, -1]]
-        d = sched.schedule(_view(occ, hol, slot=10))
-        assert 1 in d.grants and 0 not in d.grants
-
-    def test_empty(self):
-        d = MaxWeightScheduler(2, weight="ocf").schedule(_view([[0, 0], [0, 0]]))
-        assert not d
 
 
 class TestUnicastVOQView:

@@ -36,8 +36,6 @@ ALGOS = (
     "oqfifo",
     "eslip",
     "cicq",
-    "2drr",
-    "serena",
 )
 
 

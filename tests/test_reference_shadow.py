@@ -96,7 +96,7 @@ class TestOptIn:
     def test_refuses_a_switch_the_reference_does_not_model(self):
         islip = make_switch("islip", 4)
         assert not any(isinstance(c, ReferenceShadow) for c in checkers_for(islip))
-        for name in ("fifoms", "fifoms-prio", "greedy-mcast"):
+        for name in ("fifoms", "greedy-mcast"):
             checkers = checkers_for(make_switch(name, 4))
             assert isinstance(checkers[-1], ReferenceShadow), name
         traffic = build_traffic(BERNOULLI, 4, rng=1)

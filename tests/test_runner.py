@@ -30,6 +30,14 @@ class TestBuildTraffic:
         with pytest.raises(ConfigurationError, match="unknown traffic"):
             build_traffic({"model": "pareto"}, 8)
 
+    @pytest.mark.parametrize("key", ["bogus", "class_shares", "rng", "num_ports"])
+    def test_unknown_key_names_model_and_key(self, key):
+        spec = {"model": "bernoulli", "p": 0.3, "b": 0.2, key: 1}
+        with pytest.raises(ConfigurationError, match=f"'bernoulli' takes no key '{key}'"):
+            build_traffic(spec, 8)
+        with pytest.raises(ConfigurationError, match=f"no key '{key}'"):
+            run_simulation("fifoms", 8, spec, num_slots=10)
+
     def test_spec_not_mutated(self):
         spec = {"model": "bernoulli", "p": 0.2, "b": 0.3}
         build_traffic(spec, 8)

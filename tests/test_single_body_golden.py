@@ -1,7 +1,7 @@
 """Golden pins for the pairings that have one body whatever ``backend`` says.
 
 The equivalence grid holds the dual pairings to the reference model; the
-thirteen single-bodied pairings have no reference, so each is held, under
+ten single-bodied pairings have no reference, so each is held, under
 the grid's two traffic specs, to a sha256 recorded while the bodies it
 replaced still existed and agreed (recipe in
 ``tests/data/single_body_golden.json``, written for the two-run harness

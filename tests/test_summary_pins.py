@@ -4,8 +4,8 @@ Each pin hashes ``SimulationSummary.to_json()`` with the wall-clock
 ``telemetry`` section dropped, as ``bench/child.py::summary_digest``
 does. The recipes follow ``bench/workloads.py`` at a fraction of its
 length, plus the modes no other pin covers: uniform-unicast iSLIP (the
-Fig. 6 recipe), OQFIFO, extended stats, the sanitizer, QoS classes and
-fault injection (dropped packets and cells). A change to traffic, a
+Fig. 6 recipe), OQFIFO, extended stats, the sanitizer and fault
+injection (dropped packets and cells). A change to traffic, a
 switch, a scheduler or the stats that moves any summary byte fails here.
 
 The digests were recorded at commit 6a1725d. Re-record only for a
@@ -63,12 +63,6 @@ RECIPES = {
         lambda: _fig("fig4", 0.8),
         {"num_slots": 800, "faults": "chaos"},
     ),
-    "fifoms_prio_classes": (
-        "fifoms-prio",
-        16,
-        lambda: dict(_fig("fig4", 0.6), class_shares=[0.3, 0.7]),
-        {"num_slots": 800, "num_classes": 2, "extended_stats": True},
-    ),
 }
 
 PINS = {
@@ -92,9 +86,6 @@ PINS = {
     ),
     "fifoms_n16_chaos": (
         "de110f8cceef6470d956b268b49d10867f8c4dfcbdafaba622d5406a53ad01f6"
-    ),
-    "fifoms_prio_classes": (
-        "974f09b7f966264b9a749bc1b0f443fcb7b681209f807a4a8c1a2967e0adc970"
     ),
 }
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TrafficError
 from repro.packet import Packet
@@ -28,12 +31,6 @@ class TestRoundTrip:
             assert back.arrival_slot == orig.arrival_slot
             assert back.input_port == orig.input_port
             assert back.destinations == orig.destinations
-
-    def test_priority_preserved(self, tmp_path):
-        pkts = [Packet(0, (1,), 0, priority=2)]
-        path = save_trace(tmp_path / "p.jsonl", 4, pkts)
-        _, loaded = load_trace(path)
-        assert loaded[0].priority == 2
 
     def test_loads_as_traffic_model(self, tmp_path):
         pkts = [Packet(0, (1, 2), 0), Packet(1, (0,), 1)]
@@ -85,7 +82,7 @@ class TestGzipRoundTrip:
         def key(trace):
             num_ports, pkts = trace
             return num_ports, [
-                (p.arrival_slot, p.input_port, p.destinations, p.priority)
+                (p.arrival_slot, p.input_port, p.destinations)
                 for p in pkts
             ]
 
@@ -152,8 +149,12 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "record",
-        [{"slot": 0, "input": 0, "dests": []}, {"slot": -1, "input": 0, "dests": [1]}],
-        ids=["no-dests", "negative-slot"],
+        [
+            {"slot": 0, "input": 0, "dests": []},
+            {"slot": -1, "input": 0, "dests": [1]},
+            {"slot": 0, "input": 0, "dests": [1], "priority": 1},
+        ],
+        ids=["no-dests", "negative-slot", "priority-key"],
     )
     def test_record_packet_rejects_names_its_line(self, tmp_path, record):
         p = tmp_path / "rec.jsonl"
@@ -188,3 +189,69 @@ class TestErrorHandling:
         )
         _, packets = load_trace(p)
         assert len(packets) == 1
+
+
+class TestUndecodable:
+    """A file that does not decode is a :class:`TrafficError`, as a bad
+    record is, so ``trace run`` reports it instead of a traceback."""
+
+    def _valid(self) -> bytes:
+        header = {"repro-trace": 1, "num_ports": 4, "packets": 1}
+        return (json.dumps(header) + '\n{"slot": 0, "input": 0, "dests": [1]}\n').encode()
+
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("t.jsonl", b'{"repro-trace": 1, "num_ports": 4}\n\xff\xfe\n'),
+            ("t.jsonl.gz", b"plain text, not gzip\n"),
+            ("t.jsonl.gz", None),
+        ],
+        ids=["not-utf8", "not-gzip", "torn-gzip"],
+    )
+    def test_decode_failures_raise_traffic_error(self, tmp_path, name, payload):
+        if payload is None:
+            payload = gzip.compress(self._valid())[:-12]
+        p = tmp_path / name
+        p.write_bytes(payload)
+        with pytest.raises(TrafficError, match="does not decode"):
+            load_trace(p)
+
+    def test_cli_trace_run_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        p = tmp_path / "torn.jsonl.gz"
+        p.write_bytes(gzip.compress(self._valid())[:-12])
+        assert main(["trace", "run", "--file", str(p), "-a", "fifoms"]) == 2
+        assert "does not decode" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.binary(max_size=200), zipped=st.booleans(), cut=st.integers(0, 60))
+    def test_arbitrary_bytes_give_a_trace_or_traffic_error(self, tmp_path, data,
+                                                           zipped, cut):
+        p = tmp_path / ("t.jsonl.gz" if zipped else "t.jsonl")
+        if zipped:
+            data = gzip.compress(data)
+            data = data[: len(data) - cut]
+        p.write_bytes(data)
+        try:
+            num_ports, packets = load_trace(p)
+        except TrafficError:
+            return
+        assert isinstance(num_ports, int) and isinstance(packets, list)
+
+    def test_arbitrary_bytes_after_a_valid_header(self, tmp_path):
+        """Record lines that are JSON but not records, nest past the
+        decoder's recursion limit, or are not UTF-8."""
+        p = tmp_path / "t.jsonl"
+        p.write_bytes(b"[" * 100_000 + b"\n")
+        with pytest.raises(TrafficError, match="not a trace file"):
+            load_trace(p)
+        header = json.dumps({"repro-trace": 1, "num_ports": 4}).encode() + b"\n"
+        for tail in (b"[1, 2]\n", b'"dests"\n', b"3\n", b"Infinity\n", b"\x80\n",
+                     b"[" * 100_000 + b"\n",
+                     b'{"slot": 0, "input": 0, "dests": [NaN]}\n',
+                     b'{"slot": Infinity, "input": 0, "dests": [1]}\n'):
+            p.write_bytes(header + tail)
+            with pytest.raises(TrafficError):
+                load_trace(p)

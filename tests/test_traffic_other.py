@@ -142,7 +142,6 @@ class TestTrace:
 
 
 def _counted_models():
-    from repro.qos.traffic import PriorityTagger
     from repro.traffic.burst import BurstMulticastTraffic
     from repro.traffic.uniform import UniformFanoutTraffic
 
@@ -156,9 +155,6 @@ def _counted_models():
     )
     yield TraceTraffic(
         6, record_trace(BernoulliMulticastTraffic(6, p=0.6, b=0.3, rng=1), 40)
-    )
-    yield PriorityTagger(
-        BernoulliMulticastTraffic(6, p=0.6, b=0.3, rng=7), [1, 1], rng=8
     )
 
 

@@ -53,8 +53,6 @@ class TestExhaustiveVerification:
             ("cioq-islip", {"speedup": 2}),
             ("eslip", {}),
             ("cicq", {}),
-            ("2drr", {}),
-            ("serena", {}),
         ],
     )
     def test_algorithm_passes_exhaustively(self, algorithm, kwargs):
