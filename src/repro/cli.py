@@ -576,7 +576,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "list":
             from repro.faults import FAULT_SCENARIOS
-            from repro.kernel.equivalence import single_bodied_pairings
+            from repro.verify.grid import single_bodied_pairings
             from repro.schedulers.registry import make_switch
 
             single = single_bodied_pairings()

@@ -66,7 +66,7 @@ class UnstableSimulationError(SimulationError):
 class EquivalenceError(SimulationError):
     """Production behaved observably differently from the reference.
 
-    Raised by :mod:`repro.kernel.equivalence` when a grid case's run
+    Raised by :mod:`repro.verify.grid` when a grid case's run
     trips a sanitizer checker — the reference shadow at the first slot
     whose decision, counters or queue state differ from the reference's.
     """

@@ -13,10 +13,9 @@ The kernel package separates *what* a multicast VOQ switch does each slot
   recycled packet table and the HOL-packet index (per packet a bitmask
   of the VOQs it heads, per input its heading packets oldest first)
   that makes a request/grant round cost the competing HOL packets, not
-  N² — no per-cell objects and no numpy call on the hot path;
-* :mod:`repro.kernel.equivalence` — the grid holding production to
-  the reference, bit for bit, one shadowed run per case (import it
-  explicitly; it pulls in the simulation stack).
+  N² — no per-cell objects and no numpy call on the hot path.
+
+What holds the two kernels to each other lives in :mod:`repro.verify`.
 
 Select a backend with ``MulticastVOQSwitch(..., backend="vectorized")``,
 ``run_simulation(..., backend=...)``, or ``repro run --backend ...``.

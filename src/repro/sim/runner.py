@@ -110,8 +110,8 @@ def run_simulation(
     Kernel backend: the explicit ``backend`` argument wins, then a
     ``backend`` key in ``switch_kwargs``; left unset in both, the
     pairing builds its fast body (``"vectorized"`` for fifoms and
-    greedy-mcast). Both multicast VOQ kernels produce
-    bit-identical summaries (``repro.kernel.equivalence`` enforces
+    greedy-mcast). Both multicast VOQ kernels make the same decision
+    every slot (:class:`~repro.verify.shadow.ReferenceShadow` checks
     this); for a single-bodied pairing (iSLIP, TATRA, OQFIFO, …) a name
     is accepted and selects nothing.
 

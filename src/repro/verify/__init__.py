@@ -7,7 +7,8 @@ assurance. :func:`exhaustive_verify` enumerates every possible arrival
 trace for an N-port switch over a bounded horizon and runs each through
 the simulation engine under the hard-fail runtime sanitizer, so the
 invariants it proves are the sanitizer's catalogue (docs/sanitizers.md),
-plus guaranteed drain.
+plus guaranteed drain. The equivalence grid, :mod:`repro.verify.grid`,
+is imported on its own, so a simulation run never loads it.
 """
 
 from repro.verify.exhaustive import (

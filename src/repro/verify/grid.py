@@ -10,40 +10,34 @@ lockstep beside production and fails the case at the first slot they
 differ in. The grid (:func:`default_grid`) is every dual pairing of the
 registry (:func:`classify_registry`) under two traffic models, plus one
 fault case; the single-bodied pairings are held by the golden pins of
-``tests/test_single_body_golden.py``. CI runs::
+``tests/test_single_body_golden.py``. Run it as
+``python -m repro.verify.grid --ports N --slots S`` (docs/kernel.md).
 
-    PYTHONPATH=src python -m repro.kernel.equivalence --ports 8 --slots 4000
-
-Not imported from ``repro.kernel``: it pulls in the whole sim stack.
+Not imported from ``repro.verify``, so a simulation run never loads it.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import EquivalenceError
+from repro.errors import ConfigurationError, EquivalenceError
 from repro.sanitize import SanitizerError, SanitizerSuite
 from repro.schedulers.registry import available_schedulers, make_switch
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.runner import build_traffic
-from repro.stats.summary import SimulationSummary
 from repro.switch.base import SlotResult
-from repro.traffic.base import TrafficModel
-from repro.traffic.trace import TraceTraffic, record_trace
 from repro.utils.bitsets import iter_bits
 from repro.utils.rng import RngStreams
-from repro.verify.exhaustive import VerificationReport, check_trace, traces
 from repro.verify.shadow import checkers_for
 
 __all__ = [
     "EquivalenceCase", "EquivalenceReport", "slot_digest", "record_digests",
     "case_engine", "run_case", "default_grid", "classify_registry",
-    "single_bodied_pairings", "PARITY_FIELDS",
-    "run_pair", "diverging_traces", "compare_summaries", "main",
+    "single_bodied_pairings", "main",
 ]
 
 
@@ -183,70 +177,12 @@ def default_grid() -> list[EquivalenceCase]:
     return cases
 
 
-#: Summary fields that must agree exactly for :func:`compare_summaries`.
-PARITY_FIELDS: tuple[str, ...] = (
-    "slots_run", "average_input_delay", "average_output_delay",
-    "average_queue_size", "max_queue_size", "average_rounds", "max_rounds",
-    "packets_offered", "cells_offered", "cells_delivered", "final_backlog",
-    "unstable",
-)
-
-
-def run_pair(
-    algorithm: str, traffic: TrafficModel, num_slots: int, *,
-    warmup_fraction: float = 0.5, seed: int = 0, **switch_kwargs: object,
-) -> tuple[SimulationSummary, SimulationSummary]:
-    """Summaries of (reference, production) — the ``object`` and
-    ``vectorized`` kernels — each replaying the arrivals recorded from
-    ``traffic`` with a scheduler seeded ``seed``. Extra keyword arguments
-    go to the registry factory; for a single-bodied pairing this is a
-    determinism check. Build errors propagate."""
-    packets = record_trace(traffic, num_slots)
-    n = traffic.num_ports
-    cfg = SimulationConfig(num_slots=num_slots, warmup_fraction=warmup_fraction,
-                           stability_window=max(100, num_slots // 100))
-
-    def one(backend: str) -> SimulationSummary:
-        switch = make_switch(algorithm, n, rng=seed, backend=backend, **switch_kwargs)
-        return SimulationEngine(
-            switch, TraceTraffic(n, packets), cfg, algorithm_name=algorithm
-        ).run()
-
-    return one("object"), one("vectorized")
-
-
-def diverging_traces(
-    algorithm: str, num_ports: int, horizon: int, **switch_kwargs: object
-) -> list[tuple]:
-    """Every trace of the bounded domain (:func:`repro.verify.exhaustive.traces`)
-    on which :func:`~repro.verify.exhaustive.check_trace` reports a
-    violation. For a pairing the reference models its suite holds
-    :class:`~repro.verify.shadow.ReferenceShadow`, so an empty list is
-    decision-equality with the reference over the whole domain.
-    ``switch_kwargs`` go to the registry factory (e.g.
-    ``tie_break="lowest_input"``)."""
-    report = VerificationReport(algorithm, num_ports, horizon)
-    diverging = []
-    for trace in traces(num_ports, horizon):
-        found = len(report.violations)
-        check_trace(report, trace, **switch_kwargs)
-        if len(report.violations) > found:
-            diverging.append(trace)
-    return diverging
-
-
-def compare_summaries(ref: SimulationSummary, other: SimulationSummary) -> list[str]:
-    """A description of every :data:`PARITY_FIELDS` entry where the two
-    summaries differ; NaN equals NaN (an unstable run's averages)."""
-    pairs = ((name, getattr(ref, name), getattr(other, name)) for name in PARITY_FIELDS)
-    return [f"{name}: reference={a!r} other={b!r}" for name, a, b in pairs if a != b
-            and not (isinstance(a, float) and math.isnan(a) and math.isnan(b))]
-
-
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: run the default grid, exit 0 on full equivalence."""
+    """CLI entry point: run the default grid. Exit 0 on full equivalence,
+    1 at the first divergent case, 2 on a switch size or slot count no
+    run accepts."""
     parser = argparse.ArgumentParser(
-        prog="repro.kernel.equivalence",
+        prog="repro.verify.grid",
         description="Hold production to the reference model, bit for bit.",
     )
     parser.add_argument("--ports", type=int, default=8, help="switch size N")
@@ -260,6 +196,9 @@ def main(argv: list[str] | None = None) -> int:
     for case in cases:
         try:
             report = run_case(case, num_ports=args.ports, num_slots=args.slots)
+        except ConfigurationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         except EquivalenceError as exc:
             print(f"FAIL: {exc}")
             return 1

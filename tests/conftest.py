@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.experiments.sweep import FigureResult
 from repro.kernel import make_backend
@@ -23,6 +24,7 @@ __all__ = [
     "siq_view",
     "slot_result",
     "stub_result",
+    "traces",
 ]
 
 
@@ -125,6 +127,23 @@ def stub_result(spec, *, without=None, drop=(), reads=None, **points):
                 kw = points.get(f"{a}@{load}", {})
                 summaries[(a, load)] = StubPoint((a, load), reads, **kw)
     return FigureResult(spec, spec.loads, spec.algorithms, summaries)
+
+
+@st.composite
+def traces(draw):
+    """``(num_ports, horizon, trace)`` for
+    :func:`repro.verify.exhaustive.check_trace`: up to one arrival per
+    input and slot, each a ``(slot, input, dests)`` tuple."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    horizon = draw(st.integers(min_value=1, max_value=15))
+    ports = st.integers(min_value=0, max_value=n - 1)
+    trace = tuple(
+        (slot, i, tuple(sorted(draw(st.sets(ports, min_size=1)))))
+        for slot in range(horizon)
+        for i in range(n)
+        if draw(st.booleans())
+    )
+    return n, horizon, trace
 
 
 def drain_slots(packets, num_ports: int, extra: int = 0) -> int:

@@ -170,6 +170,7 @@ RETIRED = (
     "PerPortDelayTracker",
     "PriorityMulticastVOQSwitch", "PriorityTagger", "SerenaScheduler",
     "TwoDimensionalRoundRobinScheduler",
+    "run_pair", "compare_summaries", "PARITY_FIELDS", "diverging_traces",
 )
 MAY_NAME_RETIRED = {
     "CHANGES.md", "CHANGELOG.md", "ROADMAP.md", "ISSUE.md",

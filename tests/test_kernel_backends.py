@@ -68,7 +68,7 @@ class TestResolveBackend:
         the vectorized one when asked for nothing), a single-bodied one
         builds the same class under both names and reports its one
         representation."""
-        from repro.kernel.equivalence import classify_registry
+        from repro.verify.grid import classify_registry
 
         single, dual = classify_registry()
         assert "tatra" in single
@@ -96,7 +96,7 @@ class TestDefaultBackend:
     vectorized kernel whenever its scheduler defines ``schedule_state``."""
 
     def test_whole_registry_default(self):
-        from repro.kernel.equivalence import classify_registry
+        from repro.verify.grid import classify_registry
         from repro.schedulers.registry import available_schedulers
 
         single, dual = classify_registry()

@@ -1,14 +1,14 @@
-"""Tests for repro.kernel.equivalence (production held to the reference,
-one shadowed run per case)."""
+"""Tests for repro.verify.grid (production held to the reference, one
+shadowed run per case) and for the exhaustive form of the same claim."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.kernel.equivalence import (
+from repro.verify.exhaustive import exhaustive_verify
+from repro.verify.grid import (
     EquivalenceCase,
     default_grid,
-    diverging_traces,
     main,
     record_digests,
     run_case,
@@ -19,6 +19,16 @@ from repro.packet import Packet
 from repro.switch.base import SlotResult
 
 from conftest import slot_result
+
+#: More FIFOMS and greedy-mcast points, one shadowed run each:
+#: (pairing, id suffix, traffic spec, seed).
+SHADOWED_POINTS = [
+    *(("fifoms", f"bernoulli-seed{s}", dict(model="bernoulli", p=0.3, b=0.3), s)
+      for s in range(3)),
+    ("fifoms", "bernoulli-heavy", dict(model="bernoulli", p=0.55, b=0.3), 9),
+    ("fifoms", "uniform-unicast", dict(model="uniform", p=0.8, max_fanout=1), 3),
+    ("greedy-mcast", "bernoulli-heavy", dict(model="bernoulli", p=0.6, b=0.4), 42),
+]
 
 
 class TestSlotDigest:
@@ -116,6 +126,10 @@ class TestGrid:
             EquivalenceCase("islip", {"model": "bernoulli", "p": 0.3, "b": 0.25}),
             EquivalenceCase("eslip", {"model": "bernoulli", "p": 0.3, "b": 0.25}),
             EquivalenceCase("cicq", {"model": "bernoulli", "p": 0.3, "b": 0.25}),
+            *(
+                pytest.param(EquivalenceCase(name, spec, seed=seed), id=f"{name}/{tag}")
+                for name, tag, spec, seed in SHADOWED_POINTS
+            ),
         ],
         ids=lambda c: c.label,
     )
@@ -147,6 +161,16 @@ class TestGrid:
         assert "not compared (10 single-bodied" in out
         assert "tatra" in out.split("not compared")[1].splitlines()[0]
 
+    @pytest.mark.parametrize(
+        "argv", [["--ports", "0"], ["--ports", "-3"], ["--slots", "0"]]
+    )
+    def test_main_refuses_a_size_no_run_accepts(self, argv, capsys):
+        """A bad size is a usage error, as in ``repro-sim``: one
+        ``error:`` line and exit 2, not a traceback."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
 
 class TestSanitizedGrid:
     def test_full_grid_under_hard_sanitizer(self, monkeypatch):
@@ -170,9 +194,9 @@ class TestExhaustiveDecisionEquality:
     def test_fifoms_decision_equal_on_every_trace(
         self, num_ports, horizon, tie_break
     ):
-        assert diverging_traces(
-            "fifoms", num_ports, horizon, tie_break=tie_break
-        ) == []
+        assert exhaustive_verify(
+            "fifoms", num_ports=num_ports, horizon=horizon, tie_break=tie_break
+        ).ok
 
     def test_a_diverging_trace_is_reported(self, monkeypatch):
         """The check can fail: a lane driver that breaks every tie for the
@@ -180,5 +204,9 @@ class TestExhaustiveDecisionEquality:
         from repro.verify.shadow import ReferenceLane
 
         monkeypatch.setattr(ReferenceLane, "_pick", lambda self, w, j: max(w))
-        diverging = diverging_traces("fifoms", 2, 1, tie_break="lowest_input")
+        report = exhaustive_verify(
+            "fifoms", num_ports=2, horizon=1, stop_at_first=False,
+            tie_break="lowest_input",
+        )
+        diverging = [v.trace for v in report.violations]
         assert ((0, 0, (0,)), (0, 1, (0,))) in diverging

@@ -1,20 +1,17 @@
-"""The vectorized kernel backend behind the reference FIFOMS / iSLIP
-switches: exact parity with the object backend on pinned traces, and the
-paper behaviours it must preserve."""
+"""Production FIFOMS and iSLIP on pinned traces: the paper behaviours
+they must preserve. FIFOMS's decisions are held to the reference model
+by ``tests/test_kernel_equivalence.py``, iSLIP's stream by the golden
+pins of ``tests/test_single_body_golden.py``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.kernel.equivalence import compare_summaries, run_pair
 from repro.schedulers.registry import make_switch
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.traffic.bernoulli import BernoulliMulticastTraffic
-from repro.traffic.burst import BurstMulticastTraffic
 from repro.traffic.trace import TraceTraffic
-from repro.traffic.uniform import UniformFanoutTraffic
 
 from conftest import make_packet
 
@@ -26,47 +23,6 @@ def _vectorized_run(algorithm, traffic, cfg, **switch_kwargs):
     return SimulationEngine(
         switch, traffic, cfg, algorithm_name=algorithm
     ).run()
-
-
-class TestExactParity:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fifoms_bernoulli(self, seed):
-        tr = BernoulliMulticastTraffic(8, p=0.3, b=0.3, rng=seed)
-        ref, fast = run_pair("fifoms", tr, 2500)
-        assert compare_summaries(ref, fast) == []
-
-    def test_fifoms_heavy_load(self):
-        tr = BernoulliMulticastTraffic(8, p=0.55, b=0.3, rng=9)
-        ref, fast = run_pair("fifoms", tr, 2500)
-        assert compare_summaries(ref, fast) == []
-
-    def test_fifoms_unicast(self):
-        tr = UniformFanoutTraffic(8, p=0.8, max_fanout=1, rng=3)
-        ref, fast = run_pair("fifoms", tr, 2500)
-        assert compare_summaries(ref, fast) == []
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_islip_bernoulli(self, seed):
-        tr = BernoulliMulticastTraffic(8, p=0.25, b=0.3, rng=seed)
-        ref, fast = run_pair("islip", tr, 2500)
-        assert compare_summaries(ref, fast) == []
-
-    def test_islip_burst(self):
-        tr = BurstMulticastTraffic(8, e_off=60, e_on=8, b=0.4, rng=4)
-        ref, fast = run_pair("islip", tr, 2500)
-        assert compare_summaries(ref, fast) == []
-
-    def test_unknown_algorithm(self):
-        tr = BernoulliMulticastTraffic(4, p=0.2, b=0.3, rng=0)
-        with pytest.raises(ConfigurationError):
-            run_pair("no-such-algo", tr, 100)
-
-    def test_formerly_unpaired_algorithm_now_works(self):
-        # Any registry pairing runs both backends, not just the three
-        # algorithms the bespoke fast engines covered.
-        tr = BernoulliMulticastTraffic(4, p=0.2, b=0.3, rng=0)
-        ref, fast = run_pair("wba", tr, 400)
-        assert compare_summaries(ref, fast) == []
 
 
 class TestFastEngineBehaviour:

@@ -542,7 +542,7 @@ class TestArrayLayout:
 class TestSoaSnapshotParity:
     def test_matches_live_state_after_identical_ops(self):
         """The reference kernel's SoA snapshot equals a SwitchState fed
-        the same admits/serves — the anchor the equivalence harness uses."""
+        the same admits/serves — what ReferenceShadow's deep pass compares."""
         n = 4
         reference = make_backend("object", n)
         st = SwitchState(n)

@@ -22,7 +22,7 @@ from repro.core.fifoms import FIFOMSScheduler, TieBreak
 from repro.errors import ConfigurationError
 from repro.faults import FAULT_SCENARIOS
 from repro.faults.injector import FaultInjector
-from repro.kernel.equivalence import EquivalenceCase, case_engine, record_digests
+from repro.verify.grid import EquivalenceCase, case_engine, record_digests
 from repro.kernel.state import SwitchState
 from repro.sanitize import SanitizerError, SanitizerSuite, default_checkers
 from repro.schedulers.registry import make_switch

@@ -51,6 +51,10 @@ class TestRegistry:
         sw = make_switch("fifoms", 4, max_iterations=2, tie_break="lowest_input")
         assert sw.scheduler.max_iterations == 2
 
+    def test_unknown_switch_kwarg_raises(self):
+        with pytest.raises(TypeError, match="no_such_kwarg"):
+            make_switch("fifoms", 4, no_such_kwarg=1)
+
     def test_custom_registration(self):
         class Dummy(OutputQueuedSwitch):
             name = "dummy"

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.kernel.equivalence import (
+from repro.verify.grid import (
     EquivalenceCase,
     case_engine,
     record_digests,
