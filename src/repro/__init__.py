@@ -4,7 +4,7 @@ Algorithm for VOQ Packet Switches" (ICPP 2004).
 The package implements the paper's multicast VOQ queue structure (data
 cells + address cells; the literal model is :mod:`repro.verify.reference`)
 and the FIFOMS scheduler, the baselines it is
-evaluated against (TATRA, iSLIP, OQFIFO, plus PIM/WBA/MaxWeight
+evaluated against (TATRA, iSLIP, OQFIFO, plus PIM/ESLIP/MaxWeight
 extensions), the three traffic models of the evaluation, a discrete
 time-slot simulation engine with the paper's metrics, and an experiment
 harness that regenerates every figure of Section V.
@@ -45,7 +45,6 @@ from repro.schedulers import (
     PIMScheduler,
     SIQFifoScheduler,
     TATRAScheduler,
-    WBAScheduler,
     available_schedulers,
     make_switch,
     register_switch_factory,
@@ -134,7 +133,6 @@ __all__ = [
     "PIMScheduler",
     "MaxWeightScheduler",
     "TATRAScheduler",
-    "WBAScheduler",
     "SIQFifoScheduler",
     "GreedyMcastScheduler",
     "available_schedulers",

@@ -162,19 +162,20 @@ _add(
 _add(
     FigureSpec(
         figure_id="abl-iterations",
-        title="Ablation — FIFOMS/iSLIP iteration caps (Bernoulli b = 0.2)",
+        title="Ablation — FIFOMS/iSLIP/PIM iteration caps (Bernoulli b = 0.2)",
         description=(
             "Delay cost of capping the scheduling rounds at 1 vs running "
-            "to convergence."
+            "to convergence; one-iteration PIM saturates near 1 - 1/e."
         ),
         num_ports=N,
-        algorithms=("fifoms", "fifoms-1iter", "islip", "islip-1iter"),
+        algorithms=("fifoms", "fifoms-1iter", "islip", "islip-1iter", "pim-1iter"),
         loads=(0.3, 0.5, 0.7, 0.85),
         traffic_for_load=_bernoulli_b02,
         metrics=("output_delay", "avg_queue", "rounds"),
         switch_kwargs={
             "fifoms-1iter": {"max_iterations": 1},
             "islip-1iter": {"max_iterations": 1},
+            "pim-1iter": {"max_iterations": 1},
         },
     )
 )
@@ -222,22 +223,12 @@ _add(
         figure_id="abl-schedulers",
         title="Ablation — wider scheduler shoot-out (Bernoulli b = 0.2)",
         description=(
-            "The paper's contenders plus WBA, PIM, SIQ-FIFO, greedy "
-            "multicast and MaxWeight on one workload."
+            "FIFOMS against SIQ-FIFO (its rule without the VOQs), ESLIP "
+            "(McKeown's multicast iSLIP), iSLIP and its MaxWeight (LQF) "
+            "reference on one workload."
         ),
         num_ports=N,
-        algorithms=(
-            "fifoms",
-            "greedy-mcast",
-            "tatra",
-            "wba",
-            "siq-fifo",
-            "islip",
-            "eslip",
-            "pim",
-            "maxweight-lqf",
-            "oqfifo",
-        ),
+        algorithms=("fifoms", "siq-fifo", "islip", "eslip", "maxweight-lqf"),
         loads=(0.3, 0.5, 0.7, 0.85),
         traffic_for_load=_bernoulli_b02,
         metrics=("output_delay", "input_delay", "avg_queue", "max_queue"),
@@ -285,10 +276,11 @@ _add(
         title="Extension — buffered crossbar vs matched crossbars",
         description=(
             "CICQ (no central matching, 1-cell crosspoint buffers) vs "
-            "iSLIP and FIFOMS on the Fig. 4 workload."
+            "iSLIP and FIFOMS on the Fig. 4 workload, and iSLIP at "
+            "speedup 2 (CIOQ) against output queueing."
         ),
         num_ports=N,
-        algorithms=("fifoms", "islip", "cicq", "oqfifo"),
+        algorithms=("fifoms", "islip", "cicq", "oqfifo", "cioq-islip"),
         loads=(0.3, 0.5, 0.7, 0.85),
         traffic_for_load=_bernoulli_b02,
         metrics=("output_delay", "avg_queue", "max_queue"),
@@ -305,6 +297,7 @@ ALGO_ALIASES: dict[str, str] = {
     "fifoms-lowest": "fifoms",
     "fifoms-rr": "fifoms",
     "islip-1iter": "islip",
+    "pim-1iter": "pim",
 }
 
 

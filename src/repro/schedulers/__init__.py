@@ -5,7 +5,6 @@
 * :class:`MaxWeightScheduler` — LQF maximum-weight matching reference.
 * :class:`TATRAScheduler` — Tetris-based multicast scheduling on the
   single-input-queued switch (Ahuja/Prabhakar/McKeown '97).
-* :class:`WBAScheduler` — weight-based multicast arbitration, same switch.
 * :class:`SIQFifoScheduler` — oldest-cell-first greedy on the
   single-input-queued switch (FIFOMS's rule minus the VOQ structure).
 * :class:`GreedyMcastScheduler` — round-robin greedy fanout-splitting
@@ -17,7 +16,6 @@ from repro.schedulers.islip import ISLIPScheduler
 from repro.schedulers.pim import PIMScheduler
 from repro.schedulers.maxweight import MaxWeightScheduler
 from repro.schedulers.tatra import TATRAScheduler
-from repro.schedulers.wba import WBAScheduler
 from repro.schedulers.siq_fifo import SIQFifoScheduler
 from repro.schedulers.greedy_mcast import GreedyMcastScheduler
 from repro.schedulers.registry import (
@@ -34,7 +32,6 @@ __all__ = [
     "PIMScheduler",
     "MaxWeightScheduler",
     "TATRAScheduler",
-    "WBAScheduler",
     "SIQFifoScheduler",
     "GreedyMcastScheduler",
     "available_schedulers",

@@ -4,11 +4,10 @@ Unicast VOQ schedulers (iSLIP, PIM, MaxWeight) do not need to see queue
 contents — only occupancy counts and head-of-line ages, or just which
 VOQs are non-empty — so the switch hands them a :class:`UnicastVOQView`
 of per-output request bitmasks and NumPy matrices that its VOQ bank
-maintains incrementally. Single-input-queue schedulers (TATRA, WBA,
-SIQ-FIFO) see one :class:`SIQHolView` per slot: the non-empty inputs and, for the HOL
-packet of each, its unserved-destination bitmask, arrival slot and id;
-:func:`grant_best_key` is the arbitration pass WBA and SIQ-FIFO share
-over it. ``backend`` (:func:`resolve_backend`) concerns neither view: it
+maintains incrementally. Single-input-queue schedulers (TATRA, SIQ-FIFO)
+see one :class:`SIQHolView` per slot: the non-empty inputs and, for the
+HOL packet of each, its unserved-destination bitmask, arrival slot and
+id. ``backend`` (:func:`resolve_backend`) concerns neither view: it
 names the multicast VOQ kernel a scheduler is handed.
 """
 
@@ -27,7 +26,6 @@ from repro.schedulers.greedy_mcast import GreedyMcastScheduler
 __all__ = [
     "UnicastVOQView",
     "SIQHolView",
-    "grant_best_key",
     "note_round",
     "resolve_backend",
 ]
@@ -153,67 +151,10 @@ class SIQHolView:
     #: Non-empty input ports, ascending.
     inputs: list[int]
     #: Unserved destinations of each listed HOL packet (bit j = output j;
-    #: fanout splitting leaves a residue at the HOL, per TATRA/WBA).
+    #: fanout splitting leaves a residue at the HOL, per TATRA).
     residue_bits: list[int]
     #: Arrival slot of each listed HOL packet.
     arrivals: list[int]
     #: Id of each listed HOL packet, so a stateful scheduler (TATRA's
     #: Tetris box) can tell a residue from a fresh HOL cell.
     packet_ids: list[int]
-
-
-def grant_best_key(
-    view: SIQHolView, keys: list, rng: np.random.Generator
-) -> ScheduleDecision:
-    """One arbitration pass: every requested output grants the HOL cell
-    with the smallest key, ties drawn uniformly from ``rng``.
-
-    ``keys[k]`` ranks the HOL cell of ``view.inputs[k]`` (WBA: negated
-    weight; SIQ-FIFO: arrival slot). The cells are walked in ``(key,
-    input)`` order: a cell keeps, in one mask operation, the outputs no
-    strictly better cell asked for, and only an output wanted by several
-    cells of one key is walked bit by bit. Those ties are then drawn in
-    ascending output order over ascending-input winner lists, one draw
-    per tied output — the order a per-output scan of the requests draws
-    them in, so the generator advances identically.
-    """
-    decision = ScheduleDecision()
-    if not view.inputs:
-        return decision
-    decision.requests_made = True
-    order = sorted(zip(keys, view.inputs, view.residue_bits))
-    granted: dict[int, int] = {}  # input -> bitmask of outputs won
-    # ``better``: outputs asked for by a strictly smaller key; ``same``:
-    # by the key being walked; ``clashed``: by two or more cells of one key.
-    better = same = clashed = 0
-    walked = None
-    for key, i, bits in order:
-        if key != walked:
-            better |= same
-            same = 0
-            walked = key
-        bits &= ~better
-        if bits:
-            clashed |= bits & same
-            same |= bits
-            granted[i] = bits
-    if clashed:
-        # Take each clashed output back from everyone holding it (rivals
-        # share a key, so ``order`` lists them by ascending input), then
-        # draw its winner.
-        rivals: dict[int, list[int]] = {}
-        for _, i, _ in order:
-            clash = granted.get(i, 0) & clashed
-            if not clash:
-                continue
-            granted[i] ^= clash
-            while clash:
-                low = clash & -clash
-                clash ^= low
-                rivals.setdefault(low, []).append(i)
-        for low in sorted(rivals):
-            tied = rivals[low]
-            granted[tied[int(rng.integers(len(tied)))]] |= low
-    decision.masks = {i: granted[i] for i in sorted(granted) if granted[i]}
-    decision.rounds = 1 if decision.masks else 0
-    return decision

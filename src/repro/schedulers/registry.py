@@ -23,7 +23,6 @@ from repro.schedulers.maxweight import MaxWeightScheduler
 from repro.schedulers.pim import PIMScheduler
 from repro.schedulers.siq_fifo import SIQFifoScheduler
 from repro.schedulers.tatra import TATRAScheduler
-from repro.schedulers.wba import WBAScheduler
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -162,19 +161,6 @@ def _tatra(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     return SingleInputQueueSwitch(num_ports, TATRAScheduler(num_ports), **kw)
 
 
-def _wba(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
-    from repro.switch.single_queue import SingleInputQueueSwitch
-
-    _discard_backend(kw, "wba")
-    sched = WBAScheduler(
-        num_ports,
-        age_coeff=kw.pop("age_coeff", 1.0),
-        fanout_coeff=kw.pop("fanout_coeff", 1.0),
-        rng=rng,
-    )
-    return SingleInputQueueSwitch(num_ports, sched, **kw)
-
-
 def _siq_fifo(num_ports: int, *, rng=None, **kw) -> "BaseSwitch":
     from repro.switch.single_queue import SingleInputQueueSwitch
 
@@ -227,7 +213,6 @@ register_switch_factory("islip", _islip)
 register_switch_factory("pim", _pim)
 register_switch_factory("maxweight-lqf", _maxweight)
 register_switch_factory("tatra", _tatra)
-register_switch_factory("wba", _wba)
 register_switch_factory("siq-fifo", _siq_fifo)
 register_switch_factory("greedy-mcast", _greedy)
 register_switch_factory("oqfifo", _oqfifo)

@@ -10,8 +10,7 @@ distinct slots its destinations were served in, yielding
 * ``average_service_slots`` — mean slots per multicast packet (1.0 is
   the ideal the crossbar's multicast capability allows).
 
-The ABL-SCHED ablation uses this to show what FIFOMS's timestamps buy
-over the greedy pointer scheduler on the identical queue structure.
+Runs with ``extended_stats`` report both in ``summary.extra``.
 """
 
 from __future__ import annotations

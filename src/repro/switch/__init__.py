@@ -8,7 +8,7 @@ own contribution:
 * :class:`UnicastVOQSwitch` — classic N² VOQ switch; multicast packets are
   split into independent unicast copies (how the paper runs iSLIP).
 * :class:`SingleInputQueueSwitch` — one FIFO per input (Fig. 1b), the
-  substrate for TATRA and WBA; exhibits HOL blocking.
+  substrate for TATRA and SIQ-FIFO; exhibits HOL blocking.
 * :class:`OutputQueuedSwitch` — Fig. 1a with speedup N, the paper's
   "ultimate performance benchmark" (OQFIFO).
 """

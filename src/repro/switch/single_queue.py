@@ -1,4 +1,4 @@
-"""Single-input-queued switch (paper Fig. 1b) — the TATRA/WBA substrate.
+"""Single-input-queued switch (paper Fig. 1b) — the TATRA/SIQ-FIFO substrate.
 
 One FIFO of (multicast) packets per input port; only the HOL packet of
 each input is visible to the scheduler, which is exactly what produces

@@ -88,7 +88,7 @@ class TestReadme:
 
         names = available_schedulers()
         for required in (
-            "fifoms", "tatra", "islip", "oqfifo", "pim", "wba",
+            "fifoms", "tatra", "islip", "oqfifo", "pim", "eslip",
             "maxweight-lqf", "cicq", "cioq-islip",
         ):
             assert required in names, required

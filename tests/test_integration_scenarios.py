@@ -164,7 +164,7 @@ class TestStarvationFreedom:
         # earlier cells for output 3 from elsewhere. Plus its own slot.
         assert victim_served_at <= 6 + 6 + 1
 
-    @pytest.mark.parametrize("algorithm", ["fifoms", "tatra", "wba", "siq-fifo"])
+    @pytest.mark.parametrize("algorithm", ["fifoms", "tatra", "siq-fifo"])
     def test_no_permanent_starvation_under_sustained_pressure(self, algorithm):
         """A continuously-refilled aggressor flow must not starve a
         one-shot victim on any starvation-free scheduler."""

@@ -100,7 +100,7 @@ class TestDefaultBackend:
         from repro.schedulers.registry import available_schedulers
 
         single, dual = classify_registry()
-        assert len(dual) == 2 and len(single) == 10
+        assert len(dual) == 2 and len(single) == 9
         assert sorted([*single, *dual]) == list(available_schedulers())
         for name in dual:
             assert make_switch(name, 4).backend == "vectorized", name

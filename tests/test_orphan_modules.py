@@ -9,7 +9,8 @@ package: its re-exports are a convenience for library users, not a
 consumer. What the walk cannot reach must be in :data:`UNREACHED`, each
 with the reason it stays. The CLI reaches the whole registry, so a
 registry name is held to a stricter rule: some ``CLAIMS`` row reads its
-points, or :data:`UNCLAIMED` names it with the reason it stays.
+points, or :data:`UNCLAIMED` names it with the reason it stays; and no
+figure sweeps a pairing that no row reads.
 """
 
 from __future__ import annotations
@@ -43,21 +44,12 @@ UNREACHED = {
     "paper claims",
 }
 
-#: Registry names no claim row reads, and what keeps each.
+#: Registry names no claim row reads, and what keeps each. No figure
+#: sweeps them (test_every_swept_pairing_is_claimed).
 UNCLAIMED = {
-    "pim": "tests/test_integration_theory.py::TestPIMSingleIterationLimit "
-    "(the 1 - 1/e one-iteration limit); a claim-row candidate",
-    "maxweight-lqf": "tests/test_integration_theory.py::TestFIFOMSThroughputClaims"
-    "::test_maxweight_stabilizes_nonuniform_load; the throughput-optimal "
-    "reference of From MWM to iSLIP, a claim-row candidate",
-    "wba": "tests/test_wba_siq_greedy.py::TestWBA; a candidate of the "
-    "promote-or-delete decision on the abl-schedulers pairings",
-    "greedy-mcast": "the second pairing the reference models: a dual "
-    "pairing of the equivalence grid, under ReferenceShadow",
-    "cioq-islip": "tests/test_cioq.py::TestSpeedupClosesTheOQGap; a "
-    "claim-row candidate against the speedup delay envelope",
-    "eslip": "tests/test_eslip.py::TestESLIPVsFIFOMS (FIFOMS <= ESLIP <= "
-    "iSLIP on multicast delay); a claim-row candidate",
+    "greedy-mcast": "the second pairing ReferenceShadow models (a dual "
+    "pairing of the equivalence grid), and the baseline of "
+    "tests/test_stats_extended.py::test_fifoms_tail_beats_greedy",
 }
 
 
@@ -100,3 +92,10 @@ def test_every_registry_name_is_claimed_or_named():
     claimed = _claimed()
     assert claimed <= set(available_schedulers())
     assert set(available_schedulers()) - claimed == set(UNCLAIMED)
+
+
+def test_every_swept_pairing_is_claimed():
+    swept = {
+        ALGO_ALIASES.get(a, a) for spec in FIGURES.values() for a in spec.algorithms
+    }
+    assert swept - _claimed() == set()

@@ -31,7 +31,6 @@ ALGOS = (
     "pim",
     "maxweight-lqf",
     "tatra",
-    "wba",
     "siq-fifo",
     "oqfifo",
     "eslip",

@@ -36,7 +36,6 @@ class TestRegistry:
         assert isinstance(make_switch("pim", 4), UnicastVOQSwitch)
         assert isinstance(make_switch("maxweight-lqf", 4), UnicastVOQSwitch)
         assert isinstance(make_switch("tatra", 4), SingleInputQueueSwitch)
-        assert isinstance(make_switch("wba", 4), SingleInputQueueSwitch)
         assert isinstance(make_switch("siq-fifo", 4), SingleInputQueueSwitch)
         assert isinstance(make_switch("oqfifo", 4), OutputQueuedSwitch)
 
@@ -119,5 +118,5 @@ class TestRegistryCoverage:
         for name in available_schedulers():
             scheduler = getattr(make_switch(name, 4), "scheduler", None)
             built.add(type(scheduler).__module__)
-        assert len(modules) >= 7
+        assert len(modules) >= 6
         assert sorted(modules - built) == []

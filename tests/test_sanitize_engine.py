@@ -61,7 +61,7 @@ class TestPlainPathGuards:
 # Sanitized real runs come out clean
 # --------------------------------------------------------------------- #
 class TestCleanRuns:
-    @pytest.mark.parametrize("algo", ["fifoms", "islip", "wba", "greedy-mcast"])
+    @pytest.mark.parametrize("algo", ["fifoms", "islip", "siq-fifo", "greedy-mcast"])
     def test_healthy_runs_have_zero_violations(self, algo):
         suite = SanitizerSuite(deep_every=32)
         summary = run_simulation(

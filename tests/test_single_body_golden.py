@@ -1,7 +1,7 @@
 """Golden pins for the pairings that have one body whatever ``backend`` says.
 
 The equivalence grid holds the dual pairings to the reference model; the
-ten single-bodied pairings have no reference, so each is held, under
+nine single-bodied pairings have no reference, so each is held, under
 the grid's two traffic specs, to a sha256 recorded while the bodies it
 replaced still existed and agreed (recipe in
 ``tests/data/single_body_golden.json``, written for the two-run harness
@@ -9,8 +9,8 @@ of its day; :func:`_case_hash` computes the same bytes in one run: the
 case's engine with telemetry, ``switch.step`` shadowed on the instance to
 record each slot's digest).
 The int-mask bodies are also held — iSLIP's for ``islip`` and
-``cioq-islip``, the single-input-queue ones for ``wba``, ``siq-fifo``
-and ``tatra`` — to pins the bodies they replaced produced at 16 ports
+``cioq-islip``, the single-input-queue ones for ``siq-fifo`` and
+``tatra`` — to pins the bodies they replaced produced at 16 ports
 and at 70 (masks wider than a machine word).
 """
 

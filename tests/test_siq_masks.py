@@ -1,4 +1,4 @@
-"""WBA, SIQ-FIFO and TATRA on the residue bitmasks: each shipped
+"""SIQ-FIFO and TATRA on the residue bitmasks: each shipped
 ``schedule(view)`` against a dict-of-lists oracle written with plain
 loops, on random HOL states from one port to beyond a machine word."""
 
@@ -11,7 +11,6 @@ from conftest import make_packet
 from repro.schedulers.base import SIQHolView
 from repro.schedulers.siq_fifo import SIQFifoScheduler
 from repro.schedulers.tatra import TATRAScheduler
-from repro.schedulers.wba import WBAScheduler
 from repro.switch.single_queue import SingleInputQueueSwitch
 
 SIZES = (1, 2, 5, 16, 33, 70)
@@ -19,23 +18,6 @@ SIZES = (1, 2, 5, 16, 33, 70)
 
 def _draw_tie(winners, rng):
     return winners[0] if len(winners) == 1 else winners[int(rng.integers(len(winners)))]
-
-
-def reference_wba(cells, slot, age_coeff, fanout_coeff, n, rng):
-    """``cells[i] = (outputs, arrival)``: every output grants its
-    heaviest requester, output by output, ties drawn from ``rng``."""
-    weight = {
-        i: age_coeff * (slot - arrival + 1) - fanout_coeff * len(outputs)
-        for i, (outputs, arrival) in cells.items()
-    }
-    grants = {}
-    for j in range(n):
-        requesters = [i for i in sorted(cells) if j in cells[i][0]]
-        if requesters:
-            best = max(weight[i] for i in requesters)
-            winners = [i for i in requesters if weight[i] == best]
-            grants.setdefault(_draw_tie(winners, rng), []).append(j)
-    return grants
 
 
 def reference_siq_fifo(cells, n, rng):
@@ -108,21 +90,6 @@ def _assert_same(decision, expected, view):
     assert decision.requests_made == bool(view.inputs)
 
 
-@pytest.mark.parametrize("coeffs", [(1.0, 1.0), (2.0, 0.5), (0.3, 0.0)])
-@pytest.mark.parametrize("n", SIZES)
-def test_wba_matches_scalar_reference(n, coeffs):
-    age_coeff, fanout_coeff = coeffs
-    rng = np.random.default_rng(100 * n + int(10 * age_coeff))
-    sched = WBAScheduler(n, age_coeff=age_coeff, fanout_coeff=fanout_coeff, rng=9)
-    ref_rng = np.random.default_rng(9)
-    for slot in range(5, 45):
-        view = _random_view(rng, n, slot)
-        cells = {i: c[:2] for i, c in _cells_of(view).items()}
-        expected = reference_wba(cells, slot, age_coeff, fanout_coeff, n, ref_rng)
-        _assert_same(sched.schedule(view), expected, view)
-        assert sched._rng.bit_generator.state == ref_rng.bit_generator.state
-
-
 @pytest.mark.parametrize("n", SIZES)
 def test_siq_fifo_matches_scalar_reference(n):
     rng = np.random.default_rng(200 * n)
@@ -182,7 +149,7 @@ def test_schedulers_leave_the_view_alone():
         current_slot=3, inputs=[0, 2], residue_bits=[0b101, 0b100],
         arrivals=[1, 1], packet_ids=[7, 8],
     )
-    for sched in (WBAScheduler(3, rng=0), SIQFifoScheduler(3, rng=0), TATRAScheduler(3)):
+    for sched in (SIQFifoScheduler(3, rng=0), TATRAScheduler(3)):
         sched.schedule(view)
         assert (view.inputs, view.residue_bits) == ([0, 2], [0b101, 0b100])
         assert (view.arrivals, view.packet_ids) == ([1, 1], [7, 8])

@@ -1,4 +1,4 @@
-"""Unit tests for the single-input-queued switch (TATRA/WBA substrate)."""
+"""Unit tests for the single-input-queued switch (TATRA/SIQ-FIFO substrate)."""
 
 from __future__ import annotations
 

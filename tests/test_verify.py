@@ -47,7 +47,7 @@ class TestExhaustiveVerification:
             ("islip", {}),
             ("maxweight-lqf", {}),
             ("tatra", {}),
-            ("wba", {}),
+            ("pim", {}),
             ("siq-fifo", {}),
             ("oqfifo", {}),
             ("cioq-islip", {"speedup": 2}),

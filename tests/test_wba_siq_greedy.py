@@ -1,4 +1,4 @@
-"""Unit tests for WBA, SIQ-FIFO and the greedy multicast scheduler."""
+"""Unit tests for SIQ-FIFO and the greedy multicast scheduler."""
 
 from __future__ import annotations
 
@@ -8,52 +8,8 @@ from repro.errors import ConfigurationError
 from repro.kernel.state import SwitchState
 from repro.schedulers.greedy_mcast import GreedyMcastScheduler
 from repro.schedulers.siq_fifo import SIQFifoScheduler
-from repro.schedulers.wba import WBAScheduler
 
 from conftest import loaded_kernels, siq_cell as _cell, siq_view as _view
-
-
-class TestWBA:
-    def test_weight_formula(self):
-        sched = WBAScheduler(4, age_coeff=2.0, fanout_coeff=0.5)
-        cell = _cell(0, {0, 1}, 3)
-        # age at slot 7 = 7-3+1 = 5 -> 2*5 - 0.5*2 = 9
-        weight = sched.weight_of(cell.arrival_slot, cell.residue_bits, 7)
-        assert weight == pytest.approx(9.0)
-
-    def test_older_heavier_wins(self):
-        sched = WBAScheduler(4, rng=0)
-        d = sched.schedule(_view(6, _cell(0, {2}, 0), _cell(1, {2}, 5)))
-        assert 0 in d.grants and 1 not in d.grants
-
-    def test_fanout_penalty_can_flip_winner(self):
-        sched = WBAScheduler(4, age_coeff=1.0, fanout_coeff=3.0, rng=0)
-        wide_old = _cell(0, {0, 1, 2, 3}, 4)  # age 3, weight 3 - 12 = -9
-        slim_new = _cell(1, {0}, 6)  # age 1, weight 1 - 3 = -2
-        d = sched.schedule(_view(6, wide_old, slim_new))
-        assert d.grants[1].output_ports == (0,)
-
-    def test_multicast_grant_set_forms(self):
-        sched = WBAScheduler(4, rng=0)
-        d = sched.schedule(_view(0, _cell(0, {0, 1, 3}, 0)))
-        assert d.grants[0].output_ports == (0, 1, 3)
-
-    def test_single_pass(self):
-        sched = WBAScheduler(4, rng=0)
-        d = sched.schedule(_view(0, _cell(0, {0}, 0), _cell(1, {1}, 0)))
-        assert d.rounds == 1
-
-    def test_negative_coeff_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WBAScheduler(4, age_coeff=-1.0)
-
-    def test_random_tie_covers_all(self):
-        sched = WBAScheduler(2, rng=0)
-        winners = set()
-        for _ in range(40):
-            d = sched.schedule(_view(0, _cell(0, {0}, 0), _cell(1, {0}, 0)))
-            winners.add(next(iter(d.grants)))
-        assert winners == {0, 1}
 
 
 class TestSIQFifo:
