@@ -263,21 +263,31 @@ class PointRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "PointRecord":
-        doc = json.loads(line)
-        return cls(
-            key=doc["key"],
-            figure_id=doc["figure_id"],
-            algorithm=doc["algorithm"],
-            load=float(doc["load"]),
-            seed=int(doc["seed"]),
-            status=doc["status"],
-            attempts=int(doc["attempts"]),
-            elapsed_s=float(doc["elapsed_s"]),
-            backoff_s=float(doc["backoff_s"]),
-            summary=_decode_floats(doc.get("summary")),
-            error_type=doc.get("error_type", ""),
-            message=doc.get("message", ""),
-        )
+        """Parse one journal line; :class:`~repro.errors.CampaignError`
+        when it is not JSON, not an object, or a field is missing or of
+        the wrong type."""
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise TypeError(f"a JSON {type(doc).__name__}, not an object")
+            text = {name: doc[name] for name in ("key", "figure_id", "algorithm", "status")}
+            text.update(error_type=doc.get("error_type", ""), message=doc.get("message", ""))
+            summary = doc.get("summary")
+            if not all(isinstance(v, str) for v in text.values()) or not isinstance(
+                summary, (dict, type(None))
+            ):
+                raise TypeError("a text field is not a string or the summary not an object")
+            return cls(
+                load=float(doc["load"]),
+                seed=int(doc["seed"]),
+                attempts=int(doc["attempts"]),
+                elapsed_s=float(doc["elapsed_s"]),
+                backoff_s=float(doc["backoff_s"]),
+                summary=_decode_floats(summary),
+                **text,
+            )
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            raise CampaignError(f"not a journal record: {exc!r}") from exc
 
     def to_summary(self) -> SimulationSummary:
         """Reconstruct the journaled summary, bit-identical to the original."""
@@ -450,7 +460,7 @@ class CampaignStore:
                 continue
             try:
                 records.append(PointRecord.from_json_line(line))
-            except (ValueError, KeyError, CampaignError) as exc:
+            except CampaignError as exc:
                 if idx == len(lines) - 1 and not torn_tail:
                     # Corrupt last complete line: treat like a torn tail.
                     break

@@ -26,20 +26,14 @@ from repro.lint.base import (
     finding_sort_key,
 )
 from repro.lint.rules_determinism import NoUnsortedSetIterationRule, NoWallClockRule
-from repro.lint.rules_errors import ExceptHygieneRule
 from repro.lint.rules_flow import (
     GeneratorIntoWorkerRule,
     GeneratorProvenanceRule,
     OrderFlowRule,
 )
 from repro.lint.rules_kernel import KernelClosurePurityRule
-from repro.lint.rules_rng import (
-    NoGlobalNumpySeedRule,
-    NoLegacyNumpyRandomRule,
-    NoStdlibRandomRule,
-    NoUnseededGeneratorRule,
-)
-from repro.lint.rules_sanitize import StateSeamOwnershipRule, SubmitThenMutateRule
+from repro.lint.rules_rng import NoGlobalNumpySeedRule, NoStdlibRandomRule
+from repro.lint.rules_sanitize import SubmitThenMutateRule
 from repro.lint.rules_structure import PublicModuleAllRule
 
 __all__ = [
@@ -59,9 +53,7 @@ def default_rules() -> tuple[Rule, ...]:
     """Fresh instances of the full built-in rule set, in catalog order."""
     return (
         NoGlobalNumpySeedRule(),
-        NoLegacyNumpyRandomRule(),
         NoStdlibRandomRule(),
-        NoUnseededGeneratorRule(),
         GeneratorProvenanceRule(),
         GeneratorIntoWorkerRule(),
         NoWallClockRule(),
@@ -69,8 +61,6 @@ def default_rules() -> tuple[Rule, ...]:
         OrderFlowRule(),
         PublicModuleAllRule(),
         KernelClosurePurityRule(),
-        ExceptHygieneRule(),
-        StateSeamOwnershipRule(),
         SubmitThenMutateRule(),
     )
 

@@ -75,16 +75,6 @@ class GeneratorProvenanceRule(Rule):
             parts = name.split(".")
             if parts[-1] not in _NUMPY_GENERATOR_CTORS:
                 continue
-            # Unseeded default_rng() is RNG004's finding; stay disjoint.
-            if parts[-1] == "default_rng" and not node.args and not node.keywords:
-                continue
-            if (
-                len(node.args) == 1
-                and not node.keywords
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value is None
-            ):
-                continue
             yield self.finding(
                 module,
                 node,

@@ -3,9 +3,10 @@
 The reproduction's headline property — bit-for-bit identical results from
 one integer seed — requires that *every* random draw flow through the
 seeded :class:`numpy.random.Generator` streams built by
-:mod:`repro.utils.rng`. These rules reject the three ways that discipline
-silently erodes: global/legacy numpy RNG state, the stdlib :mod:`random`
-module, and ad-hoc unseeded generators.
+:mod:`repro.utils.rng`. These rules reject two ways that discipline
+erodes without moving a pinned digest: seeding global RNG state, and the
+stdlib :mod:`random` module. A draw from global or unseeded state does
+move every digest, so the pins catch it (docs/kill_matrix.md).
 """
 
 from __future__ import annotations
@@ -15,42 +16,7 @@ from collections.abc import Iterator
 
 from repro.lint.base import Finding, ModuleInfo, Rule, dotted_name
 
-__all__ = [
-    "NoGlobalNumpySeedRule",
-    "NoLegacyNumpyRandomRule",
-    "NoStdlibRandomRule",
-    "NoUnseededGeneratorRule",
-]
-
-#: Spellings of the legacy global-state numpy RNG namespace.
-_NP_RANDOM_PREFIXES = ("np.random.", "numpy.random.")
-
-#: ``np.random`` attributes that are generator *construction*, not draws
-#: from hidden global state — these are fine (rng.py uses them).
-_NP_RANDOM_ALLOWED = frozenset(
-    {
-        "default_rng",
-        "Generator",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-        "MT19937",
-    }
-)
-
-
-def _np_random_attr(call: ast.Call) -> str | None:
-    """The ``X`` of an ``np.random.X(...)`` / ``numpy.random.X(...)`` call."""
-    dotted = dotted_name(call.func)
-    if dotted is None:
-        return None
-    for prefix in _NP_RANDOM_PREFIXES:
-        if dotted.startswith(prefix):
-            return dotted[len(prefix):]
-    return None
+__all__ = ["NoGlobalNumpySeedRule", "NoStdlibRandomRule"]
 
 
 class NoGlobalNumpySeedRule(Rule):
@@ -77,35 +43,6 @@ class NoGlobalNumpySeedRule(Rule):
                         f"{dotted}() seeds global RNG state; derive a stream "
                         "via repro.utils.rng.make_rng/spawn_rngs instead",
                     )
-
-
-class NoLegacyNumpyRandomRule(Rule):
-    """RNG002 — no draws from the legacy ``np.random`` global namespace."""
-
-    rule_id = "RNG002"
-    title = "legacy np.random.<dist> global-state draw"
-    rationale = (
-        "Module-level np.random functions (rand, randint, choice, shuffle, "
-        "...) draw from one shared hidden generator; results then depend on "
-        "every other draw in the process. Use a Generator from "
-        "repro.utils.rng."
-    )
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        if module.is_rng_module:
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            attr = _np_random_attr(node)
-            if attr is None or attr in _NP_RANDOM_ALLOWED or attr == "seed":
-                continue  # seeding is RNG001's finding, not a duplicate here
-            yield self.finding(
-                module,
-                node,
-                f"np.random.{attr}() draws from hidden global state; use a "
-                "seeded Generator from repro.utils.rng",
-            )
 
 
 class NoStdlibRandomRule(Rule):
@@ -140,39 +77,3 @@ class NoStdlibRandomRule(Rule):
                         "from random import ...: stdlib RNG bypasses the "
                         "seeded numpy streams; use repro.utils.rng",
                     )
-
-
-class NoUnseededGeneratorRule(Rule):
-    """RNG004 — every generator must descend from an explicit seed."""
-
-    rule_id = "RNG004"
-    title = "unseeded default_rng() call"
-    rationale = (
-        "default_rng() with no seed pulls OS entropy, so two runs of the "
-        "same experiment diverge. Library code receives seeds/Generators "
-        "from its caller and derives streams via repro.utils.rng."
-    )
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        if module.is_rng_module or module.is_test_module:
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None or dotted.split(".")[-1] != "default_rng":
-                continue
-            unseeded = not node.args and not node.keywords
-            none_seeded = (
-                len(node.args) == 1
-                and not node.keywords
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value is None
-            )
-            if unseeded or none_seeded:
-                yield self.finding(
-                    module,
-                    node,
-                    "default_rng() without a seed draws OS entropy; thread a "
-                    "seed through repro.utils.rng.make_rng instead",
-                )

@@ -1,28 +1,15 @@
-"""Sanitizer-counterpart dataflow rules (SAN/RACE families).
+"""RACE001, the runtime sanitizer's static counterpart for sweeps.
 
-The runtime sanitizer (:mod:`repro.sanitize`) checks invariants while a
-run executes; these rules enforce the *conventions that make those
-checks sound* at lint time, riding the dataflow layer
-(:class:`~repro.lint.dataflow.ForwardFlow`):
+An object submitted to a ``ProcessPoolExecutor`` must not be mutated
+afterwards in the same scope. ``submit()`` serializes its arguments
+*lazily* (when a worker picks the task up), so a post-submit mutation
+races the pickler and different workers can observe different argument
+states — the classic nondeterministic-sweep bug the sanitizer cannot
+see from inside any single run.
 
-* **SAN001** — kernel-seam state ownership: only the kernel package may
-  mutate a :class:`~repro.kernel.state.SwitchState`. Scheduler code
-  receives the state at its array entry point (``schedule_state``)
-  strictly read-only — a scheduler that writes
-  ``occupancy``/``p_hol``/``hol_pids``/... directly bypasses the
-  admit/serve bookkeeping the sanitizer's cross-checks certify, so the
-  two backends silently diverge.
-* **RACE001** — publish-then-mutate: an object submitted to a
-  ``ProcessPoolExecutor`` must not be mutated afterwards in the same
-  scope. ``submit()`` serializes its arguments *lazily* (when a worker
-  picks the task up), so a post-submit mutation races the pickler and
-  different workers can observe different argument states — the
-  classic nondeterministic-sweep bug the sanitizer cannot see from
-  inside any single run.
-
-Like every flow rule here, the analyses under-approximate (single
-forward pass, no aliasing through locals) — they exist to catch the
-idioms that actually appear, not to prove absence.
+Like every flow rule here, the analysis under-approximates (single
+forward pass, no aliasing through locals): it exists to catch the idioms
+that actually appear, not to prove absence.
 """
 
 from __future__ import annotations
@@ -33,44 +20,9 @@ from collections.abc import Iterator
 from repro.lint.base import Finding, ModuleInfo, Rule, dotted_name
 from repro.lint.dataflow import Env, ForwardFlow, Tags, iter_scopes
 
-__all__ = [
-    "StateSeamOwnershipRule",
-    "SubmitThenMutateRule",
-]
+__all__ = ["SubmitThenMutateRule"]
 
 _EMPTY: Tags = frozenset()
-
-#: SwitchState bookkeeping fields only the kernel may write. Writing one
-#: outside repro.kernel bypasses admit()/serve() and breaks the ledgers
-#: the sanitizer's state cross-checks rely on.
-_PROTECTED_FIELDS = frozenset(
-    {
-        "nonempty",
-        "behind",
-        "deep",
-        "hol_pids",
-        "live",
-        "peak_live",
-        "allocated_total",
-        "released_total",
-        "dropped_total",
-        "backlog",
-        "residue",
-        "packets",
-        "p_fanout",
-        "p_ts",
-        "p_hol",
-        "free_pids",
-    }
-)
-
-#: State methods that mutate (the kernel backend's admission/service
-#: bookkeeping) — calling them from scheduler code is a seam breach.
-_STATE_MUTATORS = frozenset({"admit", "serve", "serve_rows", "drop", "reset"})
-
-#: ndarray methods that write through the receiver (list / deque / dict
-#: ones are ``_CONTAINER_MUTATORS``, shared with RACE001 below).
-_ARRAY_MUTATORS = frozenset({"fill", "sort", "partition", "put", "resize"})
 
 
 def _mutation_root(target: ast.expr) -> ast.expr:
@@ -78,149 +30,6 @@ def _mutation_root(target: ast.expr) -> ast.expr:
     while isinstance(target, ast.Subscript):
         target = target.value
     return target
-
-
-class _StateFlow(ForwardFlow):
-    """Dataflow pass behind SAN001 (one module at a time)."""
-
-    STATE = "switch-state"
-
-    def __init__(self, rule: "StateSeamOwnershipRule", module: ModuleInfo) -> None:
-        super().__init__()
-        self.rule = rule
-        self.module = module
-        self.findings: list[Finding] = []
-
-    # -- origins ------------------------------------------------------- #
-    def call_tags(self, call: ast.Call, env: Env) -> Tags:
-        name = dotted_name(call.func)
-        if name is not None and name.rsplit(".", 1)[-1] == "SwitchState":
-            return frozenset({self.STATE})
-        return _EMPTY
-
-    def _bind_params(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef, env: Env
-    ) -> None:
-        super()._bind_params(func, env)
-        for arg in func.args.posonlyargs + func.args.args + func.args.kwonlyargs:
-            if self._is_state_param(arg):
-                env[arg.arg] = frozenset({self.STATE})
-
-    @staticmethod
-    def _is_state_param(arg: ast.arg) -> bool:
-        ann = arg.annotation
-        if ann is not None:
-            text = (
-                ann.value
-                if isinstance(ann, ast.Constant) and isinstance(ann.value, str)
-                else dotted_name(ann)
-            )
-            if text is not None:
-                return text.rsplit(".", 1)[-1] == "SwitchState"
-            return False
-        # Unannotated: the codebase convention names the seam parameter
-        # ``state`` (other "state" params are annotated with their type).
-        return arg.arg == "state"
-
-    # -- sinks: writes ------------------------------------------------- #
-    def _exec(self, stmt: ast.stmt, env: Env) -> None:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                self._check_write(target, env)
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            self._check_write(stmt.target, env)
-        super()._exec(stmt, env)
-
-    def _check_write(self, target: ast.expr, env: Env) -> None:
-        root = _mutation_root(target)
-        if not isinstance(root, ast.Attribute):
-            return
-        field = root.attr
-        if field not in _PROTECTED_FIELDS:
-            return
-        base = dotted_name(root.value)
-        if base is None or self.STATE not in env.get(base, _EMPTY):
-            return
-        self.findings.append(
-            self.rule.finding(
-                self.module,
-                root,
-                f"{base}.{field} written outside the kernel package; "
-                "SwitchState bookkeeping is owned by admit()/serve() — a "
-                "direct write desynchronizes the ledgers the sanitizer "
-                "cross-checks (and the two backends with each other)",
-            )
-        )
-
-    # -- sinks: mutating calls ----------------------------------------- #
-    def on_call(self, call: ast.Call, env: Env) -> None:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return
-        # state.admit(...) / state.serve(...): kernel bookkeeping.
-        base = dotted_name(func.value)
-        if (
-            func.attr in _STATE_MUTATORS
-            and base is not None
-            and self.STATE in env.get(base, _EMPTY)
-        ):
-            self.findings.append(
-                self.rule.finding(
-                    self.module,
-                    call,
-                    f"{base}.{func.attr}() called outside the kernel "
-                    "package; admission/service bookkeeping belongs to "
-                    "the kernel backend, not scheduler code",
-                )
-            )
-            return
-        # state.occupancy.fill(...), state.hol_pids[i].pop() etc.:
-        # in-place container writes.
-        receiver = _mutation_root(func.value)
-        if (
-            func.attr in _ARRAY_MUTATORS or func.attr in _CONTAINER_MUTATORS
-        ) and isinstance(receiver, ast.Attribute):
-            field = receiver.attr
-            inner = dotted_name(receiver.value)
-            if (
-                inner is not None
-                and self.STATE in env.get(inner, _EMPTY)
-                and field in _PROTECTED_FIELDS
-            ):
-                self.findings.append(
-                    self.rule.finding(
-                        self.module,
-                        call,
-                        f"{inner}.{field}.{func.attr}() mutates SwitchState "
-                        "bookkeeping in place outside the kernel package",
-                    )
-                )
-
-
-class StateSeamOwnershipRule(Rule):
-    """SAN001 — SwitchState mutated outside the kernel seam."""
-
-    rule_id = "SAN001"
-    title = "SwitchState mutated outside kernel-seam entry points"
-    rationale = (
-        "The vectorized backend certifies bit-exactness by funnelling "
-        "every state change through SwitchState.admit()/serve(), which "
-        "keep the occupancy/live/HOL ledgers the runtime sanitizer "
-        "cross-checks. Scheduler code sees the state read-only, inside "
-        "its schedule_state() entry point as "
-        "well as outside it: the HOL-packet index (hol_pids, p_hol) the "
-        "rounds read is maintained by admit()/serve() alone. A direct "
-        "field write desynchronizes the ledgers — the backends then "
-        "diverge in ways the equivalence harness only catches per grid "
-        "point, and the sanitizer flags as corruption."
-    )
-
-    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
-        if module.is_test_module or "repro/kernel/" in module.abspath:
-            return  # the kernel owns the state
-        flow = _StateFlow(self, module)
-        flow.analyze_module(module.tree)
-        yield from flow.findings
 
 
 #: Receiver methods that mutate common containers in place.

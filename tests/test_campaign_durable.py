@@ -65,6 +65,30 @@ def tiny_spec(
     )
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats(allow_nan=False) | st.integers() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=8,
+)
+_RECORD = json.loads(
+    '{"key": "x", "figure_id": "tiny", "algorithm": "fifoms", "load": 0.5, '
+    '"seed": 1, "status": "failed", "attempts": 1, "elapsed_s": 0.0, '
+    '"backoff_s": 0.0, "error_type": "E", "message": "m"}'
+)
+#: One journal line: arbitrary text, any JSON document, or a real record
+#: with one field set to any JSON value or removed.
+_JOURNAL_LINES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    _JSON.map(json.dumps),
+    st.tuples(st.sampled_from(sorted(_RECORD) + ["summary"]), _JSON, st.booleans()).map(
+        lambda change: json.dumps(
+            {k: v for k, v in {**_RECORD, change[0]: change[1]}.items()
+             if not (change[2] and k == change[0])}
+        )
+    ),
+)
+
+
 def _point(seed: int = 1) -> SweepPoint:
     return SweepPoint(
         figure_id="tiny",
@@ -220,6 +244,36 @@ class TestCampaignStore:
             fh.write(rec.to_json_line() + "\n")
         with pytest.raises(CampaignError, match="corrupt campaign journal"):
             store.read_journal()
+
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(line=_JOURNAL_LINES, at_end=st.booleans())
+    def test_any_line_reads_as_records_or_campaign_error(
+        self, tmp_path_factory, line, at_end
+    ):
+        store = self._create(tmp_path_factory.mktemp("fuzz"))
+        good = [
+            PointRecord.failed(
+                f"k{n}", _point(), error_type="E", message="m",
+                attempts=1, elapsed_s=0.0, backoff_s=0.0,
+            ).to_json_line()
+            for n in range(2)
+        ]
+        lines = [*good, line] if at_end else [good[0], line, good[1]]
+        store.journal_path.write_text("".join(x + "\n" for x in lines), encoding="utf-8")
+        try:
+            records = store.read_journal()
+        except CampaignError as exc:
+            # Only an interior line may fail the read; a bad last line is
+            # dropped like a torn tail. (The journal is read with universal
+            # newlines, so a "\r" splits a line too.)
+            assert not at_end or "\n" in line or "\r" in line, exc
+            return
+        keys = [r.key for r in records]
+        assert keys[0] == "k0" and "k1" in keys
 
     def test_failed_records_are_not_checkpoints(self, tmp_path):
         store = self._create(tmp_path)

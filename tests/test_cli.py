@@ -305,7 +305,7 @@ class TestLintCommand:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RNG001", "DET001", "STR003", "ERR001",
+        for rule_id in ("RNG001", "DET001", "STR003", "RACE001",
                         "KB003", "RNG005", "RNG006", "DET003"):
             assert rule_id in out
 

@@ -9,7 +9,6 @@ tests/test_sanitize_engine.py.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.packet import Packet
@@ -279,86 +278,13 @@ class TestFifoOrderChecker:
         ) == []
 
 
-class _SeamSwitch(_StubSwitch):
-    """Stub exposing the kernel seam the deep cross-checks walk."""
-
-    def __init__(self, *, backlog, queue_sizes, arrays, stats=None):
-        super().__init__(backlog=backlog)
-        self._queue_sizes = queue_sizes
-        self._arrays = arrays
-        self._stats = stats
-
-    def check_invariants(self):
-        pass
-
-    def queue_sizes(self):
-        return list(self._queue_sizes)
-
-    def state_arrays(self):
-        return dict(self._arrays)
-
-    def harvest_slot_stats(self):
-        return dict(self._stats) if self._stats is not None else {}
-
-
-def _seam_arrays(occupancy, live):
-    occ = np.asarray(occupancy, dtype=np.int64)
-    hol = np.where(occ > 0, 0.0, np.inf)
-    return {
-        "occupancy": occ,
-        "hol_ts": hol,
-        "live": np.asarray(live, dtype=np.int64),
-    }
-
-
 class TestStateCrossChecker:
     def test_consistent_seam_is_silent(self):
-        switch = _SeamSwitch(
-            backlog=3,
-            queue_sizes=[2, 0],
-            arrays=_seam_arrays([[1, 2], [0, 0]], [2, 0]),
-            stats={"live_cells": 2},
-        )
-        assert StateCrossChecker().deep_check(RunContext(switch=switch), 9) == []
+        class _Sound(_StubSwitch):
+            def check_invariants(self):
+                pass
 
-    def test_fires_on_backlog_drift(self):
-        switch = _SeamSwitch(
-            backlog=7, queue_sizes=[2, 0], arrays=_seam_arrays([[1, 2], [0, 0]], [2, 0])
-        )
-        out = StateCrossChecker().deep_check(RunContext(switch=switch), 0)
-        assert any("total_backlog" in v.message for v in out)
-
-    def test_fires_on_live_vs_queue_sizes(self):
-        switch = _SeamSwitch(
-            backlog=3, queue_sizes=[1, 1], arrays=_seam_arrays([[1, 2], [0, 0]], [2, 0])
-        )
-        out = StateCrossChecker().deep_check(RunContext(switch=switch), 0)
-        assert any("queue_sizes()" in v.message for v in out)
-
-    def test_fires_on_vanished_fanout_branch(self):
-        # Input 0 claims 2 live data cells but holds only 1 address cell.
-        switch = _SeamSwitch(
-            backlog=1, queue_sizes=[2, 0], arrays=_seam_arrays([[1, 0], [0, 0]], [2, 0])
-        )
-        out = StateCrossChecker().deep_check(RunContext(switch=switch), 0)
-        assert any("fanout branch" in v.message for v in out)
-
-    def test_fires_on_hol_liveness_mismatch(self):
-        arrays = _seam_arrays([[1, 0], [0, 0]], [1, 0])
-        arrays["hol_ts"] = np.full((2, 2), np.inf)  # finite ts missing
-        switch = _SeamSwitch(backlog=1, queue_sizes=[1, 0], arrays=arrays)
-        out = StateCrossChecker().deep_check(RunContext(switch=switch), 0)
-        assert any("HOL timestamp" in v.message for v in out)
-
-    def test_fires_on_harvest_drift(self):
-        switch = _SeamSwitch(
-            backlog=3,
-            queue_sizes=[2, 0],
-            arrays=_seam_arrays([[1, 2], [0, 0]], [2, 0]),
-            stats={"live_cells": 99},
-        )
-        out = StateCrossChecker().deep_check(RunContext(switch=switch), 0)
-        assert any("harvest_slot_stats" in v.message for v in out)
+        assert StateCrossChecker().deep_check(RunContext(switch=_Sound()), 9) == []
 
     def test_converts_invariant_raise_into_violation(self):
         from repro.errors import SchedulingError
